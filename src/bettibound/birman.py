@@ -28,6 +28,7 @@ from .measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    heat_difference,
     schatten_power_sum,
     singular_values,
 )
@@ -94,21 +95,23 @@ class KernelBoundCertificate:
             )
 
 
-def semigroup_difference(pair: OperatorPair, t: float) -> SelfAdjointOperator:
-    """D_t = exp(-tH) - exp(-tH'); self-adjoint, trivially compact here."""
+def semigroup_difference(pair: OperatorPair, t: float) -> WeightedOperator:
+    """D_t = exp(-tH) - exp(-tH'); callers read only its matrix, so no eigensolve runs."""
     if t <= 0.0:
         raise ValueError("t must be strictly positive")
-    diff = pair.H.semigroup(t).matrix - pair.Hprime.semigroup(t).matrix
-    return SelfAdjointOperator(diff, pair.H.space, pair.H.fiber)
+    return heat_difference(pair.H, pair.Hprime, t)
 
 
 def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
     """(I - exp(-tH'))^(-1) D_t, the operator whose fixed points are ker(H).
 
-    The inverse is applied through the spectral decomposition of H'; it
-    exists because the spectrum of exp(-tH') stays inside [0, e^(-rho0 t)].
+    The inverse is applied through the spectral decomposition of H', never
+    by a generic linear solve; it exists because the spectrum of exp(-tH')
+    stays inside [0, e^(-rho0 t)].
     """
-    inv = pair.Hprime.apply_inverse_of_one_minus_semigroup(t)
+    if np.any(np.exp(-t * pair.Hprime.eigenvalues) >= 1.0):
+        raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
+    inv = pair.Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-t * w)))
     return inv.compose(semigroup_difference(pair, t))
 
 

@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .dec import betti1_rank_count, gaussian_curvature
+from .dec import betti1_rank_count
 from .mesh import (
     BUILTIN_NAMES,
     MeshError,
@@ -31,12 +31,7 @@ from .mesh import (
     load_mesh,
     write_off,
 )
-from .pipeline import (
-    BettiBoundInputs,
-    betti_bound,
-    prepare_surface,
-    prefactors,
-)
+from .pipeline import parameter_sweep, prefactors, prepare_surface
 from .report import (
     RunReport,
     build_config,
@@ -222,11 +217,18 @@ def cmd_betti_bound(args) -> int:
     rho0_values = _parse_grid(args.rho0)
     t0_values = _parse_grid(args.t0)
     surface, label = _load_surface(args)
-    data = prepare_surface(
+    rows = parameter_sweep(
         surface,
-        resolution=args.resolution if not args.mesh else None,
+        rho0_values,
+        t0_values,
+        p=args.p,
+        resolution=args.resolution,
         curvature_source=args.curvature,
-    )
+        compute_schatten=not args.no_schatten,
+        liyau_curvature_floor=args.liyau_floor,
+        liyau_c=args.liyau_c,
+        liyau_alpha=args.liyau_alpha,
+    )["reports"]
     slack = config.tol("soundness")
 
     report = RunReport(
@@ -241,65 +243,47 @@ def cmd_betti_bound(args) -> int:
             schatten=not args.no_schatten,
         ),
     )
-    rows = []
-    for rho0 in rho0_values:
-        for t0 in t0_values:
-            inputs = BettiBoundInputs(
-                surface=surface,
-                rho0=rho0,
-                t0=t0,
-                p=args.p,
-                resolution=args.resolution,
-                curvature_source=args.curvature,
-                compute_schatten=not args.no_schatten,
+    for result in rows:
+        rho0, t0 = result.rho0, result.t0
+        tag = f"rho0={rho0:g},t0={t0:g}"
+        report.add(
+            inequality_record(
+                f"soundness_main[{tag}]",
+                "homology oracle below the certified product bound",
+                float(result.b1_oracle),
+                result.bound_main,
+                slack * (1.0 + abs(result.bound_main)),
             )
-            result = betti_bound(
-                inputs,
-                data=data,
-                liyau_curvature_floor=args.liyau_floor,
-                liyau_c=args.liyau_c,
-                liyau_alpha=args.liyau_alpha,
-            )
-            rows.append(result)
-            tag = f"rho0={rho0:g},t0={t0:g}"
+        )
+        if result.bound_schatten is not None:
             report.add(
                 inequality_record(
-                    f"soundness_main[{tag}]",
-                    "homology oracle below the certified product bound",
+                    f"soundness_schatten[{tag}]",
+                    "homology oracle below the operator-level bound",
                     float(result.b1_oracle),
-                    result.bound_main,
-                    slack * (1.0 + abs(result.bound_main)),
+                    result.bound_schatten,
+                    slack * (1.0 + abs(result.bound_schatten)),
                 )
             )
-            if result.bound_schatten is not None:
-                report.add(
-                    inequality_record(
-                        f"soundness_schatten[{tag}]",
-                        "homology oracle below the operator-level bound",
-                        float(result.b1_oracle),
-                        result.bound_schatten,
-                        slack * (1.0 + abs(result.bound_schatten)),
-                    )
-                )
-            if result.intermediate["curvature_min"] > rho0:
-                report.add(
-                    equality_record(
-                        f"vanishing_criterion[{tag}]",
-                        "curvature everywhere above rho0 forces a zero bound",
-                        result.bound_main,
-                        0.0,
-                    )
-                )
-            sharp, loose = prefactors(rho0, t0)
+        if result.intermediate["curvature_min"] > rho0:
             report.add(
-                inequality_record(
-                    f"prefactor[{tag}]",
-                    "sharp prefactor below the loose 4n/rho0^2 form",
-                    sharp,
-                    loose,
+                equality_record(
+                    f"vanishing_criterion[{tag}]",
+                    "curvature everywhere above rho0 forces a zero bound",
+                    result.bound_main,
                     0.0,
                 )
             )
+        sharp, loose = prefactors(rho0, t0)
+        report.add(
+            inequality_record(
+                f"prefactor[{tag}]",
+                "sharp prefactor below the loose 4n/rho0^2 form",
+                sharp,
+                loose,
+                0.0,
+            )
+        )
     report.extra["reports"] = [r.as_dict() for r in rows]
     if not args.quiet:
         _print_bound_table(rows)
@@ -344,12 +328,11 @@ def cmd_mesh_info(args) -> int:
             float(combinatorial),
         )
     )
-    curvature = gaussian_curvature(mesh)
     report.add(
         inequality_record(
             "gauss_bonnet_residual",
             "total angle defect minus 2 pi Euler characteristic",
-            curvature.gauss_bonnet_residual(),
+            data.curvature.gauss_bonnet_residual(),
             geom_tol,
             0.0,
         )
@@ -366,8 +349,8 @@ def cmd_mesh_info(args) -> int:
         **mesh.describe(),
         "betti1": harmonic,
         "betti0_kernel": data.kernel_dim_0forms,
-        "gauss_bonnet_residual": curvature.gauss_bonnet_residual(),
-        "curvature_min": curvature.min(),
+        "gauss_bonnet_residual": data.curvature.gauss_bonnet_residual(),
+        "curvature_min": data.curvature.min(),
         "diameter_estimate": mesh.diameter_estimate(),
         "volume": mesh.total_area,
     }

@@ -207,17 +207,20 @@ def _component_count(mesh: TriangleMesh) -> int:
     return len({find(v) for v in range(mesh.vertex_count)})
 
 
-def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
+def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None, laplacian1=None) -> int:
     """First Betti number by two independent routes, which must agree.
 
     Route (a): dimension of the kernel of the edge Laplacian L1 under the
     scale-invariant zero tolerance.  Route (b): rank-nullity over the
     chain complex.  Disagreement raises, since it signals a meshing or
-    tolerance bug rather than a soft numerical issue.
+    tolerance bug rather than a soft numerical issue.  ``dec`` and
+    ``laplacian1`` are built from the mesh unless the caller has them.
     """
     if dec is None:
         dec = build_dec(mesh)
-    harmonic = dec.laplacian1().kernel_dim()
+    if laplacian1 is None:
+        laplacian1 = dec.laplacian1()
+    harmonic = laplacian1.kernel_dim()
     combinatorial = betti1_rank_count(dec)
     if harmonic != combinatorial:
         raise MeshError(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "OperatorNormReport",
     "weighted_inner_product",
     "semigroup",
+    "heat_difference",
     "singular_values",
     "schatten_norm",
     "schatten_power_sum",
@@ -60,6 +62,11 @@ RECONSTRUCTION_TOL = 1e-10
 
 class DimensionMismatchError(ValueError):
     """Operands live on different spaces or have incompatible shapes."""
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -170,15 +177,14 @@ class WeightedOperator:
                 f"matrix of shape {mat.shape} does not act on a space of "
                 f"stacked dimension {dim}"
             )
-        mat.setflags(write=False)
-        self.matrix = mat
+        self.matrix = _read_only(mat)
         self.space = space
         self.fiber = fiber
         self._sqrt_w = np.sqrt(space.stacked_weights(fiber))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._sqrt_w.size
 
     def conjugated(self) -> np.ndarray:
         """M^(1/2) A M^(-1/2); symmetric iff A is self-adjoint on L2(m)."""
@@ -210,15 +216,19 @@ class WeightedOperator:
 
 
 class SelfAdjointOperator(WeightedOperator):
-    """Self-adjoint operator with its weighted spectral decomposition cached.
+    """Self-adjoint operator held by its weighted spectral decomposition.
 
     The decomposition A = U diag(w) U^T M has eigenvalues w ascending and
     columns of U orthonormal in the weighted inner product (U^T M U = I).
-    Construction verifies self-adjointness of the conjugated matrix and
+    An operator built from a matrix runs one symmetric eigensolve, and
+    construction verifies self-adjointness of the conjugated matrix and
     that the decomposition reconstructs it to relative tolerance 1e-10.
+    Operators derived by spectral calculus (``spectral_function`` and its
+    callers) share that checked eigenbasis and build their dense matrix
+    only when ``matrix`` is first read.
     """
 
-    def __init__(self, matrix, space, fiber=1, _decomposition=None):
+    def __init__(self, matrix, space, fiber=1):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
         scale = float(np.linalg.norm(conj))
@@ -228,13 +238,7 @@ class SelfAdjointOperator(WeightedOperator):
                 f"operator is not self-adjoint on the weighted space "
                 f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
             )
-        if _decomposition is None:
-            sym = 0.5 * (conj + conj.T)
-            evals, evecs = np.linalg.eigh(sym)
-        else:
-            evals, evecs = _decomposition
-            evals = np.asarray(evals, dtype=float)
-            evecs = np.asarray(evecs, dtype=float)
+        evals, evecs = np.linalg.eigh(0.5 * (conj + conj.T))
         residual = float(
             np.linalg.norm((evecs * evals[None, :]) @ evecs.T - conj)
         )
@@ -243,10 +247,8 @@ class SelfAdjointOperator(WeightedOperator):
                 f"spectral decomposition does not reconstruct the operator "
                 f"(residual {residual:.3e} vs scale {scale:.3e})"
             )
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        self.eigenvalues = evals
-        self._euclidean_vectors = evecs
+        self.eigenvalues = _read_only(evals)
+        self._euclidean_vectors = _read_only(evecs)
 
     @classmethod
     def from_spectrum(
@@ -256,19 +258,41 @@ class SelfAdjointOperator(WeightedOperator):
         euclidean_vectors: np.ndarray,
         fiber: int = 1,
     ) -> "SelfAdjointOperator":
-        """Build U diag(w) U^T M from eigendata of the conjugated matrix.
+        """U diag(w) U^T M from eigendata of the conjugated matrix.
 
-        ``euclidean_vectors`` is Euclidean-orthonormal (the eigenvectors of
-        the conjugated symmetric matrix); eigenvalues must be ascending.
+        ``euclidean_vectors`` must be Euclidean-orthonormal (the
+        eigenvectors of the conjugated symmetric matrix); eigenvalues are
+        sorted ascending here.  Raises ValueError unless the eigendata are
+        finite and max |Q^T Q - I| <= 1e-10.
         """
         evals = np.asarray(eigenvalues, dtype=float)
+        q = np.asarray(euclidean_vectors, dtype=float)
+        dim = space.point_count * fiber
+        if fiber < 1 or evals.shape != (dim,) or q.shape != (dim, dim):
+            raise DimensionMismatchError("eigendata do not match the space and fiber")
+        defect = float(np.max(np.abs(q.T @ q - np.eye(dim))))
+        if not (np.all(np.isfinite(evals)) and defect <= RECONSTRUCTION_TOL):
+            raise ValueError(f"eigendata not finite and orthonormal (defect {defect:.3e})")
+        return cls._with_spectrum(space, fiber, evals, q)
+
+    @classmethod
+    def _with_spectrum(cls, space, fiber, eigenvalues, euclidean_vectors):
+        """Unchecked constructor; sorts the eigenpairs stably ascending."""
+        evals = np.asarray(eigenvalues, dtype=float)
         order = np.argsort(evals, kind="stable")
-        evals = evals[order]
-        q = np.asarray(euclidean_vectors, dtype=float)[:, order]
-        conj = (q * evals[None, :]) @ q.T
-        sqrt_w = np.sqrt(space.stacked_weights(fiber))
-        mat = (conj / sqrt_w[:, None]) * sqrt_w[None, :]
-        return cls(mat, space, fiber, _decomposition=(evals, q))
+        op = cls.__new__(cls)
+        op.space, op.fiber = space, fiber
+        op._sqrt_w = np.sqrt(space.stacked_weights(fiber))
+        op.eigenvalues = _read_only(evals[order])
+        op._euclidean_vectors = _read_only(euclidean_vectors[:, order])
+        return op
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense stacked matrix; built from the spectrum for derived operators."""
+        q = self._euclidean_vectors
+        conj = (q * self.eigenvalues[None, :]) @ q.T
+        return _read_only((conj / self._sqrt_w[:, None]) * self._sqrt_w[None, :])
 
     @property
     def basis(self) -> np.ndarray:
@@ -299,38 +323,40 @@ class SelfAdjointOperator(WeightedOperator):
             np.count_nonzero(np.abs(self.eigenvalues - value) <= self.zero_threshold())
         )
 
+    def spectral_function(self, f) -> "SelfAdjointOperator":
+        """f(A) by spectral calculus: eigenvalues f(w) on the cached eigenbasis.
+
+        ``f`` maps the eigenvalue array elementwise.  No eigensolve runs and
+        no check is repeated: the basis came from a checked construction.
+        """
+        values = f(self.eigenvalues)
+        return self._with_spectrum(self.space, self.fiber, values, self._euclidean_vectors)
+
     def semigroup(self, t: float) -> "SelfAdjointOperator":
         """exp(-t A) via spectral calculus; shares the cached eigenbasis."""
         if t < 0.0:
             raise ValueError("semigroup time must be nonnegative")
-        new_vals = np.exp(-t * self.eigenvalues)
-        return SelfAdjointOperator.from_spectrum(
-            self.space, new_vals, self._euclidean_vectors, self.fiber
-        )
+        return self.spectral_function(lambda w: np.exp(-t * w))
 
     def shifted(self, c: float) -> "SelfAdjointOperator":
         """A + c in place of A, reusing the eigenbasis."""
-        return SelfAdjointOperator.from_spectrum(
-            self.space, self.eigenvalues + c, self._euclidean_vectors, self.fiber
-        )
+        return self.spectral_function(lambda w: w + c)
 
-    def apply_inverse_of_one_minus_semigroup(self, t: float) -> WeightedOperator:
-        """(I - exp(-t A))^(-1), valid when all eigenvalues are positive.
-
-        Applied via the spectral decomposition, never by a generic linear
-        solve, so symmetry is preserved exactly.
-        """
-        gaps = 1.0 - np.exp(-t * self.eigenvalues)
-        if np.any(gaps <= 0.0):
-            raise ValueError("I - exp(-tA) is singular: operator has spectrum <= 0")
-        return SelfAdjointOperator.from_spectrum(
-            self.space, 1.0 / gaps, self._euclidean_vectors, self.fiber
-        )
+    def perturbed(self, V: WeightedOperator) -> "SelfAdjointOperator":
+        """A + V for a self-adjoint V on the same space, with its own eigensolve."""
+        self._check_compatible(V)
+        return SelfAdjointOperator(self.matrix + V.matrix, self.space, self.fiber)
 
 
 def semigroup(operator: SelfAdjointOperator, t: float) -> SelfAdjointOperator:
     """Free-function form of ``SelfAdjointOperator.semigroup``."""
     return operator.semigroup(t)
+
+
+def heat_difference(A, B, t: float) -> WeightedOperator:
+    """exp(-tA) - exp(-tB) for SelfAdjointOperators A, B, from their cached spectra."""
+    A._check_compatible(B)
+    return WeightedOperator(A.semigroup(t).matrix - B.semigroup(t).matrix, A.space, A.fiber)
 
 
 def singular_values(operator: WeightedOperator) -> np.ndarray:

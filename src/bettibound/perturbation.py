@@ -35,6 +35,7 @@ from .measure import (
     VectorFunction,
     WeightedFiniteSpace,
     WeightedOperator,
+    heat_difference,
     hs_norm,
     two_inf_norm,
 )
@@ -161,17 +162,25 @@ def duhamel_difference(
         raise ValueError("t must be strictly positive")
     if quadrature_order < 2:
         raise ValueError("quadrature order must be at least 2")
-    perturbed = SelfAdjointOperator(
-        H.matrix + V.as_operator().matrix, H.space, H.fiber
-    )
-    v_mat = V.as_operator().matrix
+    v_op = V.as_operator()
+    perturbed = H.perturbed(v_op)
     nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
     total = np.zeros_like(H.matrix)
     for node, weight in zip(nodes, weights):
         s = t * (node + 1.0)
-        term = perturbed.semigroup(2.0 * t - s).matrix @ v_mat @ H.semigroup(s).matrix
+        term = perturbed.semigroup(2.0 * t - s).matrix @ v_op.matrix @ H.semigroup(s).matrix
         total += weight * term
     return WeightedOperator(t * total, H.space, H.fiber)
+
+
+def _rebuilt_and_perturbed(H: SelfAdjointOperator, V: MatrixPotential):
+    """H rebuilt through the constructor, and H + V.
+
+    Both take the same eigensolve path (``+ 0.0`` also turns -0.0 into
+    +0.0), so a zero potential yields a bitwise-zero semigroup difference
+    rather than eigensolver noise against the cached basis of H.
+    """
+    return SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber), H.perturbed(V.as_operator())
 
 
 def _exact_22_integral(mu_min: float, t0: float) -> float:
@@ -210,19 +219,9 @@ def semigroup_difference_bound_check(
     tol = 1e-9 * (1.0 + H.spectral_radius)
     if H.min_eigenvalue < -tol:
         raise ValueError("H must be positive semidefinite")
-    # Rebuild the unperturbed operator through the same constructor path as
-    # the perturbed one, so a zero potential yields a bitwise-zero
-    # difference rather than eigensolver noise against a cached basis.
-    base = SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber)
-    perturbed = SelfAdjointOperator(H.matrix + V.as_operator().matrix, H.space, H.fiber)
-    lhs = hs_norm(
-        WeightedOperator(
-            base.semigroup(2.0 * t0).matrix - perturbed.semigroup(2.0 * t0).matrix,
-            H.space,
-            H.fiber,
-        )
-    )
-    ultra_sum = two_inf_norm(base.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
+    rebuilt, perturbed = _rebuilt_and_perturbed(H, V)
+    lhs = hs_norm(heat_difference(rebuilt, perturbed, 2.0 * t0))
+    ultra_sum = two_inf_norm(rebuilt.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
     rhs = float(np.sqrt(H.fiber)) * hs_norm_potential(V) * ultra_sum * integral
     return {
@@ -304,15 +303,8 @@ def dominated_difference_check(
     if t0 <= 0.0:
         raise ValueError("t0 must be strictly positive")
     H = pair.H
-    base = SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber)
-    perturbed = SelfAdjointOperator(H.matrix + V.as_operator().matrix, H.space, H.fiber)
-    lhs = hs_norm(
-        WeightedOperator(
-            base.semigroup(2.0 * t0).matrix - perturbed.semigroup(2.0 * t0).matrix,
-            H.space,
-            H.fiber,
-        )
-    )
+    rebuilt, perturbed = _rebuilt_and_perturbed(H, V)
+    lhs = hs_norm(heat_difference(rebuilt, perturbed, 2.0 * t0))
     scalar_ultra = two_inf_norm(pair.H0.semigroup(t0))
     base = 2.0 * float(np.sqrt(H.fiber)) * hs_norm_potential(V) * scalar_ultra
     integral = semigroup_22_integral(perturbed, t0)

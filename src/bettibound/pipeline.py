@@ -132,6 +132,7 @@ class SurfaceData:
     kernel_dim_0forms: int
     description: str
     laplacian1: SelfAdjointOperator
+    comparison: SelfAdjointOperator
 
     @property
     def volume(self) -> float:
@@ -143,7 +144,10 @@ def prepare_surface(
     resolution: int | None = None,
     curvature_source: str = "angle-defect",
 ) -> SurfaceData:
-    """Mesh, DEC operators, curvature field, and both homology oracles."""
+    """Mesh, DEC operators, curvature field, and both homology oracles.
+
+    Eigensolves L0, L1 and the comparison operator L0 + K once per surface.
+    """
     if isinstance(surface, TriangleMesh):
         mesh = surface
         analytic = None
@@ -157,7 +161,7 @@ def prepare_surface(
         raise ValueError("analytic curvature requires an analytic surface")
     curvature = gaussian_curvature(mesh, curvature_source, analytic)
     lap1 = dec.laplacian1()
-    b1 = betti1_oracle(mesh, dec)
+    b1 = betti1_oracle(mesh, dec, laplacian1=lap1)
     return SurfaceData(
         mesh=mesh,
         dec=dec,
@@ -166,6 +170,7 @@ def prepare_surface(
         kernel_dim_0forms=dec.laplacian0().kernel_dim(),
         description=description,
         laplacian1=lap1,
+        comparison=schrodinger_comparison(dec, curvature.values),
     )
 
 
@@ -195,8 +200,7 @@ def betti_bound(
     notes = []
 
     potential = ricci_potential(data.curvature, rho0)
-    comparison = schrodinger_comparison(data.dec, potential.rho)
-    ultra = two_inf_norm(comparison.semigroup(t0))
+    ultra = two_inf_norm(data.comparison.semigroup(t0))
     sharp_pref, loose_pref = prefactors(rho0, t0)
     bound_main = sharp_pref * potential.norm_2hs**2 * ultra**2
     bound_loose = loose_pref * potential.norm_2hs**2 * ultra**2
@@ -296,9 +300,7 @@ def schatten_betti_bound(
         raise ValueError("Schatten exponent must be positive")
     if not V.nonneg:
         raise ValueError("the edge potential must be nonnegative")
-    perturbed = SelfAdjointOperator(
-        H.matrix + V.as_operator().matrix, H.space, H.fiber
-    )
+    perturbed = H.perturbed(V.as_operator())
     tol = 1e-9 * (1.0 + perturbed.spectral_radius)
     if perturbed.min_eigenvalue < rho0 - tol:
         raise ValueError(
@@ -360,9 +362,13 @@ def parameter_sweep(
     resolution: int | None = None,
     curvature_source: str = "angle-defect",
     compute_schatten: bool = True,
+    liyau_curvature_floor: float | None = None,
+    liyau_c: float = 1.0,
+    liyau_alpha: float = 1.0,
 ) -> dict:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
+    The surface is prepared once; the Li-Yau arguments go to ``betti_bound``.
     Returns the report list (rho0 outer loop, t0 inner) plus the index and
     value of the smallest main bound.
     """
@@ -370,10 +376,7 @@ def parameter_sweep(
     t0_values = [float(t) for t in t0_values]
     if not rho0_values or not t0_values:
         raise ValueError("the parameter grid must be nonempty")
-    if isinstance(surface, TriangleMesh):
-        data = prepare_surface(surface, None, curvature_source)
-    else:
-        data = prepare_surface(surface, resolution, curvature_source)
+    data = prepare_surface(surface, resolution, curvature_source)
     reports = []
     for rho0 in rho0_values:
         for t0 in t0_values:
@@ -386,7 +389,9 @@ def parameter_sweep(
                 curvature_source=curvature_source,
                 compute_schatten=compute_schatten,
             )
-            reports.append(betti_bound(inputs, data=data))
+            reports.append(
+                betti_bound(inputs, data, liyau_curvature_floor, liyau_c, liyau_alpha)
+            )
     best = int(np.argmin([r.bound_main for r in reports]))
     return {
         "reports": reports,

@@ -172,6 +172,27 @@ def test_betti_bound_open_mesh_message(capsys, tmp_path):
     assert "mesh not closed" in err
 
 
+def test_betti_bound_liyau_floor_reported_per_point(capsys, tmp_path):
+    out_path = tmp_path / "liyau.json"
+    code, _, _ = run(
+        capsys,
+        "betti-bound",
+        "--builtin", "flat-torus",
+        "--resolution", "8",
+        "--rho0", "0.5,1",
+        "--t0", "1,2",
+        "--liyau-floor", "0.5",
+        "--quiet",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    reports = json.loads(out_path.read_text())["reports"]
+    assert len(reports) == 4
+    for report in reports:
+        assert report["bound_liyau"] is not None
+        assert "liyau bound uses uncertified user constants; not asserted" in report["notes"]
+
+
 # -- mesh-info -------------------------------------------------------------------
 
 

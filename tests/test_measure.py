@@ -148,6 +148,30 @@ def test_constructor_rejects_non_self_adjoint():
         SelfAdjointOperator([[0.0, 1.0], [0.0, 0.0]], space)
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [
+        np.eye(3)[:, [0, 0, 2]],  # two equal columns
+        np.full((3, 3), np.nan),
+    ],
+    ids=["repeated-column", "nan"],
+)
+def test_from_spectrum_rejects_bad_basis(basis):
+    space = WeightedFiniteSpace([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        SelfAdjointOperator.from_spectrum(space, [0.0, 1.0, 2.0], basis)
+
+
+def test_derived_operator_matrix_matches_dense_oracle():
+    rng = np.random.default_rng(43)
+    space = random_space(rng, 6)
+    op = random_self_adjoint(rng, space, 2)
+    shifted = op.shifted(1.5)
+    assert np.allclose(shifted.matrix, op.matrix + 1.5 * np.eye(12), atol=1e-12)
+    assert np.array_equal(shifted.basis, op.basis)
+    assert not shifted.matrix.flags.writeable
+
+
 def test_free_function_semigroup_agrees_with_method():
     space = WeightedFiniteSpace([1.0, 3.0])
     op = SelfAdjointOperator(np.diag([1.0, 2.0]), space)

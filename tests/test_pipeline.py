@@ -261,6 +261,22 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
     assert result["min_bound_main"] == min(r.bound_main for r in result["reports"])
 
 
+@pytest.mark.parametrize("schatten,expected", [(True, 7), (False, 3)])
+def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten, expected):
+    # Once per surface: L0, L1 and the comparison operator L0 + K; once per
+    # grid point with the Schatten certificate: L1 + W.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    parameter_sweep(genus2_mesh(), [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
+    assert len(calls) == expected
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError, match="nonempty"):
         parameter_sweep(FlatTorus(), [], [1.0], resolution=8)
