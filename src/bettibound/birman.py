@@ -39,6 +39,7 @@ __all__ = [
     "semigroup_difference",
     "birman_schwinger_operator",
     "kernel_identity_check",
+    "crude_kernel_bound",
     "birman_schwinger_bound",
     "weyl_inequality_check",
     "principal_angles",
@@ -172,27 +173,29 @@ def principal_angles(
 
 
 def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertificate:
-    """Certify dim ker(H) <= sharp <= crude at Schatten exponent p.
-
-    The crude bound is evaluated as the power sum of D_t0 scaled by
-    1/(1 - e^(-rho0 t0)) before the singular values are taken, so the
-    scalar saturation case (H = 0, H' = rho0 on one point) comes out as
-    exactly 1.0.
-    """
+    """Certify dim ker(H) <= sharp <= crude (``crude_kernel_bound``) at exponent p."""
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
-    diff = semigroup_difference(pair, pair.t0)
     bs = birman_schwinger_operator(pair, pair.t0)
-    bound_sharp = schatten_power_sum(bs, p)
-    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
-    scaled = WeightedOperator(diff.matrix / gap, pair.H.space, pair.H.fiber)
-    bound_crude = schatten_power_sum(scaled, p)
     return KernelBoundCertificate(
         kernel_dim=pair.H.kernel_dim(),
-        bound_sharp=bound_sharp,
-        bound_crude=bound_crude,
+        bound_sharp=schatten_power_sum(bs, p),
+        bound_crude=crude_kernel_bound(pair, p),
         p=p,
     )
+
+
+def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
+    """(1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p, an upper bound on dim ker(H).
+
+    D_t0 is scaled by 1/(1 - e^(-rho0 t0)) before the singular values are
+    taken, so the scalar saturation case (H = 0, H' = rho0 on one point)
+    comes out as exactly 1.0.
+    """
+    diff = semigroup_difference(pair, pair.t0)
+    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
+    scaled = WeightedOperator(diff.matrix / gap, pair.H.space, pair.H.fiber)
+    return schatten_power_sum(scaled, p)
 
 
 def weyl_inequality_check(operator: WeightedOperator, p: float) -> dict:

@@ -31,7 +31,7 @@ from .mesh import (
     load_mesh,
     write_off,
 )
-from .pipeline import parameter_sweep, prefactors, prepare_surface
+from .pipeline import parameter_sweep, prepare_surface
 from .report import (
     RunReport,
     build_config,
@@ -228,8 +228,8 @@ def cmd_betti_bound(args) -> int:
         liyau_curvature_floor=args.liyau_floor,
         liyau_c=args.liyau_c,
         liyau_alpha=args.liyau_alpha,
+        soundness_slack=config.tol("soundness"),
     )["reports"]
-    slack = config.tol("soundness")
 
     report = RunReport(
         command="betti-bound",
@@ -244,46 +244,7 @@ def cmd_betti_bound(args) -> int:
         ),
     )
     for result in rows:
-        rho0, t0 = result.rho0, result.t0
-        tag = f"rho0={rho0:g},t0={t0:g}"
-        report.add(
-            inequality_record(
-                f"soundness_main[{tag}]",
-                "homology oracle below the certified product bound",
-                float(result.b1_oracle),
-                result.bound_main,
-                slack * (1.0 + abs(result.bound_main)),
-            )
-        )
-        if result.bound_schatten is not None:
-            report.add(
-                inequality_record(
-                    f"soundness_schatten[{tag}]",
-                    "homology oracle below the operator-level bound",
-                    float(result.b1_oracle),
-                    result.bound_schatten,
-                    slack * (1.0 + abs(result.bound_schatten)),
-                )
-            )
-        if result.intermediate["curvature_min"] > rho0:
-            report.add(
-                equality_record(
-                    f"vanishing_criterion[{tag}]",
-                    "curvature everywhere above rho0 forces a zero bound",
-                    result.bound_main,
-                    0.0,
-                )
-            )
-        sharp, loose = prefactors(rho0, t0)
-        report.add(
-            inequality_record(
-                f"prefactor[{tag}]",
-                "sharp prefactor below the loose 4n/rho0^2 form",
-                sharp,
-                loose,
-                0.0,
-            )
-        )
+        report.extend(result.records)
     report.extra["reports"] = [r.as_dict() for r in rows]
     if not args.quiet:
         _print_bound_table(rows)

@@ -10,7 +10,7 @@ of fiber dimension n = 2:
 for any rho0 > 0 and t0 > 0, where rho is the pointwise smallest Ricci
 eigenvalue (the Gauss curvature on surfaces) and L0 + rho is the scalar
 comparison Schroedinger operator.  The looser variant replaces the
-prefactor by 4 n rho0^(-2); both are reported, soundness is asserted for
+prefactor by 4 n rho0^(-2); both are reported, soundness is checked for
 the sharper one.
 
 A second, operator-level certificate applies the Schatten kernel bound
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .birman import OperatorPair, semigroup_difference
+from .birman import OperatorPair, crude_kernel_bound
 from .dec import (
     CurvatureField,
     DECOperators,
@@ -41,14 +41,10 @@ from .dec import (
     ricci_potential,
     schrodinger_comparison,
 )
-from .measure import (
-    SelfAdjointOperator,
-    WeightedOperator,
-    schatten_power_sum,
-    two_inf_norm,
-)
+from .measure import SelfAdjointOperator, two_inf_norm
 from .mesh import AnalyticSurface, TriangleMesh
 from .perturbation import MatrixPotential
+from .report import DEFAULT_TOLERANCES, CheckRecord, equality_record, inequality_record
 
 __all__ = [
     "SURFACE_FIBER_DIM",
@@ -66,8 +62,6 @@ __all__ = [
 
 # 1-forms on a surface have two-dimensional fibers.
 SURFACE_FIBER_DIM = 2
-
-SOUNDNESS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,11 @@ class BettiBoundInputs:
 
 @dataclass(frozen=True)
 class BettiBoundReport:
-    """All inputs, intermediate norms, bound values, oracle, and pass flag."""
+    """All inputs, intermediate norms, bound values, oracle, and check records.
+
+    The point passes exactly when all of its ``records`` pass.  They are
+    not in ``as_dict``, because the run report lists them at its top level.
+    """
 
     surface: str
     rho0: float
@@ -101,8 +99,12 @@ class BettiBoundReport:
     bound_schatten: float | None
     bound_liyau: float | None
     intermediate: dict = field(default_factory=dict)
-    passed: bool = False
     notes: tuple = ()
+    records: tuple[CheckRecord, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.records)
 
     def as_dict(self) -> dict:
         return {
@@ -192,8 +194,15 @@ def betti_bound(
     liyau_curvature_floor: float | None = None,
     liyau_c: float = 1.0,
     liyau_alpha: float = 1.0,
+    soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
 ) -> BettiBoundReport:
-    """Evaluate the main bound (and companions) and certify b1 <= bound."""
+    """Evaluate the main bound (and companions) and check b1 <= bound.
+
+    The report's records, in order: soundness_main, soundness_schatten
+    (when computed), vanishing_criterion (when the curvature is everywhere
+    above rho0) and prefactor.  A soundness record passes when
+    b1 <= bound + soundness_slack * (1 + |bound|).
+    """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
     rho0, t0 = inputs.rho0, inputs.t0
@@ -228,12 +237,38 @@ def betti_bound(
         )
         notes.append("liyau bound uses uncertified user constants; not asserted")
 
-    slack = SOUNDNESS_SLACK * (1.0 + abs(bound_main))
-    passed = data.b1 <= bound_main + slack
+    tag = f"rho0={rho0:g},t0={t0:g}"
+    soundness = [("main", "the certified product bound", bound_main)]
     if bound_schatten is not None:
-        passed = passed and data.b1 <= bound_schatten + SOUNDNESS_SLACK * (
-            1.0 + abs(bound_schatten)
+        soundness.append(("schatten", "the operator-level bound", bound_schatten))
+    records = [
+        inequality_record(
+            f"soundness_{kind}[{tag}]",
+            f"homology oracle below {what}",
+            float(data.b1),
+            bound,
+            soundness_slack * (1.0 + abs(bound)),
         )
+        for kind, what, bound in soundness
+    ]
+    if data.curvature.min() > rho0:
+        records.append(
+            equality_record(
+                f"vanishing_criterion[{tag}]",
+                "curvature everywhere above rho0 forces a zero bound",
+                bound_main,
+                0.0,
+            )
+        )
+    records.append(
+        inequality_record(
+            f"prefactor[{tag}]",
+            "sharp prefactor below the loose 4n/rho0^2 form",
+            sharp_pref,
+            loose_pref,
+            0.0,
+        )
+    )
 
     intermediate = {
         "potential_norm_2hs": potential.norm_2hs,
@@ -258,8 +293,8 @@ def betti_bound(
         bound_schatten=bound_schatten,
         bound_liyau=bound_liyau,
         intermediate=intermediate,
-        passed=bool(passed),
         notes=tuple(notes),
+        records=tuple(records),
     )
 
 
@@ -291,10 +326,9 @@ def schatten_betti_bound(
 ) -> float:
     """Operator-level kernel bound (1-e^(-2 rho0 t0))^(-p) ||D_{2t0}||_Sp^p.
 
-    Requires H >= 0 and H + V >= rho0, both verified spectrally; the
-    returned value dominates dim ker H (asserted up to the usual relative
-    slack).  The difference is scaled before the singular values are
-    taken, so the saturated commuting cases stay exact.
+    Requires H >= 0 and H + V >= rho0, both verified spectrally (a failure
+    raises ``ValueError``).  The value is ``birman.crude_kernel_bound`` at
+    time 2 t0; whether it dominates dim ker H is a record of ``betti_bound``.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
@@ -308,17 +342,7 @@ def schatten_betti_bound(
             f"{perturbed.min_eigenvalue:.6g} < rho0={rho0:.6g}"
         )
     pair = OperatorPair(H=H, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
-    diff = semigroup_difference(pair, pair.t0)
-    gap = 1.0 - np.exp(-rho0 * pair.t0)
-    bound = schatten_power_sum(
-        WeightedOperator(diff.matrix / gap, H.space, H.fiber), p
-    )
-    kernel_dim = H.kernel_dim()
-    if kernel_dim > bound + SOUNDNESS_SLACK * (1.0 + abs(bound)):
-        raise AssertionError(
-            f"certificate violated: dim ker = {kernel_dim} exceeds bound {bound!r}"
-        )
-    return bound
+    return crude_kernel_bound(pair, p)
 
 
 def li_yau_betti_bound(
@@ -365,10 +389,12 @@ def parameter_sweep(
     liyau_curvature_floor: float | None = None,
     liyau_c: float = 1.0,
     liyau_alpha: float = 1.0,
+    soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
 ) -> dict:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
-    The surface is prepared once; the Li-Yau arguments go to ``betti_bound``.
+    The surface is prepared once; the Li-Yau arguments and the soundness
+    slack go to ``betti_bound``.
     Returns the report list (rho0 outer loop, t0 inner) plus the index and
     value of the smallest main bound.
     """
@@ -390,7 +416,14 @@ def parameter_sweep(
                 compute_schatten=compute_schatten,
             )
             reports.append(
-                betti_bound(inputs, data, liyau_curvature_floor, liyau_c, liyau_alpha)
+                betti_bound(
+                    inputs,
+                    data,
+                    liyau_curvature_floor,
+                    liyau_c,
+                    liyau_alpha,
+                    soundness_slack,
+                )
             )
     best = int(np.argmin([r.bound_main for r in reports]))
     return {

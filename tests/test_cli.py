@@ -193,6 +193,84 @@ def test_betti_bound_liyau_floor_reported_per_point(capsys, tmp_path):
         assert "liyau bound uses uncertified user constants; not asserted" in report["notes"]
 
 
+def test_betti_bound_point_passes_only_with_all_its_records(capsys, tmp_path):
+    # At a 1e-12 soundness slack the flat-torus Schatten bound (2 minus a
+    # rounding error) fails; each point must then report "pass": false.
+    out_path = tmp_path / "tight.json"
+    code, _, _ = run(
+        capsys,
+        "betti-bound",
+        "--builtin", "flat-torus",
+        "--resolution", "8",
+        "--rho0", "0.5,1,2",
+        "--t0", "4",
+        "--tolerance", "1e-12",
+        "--quiet",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    doc = json.loads(out_path.read_text())
+    records = {r["name"]: r["pass"] for r in doc["records"]}
+    assert len(doc["reports"]) == 3
+    for report in doc["reports"]:
+        tag = f"rho0={report['rho0']:g},t0={report['t0']:g}"
+        assert records[f"soundness_schatten[{tag}]"] is False
+        assert report["pass"] is False
+
+
+def test_betti_bound_violated_certificate_is_a_failing_record(
+    capsys, tmp_path, monkeypatch
+):
+    import bettibound.measure as measure
+
+    singular_values = measure.singular_values
+    monkeypatch.setattr(
+        measure, "singular_values", lambda operator: 0.5 * singular_values(operator)
+    )
+    out_path = tmp_path / "violated.json"
+    code, _, _ = run(
+        capsys,
+        "betti-bound",
+        "--builtin", "flat-torus",
+        "--resolution", "8",
+        "--rho0", "0.5",
+        "--t0", "1",
+        "--quiet",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    doc = json.loads(out_path.read_text())
+    records = {r["name"]: r for r in doc["records"]}
+    assert records["soundness_schatten[rho0=0.5,t0=1]"]["pass"] is False
+    assert doc["reports"][0]["pass"] is False
+
+
+def test_betti_bound_record_names_and_order(capsys, tmp_path):
+    # bench/run.py compares these names, in this order, with its reference.
+    out_path = tmp_path / "names.json"
+    code, _, _ = run(
+        capsys,
+        "betti-bound",
+        "--builtin", "sphere",
+        "--resolution", "2",
+        "--rho0", "0.5,2",
+        "--t0", "1,3",
+        "--quiet",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    names = [r["name"] for r in json.loads(out_path.read_text())["records"]]
+    expected = []
+    for rho0 in ("0.5", "2"):
+        for t0 in ("1", "3"):
+            tag = f"rho0={rho0},t0={t0}"
+            expected += [f"soundness_main[{tag}]", f"soundness_schatten[{tag}]"]
+            if rho0 == "0.5":
+                expected.append(f"vanishing_criterion[{tag}]")
+            expected.append(f"prefactor[{tag}]")
+    assert names == expected
+
+
 # -- mesh-info -------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from bettibound.dec import (
     schrodinger_comparison,
 )
 from bettibound.measure import operator_norm, WeightedOperator
+from bettibound.pipeline import prepare_surface
 from bettibound.mesh import (
     BumpySphere,
     FlatTorus,
@@ -19,6 +20,7 @@ from bettibound.mesh import (
     RoundSphere,
     TorusOfRevolution,
     TriangleMesh,
+    builtin_mesh,
     flat_torus_mesh,
     genus2_mesh,
     icosphere_mesh,
@@ -124,6 +126,71 @@ def test_betti1_both_oracles(mesh_builder, expected):
     dec = build_dec(mesh)
     assert betti1_oracle(mesh, dec) == expected
     assert betti1_rank_count(dec) == expected
+
+
+def _rank_reference(dec):
+    return (
+        dec.mesh.edge_count
+        - np.linalg.matrix_rank(dec.d0)
+        - np.linalg.matrix_rank(dec.d1)
+    )
+
+
+def _two_icospheres(glued):
+    # The second copy is the first reflected through vertex 0 (faces
+    # reversed to keep the orientation); glued, the copies share vertex 0.
+    mesh = icosphere_mesh(1)
+    nv = mesh.vertex_count
+    mirror = 2.0 * mesh.vertices[0] - mesh.vertices
+    faces = mesh.faces[:, ::-1] + nv
+    if glued:
+        mirror = mirror[1:]
+        faces = np.where(faces == nv, 0, faces - 1)
+    else:
+        mirror = mirror + 1.0
+    return TriangleMesh(
+        np.vstack([mesh.vertices, mirror]), np.vstack([mesh.faces, faces])
+    )
+
+
+@pytest.mark.parametrize(
+    "mesh_builder",
+    [
+        lambda: builtin_mesh("sphere", 2),
+        lambda: builtin_mesh("flat-torus"),
+        lambda: builtin_mesh("torus-rev", 10),
+        lambda: builtin_mesh("bumpy-sphere", 1),
+        lambda: builtin_mesh("genus2"),
+        lambda: _two_icospheres(glued=False),
+        lambda: _two_icospheres(glued=True),
+    ],
+    ids=["sphere", "flat-torus", "torus-rev", "bumpy-sphere", "genus2",
+         "disjoint-icospheres", "glued-icospheres"],
+)
+def test_rank_count_matches_float_rank_reference(mesh_builder):
+    dec = build_dec(mesh_builder())
+    assert betti1_rank_count(dec) == _rank_reference(dec)
+
+
+def test_rank_count_counts_face_components_separately():
+    # Glued at one vertex: one vertex component but two face components,
+    # so rank(d1) = F - 2; a vertex-only count would give b1 = -1.
+    dec = build_dec(_two_icospheres(glued=True))
+    assert betti1_rank_count(dec) == 0
+    assert np.linalg.matrix_rank(dec.d1) == dec.mesh.face_count - 2
+
+
+def test_prepare_surface_takes_no_float_rank(monkeypatch):
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting_matrix_rank(*args, **kwargs):
+        calls.append(1)
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_matrix_rank)
+    assert prepare_surface(genus2_mesh()).b1 == 4
+    assert calls == []
 
 
 def test_icosphere_kernel_dimensions():
