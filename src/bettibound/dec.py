@@ -1,7 +1,8 @@
 """Discrete exterior calculus on closed triangulated surfaces.
 
-The chain complex is carried by integer incidence matrices d0 (edges x
-vertices) and d1 (faces x edges) with d1 d0 = 0 exactly.  Diagonal Hodge
+The chain complex is carried by sparse integer incidence matrices d0
+(edges x vertices) and d1 (faces x edges), read straight off the mesh's
+edge table, with d1 d0 = 0 exactly.  Diagonal Hodge
 stars come from the barycentric dual: star0 holds vertex dual areas,
 star1 the ratio of barycentric dual edge length to primal edge length
 (always positive, at the price of first-order accuracy), star2 the
@@ -14,7 +15,8 @@ both self-adjoint and positive semidefinite in their star-weighted L2
 spaces.  The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number; an independent combinatorial
 count b1 = E - rank(d0) - rank(d1) cross-checks every kernel computation.
-Both ranks are exact integer counts of graph components, not float ranks.
+Both ranks are exact: component counts of the patterns of d0^T d0 and
+d1 d1^T, not float ranks.
 
 Curvature enters through vertex angle defects: K(v) multiplied by the
 dual area is 2*pi minus the incident angle sum, and the defects sum to
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 
 from .measure import SelfAdjointOperator, WeightedFiniteSpace
@@ -52,11 +54,11 @@ GAUSS_BONNET_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DECOperators:
-    """Incidence matrices and diagonal Hodge stars of a surface mesh."""
+    """Sparse integer incidence matrices and diagonal Hodge stars of a mesh."""
 
     mesh: TriangleMesh
-    d0: np.ndarray
-    d1: np.ndarray
+    d0: csr_matrix
+    d1: csr_matrix
     star0: np.ndarray
     star1: np.ndarray
     star2: np.ndarray
@@ -68,13 +70,8 @@ class DECOperators:
             raise MeshError("d1 d0 does not vanish; incidence assembly is broken")
 
     def incidence_composition_max(self) -> int:
-        """max |(d1 d0)_ij| in exact integer arithmetic (sparse, so cheap)."""
-        product = csr_matrix(self.d1.astype(np.int64)) @ csr_matrix(
-            self.d0.astype(np.int64)
-        )
-        if product.nnz == 0:
-            return 0
-        return int(np.max(np.abs(product.data)))
+        """max |(d1 d0)_ij|, exact: every entry is a small integer."""
+        return int(abs(self.d1 @ self.d0).max())
 
     # Function spaces weighted by the stars.
     def vertex_space(self) -> WeightedFiniteSpace:
@@ -84,12 +81,14 @@ class DECOperators:
         return WeightedFiniteSpace(self.star1)
 
     def laplacian0_matrix(self) -> np.ndarray:
-        return (self.d0.T * self.star1[None, :]) @ self.d0 / self.star0[:, None]
+        return (self.d0.T @ diags(self.star1) @ self.d0).toarray() / self.star0[:, None]
 
     def laplacian1_matrix(self) -> np.ndarray:
-        lower = self.d0 @ ((self.d0.T * self.star1[None, :]) / self.star0[:, None])
-        upper = (self.d1.T * self.star2[None, :]) @ self.d1 / self.star1[:, None]
-        return lower + upper
+        # Each entry of either product sums at most two exact terms (+-1
+        # times a star), so the summation order cannot change a bit.
+        factor = (self.d0.T @ diags(self.star1)).toarray() / self.star0[:, None]
+        upper = (self.d1.T @ diags(self.star2) @ self.d1).toarray() / self.star1[:, None]
+        return self.d0 @ factor + upper
 
     def laplacian0(self) -> SelfAdjointOperator:
         return SelfAdjointOperator(self.laplacian0_matrix(), self.vertex_space())
@@ -103,15 +102,18 @@ class DECOperators:
         return (self.d0.T @ (self.star1 * grad)) / self.star0
 
 
+def _incidence(columns: np.ndarray, signs: np.ndarray, width: int) -> csr_matrix:
+    """CSR matrix whose row i holds signs[i, k] in column columns[i, k]."""
+    rows, per_row = columns.shape
+    indptr = np.arange(0, rows * per_row + 1, per_row)
+    return csr_matrix((signs.ravel(), columns.ravel(), indptr), (rows, width), copy=True)
+
+
 def build_dec(mesh: TriangleMesh) -> DECOperators:
     """Assemble incidence matrices and barycentric Hodge stars."""
-    ne, nv, nf = mesh.edge_count, mesh.vertex_count, mesh.face_count
-    d0 = np.zeros((ne, nv), dtype=np.int64)
-    d0[np.arange(ne), mesh.edges[:, 0]] = -1
-    d0[np.arange(ne), mesh.edges[:, 1]] = 1
-    d1 = np.zeros((nf, ne), dtype=np.int64)
-    for k in range(3):
-        d1[np.arange(nf), mesh.face_edges[:, k]] = mesh.face_signs[:, k]
+    ne, nv = mesh.edge_count, mesh.vertex_count
+    d0 = _incidence(mesh.edges, np.tile([-1, 1], (ne, 1)), nv)
+    d1 = _incidence(mesh.face_edges, mesh.face_signs, ne)
 
     # Barycentric dual edge: centroid to edge midpoint in each adjacent
     # face has length median/3, and the median is metric data,
@@ -128,8 +130,8 @@ def build_dec(mesh: TriangleMesh) -> DECOperators:
 
     return DECOperators(
         mesh=mesh,
-        d0=d0.astype(float),
-        d1=d1.astype(float),
+        d0=d0,
+        d1=d1,
         star0=mesh.dual_areas.copy(),
         star1=star1,
         star2=1.0 / mesh.face_areas,
@@ -178,25 +180,16 @@ def gaussian_curvature(
 def betti1_rank_count(dec: DECOperators) -> int:
     """b1 = E - rank(d0) - rank(d1) over the simplicial chain complex, exactly.
 
-    rank(d0) = V - c_v, with c_v the number of vertex components.
-    rank(d1) = F - c_f, with c_f the number of classes of faces joined
-    through shared edges: each edge of a ``TriangleMesh`` lies in exactly
-    two faces with opposite signs, so a 2-cycle is constant on
-    edge-adjacent faces.
+    rank(d0) = V - c_v, with c_v the components of the pattern of d0^T d0
+    (vertices joined through shared edges).  rank(d1) = F - c_f, with c_f
+    the components of the pattern of d1 d1^T (faces joined through shared
+    edges): each edge of a ``TriangleMesh`` lies in exactly two faces with
+    opposite signs, so a 2-cycle is constant on each such component.
     """
-    mesh = dec.mesh
-    # Stable sort: the two faces of edge e sit at slots 2e and 2e + 1.
-    slots = np.argsort(mesh.face_edges.reshape(-1), kind="stable")
-    c_v = _component_count(mesh.vertex_count, mesh.edges)
-    c_f = _component_count(mesh.face_count, slots.reshape(-1, 2) // 3)
-    return mesh.edge_count - (mesh.vertex_count - c_v) - (mesh.face_count - c_f)
-
-
-def _component_count(count: int, pairs: np.ndarray) -> int:
-    """Connected components of the graph on range(count) with edges ``pairs``."""
-    ones = np.ones(len(pairs))
-    graph = csr_matrix((ones, (pairs[:, 0], pairs[:, 1])), shape=(count, count))
-    return int(connected_components(graph, directed=False)[0])
+    (ne, nv), nf = dec.d0.shape, dec.d1.shape[0]
+    c_v = connected_components(dec.d0.T @ dec.d0, directed=False)[0]
+    c_f = connected_components(dec.d1 @ dec.d1.T, directed=False)[0]
+    return int(ne - (nv - c_v) - (nf - c_f))
 
 
 def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None, laplacian1=None) -> int:

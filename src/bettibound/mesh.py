@@ -2,13 +2,14 @@
 
 A mesh is valid here only if it triangulates a closed orientable surface:
 every edge lies in exactly two faces, adjacent faces induce opposite
-directions on their shared edge, all triangles are nondegenerate.  All
-metric quantities (angles, areas, Hodge star ratios) are derived from
-edge lengths alone, so a mesh may carry intrinsic edge lengths that
-override the Euclidean ones.  That is how the flat torus is realized:
-its grid combinatorics are embedded in the parameter plane while the
-metric comes from the flat product metric, which has no isometric
-embedding in 3-space.
+directions on their shared edge, all triangles are nondegenerate, all
+coordinates and lengths are finite.  ``_edge_table`` alone decides the
+edge order.  All metric quantities (angles, areas, Hodge star ratios) are
+derived from edge lengths alone, so a mesh may carry intrinsic edge
+lengths that override the Euclidean ones.  That is how the flat torus is
+realized: its grid combinatorics are embedded in the parameter plane
+while the metric comes from the flat product metric, which has no
+isometric embedding in 3-space.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ class MeshError(ValueError):
     """The input does not describe a closed oriented triangulated surface."""
 
 
+def _edge_table(faces):
+    """Oriented edge table: (edges, face_edges, face_signs).
+
+    ``edges`` are the sorted vertex pairs in lexicographic order, (E, 2);
+    ``face_edges[f, k]`` indexes the side from corner k to corner k + 1 of
+    face f, and ``face_signs[f, k]`` is +1 where that side runs from the
+    smaller vertex to the larger, else -1, both (F, 3).
+    """
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    heads = np.roll(faces, -1, axis=1)
+    sides = np.stack([np.minimum(faces, heads), np.maximum(faces, heads)], axis=-1)
+    edges, inverse = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
+    # The inverse's shape changed across numpy 2.0.x, so reshape explicitly.
+    return edges, inverse.reshape(faces.shape), np.where(faces < heads, 1, -1)
+
+
 class TriangleMesh:
     """Closed oriented triangle mesh with optional intrinsic metric.
 
@@ -66,9 +83,11 @@ class TriangleMesh:
             raise MeshError("vertices must be an array of 3D points")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must be vertex triples")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("non-finite vertex coordinates (NaN or inf)")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
             raise MeshError("face indices out of range")
-        if any(len(set(f)) != 3 for f in self.faces.tolist()):
+        if np.any(self.faces == np.roll(self.faces, 1, axis=1)):
             raise MeshError("degenerate face with a repeated vertex")
 
         self._build_edges()
@@ -76,6 +95,8 @@ class TriangleMesh:
             lengths = np.array(intrinsic_lengths, dtype=float).reshape(-1)
             if lengths.size != self.edge_count:
                 raise MeshError("intrinsic length table does not match the edge count")
+            if not np.isfinite(lengths).all():
+                raise MeshError("non-finite intrinsic edge lengths (NaN or inf)")
             self.edge_lengths = lengths
         else:
             vec = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -97,31 +118,22 @@ class TriangleMesh:
     # -- combinatorics ---------------------------------------------------
 
     def _build_edges(self):
-        directed = {}
-        for fi, (a, b, c) in enumerate(self.faces.tolist()):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(u, v), max(u, v))
-                directed.setdefault(key, []).append((fi, u < v))
-        for key, uses in directed.items():
-            if len(uses) != 2:
-                raise MeshError(
-                    f"mesh not closed: edge {key} belongs to {len(uses)} face(s)"
-                )
-            if uses[0][1] == uses[1][1]:
-                raise MeshError(
-                    f"mesh not orientable: edge {key} traversed twice in the "
-                    "same direction"
-                )
-        self.edges = np.array(sorted(directed), dtype=np.int64).reshape(-1, 2)
-        index = {tuple(e): i for i, e in enumerate(self.edges.tolist())}
-        face_edges = np.empty_like(self.faces)
-        face_signs = np.empty_like(self.faces)
-        for fi, (a, b, c) in enumerate(self.faces.tolist()):
-            for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                face_edges[fi, k] = index[(min(u, v), max(u, v))]
-                face_signs[fi, k] = 1 if u < v else -1
-        self.face_edges = face_edges
-        self.face_signs = face_signs
+        self.edges, self.face_edges, self.face_signs = _edge_table(self.faces)
+        sides = self.face_edges.reshape(-1)
+        uses = np.bincount(sides, minlength=self.edge_count)
+        net = np.bincount(sides, self.face_signs.reshape(-1), minlength=self.edge_count)
+        if np.any(uses != 2):
+            e = np.argmax(uses != 2)
+            raise MeshError(
+                f"mesh not closed: edge {tuple(self.edges[e].tolist())} belongs to "
+                f"{uses[e]} face(s)"
+            )
+        if np.any(net != 0):
+            e = np.argmax(net != 0)
+            raise MeshError(
+                f"mesh not orientable: edge {tuple(self.edges[e].tolist())} traversed "
+                "twice in the same direction"
+            )
 
     @property
     def vertex_count(self) -> int:
@@ -463,16 +475,8 @@ def flat_torus_mesh(width: float, height: float, p: int, q: int) -> TriangleMesh
 
 
 def _flat_lengths(faces, width, height, p, q):
-    """Wrapped grid distances for every canonical edge of the grid torus.
-
-    The edge table is rebuilt exactly the way TriangleMesh builds it
-    (canonical sorted pairs in lexicographic order) so the lengths line up.
-    """
-    directed = set()
-    for a, b, c in np.asarray(faces).tolist():
-        for u, v in ((a, b), (b, c), (c, a)):
-            directed.add((min(u, v), max(u, v)))
-    edges = np.array(sorted(directed), dtype=np.int64)
+    """Wrapped grid distances for every edge of the grid torus, in edge order."""
+    edges = _edge_table(faces)[0]
     dx_unit = width / p
     dy_unit = height / q
     i1, j1 = edges[:, 0] // q, edges[:, 0] % q

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from bettibound.cli import main
-from bettibound.mesh import load_mesh
+from bettibound.mesh import icosphere_mesh, load_mesh, write_off
 from bettibound.report import SuiteConfig, build_config, serialize_json
 
 
@@ -170,6 +170,21 @@ def test_betti_bound_open_mesh_message(capsys, tmp_path):
     )
     assert code == 2
     assert "mesh not closed" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_betti_bound_non_finite_vertex_message(capsys, tmp_path, value):
+    bad = tmp_path / "bad.off"
+    write_off(icosphere_mesh(1), bad)
+    lines = bad.read_text().splitlines()
+    x, y, _ = lines[2].split()  # the first vertex
+    lines[2] = f"{x} {y} {value}"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "betti-bound", "--mesh", str(bad), "--rho0", "0.5", "--t0", "1"
+    )
+    assert code == 2
+    assert "non-finite vertex coordinates" in err
 
 
 def test_betti_bound_liyau_floor_reported_per_point(capsys, tmp_path):

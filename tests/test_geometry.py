@@ -1,7 +1,10 @@
 """Mesh combinatorics, DEC operators, curvature, and homology oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from bettibound.dec import (
     betti1_oracle,
@@ -57,6 +60,23 @@ def test_degenerate_face_rejected():
         TriangleMesh(TET_VERTICES, [[0, 1, 1], [0, 1, 2], [0, 2, 1], [1, 2, 0]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_vertex_rejected(value):
+    mesh = icosphere_mesh(1)
+    vertices = mesh.vertices.copy()
+    vertices[3, 1] = value
+    with pytest.raises(MeshError, match="non-finite vertex coordinates"):
+        TriangleMesh(vertices, mesh.faces)
+
+
+def test_non_finite_intrinsic_length_rejected():
+    mesh = flat_torus_mesh(1.0, 1.0, 4, 4)
+    lengths = mesh.edge_lengths.copy()
+    lengths[5] = np.nan
+    with pytest.raises(MeshError, match="non-finite intrinsic edge lengths"):
+        TriangleMesh(mesh.vertices, mesh.faces, intrinsic_lengths=lengths)
+
+
 def test_euler_characteristics():
     assert tetrahedron().euler_characteristic == 2
     assert flat_torus_mesh(1.0, 1.0, 5, 5).euler_characteristic == 0
@@ -79,6 +99,14 @@ def test_euler_characteristics():
 def test_incidence_composition_exactly_zero(mesh_builder):
     dec = build_dec(mesh_builder())
     assert dec.incidence_composition_max() == 0
+
+
+def test_flipped_incidence_sign_trips_the_composition_guard():
+    dec = build_dec(icosphere_mesh(1))
+    flipped = dec.d1.copy()
+    flipped.data[0] = -flipped.data[0]
+    with pytest.raises(MeshError, match="d1 d0 does not vanish"):
+        replace(dec, d1=flipped)
 
 
 def test_stars_positive_everywhere():
@@ -131,8 +159,8 @@ def test_betti1_both_oracles(mesh_builder, expected):
 def _rank_reference(dec):
     return (
         dec.mesh.edge_count
-        - np.linalg.matrix_rank(dec.d0)
-        - np.linalg.matrix_rank(dec.d1)
+        - np.linalg.matrix_rank(dec.d0.toarray())
+        - np.linalg.matrix_rank(dec.d1.toarray())
     )
 
 
@@ -172,12 +200,52 @@ def test_rank_count_matches_float_rank_reference(mesh_builder):
     assert betti1_rank_count(dec) == _rank_reference(dec)
 
 
+CHAIN_COMPLEX_CASES = {
+    "sphere": lambda: builtin_mesh("sphere", 2),
+    "flat-torus": lambda: builtin_mesh("flat-torus"),
+    "torus-rev": lambda: builtin_mesh("torus-rev", 10),
+    "bumpy-sphere": lambda: builtin_mesh("bumpy-sphere", 1),
+    "genus2": lambda: builtin_mesh("genus2"),
+    "disjoint-icospheres": lambda: _two_icospheres(glued=False),
+    "glued-icospheres": lambda: _two_icospheres(glued=True),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_COMPLEX_CASES)
+def test_incidence_is_sparse_integer_with_two_and_three_entries_a_row(name):
+    dec = build_dec(CHAIN_COMPLEX_CASES[name]())
+    mesh = dec.mesh
+    for matrix in (dec.d0, dec.d1):
+        assert issparse(matrix)
+        assert np.issubdtype(matrix.dtype, np.integer)
+    assert dec.d0.shape == (mesh.edge_count, mesh.vertex_count)
+    assert dec.d1.shape == (mesh.face_count, mesh.edge_count)
+    assert dec.d0.nnz == 2 * mesh.edge_count
+    assert dec.d1.nnz == 3 * mesh.face_count
+
+
+@pytest.mark.parametrize("name", CHAIN_COMPLEX_CASES)
+def test_laplacians_match_dense_incidence_formula(name):
+    dec = build_dec(CHAIN_COMPLEX_CASES[name]())
+    d0, d1 = dec.d0.toarray().astype(float), dec.d1.toarray().astype(float)
+    star0, star1, star2 = dec.star0, dec.star1, dec.star2
+    lap0 = (d0.T * star1[None, :]) @ d0 / star0[:, None]
+    lap1 = d0 @ ((d0.T * star1[None, :]) / star0[:, None]) + (
+        (d1.T * star2[None, :]) @ d1 / star1[:, None]
+    )
+    # L1 entries sum at most two exact terms, so they agree bit for bit;
+    # the L0 diagonal sums 5-7 terms, whose order may differ.
+    assert dec.laplacian1_matrix().tobytes() == lap1.tobytes()
+    gap = np.max(np.abs(dec.laplacian0_matrix() - lap0))
+    assert gap <= 1e-15 * np.max(np.abs(lap0))
+
+
 def test_rank_count_counts_face_components_separately():
     # Glued at one vertex: one vertex component but two face components,
     # so rank(d1) = F - 2; a vertex-only count would give b1 = -1.
     dec = build_dec(_two_icospheres(glued=True))
     assert betti1_rank_count(dec) == 0
-    assert np.linalg.matrix_rank(dec.d1) == dec.mesh.face_count - 2
+    assert np.linalg.matrix_rank(dec.d1.toarray()) == dec.mesh.face_count - 2
 
 
 def test_prepare_surface_takes_no_float_rank(monkeypatch):
