@@ -29,6 +29,7 @@ from .measure import (
     WeightedFiniteSpace,
     WeightedOperator,
     heat_difference,
+    heat_difference_hs_squared,
     schatten_power_sum,
     singular_values,
 )
@@ -188,12 +189,16 @@ def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertifica
 def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
     """(1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p, an upper bound on dim ker(H).
 
-    D_t0 is scaled by 1/(1 - e^(-rho0 t0)) before the singular values are
-    taken, so the scalar saturation case (H = 0, H' = rho0 on one point)
-    comes out as exactly 1.0.
+    D_t0 is scaled by 1/(1 - e^(-rho0 t0)) before its norm is taken, so
+    the scalar saturation case (H = 0, H' = rho0 on one point) comes out
+    as exactly 1.0.  At p = 2 the squared Hilbert-Schmidt norm is read from
+    the two cached spectra (``heat_difference_hs_squared``), with no dense
+    D; any other p takes the singular values of the dense D.
     """
-    diff = semigroup_difference(pair, pair.t0)
     gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
+    if p == 2.0:
+        return heat_difference_hs_squared(pair.H, pair.Hprime, pair.t0, gap)
+    diff = semigroup_difference(pair, pair.t0)
     scaled = WeightedOperator(diff.matrix / gap, pair.H.space, pair.H.fiber)
     return schatten_power_sum(scaled, p)
 

@@ -44,6 +44,7 @@ __all__ = [
     "weighted_inner_product",
     "semigroup",
     "heat_difference",
+    "heat_difference_hs_squared",
     "singular_values",
     "schatten_norm",
     "schatten_power_sum",
@@ -228,6 +229,9 @@ class SelfAdjointOperator(WeightedOperator):
     only when ``matrix`` is first read.
     """
 
+    # (other eigenvector array, squared overlap) of the last ``squared_overlap``.
+    _overlap = None
+
     def __init__(self, matrix, space, fiber=1):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
@@ -266,7 +270,7 @@ class SelfAdjointOperator(WeightedOperator):
         finite and max |Q^T Q - I| <= 1e-10.
         """
         evals = np.asarray(eigenvalues, dtype=float)
-        q = np.asarray(euclidean_vectors, dtype=float)
+        q = np.array(euclidean_vectors, dtype=float)
         dim = space.point_count * fiber
         if fiber < 1 or evals.shape != (dim,) or q.shape != (dim, dim):
             raise DimensionMismatchError("eigendata do not match the space and fiber")
@@ -277,14 +281,21 @@ class SelfAdjointOperator(WeightedOperator):
 
     @classmethod
     def _with_spectrum(cls, space, fiber, eigenvalues, euclidean_vectors):
-        """Unchecked constructor; sorts the eigenpairs stably ascending."""
+        """Unchecked constructor; sorts the eigenpairs stably ascending.
+
+        Eigenvalues that are already ascending keep the very same
+        eigenvector array, which ``heat_difference_hs_squared`` recognises
+        as a shared eigenbasis.
+        """
         evals = np.asarray(eigenvalues, dtype=float)
         order = np.argsort(evals, kind="stable")
+        if np.any(order != np.arange(order.size)):
+            euclidean_vectors = euclidean_vectors[:, order]
         op = cls.__new__(cls)
         op.space, op.fiber = space, fiber
         op._sqrt_w = np.sqrt(space.stacked_weights(fiber))
         op.eigenvalues = _read_only(evals[order])
-        op._euclidean_vectors = _read_only(euclidean_vectors[:, order])
+        op._euclidean_vectors = _read_only(euclidean_vectors)
         return op
 
     @cached_property
@@ -323,6 +334,21 @@ class SelfAdjointOperator(WeightedOperator):
             np.count_nonzero(np.abs(self.eigenvalues - value) <= self.zero_threshold())
         )
 
+    def squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
+        """(Q_other^T Q)**2 elementwise, for Q the Euclidean eigenvectors.
+
+        Entry (i, j) is the squared cosine between eigenvector i of
+        ``other`` and eigenvector j of this operator in the weighted metric;
+        the matrix is doubly stochastic.  The product for the last
+        ``other`` eigenbasis is kept, so repeated calls cost nothing.
+        """
+        basis = other._euclidean_vectors
+        cached = self._overlap
+        if cached is None or cached[0] is not basis:
+            cached = (basis, _read_only((basis.T @ self._euclidean_vectors) ** 2))
+            self._overlap = cached
+        return cached[1]
+
     def spectral_function(self, f) -> "SelfAdjointOperator":
         """f(A) by spectral calculus: eigenvalues f(w) on the cached eigenbasis.
 
@@ -342,11 +368,6 @@ class SelfAdjointOperator(WeightedOperator):
         """A + c in place of A, reusing the eigenbasis."""
         return self.spectral_function(lambda w: w + c)
 
-    def perturbed(self, V: WeightedOperator) -> "SelfAdjointOperator":
-        """A + V for a self-adjoint V on the same space, with its own eigensolve."""
-        self._check_compatible(V)
-        return SelfAdjointOperator(self.matrix + V.matrix, self.space, self.fiber)
-
 
 def semigroup(operator: SelfAdjointOperator, t: float) -> SelfAdjointOperator:
     """Free-function form of ``SelfAdjointOperator.semigroup``."""
@@ -357,6 +378,27 @@ def heat_difference(A, B, t: float) -> WeightedOperator:
     """exp(-tA) - exp(-tB) for SelfAdjointOperators A, B, from their cached spectra."""
     A._check_compatible(B)
     return WeightedOperator(A.semigroup(t).matrix - B.semigroup(t).matrix, A.space, A.fiber)
+
+
+def heat_difference_hs_squared(A, B, t: float, scale: float = 1.0) -> float:
+    """||(exp(-tA) - exp(-tB)) / scale||_HS^2 from the cached spectra, in O(N^2).
+
+    With f = exp(-t eig(A)), g = exp(-t eig(B)) and the squared overlap
+    C = (Q_A^T Q_B)**2, the squared norm is sum_ij C_ij ((f_i - g_j)/scale)^2:
+    every term is nonnegative, so nothing cancels.  When B shares the
+    eigenvector array of A (B is A, or A shifted), C is the identity and no
+    matrix product runs, so B = A gives exactly 0.0.
+    """
+    A._check_compatible(B)
+    f = np.exp(-t * A.eigenvalues)
+    g = np.exp(-t * B.eigenvalues)
+    if A._euclidean_vectors is B._euclidean_vectors:
+        return float(np.sum(((f - g) / scale) ** 2))
+    terms = np.subtract.outer(f, g)
+    terms /= scale
+    terms *= terms
+    terms *= B.squared_overlap(A)
+    return float(terms.sum())
 
 
 def singular_values(operator: WeightedOperator) -> np.ndarray:
@@ -419,9 +461,20 @@ def two_inf_norm(operator: WeightedOperator) -> float:
     M^(-1/2), has largest singular value equal to sup over the weighted
     unit ball of |Af(x)|; the norm is the max over points.  For a scalar
     kernel operator this is max_x of the weighted L2 norm of the kernel
-    row k(x, .).
+    row k(x, .).  A ``SelfAdjointOperator`` U diag(w) U^T M is read from its
+    spectrum in O(N^2): the squared norm at x is the largest eigenvalue of
+    U_x diag(w^2) U_x^T (U_x the fiber rows of x), at fiber 1 the sum
+    sum_k w_k^2 U_xk^2.
     """
     n = operator.fiber
+    if isinstance(operator, SelfAdjointOperator):
+        u = operator.basis
+        w2 = operator.eigenvalues**2
+        if n == 1:
+            return float(np.sqrt(np.max((u * u) @ w2)))
+        rows = u.reshape(operator.space.point_count, n, -1)
+        gram = np.einsum("xak,k,xbk->xab", rows, w2, rows)
+        return float(np.sqrt(max(float(np.max(np.linalg.eigvalsh(gram))), 0.0)))
     inv_sqrt = 1.0 / operator._sqrt_w
     scaled = operator.matrix * inv_sqrt[None, :]
     best = 0.0

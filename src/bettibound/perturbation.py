@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .measure import (
     DimensionMismatchError,
@@ -98,7 +97,25 @@ class MatrixPotential:
 
     def as_operator(self) -> WeightedOperator:
         """Block-diagonal multiplication operator on stacked coordinates."""
-        return WeightedOperator(block_diag(*self.values), self.space, self.fiber)
+        n_points, n = self.values.shape[:2]
+        blocks = np.zeros((n_points, n, n_points, n))
+        at = np.arange(n_points)
+        blocks[at, :, at, :] = self.values
+        return WeightedOperator(blocks.reshape(n_points * n, -1), self.space, n)
+
+    def added_to(self, H: SelfAdjointOperator) -> SelfAdjointOperator:
+        """H + V, with its own checked eigensolve.
+
+        V goes onto the diagonal blocks of a copy of H's matrix, so no
+        dense V is built; the sum equals ``H.matrix + V.as_operator().matrix``.
+        """
+        if not H.space.same_as(self.space) or H.fiber != self.fiber:
+            raise DimensionMismatchError("potential and operator live on different spaces")
+        n_points, n = self.values.shape[:2]
+        matrix = H.matrix + 0.0
+        at = np.arange(n_points)
+        matrix.reshape(n_points, n, n_points, n)[at, :, at, :] += self.values
+        return SelfAdjointOperator(matrix, H.space, n)
 
     def apply(self, f: VectorFunction) -> VectorFunction:
         if not f.space.same_as(self.space) or f.fiber != self.fiber:
@@ -164,7 +181,7 @@ def duhamel_difference(
     if quadrature_order < 2:
         raise ValueError("quadrature order must be at least 2")
     v_op = V.as_operator()
-    perturbed = H.perturbed(v_op)
+    perturbed = V.added_to(H)
     nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
     total = np.zeros_like(H.matrix)
     for node, weight in zip(nodes, weights):
@@ -181,7 +198,7 @@ def _rebuilt_and_perturbed(H: SelfAdjointOperator, V: MatrixPotential):
     +0.0), so a zero potential yields a bitwise-zero semigroup difference
     rather than eigensolver noise against the cached basis of H.
     """
-    return SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber), H.perturbed(V.as_operator())
+    return SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber), V.added_to(H)
 
 
 def _exact_22_integral(mu_min: float, t0: float) -> float:

@@ -20,6 +20,13 @@ assumed):
 
     b1  <=  (1 - e^(-2 rho0 t0))^(-p) || e^(-2 t0 L1) - e^(-2 t0 (L1+W)) ||_Sp^p.
 
+Every grid point is read from spectra computed before it: L0, L1 and
+L0 + K once per surface, L1 + W once per rho0 (W depends on rho0 only).
+The 2->inf norm of e^(-t0 (L0+K)) and, at p = 2, the Hilbert-Schmidt
+norm of the semigroup difference come from those spectra in O(N^2) per
+point, with no dense heat matrix; other p take the singular values of the
+dense difference.
+
 A Li-Yau style variant with user-supplied dimensional constants is
 reported for comparison only and never asserted.
 """
@@ -55,6 +62,7 @@ __all__ = [
     "prefactors",
     "betti_bound",
     "schatten_betti_bound",
+    "schatten_operator",
     "synthetic_edge_potential",
     "li_yau_betti_bound",
     "parameter_sweep",
@@ -135,10 +143,34 @@ class SurfaceData:
     description: str
     laplacian1: SelfAdjointOperator
     comparison: SelfAdjointOperator
+    _schatten_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def volume(self) -> float:
         return self.mesh.total_area
+
+    def schatten_operators(self, rho0: float) -> tuple[MatrixPotential, SelfAdjointOperator]:
+        """The synthetic edge potential W at rho0 and L1 + W (``schatten_operator``).
+
+        One slot keeps the pair for the last rho0 asked for, so a sweep
+        with rho0 in its outer loop eigensolves L1 + W once per rho0 and
+        holds one such operator at a time.  A failed spectral check is
+        kept too, and raised again as the same ``ValueError``.
+        """
+        slot = self._schatten_slot
+        if slot.get("rho0") != rho0:
+            slot.clear()
+            try:
+                potential = synthetic_edge_potential(self.dec, self.curvature, rho0)
+                slot["operators"] = potential, schatten_operator(
+                    self.laplacian1, potential, rho0
+                )
+            except ValueError as exc:
+                slot["error"] = str(exc)
+            slot["rho0"] = rho0
+        if "error" in slot:
+            raise ValueError(slot["error"])
+        return slot["operators"]
 
 
 def prepare_surface(
@@ -217,9 +249,9 @@ def betti_bound(
     bound_schatten = None
     if inputs.compute_schatten:
         try:
-            edge_potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
+            edge_potential, perturbed = data.schatten_operators(rho0)
             bound_schatten = schatten_betti_bound(
-                data.laplacian1, edge_potential, rho0, t0, inputs.p
+                data.laplacian1, edge_potential, rho0, t0, inputs.p, perturbed
             )
         except ValueError as exc:
             notes.append(f"schatten bound omitted: {exc}")
@@ -317,30 +349,48 @@ def synthetic_edge_potential(
     return MatrixPotential.from_scalar_field(dec.edge_space(), shortfall, nonneg=True)
 
 
-def schatten_betti_bound(
-    H: SelfAdjointOperator,
-    V: MatrixPotential,
-    rho0: float,
-    t0: float,
-    p: float,
-) -> float:
-    """Operator-level kernel bound (1-e^(-2 rho0 t0))^(-p) ||D_{2t0}||_Sp^p.
+def schatten_operator(
+    H: SelfAdjointOperator, V: MatrixPotential, rho0: float
+) -> SelfAdjointOperator:
+    """H + V for a nonnegative V, verified spectrally to clear rho0.
 
-    Requires H >= 0 and H + V >= rho0, both verified spectrally (a failure
-    raises ``ValueError``).  The value is ``birman.crude_kernel_bound`` at
-    time 2 t0; whether it dominates dim ker H is a record of ``betti_bound``.
+    A failed check raises ``ValueError``.  V goes onto the diagonal of a
+    copy of H's matrix (``MatrixPotential.added_to``); a V that is zero
+    everywhere gives H itself, with no eigensolve, so the semigroup
+    difference of the certificate is exactly zero.
     """
-    if p <= 0.0:
-        raise ValueError("Schatten exponent must be positive")
     if not V.nonneg:
         raise ValueError("the edge potential must be nonnegative")
-    perturbed = H.perturbed(V.as_operator())
+    perturbed = V.added_to(H) if np.any(V.values) else H
     tol = 1e-9 * (1.0 + perturbed.spectral_radius)
     if perturbed.min_eigenvalue < rho0 - tol:
         raise ValueError(
             f"spectral check failed: min eig of the shifted operator is "
             f"{perturbed.min_eigenvalue:.6g} < rho0={rho0:.6g}"
         )
+    return perturbed
+
+
+def schatten_betti_bound(
+    H: SelfAdjointOperator,
+    V: MatrixPotential,
+    rho0: float,
+    t0: float,
+    p: float,
+    perturbed: SelfAdjointOperator | None = None,
+) -> float:
+    """Operator-level kernel bound (1-e^(-2 rho0 t0))^(-p) ||D_{2t0}||_Sp^p.
+
+    Requires H >= 0 and H + V >= rho0, both verified spectrally (a failure
+    raises ``ValueError``).  ``perturbed`` is ``schatten_operator(H, V,
+    rho0)`` when the caller keeps it across t0 values; otherwise it is
+    built here.  The value is ``birman.crude_kernel_bound`` at time 2 t0;
+    whether it dominates dim ker H is a record of ``betti_bound``.
+    """
+    if p <= 0.0:
+        raise ValueError("Schatten exponent must be positive")
+    if perturbed is None:
+        perturbed = schatten_operator(H, V, rho0)
     pair = OperatorPair(H=H, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
     return crude_kernel_bound(pair, p)
 
@@ -393,8 +443,9 @@ def parameter_sweep(
 ) -> dict:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
-    The surface is prepared once; the Li-Yau arguments and the soundness
-    slack go to ``betti_bound``.
+    The surface is prepared once and L1 + W eigensolved once per rho0
+    (``SurfaceData.schatten_operators``); the Li-Yau arguments and the
+    soundness slack go to ``betti_bound``.
     Returns the report list (rho0 outer loop, t0 inner) plus the index and
     value of the smallest main bound.
     """

@@ -264,7 +264,7 @@ def suite_duhamel(rng, cfg: SuiteConfig):
         H = planted_kernel_operator(rng, space, fiber, 0, low=0.0, high=10.0)
         potential = _random_potential(rng, space, fiber, scale=1.5)
         t0 = float(rng.uniform(0.1, 0.5))
-        direct = heat_difference(H, H.perturbed(potential.as_operator()), 2 * t0)
+        direct = heat_difference(H, potential.added_to(H), 2 * t0)
         approx = duhamel_difference(H, potential, t0, 32)
         err = hs_norm(WeightedOperator(approx.matrix - direct.matrix, space, fiber))
         allowed = tol * (1.0 + hs_norm(direct))
@@ -407,8 +407,8 @@ def suite_truncation(rng, cfg: SuiteConfig):
         level = float(np.ceil(potential.pointwise_operator_norms().max()))
         truncated = truncate_potential(potential, level)
         t0 = float(rng.uniform(0.1, 1.0))
-        full = H.perturbed(potential.as_operator())
-        cut = H.perturbed(truncated.as_operator())
+        full = potential.added_to(H)
+        cut = truncated.added_to(H)
         distance = hs_norm(heat_difference(full, cut, 2 * t0))
         worst_sat.update(distance, 0.0, 0.0, scale=1.0)
         norms = [

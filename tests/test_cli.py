@@ -236,11 +236,11 @@ def test_betti_bound_point_passes_only_with_all_its_records(capsys, tmp_path):
 def test_betti_bound_violated_certificate_is_a_failing_record(
     capsys, tmp_path, monkeypatch
 ):
-    import bettibound.measure as measure
+    import bettibound.birman as birman
 
-    singular_values = measure.singular_values
+    hs_squared = birman.heat_difference_hs_squared
     monkeypatch.setattr(
-        measure, "singular_values", lambda operator: 0.5 * singular_values(operator)
+        birman, "heat_difference_hs_squared", lambda *args: 0.5 * hs_squared(*args)
     )
     out_path = tmp_path / "violated.json"
     code, _, _ = run(

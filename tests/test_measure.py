@@ -11,6 +11,8 @@ from bettibound.measure import (
     VectorFunction,
     WeightedFiniteSpace,
     WeightedOperator,
+    heat_difference,
+    heat_difference_hs_squared,
     hs_norm,
     one_two_norm,
     operator_norm,
@@ -288,6 +290,46 @@ def test_two_inf_matches_row_oracle_and_samples():
         f /= np.sqrt(np.sum(w * f * f))
         image = (mat @ f).reshape(-1, fiber)
         assert np.max(np.linalg.norm(image, axis=1)) <= value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_two_inf_spectral_matches_dense_route(fiber):
+    # A SelfAdjointOperator is read from its spectrum; the same matrix as a
+    # plain WeightedOperator takes the dense block-row route.
+    rng = np.random.default_rng(115)
+    space = random_space(rng, 9)
+    op = random_self_adjoint(rng, space, fiber, scale=2.0)
+    for operator in (op, op.semigroup(0.4)):
+        spectral = two_inf_norm(operator)
+        dense = two_inf_norm(WeightedOperator(operator.matrix, space, fiber))
+        assert abs(spectral - dense) <= 1e-12 * dense
+        assert abs(spectral - _two_inf_oracle(operator.matrix, space, fiber)) <= 1e-12 * dense
+
+
+def test_heat_difference_hs_squared_matches_dense_norm():
+    rng = np.random.default_rng(117)
+    space = random_space(rng, 6)
+    A = random_self_adjoint(rng, space, 2)
+    B = random_self_adjoint(rng, space, 2)
+    spectral = heat_difference_hs_squared(A, B, 0.7, scale=0.3)
+    dense = hs_norm(heat_difference(A, B, 0.7)) ** 2 / 0.3**2
+    assert abs(spectral - dense) <= 1e-12 * dense
+    # The squared overlap is doubly stochastic and kept for the next call.
+    overlap = B.squared_overlap(A)
+    assert np.allclose(overlap.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(overlap.sum(axis=1), 1.0, atol=1e-12)
+    assert B.squared_overlap(A) is overlap
+
+
+def test_shifted_operator_shares_the_eigenbasis():
+    rng = np.random.default_rng(119)
+    space = random_space(rng, 5)
+    A = random_self_adjoint(rng, space, 1)
+    shifted = A.shifted(0.25)
+    assert shifted._euclidean_vectors is A._euclidean_vectors
+    assert heat_difference_hs_squared(A, A, 1.3) == 0.0
+    expected = np.sum((np.exp(-1.3 * A.eigenvalues) * (1.0 - np.exp(-1.3 * 0.25))) ** 2)
+    assert np.isclose(heat_difference_hs_squared(A, shifted, 1.3), expected, rtol=1e-13)
 
 
 def test_one_two_identity():

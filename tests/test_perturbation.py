@@ -91,6 +91,19 @@ def test_potential_apply_matches_operator():
     assert np.allclose(pointwise, stacked, atol=1e-14)
 
 
+def test_as_operator_and_added_to_match_dense_block_diagonal():
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(14)
+    space = random_weighted_space(rng, 5)
+    potential = random_symmetric_potential(rng, space, 2)
+    assert np.array_equal(potential.as_operator().matrix, block_diag(*potential.values))
+    H = planted_kernel_operator(rng, space, 2, 1)
+    total = potential.added_to(H)
+    assert np.array_equal(total.matrix, H.matrix + block_diag(*potential.values))
+    assert total.fiber == 2 and total.space is space
+
+
 # -- factorization bound -----------------------------------------------------
 
 

@@ -1,13 +1,19 @@
 """End-to-end certified bound checks against the homology oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from bettibound.birman import OperatorPair, crude_kernel_bound, semigroup_difference
+from bettibound.measure import SelfAdjointOperator, WeightedOperator, schatten_power_sum
 from bettibound.mesh import (
+    BUILTIN_NAMES,
     BumpySphere,
     FlatTorus,
     RoundSphere,
     TorusOfRevolution,
+    builtin_mesh,
     genus2_mesh,
 )
 from bettibound.pipeline import (
@@ -261,10 +267,10 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
     assert result["min_bound_main"] == min(r.bound_main for r in result["reports"])
 
 
-@pytest.mark.parametrize("schatten,expected", [(True, 7), (False, 3)])
+@pytest.mark.parametrize("schatten,expected", [(True, 5), (False, 3)])
 def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten, expected):
     # Once per surface: L0, L1 and the comparison operator L0 + K; once per
-    # grid point with the Schatten certificate: L1 + W.
+    # rho0 with the Schatten certificate: L1 + W.
     calls = []
     eigh = np.linalg.eigh
 
@@ -275,6 +281,83 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten, expected):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     parameter_sweep(genus2_mesh(), [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
     assert len(calls) == expected
+
+
+def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
+    # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
+    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.
+    data = prepare_surface(RoundSphere(), resolution=2)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw)
+    )
+    potential, perturbed = data.schatten_operators(0.5)
+    assert not np.any(potential.values)
+    assert perturbed is data.laplacian1
+    for t0 in (1.0, 3.0):
+        report = betti_bound(
+            BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
+        )
+        assert report.bound_schatten == 0.0
+    assert calls == []
+
+
+def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
+    # After the first t0 of a rho0, a p = 2 point runs no eigensolve, no
+    # eigvalsh and builds no dense matrix of a derived operator; p = 1
+    # still takes the singular values of the dense difference.
+    data = prepare_surface(genus2_mesh())
+
+    def point(t0, p):
+        inputs = BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=t0, p=p)
+        return betti_bound(inputs, data=data)
+
+    point(0.5, 2.0)
+    counts = {"eigh": 0, "eigvalsh": 0, "matrix": 0}
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _solver=solver, **kw):
+            counts[_name] += 1
+            return _solver(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    dense = SelfAdjointOperator.__dict__["matrix"].func
+
+    def counting_matrix(op):
+        counts["matrix"] += 1
+        return dense(op)
+
+    prop = functools.cached_property(counting_matrix)
+    prop.__set_name__(SelfAdjointOperator, "matrix")
+    monkeypatch.setattr(SelfAdjointOperator, "matrix", prop)
+    report = point(1.0, 2.0)
+    assert report.bound_schatten is not None
+    assert counts == {"eigh": 0, "eigvalsh": 0, "matrix": 0}
+    point(1.0, 1.0)
+    assert counts["eigh"] == 0 and counts["eigvalsh"] == 1 and counts["matrix"] == 2
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_spectral_schatten_bound_matches_dense_route(name):
+    # Each rho0 has a nonzero W that L1 + W clears: W vanishes below the
+    # curvature of the spheres, and the torus of revolution fails at 0.4.
+    resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
+    rho0_values = {"sphere": (1.5, 2.0), "bumpy-sphere": (0.5, 1.0), "torus-rev": (0.1, 0.3)}
+    rho0_values = rho0_values.get(name, (0.3, 1.0))
+    data = prepare_surface(builtin_mesh(name, resolution))
+    for rho0 in rho0_values:
+        _, perturbed = data.schatten_operators(rho0)
+        pair = OperatorPair(H=data.laplacian1, Hprime=perturbed, rho0=rho0, t0=1.4)
+        spectral = crude_kernel_bound(pair, 2.0)
+        gap = 1.0 - np.exp(-rho0 * pair.t0)
+        scaled = WeightedOperator(
+            semigroup_difference(pair, pair.t0).matrix / gap, data.laplacian1.space
+        )
+        dense = schatten_power_sum(scaled, 2.0)
+        assert perturbed is not data.laplacian1
+        assert abs(spectral - dense) <= 1e-12 * dense
 
 
 def test_sweep_rejects_empty_grid():
