@@ -10,13 +10,20 @@ inverse face areas.  From these,
 
     L0 = star0^(-1) d0^T star1 d0                 on vertex functions,
     L1 = d0 star0^(-1) d0^T star1 + star1^(-1) d1^T star2 d1   on edge functions,
+    L2 = d1 star1^(-1) d1^T star2                 on face functions,
 
-both self-adjoint and positive semidefinite in their star-weighted L2
-spaces.  The kernel of L1 consists of the harmonic edge functions, whose
-dimension equals the first Betti number; an independent combinatorial
-count b1 = E - rank(d0) - rank(d1) cross-checks every kernel computation.
-Both ranks are exact: component counts of the patterns of d0^T d0 and
-d1 d1^T, not float ranks.
+all self-adjoint and positive semidefinite in their star-weighted L2
+spaces.  L1 is never eigensolved as an E x E matrix: since d1 d0 = 0 its
+two terms annihilate each other (the Hodge decomposition), so its
+eigenpairs are L0's nonzero ones mapped through d0, L2's nonzero ones
+mapped through the codifferential, and a Rayleigh-Ritz basis of the
+small rest, all verified by reconstruction against L1's assembled matrix.
+The kernel of L1 consists of the harmonic edge functions, whose
+dimension equals the first Betti number.  Route (a) of the Betti oracle
+is the spectral kernel count of this Hodge-assembled L1; route (b), an
+independent combinatorial count b1 = E - rank(d0) - rank(d1),
+cross-checks it.  Both ranks are exact: component counts of the patterns
+of d0^T d0 and d1 d1^T, not float ranks.
 
 Curvature enters through vertex angle defects: K(v) multiplied by the
 dual area is 2*pi minus the incident angle sum, and the defects sum to
@@ -80,6 +87,9 @@ class DECOperators:
     def edge_space(self) -> WeightedFiniteSpace:
         return WeightedFiniteSpace(self.star1)
 
+    def face_space(self) -> WeightedFiniteSpace:
+        return WeightedFiniteSpace(self.star2)
+
     def laplacian0_matrix(self) -> np.ndarray:
         return (self.d0.T @ diags(self.star1) @ self.d0).toarray() / self.star0[:, None]
 
@@ -90,16 +100,93 @@ class DECOperators:
         upper = (self.d1.T @ diags(self.star2) @ self.d1).toarray() / self.star1[:, None]
         return self.d0 @ factor + upper
 
+    def laplacian2_matrix(self) -> np.ndarray:
+        return (self.d1 @ diags(1.0 / self.star1) @ self.d1.T).toarray() * self.star2[None, :]
+
     def laplacian0(self) -> SelfAdjointOperator:
         return SelfAdjointOperator(self.laplacian0_matrix(), self.vertex_space())
 
-    def laplacian1(self) -> SelfAdjointOperator:
-        return SelfAdjointOperator(self.laplacian1_matrix(), self.edge_space())
+    def laplacian2(self) -> SelfAdjointOperator:
+        return SelfAdjointOperator(self.laplacian2_matrix(), self.face_space())
+
+    def laplacian1(self, laplacian0: SelfAdjointOperator | None = None) -> SelfAdjointOperator:
+        """L1 assembled from its Hodge pieces, with no eigensolve of an E x E matrix.
+
+        With C = star1^(1/2) d0 star0^(-1/2) and B = star2^(1/2) d1 star1^(-1/2),
+        the conjugated L1 is C C^T + B^T B, and the two terms annihilate each
+        other because d1 d0 = 0.  So its orthonormal eigenvectors are
+
+        * C w / |C w|, eigenvalue lam, for each eigenpair (lam, w) of the
+          conjugated L0 above L0's zero threshold;
+        * B^T y / |B^T y|, eigenvalue mu, for each eigenpair (mu, y) of the
+          conjugated L2 above L2's zero threshold;
+        * a Rayleigh-Ritz basis of the h = E - n0 - n2 dimensional rest: the
+          harmonic 1-forms, plus any pair a threshold misjudged, with its
+          true eigenvalue.
+
+        |C w| is sqrt(lam) in exact arithmetic; the computed norm keeps the
+        columns orthonormal to rounding, where sqrt(lam) would leave a
+        defect of order eps * (spectral radius / lam).  ``from_spectrum``
+        checks the result against L1's assembled matrix, which the operator
+        keeps.  ``laplacian0`` is ``self.laplacian0()`` unless the caller
+        has it already.
+        """
+        if laplacian0 is None:
+            laplacian0 = self.laplacian0()
+        s0, s1, s2 = np.sqrt(self.star0), np.sqrt(self.star1), np.sqrt(self.star2)
+        c = diags(s1) @ self.d0 @ diags(1.0 / s0)
+        b = diags(s2) @ self.d1 @ diags(1.0 / s1)
+        lam, w = _nonzero_eigenpairs(laplacian0)
+        mu, y = _nonzero_eigenpairs(self.laplacian2())
+        ne = self.mesh.edge_count
+        h = ne - lam.size - mu.size
+        if h < 0:
+            raise ValueError(
+                f"{lam.size} exact and {mu.size} coexact eigenpairs exceed {ne} edges"
+            )
+
+        # Known columns, stably sorted, fill q[:, h:]; the rest fills q[:, :h].
+        known = np.concatenate([lam, mu])
+        order = np.argsort(known, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(h, ne)
+        q = np.empty((ne, ne))
+        q[:, slot[: lam.size]] = _unit_columns(c @ w)
+        q[:, slot[lam.size :]] = _unit_columns(b.T @ y)
+        ritz = np.empty(0)
+        if h:
+            span = q[:, h:]
+            block = np.random.default_rng(0).standard_normal((ne, h))
+            for _ in range(2):
+                block -= span @ (span.T @ block)
+            basis = np.linalg.qr(block)[0]
+            image = c @ (c.T @ basis) + b.T @ (b @ basis)
+            projected = basis.T @ image
+            ritz, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
+            q[:, :h] = basis @ rotation
+        evals = np.concatenate([ritz, known[order]])
+        return SelfAdjointOperator.from_spectrum(
+            self.edge_space(), evals, q, matrix=self.laplacian1_matrix()
+        )
 
     def apply_laplacian0(self, values: np.ndarray) -> np.ndarray:
         """L0 applied as a composition; kills constants exactly."""
         grad = self.d0 @ np.asarray(values, dtype=float)
         return (self.d0.T @ (self.star1 * grad)) / self.star0
+
+
+def _nonzero_eigenpairs(op: SelfAdjointOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the zero threshold, with their eigenvectors in
+    conjugated (Euclidean-orthonormal) coordinates."""
+    start = int(np.searchsorted(op.eigenvalues, op.zero_threshold(), side="right"))
+    sqrt_w = np.sqrt(op.space.weights)[:, None]
+    return op.eigenvalues[start:], op.basis[:, start:] * sqrt_w
+
+
+def _unit_columns(block: np.ndarray) -> np.ndarray:
+    """``block`` with each column scaled to unit length, in place."""
+    block /= np.linalg.norm(block, axis=0)
+    return block
 
 
 def _incidence(columns: np.ndarray, signs: np.ndarray, width: int) -> csr_matrix:
@@ -195,8 +282,10 @@ def betti1_rank_count(dec: DECOperators) -> int:
 def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None, laplacian1=None) -> int:
     """First Betti number by two independent routes, which must agree.
 
-    Route (a): dimension of the kernel of the edge Laplacian L1 under the
-    scale-invariant zero tolerance.  Route (b): rank-nullity over the
+    Route (a): dimension of the kernel of the edge Laplacian L1, assembled
+    from its Hodge pieces (``DECOperators.laplacian1``) and verified by
+    reconstruction against its matrix, under the scale-invariant zero
+    tolerance.  Route (b): rank-nullity over the
     chain complex.  Disagreement raises, since it signals a meshing or
     tolerance bug rather than a soft numerical issue.  ``dec`` and
     ``laplacian1`` are built from the mesh unless the caller has them.

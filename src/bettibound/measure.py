@@ -216,6 +216,42 @@ class WeightedOperator:
             raise DimensionMismatchError("operators live on different spaces")
 
 
+def _check_eigendata(evals, q, conj=None, orthonormal=True):
+    """Raise ValueError unless Q diag(evals) Q^T is a sound decomposition.
+
+    With ``conj``, the conjugated matrix being decomposed: it must be
+    symmetric to 1e-10 relative to its Frobenius norm, and the eigendata
+    must reconstruct it to 1e-10 * max(norm, 1).  With ``orthonormal``, the
+    eigenvalues must be finite and max |Q^T Q - I| <= 1e-10; a LAPACK
+    eigensolve guarantees this, so ``__init__`` skips it.  Each product is
+    corrected in place, so at most two N x N temporaries are alive at once.
+    """
+    if conj is not None:
+        scale = float(np.linalg.norm(conj))
+        asym = float(np.max(np.abs(conj - conj.T))) if conj.size else 0.0
+        if asym > SELFADJOINT_TOL * max(scale, 1e-300) and asym > 1e-14:
+            raise ValueError(
+                f"operator is not self-adjoint on the weighted space "
+                f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
+            )
+    if orthonormal:
+        gram = q.T @ q
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        defect = float(np.max(np.abs(gram, out=gram)))
+        del gram
+        if not (np.all(np.isfinite(evals)) and defect <= RECONSTRUCTION_TOL):
+            raise ValueError(f"eigendata not finite and orthonormal (defect {defect:.3e})")
+    if conj is not None:
+        product = (q * evals[None, :]) @ q.T
+        product -= conj
+        residual = float(np.linalg.norm(product))
+        if residual > RECONSTRUCTION_TOL * max(scale, 1.0):
+            raise ValueError(
+                f"spectral decomposition does not reconstruct the operator "
+                f"(residual {residual:.3e} vs scale {scale:.3e})"
+            )
+
+
 class SelfAdjointOperator(WeightedOperator):
     """Self-adjoint operator held by its weighted spectral decomposition.
 
@@ -224,9 +260,12 @@ class SelfAdjointOperator(WeightedOperator):
     An operator built from a matrix runs one symmetric eigensolve, and
     construction verifies self-adjointness of the conjugated matrix and
     that the decomposition reconstructs it to relative tolerance 1e-10.
-    Operators derived by spectral calculus (``spectral_function`` and its
-    callers) share that checked eigenbasis and build their dense matrix
-    only when ``matrix`` is first read.
+    ``from_spectrum`` takes eigendata computed elsewhere, checks that they
+    are orthonormal and, given the operator's matrix as well (as for the
+    edge Laplacian assembled from its Hodge pieces), runs the same checks
+    against it.  Operators derived by spectral calculus
+    (``spectral_function`` and its callers) share that checked eigenbasis
+    and build their dense matrix only when ``matrix`` is first read.
     """
 
     # (other eigenvector array, squared overlap) of the last ``squared_overlap``.
@@ -235,22 +274,8 @@ class SelfAdjointOperator(WeightedOperator):
     def __init__(self, matrix, space, fiber=1):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
-        scale = float(np.linalg.norm(conj))
-        asym = float(np.max(np.abs(conj - conj.T))) if conj.size else 0.0
-        if asym > SELFADJOINT_TOL * max(scale, 1e-300) and asym > 1e-14:
-            raise ValueError(
-                f"operator is not self-adjoint on the weighted space "
-                f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
-            )
         evals, evecs = np.linalg.eigh(0.5 * (conj + conj.T))
-        residual = float(
-            np.linalg.norm((evecs * evals[None, :]) @ evecs.T - conj)
-        )
-        if residual > RECONSTRUCTION_TOL * max(scale, 1.0):
-            raise ValueError(
-                f"spectral decomposition does not reconstruct the operator "
-                f"(residual {residual:.3e} vs scale {scale:.3e})"
-            )
+        _check_eigendata(evals, evecs, conj, orthonormal=False)
         self.eigenvalues = _read_only(evals)
         self._euclidean_vectors = _read_only(evecs)
 
@@ -261,23 +286,39 @@ class SelfAdjointOperator(WeightedOperator):
         eigenvalues: np.ndarray,
         euclidean_vectors: np.ndarray,
         fiber: int = 1,
+        matrix: np.ndarray | None = None,
     ) -> "SelfAdjointOperator":
         """U diag(w) U^T M from eigendata of the conjugated matrix.
 
         ``euclidean_vectors`` must be Euclidean-orthonormal (the
         eigenvectors of the conjugated symmetric matrix); eigenvalues are
         sorted ascending here.  Raises ValueError unless the eigendata are
-        finite and max |Q^T Q - I| <= 1e-10.
+        finite and max |Q^T Q - I| <= 1e-10.  The eigenvector array is kept,
+        not copied, and made read-only.
+
+        ``matrix``, when given, is the operator's dense matrix, kept as
+        ``matrix``: the eigendata must then decompose it under the checks of
+        a construction from a matrix (self-adjoint, reconstructed to
+        relative tolerance 1e-10).
         """
         evals = np.asarray(eigenvalues, dtype=float)
-        q = np.array(euclidean_vectors, dtype=float)
+        q = np.asarray(euclidean_vectors, dtype=float)
         dim = space.point_count * fiber
-        if fiber < 1 or evals.shape != (dim,) or q.shape != (dim, dim):
+        square = (dim, dim)
+        if (
+            fiber < 1
+            or evals.shape != (dim,)
+            or q.shape != square
+            or (matrix is not None and np.shape(matrix) != square)
+        ):
             raise DimensionMismatchError("eigendata do not match the space and fiber")
-        defect = float(np.max(np.abs(q.T @ q - np.eye(dim))))
-        if not (np.all(np.isfinite(evals)) and defect <= RECONSTRUCTION_TOL):
-            raise ValueError(f"eigendata not finite and orthonormal (defect {defect:.3e})")
-        return cls._with_spectrum(space, fiber, evals, q)
+        op = cls._with_spectrum(space, fiber, evals, q)
+        conj = None
+        if matrix is not None:
+            op.matrix = _read_only(np.asarray(matrix, dtype=float))
+            conj = op.conjugated()
+        _check_eigendata(evals, q, conj)
+        return op
 
     @classmethod
     def _with_spectrum(cls, space, fiber, eigenvalues, euclidean_vectors):

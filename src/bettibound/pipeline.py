@@ -20,8 +20,10 @@ assumed):
 
     b1  <=  (1 - e^(-2 rho0 t0))^(-p) || e^(-2 t0 L1) - e^(-2 t0 (L1+W)) ||_Sp^p.
 
-Every grid point is read from spectra computed before it: L0, L1 and
-L0 + K once per surface, L1 + W once per rho0 (W depends on rho0 only).
+Every grid point is read from spectra computed before it: L0, the face
+Laplacian L2 and L0 + K are eigensolved once per surface, L1 is assembled
+from the eigenpairs of L0 and L2 (its Hodge pieces) with no eigensolve of
+its own, and L1 + W is eigensolved once per rho0 (W depends on rho0 only).
 The 2->inf norm of e^(-t0 (L0+K)) and, at p = 2, the Hilbert-Schmidt
 norm of the semigroup difference come from those spectra in O(N^2) per
 point, with no dense heat matrix; other p take the singular values of the
@@ -180,7 +182,9 @@ def prepare_surface(
 ) -> SurfaceData:
     """Mesh, DEC operators, curvature field, and both homology oracles.
 
-    Eigensolves L0, L1 and the comparison operator L0 + K once per surface.
+    Eigensolves L0, the face Laplacian L2 and the comparison operator
+    L0 + K once per surface.  L1 is assembled from L0's and L2's eigenpairs
+    (``DECOperators.laplacian1``), so no E x E matrix is eigensolved here.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -194,14 +198,15 @@ def prepare_surface(
     if curvature_source == "analytic" and analytic is None:
         raise ValueError("analytic curvature requires an analytic surface")
     curvature = gaussian_curvature(mesh, curvature_source, analytic)
-    lap1 = dec.laplacian1()
+    lap0 = dec.laplacian0()
+    lap1 = dec.laplacian1(lap0)
     b1 = betti1_oracle(mesh, dec, laplacian1=lap1)
     return SurfaceData(
         mesh=mesh,
         dec=dec,
         curvature=curvature,
         b1=b1,
-        kernel_dim_0forms=dec.laplacian0().kernel_dim(),
+        kernel_dim_0forms=lap0.kernel_dim(),
         description=description,
         laplacian1=lap1,
         comparison=schrodinger_comparison(dec, curvature.values),

@@ -14,7 +14,13 @@ from bettibound.dec import (
     ricci_potential,
     schrodinger_comparison,
 )
-from bettibound.measure import operator_norm, WeightedOperator
+from bettibound.measure import (
+    SelfAdjointOperator,
+    WeightedOperator,
+    heat_difference_hs_squared,
+    operator_norm,
+)
+from bettibound.perturbation import MatrixPotential
 from bettibound.pipeline import prepare_surface
 from bettibound.mesh import (
     BumpySphere,
@@ -238,6 +244,65 @@ def test_laplacians_match_dense_incidence_formula(name):
     assert dec.laplacian1_matrix().tobytes() == lap1.tobytes()
     gap = np.max(np.abs(dec.laplacian0_matrix() - lap0))
     assert gap <= 1e-15 * np.max(np.abs(lap0))
+    lap2 = d1 @ (d1.T / star1[:, None]) * star2[None, :]
+    gap = np.max(np.abs(dec.laplacian2_matrix() - lap2))
+    assert gap <= 1e-15 * np.max(np.abs(lap2))
+
+
+@pytest.mark.parametrize("name", CHAIN_COMPLEX_CASES)
+def test_hodge_assembled_laplacian1_matches_direct_eigensolve(name):
+    dec = build_dec(CHAIN_COMPLEX_CASES[name]())
+    lap1 = dec.laplacian1()
+    assert lap1.kernel_dim() == betti1_rank_count(dec)
+    assert lap1.matrix.tobytes() == dec.laplacian1_matrix().tobytes()
+    reference = np.linalg.eigvalsh(lap1.conjugated())
+    radius = np.max(np.abs(reference))
+    assert np.max(np.abs(lap1.eigenvalues - reference)) <= 1e-12 * radius
+
+    # At p = 2 the spectral Hilbert-Schmidt sum against an L1 + W matches
+    # the Frobenius norm of the dense difference of the heat operators.
+    field = np.linspace(0.5, 2.0, dec.mesh.edge_count)
+    perturbed = MatrixPotential.from_scalar_field(dec.edge_space(), field).added_to(lap1)
+    t = 0.3
+
+    def dense_heat(op):
+        evals, evecs = np.linalg.eigh(op.conjugated())
+        return (evecs * np.exp(-t * evals)[None, :]) @ evecs.T
+
+    dense = float(np.linalg.norm(dense_heat(lap1) - dense_heat(perturbed)) ** 2)
+    spectral = heat_difference_hs_squared(lap1, perturbed, t)
+    assert abs(spectral - dense) <= 1e-12 * dense
+
+
+def test_hodge_assembly_checks_catch_a_scaled_column(monkeypatch):
+    dec = build_dec(genus2_mesh())
+    # B = star2^(1/2) d1 star1^(-1/2) vanishes on all but the coexact columns.
+    curl = np.sqrt(dec.star2)[:, None] * dec.d1.toarray() / np.sqrt(dec.star1)[None, :]
+    from_spectrum = SelfAdjointOperator.from_spectrum.__func__
+
+    def scale_coexact_column(cls, space, evals, q, fiber=1, matrix=None):
+        coexact = np.flatnonzero(np.linalg.norm(curl @ q, axis=0) > 1e-6)[0]
+        q = q.copy()
+        q[:, coexact] *= 1.0 + 1e-6
+        return from_spectrum(cls, space, evals, q, fiber, matrix)
+
+    monkeypatch.setattr(SelfAdjointOperator, "from_spectrum", classmethod(scale_coexact_column))
+    with pytest.raises(ValueError, match="not finite and orthonormal"):
+        dec.laplacian1()
+
+
+def test_hodge_assembly_checks_catch_a_wrong_eigenvalue(monkeypatch):
+    dec = build_dec(genus2_mesh())
+    from_spectrum = SelfAdjointOperator.from_spectrum.__func__
+
+    def perturb_eigenvalue(cls, space, evals, q, fiber=1, matrix=None):
+        evals = evals.copy()
+        evals[-1] *= 1.0 + 1e-6
+        return from_spectrum(cls, space, evals, q, fiber, matrix)
+
+    monkeypatch.setattr(SelfAdjointOperator, "from_spectrum", classmethod(perturb_eigenvalue))
+    with pytest.raises(ValueError, match="does not reconstruct"):
+        dec.laplacian1()
 
 
 def test_rank_count_counts_face_components_separately():

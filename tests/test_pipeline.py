@@ -267,10 +267,13 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
     assert result["min_bound_main"] == min(r.bound_main for r in result["reports"])
 
 
-@pytest.mark.parametrize("schatten,expected", [(True, 5), (False, 3)])
-def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten, expected):
-    # Once per surface: L0, L1 and the comparison operator L0 + K; once per
-    # rho0 with the Schatten certificate: L1 + W.
+@pytest.mark.parametrize("schatten", [True, False], ids=["schatten", "no-schatten"])
+def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
+    # Once per surface: L0 (V x V), the face Laplacian L2 (F x F), the
+    # b1 x b1 Rayleigh-Ritz block of the harmonic 1-forms and the
+    # comparison operator L0 + K (V x V); L1 itself is assembled from these,
+    # with no E x E eigensolve.  Once per rho0 with the Schatten
+    # certificate: L1 + W (E x E).
     calls = []
     eigh = np.linalg.eigh
 
@@ -279,8 +282,13 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten, expected):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    parameter_sweep(genus2_mesh(), [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
-    assert len(calls) == expected
+    mesh = genus2_mesh()
+    parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
+    nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
+    expected = [(nv, nv), (nf, nf), (4, 4), (nv, nv)]
+    if schatten:
+        expected += [(ne, ne)] * 2
+    assert calls == expected
 
 
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
