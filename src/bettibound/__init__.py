@@ -8,18 +8,14 @@ against independent homology oracles.
 """
 
 from .measure import (
-    OperatorNormReport,
     SelfAdjointOperator,
-    VectorFunction,
     WeightedFiniteSpace,
     WeightedOperator,
     hs_norm,
     one_two_norm,
     operator_norm,
     schatten_norm,
-    semigroup,
     two_inf_norm,
-    weighted_inner_product,
 )
 from .birman import (
     KernelBoundCertificate,

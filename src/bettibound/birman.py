@@ -81,20 +81,17 @@ class OperatorPair:
 
 @dataclass(frozen=True)
 class KernelBoundCertificate:
-    """dim ker(H) together with the sharp and crude Schatten bounds."""
+    """dim ker(H) together with the sharp and crude Schatten bounds.
+
+    Whether the chain dim ker(H) <= sharp <= crude holds is not judged
+    here: ``suites.suite_birman_schwinger`` records it at the run's
+    tolerance.
+    """
 
     kernel_dim: int
     bound_sharp: float
     bound_crude: float
     p: float
-
-    def __post_init__(self):
-        tol = 1e-9 * (1.0 + abs(self.bound_crude))
-        if not (self.kernel_dim <= self.bound_sharp + tol <= self.bound_crude + 2 * tol):
-            raise ValueError(
-                f"certificate chain violated: kernel_dim={self.kernel_dim}, "
-                f"sharp={self.bound_sharp!r}, crude={self.bound_crude!r}"
-            )
 
 
 def semigroup_difference(pair: OperatorPair, t: float) -> WeightedOperator:
@@ -174,7 +171,7 @@ def principal_angles(
 
 
 def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertificate:
-    """Certify dim ker(H) <= sharp <= crude (``crude_kernel_bound``) at exponent p."""
+    """dim ker(H) and the sharp and crude (``crude_kernel_bound``) bounds at exponent p."""
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
     bs = birman_schwinger_operator(pair, pair.t0)

@@ -169,11 +169,6 @@ class DECOperators:
             self.edge_space(), evals, q, matrix=self.laplacian1_matrix()
         )
 
-    def apply_laplacian0(self, values: np.ndarray) -> np.ndarray:
-        """L0 applied as a composition; kills constants exactly."""
-        grad = self.d0 @ np.asarray(values, dtype=float)
-        return (self.d0.T @ (self.star1 * grad)) / self.star0
-
 
 def _nonzero_eigenpairs(op: SelfAdjointOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above the zero threshold, with their eigenvectors in

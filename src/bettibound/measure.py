@@ -1,8 +1,8 @@
 """Weighted finite measure spaces and operators on vector-valued L2.
 
 Everything downstream works over a finite set of N points with strictly
-positive weights m(x).  Functions take values in R^n (the fiber) and the
-inner product is the weighted one,
+positive weights m(x).  Functions take values in R^n (the fiber) and are
+held as N x n arrays; the inner product is the weighted one,
 
     <f, g>_m = sum_x m(x) f(x).g(x).
 
@@ -14,7 +14,8 @@ on L2(m) exactly when the conjugated matrix
 
 is symmetric.  All singular value and eigenvalue computations here run on
 S, so a single Euclidean symmetric eigensolver serves for all weighted
-geometry.
+geometry.  Self-adjoint operators keep their eigendata, and their
+semigroups and shifts come from it by spectral calculus.
 
 Norms provided:
 
@@ -37,12 +38,8 @@ import numpy as np
 
 __all__ = [
     "WeightedFiniteSpace",
-    "VectorFunction",
     "WeightedOperator",
     "SelfAdjointOperator",
-    "OperatorNormReport",
-    "weighted_inner_product",
-    "semigroup",
     "heat_difference",
     "heat_difference_hs_squared",
     "singular_values",
@@ -92,10 +89,6 @@ class WeightedFiniteSpace:
     def point_count(self) -> int:
         return self.weights.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def stacked_weights(self, fiber: int) -> np.ndarray:
         """Weight of each stacked coordinate (each m(x) repeated fiber times)."""
         return np.repeat(self.weights, fiber)
@@ -104,65 +97,6 @@ class WeightedFiniteSpace:
         return self.weights.shape == other.weights.shape and np.array_equal(
             self.weights, other.weights
         )
-
-
-@dataclass(frozen=True)
-class VectorFunction:
-    """An element of L2(m; R^n), stored as an N x n array of values."""
-
-    values: np.ndarray
-    space: WeightedFiniteSpace
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        if v.ndim != 2 or v.shape[0] != self.space.point_count:
-            raise DimensionMismatchError(
-                f"values of shape {v.shape} do not match a space with "
-                f"{self.space.point_count} points"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def fiber(self) -> int:
-        return self.values.shape[1]
-
-    def norm(self) -> float:
-        return float(np.sqrt(weighted_inner_product(self, self)))
-
-    def pointwise_norm(self) -> np.ndarray:
-        """Scalar function x -> |f(x)| with the Euclidean fiber norm."""
-        return np.linalg.norm(self.values, axis=1)
-
-
-def weighted_inner_product(f: VectorFunction, g: VectorFunction) -> float:
-    """<f, g>_m = sum_x m(x) f(x).g(x)."""
-    if not f.space.same_as(g.space) or f.fiber != g.fiber:
-        raise DimensionMismatchError("inner product operands live on different spaces")
-    return float(np.sum(f.space.weights * np.sum(f.values * g.values, axis=1)))
-
-
-@dataclass(frozen=True)
-class OperatorNormReport:
-    """A Schatten exponent (or the aliases 'hs'/'tr') with the norm value."""
-
-    p: float | str
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("norm values are nonnegative")
-
-    @property
-    def exponent(self) -> float:
-        if self.p == "hs":
-            return 2.0
-        if self.p == "tr":
-            return 1.0
-        return float(self.p)
 
 
 class WeightedOperator:
@@ -190,12 +124,6 @@ class WeightedOperator:
     def conjugated(self) -> np.ndarray:
         """M^(1/2) A M^(-1/2); symmetric iff A is self-adjoint on L2(m)."""
         return (self._sqrt_w[:, None] * self.matrix) / self._sqrt_w[None, :]
-
-    def apply(self, f: VectorFunction) -> VectorFunction:
-        if not f.space.same_as(self.space) or f.fiber != self.fiber:
-            raise DimensionMismatchError("function does not live on the operator's space")
-        out = self.matrix @ f.values.reshape(-1)
-        return VectorFunction(out.reshape(-1, self.fiber), self.space)
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
@@ -370,11 +298,6 @@ class SelfAdjointOperator(WeightedOperator):
         mask = np.abs(self.eigenvalues) <= self.zero_threshold()
         return self.basis[:, mask]
 
-    def eigen_multiplicity(self, value: float) -> int:
-        return int(
-            np.count_nonzero(np.abs(self.eigenvalues - value) <= self.zero_threshold())
-        )
-
     def squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
         """(Q_other^T Q)**2 elementwise, for Q the Euclidean eigenvectors.
 
@@ -408,11 +331,6 @@ class SelfAdjointOperator(WeightedOperator):
     def shifted(self, c: float) -> "SelfAdjointOperator":
         """A + c in place of A, reusing the eigenbasis."""
         return self.spectral_function(lambda w: w + c)
-
-
-def semigroup(operator: SelfAdjointOperator, t: float) -> SelfAdjointOperator:
-    """Free-function form of ``SelfAdjointOperator.semigroup``."""
-    return operator.semigroup(t)
 
 
 def heat_difference(A, B, t: float) -> WeightedOperator:

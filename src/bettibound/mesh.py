@@ -234,14 +234,6 @@ class AnalyticSurface:
     def area(self) -> float:
         raise NotImplementedError
 
-    def diameter(self):
-        """Exact geodesic diameter where known, else None (use the graph proxy)."""
-        return None
-
-    def volume(self) -> float:
-        # Dimension 2: the Riemannian volume is the area.
-        return self.area()
-
 
 @dataclass(frozen=True)
 class RoundSphere(AnalyticSurface):
@@ -256,9 +248,6 @@ class RoundSphere(AnalyticSurface):
 
     def area(self) -> float:
         return 4.0 * math.pi * self.radius**2
-
-    def diameter(self):
-        return math.pi * self.radius
 
 
 @dataclass(frozen=True)
@@ -275,9 +264,6 @@ class FlatTorus(AnalyticSurface):
 
     def area(self) -> float:
         return self.width * self.height
-
-    def diameter(self):
-        return 0.5 * math.hypot(self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -299,9 +285,6 @@ class TorusOfRevolution(AnalyticSurface):
 
     def area(self) -> float:
         return 4.0 * math.pi**2 * self.ring_radius * self.tube_radius
-
-    def min_curvature(self) -> float:
-        return -1.0 / (self.tube_radius * (self.ring_radius - self.tube_radius))
 
 
 @dataclass(frozen=True)

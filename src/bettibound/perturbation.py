@@ -31,7 +31,6 @@ import numpy as np
 from .measure import (
     DimensionMismatchError,
     SelfAdjointOperator,
-    VectorFunction,
     WeightedFiniteSpace,
     WeightedOperator,
     heat_difference,
@@ -116,12 +115,6 @@ class MatrixPotential:
         at = np.arange(n_points)
         matrix.reshape(n_points, n, n_points, n)[at, :, at, :] += self.values
         return SelfAdjointOperator(matrix, H.space, n)
-
-    def apply(self, f: VectorFunction) -> VectorFunction:
-        if not f.space.same_as(self.space) or f.fiber != self.fiber:
-            raise DimensionMismatchError("function does not match the potential")
-        out = np.einsum("xij,xj->xi", self.values, f.values)
-        return VectorFunction(out, self.space)
 
     def pointwise_operator_norms(self) -> np.ndarray:
         """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,12 +145,16 @@ class SurfaceData:
     kernel_dim_0forms: int
     description: str
     laplacian1: SelfAdjointOperator
-    comparison: SelfAdjointOperator
     _schatten_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def volume(self) -> float:
         return self.mesh.total_area
+
+    @cached_property
+    def comparison(self) -> SelfAdjointOperator:
+        """The comparison operator L0 + K, eigensolved when first read."""
+        return schrodinger_comparison(self.dec, self.curvature.values)
 
     def schatten_operators(self, rho0: float) -> tuple[MatrixPotential, SelfAdjointOperator]:
         """The synthetic edge potential W at rho0 and L1 + W (``schatten_operator``).
@@ -182,9 +187,10 @@ def prepare_surface(
 ) -> SurfaceData:
     """Mesh, DEC operators, curvature field, and both homology oracles.
 
-    Eigensolves L0, the face Laplacian L2 and the comparison operator
-    L0 + K once per surface.  L1 is assembled from L0's and L2's eigenpairs
-    (``DECOperators.laplacian1``), so no E x E matrix is eigensolved here.
+    Eigensolves L0 and the face Laplacian L2; the comparison operator
+    L0 + K is eigensolved once, when a bound first reads it.  L1 is
+    assembled from L0's and L2's eigenpairs (``DECOperators.laplacian1``),
+    so no E x E matrix is eigensolved here.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -209,7 +215,6 @@ def prepare_surface(
         kernel_dim_0forms=lap0.kernel_dim(),
         description=description,
         laplacian1=lap1,
-        comparison=schrodinger_comparison(dec, curvature.values),
     )
 
 
@@ -254,9 +259,9 @@ def betti_bound(
     bound_schatten = None
     if inputs.compute_schatten:
         try:
-            edge_potential, perturbed = data.schatten_operators(rho0)
+            _, perturbed = data.schatten_operators(rho0)
             bound_schatten = schatten_betti_bound(
-                data.laplacian1, edge_potential, rho0, t0, inputs.p, perturbed
+                data.laplacian1, perturbed, rho0, t0, inputs.p
             )
         except ValueError as exc:
             notes.append(f"schatten bound omitted: {exc}")
@@ -378,24 +383,21 @@ def schatten_operator(
 
 def schatten_betti_bound(
     H: SelfAdjointOperator,
-    V: MatrixPotential,
+    perturbed: SelfAdjointOperator,
     rho0: float,
     t0: float,
     p: float,
-    perturbed: SelfAdjointOperator | None = None,
 ) -> float:
     """Operator-level kernel bound (1-e^(-2 rho0 t0))^(-p) ||D_{2t0}||_Sp^p.
 
-    Requires H >= 0 and H + V >= rho0, both verified spectrally (a failure
-    raises ``ValueError``).  ``perturbed`` is ``schatten_operator(H, V,
-    rho0)`` when the caller keeps it across t0 values; otherwise it is
-    built here.  The value is ``birman.crude_kernel_bound`` at time 2 t0;
-    whether it dominates dim ker H is a record of ``betti_bound``.
+    ``perturbed`` is H + V, as built and checked by ``schatten_operator(H,
+    V, rho0)``.  H >= 0 and perturbed >= rho0 are verified spectrally (a
+    failure raises ``ValueError``).  The value is
+    ``birman.crude_kernel_bound`` at time 2 t0; whether it dominates
+    dim ker H is a record of ``betti_bound``.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
-    if perturbed is None:
-        perturbed = schatten_operator(H, V, rho0)
     pair = OperatorPair(H=H, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
     return crude_kernel_bound(pair, p)
 

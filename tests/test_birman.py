@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from bettibound.birman import (
-    KernelBoundCertificate,
     OperatorPair,
     birman_schwinger_bound,
     birman_schwinger_operator,
@@ -164,11 +163,6 @@ def test_chain_small_randomized_suite():
             tol = 1e-9 * (1.0 + cert.bound_crude)
             assert cert.kernel_dim <= cert.bound_sharp + tol
             assert cert.bound_sharp <= cert.bound_crude + tol
-
-
-def test_certificate_invariant_enforced():
-    with pytest.raises(ValueError):
-        KernelBoundCertificate(kernel_dim=3, bound_sharp=1.0, bound_crude=2.0, p=1.0)
 
 
 def test_bound_rejects_nonpositive_exponent():

@@ -2,11 +2,13 @@
 
 import json
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bettibound.cli import main
-from bettibound.mesh import icosphere_mesh, load_mesh, write_off
+from bettibound.mesh import genus2_mesh, icosphere_mesh, load_mesh, write_off
 from bettibound.report import SuiteConfig, build_config, serialize_json
 
 
@@ -42,6 +44,36 @@ def test_verify_abstract_corrupted_tolerance_fails(capsys, tmp_path):
     assert failing
     for record in failing:
         assert "margin" in record and "lhs" in record and "rhs" in record
+
+
+def test_verify_abstract_violated_chain_is_a_failing_record(
+    capsys, tmp_path, monkeypatch
+):
+    # A sharp bound halved below dim ker H breaks the chain; the suite's
+    # record is the verdict, so the run still writes its report.
+    import bettibound.suites as suites
+
+    bound = suites.birman_schwinger_bound
+
+    def halved(*args):
+        cert = bound(*args)
+        return replace(cert, bound_sharp=0.5 * cert.bound_sharp)
+
+    monkeypatch.setattr(suites, "birman_schwinger_bound", halved)
+    out_path = tmp_path / "chain.json"
+    code, _, _ = run(
+        capsys,
+        "verify-abstract",
+        "--trials", "5",
+        "--seed", "42",
+        "--quiet",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    doc = json.loads(out_path.read_text())
+    records = {r["name"]: r["pass"] for r in doc["records"]}
+    assert records["birman_kernel_vs_sharp_p1"] is False
+    assert doc["summary"]["pass"] is False
 
 
 def test_verify_abstract_rejects_out_of_range_tolerance(capsys):
@@ -314,6 +346,22 @@ def test_mesh_info_builtins(capsys, tmp_path, builtin, chi, b1):
     assert doc["mesh"]["euler_characteristic"] == chi
     assert doc["mesh"]["betti1"] == b1
     assert doc["summary"]["pass"] is True
+
+
+def test_mesh_info_eigensolves_no_comparison_operator(capsys, monkeypatch):
+    # mesh-info reads L1's kernel only: L0 (V x V), the face Laplacian L2
+    # (F x F) and the b1 x b1 Rayleigh-Ritz block are eigensolved, and
+    # the comparison operator L0 + K, which it never reads, is not.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw)
+    )
+    code, _, _ = run(capsys, "mesh-info", "--builtin", "genus2", "--quiet")
+    assert code == 0
+    mesh = genus2_mesh()
+    nv, nf = mesh.vertex_count, mesh.face_count
+    assert calls == [(nv, nv), (nf, nf), (4, 4)]
 
 
 def test_mesh_info_tetrahedron_file(capsys, tmp_path):

@@ -24,6 +24,7 @@ from bettibound.pipeline import (
     prefactors,
     prepare_surface,
     schatten_betti_bound,
+    schatten_operator,
     synthetic_edge_potential,
 )
 
@@ -139,7 +140,8 @@ def test_schatten_bound_commuting_shift(torus_data):
         edge_scalar=np.zeros(torus_data.mesh.edge_count),
     )
     assert np.allclose(potential.values.reshape(-1), rho0)
-    value = schatten_betti_bound(lap1, potential, rho0, t0, 2.0)
+    perturbed = schatten_operator(lap1, potential, rho0)
+    value = schatten_betti_bound(lap1, perturbed, rho0, t0, 2.0)
     oracle = float(np.sum(np.exp(-2.0 * (2.0 * t0) * lap1.eigenvalues)))
     assert np.isclose(value, oracle, rtol=1e-9)
     assert value >= 2.0 - 1e-9 * (1.0 + value)
@@ -149,14 +151,16 @@ def test_schatten_bound_commuting_shift(torus_data):
 def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
     rho0, t0 = 0.4, 0.7
     potential = synthetic_edge_potential(torus_data.dec, torus_data.curvature, rho0)
-    value = schatten_betti_bound(torus_data.laplacian1, potential, rho0, t0, p)
+    perturbed = schatten_operator(torus_data.laplacian1, potential, rho0)
+    value = schatten_betti_bound(torus_data.laplacian1, perturbed, rho0, t0, p)
     assert value >= torus_data.b1 - 1e-9 * (1.0 + value)
 
 
 def test_schatten_bound_trivial_kernel_on_sphere(sphere_data):
     rho0, t0 = 0.5, 1.0
     potential = synthetic_edge_potential(sphere_data.dec, sphere_data.curvature, rho0)
-    value = schatten_betti_bound(sphere_data.laplacian1, potential, rho0, t0, 2.0)
+    perturbed = schatten_operator(sphere_data.laplacian1, potential, rho0)
+    value = schatten_betti_bound(sphere_data.laplacian1, perturbed, rho0, t0, 2.0)
     assert value >= 0.0
     assert sphere_data.b1 == 0
 
@@ -169,7 +173,7 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
         edge_scalar=np.zeros(torus_data.mesh.edge_count),
     )
     with pytest.raises(ValueError, match="spectral check failed"):
-        schatten_betti_bound(torus_data.laplacian1, potential, rho0, 1.0, 2.0)
+        schatten_operator(torus_data.laplacian1, potential, rho0)
 
 
 # -- Li-Yau style bound -----------------------------------------------------------
@@ -293,7 +297,8 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
 
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
-    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.
+    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The one
+    # eigensolve is the comparison operator L0 + K (V x V), on first read.
     data = prepare_surface(RoundSphere(), resolution=2)
     calls = []
     eigh = np.linalg.eigh
@@ -308,7 +313,7 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
         )
         assert report.bound_schatten == 0.0
-    assert calls == []
+    assert calls == [(data.mesh.vertex_count,) * 2]
 
 
 def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
