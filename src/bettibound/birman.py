@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .measure import (
     SelfAdjointOperator,
@@ -210,7 +211,7 @@ def weyl_inequality_check(operator: WeightedOperator, p: float) -> dict:
     if p < 1.0:
         raise ValueError("Weyl's inequality needs p >= 1")
     conj = operator.conjugated()
-    eigs = np.linalg.eigvals(conj)
+    eigs = np.linalg.eigvals(conj.toarray() if issparse(conj) else conj)
     lhs = float(np.sum(np.abs(eigs) ** p))
     rhs = float(np.sum(singular_values(operator) ** p))
     return {

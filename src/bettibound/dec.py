@@ -17,7 +17,9 @@ spaces.  L1 is never eigensolved as an E x E matrix: since d1 d0 = 0 its
 two terms annihilate each other (the Hodge decomposition), so its
 eigenpairs are L0's nonzero ones mapped through d0, L2's nonzero ones
 mapped through the codifferential, and a Rayleigh-Ritz basis of the
-small rest, all verified by reconstruction against L1's assembled matrix.
+small rest, all checked against L1's assembled CSR matrix by their
+residual and orthogonality loss (``measure``).  All three Laplacians are
+CSR matrices; only the inputs of the L0 and L2 eigensolves are dense.
 The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number.  Route (a) of the Betti oracle
 is the spectral kernel count of this Hodge-assembled L1; route (b), an
@@ -90,18 +92,25 @@ class DECOperators:
     def face_space(self) -> WeightedFiniteSpace:
         return WeightedFiniteSpace(self.star2)
 
-    def laplacian0_matrix(self) -> np.ndarray:
-        return (self.d0.T @ diags(self.star1) @ self.d0).toarray() / self.star0[:, None]
+    # The Laplacians are CSR.  Each stored entry is computed exactly as
+    # the dense formula computes it (a row divided by its star, not
+    # multiplied by the reciprocal), so ``toarray()`` gives the dense
+    # matrix bit for bit.
 
-    def laplacian1_matrix(self) -> np.ndarray:
+    def laplacian0_matrix(self) -> csr_matrix:
+        return _divide_rows(self.d0.T @ diags(self.star1) @ self.d0, self.star0)
+
+    def laplacian1_matrix(self) -> csr_matrix:
         # Each entry of either product sums at most two exact terms (+-1
         # times a star), so the summation order cannot change a bit.
-        factor = (self.d0.T @ diags(self.star1)).toarray() / self.star0[:, None]
-        upper = (self.d1.T @ diags(self.star2) @ self.d1).toarray() / self.star1[:, None]
-        return self.d0 @ factor + upper
+        factor = _divide_rows(self.d0.T @ diags(self.star1), self.star0)
+        upper = _divide_rows(self.d1.T @ diags(self.star2) @ self.d1, self.star1)
+        return (self.d0 @ factor + upper).tocsr()
 
-    def laplacian2_matrix(self) -> np.ndarray:
-        return (self.d1 @ diags(1.0 / self.star1) @ self.d1.T).toarray() * self.star2[None, :]
+    def laplacian2_matrix(self) -> csr_matrix:
+        lap = (self.d1 @ diags(1.0 / self.star1) @ self.d1.T).tocsr()
+        lap.data *= self.star2[lap.indices]
+        return lap
 
     def laplacian0(self) -> SelfAdjointOperator:
         return SelfAdjointOperator(self.laplacian0_matrix(), self.vertex_space())
@@ -127,9 +136,11 @@ class DECOperators:
         |C w| is sqrt(lam) in exact arithmetic; the computed norm keeps the
         columns orthonormal to rounding, where sqrt(lam) would leave a
         defect of order eps * (spectral radius / lam).  ``from_spectrum``
-        checks the result against L1's assembled matrix, which the operator
-        keeps.  ``laplacian0`` is ``self.laplacian0()`` unless the caller
-        has it already.
+        checks the result against L1's assembled CSR matrix, which the
+        operator keeps, through the residual S1 Q - Q diag(evals) in
+        O(nnz E) and the orthogonality loss Q^T Q - I; no E x E matrix is
+        densified.  ``laplacian0`` is ``self.laplacian0()`` unless the
+        caller has it already.
         """
         if laplacian0 is None:
             laplacian0 = self.laplacian0()
@@ -168,6 +179,13 @@ class DECOperators:
         return SelfAdjointOperator.from_spectrum(
             self.edge_space(), evals, q, matrix=self.laplacian1_matrix()
         )
+
+
+def _divide_rows(product, star: np.ndarray) -> csr_matrix:
+    """The sparse ``product`` as CSR, with row i divided by star[i]."""
+    matrix = product.tocsr()
+    matrix.data /= np.repeat(star, np.diff(matrix.indptr))
+    return matrix
 
 
 def _nonzero_eigenpairs(op: SelfAdjointOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +296,8 @@ def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None, laplacian1=None)
     """First Betti number by two independent routes, which must agree.
 
     Route (a): dimension of the kernel of the edge Laplacian L1, assembled
-    from its Hodge pieces (``DECOperators.laplacian1``) and verified by
-    reconstruction against its matrix, under the scale-invariant zero
+    from its Hodge pieces (``DECOperators.laplacian1``) and checked against
+    its sparse matrix by residual, under the scale-invariant zero
     tolerance.  Route (b): rank-nullity over the
     chain complex.  Disagreement raises, since it signals a meshing or
     tolerance bug rather than a soft numerical issue.  ``dec`` and
@@ -335,5 +353,5 @@ def schrodinger_comparison(dec: DECOperators, rho: np.ndarray) -> SelfAdjointOpe
     rho = np.asarray(rho, dtype=float).reshape(-1)
     if rho.size != dec.mesh.vertex_count:
         raise ValueError("rho must be a vertex function")
-    matrix = dec.laplacian0_matrix() + np.diag(rho)
+    matrix = dec.laplacian0_matrix() + diags(rho)
     return SelfAdjointOperator(matrix, dec.vertex_space())

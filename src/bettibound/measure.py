@@ -15,7 +15,10 @@ on L2(m) exactly when the conjugated matrix
 is symmetric.  All singular value and eigenvalue computations here run on
 S, so a single Euclidean symmetric eigensolver serves for all weighted
 geometry.  Self-adjoint operators keep their eigendata, and their
-semigroups and shifts come from it by spectral calculus.
+semigroups and shifts come from it by spectral calculus.  A matrix is
+dense, or CSR (the DEC Laplacians); a CSR matrix is densified only as the
+input of an eigensolve, and its eigendata are checked by a residual that
+costs O(nnz N).
 
 Norms provided:
 
@@ -30,11 +33,13 @@ Norms provided:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix, issparse
 
 __all__ = [
     "WeightedFiniteSpace",
@@ -56,6 +61,8 @@ ZERO_TOL = 1e-9
 
 SELFADJOINT_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
+# Columns of S Q - Q diag(evals) corrected per step, to bound the temporary.
+_RESIDUAL_BLOCK = 256
 
 
 class DimensionMismatchError(ValueError):
@@ -99,20 +106,55 @@ class WeightedFiniteSpace:
         )
 
 
+def _stored(matrix):
+    """A read-only float copy of ``matrix``: CSR if it is sparse, else dense."""
+    if issparse(matrix):
+        mat = csr_matrix(matrix, dtype=float, copy=True)
+        mat.sum_duplicates()
+        for part in (mat.data, mat.indices, mat.indptr):
+            _read_only(part)
+        return mat
+    return _read_only(np.array(matrix, dtype=float))
+
+
+def _dense(matrix) -> np.ndarray:
+    return matrix.toarray() if issparse(matrix) else matrix
+
+
+def _entrywise(matrix, entry):
+    """``matrix`` with each a_ij replaced by entry(i, j, a_ij).
+
+    ``entry`` works on index and value arrays that broadcast together.  A
+    CSR matrix stays CSR with the same pattern, and each stored value is
+    computed exactly as the dense route computes it.
+    """
+    if issparse(matrix):
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        data = entry(rows, matrix.indices, matrix.data)
+        return csr_matrix((data, matrix.indices, matrix.indptr), matrix.shape)
+    # Tuple indices: v[rows] is the view v[:, None], v[cols] is v[None, :].
+    rows, cols = (slice(None), None), (None, slice(None))
+    return entry(rows, cols, matrix)
+
+
 class WeightedOperator:
-    """A linear operator on L2(m; R^n), held as its dense stacked matrix."""
+    """A linear operator on L2(m; R^n), held as its stacked matrix.
+
+    The matrix is dense, or CSR when it is given as a scipy sparse matrix;
+    every method treats both alike, entry by entry.
+    """
 
     def __init__(self, matrix, space: WeightedFiniteSpace, fiber: int = 1):
         if fiber < 1:
             raise ValueError("fiber dimension must be at least 1")
-        mat = np.array(matrix, dtype=float)
+        mat = _stored(matrix)
         dim = space.point_count * fiber
         if mat.shape != (dim, dim):
             raise DimensionMismatchError(
                 f"matrix of shape {mat.shape} does not act on a space of "
                 f"stacked dimension {dim}"
             )
-        self.matrix = _read_only(mat)
+        self.matrix = mat
         self.space = space
         self.fiber = fiber
         self._sqrt_w = np.sqrt(space.stacked_weights(fiber))
@@ -121,9 +163,11 @@ class WeightedOperator:
     def dim(self) -> int:
         return self._sqrt_w.size
 
-    def conjugated(self) -> np.ndarray:
-        """M^(1/2) A M^(-1/2); symmetric iff A is self-adjoint on L2(m)."""
-        return (self._sqrt_w[:, None] * self.matrix) / self._sqrt_w[None, :]
+    def conjugated(self):
+        """M^(1/2) A M^(-1/2), entry (sqrt(w_i) a_ij) / sqrt(w_j), CSR for a
+        CSR operator; symmetric iff A is self-adjoint on L2(m)."""
+        s = self._sqrt_w
+        return _entrywise(self.matrix, lambda i, j, a: (s[i] * a) / s[j])
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
@@ -132,7 +176,8 @@ class WeightedOperator:
     def adjoint(self) -> "WeightedOperator":
         """The adjoint with respect to the weighted inner product."""
         w = self.space.stacked_weights(self.fiber)
-        mat = (self.matrix.T * w[None, :]) / w[:, None]
+        transposed = self.matrix.T.tocsr() if issparse(self.matrix) else self.matrix.T
+        mat = _entrywise(transposed, lambda i, j, a: (a * w[j]) / w[i])
         return WeightedOperator(mat, self.space, self.fiber)
 
     def compose(self, other: "WeightedOperator") -> "WeightedOperator":
@@ -144,39 +189,64 @@ class WeightedOperator:
             raise DimensionMismatchError("operators live on different spaces")
 
 
-def _check_eigendata(evals, q, conj=None, orthonormal=True):
+def _frobenius(matrix) -> float:
+    """The Frobenius norm, summed as ``np.linalg.norm`` sums it."""
+    flat = (matrix.data if issparse(matrix) else matrix).ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
+def _orthogonality_loss(q: np.ndarray) -> float:
+    """||Q^T Q - I||_F, from one SYRK."""
+    gram = q.T @ q
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return _frobenius(gram)
+
+
+def _residual_bound(evals, q, conj, loss: float) -> float:
+    """||R||_F sqrt(1 + loss) + ||S||_F loss, an upper bound on ||S - Q diag(evals) Q^T||_F.
+
+    S is ``conj`` (dense or CSR), R = S Q - Q diag(evals) costs O(nnz N)
+    for a CSR S, and ``loss`` is ``_orthogonality_loss(q)``.  Since
+    S - Q diag(evals) Q^T = S (I - Q Q^T) + R Q^T, with
+    ||I - Q Q^T||_2 = ||Q^T Q - I||_2 and ||Q||_2^2 <= 1 + ||Q^T Q - I||_2
+    for square Q, the bound holds with no N x N reconstruction built.
+    Only the residual itself is N x N; its columns are corrected in blocks.
+    """
+    residual = conj @ q
+    for start in range(0, q.shape[1], _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        residual[:, cols] -= q[:, cols] * evals[cols]
+    return _frobenius(residual) * math.sqrt(1.0 + loss) + _frobenius(conj) * loss
+
+
+def _check_eigendata(evals, q, conj=None):
     """Raise ValueError unless Q diag(evals) Q^T is a sound decomposition.
 
-    With ``conj``, the conjugated matrix being decomposed: it must be
-    symmetric to 1e-10 relative to its Frobenius norm, and the eigendata
-    must reconstruct it to 1e-10 * max(norm, 1).  With ``orthonormal``, the
-    eigenvalues must be finite and max |Q^T Q - I| <= 1e-10; a LAPACK
-    eigensolve guarantees this, so ``__init__`` skips it.  Each product is
-    corrected in place, so at most two N x N temporaries are alive at once.
+    The eigenvalues must be finite and the orthogonality loss
+    ||Q^T Q - I||_F at most 1e-10.  With ``conj``, the conjugated matrix S
+    being decomposed (dense or CSR), S must also be symmetric to 1e-10
+    relative to ||S||_F, and ``_residual_bound`` on ||S - Q diag(evals) Q^T||_F
+    must be at most 1e-10 max(||S||_F, 1): the bound is never below that
+    reconstruction residual, so the check accepts nothing a 1e-10
+    reconstruction check would reject.
     """
     if conj is not None:
-        scale = float(np.linalg.norm(conj))
-        asym = float(np.max(np.abs(conj - conj.T))) if conj.size else 0.0
+        scale = _frobenius(conj)
+        asym = float(abs(conj - conj.T).max()) if conj.size else 0.0
         if asym > SELFADJOINT_TOL * max(scale, 1e-300) and asym > 1e-14:
             raise ValueError(
                 f"operator is not self-adjoint on the weighted space "
                 f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
             )
-    if orthonormal:
-        gram = q.T @ q
-        gram.flat[:: gram.shape[0] + 1] -= 1.0
-        defect = float(np.max(np.abs(gram, out=gram)))
-        del gram
-        if not (np.all(np.isfinite(evals)) and defect <= RECONSTRUCTION_TOL):
-            raise ValueError(f"eigendata not finite and orthonormal (defect {defect:.3e})")
+    loss = _orthogonality_loss(q)
+    if not (np.all(np.isfinite(evals)) and loss <= RECONSTRUCTION_TOL):
+        raise ValueError(f"eigendata not finite and orthonormal (loss {loss:.3e})")
     if conj is not None:
-        product = (q * evals[None, :]) @ q.T
-        product -= conj
-        residual = float(np.linalg.norm(product))
-        if residual > RECONSTRUCTION_TOL * max(scale, 1.0):
+        bound = _residual_bound(evals, q, conj, loss)
+        if not bound <= RECONSTRUCTION_TOL * max(scale, 1.0):
             raise ValueError(
                 f"spectral decomposition does not reconstruct the operator "
-                f"(residual {residual:.3e} vs scale {scale:.3e})"
+                f"(residual bound {bound:.3e} vs scale {scale:.3e})"
             )
 
 
@@ -185,15 +255,19 @@ class SelfAdjointOperator(WeightedOperator):
 
     The decomposition A = U diag(w) U^T M has eigenvalues w ascending and
     columns of U orthonormal in the weighted inner product (U^T M U = I).
-    An operator built from a matrix runs one symmetric eigensolve, and
-    construction verifies self-adjointness of the conjugated matrix and
-    that the decomposition reconstructs it to relative tolerance 1e-10.
-    ``from_spectrum`` takes eigendata computed elsewhere, checks that they
-    are orthonormal and, given the operator's matrix as well (as for the
-    edge Laplacian assembled from its Hodge pieces), runs the same checks
-    against it.  Operators derived by spectral calculus
-    (``spectral_function`` and its callers) share that checked eigenbasis
-    and build their dense matrix only when ``matrix`` is first read.
+    An operator built from a matrix, dense or CSR, runs one symmetric
+    eigensolve; only its input is dense.  Construction verifies that the
+    conjugated matrix S is self-adjoint, that the eigenvectors Q have
+    orthogonality loss ||Q^T Q - I||_F <= 1e-10, and that the residual
+    R = S Q - Q diag(w) and that loss bound ||S - Q diag(w) Q^T||_F by
+    1e-10 max(||S||_F, 1) (see ``_check_eigendata``); no N x N
+    reconstruction is built.  ``from_spectrum`` takes eigendata computed
+    elsewhere, checks their orthogonality loss and, given the operator's
+    matrix as well (as for the edge Laplacian assembled from its Hodge
+    pieces), runs the same checks against it.  Operators derived by
+    spectral calculus (``spectral_function`` and its callers) share that
+    checked eigenbasis and build their dense matrix only when ``matrix``
+    is first read.
     """
 
     # (other eigenvector array, squared overlap) of the last ``squared_overlap``.
@@ -202,8 +276,8 @@ class SelfAdjointOperator(WeightedOperator):
     def __init__(self, matrix, space, fiber=1):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
-        evals, evecs = np.linalg.eigh(0.5 * (conj + conj.T))
-        _check_eigendata(evals, evecs, conj, orthonormal=False)
+        evals, evecs = np.linalg.eigh(_dense(0.5 * (conj + conj.T)))
+        _check_eigendata(evals, evecs, conj)
         self.eigenvalues = _read_only(evals)
         self._euclidean_vectors = _read_only(evecs)
 
@@ -221,13 +295,14 @@ class SelfAdjointOperator(WeightedOperator):
         ``euclidean_vectors`` must be Euclidean-orthonormal (the
         eigenvectors of the conjugated symmetric matrix); eigenvalues are
         sorted ascending here.  Raises ValueError unless the eigendata are
-        finite and max |Q^T Q - I| <= 1e-10.  The eigenvector array is kept,
+        finite and ||Q^T Q - I||_F <= 1e-10.  The eigenvector array is kept,
         not copied, and made read-only.
 
-        ``matrix``, when given, is the operator's dense matrix, kept as
-        ``matrix``: the eigendata must then decompose it under the checks of
-        a construction from a matrix (self-adjoint, reconstructed to
-        relative tolerance 1e-10).
+        ``matrix``, when given, is the operator's matrix (dense or CSR),
+        kept as ``matrix``: the eigendata must then pass the checks of a
+        construction from a matrix (self-adjoint, and the residual bound of
+        ``_check_eigendata`` on ||S - Q diag(w) Q^T||_F within relative
+        tolerance 1e-10).
         """
         evals = np.asarray(eigenvalues, dtype=float)
         q = np.asarray(euclidean_vectors, dtype=float)
@@ -243,7 +318,7 @@ class SelfAdjointOperator(WeightedOperator):
         op = cls._with_spectrum(space, fiber, evals, q)
         conj = None
         if matrix is not None:
-            op.matrix = _read_only(np.asarray(matrix, dtype=float))
+            op.matrix = _stored(matrix)
             conj = op.conjugated()
         _check_eigendata(evals, q, conj)
         return op
@@ -366,7 +441,7 @@ def singular_values(operator: WeightedOperator) -> np.ndarray:
     Uses |eigenvalues| when the conjugated matrix is symmetric (cheaper and
     exact for self-adjoint operators), otherwise a full SVD.
     """
-    conj = operator.conjugated()
+    conj = _dense(operator.conjugated())
     asym = float(np.max(np.abs(conj - conj.T))) if conj.size else 0.0
     scale = float(np.max(np.abs(conj))) if conj.size else 0.0
     if asym <= 1e-13 * max(scale, 1.0):
@@ -404,7 +479,7 @@ def schatten_norm(operator: WeightedOperator, p: float) -> float:
 
 def hs_norm(operator: WeightedOperator) -> float:
     """Hilbert-Schmidt norm (Schatten p=2) in the weighted metric."""
-    return float(np.linalg.norm(operator.conjugated()))
+    return _frobenius(operator.conjugated())
 
 
 def operator_norm(operator: WeightedOperator) -> float:
@@ -435,7 +510,7 @@ def two_inf_norm(operator: WeightedOperator) -> float:
         gram = np.einsum("xak,k,xbk->xab", rows, w2, rows)
         return float(np.sqrt(max(float(np.max(np.linalg.eigvalsh(gram))), 0.0)))
     inv_sqrt = 1.0 / operator._sqrt_w
-    scaled = operator.matrix * inv_sqrt[None, :]
+    scaled = _dense(operator.matrix) * inv_sqrt[None, :]
     best = 0.0
     for x in range(operator.space.point_count):
         block = scaled[x * n : (x + 1) * n, :]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import coo_matrix, issparse
 
 from .measure import (
     DimensionMismatchError,
@@ -107,12 +108,20 @@ class MatrixPotential:
 
         V goes onto the diagonal blocks of a copy of H's matrix, so no
         dense V is built; the sum equals ``H.matrix + V.as_operator().matrix``.
+        A CSR H gives a CSR sum: V is added as a sparse block diagonal.
         """
         if not H.space.same_as(self.space) or H.fiber != self.fiber:
             raise DimensionMismatchError("potential and operator live on different spaces")
         n_points, n = self.values.shape[:2]
-        matrix = H.matrix + 0.0
         at = np.arange(n_points)
+        if issparse(H.matrix):
+            index = (at[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
+            rows, cols = np.broadcast_arrays(index, index.transpose(0, 2, 1))
+            blocks = coo_matrix(
+                (self.values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape
+            )
+            return SelfAdjointOperator(H.matrix + blocks, H.space, n)
+        matrix = H.matrix + 0.0
         matrix.reshape(n_points, n, n_points, n)[at, :, at, :] += self.values
         return SelfAdjointOperator(matrix, H.space, n)
 

@@ -156,28 +156,27 @@ class SurfaceData:
         """The comparison operator L0 + K, eigensolved when first read."""
         return schrodinger_comparison(self.dec, self.curvature.values)
 
-    def schatten_operators(self, rho0: float) -> tuple[MatrixPotential, SelfAdjointOperator]:
-        """The synthetic edge potential W at rho0 and L1 + W (``schatten_operator``).
+    def schatten_operator(self, rho0: float) -> SelfAdjointOperator:
+        """L1 + W for the synthetic edge potential W at rho0 (``schatten_operator``).
 
-        One slot keeps the pair for the last rho0 asked for, so a sweep
+        One slot keeps the operator for the last rho0 asked for, so a sweep
         with rho0 in its outer loop eigensolves L1 + W once per rho0 and
-        holds one such operator at a time.  A failed spectral check is
-        kept too, and raised again as the same ``ValueError``.
+        holds one such operator at a time; W itself is not kept.  A failed
+        spectral check is kept too, and raised again as the same
+        ``ValueError``.
         """
         slot = self._schatten_slot
         if slot.get("rho0") != rho0:
             slot.clear()
             try:
                 potential = synthetic_edge_potential(self.dec, self.curvature, rho0)
-                slot["operators"] = potential, schatten_operator(
-                    self.laplacian1, potential, rho0
-                )
+                slot["operator"] = schatten_operator(self.laplacian1, potential, rho0)
             except ValueError as exc:
                 slot["error"] = str(exc)
             slot["rho0"] = rho0
         if "error" in slot:
             raise ValueError(slot["error"])
-        return slot["operators"]
+        return slot["operator"]
 
 
 def prepare_surface(
@@ -259,7 +258,7 @@ def betti_bound(
     bound_schatten = None
     if inputs.compute_schatten:
         try:
-            _, perturbed = data.schatten_operators(rho0)
+            perturbed = data.schatten_operator(rho0)
             bound_schatten = schatten_betti_bound(
                 data.laplacian1, perturbed, rho0, t0, inputs.p
             )
@@ -451,7 +450,7 @@ def parameter_sweep(
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
     The surface is prepared once and L1 + W eigensolved once per rho0
-    (``SurfaceData.schatten_operators``); the Li-Yau arguments and the
+    (``SurfaceData.schatten_operator``); the Li-Yau arguments and the
     soundness slack go to ``betti_bound``.
     Returns the report list (rho0 outer loop, t0 inner) plus the index and
     value of the smallest main bound.

@@ -242,11 +242,11 @@ def test_laplacians_match_dense_incidence_formula(name):
     )
     # L1 entries sum at most two exact terms, so they agree bit for bit;
     # the L0 diagonal sums 5-7 terms, whose order may differ.
-    assert dec.laplacian1_matrix().tobytes() == lap1.tobytes()
-    gap = np.max(np.abs(dec.laplacian0_matrix() - lap0))
+    assert dec.laplacian1_matrix().toarray().tobytes() == lap1.tobytes()
+    gap = np.max(np.abs(dec.laplacian0_matrix().toarray() - lap0))
     assert gap <= 1e-15 * np.max(np.abs(lap0))
     lap2 = d1 @ (d1.T / star1[:, None]) * star2[None, :]
-    gap = np.max(np.abs(dec.laplacian2_matrix() - lap2))
+    gap = np.max(np.abs(dec.laplacian2_matrix().toarray() - lap2))
     assert gap <= 1e-15 * np.max(np.abs(lap2))
 
 
@@ -255,8 +255,8 @@ def test_hodge_assembled_laplacian1_matches_direct_eigensolve(name):
     dec = build_dec(CHAIN_COMPLEX_CASES[name]())
     lap1 = dec.laplacian1()
     assert lap1.kernel_dim() == betti1_rank_count(dec)
-    assert lap1.matrix.tobytes() == dec.laplacian1_matrix().tobytes()
-    reference = np.linalg.eigvalsh(lap1.conjugated())
+    assert lap1.matrix.toarray().tobytes() == dec.laplacian1_matrix().toarray().tobytes()
+    reference = np.linalg.eigvalsh(lap1.conjugated().toarray())
     radius = np.max(np.abs(reference))
     assert np.max(np.abs(lap1.eigenvalues - reference)) <= 1e-12 * radius
 
@@ -267,7 +267,7 @@ def test_hodge_assembled_laplacian1_matches_direct_eigensolve(name):
     t = 0.3
 
     def dense_heat(op):
-        evals, evecs = np.linalg.eigh(op.conjugated())
+        evals, evecs = np.linalg.eigh(op.conjugated().toarray())
         return (evecs * np.exp(-t * evals)[None, :]) @ evecs.T
 
     dense = float(np.linalg.norm(dense_heat(lap1) - dense_heat(perturbed)) ** 2)
@@ -304,6 +304,26 @@ def test_hodge_assembly_checks_catch_a_wrong_eigenvalue(monkeypatch):
     monkeypatch.setattr(SelfAdjointOperator, "from_spectrum", classmethod(perturb_eigenvalue))
     with pytest.raises(ValueError, match="does not reconstruct"):
         dec.laplacian1()
+
+
+def test_eigensolve_check_catches_a_wrong_kernel_vector(monkeypatch):
+    # A column with eigenvalue ~0 never shows in Q diag(evals) Q^T, so a
+    # reconstruction check alone accepts any unit vector in its place; the
+    # orthogonality loss Q^T Q - I and the residual S Q - Q diag(evals)
+    # both expose it.
+    dec = build_dec(genus2_mesh(n_theta=6, n_phi=6))
+    eigh = np.linalg.eigh
+    rng = np.random.default_rng(3)
+
+    def wrong_kernel_column(a, *args, **kwargs):
+        evals, evecs = eigh(a, *args, **kwargs)
+        column = rng.standard_normal(a.shape[0])
+        evecs[:, 0] = column / np.linalg.norm(column)
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", wrong_kernel_column)
+    with pytest.raises(ValueError, match="not finite and orthonormal"):
+        dec.laplacian0()
 
 
 def test_rank_count_counts_face_components_separately():
@@ -416,7 +436,7 @@ def test_spectral_convergence_smoke():
     from scipy.linalg import eigh
 
     dec = build_dec(icosphere_mesh(4))
-    lap = dec.laplacian0_matrix()
+    lap = dec.laplacian0_matrix().toarray()
     w = np.sqrt(dec.star0)
     conj = (w[:, None] * lap) / w[None, :]
     conj = 0.5 * (conj + conj.T)
@@ -463,7 +483,7 @@ def test_ricci_potential_flat_torus_closed_form():
 def test_schrodinger_comparison_zero_is_laplacian():
     dec = build_dec(flat_torus_mesh(1, 1, 5, 5))
     base = schrodinger_comparison(dec, np.zeros(dec.mesh.vertex_count))
-    assert np.array_equal(base.matrix, dec.laplacian0_matrix())
+    assert np.array_equal(base.matrix.toarray(), dec.laplacian0_matrix().toarray())
 
 
 def test_schrodinger_comparison_constant_shift():
@@ -482,10 +502,10 @@ def test_schrodinger_comparison_matches_direct_assembly():
     dec = build_dec(mesh)
     rho = gaussian_curvature(mesh, "analytic", surface).values
     op = schrodinger_comparison(dec, rho)
-    oracle = dec.laplacian0_matrix() + np.diag(rho)
-    assert np.array_equal(op.matrix, oracle)
+    oracle = dec.laplacian0_matrix().toarray() + np.diag(rho)
+    assert np.array_equal(op.matrix.toarray(), oracle)
     gap = operator_norm(
-        WeightedOperator(op.matrix - oracle, op.space, 1)
+        WeightedOperator(op.matrix.toarray() - oracle, op.space, 1)
     )
     assert gap == 0.0
 

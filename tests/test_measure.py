@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix, issparse
 
+from bettibound import measure
+from bettibound.birman import weyl_inequality_check
 from bettibound.measure import (
     DimensionMismatchError,
     SelfAdjointOperator,
@@ -18,6 +23,7 @@ from bettibound.measure import (
     singular_values,
     two_inf_norm,
 )
+from bettibound.perturbation import MatrixPotential
 
 
 def random_space(rng, n_points):
@@ -344,3 +350,108 @@ def test_schatten_rejects_nonpositive_exponent():
         schatten_norm(op, 0.0)
     with pytest.raises(ValueError):
         schatten_norm(op, -1.0)
+
+
+# -- eigendata check and CSR operators ------------------------------------------
+
+
+def _patterned_symmetric(rng, dim, density):
+    """Random symmetric matrix with a random symmetric pattern and full diagonal."""
+    sym = rng.standard_normal((dim, dim))
+    mask = rng.random((dim, dim)) < density
+    mask = mask | mask.T | np.eye(dim, dtype=bool)
+    return np.where(mask, 0.5 * (sym + sym.T), 0.0)
+
+
+def _accepts(evals, q, conj):
+    try:
+        measure._check_eigendata(evals, q, conj)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 40),
+    density=st.floats(0.05, 1.0),
+    vector_error=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
+    value_error=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
+)
+def test_residual_bound_dominates_reconstruction_residual(
+    seed, dim, density, vector_error, value_error
+):
+    rng = np.random.default_rng(seed)
+    sym = _patterned_symmetric(rng, dim, density)
+    evals, q = np.linalg.eigh(sym)
+    q = q + vector_error * rng.standard_normal(q.shape)
+    evals = evals + value_error * rng.standard_normal(dim)
+    reconstruction = float(np.linalg.norm((q * evals) @ q.T - sym))
+    scale = float(np.linalg.norm(sym))
+    gram_defect = float(np.max(np.abs(q.T @ q - np.eye(dim))))
+    # The check it replaces: orthonormal to 1e-10 entrywise, and the dense
+    # reconstruction within 1e-10 of the matrix.
+    tol = measure.RECONSTRUCTION_TOL
+    old_accepts = gram_defect <= tol and reconstruction <= tol * max(scale, 1.0)
+    # The bound dominates the reconstruction residual in exact arithmetic;
+    # both sides carry rounding errors of order dim * eps * ||S||_F.
+    rounding = 64 * (dim + 1) * np.finfo(float).eps * max(scale, 1.0)
+    loss = measure._orthogonality_loss(q)
+    verdicts = []
+    for conj in (sym, csr_matrix(sym)):
+        bound = measure._residual_bound(evals, q, conj, loss)
+        assert bound + rounding >= reconstruction
+        verdicts.append(_accepts(evals, q, conj))
+    assert verdicts[0] == verdicts[1]
+    assert old_accepts or not verdicts[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.integers(1, 20),
+    fiber=st.integers(1, 2),
+    density=st.floats(0.05, 1.0),
+)
+def test_csr_operator_matches_dense_operator(seed, points, fiber, density):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, points)
+    dim = points * fiber
+    sqrt_w = np.sqrt(space.stacked_weights(fiber))
+    matrix = (_patterned_symmetric(rng, dim, density) / sqrt_w[:, None]) * sqrt_w[None, :]
+    dense = SelfAdjointOperator(matrix, space, fiber)
+    sparse = SelfAdjointOperator(csr_matrix(matrix), space, fiber)
+    assert issparse(sparse.matrix) and issparse(sparse.conjugated())
+    assert sparse.conjugated().toarray().tobytes() == dense.conjugated().tobytes()
+    assert sparse.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+    assert sparse.basis.tobytes() == dense.basis.tobytes()
+    assert sparse.adjoint().matrix.toarray().tobytes() == dense.adjoint().matrix.tobytes()
+
+    values = rng.standard_normal((points, fiber))
+    reference = dense.apply_array(values)
+    tol = 1e-13 * (1.0 + np.max(np.abs(reference)))
+    assert np.max(np.abs(sparse.apply_array(values) - reference)) <= tol
+    other = WeightedOperator(rng.standard_normal((dim, dim)), space, fiber)
+    for left, right in ((sparse, other), (other, sparse), (sparse, sparse)):
+        composed = left.compose(right).matrix
+        composed = composed.toarray() if issparse(composed) else composed
+        reference = (dense.matrix if left is sparse else other.matrix) @ (
+            dense.matrix if right is sparse else other.matrix
+        )
+        assert np.max(np.abs(composed - reference)) <= 1e-13 * (1.0 + np.max(np.abs(reference)))
+
+    assert weyl_inequality_check(sparse, 2.0) == weyl_inequality_check(dense, 2.0)
+
+    blocks = rng.standard_normal((points, fiber, fiber))
+    potential = MatrixPotential(blocks + blocks.transpose(0, 2, 1), space)
+    summed, dense_summed = potential.added_to(sparse), potential.added_to(dense)
+    assert issparse(summed.matrix)
+    assert summed.matrix.toarray().tobytes() == dense_summed.matrix.tobytes()
+    assert summed.basis.tobytes() == dense_summed.basis.tobytes()
+
+
+def test_csr_operator_rejects_wrong_shape():
+    space = WeightedFiniteSpace([1.0, 1.0])
+    with pytest.raises(DimensionMismatchError):
+        WeightedOperator(csr_matrix(np.eye(3)), space, 1)

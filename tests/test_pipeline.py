@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from bettibound.birman import OperatorPair, crude_kernel_bound, semigroup_difference
 from bettibound.measure import SelfAdjointOperator, WeightedOperator, schatten_power_sum
@@ -295,6 +296,32 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
     assert calls == expected
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
+    # The Laplacians are CSR: each dense copy made while a surface is
+    # prepared and swept is the very array an eigensolve reads, and none
+    # is E x E, so L1's matrix is never densified.
+    densified, solved = [], []
+    toarray, eigh = csr_matrix.toarray, np.linalg.eigh
+
+    def recording_toarray(self, *args, **kwargs):
+        densified.append(toarray(self, *args, **kwargs))
+        return densified[-1]
+
+    def recording_eigh(a, *args, **kwargs):
+        solved.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(csr_matrix, "toarray", recording_toarray)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
+    mesh = builtin_mesh(name, resolution)
+    parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=False)
+    assert len(densified) == 3  # L0, L2 and L0 + K
+    assert all(any(dense is a for a in solved) for dense in densified)
+    assert all(dense.shape != (mesh.edge_count,) * 2 for dense in densified)
+
+
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
     # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The one
@@ -305,9 +332,9 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
     monkeypatch.setattr(
         np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw)
     )
-    potential, perturbed = data.schatten_operators(0.5)
+    potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
     assert not np.any(potential.values)
-    assert perturbed is data.laplacian1
+    assert data.schatten_operator(0.5) is data.laplacian1
     for t0 in (1.0, 3.0):
         report = betti_bound(
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
@@ -361,7 +388,7 @@ def test_spectral_schatten_bound_matches_dense_route(name):
     rho0_values = rho0_values.get(name, (0.3, 1.0))
     data = prepare_surface(builtin_mesh(name, resolution))
     for rho0 in rho0_values:
-        _, perturbed = data.schatten_operators(rho0)
+        perturbed = data.schatten_operator(rho0)
         pair = OperatorPair(H=data.laplacian1, Hprime=perturbed, rho0=rho0, t0=1.4)
         spectral = crude_kernel_bound(pair, 2.0)
         gap = 1.0 - np.exp(-rho0 * pair.t0)
