@@ -421,9 +421,17 @@ def heat_difference_hs_squared(A, B, t: float, scale: float = 1.0) -> float:
     C = (Q_A^T Q_B)**2, the squared norm is sum_ij C_ij ((f_i - g_j)/scale)^2:
     every term is nonnegative, so nothing cancels.  When B shares the
     eigenvector array of A (B is A, or A shifted), C is the identity and no
-    matrix product runs, so B = A gives exactly 0.0.
+    matrix product runs.  Two operators whose eigenvalues and eigenvectors
+    are bitwise equal (say, two eigensolves of the same matrix) are the
+    same operator and give exactly 0.0, not the rounding of C's
+    off-diagonal entries; the eigenvalues are compared first, so operators
+    with different spectra pay only that O(N) comparison.
     """
     A._check_compatible(B)
+    if np.array_equal(A.eigenvalues, B.eigenvalues) and np.array_equal(
+        A._euclidean_vectors, B._euclidean_vectors
+    ):
+        return 0.0
     f = np.exp(-t * A.eigenvalues)
     g = np.exp(-t * B.eigenvalues)
     if A._euclidean_vectors is B._euclidean_vectors:

@@ -20,11 +20,21 @@ one using the 2->inf norms of both semigroups, and one (for V >= 0 and a
 dominating scalar semigroup) using only the unperturbed scalar heat
 operator.  The time integral of the 2->2 norms has the exact closed form
 (1 - e^(-t0 rho0))/rho0 whenever H + V >= rho0 >= 0.
+
+Everything is read from the eigendata of H and H + V.  The Duhamel
+quadrature is summed in the two eigenbases: with H = Q_H diag(lambda) Q_H^T
+and H + V = Q_P diag(mu) Q_P^T (conjugated to Euclidean form), its Gauss
+sum is Q_P [(Q_P^T V Q_H) o K] Q_H^T, where o is the entrywise product and
+K_ij = sum_k w_k e^(-(2t - s_k) mu_i) e^(-s_k lambda_j) (the
+Daleckii-Krein form of the integral).  The HS norm of the semigroup
+difference is read from the two spectra by ``heat_difference_hs_squared``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import coo_matrix, issparse
@@ -34,7 +44,7 @@ from .measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
-    heat_difference,
+    heat_difference_hs_squared,
     hs_norm,
     two_inf_norm,
 )
@@ -166,6 +176,15 @@ def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + RELATIVE_SLACK * abs(rhs)}
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int):
+    """Read-only nodes and weights of the order-``order`` rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def duhamel_difference(
     H: SelfAdjointOperator,
     V: MatrixPotential,
@@ -175,30 +194,44 @@ def duhamel_difference(
     """Gauss-Legendre approximation of the Duhamel integral on [0, 2t].
 
     Approximates exp(-2tH) - exp(-2t(H+V)) through
-    int_0^{2t} exp(-(2t-s)(H+V)) V exp(-sH) ds; the error of the
-    quadrature is asserted in tests, never assumed.
+    int_0^{2t} exp(-(2t-s)(H+V)) V exp(-sH) ds.  With the rule's nodes
+    s_k and weights w_k on [0, 2t], the eigenvalues lambda of H and mu of
+    H + V, and Q_H, Q_P their Euclidean eigenvectors, the Gauss sum of the
+    conjugated integrand is
+
+        Q_P [(Q_P^T V Q_H) o K] Q_H^T,
+        K = (e^(-(2t-s_k) mu_i) w_k) @ (e^(-s_k lambda_j))^T,
+
+    three small products and no heat matrix at any node.  It is the same
+    quadrature, not the closed form; its error is asserted in tests,
+    never assumed.
     """
     if t <= 0.0:
         raise ValueError("t must be strictly positive")
     if quadrature_order < 2:
         raise ValueError("quadrature order must be at least 2")
-    v_op = V.as_operator()
     perturbed = V.added_to(H)
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
-    total = np.zeros_like(H.matrix)
-    for node, weight in zip(nodes, weights):
-        s = t * (node + 1.0)
-        term = perturbed.semigroup(2.0 * t - s).matrix @ v_op.matrix @ H.semigroup(s).matrix
-        total += weight * term
-    return WeightedOperator(t * total, H.space, H.fiber)
+    nodes, weights = _gauss_legendre(quadrature_order)
+    s = t * (nodes + 1.0)
+    left = np.exp(-np.outer(perturbed.eigenvalues, 2.0 * t - s)) * weights
+    right = np.exp(-np.outer(H.eigenvalues, s))
+    # With the m-orthonormal bases U = M^(-1/2) Q, the sum is
+    # U_P [(U_P^T M V U_H) o K] U_H^T M, and U_P^T M V U_H = Q_P^T V Q_H
+    # because V is block diagonal with one weight per block.
+    u_p, u_h = perturbed.basis, H.basis
+    w = H.space.stacked_weights(H.fiber)
+    coupling = u_p.T @ (w[:, None] * V.as_operator().matrix) @ u_h
+    total = u_p @ (coupling * (left @ right.T)) @ u_h.T
+    return WeightedOperator(t * total * w[None, :], H.space, H.fiber)
 
 
 def _rebuilt_and_perturbed(H: SelfAdjointOperator, V: MatrixPotential):
     """H rebuilt through the constructor, and H + V.
 
     Both take the same eigensolve path (``+ 0.0`` also turns -0.0 into
-    +0.0), so a zero potential yields a bitwise-zero semigroup difference
-    rather than eigensolver noise against the cached basis of H.
+    +0.0), so for a zero potential the two eigendata are bitwise equal and
+    ``heat_difference_hs_squared`` returns exactly 0.0, rather than
+    eigensolver noise against the cached basis of H.
     """
     return SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber), V.added_to(H)
 
@@ -240,7 +273,7 @@ def semigroup_difference_bound_check(
     if H.min_eigenvalue < -tol:
         raise ValueError("H must be positive semidefinite")
     rebuilt, perturbed = _rebuilt_and_perturbed(H, V)
-    lhs = hs_norm(heat_difference(rebuilt, perturbed, 2.0 * t0))
+    lhs = math.sqrt(heat_difference_hs_squared(rebuilt, perturbed, 2.0 * t0))
     ultra_sum = two_inf_norm(rebuilt.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
     rhs = float(np.sqrt(H.fiber)) * hs_norm_potential(V) * ultra_sum * integral
@@ -328,7 +361,7 @@ def dominated_difference_check(
         raise ValueError("t0 must be strictly positive")
     H = pair.H
     rebuilt, perturbed = _rebuilt_and_perturbed(H, V)
-    lhs = hs_norm(heat_difference(rebuilt, perturbed, 2.0 * t0))
+    lhs = math.sqrt(heat_difference_hs_squared(rebuilt, perturbed, 2.0 * t0))
     scalar_ultra = two_inf_norm(pair.H0.semigroup(t0))
     base = 2.0 * float(np.sqrt(H.fiber)) * hs_norm_potential(V) * scalar_ultra
     integral = semigroup_22_integral(perturbed, t0)
@@ -454,22 +487,28 @@ def connection_laplacian_pair(
     if edges is None:
         edges = random_graph_edges(rng, n_points)
     n = fiber
-    dim = n_points * n
-    h = np.zeros((dim, dim))
-    h0 = np.zeros((n_points, n_points))
+    a, b = np.array(edges, dtype=int).reshape(-1, 2).T
+    # Per edge a weight, then the Gaussian matrix its rotation comes from.
+    w, gauss = np.empty(a.size), np.empty((a.size, n, n))
+    for k in range(a.size):
+        w[k] = rng.uniform(0.2, 2.0)
+        gauss[k] = rng.standard_normal((n, n))
+    rot, _ = np.linalg.qr(gauss)
     inv_m = 1.0 / space.weights
-    for a, b in edges:
-        w = float(rng.uniform(0.2, 2.0))
-        rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        sa, sb = slice(a * n, (a + 1) * n), slice(b * n, (b + 1) * n)
-        h[sa, sa] += w * inv_m[a] * np.eye(n)
-        h[sb, sb] += w * inv_m[b] * np.eye(n)
-        h[sa, sb] -= w * inv_m[a] * rot
-        h[sb, sa] -= w * inv_m[b] * rot.T
-        h0[a, a] += w * inv_m[a]
-        h0[b, b] += w * inv_m[b]
-        h0[a, b] -= w * inv_m[a]
-        h0[b, a] -= w * inv_m[b]
+    wa, wb = w * inv_m[a], w * inv_m[b]
+    # Each entry accumulates its edges' terms in edge order, as a loop would.
+    ends = np.stack([a, b], axis=1).ravel()
+    degree = np.stack([wa, wb], axis=1).ravel()
+    h = np.zeros((n_points, n, n_points, n))
+    fiber_at = np.arange(n)
+    np.add.at(h, (ends[:, None], fiber_at, ends[:, None], fiber_at), degree[:, None])
+    np.subtract.at(h, (a, slice(None), b), wa[:, None, None] * rot)
+    np.subtract.at(h, (b, slice(None), a), wb[:, None, None] * rot.transpose(0, 2, 1))
+    h0 = np.zeros((n_points, n_points))
+    np.add.at(h0, (ends, ends), degree)
+    np.subtract.at(h0, (a, b), wa)
+    np.subtract.at(h0, (b, a), wb)
+    h = h.reshape(n_points * n, -1)
     H = SelfAdjointOperator(h, space, fiber=n)
     H0 = SelfAdjointOperator(h0, space, fiber=1)
     return DominatedPair(H=H, H0=H0)

@@ -142,7 +142,6 @@ class SuiteConfig:
     trials: int = 200
     n_points_max: int = 20
     fiber_max: int = 3
-    mesh_resolution: int = 2
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -171,7 +170,6 @@ class SuiteConfig:
             "trials": self.trials,
             "n_points_max": self.n_points_max,
             "fiber_max": self.fiber_max,
-            "mesh_resolution": self.mesh_resolution,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
 
@@ -184,7 +182,7 @@ def load_config_file(path) -> dict:
     out = {}
     if parser.has_section("suite"):
         section = parser["suite"]
-        for key in ("seed", "trials", "n_points_max", "fiber_max", "mesh_resolution"):
+        for key in ("seed", "trials", "n_points_max", "fiber_max"):
             if key in section:
                 out[key] = int(section[key])
     if parser.has_section("tolerances"):

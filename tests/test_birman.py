@@ -20,6 +20,7 @@ from bettibound.measure import (
     WeightedFiniteSpace,
     WeightedOperator,
     hs_norm,
+    schatten_power_sum,
 )
 
 
@@ -184,6 +185,19 @@ def test_chain_holds_for_quasi_norm_exponent():
         assert cert.bound_sharp <= cert.bound_crude + tol
 
 
+def test_sharp_bound_from_shared_singular_values_matches_single_p_pairs():
+    # One pair answers p = 1 and p = 2 from one SVD; a fresh pair per p,
+    # and the power sum of the operator itself, give the same bits.
+    for seed in range(10):
+        shared = make_pair(np.random.default_rng(seed), kernel_dim=seed % 3)
+        certs = [birman_schwinger_bound(shared, p) for p in (1.0, 2.0)]
+        for p, cert in zip((1.0, 2.0), certs):
+            fresh = make_pair(np.random.default_rng(seed), kernel_dim=seed % 3)
+            assert cert == birman_schwinger_bound(fresh, p)
+            direct = schatten_power_sum(birman_schwinger_operator(shared, shared.t0), p)
+            assert cert.bound_sharp == direct
+
+
 def test_bs_operator_fixed_points_match_kernel_dim():
     rng = np.random.default_rng(6)
     pair = make_pair(rng, kernel_dim=2)
@@ -200,7 +214,7 @@ def test_weyl_equality_for_normal_operator():
     rng = np.random.default_rng(7)
     space = random_weighted_space(rng, 6)
     op = planted_kernel_operator(rng, space, 1, 0)
-    result = weyl_inequality_check(op, 2.0)
+    (result,) = weyl_inequality_check(op, (2.0,))
     assert np.isclose(
         result["eigenvalue_power_sum"], result["singular_power_sum"], rtol=1e-10
     )
@@ -210,7 +224,7 @@ def test_weyl_equality_for_normal_operator():
 def test_weyl_nilpotent():
     space = WeightedFiniteSpace([1.0, 1.0])
     op = WeightedOperator([[0.0, 1.0], [0.0, 0.0]], space, 1)
-    result = weyl_inequality_check(op, 1.0)
+    (result,) = weyl_inequality_check(op, (1.0,))
     assert result["eigenvalue_power_sum"] <= 1e-12
     assert np.isclose(result["singular_power_sum"], 1.0)
     assert result["holds"]
@@ -223,10 +237,27 @@ def test_weyl_random_non_normal(p):
         space = random_weighted_space(rng, int(rng.integers(2, 9)))
         dim = space.point_count
         op = WeightedOperator(rng.standard_normal((dim, dim)), space, 1)
-        assert weyl_inequality_check(op, p)["holds"]
+        assert weyl_inequality_check(op, (p,))[0]["holds"]
+
+
+def test_weyl_shared_spectra_match_single_p_calls():
+    rng = np.random.default_rng(11)
+    exponents = (1.0, 1.5, 2.0)
+    for _ in range(20):
+        n_points = int(rng.integers(2, 9))
+        fiber = int(rng.integers(1, 4))
+        space = random_weighted_space(rng, n_points)
+        dim = n_points * fiber
+        op = WeightedOperator(rng.standard_normal((dim, dim)), space, fiber)
+        shared = weyl_inequality_check(op, exponents)
+        assert shared == [weyl_inequality_check(op, (p,))[0] for p in exponents]
+        moduli = np.abs(np.linalg.eigvals(op.conjugated()))
+        for p, result in zip(exponents, shared):
+            assert result["eigenvalue_power_sum"] == float(np.sum(moduli**p))
+            assert result["singular_power_sum"] == schatten_power_sum(op, p)
 
 
 def test_weyl_rejects_small_p():
     op = WeightedOperator([[1.0]], WeightedFiniteSpace([1.0]), 1)
     with pytest.raises(ValueError):
-        weyl_inequality_check(op, 0.5)
+        weyl_inequality_check(op, (0.5,))

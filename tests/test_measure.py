@@ -295,6 +295,20 @@ def test_shifted_operator_shares_the_eigenbasis():
     assert np.isclose(heat_difference_hs_squared(A, shifted, 1.3), expected, rtol=1e-13)
 
 
+def test_heat_difference_hs_squared_is_zero_for_separate_eigensolves():
+    rng = np.random.default_rng(121)
+    for fiber in (1, 2, 3):
+        space = random_space(rng, 6)
+        A = random_self_adjoint(rng, space, fiber)
+        B = SelfAdjointOperator(A.matrix, space, fiber)
+        assert B._euclidean_vectors is not A._euclidean_vectors
+        # Off the diagonal the overlap is rounding, not zero.
+        overlap = B.squared_overlap(A)
+        assert np.any(overlap[~np.eye(A.dim, dtype=bool)] > 0.0)
+        assert heat_difference_hs_squared(A, B, 0.9) == 0.0
+        assert heat_difference_hs_squared(B, A, 0.9, scale=0.1) == 0.0
+
+
 def test_one_two_identity():
     space = WeightedFiniteSpace([1.0, 1.0])
     assert np.isclose(one_two_norm(SelfAdjointOperator(np.eye(2), space)), 1.0)
@@ -441,7 +455,7 @@ def test_csr_operator_matches_dense_operator(seed, points, fiber, density):
         )
         assert np.max(np.abs(composed - reference)) <= 1e-13 * (1.0 + np.max(np.abs(reference)))
 
-    assert weyl_inequality_check(sparse, 2.0) == weyl_inequality_check(dense, 2.0)
+    assert weyl_inequality_check(sparse, (2.0,)) == weyl_inequality_check(dense, (2.0,))
 
     blocks = rng.standard_normal((points, fiber, fiber))
     potential = MatrixPotential(blocks + blocks.transpose(0, 2, 1), space)

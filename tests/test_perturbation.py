@@ -9,6 +9,7 @@ from bettibound.measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    heat_difference,
     hs_norm,
 )
 from bettibound.perturbation import (
@@ -186,6 +187,50 @@ def test_duhamel_matches_direct_difference():
         assert err <= 1e-6 * (1 + hs_norm(direct))
 
 
+def _duhamel_per_node(H, V, t, order):
+    """The Gauss sum with two dense heat matrices per node, as a reference."""
+    v_op = V.as_operator()
+    perturbed = V.added_to(H)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    total = np.zeros((H.dim, H.dim))
+    for node, weight in zip(nodes, weights):
+        s = t * (node + 1.0)
+        term = perturbed.semigroup(2.0 * t - s).matrix @ v_op.matrix @ H.semigroup(s).matrix
+        total += weight * term
+    return WeightedOperator(t * total, H.space, H.fiber)
+
+
+def test_duhamel_eigenbasis_sum_matches_per_node_sum():
+    rng = np.random.default_rng(44)
+    for _ in range(24):
+        n_points = int(rng.integers(2, 10))
+        fiber = int(rng.integers(1, 4))
+        space = random_weighted_space(rng, n_points)
+        H = planted_kernel_operator(rng, space, fiber, 0, low=0.0, high=10.0)
+        potential = random_symmetric_potential(rng, space, fiber, scale=1.5)
+        t0 = float(rng.uniform(0.1, 0.5))
+        order = int(rng.choice([8, 32]))
+        reference = _duhamel_per_node(H, potential, t0, order)
+        approx = duhamel_difference(H, potential, t0, order)
+        distance = hs_norm(WeightedOperator(approx.matrix - reference.matrix, space, fiber))
+        assert distance <= 1e-12 * (1.0 + hs_norm(reference))
+
+
+def test_duhamel_builds_no_semigroup(monkeypatch):
+    rng = np.random.default_rng(45)
+    space = random_weighted_space(rng, 6)
+    H = planted_kernel_operator(rng, space, 2, 0, low=0.0, high=5.0)
+    potential = random_symmetric_potential(rng, space, 2)
+    reference = _duhamel_per_node(H, potential, 0.3, 32)
+
+    def no_semigroup(self, t):
+        raise AssertionError("duhamel_difference built a heat operator")
+
+    monkeypatch.setattr(SelfAdjointOperator, "semigroup", no_semigroup)
+    approx = duhamel_difference(H, potential, 0.3, 32)
+    assert np.allclose(approx.matrix, reference.matrix, rtol=0.0, atol=1e-12)
+
+
 def test_duhamel_order_validation():
     space = WeightedFiniteSpace([1.0])
     H = SelfAdjointOperator([[1.0]], space)
@@ -232,6 +277,21 @@ def test_difference_bound_randomized_suite():
         potential = random_symmetric_potential(rng, space, fiber, scale=2.0)
         result = semigroup_difference_bound_check(H, potential, float(rng.uniform(0.1, 1.0)))
         assert result["holds"]
+
+
+def test_difference_bound_lhs_matches_dense_heat_difference():
+    rng = np.random.default_rng(63)
+    for _ in range(30):
+        n_points = int(rng.integers(2, 16))
+        fiber = int(rng.integers(1, 4))
+        space = random_weighted_space(rng, n_points)
+        H = planted_kernel_operator(rng, space, fiber, 0, low=0.0, high=10.0)
+        potential = random_symmetric_potential(rng, space, fiber, scale=2.0)
+        t0 = float(rng.uniform(0.1, 1.0))
+        lhs = semigroup_difference_bound_check(H, potential, t0)["lhs"]
+        rebuilt = SelfAdjointOperator(H.matrix + 0.0, space, fiber)
+        dense = hs_norm(heat_difference(rebuilt, potential.added_to(H), 2.0 * t0))
+        assert abs(lhs - dense) <= 1e-12 * dense
 
 
 def test_difference_bound_rejects_negative_H():
@@ -374,6 +434,18 @@ def test_dominated_difference_randomized_suite():
         result = dominated_difference_check(pair, potential, float(rng.uniform(0.1, 1.0)))
         assert result["holds"]
         assert result["rhs_integral"] <= result["rhs_plain"] * (1 + 1e-12)
+
+
+def test_dominated_difference_lhs_matches_dense_heat_difference():
+    rng = np.random.default_rng(143)
+    for _ in range(20):
+        pair, space = _verified_pair(rng, int(rng.integers(4, 12)), int(rng.integers(2, 4)))
+        potential = random_psd_potential(rng, space, pair.H.fiber)
+        t0 = float(rng.uniform(0.1, 1.0))
+        lhs = dominated_difference_check(pair, potential, t0)["lhs"]
+        rebuilt = SelfAdjointOperator(pair.H.matrix + 0.0, space, pair.H.fiber)
+        dense = hs_norm(heat_difference(rebuilt, potential.added_to(pair.H), 2.0 * t0))
+        assert abs(lhs - dense) <= 1e-12 * dense
 
 
 def test_dominated_difference_strict_gap_when_bounded_below():
