@@ -53,6 +53,7 @@ __all__ = [
     "gaussian_curvature",
     "betti1_oracle",
     "betti1_rank_count",
+    "check_connected_manifold",
     "ricci_potential",
     "RicciPotentialData",
     "schrodinger_comparison",
@@ -277,6 +278,50 @@ def gaussian_curvature(
     raise ValueError(f"unknown curvature source {source!r}")
 
 
+def _vertex_components(dec: DECOperators) -> int:
+    """Components of the pattern of d0^T d0: vertices joined through shared edges."""
+    return connected_components(dec.d0.T @ dec.d0, directed=False)[0]
+
+
+def check_connected_manifold(dec: DECOperators) -> None:
+    """Raise ``MeshError`` unless the mesh is connected with no pinched vertex.
+
+    ``TriangleMesh`` already checks that every edge lies in exactly two
+    faces with opposite directions.  A closed connected 2-manifold also
+    needs a single vertex component (c_v = 1 in ``betti1_rank_count``) and
+    a link at each vertex that is one cycle.  The link test counts the
+    components of the corner graph, whose nodes are the 3F (face, corner)
+    pairs; each edge joins the corners of its two faces at each of its
+    endpoints.  The corners at a vertex form one component per cycle of
+    its link, so a closed manifold has exactly V components.
+    """
+    mesh = dec.mesh
+    c_v = _vertex_components(dec)
+    if c_v != 1:
+        raise MeshError(f"surface not connected: {c_v} vertex components")
+    # Side 3f + k runs from corner 3f + k to corner 3f + (k+1) % 3; the two
+    # sides of an edge run in opposite directions, so the tail corner of
+    # one meets the head corner of the other.
+    sides = np.argsort(mesh.face_edges.ravel(), kind="stable").reshape(-1, 2)
+    heads = sides - sides % 3 + (sides % 3 + 1) % 3
+    n_corners = 3 * mesh.face_count
+    joins = csr_matrix(
+        (np.ones(2 * len(sides)),
+         (np.concatenate([sides[:, 0], heads[:, 0]]),
+          np.concatenate([heads[:, 1], sides[:, 1]]))),
+        (n_corners, n_corners),
+    )
+    n_fans, fan = connected_components(joins, directed=False)
+    if n_fans != mesh.vertex_count:
+        vertex_fans = np.unique(np.stack([mesh.faces.ravel(), fan], axis=1), axis=0)
+        cycles = np.bincount(vertex_fans[:, 0], minlength=mesh.vertex_count)
+        v = int(np.argmax(cycles != 1))
+        raise MeshError(
+            f"surface not a manifold: the link of vertex {v} has {cycles[v]} "
+            "cycles, not one"
+        )
+
+
 def betti1_rank_count(dec: DECOperators) -> int:
     """b1 = E - rank(d0) - rank(d1) over the simplicial chain complex, exactly.
 
@@ -287,7 +332,7 @@ def betti1_rank_count(dec: DECOperators) -> int:
     opposite signs, so a 2-cycle is constant on each such component.
     """
     (ne, nv), nf = dec.d0.shape, dec.d1.shape[0]
-    c_v = connected_components(dec.d0.T @ dec.d0, directed=False)[0]
+    c_v = _vertex_components(dec)
     c_f = connected_components(dec.d1 @ dec.d1.T, directed=False)[0]
     return int(ne - (nv - c_v) - (nf - c_f))
 

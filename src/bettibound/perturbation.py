@@ -62,6 +62,7 @@ __all__ = [
     "domination_excess",
     "dominated_difference_check",
     "truncate_potential",
+    "truncated_hs_norms",
     "pointwise_diagonalize",
     "connection_laplacian_pair",
     "random_graph_edges",
@@ -152,19 +153,41 @@ class MatrixPotential:
         return MatrixPotential(vals, space, nonneg=nonneg)
 
 
-def hs_norm_potential(V: MatrixPotential) -> float:
-    """(2,HS) norm: sqrt of the weighted sum of squared Frobenius norms.
+def _hs_squared(V: MatrixPotential, keep: np.ndarray) -> np.ndarray:
+    """Squared (2,HS) norms of V restricted to the points of each row of ``keep``.
 
     Both summation orders (per point, then weight; per matrix entry over
     the space) are evaluated and must agree, as an internal consistency
-    check of the weighted structure.
+    check of the weighted structure.  ``keep`` is an (L, N) boolean array.
     """
     w = V.space.weights
-    per_point = float(np.sum(w * np.sum(V.values**2, axis=(1, 2))))
-    per_entry = float(np.sum(np.sum(w[:, None, None] * V.values**2, axis=0)))
-    if abs(per_point - per_entry) > 1e-12 * (1.0 + abs(per_point)):
+    squares = V.values**2
+    per_point = np.sum(np.where(keep, w * np.sum(squares, axis=(1, 2)), 0.0), axis=1)
+    entries = np.where(keep[:, :, None, None], w[:, None, None] * squares, 0.0)
+    per_entry = np.sum(np.sum(entries, axis=1), axis=(1, 2))
+    if np.any(np.abs(per_point - per_entry) > 1e-12 * (1.0 + np.abs(per_point))):
         raise AssertionError("the two (2,HS) accumulation orders disagree")
-    return float(np.sqrt(per_point))
+    return per_point
+
+
+def hs_norm_potential(V: MatrixPotential) -> float:
+    """(2,HS) norm: sqrt of the weighted sum of squared Frobenius norms."""
+    keep = np.ones((1, V.space.point_count), dtype=bool)
+    return float(np.sqrt(_hs_squared(V, keep)[0]))
+
+
+def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
+    """(2,HS) norms of ``truncate_potential(V, k)`` for every k in ``levels``.
+
+    Each truncation keeps V(x) or 0 at every point, so it is read from V's
+    checked values without building a potential per level; the norms are
+    bit-identical to ``hs_norm_potential`` of each truncation.
+    """
+    levels = np.asarray(levels, dtype=float).reshape(-1)
+    if np.any(levels < 1.0):
+        raise ValueError("truncation level must be at least 1")
+    keep = V.pointwise_operator_norms()[None, :] <= levels[:, None]
+    return np.sqrt(_hs_squared(V, keep))
 
 
 def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
@@ -190,6 +213,7 @@ def duhamel_difference(
     V: MatrixPotential,
     t: float,
     quadrature_order: int = 32,
+    perturbed: SelfAdjointOperator | None = None,
 ) -> WeightedOperator:
     """Gauss-Legendre approximation of the Duhamel integral on [0, 2t].
 
@@ -204,13 +228,15 @@ def duhamel_difference(
 
     three small products and no heat matrix at any node.  It is the same
     quadrature, not the closed form; its error is asserted in tests,
-    never assumed.
+    never assumed.  A caller that already holds ``V.added_to(H)`` passes
+    it as ``perturbed`` to save its eigensolve.
     """
     if t <= 0.0:
         raise ValueError("t must be strictly positive")
     if quadrature_order < 2:
         raise ValueError("quadrature order must be at least 2")
-    perturbed = V.added_to(H)
+    if perturbed is None:
+        perturbed = V.added_to(H)
     nodes, weights = _gauss_legendre(quadrature_order)
     s = t * (nodes + 1.0)
     left = np.exp(-np.outer(perturbed.eigenvalues, 2.0 * t - s)) * weights

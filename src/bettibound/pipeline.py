@@ -47,6 +47,7 @@ from .dec import (
     DECOperators,
     build_dec,
     betti1_oracle,
+    check_connected_manifold,
     gaussian_curvature,
     ricci_potential,
     schrodinger_comparison,
@@ -186,10 +187,11 @@ def prepare_surface(
 ) -> SurfaceData:
     """Mesh, DEC operators, curvature field, and both homology oracles.
 
-    Eigensolves L0 and the face Laplacian L2; the comparison operator
-    L0 + K is eigensolved once, when a bound first reads it.  L1 is
-    assembled from L0's and L2's eigenpairs (``DECOperators.laplacian1``),
-    so no E x E matrix is eigensolved here.
+    A mesh that is disconnected or pinched at a vertex is rejected with a
+    ``MeshError`` before any eigensolve.  Eigensolves L0 and the face
+    Laplacian L2; the comparison operator L0 + K is eigensolved once, when
+    a bound first reads it.  L1 is assembled from L0's and L2's eigenpairs
+    (``DECOperators.laplacian1``), so no E x E matrix is eigensolved here.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -200,6 +202,7 @@ def prepare_surface(
         mesh = surface.mesh(resolution) if resolution is not None else surface.mesh()
         description = f"{surface.name}({mesh.vertex_count}v,{mesh.edge_count}e)"
     dec = build_dec(mesh)
+    check_connected_manifold(dec)
     if curvature_source == "analytic" and analytic is None:
         raise ValueError("analytic curvature requires an analytic surface")
     curvature = gaussian_curvature(mesh, curvature_source, analytic)

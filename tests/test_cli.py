@@ -219,6 +219,38 @@ def test_betti_bound_non_finite_vertex_message(capsys, tmp_path, value):
     assert "non-finite vertex coordinates" in err
 
 
+def _two_tetrahedra_off(glued):
+    # The second tetrahedron is the first reflected through vertex 0, faces
+    # reversed; glued, the two share vertex 0 and its link is two cycles.
+    faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    if glued:
+        vertices = np.vstack([corners, -corners[1:]])
+        second = np.where(faces == 0, 0, faces + 3)[:, ::-1]
+    else:
+        vertices = np.vstack([corners, 5.0 - corners])
+        second = faces[:, ::-1] + 4
+    lines = [f"OFF\n{len(vertices)} 8 0"]
+    lines += [" ".join(map(str, v)) for v in vertices]
+    lines += ["3 " + " ".join(map(str, f)) for f in np.vstack([faces, second])]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("verb", ["mesh-info", "betti-bound"])
+@pytest.mark.parametrize(
+    "glued,message",
+    [(False, "surface not connected"), (True, "surface not a manifold")],
+    ids=["disjoint", "pinched"],
+)
+def test_non_manifold_mesh_exits_2(capsys, tmp_path, verb, glued, message):
+    path = tmp_path / "two.off"
+    path.write_text(_two_tetrahedra_off(glued))
+    extra = ["--rho0", "1", "--t0", "1"] if verb == "betti-bound" else []
+    code, _, err = run(capsys, verb, "--mesh", str(path), *extra)
+    assert code == 2
+    assert message in err
+
+
 def test_betti_bound_liyau_floor_reported_per_point(capsys, tmp_path):
     out_path = tmp_path / "liyau.json"
     code, _, _ = run(

@@ -10,6 +10,7 @@ from bettibound.dec import (
     betti1_oracle,
     betti1_rank_count,
     build_dec,
+    check_connected_manifold,
     gaussian_curvature,
     ricci_potential,
     schrodinger_comparison,
@@ -174,6 +175,8 @@ def _rank_reference(dec):
 def _two_icospheres(glued):
     # The second copy is the first reflected through vertex 0 (faces
     # reversed to keep the orientation); glued, the copies share vertex 0.
+    # ``prepare_surface`` rejects both, so the chain-complex tests below
+    # feed them to ``build_dec`` directly, beneath that check.
     mesh = icosphere_mesh(1)
     nv = mesh.vertex_count
     mirror = 2.0 * mesh.vertices[0] - mesh.vertices
@@ -332,6 +335,31 @@ def test_rank_count_counts_face_components_separately():
     dec = build_dec(_two_icospheres(glued=True))
     assert betti1_rank_count(dec) == 0
     assert np.linalg.matrix_rank(dec.d1.toarray()) == dec.mesh.face_count - 2
+
+
+@pytest.mark.parametrize(
+    "glued,message",
+    [(False, "not connected: 2 vertex components"),
+     (True, "link of vertex 0 has 2 cycles")],
+    ids=["disjoint-icospheres", "glued-icospheres"],
+)
+def test_prepare_surface_rejects_non_manifold_before_eigensolving(
+    glued, message, monkeypatch
+):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigensolve before the manifold check")
+
+    mesh = _two_icospheres(glued)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(MeshError, match=message):
+        prepare_surface(mesh)
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere", "flat-torus", "torus-rev", "bumpy-sphere", "genus2"]
+)
+def test_builtin_meshes_are_connected_manifolds(name):
+    check_connected_manifold(build_dec(CHAIN_COMPLEX_CASES[name]()))
 
 
 def test_prepare_surface_takes_no_float_rank(monkeypatch):

@@ -25,7 +25,10 @@ from bettibound.perturbation import (
     semigroup_22_integral,
     semigroup_difference_bound_check,
     truncate_potential,
+    truncated_hs_norms,
 )
+from bettibound.report import SuiteConfig
+from bettibound.suites import suite_duhamel
 
 
 def random_symmetric_potential(rng, space, fiber, scale=1.0):
@@ -229,6 +232,37 @@ def test_duhamel_builds_no_semigroup(monkeypatch):
     monkeypatch.setattr(SelfAdjointOperator, "semigroup", no_semigroup)
     approx = duhamel_difference(H, potential, 0.3, 32)
     assert np.allclose(approx.matrix, reference.matrix, rtol=0.0, atol=1e-12)
+
+
+def test_duhamel_reuses_a_given_perturbed_operator(monkeypatch):
+    rng = np.random.default_rng(46)
+    space = random_weighted_space(rng, 7)
+    H = planted_kernel_operator(rng, space, 2, 0, low=0.0, high=5.0)
+    potential = random_symmetric_potential(rng, space, 2)
+    perturbed = potential.added_to(H)
+    expected = duhamel_difference(H, potential, 0.3, 32)
+
+    def no_rebuild(self, H):
+        raise AssertionError("duhamel_difference rebuilt H + V")
+
+    monkeypatch.setattr(MatrixPotential, "added_to", no_rebuild)
+    approx = duhamel_difference(H, potential, 0.3, 32, perturbed=perturbed)
+    assert np.array_equal(approx.matrix, expected.matrix)
+
+
+def test_duhamel_suite_eigensolves_each_perturbed_operator_once(monkeypatch):
+    # H comes from its planted spectrum, so H + V is the only eigensolve.
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    records = suite_duhamel(np.random.default_rng(3), SuiteConfig(trials=4, seed=0))
+    assert records[0].passed
+    assert len(shapes) == 4
 
 
 def test_duhamel_order_validation():
@@ -528,6 +562,29 @@ def test_truncation_norm_monotone_in_level():
     norms = [hs_norm_potential(truncate_potential(potential, k)) for k in range(1, top + 2)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
     assert np.isclose(norms[-1], hs_norm_potential(potential), rtol=1e-15)
+
+
+def test_truncated_hs_norms_equal_norms_of_built_truncations():
+    rng = np.random.default_rng(193)
+    for _ in range(10):
+        space = random_weighted_space(rng, int(rng.integers(1, 13)))
+        potential = random_psd_potential(rng, space, int(rng.integers(1, 4)), scale=3.0)
+        top = float(np.ceil(potential.pointwise_operator_norms().max()))
+        levels = np.concatenate([np.arange(1.0, top + 2.0), rng.uniform(1.0, top, 3)])
+        built = [hs_norm_potential(truncate_potential(potential, k)) for k in levels]
+        assert truncated_hs_norms(potential, levels).tolist() == built
+    # A level equal to a point's norm keeps that point.
+    space = WeightedFiniteSpace([1.0, 1.0])
+    potential = MatrixPotential(np.stack([2.0 * np.eye(2), 3.0 * np.eye(2)]), space)
+    norms = truncated_hs_norms(potential, [1.0, 2.0, 3.0])
+    assert norms.tolist() == [0.0, np.sqrt(8.0), np.sqrt(26.0)]
+
+
+def test_truncated_hs_norms_reject_levels_below_one():
+    space = WeightedFiniteSpace([1.0])
+    potential = MatrixPotential(np.ones((1, 1, 1)), space, nonneg=True)
+    with pytest.raises(ValueError, match="at least 1"):
+        truncated_hs_norms(potential, [2.0, 0.5])
 
 
 def test_truncation_preserves_partial_order():
