@@ -10,7 +10,6 @@ from bettibound.dec import (
     betti1_oracle,
     betti1_rank_count,
     build_dec,
-    check_connected_manifold,
     gaussian_curvature,
     ricci_potential,
     schrodinger_comparison,
@@ -353,13 +352,6 @@ def test_prepare_surface_rejects_non_manifold_before_eigensolving(
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(MeshError, match=message):
         prepare_surface(mesh)
-
-
-@pytest.mark.parametrize(
-    "name", ["sphere", "flat-torus", "torus-rev", "bumpy-sphere", "genus2"]
-)
-def test_builtin_meshes_are_connected_manifolds(name):
-    check_connected_manifold(build_dec(CHAIN_COMPLEX_CASES[name]()))
 
 
 def test_prepare_surface_takes_no_float_rank(monkeypatch):
