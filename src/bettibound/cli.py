@@ -279,7 +279,7 @@ def cmd_mesh_info(args) -> int:
     report = RunReport(
         command="mesh-info", config=dict(config.as_dict(), surface=label)
     )
-    harmonic = data.laplacian1.kernel_dim()
+    harmonic = data.b1
     combinatorial = betti1_rank_count(dec)
     report.add(
         equality_record(

@@ -14,18 +14,25 @@ inverse face areas.  From these,
 
 all self-adjoint and positive semidefinite in their star-weighted L2
 spaces.  L1 is never eigensolved as an E x E matrix: since d1 d0 = 0 its
-two terms annihilate each other (the Hodge decomposition), so its
+two terms annihilate each other (the Hodge decomposition; Desbrun,
+Hirani, Leok and Marsden, "Discrete Exterior Calculus", 2005), so its
 eigenpairs are L0's nonzero ones mapped through d0, L2's nonzero ones
 mapped through the codifferential, and a Rayleigh-Ritz basis of the
-small rest, all checked against L1's assembled CSR matrix by their
-residual and orthogonality loss (``measure``).  All three Laplacians are
-CSR matrices; only the inputs of the L0 and L2 eigensolves are dense.
+small rest.  All three Laplacians are CSR matrices; only the inputs of
+the L0 and L2 eigensolves are dense.
+
 The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number.  Route (a) of the Betti oracle
-is the spectral kernel count of this Hodge-assembled L1; route (b), an
-independent combinatorial count b1 = E - rank(d0) - rank(d1),
-cross-checks it.  Both ranks are exact: component counts of the patterns
-of d0^T d0 and d1 d1^T, not float ranks.
+counts it from L0's and L2's eigendata and the Rayleigh-Ritz block
+alone, and certifies the count against L1's CSR matrix with bounds
+built from the checks those eigensolves already ran, so no E x E array
+is built (``_harmonic_kernel``).  All E eigenpairs, an E x E array
+checked against the same matrix by residual and orthogonality loss
+(``measure``), are assembled only for the Schatten certificate
+(``DECOperators.laplacian1``).  Route (b), an independent combinatorial
+count b1 = E - rank(d0) - rank(d1), cross-checks route (a).  Both ranks
+are exact: component counts of the patterns of d0^T d0 and d1 d1^T,
+not float ranks.
 
 Curvature enters through vertex angle defects: K(v) multiplied by the
 dual area is 2*pi minus the incident angle sum, and the defects sum to
@@ -37,13 +44,22 @@ the matrix potential machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 
-from .measure import SelfAdjointOperator, WeightedFiniteSpace
+from .measure import (
+    RECONSTRUCTION_TOL,
+    ZERO_TOL,
+    SelfAdjointOperator,
+    WeightedFiniteSpace,
+    WeightedOperator,
+    _frobenius,
+    _orthogonality_loss,
+)
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 
 __all__ = [
@@ -119,12 +135,28 @@ class DECOperators:
     def laplacian2(self) -> SelfAdjointOperator:
         return SelfAdjointOperator(self.laplacian2_matrix(), self.face_space())
 
-    def laplacian1(self, laplacian0: SelfAdjointOperator | None = None) -> SelfAdjointOperator:
-        """L1 assembled from its Hodge pieces, with no eigensolve of an E x E matrix.
+    def hodge_factors(self) -> tuple[csr_matrix, csr_matrix]:
+        """C = star1^(1/2) d0 star0^(-1/2) and B = star2^(1/2) d1 star1^(-1/2), CSR.
 
-        With C = star1^(1/2) d0 star0^(-1/2) and B = star2^(1/2) d1 star1^(-1/2),
-        the conjugated L1 is C C^T + B^T B, and the two terms annihilate each
-        other because d1 d0 = 0.  So its orthonormal eigenvectors are
+        In the conjugated (Euclidean) coordinates L0 is C^T C, L2 is B B^T
+        and L1 is C C^T + B^T B, up to the rounding of the star scalings;
+        B C vanishes to the same rounding because d1 d0 = 0.
+        """
+        s0, s1, s2 = np.sqrt(self.star0), np.sqrt(self.star1), np.sqrt(self.star2)
+        c = diags(s1) @ self.d0 @ diags(1.0 / s0)
+        b = diags(s2) @ self.d1 @ diags(1.0 / s1)
+        return c, b
+
+    def laplacian1(
+        self,
+        laplacian0: SelfAdjointOperator | None = None,
+        laplacian2: SelfAdjointOperator | None = None,
+    ) -> SelfAdjointOperator:
+        """L1 with all E eigenpairs, assembled from its Hodge pieces.
+
+        With C and B from ``hodge_factors``, the conjugated L1 is
+        C C^T + B^T B, and the two terms annihilate each other because
+        d1 d0 = 0.  So its orthonormal eigenvectors are
 
         * C w / |C w|, eigenvalue lam, for each eigenpair (lam, w) of the
           conjugated L0 above L0's zero threshold;
@@ -136,26 +168,25 @@ class DECOperators:
 
         |C w| is sqrt(lam) in exact arithmetic; the computed norm keeps the
         columns orthonormal to rounding, where sqrt(lam) would leave a
-        defect of order eps * (spectral radius / lam).  ``from_spectrum``
-        checks the result against L1's assembled CSR matrix, which the
-        operator keeps, through the residual S1 Q - Q diag(evals) in
-        O(nnz E) and the orthogonality loss Q^T Q - I; no E x E matrix is
-        densified.  ``laplacian0`` is ``self.laplacian0()`` unless the
-        caller has it already.
+        defect of order eps * (spectral radius / lam).  The eigenvectors
+        fill an E x E array, which ``from_spectrum`` checks against L1's
+        assembled CSR matrix, which the operator keeps, through the
+        residual S1 Q - Q diag(evals) in O(nnz E) and the orthogonality
+        loss Q^T Q - I; no E x E matrix is densified.  Only the Schatten
+        certificate needs all of L1's eigenpairs: its kernel dimension
+        alone comes from ``betti1_oracle`` with no E x E array.
+        ``laplacian0`` and ``laplacian2`` are ``self.laplacian0()`` and
+        ``self.laplacian2()`` unless the caller has them.
         """
         if laplacian0 is None:
             laplacian0 = self.laplacian0()
-        s0, s1, s2 = np.sqrt(self.star0), np.sqrt(self.star1), np.sqrt(self.star2)
-        c = diags(s1) @ self.d0 @ diags(1.0 / s0)
-        b = diags(s2) @ self.d1 @ diags(1.0 / s1)
+        if laplacian2 is None:
+            laplacian2 = self.laplacian2()
+        c, b = self.hodge_factors()
         lam, w = _nonzero_eigenpairs(laplacian0)
-        mu, y = _nonzero_eigenpairs(self.laplacian2())
+        mu, y = _nonzero_eigenpairs(laplacian2)
         ne = self.mesh.edge_count
-        h = ne - lam.size - mu.size
-        if h < 0:
-            raise ValueError(
-                f"{lam.size} exact and {mu.size} coexact eigenpairs exceed {ne} edges"
-            )
+        h = _rest_dim(ne, lam.size, mu.size)
 
         # Known columns, stably sorted, fill q[:, h:]; the rest fills q[:, :h].
         known = np.concatenate([lam, mu])
@@ -168,14 +199,10 @@ class DECOperators:
         ritz = np.empty(0)
         if h:
             span = q[:, h:]
-            block = np.random.default_rng(0).standard_normal((ne, h))
+            block = _ritz_start(ne, h)
             for _ in range(2):
                 block -= span @ (span.T @ block)
-            basis = np.linalg.qr(block)[0]
-            image = c @ (c.T @ basis) + b.T @ (b @ basis)
-            projected = basis.T @ image
-            ritz, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
-            q[:, :h] = basis @ rotation
+            ritz, q[:, :h] = _rayleigh_ritz(c, b, block)
         evals = np.concatenate([ritz, known[order]])
         return SelfAdjointOperator.from_spectrum(
             self.edge_space(), evals, q, matrix=self.laplacian1_matrix()
@@ -189,10 +216,15 @@ def _divide_rows(product, star: np.ndarray) -> csr_matrix:
     return matrix
 
 
+def _nonzero_start(op: SelfAdjointOperator) -> int:
+    """Index of the first eigenvalue above the zero threshold."""
+    return int(np.searchsorted(op.eigenvalues, op.zero_threshold(), side="right"))
+
+
 def _nonzero_eigenpairs(op: SelfAdjointOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above the zero threshold, with their eigenvectors in
     conjugated (Euclidean-orthonormal) coordinates."""
-    start = int(np.searchsorted(op.eigenvalues, op.zero_threshold(), side="right"))
+    start = _nonzero_start(op)
     sqrt_w = np.sqrt(op.space.weights)[:, None]
     return op.eigenvalues[start:], op.basis[:, start:] * sqrt_w
 
@@ -201,6 +233,74 @@ def _unit_columns(block: np.ndarray) -> np.ndarray:
     """``block`` with each column scaled to unit length, in place."""
     block /= np.linalg.norm(block, axis=0)
     return block
+
+
+def _rest_dim(ne: int, n0: int, n2: int) -> int:
+    """h = E - n0 - n2, the dimension L1's exact and coexact pairs leave."""
+    h = ne - n0 - n2
+    if h < 0:
+        raise ValueError(f"{n0} exact and {n2} coexact eigenpairs exceed {ne} edges")
+    return h
+
+
+def _ritz_start(ne: int, h: int) -> np.ndarray:
+    """The fixed random E x h block the Rayleigh-Ritz basis starts from."""
+    return np.random.default_rng(0).standard_normal((ne, h))
+
+
+def _rayleigh_ritz(c, b, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and vectors of C C^T + B^T B on the span of ``block``."""
+    basis = np.linalg.qr(block)[0]
+    image = c @ (c.T @ basis) + b.T @ (b @ basis)
+    projected = basis.T @ image
+    ritz, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
+    return ritz, basis @ rotation
+
+
+def _norm2_bound(matrix) -> float:
+    """sqrt(||A||_1 ||A||_inf), an upper bound on the spectral norm of a sparse A."""
+    entries = abs(matrix)
+    return math.sqrt(float(entries.sum(axis=0).max()) * float(entries.sum(axis=1).max()))
+
+
+def _hodge_block_bounds(op: SelfAdjointOperator, start: int, delta: float):
+    """Bounds for the columns X v_j / |X v_j| that one Laplacian S ~ X^T X lends L1.
+
+    (lam_j, v_j) are op's eigenpairs from ``start`` on, in Euclidean
+    coordinates (V their columns), S is op's conjugated matrix and
+    ``delta`` >= ||X^T X - S||_2.  With g and r_j op's stored
+    orthogonality loss and residual column norms and s = sqrt(1 + g),
+    a_j = r_j + delta s bounds |p_j|, p_j = X^T X v_j - lam_j v_j.  So
+    |X v_j|^2 = lam_j |v_j|^2 + v_j^T p_j >= kappa lam_j with
+    kappa = 1 - g - s max_j a_j / lam_j.  For the normalized block
+    U = X V D^-1 (D the exact column norms) the Gram entry (i, j), i != j,
+    equals (G_ij lam_j + v_i^T p_j) / (d_i d_j) with G = V^T V - I, and
+    also (G_ij lam_i + v_j^T p_i) / (d_i d_j); taking the form whose
+    residual belongs to the smaller eigenvalue gives
+
+        ||U^T U - I||_F <= (g + sqrt(2) s ||a / lam||) / kappa   (gram).
+
+    Also ||P D^-1||_F <= ||a / sqrt(lam)|| / sqrt(kappa) (res),
+    ||V D^-1||_F <= s ||1 / sqrt(lam)|| / sqrt(kappa) (fro) and
+    ||V D^-1||_2 <= s / sqrt(kappa min lam) (spec), P the columns p_j.
+    Returns (gram, res, fro, spec, 1 / sqrt(kappa)), all infinite unless
+    kappa > 0.
+    """
+    if op.residual_norms is None:
+        raise ValueError("the Hodge pieces of L1 need eigendata checked against their matrix")
+    lam = op.eigenvalues[start:]
+    g = op.orthogonality_loss
+    s = math.sqrt(1.0 + g)
+    a = op.residual_norms[start:] + delta * s
+    kappa = 1.0 - g - s * float(np.max(a / lam, initial=0.0))
+    if not kappa > 0.0:
+        return (math.inf,) * 5
+    root = 1.0 / math.sqrt(kappa)
+    gram = (g + math.sqrt(2.0) * s * float(np.linalg.norm(a / lam))) / kappa
+    residual = root * float(np.linalg.norm(a / np.sqrt(lam)))
+    frobenius = root * s * float(np.linalg.norm(1.0 / np.sqrt(lam)))
+    spectral = root * s / math.sqrt(float(np.min(lam, initial=math.inf)))
+    return gram, residual, frobenius, spectral, root
 
 
 def _incidence(columns: np.ndarray, signs: np.ndarray, width: int) -> csr_matrix:
@@ -337,22 +437,133 @@ def betti1_rank_count(dec: DECOperators) -> int:
     return int(ne - (nv - c_v) - (nf - c_f))
 
 
-def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None, laplacian1=None) -> int:
+def _harmonic_kernel(
+    dec: DECOperators, laplacian0: SelfAdjointOperator, laplacian2: SelfAdjointOperator
+) -> tuple[int, float, float]:
+    """dim ker L1 from L0's and L2's eigendata, with no E x E or E x (E - h) array.
+
+    Returns (dimension, loss bound, residual bound).  L1's eigenvalues are
+    those of ``DECOperators.laplacian1``: L0's nonzero ones lam (Euclidean
+    eigenvectors W), L2's nonzero ones mu (eigenvectors Y) and the Ritz
+    values theta of an h = E - n0 - n2 dimensional block Z.  Z starts from
+    the same random block as there, freed of the exact span C W and the
+    coexact span B^T Y (C, B from ``hodge_factors``) by the projectors
+    C W diag(1/lam) W^T C^T and B^T Y diag(1/mu) Y^T B, applied twice in
+    factored form: O(nnz h + V n0 h + F n2 h).  The dimension counts the
+    |e| <= 1e-9 (1 + max |e|) among theta, lam and mu, the zero threshold
+    of ``SelfAdjointOperator.kernel_dim`` on the same list.
+
+    The count stands as a spectral count of L1's matrix because the
+    basis Q = [Z, C W D^-1, B^T Y E^-1] (D, E the exact column norms)
+    passes the checks ``from_spectrum`` runs on the full assembly:
+    ||Q^T Q - I||_F <= 1e-10 and
+    ||R||_F sqrt(1 + ||Q^T Q - I||_F) + ||S1||_F ||Q^T Q - I||_F
+    <= 1e-10 max(||S1||_F, 1), with R = S1 Q - Q diag(theta, lam, mu) and
+    S1 the conjugated CSR matrix of L1.  Neither Q^T Q nor R is formed;
+    each is bounded, and the bounds must pass instead (else ValueError).
+    The inputs are L0's and L2's stored check numbers, through
+    ``_hodge_block_bounds``; d0 >= ||C^T C - S0||_2, d2 >= ||B B^T - S2||_2,
+    k >= ||B C||_2 (B C vanishes up to the rounding of the star
+    scalings), ||C||_2 and ||B||_2, each sqrt(||.||_1 ||.||_inf) in O(nnz);
+    d1 = ||S1 - (C C^T + B^T B)||_F in O(nnz); and, of Z itself,
+    ||Z^T Z - I||_F, ||S1 Z - Z diag(theta)||_F, C^T Z and B Z.
+
+    With p = C^T C w - lam w, an exact column's residual is
+    (C p + B^T (B C) w) / |C w| - (C C^T + B^T B - S1) C w / |C w|, and
+    with p' = B B^T y - mu y a coexact column's is
+    (B^T p' + C (B C)^T y) / |B^T y| - (C C^T + B^T B - S1) B^T y / |B^T y|;
+    the cross Gram entries are w^T (B C)^T y / (|C w| |B^T y|), and Z
+    meets the two blocks in (C^T Z)^T W D^-1 and (B Z)^T Y E^-1.  With
+    (gram, res, fro, spec, root) of ``_hodge_block_bounds`` for L0
+    (suffix 0) and L2 (suffix 2), zu = root0 ||(C^T Z)^T W diag(lam)^(-1/2)||_F,
+    zy = root2 ||(B Z)^T Y diag(mu)^(-1/2)||_F and
+    uy = k min(fro0 spec2, spec0 fro2), so
+
+        ||Q^T Q - I||_F^2 <= ||Z^T Z - I||_F^2 + gram0^2 + gram2^2
+                             + 2 (zu^2 + zy^2 + uy^2),
+        ||R||_F^2 <= ||S1 Z - Z diag(theta)||_F^2
+                     + (||C||_2 res0 + ||B||_2 k fro0 + d1 sqrt(1 + gram0))^2
+                     + (||B||_2 res2 + ||C||_2 k fro2 + d1 sqrt(1 + gram2))^2.
+
+    Like the checks of ``measure`` they replace, the bounds are evaluated
+    in floating point.  On the builtins they exceed the quantities they
+    bound by factors of about 3 to 60.
+    """
+    c, b = dec.hodge_factors()
+    start0, start2 = _nonzero_start(laplacian0), _nonzero_start(laplacian2)
+    lam, w = laplacian0.eigenvalues[start0:], laplacian0._euclidean_vectors[:, start0:]
+    mu, y = laplacian2.eigenvalues[start2:], laplacian2._euclidean_vectors[:, start2:]
+    ne = dec.mesh.edge_count
+    h = _rest_dim(ne, lam.size, mu.size)
+
+    ritz, z = np.empty(0), np.empty((ne, 0))
+    if h:
+        block = _ritz_start(ne, h)
+        for _ in range(2):
+            block -= c @ (w @ ((w.T @ (c.T @ block)) / lam[:, None]))
+            block -= b.T @ (y @ ((y.T @ (b @ block)) / mu[:, None]))
+        ritz, z = _rayleigh_ritz(c, b, block)
+    evals = np.concatenate([ritz, lam, mu])
+    radius = float(np.max(np.abs(evals), initial=0.0))
+    dim = int(np.count_nonzero(np.abs(evals) <= ZERO_TOL * (1.0 + radius)))
+
+    s1 = WeightedOperator(dec.laplacian1_matrix(), dec.edge_space()).conjugated()
+    scale = _frobenius(s1)
+    norm_c, norm_b, k = _norm2_bound(c), _norm2_bound(b), _norm2_bound(b @ c)
+    delta1 = _frobenius(c @ c.T + b.T @ b - s1)
+    gram0, res0, fro0, spec0, root0 = _hodge_block_bounds(
+        laplacian0, start0, _norm2_bound(c.T @ c - laplacian0.conjugated())
+    )
+    gram2, res2, fro2, spec2, root2 = _hodge_block_bounds(
+        laplacian2, start2, _norm2_bound(b @ b.T - laplacian2.conjugated())
+    )
+    zz = zu = zy = rz = 0.0
+    if h:
+        zz = _orthogonality_loss(z)
+        zu = root0 * _frobenius((c.T @ z).T @ w / np.sqrt(lam))
+        zy = root2 * _frobenius((b @ z).T @ y / np.sqrt(mu))
+        rz = _frobenius(s1 @ z - z * ritz)
+    uy = k * min(fro0 * spec2, spec0 * fro2)
+    loss = math.sqrt(zz**2 + gram0**2 + gram2**2 + 2.0 * (zu**2 + zy**2 + uy**2))
+    ru = norm_c * res0 + norm_b * k * fro0 + delta1 * math.sqrt(1.0 + gram0)
+    ry = norm_b * res2 + norm_c * k * fro2 + delta1 * math.sqrt(1.0 + gram2)
+    residual = math.sqrt(rz**2 + ru**2 + ry**2) * math.sqrt(1.0 + loss) + scale * loss
+    if not (np.all(np.isfinite(evals)) and loss <= RECONSTRUCTION_TOL):
+        raise ValueError(
+            f"Hodge eigendata of L1 not finite and orthonormal (loss bound {loss:.3e})"
+        )
+    if not residual <= RECONSTRUCTION_TOL * max(scale, 1.0):
+        raise ValueError(
+            f"Hodge eigendata of L1 does not reconstruct the operator "
+            f"(residual bound {residual:.3e} vs scale {scale:.3e})"
+        )
+    return dim, loss, residual
+
+
+def betti1_oracle(
+    mesh: TriangleMesh,
+    dec: DECOperators = None,
+    laplacian0: SelfAdjointOperator = None,
+    laplacian2: SelfAdjointOperator = None,
+) -> int:
     """First Betti number by two independent routes, which must agree.
 
-    Route (a): dimension of the kernel of the edge Laplacian L1, assembled
-    from its Hodge pieces (``DECOperators.laplacian1``) and checked against
-    its sparse matrix by residual, under the scale-invariant zero
-    tolerance.  Route (b): rank-nullity over the
-    chain complex.  Disagreement raises, since it signals a meshing or
-    tolerance bug rather than a soft numerical issue.  ``dec`` and
-    ``laplacian1`` are built from the mesh unless the caller has them.
+    Route (a): dimension of the kernel of the edge Laplacian L1, counted
+    from L0's and L2's eigendata and certified against L1's sparse matrix
+    (``_harmonic_kernel``), under the scale-invariant zero tolerance; no
+    E x E array is built.  Route (b): rank-nullity over the chain
+    complex.  Disagreement raises, since it signals a meshing or
+    tolerance bug rather than a soft numerical issue.  ``dec``,
+    ``laplacian0`` and ``laplacian2`` are built from the mesh unless the
+    caller has them.
     """
     if dec is None:
         dec = build_dec(mesh)
-    if laplacian1 is None:
-        laplacian1 = dec.laplacian1()
-    harmonic = laplacian1.kernel_dim()
+    if laplacian0 is None:
+        laplacian0 = dec.laplacian0()
+    if laplacian2 is None:
+        laplacian2 = dec.laplacian2()
+    harmonic = _harmonic_kernel(dec, laplacian0, laplacian2)[0]
     combinatorial = betti1_rank_count(dec)
     if harmonic != combinatorial:
         raise MeshError(

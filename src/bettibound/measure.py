@@ -202,21 +202,34 @@ def _orthogonality_loss(q: np.ndarray) -> float:
     return _frobenius(gram)
 
 
-def _residual_bound(evals, q, conj, loss: float) -> float:
-    """||R||_F sqrt(1 + loss) + ||S||_F loss, an upper bound on ||S - Q diag(evals) Q^T||_F.
+def _residual_norms(evals, q, conj) -> np.ndarray:
+    """Column norms of R = S Q - Q diag(evals), S being ``conj`` (dense or CSR).
 
-    S is ``conj`` (dense or CSR), R = S Q - Q diag(evals) costs O(nnz N)
-    for a CSR S, and ``loss`` is ``_orthogonality_loss(q)``.  Since
-    S - Q diag(evals) Q^T = S (I - Q Q^T) + R Q^T, with
-    ||I - Q Q^T||_2 = ||Q^T Q - I||_2 and ||Q||_2^2 <= 1 + ||Q^T Q - I||_2
-    for square Q, the bound holds with no N x N reconstruction built.
-    Only the residual itself is N x N; its columns are corrected in blocks.
+    R costs O(nnz N) for a CSR S.  Only R itself is N x N; its columns are
+    corrected in blocks.
     """
     residual = conj @ q
     for start in range(0, q.shape[1], _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
         residual[:, cols] -= q[:, cols] * evals[cols]
-    return _frobenius(residual) * math.sqrt(1.0 + loss) + _frobenius(conj) * loss
+    return np.sqrt(np.einsum("ij,ij->j", residual, residual))
+
+
+def _residual_bound(evals, q, conj, loss: float) -> float:
+    """||R||_F sqrt(1 + loss) + ||S||_F loss, an upper bound on ||S - Q diag(evals) Q^T||_F.
+
+    S is ``conj`` (dense or CSR), R = S Q - Q diag(evals) (``_residual_norms``),
+    and ``loss`` is ``_orthogonality_loss(q)``.  Since
+    S - Q diag(evals) Q^T = S (I - Q Q^T) + R Q^T, with
+    ||I - Q Q^T||_2 = ||Q^T Q - I||_2 and ||Q||_2^2 <= 1 + ||Q^T Q - I||_2
+    for square Q, the bound holds with no N x N reconstruction built.
+    """
+    return _reconstruction_bound(_residual_norms(evals, q, conj), _frobenius(conj), loss)
+
+
+def _reconstruction_bound(residual_norms: np.ndarray, scale: float, loss: float) -> float:
+    """``_residual_bound`` from the column norms of R and scale = ||S||_F."""
+    return math.sqrt(residual_norms.dot(residual_norms)) * math.sqrt(1.0 + loss) + scale * loss
 
 
 def _check_eigendata(evals, q, conj=None):
@@ -229,6 +242,9 @@ def _check_eigendata(evals, q, conj=None):
     must be at most 1e-10 max(||S||_F, 1): the bound is never below that
     reconstruction residual, so the check accepts nothing a 1e-10
     reconstruction check would reject.
+
+    Returns the column norms of R = S Q - Q diag(evals), read-only (None
+    without ``conj``), and the orthogonality loss.
     """
     if conj is not None:
         scale = _frobenius(conj)
@@ -241,13 +257,16 @@ def _check_eigendata(evals, q, conj=None):
     loss = _orthogonality_loss(q)
     if not (np.all(np.isfinite(evals)) and loss <= RECONSTRUCTION_TOL):
         raise ValueError(f"eigendata not finite and orthonormal (loss {loss:.3e})")
-    if conj is not None:
-        bound = _residual_bound(evals, q, conj, loss)
-        if not bound <= RECONSTRUCTION_TOL * max(scale, 1.0):
-            raise ValueError(
-                f"spectral decomposition does not reconstruct the operator "
-                f"(residual bound {bound:.3e} vs scale {scale:.3e})"
-            )
+    if conj is None:
+        return None, loss
+    residual_norms = _residual_norms(evals, q, conj)
+    bound = _reconstruction_bound(residual_norms, scale, loss)
+    if not bound <= RECONSTRUCTION_TOL * max(scale, 1.0):
+        raise ValueError(
+            f"spectral decomposition does not reconstruct the operator "
+            f"(residual bound {bound:.3e} vs scale {scale:.3e})"
+        )
+    return _read_only(residual_norms), loss
 
 
 class SelfAdjointOperator(WeightedOperator):
@@ -268,16 +287,25 @@ class SelfAdjointOperator(WeightedOperator):
     spectral calculus (``spectral_function`` and its callers) share that
     checked eigenbasis and build their dense matrix only when ``matrix``
     is first read.
+
+    A checked construction keeps the numbers its check computed, read-only:
+    ``orthogonality_loss`` = ||Q^T Q - I||_F and, when a matrix was
+    checked, ``residual_norms``, the column norms of R (so ||R||_F is their
+    Euclidean norm).  Both are None where no check ran (derived
+    operators), and ``residual_norms`` is None for eigendata checked
+    without their matrix.
     """
 
     # (other eigenvector array, squared overlap) of the last ``squared_overlap``.
     _overlap = None
+    # (residual column norms, orthogonality loss) of the construction's check.
+    _check_numbers = (None, None)
 
     def __init__(self, matrix, space, fiber=1):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
         evals, evecs = np.linalg.eigh(_dense(0.5 * (conj + conj.T)))
-        _check_eigendata(evals, evecs, conj)
+        self._check_numbers = _check_eigendata(evals, evecs, conj)
         self.eigenvalues = _read_only(evals)
         self._euclidean_vectors = _read_only(evecs)
 
@@ -320,7 +348,7 @@ class SelfAdjointOperator(WeightedOperator):
         if matrix is not None:
             op.matrix = _stored(matrix)
             conj = op.conjugated()
-        _check_eigendata(evals, q, conj)
+        op._check_numbers = _check_eigendata(op.eigenvalues, op._euclidean_vectors, conj)
         return op
 
     @classmethod
@@ -341,6 +369,16 @@ class SelfAdjointOperator(WeightedOperator):
         op.eigenvalues = _read_only(evals[order])
         op._euclidean_vectors = _read_only(euclidean_vectors)
         return op
+
+    @property
+    def residual_norms(self) -> np.ndarray | None:
+        """Column norms of S Q - Q diag(eigenvalues) from the construction's check."""
+        return self._check_numbers[0]
+
+    @property
+    def orthogonality_loss(self) -> float | None:
+        """||Q^T Q - I||_F from the construction's check."""
+        return self._check_numbers[1]
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -21,9 +21,12 @@ assumed):
     b1  <=  (1 - e^(-2 rho0 t0))^(-p) || e^(-2 t0 L1) - e^(-2 t0 (L1+W)) ||_Sp^p.
 
 Every grid point is read from spectra computed before it: L0, the face
-Laplacian L2 and L0 + K are eigensolved once per surface, L1 is assembled
-from the eigenpairs of L0 and L2 (its Hodge pieces) with no eigensolve of
-its own, and L1 + W is eigensolved once per rho0 (W depends on rho0 only).
+Laplacian L2 and L0 + K are eigensolved once per surface.  The harmonic
+Betti oracle counts dim ker L1 from L0's and L2's eigendata (its Hodge
+pieces) with no E x E array.  Only the Schatten certificate assembles all
+of L1's eigenpairs from the same pieces, once per surface and with no
+eigensolve of its own, and eigensolves L1 + W once per rho0 (W depends
+on rho0 only).
 The 2->inf norm of e^(-t0 (L0+K)) and, at p = 2, the Hilbert-Schmidt
 norm of the semigroup difference come from those spectra in O(N^2) per
 point, with no dense heat matrix; other p take the singular values of the
@@ -53,7 +56,7 @@ from .dec import (
     schrodinger_comparison,
 )
 from .measure import SelfAdjointOperator, two_inf_norm
-from .mesh import AnalyticSurface, TriangleMesh
+from .mesh import AnalyticSurface, MeshError, TriangleMesh
 from .perturbation import MatrixPotential
 from .report import DEFAULT_TOLERANCES, CheckRecord, equality_record, inequality_record
 
@@ -137,25 +140,51 @@ class BettiBoundReport:
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """Mesh-level quantities shared by every grid point of a sweep."""
+    """Mesh-level quantities shared by every grid point of a sweep.
+
+    ``b1`` is the harmonic oracle's count, checked against the chain
+    complex.  L0 and L2 are kept because they are L1's Hodge pieces: the
+    full L1 is assembled from them only when the Schatten certificate
+    first reads ``laplacian1``.
+    """
 
     mesh: TriangleMesh
     dec: DECOperators
     curvature: CurvatureField
     b1: int
-    kernel_dim_0forms: int
     description: str
-    laplacian1: SelfAdjointOperator
+    laplacian0: SelfAdjointOperator
+    laplacian2: SelfAdjointOperator
     _schatten_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def volume(self) -> float:
         return self.mesh.total_area
 
+    @property
+    def kernel_dim_0forms(self) -> int:
+        return self.laplacian0.kernel_dim()
+
     @cached_property
     def comparison(self) -> SelfAdjointOperator:
         """The comparison operator L0 + K, eigensolved when first read."""
         return schrodinger_comparison(self.dec, self.curvature.values)
+
+    @cached_property
+    def laplacian1(self) -> SelfAdjointOperator:
+        """L1 with all its eigenpairs (``DECOperators.laplacian1``), assembled when first read.
+
+        Its kernel dimension must equal ``b1``: the full assembly and the
+        harmonic oracle run separate Rayleigh-Ritz blocks, and a
+        disagreement raises ``MeshError``.
+        """
+        lap1 = self.dec.laplacian1(self.laplacian0, self.laplacian2)
+        if lap1.kernel_dim() != self.b1:
+            raise MeshError(
+                f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
+                f"vs harmonic oracle {self.b1}"
+            )
+        return lap1
 
     def schatten_operator(self, rho0: float) -> SelfAdjointOperator:
         """L1 + W for the synthetic edge potential W at rho0 (``schatten_operator``).
@@ -164,14 +193,15 @@ class SurfaceData:
         with rho0 in its outer loop eigensolves L1 + W once per rho0 and
         holds one such operator at a time; W itself is not kept.  A failed
         spectral check is kept too, and raised again as the same
-        ``ValueError``.
+        ``ValueError``; a failure to assemble L1 is not caught.
         """
+        lap1 = self.laplacian1
         slot = self._schatten_slot
         if slot.get("rho0") != rho0:
             slot.clear()
             try:
                 potential = synthetic_edge_potential(self.dec, self.curvature, rho0)
-                slot["operator"] = schatten_operator(self.laplacian1, potential, rho0)
+                slot["operator"] = schatten_operator(lap1, potential, rho0)
             except ValueError as exc:
                 slot["error"] = str(exc)
             slot["rho0"] = rho0
@@ -189,9 +219,10 @@ def prepare_surface(
 
     A mesh that is disconnected or pinched at a vertex is rejected with a
     ``MeshError`` before any eigensolve.  Eigensolves L0 and the face
-    Laplacian L2; the comparison operator L0 + K is eigensolved once, when
-    a bound first reads it.  L1 is assembled from L0's and L2's eigenpairs
-    (``DECOperators.laplacian1``), so no E x E matrix is eigensolved here.
+    Laplacian L2, from whose eigendata ``betti1_oracle`` counts b1 with no
+    E x E array.  The comparison operator L0 + K is eigensolved once, when
+    a bound first reads it, and L1 is assembled once, when the Schatten
+    certificate first reads it (``SurfaceData.laplacian1``).
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -207,16 +238,16 @@ def prepare_surface(
         raise ValueError("analytic curvature requires an analytic surface")
     curvature = gaussian_curvature(mesh, curvature_source, analytic)
     lap0 = dec.laplacian0()
-    lap1 = dec.laplacian1(lap0)
-    b1 = betti1_oracle(mesh, dec, laplacian1=lap1)
+    lap2 = dec.laplacian2()
+    b1 = betti1_oracle(mesh, dec, laplacian0=lap0, laplacian2=lap2)
     return SurfaceData(
         mesh=mesh,
         dec=dec,
         curvature=curvature,
         b1=b1,
-        kernel_dim_0forms=lap0.kernel_dim(),
         description=description,
-        laplacian1=lap1,
+        laplacian0=lap0,
+        laplacian2=lap2,
     )
 
 
@@ -260,11 +291,10 @@ def betti_bound(
 
     bound_schatten = None
     if inputs.compute_schatten:
+        lap1 = data.laplacian1
         try:
             perturbed = data.schatten_operator(rho0)
-            bound_schatten = schatten_betti_bound(
-                data.laplacian1, perturbed, rho0, t0, inputs.p
-            )
+            bound_schatten = schatten_betti_bound(lap1, perturbed, rho0, t0, inputs.p)
         except ValueError as exc:
             notes.append(f"schatten bound omitted: {exc}")
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse import issparse
 
 from bettibound.dec import (
+    _harmonic_kernel,
     betti1_oracle,
     betti1_rank_count,
     build_dec,
@@ -255,8 +256,10 @@ def test_laplacians_match_dense_incidence_formula(name):
 @pytest.mark.parametrize("name", CHAIN_COMPLEX_CASES)
 def test_hodge_assembled_laplacian1_matches_direct_eigensolve(name):
     dec = build_dec(CHAIN_COMPLEX_CASES[name]())
-    lap1 = dec.laplacian1()
+    lap0, lap2 = dec.laplacian0(), dec.laplacian2()
+    lap1 = dec.laplacian1(lap0, lap2)
     assert lap1.kernel_dim() == betti1_rank_count(dec)
+    assert _harmonic_kernel(dec, lap0, lap2)[0] == lap1.kernel_dim()
     assert lap1.matrix.toarray().tobytes() == dec.laplacian1_matrix().toarray().tobytes()
     reference = np.linalg.eigvalsh(lap1.conjugated().toarray())
     radius = np.max(np.abs(reference))

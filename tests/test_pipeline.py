@@ -275,10 +275,11 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
 @pytest.mark.parametrize("schatten", [True, False], ids=["schatten", "no-schatten"])
 def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
     # Once per surface: L0 (V x V), the face Laplacian L2 (F x F), the
-    # b1 x b1 Rayleigh-Ritz block of the harmonic 1-forms and the
-    # comparison operator L0 + K (V x V); L1 itself is assembled from these,
-    # with no E x E eigensolve.  Once per rho0 with the Schatten
-    # certificate: L1 + W (E x E).
+    # harmonic oracle's b1 x b1 Rayleigh-Ritz block and the comparison
+    # operator L0 + K (V x V).  With the Schatten certificate, L1 is
+    # assembled from L0 and L2 once, with its own b1 x b1 Rayleigh-Ritz
+    # block and no E x E eigensolve, and L1 + W (E x E) is eigensolved
+    # once per rho0.
     calls = []
     eigh = np.linalg.eigh
 
@@ -292,7 +293,7 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
     expected = [(nv, nv), (nf, nf), (4, 4), (nv, nv)]
     if schatten:
-        expected += [(ne, ne)] * 2
+        expected += [(4, 4)] + [(ne, ne)] * 2
     assert calls == expected
 
 
