@@ -18,21 +18,22 @@ two terms annihilate each other (the Hodge decomposition; Desbrun,
 Hirani, Leok and Marsden, "Discrete Exterior Calculus", 2005), so its
 eigenpairs are L0's nonzero ones mapped through d0, L2's nonzero ones
 mapped through the codifferential, and a Rayleigh-Ritz basis of the
-small rest.  All three Laplacians are CSR matrices; only the inputs of
-the L0 and L2 eigensolves are dense.
+small rest.  All three Laplacians are CSR matrices, each built once per
+surface with read-only arrays and handed to every reader; only the
+inputs of the L0 and L2 eigensolves are dense.
 
 The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number.  Route (a) of the Betti oracle
-counts it from L0's and L2's eigendata and the Rayleigh-Ritz block
-alone, and certifies the count against L1's CSR matrix with bounds
-built from the checks those eigensolves already ran, so no E x E array
-is built (``_harmonic_kernel``).  All E eigenpairs, an E x E array
-checked against the same matrix by residual and orthogonality loss
-(``measure``), are assembled only for the Schatten certificate
-(``DECOperators.laplacian1``).  Route (b), an independent combinatorial
-count b1 = E - rank(d0) - rank(d1), cross-checks route (a).  Both ranks
-are exact: component counts of the patterns of d0^T d0 and d1 d1^T,
-not float ranks.
+counts it on L1's own CSR matrix with no dense eigensolve: a few of the
+lowest Ritz pairs from a sparse shift-invert Lanczos run, certified by
+their residuals and by a Sylvester inertia count at a gap above the zero
+threshold (``_certified_kernel_dim``, which counts ker L0 as well).  All
+E eigenpairs, an E x E array checked against the same matrix by
+residual and orthogonality loss (``measure``), are assembled only for
+the Schatten certificate (``DECOperators.laplacian1``).  Route (b), an
+independent combinatorial count b1 = E - rank(d0) - rank(d1),
+cross-checks route (a).  Both ranks are exact: component counts of the
+patterns of d0^T d0 and d1 d1^T, not float ranks.
 
 Curvature enters through vertex angle defects: K(v) multiplied by the
 dual area is 2*pi minus the incident angle sum, and the defects sum to
@@ -45,18 +46,19 @@ the matrix potential machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh, splu
 
 from .measure import (
-    RECONSTRUCTION_TOL,
     ZERO_TOL,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    _freeze,
     _frobenius,
     _orthogonality_loss,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "betti1_oracle",
     "betti1_rank_count",
     "check_connected_manifold",
+    "kernel_dim_0forms",
     "ricci_potential",
     "RicciPotentialData",
     "schrodinger_comparison",
@@ -88,6 +91,7 @@ class DECOperators:
     star0: np.ndarray
     star1: np.ndarray
     star2: np.ndarray
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.star0 <= 0) or np.any(self.star1 <= 0) or np.any(self.star2 <= 0):
@@ -109,25 +113,40 @@ class DECOperators:
     def face_space(self) -> WeightedFiniteSpace:
         return WeightedFiniteSpace(self.star2)
 
-    # The Laplacians are CSR.  Each stored entry is computed exactly as
-    # the dense formula computes it (a row divided by its star, not
+    # The Laplacians are CSR, each built on its first call and then
+    # kept with read-only arrays (``measure._freeze``), so every reader
+    # shares one matrix.  Each stored entry is computed exactly as the
+    # dense formula computes it (a row divided by its star, not
     # multiplied by the reciprocal), so ``toarray()`` gives the dense
     # matrix bit for bit.
 
+    def _kept(self, name: str, build) -> csr_matrix:
+        if name not in self._matrices:
+            self._matrices[name] = _freeze(build())
+        return self._matrices[name]
+
     def laplacian0_matrix(self) -> csr_matrix:
-        return _divide_rows(self.d0.T @ diags(self.star1) @ self.d0, self.star0)
+        return self._kept(
+            "laplacian0", lambda: _divide_rows(self.d0.T @ diags(self.star1) @ self.d0, self.star0)
+        )
 
     def laplacian1_matrix(self) -> csr_matrix:
-        # Each entry of either product sums at most two exact terms (+-1
-        # times a star), so the summation order cannot change a bit.
-        factor = _divide_rows(self.d0.T @ diags(self.star1), self.star0)
-        upper = _divide_rows(self.d1.T @ diags(self.star2) @ self.d1, self.star1)
-        return (self.d0 @ factor + upper).tocsr()
+        def build():
+            # Each entry of either product sums at most two exact terms (+-1
+            # times a star), so the summation order cannot change a bit.
+            factor = _divide_rows(self.d0.T @ diags(self.star1), self.star0)
+            upper = _divide_rows(self.d1.T @ diags(self.star2) @ self.d1, self.star1)
+            return (self.d0 @ factor + upper).tocsr()
+
+        return self._kept("laplacian1", build)
 
     def laplacian2_matrix(self) -> csr_matrix:
-        lap = (self.d1 @ diags(1.0 / self.star1) @ self.d1.T).tocsr()
-        lap.data *= self.star2[lap.indices]
-        return lap
+        def build():
+            lap = (self.d1 @ diags(1.0 / self.star1) @ self.d1.T).tocsr()
+            lap.data *= self.star2[lap.indices]
+            return lap
+
+        return self._kept("laplacian2", build)
 
     def laplacian0(self) -> SelfAdjointOperator:
         return SelfAdjointOperator(self.laplacian0_matrix(), self.vertex_space())
@@ -216,15 +235,10 @@ def _divide_rows(product, star: np.ndarray) -> csr_matrix:
     return matrix
 
 
-def _nonzero_start(op: SelfAdjointOperator) -> int:
-    """Index of the first eigenvalue above the zero threshold."""
-    return int(np.searchsorted(op.eigenvalues, op.zero_threshold(), side="right"))
-
-
 def _nonzero_eigenpairs(op: SelfAdjointOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above the zero threshold, with their eigenvectors in
     conjugated (Euclidean-orthonormal) coordinates."""
-    start = _nonzero_start(op)
+    start = int(np.searchsorted(op.eigenvalues, op.zero_threshold(), side="right"))
     sqrt_w = np.sqrt(op.space.weights)[:, None]
     return op.eigenvalues[start:], op.basis[:, start:] * sqrt_w
 
@@ -255,52 +269,6 @@ def _rayleigh_ritz(c, b, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     projected = basis.T @ image
     ritz, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
     return ritz, basis @ rotation
-
-
-def _norm2_bound(matrix) -> float:
-    """sqrt(||A||_1 ||A||_inf), an upper bound on the spectral norm of a sparse A."""
-    entries = abs(matrix)
-    return math.sqrt(float(entries.sum(axis=0).max()) * float(entries.sum(axis=1).max()))
-
-
-def _hodge_block_bounds(op: SelfAdjointOperator, start: int, delta: float):
-    """Bounds for the columns X v_j / |X v_j| that one Laplacian S ~ X^T X lends L1.
-
-    (lam_j, v_j) are op's eigenpairs from ``start`` on, in Euclidean
-    coordinates (V their columns), S is op's conjugated matrix and
-    ``delta`` >= ||X^T X - S||_2.  With g and r_j op's stored
-    orthogonality loss and residual column norms and s = sqrt(1 + g),
-    a_j = r_j + delta s bounds |p_j|, p_j = X^T X v_j - lam_j v_j.  So
-    |X v_j|^2 = lam_j |v_j|^2 + v_j^T p_j >= kappa lam_j with
-    kappa = 1 - g - s max_j a_j / lam_j.  For the normalized block
-    U = X V D^-1 (D the exact column norms) the Gram entry (i, j), i != j,
-    equals (G_ij lam_j + v_i^T p_j) / (d_i d_j) with G = V^T V - I, and
-    also (G_ij lam_i + v_j^T p_i) / (d_i d_j); taking the form whose
-    residual belongs to the smaller eigenvalue gives
-
-        ||U^T U - I||_F <= (g + sqrt(2) s ||a / lam||) / kappa   (gram).
-
-    Also ||P D^-1||_F <= ||a / sqrt(lam)|| / sqrt(kappa) (res),
-    ||V D^-1||_F <= s ||1 / sqrt(lam)|| / sqrt(kappa) (fro) and
-    ||V D^-1||_2 <= s / sqrt(kappa min lam) (spec), P the columns p_j.
-    Returns (gram, res, fro, spec, 1 / sqrt(kappa)), all infinite unless
-    kappa > 0.
-    """
-    if op.residual_norms is None:
-        raise ValueError("the Hodge pieces of L1 need eigendata checked against their matrix")
-    lam = op.eigenvalues[start:]
-    g = op.orthogonality_loss
-    s = math.sqrt(1.0 + g)
-    a = op.residual_norms[start:] + delta * s
-    kappa = 1.0 - g - s * float(np.max(a / lam, initial=0.0))
-    if not kappa > 0.0:
-        return (math.inf,) * 5
-    root = 1.0 / math.sqrt(kappa)
-    gram = (g + math.sqrt(2.0) * s * float(np.linalg.norm(a / lam))) / kappa
-    residual = root * float(np.linalg.norm(a / np.sqrt(lam)))
-    frobenius = root * s * float(np.linalg.norm(1.0 / np.sqrt(lam)))
-    spectral = root * s / math.sqrt(float(np.min(lam, initial=math.inf)))
-    return gram, residual, frobenius, spectral, root
 
 
 def _incidence(columns: np.ndarray, signs: np.ndarray, width: int) -> csr_matrix:
@@ -437,134 +405,121 @@ def betti1_rank_count(dec: DECOperators) -> int:
     return int(ne - (nv - c_v) - (nf - c_f))
 
 
-def _harmonic_kernel(
-    dec: DECOperators, laplacian0: SelfAdjointOperator, laplacian2: SelfAdjointOperator
-) -> tuple[int, float, float]:
-    """dim ker L1 from L0's and L2's eigendata, with no E x E or E x (E - h) array.
+# Shift of the Lanczos run, relative to the spectral radius bound: below
+# every eigenvalue of a positive semidefinite S, and far enough below zero
+# that S - shift I factors stably.
+_LANCZOS_SHIFT = 1e-6
 
-    Returns (dimension, loss bound, residual bound).  L1's eigenvalues are
-    those of ``DECOperators.laplacian1``: L0's nonzero ones lam (Euclidean
-    eigenvectors W), L2's nonzero ones mu (eigenvectors Y) and the Ritz
-    values theta of an h = E - n0 - n2 dimensional block Z.  Z starts from
-    the same random block as there, freed of the exact span C W and the
-    coexact span B^T Y (C, B from ``hodge_factors``) by the projectors
-    C W diag(1/lam) W^T C^T and B^T Y diag(1/mu) Y^T B, applied twice in
-    factored form: O(nnz h + V n0 h + F n2 h).  The dimension counts the
-    |e| <= 1e-9 (1 + max |e|) among theta, lam and mu, the zero threshold
-    of ``SelfAdjointOperator.kernel_dim`` on the same list.
 
-    The count stands as a spectral count of L1's matrix because the
-    basis Q = [Z, C W D^-1, B^T Y E^-1] (D, E the exact column norms)
-    passes the checks ``from_spectrum`` runs on the full assembly:
-    ||Q^T Q - I||_F <= 1e-10 and
-    ||R||_F sqrt(1 + ||Q^T Q - I||_F) + ||S1||_F ||Q^T Q - I||_F
-    <= 1e-10 max(||S1||_F, 1), with R = S1 Q - Q diag(theta, lam, mu) and
-    S1 the conjugated CSR matrix of L1.  Neither Q^T Q nor R is formed;
-    each is bounded, and the bounds must pass instead (else ValueError).
-    The inputs are L0's and L2's stored check numbers, through
-    ``_hodge_block_bounds``; d0 >= ||C^T C - S0||_2, d2 >= ||B B^T - S2||_2,
-    k >= ||B C||_2 (B C vanishes up to the rounding of the star
-    scalings), ||C||_2 and ||B||_2, each sqrt(||.||_1 ||.||_inf) in O(nnz);
-    d1 = ||S1 - (C C^T + B^T B)||_F in O(nnz); and, of Z itself,
-    ||Z^T Z - I||_F, ||S1 Z - Z diag(theta)||_F, C^T Z and B Z.
+def _certified_kernel_dim(s: csr_matrix, start: int) -> tuple[int, float, float]:
+    """dim ker S for a symmetric CSR matrix S, counted sparsely and certified.
 
-    With p = C^T C w - lam w, an exact column's residual is
-    (C p + B^T (B C) w) / |C w| - (C C^T + B^T B - S1) C w / |C w|, and
-    with p' = B B^T y - mu y a coexact column's is
-    (B^T p' + C (B C)^T y) / |B^T y| - (C C^T + B^T B - S1) B^T y / |B^T y|;
-    the cross Gram entries are w^T (B C)^T y / (|C w| |B^T y|), and Z
-    meets the two blocks in (C^T Z)^T W D^-1 and (B Z)^T Y E^-1.  With
-    (gram, res, fro, spec, root) of ``_hodge_block_bounds`` for L0
-    (suffix 0) and L2 (suffix 2), zu = root0 ||(C^T Z)^T W diag(lam)^(-1/2)||_F,
-    zy = root2 ||(B Z)^T Y diag(mu)^(-1/2)||_F and
-    uy = k min(fro0 spec2, spec0 fro2), so
+    An eigenvalue counts as zero iff |lam| <= tau = ZERO_TOL (1 + r), where
+    r, the largest absolute row sum of S, is an O(nnz) upper bound on the
+    spectral radius (so tau is never below the threshold of
+    ``SelfAdjointOperator.kernel_dim``).  Shift-invert Lanczos (``eigsh``
+    at -1e-6 (1 + r), from a fixed start vector, so runs repeat) gives the
+    m = start + 4 Ritz pairs nearest that shift, which for a positive
+    semidefinite S are the lowest; m doubles while every Ritz value is
+    counted, and once m reaches the order of S all its eigenpairs come
+    from one dense eigensolve instead.  ``start`` is the dimension the
+    caller expects: it only sizes the first run.  The count k is the
+    number of Ritz values theta with |theta| <= tau, and it stands when
 
-        ||Q^T Q - I||_F^2 <= ||Z^T Z - I||_F^2 + gram0^2 + gram2^2
-                             + 2 (zu^2 + zy^2 + uy^2),
-        ||R||_F^2 <= ||S1 Z - Z diag(theta)||_F^2
-                     + (||C||_2 res0 + ||B||_2 k fro0 + d1 sqrt(1 + gram0))^2
-                     + (||B||_2 res2 + ||C||_2 k fro2 + d1 sqrt(1 + gram2))^2.
+    (i) with X the k counted Ritz vectors, R = S X - X diag(theta) and
+        e = ||X^T X - I||_F < 1,
+            (sqrt(1 + e) max |theta| + ||R||_F) / sqrt(1 - e) <= tau.
+        Then ||S v|| <= tau ||v|| on the span of X, so by Courant-Fischer
+        for S^2 at least k eigenvalues of S lie in [-tau, tau].  The left
+        side is never below Kahan's residual bound
+        |theta_j| + ||R||_F sqrt(1 + e) (Parlett, *The Symmetric
+        Eigenvalue Problem*, ch. 11);
+    (ii) S - sigma I, with sigma halfway between tau and the lowest Ritz
+        value above tau (2 tau if there is none), factors as P L D L^T P^T
+        with exactly k negative pivots: SuperLU in symmetric mode with
+        diagonal pivots (``splu`` with ``diag_pivot_thresh=0``), whose U
+        has D as its diagonal.  By Sylvester's law of inertia exactly k
+        eigenvalues of S lie below sigma.
 
-    Like the checks of ``measure`` they replace, the bounds are evaluated
-    in floating point.  On the builtins they exceed the quantities they
-    bound by factors of about 3 to 60.
+    Together: exactly k eigenvalues lie in [-tau, tau], and none below
+    -tau or between tau and sigma.  A count that fails either check, or a
+    factorization that left the diagonal (``perm_r != perm_c``), raises
+    ValueError.  Like every check, both are evaluated in floating point.
+    Returns (k, the left side of (i), sigma); the bound is 0 when k = 0.
     """
-    c, b = dec.hodge_factors()
-    start0, start2 = _nonzero_start(laplacian0), _nonzero_start(laplacian2)
-    lam, w = laplacian0.eigenvalues[start0:], laplacian0._euclidean_vectors[:, start0:]
-    mu, y = laplacian2.eigenvalues[start2:], laplacian2._euclidean_vectors[:, start2:]
-    ne = dec.mesh.edge_count
-    h = _rest_dim(ne, lam.size, mu.size)
-
-    ritz, z = np.empty(0), np.empty((ne, 0))
-    if h:
-        block = _ritz_start(ne, h)
-        for _ in range(2):
-            block -= c @ (w @ ((w.T @ (c.T @ block)) / lam[:, None]))
-            block -= b.T @ (y @ ((y.T @ (b @ block)) / mu[:, None]))
-        ritz, z = _rayleigh_ritz(c, b, block)
-    evals = np.concatenate([ritz, lam, mu])
-    radius = float(np.max(np.abs(evals), initial=0.0))
-    dim = int(np.count_nonzero(np.abs(evals) <= ZERO_TOL * (1.0 + radius)))
-
-    s1 = WeightedOperator(dec.laplacian1_matrix(), dec.edge_space()).conjugated()
-    scale = _frobenius(s1)
-    norm_c, norm_b, k = _norm2_bound(c), _norm2_bound(b), _norm2_bound(b @ c)
-    delta1 = _frobenius(c @ c.T + b.T @ b - s1)
-    gram0, res0, fro0, spec0, root0 = _hodge_block_bounds(
-        laplacian0, start0, _norm2_bound(c.T @ c - laplacian0.conjugated())
+    n = s.shape[0]
+    radius = float(abs(s).sum(axis=1).max())
+    tau = ZERO_TOL * (1.0 + radius)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    m = start + 4
+    while True:
+        if m >= n:
+            theta, x = np.linalg.eigh(s.toarray())
+            break
+        theta, x = eigsh(s, k=m, sigma=-_LANCZOS_SHIFT * (1.0 + radius), v0=v0)
+        if not np.all(np.abs(theta) <= tau):
+            break
+        m *= 2
+    counted = np.abs(theta) <= tau
+    k = int(np.count_nonzero(counted))
+    bound = 0.0
+    if k:
+        kernel, values = x[:, counted], theta[counted]
+        loss = _orthogonality_loss(kernel)
+        residual = _frobenius(s @ kernel - kernel * values)
+        bound = math.inf
+        if loss < 1.0:
+            top = float(np.max(np.abs(values)))
+            bound = (math.sqrt(1.0 + loss) * top + residual) / math.sqrt(1.0 - loss)
+        if not bound <= tau:
+            raise ValueError(
+                f"kernel count {k} not certified: Ritz residual bound {bound:.3e} "
+                f"exceeds the zero threshold {tau:.3e}"
+            )
+    above = theta[theta > tau]
+    sigma = 0.5 * (tau + float(above.min())) if above.size else 2.0 * tau
+    lu = splu(
+        (s - sigma * identity(n, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
     )
-    gram2, res2, fro2, spec2, root2 = _hodge_block_bounds(
-        laplacian2, start2, _norm2_bound(b @ b.T - laplacian2.conjugated())
-    )
-    zz = zu = zy = rz = 0.0
-    if h:
-        zz = _orthogonality_loss(z)
-        zu = root0 * _frobenius((c.T @ z).T @ w / np.sqrt(lam))
-        zy = root2 * _frobenius((b @ z).T @ y / np.sqrt(mu))
-        rz = _frobenius(s1 @ z - z * ritz)
-    uy = k * min(fro0 * spec2, spec0 * fro2)
-    loss = math.sqrt(zz**2 + gram0**2 + gram2**2 + 2.0 * (zu**2 + zy**2 + uy**2))
-    ru = norm_c * res0 + norm_b * k * fro0 + delta1 * math.sqrt(1.0 + gram0)
-    ry = norm_b * res2 + norm_c * k * fro2 + delta1 * math.sqrt(1.0 + gram2)
-    residual = math.sqrt(rz**2 + ru**2 + ry**2) * math.sqrt(1.0 + loss) + scale * loss
-    if not (np.all(np.isfinite(evals)) and loss <= RECONSTRUCTION_TOL):
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError("inertia count failed: the factorization pivoted off the diagonal")
+    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    if below != k:
         raise ValueError(
-            f"Hodge eigendata of L1 not finite and orthonormal (loss bound {loss:.3e})"
+            f"kernel count {k} not certified: {below} eigenvalues lie below "
+            f"the shift {sigma:.3e} (zero threshold {tau:.3e})"
         )
-    if not residual <= RECONSTRUCTION_TOL * max(scale, 1.0):
-        raise ValueError(
-            f"Hodge eigendata of L1 does not reconstruct the operator "
-            f"(residual bound {residual:.3e} vs scale {scale:.3e})"
-        )
-    return dim, loss, residual
+    return k, bound, sigma
 
 
-def betti1_oracle(
-    mesh: TriangleMesh,
-    dec: DECOperators = None,
-    laplacian0: SelfAdjointOperator = None,
-    laplacian2: SelfAdjointOperator = None,
-) -> int:
+def kernel_dim_0forms(dec: DECOperators) -> int:
+    """dim ker L0 (one per connected component), counted by
+    ``_certified_kernel_dim`` on L0's conjugated CSR matrix."""
+    s0 = WeightedOperator(dec.laplacian0_matrix(), dec.vertex_space()).conjugated()
+    return _certified_kernel_dim(s0, 1)[0]
+
+
+def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
     """First Betti number by two independent routes, which must agree.
 
     Route (a): dimension of the kernel of the edge Laplacian L1, counted
-    from L0's and L2's eigendata and certified against L1's sparse matrix
-    (``_harmonic_kernel``), under the scale-invariant zero tolerance; no
-    E x E array is built.  Route (b): rank-nullity over the chain
-    complex.  Disagreement raises, since it signals a meshing or
-    tolerance bug rather than a soft numerical issue.  ``dec``,
-    ``laplacian0`` and ``laplacian2`` are built from the mesh unless the
-    caller has them.
+    on L1's conjugated CSR matrix and certified by Ritz residuals and an
+    inertia count (``_certified_kernel_dim``), under the scale-invariant
+    zero tolerance; no dense eigensolve runs and no E x E array is built.
+    Route (b): rank-nullity over the chain complex; its count only sizes
+    route (a)'s first Lanczos run, so the routes stay independent.
+    Disagreement raises, since it signals a meshing or tolerance bug
+    rather than a soft numerical issue.  ``dec`` is built from the mesh
+    unless the caller has it.
     """
     if dec is None:
         dec = build_dec(mesh)
-    if laplacian0 is None:
-        laplacian0 = dec.laplacian0()
-    if laplacian2 is None:
-        laplacian2 = dec.laplacian2()
-    harmonic = _harmonic_kernel(dec, laplacian0, laplacian2)[0]
     combinatorial = betti1_rank_count(dec)
+    s1 = WeightedOperator(dec.laplacian1_matrix(), dec.edge_space()).conjugated()
+    harmonic = _certified_kernel_dim(s1, combinatorial)[0]
     if harmonic != combinatorial:
         raise MeshError(
             f"Betti oracles disagree: harmonic kernel {harmonic} vs "

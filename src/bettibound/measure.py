@@ -106,14 +106,33 @@ class WeightedFiniteSpace:
         )
 
 
+def _freeze(matrix: csr_matrix) -> csr_matrix:
+    """``matrix`` in canonical form, with its three arrays made read-only."""
+    matrix.sum_duplicates()
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        _read_only(part)
+    return matrix
+
+
+def _is_frozen(matrix) -> bool:
+    """True for a float CSR matrix that ``_freeze`` has made read-only."""
+    return (
+        isinstance(matrix, csr_matrix)
+        and matrix.dtype == float
+        and matrix.has_canonical_format
+        and not any(p.flags.writeable for p in (matrix.data, matrix.indices, matrix.indptr))
+    )
+
+
 def _stored(matrix):
-    """A read-only float copy of ``matrix``: CSR if it is sparse, else dense."""
+    """A read-only float copy of ``matrix``: CSR if it is sparse, else dense.
+
+    A frozen CSR matrix (``_freeze``) is kept as it is: no one can change it.
+    """
+    if _is_frozen(matrix):
+        return matrix
     if issparse(matrix):
-        mat = csr_matrix(matrix, dtype=float, copy=True)
-        mat.sum_duplicates()
-        for part in (mat.data, mat.indices, mat.indptr):
-            _read_only(part)
-        return mat
+        return _freeze(csr_matrix(matrix, dtype=float, copy=True))
     return _read_only(np.array(matrix, dtype=float))
 
 

@@ -20,13 +20,14 @@ assumed):
 
     b1  <=  (1 - e^(-2 rho0 t0))^(-p) || e^(-2 t0 L1) - e^(-2 t0 (L1+W)) ||_Sp^p.
 
-Every grid point is read from spectra computed before it: L0, the face
-Laplacian L2 and L0 + K are eigensolved once per surface.  The harmonic
-Betti oracle counts dim ker L1 from L0's and L2's eigendata (its Hodge
-pieces) with no E x E array.  Only the Schatten certificate assembles all
-of L1's eigenpairs from the same pieces, once per surface and with no
-eigensolve of its own, and eigensolves L1 + W once per rho0 (W depends
-on rho0 only).
+Every grid point is read from spectra computed before it.  Preparing a
+surface eigensolves nothing: the Betti oracle counts dim ker L1 on L1's
+sparse matrix, certified by Ritz residuals and an inertia count.  The
+comparison operator L0 + K is eigensolved once per surface.  Only the
+Schatten certificate eigensolves L0 and the face Laplacian L2, assembles
+all of L1's eigenpairs from them (its Hodge pieces), once per surface and
+with no E x E eigensolve of its own, and eigensolves L1 + W once per rho0
+(W depends on rho0 only).
 The 2->inf norm of e^(-t0 (L0+K)) and, at p = 2, the Hilbert-Schmidt
 norm of the semigroup difference come from those spectra in O(N^2) per
 point, with no dense heat matrix; other p take the singular values of the
@@ -52,6 +53,7 @@ from .dec import (
     betti1_oracle,
     check_connected_manifold,
     gaussian_curvature,
+    kernel_dim_0forms,
     ricci_potential,
     schrodinger_comparison,
 )
@@ -143,27 +145,24 @@ class SurfaceData:
     """Mesh-level quantities shared by every grid point of a sweep.
 
     ``b1`` is the harmonic oracle's count, checked against the chain
-    complex.  L0 and L2 are kept because they are L1's Hodge pieces: the
-    full L1 is assembled from them only when the Schatten certificate
-    first reads ``laplacian1``.
+    complex, and ``kernel_dim_0forms`` the same certified count for L0;
+    neither eigensolves anything.  Each operator is eigensolved when
+    first read: the comparison operator by the main bound, and L0 and L2,
+    L1's Hodge pieces, only when the Schatten certificate first reads
+    ``laplacian1``.
     """
 
     mesh: TriangleMesh
     dec: DECOperators
     curvature: CurvatureField
     b1: int
+    kernel_dim_0forms: int
     description: str
-    laplacian0: SelfAdjointOperator
-    laplacian2: SelfAdjointOperator
     _schatten_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def volume(self) -> float:
         return self.mesh.total_area
-
-    @property
-    def kernel_dim_0forms(self) -> int:
-        return self.laplacian0.kernel_dim()
 
     @cached_property
     def comparison(self) -> SelfAdjointOperator:
@@ -171,11 +170,21 @@ class SurfaceData:
         return schrodinger_comparison(self.dec, self.curvature.values)
 
     @cached_property
+    def laplacian0(self) -> SelfAdjointOperator:
+        """L0 with its eigenpairs, eigensolved when first read."""
+        return self.dec.laplacian0()
+
+    @cached_property
+    def laplacian2(self) -> SelfAdjointOperator:
+        """The face Laplacian L2 with its eigenpairs, eigensolved when first read."""
+        return self.dec.laplacian2()
+
+    @cached_property
     def laplacian1(self) -> SelfAdjointOperator:
         """L1 with all its eigenpairs (``DECOperators.laplacian1``), assembled when first read.
 
         Its kernel dimension must equal ``b1``: the full assembly and the
-        harmonic oracle run separate Rayleigh-Ritz blocks, and a
+        harmonic oracle count it from separate computations, and a
         disagreement raises ``MeshError``.
         """
         lap1 = self.dec.laplacian1(self.laplacian0, self.laplacian2)
@@ -218,10 +227,10 @@ def prepare_surface(
     """Mesh, DEC operators, curvature field, and both homology oracles.
 
     A mesh that is disconnected or pinched at a vertex is rejected with a
-    ``MeshError`` before any eigensolve.  Eigensolves L0 and the face
-    Laplacian L2, from whose eigendata ``betti1_oracle`` counts b1 with no
-    E x E array.  The comparison operator L0 + K is eigensolved once, when
-    a bound first reads it, and L1 is assembled once, when the Schatten
+    ``MeshError``.  No eigensolve runs: ``betti1_oracle`` counts b1, and
+    ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
+    counts.  The comparison operator L0 + K is eigensolved once, when a
+    bound first reads it, and L1 is assembled once, when the Schatten
     certificate first reads it (``SurfaceData.laplacian1``).
     """
     if isinstance(surface, TriangleMesh):
@@ -237,17 +246,13 @@ def prepare_surface(
     if curvature_source == "analytic" and analytic is None:
         raise ValueError("analytic curvature requires an analytic surface")
     curvature = gaussian_curvature(mesh, curvature_source, analytic)
-    lap0 = dec.laplacian0()
-    lap2 = dec.laplacian2()
-    b1 = betti1_oracle(mesh, dec, laplacian0=lap0, laplacian2=lap2)
     return SurfaceData(
         mesh=mesh,
         dec=dec,
         curvature=curvature,
-        b1=b1,
+        b1=betti1_oracle(mesh, dec),
+        kernel_dim_0forms=kernel_dim_0forms(dec),
         description=description,
-        laplacian0=lap0,
-        laplacian2=lap2,
     )
 
 

@@ -1,22 +1,33 @@
-"""The harmonic Betti oracle: dim ker L1 from L0's and L2's eigendata.
+"""The harmonic Betti oracle: certified sparse kernel counts of L1 and L0.
 
-Its loss and residual bounds must dominate the orthogonality loss and the
-residual bound that the full E x E assembly (``DECOperators.laplacian1``)
-computes for the same eigenbasis, stay within the 1e-10 tolerance on the
-builtins, and count the same kernel.  Each eigensolve keeps the numbers
-its check computed, which the oracle reads.
+``dec._certified_kernel_dim`` counts a kernel from a few Lanczos Ritz
+pairs, certified by their residuals and an inertia count.  Its residual
+bound must dominate the kernel eigenvalues of the dense spectra (L0's
+eigensolve, L1's full E x E assembly), its shift must lie below their
+first eigenvalue above the threshold, and its counts must equal the dense
+and the combinatorial ones.  A Ritz pair it was not given, a wrong Ritz
+vector or a pivoted factorization makes it raise.  Each eigensolve keeps
+the numbers its check computed.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from bettibound import cli, dec as dec_module, measure
-from bettibound.dec import DECOperators, _harmonic_kernel, betti1_rank_count, build_dec
-from bettibound.measure import SelfAdjointOperator
+from bettibound.dec import (
+    DECOperators,
+    _certified_kernel_dim,
+    betti1_oracle,
+    betti1_rank_count,
+    build_dec,
+    kernel_dim_0forms,
+)
 from bettibound.mesh import (
     BUILTIN_NAMES,
     MeshError,
@@ -28,31 +39,34 @@ from bettibound.mesh import (
 )
 from bettibound.pipeline import BettiBoundInputs, betti_bound, parameter_sweep, prepare_surface
 
-TOL = measure.RECONSTRUCTION_TOL
+
+def zero_threshold(s) -> float:
+    return measure.ZERO_TOL * (1.0 + float(abs(s).sum(axis=1).max()))
 
 
-def full_assembly_check(lap1):
-    """The loss and residual bound of the full assembly's E x E eigenbasis."""
-    q = lap1._euclidean_vectors
-    conj = lap1.conjugated()
-    loss = measure._orthogonality_loss(q)
-    return loss, measure._residual_bound(lap1.eigenvalues, q, conj, loss), measure._frobenius(conj)
-
-
-def assert_oracle_dominates(dec):
+def assert_counts_dominate_dense_spectra(dec):
     lap0, lap2 = dec.laplacian0(), dec.laplacian2()
-    dim, loss_bound, residual_bound = _harmonic_kernel(dec, lap0, lap2)
     lap1 = dec.laplacian1(lap0, lap2)
-    loss, residual, scale = full_assembly_check(lap1)
-    assert dim == lap1.kernel_dim() == betti1_rank_count(dec)
-    assert loss <= loss_bound <= TOL
-    assert residual <= residual_bound <= TOL * max(scale, 1.0)
-    return dim
+    for op, start in ((lap0, 1), (lap1, betti1_rank_count(dec))):
+        # The operator keeps the DEC's CSR matrix, so this is the matrix
+        # the oracle counts on.
+        s = op.conjugated()
+        k, bound, sigma = _certified_kernel_dim(s, start)
+        assert k == op.kernel_dim()
+        # Each dense kernel eigenvalue lies within its own residual of an
+        # eigenvalue of S, which the certificate puts within ``bound``.
+        slack = op.residual_norms[:k] / math.sqrt(1.0 - op.orthogonality_loss)
+        assert np.all(np.abs(op.eigenvalues[:k]) <= bound + slack)
+        assert bound <= zero_threshold(s) < sigma
+        assert np.count_nonzero(op.eigenvalues < sigma) == k
+    assert kernel_dim_0forms(dec) == lap0.kernel_dim()
+    assert betti1_oracle(dec.mesh, dec) == lap1.kernel_dim() == betti1_rank_count(dec)
+    return lap1.kernel_dim()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_oracle_bounds_dominate_full_assembly_on_builtins(name):
-    assert_oracle_dominates(build_dec(builtin_mesh(name)))
+    assert_counts_dominate_dense_spectra(build_dec(builtin_mesh(name)))
 
 
 BASES = {
@@ -73,46 +87,97 @@ def test_oracle_bounds_dominate_full_assembly_on_jittered_meshes(name, seed, jit
     rng = np.random.default_rng(seed)
     step = jitter * float(mesh.edge_lengths.min())
     moved = mesh.vertices + step * rng.uniform(-1.0, 1.0, mesh.vertices.shape) / math.sqrt(3.0)
-    assert assert_oracle_dominates(build_dec(TriangleMesh(moved, mesh.faces))) == genus_b1
+    dec = build_dec(TriangleMesh(moved, mesh.faces))
+    assert assert_counts_dominate_dense_spectra(dec) == genus_b1
 
 
-# -- mutation checks -----------------------------------------------------------
+@pytest.mark.parametrize(
+    "name,resolution",
+    [(name, None) for name in BUILTIN_NAMES] + [("genus2", 32), ("bumpy-sphere", 4)],
+)
+def test_prepare_surface_runs_no_eigensolve(monkeypatch, name, resolution):
+    # genus2(32) has 6150 edges and bumpy-sphere(4) 7680; counting their
+    # kernels from dense eigensolves of L0 and L2 took tens of seconds.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigensolve while preparing a surface")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    data = prepare_surface(builtin_mesh(name, resolution))
+    assert data.b1 == betti1_rank_count(data.dec) and data.kernel_dim_0forms == 1
+    assert "laplacian0" not in vars(data) and "laplacian2" not in vars(data)
 
 
-def _perturbed_laplacian(monkeypatch, op, column):
-    """``op`` with one eigenvector column moved by 1e-8, checked under a loose
-    tolerance so that it keeps the honest check numbers of the moved basis."""
-    q = op._euclidean_vectors.copy()
-    direction = np.random.default_rng(5).standard_normal(q.shape[0])
-    q[:, column] += 1e-8 * direction / np.linalg.norm(direction)
-    with monkeypatch.context() as patch:
-        patch.setattr(measure, "RECONSTRUCTION_TOL", 1e-6)
-        return SelfAdjointOperator.from_spectrum(op.space, op.eigenvalues, q, matrix=op.matrix)
+# -- the certificate rejects ---------------------------------------------------
 
 
-@pytest.mark.parametrize("piece", ["laplacian0", "laplacian2"])
-def test_oracle_rejects_a_perturbed_hodge_piece(monkeypatch, piece):
+def _genus2_edge_matrix():
     dec = build_dec(genus2_mesh(n_theta=6, n_phi=6))
-    pieces = {"laplacian0": dec.laplacian0(), "laplacian2": dec.laplacian2()}
-    _harmonic_kernel(dec, **pieces)
-    pieces[piece] = _perturbed_laplacian(monkeypatch, pieces[piece], -3)
-    with pytest.raises(ValueError, match="not finite and orthonormal"):
-        _harmonic_kernel(dec, **pieces)
+    return measure.WeightedOperator(dec.laplacian1_matrix(), dec.edge_space()).conjugated()
 
 
 def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
-    dec = build_dec(genus2_mesh(n_theta=6, n_phi=6))
-    lap0, lap2 = dec.laplacian0(), dec.laplacian2()
-    rayleigh_ritz = dec_module._rayleigh_ritz
+    s = _genus2_edge_matrix()
+    assert _certified_kernel_dim(s, 4)[0] == 4
+    eigsh = dec_module.eigsh
+    direction = np.random.default_rng(5).standard_normal(s.shape[0])
 
-    def perturbed(c, b, block):
-        ritz, z = rayleigh_ritz(c, b, block)
-        z[:, 1] += 1e-8 * z[:, 0]
-        return ritz, z
+    def perturbed(*args, **kwargs):
+        theta, x = eigsh(*args, **kwargs)
+        x[:, 1] += 1e-6 * direction / np.linalg.norm(direction)
+        return theta, x
 
-    monkeypatch.setattr(dec_module, "_rayleigh_ritz", perturbed)
-    with pytest.raises(ValueError, match="not finite and orthonormal"):
-        _harmonic_kernel(dec, lap0, lap2)
+    monkeypatch.setattr(dec_module, "eigsh", perturbed)
+    with pytest.raises(ValueError, match="Ritz residual bound .* exceeds the zero threshold"):
+        _certified_kernel_dim(s, 4)
+
+
+def _planted(eigenvalues, seed=1):
+    """A dense symmetric CSR matrix with the given spectrum."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))[0]
+    return csr_matrix((q * np.asarray(eigenvalues)) @ q.T)
+
+
+def test_count_rejects_an_eigenvalue_between_threshold_and_shift(monkeypatch):
+    # Two kernel vectors, one eigenvalue 1e-4 (far above the 1e-7 zero
+    # threshold) and the rest from 1 on.  Given every Ritz pair the count
+    # is 2 and the shift lies below 1e-4; a Lanczos run that missed the
+    # 1e-4 pair would place the shift near 0.5, above it, and the inertia
+    # count exposes the missed eigenvalue.
+    spectrum = np.concatenate([[0.0, 0.0, 1e-4], np.arange(1.0, 38.0)])
+    s = _planted(spectrum)
+    k, _, sigma = _certified_kernel_dim(s, 2)
+    assert k == 2 and zero_threshold(s) < sigma < 1e-4
+    eigsh = dec_module.eigsh
+
+    def missing_pair(*args, **kwargs):
+        theta, x = eigsh(*args, **kwargs)
+        keep = np.abs(theta - 1e-4) > 1e-6
+        return theta[keep], x[:, keep]
+
+    monkeypatch.setattr(dec_module, "eigsh", missing_pair)
+    with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
+        _certified_kernel_dim(s, 2)
+
+
+def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):
+    s = _genus2_edge_matrix()
+    splu = dec_module.splu
+
+    def pivoted(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+
+    monkeypatch.setattr(dec_module, "splu", pivoted)
+    with pytest.raises(ValueError, match="pivoted off the diagonal"):
+        _certified_kernel_dim(s, 4)
+
+
+def test_count_doubles_its_run_and_falls_back_to_one_dense_solve():
+    # start = 0 asks for 4 pairs: all six kernel vectors are counted, so
+    # the run doubles to 8.  An order-3 matrix is eigensolved densely.
+    spectrum = np.concatenate([np.zeros(6), np.arange(1.0, 35.0)])
+    assert _certified_kernel_dim(_planted(spectrum), 0)[0] == 6
+    assert _certified_kernel_dim(_planted([0.0, 2.0, 3.0]), 0)[0] == 1
 
 
 # -- kept check numbers ----------------------------------------------------------
@@ -136,6 +201,30 @@ def test_operators_keep_their_check_numbers(name):
             op.orthogonality_loss = 0.0
     heat = data.laplacian0.semigroup(1.0)
     assert heat.orthogonality_loss is None and heat.residual_norms is None
+
+
+# -- one CSR matrix per Laplacian --------------------------------------------------
+
+
+def test_each_laplacian_matrix_is_built_once_and_shared(monkeypatch):
+    built = []
+    divide_rows = dec_module._divide_rows
+    monkeypatch.setattr(
+        dec_module, "_divide_rows", lambda *args: built.append(1) or divide_rows(*args)
+    )
+    data = prepare_surface(genus2_mesh())
+    report = betti_bound(BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=1.0), data=data)
+    assert report.bound_schatten is not None
+    # The oracle, the L0 count, the comparison operator and the Schatten
+    # path's L0 and L1 all read the first build: one division for L0,
+    # two for L1.
+    assert len(built) == 3
+    dec = data.dec
+    assert data.laplacian0.matrix is dec.laplacian0_matrix()
+    assert data.laplacian1.matrix is dec.laplacian1_matrix()
+    assert data.laplacian2.matrix is dec.laplacian2_matrix()
+    for matrix in dec._matrices.values():
+        assert not any(p.flags.writeable for p in (matrix.data, matrix.indices, matrix.indptr))
 
 
 # -- where L1 is assembled -------------------------------------------------------

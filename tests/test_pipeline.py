@@ -274,12 +274,12 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
 
 @pytest.mark.parametrize("schatten", [True, False], ids=["schatten", "no-schatten"])
 def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
-    # Once per surface: L0 (V x V), the face Laplacian L2 (F x F), the
-    # harmonic oracle's b1 x b1 Rayleigh-Ritz block and the comparison
-    # operator L0 + K (V x V).  With the Schatten certificate, L1 is
-    # assembled from L0 and L2 once, with its own b1 x b1 Rayleigh-Ritz
-    # block and no E x E eigensolve, and L1 + W (E x E) is eigensolved
-    # once per rho0.
+    # Preparing the surface eigensolves nothing: both kernel counts are
+    # sparse.  Once per surface, the comparison operator L0 + K (V x V)
+    # is eigensolved.  With the Schatten certificate, L1 is assembled
+    # once from L0 (V x V) and the face Laplacian L2 (F x F), with a
+    # b1 x b1 Rayleigh-Ritz block and no E x E eigensolve, and L1 + W
+    # (E x E) is eigensolved once per rho0.
     calls = []
     eigh = np.linalg.eigh
 
@@ -291,17 +291,17 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
     mesh = genus2_mesh()
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
-    expected = [(nv, nv), (nf, nf), (4, 4), (nv, nv)]
+    expected = [(nv, nv)]
     if schatten:
-        expected += [(4, 4)] + [(ne, ne)] * 2
+        expected += [(nv, nv), (nf, nf), (4, 4)] + [(ne, ne)] * 2
     assert calls == expected
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
-    # The Laplacians are CSR: each dense copy made while a surface is
-    # prepared and swept is the very array an eigensolve reads, and none
-    # is E x E, so L1's matrix is never densified.
+    # The Laplacians are CSR and the kernel counts sparse: the one dense
+    # copy made while a surface is prepared and swept is the comparison
+    # operator L0 + K that its eigensolve reads.
     densified, solved = [], []
     toarray, eigh = csr_matrix.toarray, np.linalg.eigh
 
@@ -318,15 +318,18 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     mesh = builtin_mesh(name, resolution)
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=False)
-    assert len(densified) == 3  # L0, L2 and L0 + K
-    assert all(any(dense is a for a in solved) for dense in densified)
-    assert all(dense.shape != (mesh.edge_count,) * 2 for dense in densified)
+    assert len(densified) == len(solved) == 1
+    assert densified[0] is solved[0]
+    assert densified[0].shape == (mesh.vertex_count,) * 2
 
 
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
-    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The one
-    # eigensolve is the comparison operator L0 + K (V x V), on first read.
+    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The
+    # eigensolves are L1's Hodge pieces L0 (V x V) and L2 (F x F), when
+    # L1 is first read (b1 = 0 leaves no Rayleigh-Ritz block), and the
+    # comparison operator L0 + K (V x V), when the main bound first
+    # reads it.
     data = prepare_surface(RoundSphere(), resolution=2)
     calls = []
     eigh = np.linalg.eigh
@@ -341,7 +344,8 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
         )
         assert report.bound_schatten == 0.0
-    assert calls == [(data.mesh.vertex_count,) * 2]
+    nv, nf = data.mesh.vertex_count, data.mesh.face_count
+    assert calls == [(nv, nv), (nf, nf), (nv, nv)]
 
 
 def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
