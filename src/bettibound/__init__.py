@@ -72,7 +72,6 @@ from .pipeline import (
     BettiBoundInputs,
     BettiBoundReport,
     betti_bound,
-    li_yau_betti_bound,
     parameter_sweep,
     prefactors,
     prepare_surface,

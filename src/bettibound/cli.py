@@ -101,15 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the operator-level Schatten certificate",
     )
-    p_bound.add_argument(
-        "--liyau-floor",
-        type=float,
-        default=None,
-        help="curvature floor K >= -floor enabling the (uncertified) "
-        "heat-kernel-style bound",
-    )
-    p_bound.add_argument("--liyau-c", type=float, default=1.0)
-    p_bound.add_argument("--liyau-alpha", type=float, default=1.0)
     p_bound.set_defaults(func=cmd_betti_bound)
 
     p_info = sub.add_parser("mesh-info", help="mesh summary and homology oracles")
@@ -225,9 +216,6 @@ def cmd_betti_bound(args) -> int:
         resolution=args.resolution,
         curvature_source=args.curvature,
         compute_schatten=not args.no_schatten,
-        liyau_curvature_floor=args.liyau_floor,
-        liyau_c=args.liyau_c,
-        liyau_alpha=args.liyau_alpha,
         soundness_slack=config.tol("soundness"),
     )["reports"]
 
@@ -254,15 +242,14 @@ def cmd_betti_bound(args) -> int:
 def _print_bound_table(rows):
     print(
         f"{'surface':<28} {'rho0':>8} {'t0':>8} {'b1':>4} "
-        f"{'bound_main':>12} {'schatten':>12} {'liyau':>12}  result"
+        f"{'bound_main':>12} {'schatten':>12}  result"
     )
     for r in rows:
         schatten = f"{r.bound_schatten:.6g}" if r.bound_schatten is not None else "-"
-        liyau = f"{r.bound_liyau:.6g}" if r.bound_liyau is not None else "-"
         flag = "pass" if r.passed else "FAIL"
         print(
             f"{r.surface:<28} {r.rho0:>8.3g} {r.t0:>8.3g} {r.b1_oracle:>4d} "
-            f"{r.bound_main:>12.6g} {schatten:>12} {liyau:>12}  {flag}"
+            f"{r.bound_main:>12.6g} {schatten:>12}  {flag}"
         )
 
 

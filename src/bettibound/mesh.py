@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 MIN_ANGLE = 1e-3
+# Source rows per Dijkstra call of diameter_estimate: its distance array
+# holds DIAMETER_BLOCK x V floats, never V x V.
+DIAMETER_BLOCK = 256
 
 
 class MeshError(ValueError):
@@ -106,7 +109,8 @@ class TriangleMesh:
 
         self._build_metric()
         self._diameter = None
-        # Shared read-only across workers once built.
+        # The metric, the cached diameter and every DEC operator built on this
+        # mesh are derived from these arrays once, so they must not change.
         for array in (
             self.vertices, self.faces, self.edges, self.face_edges,
             self.face_signs, self.edge_lengths, self.face_areas,
@@ -193,15 +197,22 @@ class TriangleMesh:
         return 2.0 * np.pi - self.angle_sums
 
     def diameter_estimate(self) -> float:
-        """Graph-geodesic diameter over edge lengths (an upper-bound proxy)."""
+        """Graph-geodesic diameter over edge lengths (an upper-bound proxy).
+
+        The largest shortest-path distance, taken over blocks of
+        ``DIAMETER_BLOCK`` source vertices; each row is the same as in the
+        all-pairs array, so the maximum is too.
+        """
         if self._diameter is None:
+            n = self.vertex_count
             i, j = self.edges[:, 0], self.edges[:, 1]
-            graph = coo_matrix(
-                (self.edge_lengths, (i, j)),
-                shape=(self.vertex_count, self.vertex_count),
+            graph = coo_matrix((self.edge_lengths, (i, j)), shape=(n, n)).tocsr()
+            blocks = (
+                np.arange(k, min(k + DIAMETER_BLOCK, n)) for k in range(0, n, DIAMETER_BLOCK)
             )
-            dist = dijkstra(graph.tocsr(), directed=False)
-            self._diameter = float(dist.max())
+            self._diameter = max(
+                float(dijkstra(graph, directed=False, indices=rows).max()) for rows in blocks
+            )
         return self._diameter
 
     def describe(self) -> dict:

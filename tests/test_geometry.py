@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import coo_matrix, issparse
+from scipy.sparse.csgraph import dijkstra
+
+import bettibound.mesh as mesh_module
 
 from bettibound.dec import (
     betti1_oracle,
@@ -24,6 +27,7 @@ from bettibound.measure import (
 from bettibound.perturbation import MatrixPotential
 from bettibound.pipeline import prepare_surface
 from bettibound.mesh import (
+    BUILTIN_NAMES,
     BumpySphere,
     FlatTorus,
     MeshError,
@@ -625,7 +629,18 @@ def test_mesh_area_converges_to_analytic():
     assert fine < coarse
 
 
-def test_diameters():
+def test_diameters(monkeypatch):
+    # The maximum over blocks of source rows is the all-pairs maximum, bit
+    # for bit, with the default block and with a block of 7 that leaves a
+    # ragged last block on every builtin.
+    for block in (mesh_module.DIAMETER_BLOCK, 7):
+        monkeypatch.setattr(mesh_module, "DIAMETER_BLOCK", block)
+        for name in BUILTIN_NAMES:
+            mesh = builtin_mesh(name)
+            ends = (mesh.edges[:, 0], mesh.edges[:, 1])
+            shape = (mesh.vertex_count, mesh.vertex_count)
+            graph = coo_matrix((mesh.edge_lengths, ends), shape=shape).tocsr()
+            assert mesh.diameter_estimate() == dijkstra(graph, directed=False).max(), name
     est = icosphere_mesh(2, 1.0).diameter_estimate()
     assert 2.0 <= est <= 1.3 * np.pi
 

@@ -21,6 +21,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ CASES = {
     "verify-abstract": ("verify-abstract", "--trials", "20", "--seed", "42"),
     "flat-torus": (
         "betti-bound", "--builtin", "flat-torus", "--resolution", "8",
-        "--rho0", "0.5,1", "--t0", "1,2", "--liyau-floor", "0.5",
+        "--rho0", "0.5,1", "--t0", "1,2",
     ),
     "sphere": (
         "betti-bound", "--builtin", "sphere", "--resolution", "2",
@@ -89,17 +90,28 @@ def _leaves(value, path=""):
 
 
 def field_differences(old: str, new: str) -> dict:
-    """Field -> (count of differing values, largest relative difference or None).
+    """Field -> (count of differing values, largest relative difference).
 
     The relative difference of two numbers a, b is |a - b| / max(|a|, |b|);
-    None marks a field whose differing values are not both numbers.  A
-    report whose shape changed is a single "<structure>" entry.
+    None marks a field whose differing values are not both numbers.  A field
+    that occurs fewer or more times in the new report is marked "removed" or
+    "added" with the change of its count, and the rest is compared value by
+    value; a report whose remaining fields moved is a single "<structure>"
+    entry.
     """
     old_leaves = list(_leaves(json.loads(old)))
     new_leaves = list(_leaves(json.loads(new)))
+    old_count = Counter(p for p, _ in old_leaves)
+    new_count = Counter(p for p, _ in new_leaves)
+    table = {}
+    for path in [*old_count, *(new_count - old_count)]:
+        change = new_count[path] - old_count[path]
+        if change:
+            table[path] = (abs(change), "added" if change > 0 else "removed")
+    old_leaves = [(p, v) for p, v in old_leaves if p not in table]
+    new_leaves = [(p, v) for p, v in new_leaves if p not in table]
     if [p for p, _ in old_leaves] != [p for p, _ in new_leaves]:
         return {"<structure>": (1, None)}
-    table = {}
     for (path, a), (_, b) in zip(old_leaves, new_leaves):
         if a == b and type(a) is type(b):
             continue
@@ -112,12 +124,15 @@ def field_differences(old: str, new: str) -> dict:
 
 
 def format_differences(case: str, table: dict) -> str:
-    rows = [
-        f"| {case} | `{path}` | {count} | "
-        f"{'non-numeric' if worst is None else f'{worst:.1e}'} |"
+    def shown(worst):
+        if worst is None:
+            return "non-numeric"
+        return worst if isinstance(worst, str) else f"{worst:.1e}"
+
+    return "\n".join(
+        f"| {case} | `{path}` | {count} | {shown(worst)} |"
         for path, (count, worst) in table.items()
-    ]
-    return "\n".join(rows)
+    )
 
 
 @pytest.fixture(scope="module")

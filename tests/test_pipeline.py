@@ -13,14 +13,13 @@ from bettibound.mesh import (
     BumpySphere,
     FlatTorus,
     RoundSphere,
-    TorusOfRevolution,
+    TriangleMesh,
     builtin_mesh,
     genus2_mesh,
 )
 from bettibound.pipeline import (
     BettiBoundInputs,
     betti_bound,
-    li_yau_betti_bound,
     parameter_sweep,
     prefactors,
     prepare_surface,
@@ -177,72 +176,6 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
         schatten_operator(torus_data.laplacian1, potential, rho0)
 
 
-# -- Li-Yau style bound -----------------------------------------------------------
-
-
-def test_liyau_zero_on_sphere(sphere_data):
-    value = li_yau_betti_bound(
-        sphere_data.curvature,
-        rho0=0.5,
-        curvature_floor=0.0,
-        volume=sphere_data.volume,
-        diameter=sphere_data.mesh.diameter_estimate(),
-    )
-    assert value == 0.0
-
-
-def test_liyau_flat_torus_closed_form(torus_data):
-    # Flat metric: K >= 0, so the exponential factor is 1 and the volume
-    # cancels, leaving 2 c_n.
-    c_n = 1.7
-    value = li_yau_betti_bound(
-        torus_data.curvature,
-        rho0=0.6,
-        curvature_floor=0.0,
-        volume=torus_data.volume,
-        diameter=torus_data.mesh.diameter_estimate(),
-        c_n=c_n,
-    )
-    assert np.isclose(value, 2.0 * c_n, rtol=1e-9)
-
-
-def test_liyau_torus_of_revolution_finite():
-    surface = TorusOfRevolution()
-    data = prepare_surface(surface, resolution=12)
-    floor = max(0.0, -float(data.curvature.min()))
-    value = li_yau_betti_bound(
-        data.curvature,
-        rho0=0.3,
-        curvature_floor=floor,
-        volume=data.volume,
-        diameter=data.mesh.diameter_estimate(),
-    )
-    assert np.isfinite(value) and value > 0.0
-
-
-def test_liyau_floor_violation_rejected():
-    surface = TorusOfRevolution()
-    data = prepare_surface(surface, resolution=12)
-    with pytest.raises(ValueError, match="curvature bound violated"):
-        li_yau_betti_bound(
-            data.curvature,
-            rho0=0.3,
-            curvature_floor=0.0,
-            volume=data.volume,
-            diameter=data.mesh.diameter_estimate(),
-        )
-
-
-def test_liyau_report_marked_uncertified(torus_data):
-    report = betti_bound(
-        BettiBoundInputs(surface=FlatTorus(), rho0=0.5, t0=1.0),
-        data=torus_data,
-        liyau_curvature_floor=0.0,
-    )
-    assert report.bound_liyau is not None
-    assert any("uncertified" in note for note in report.notes)
-
-
 # -- sweeps -----------------------------------------------------------------------
 
 
@@ -295,6 +228,19 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
     if schatten:
         expected += [(nv, nv), (nf, nf), (4, 4)] + [(ne, ne)] * 2
     assert calls == expected
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_sweep_reads_no_diameter(monkeypatch, name):
+    # No bound or report field of betti-bound needs the all-pairs diameter;
+    # only mesh-info reports it.
+    def no_diameter(self):
+        raise AssertionError("betti-bound computed the mesh diameter")
+
+    monkeypatch.setattr(TriangleMesh, "diameter_estimate", no_diameter)
+    result = parameter_sweep(builtin_mesh(name), [0.5], [1.0])
+    assert result["all_pass"]
+    assert all("diameter_estimate" not in r.intermediate for r in result["reports"])
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
