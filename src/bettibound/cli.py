@@ -18,6 +18,7 @@ passed and all inputs were valid.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -121,7 +122,7 @@ def _mesh_source(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=BUILTIN_NAMES)
     group.add_argument("--mesh", type=str, help="OFF or OBJ file")
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=int, default=None, help="builtin surfaces only")
 
 
 def _suite_config(args, **extra):
@@ -188,6 +189,9 @@ def _parse_grid(text: str):
         raise ValueError(f"bad grid value in {text!r}: {exc}") from exc
     if not values:
         raise ValueError("the parameter grid must be nonempty")
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"grid value {v!r} in {text!r} is not finite")
     if any(v <= 0 for v in values):
         raise ValueError("grid values must be strictly positive")
     return values
@@ -195,6 +199,8 @@ def _parse_grid(text: str):
 
 def _load_surface(args):
     if args.mesh:
+        if args.resolution is not None:
+            raise ValueError("--resolution applies to --builtin surfaces, not to --mesh")
         return load_mesh(args.mesh), f"file:{args.mesh}"
     surface = builtin_surface(args.builtin)
     if surface is None:
@@ -217,7 +223,7 @@ def cmd_betti_bound(args) -> int:
         curvature_source=args.curvature,
         compute_schatten=not args.no_schatten,
         soundness_slack=config.tol("soundness"),
-    )["reports"]
+    )
 
     report = RunReport(
         command="betti-bound",
@@ -257,9 +263,7 @@ def cmd_mesh_info(args) -> int:
     started = time.perf_counter()
     config = _suite_config(args)
     surface, label = _load_surface(args)
-    data = prepare_surface(
-        surface, resolution=args.resolution if not args.mesh else None
-    )
+    data = prepare_surface(surface, resolution=args.resolution)
     mesh, dec = data.mesh, data.dec
     geom_tol = config.tol("geometry")
 
@@ -299,7 +303,6 @@ def cmd_mesh_info(args) -> int:
         "betti0_kernel": data.kernel_dim_0forms,
         "gauss_bonnet_residual": data.curvature.gauss_bonnet_residual(),
         "curvature_min": data.curvature.min(),
-        "diameter_estimate": mesh.diameter_estimate(),
         "volume": mesh.total_area,
     }
     report.extra["mesh"] = info

@@ -74,7 +74,6 @@ __all__ = [
     "check_connected_manifold",
     "kernel_dim_0forms",
     "ricci_potential",
-    "RicciPotentialData",
     "schrodinger_comparison",
 ]
 
@@ -166,11 +165,7 @@ class DECOperators:
         b = diags(s2) @ self.d1 @ diags(1.0 / s1)
         return c, b
 
-    def laplacian1(
-        self,
-        laplacian0: SelfAdjointOperator | None = None,
-        laplacian2: SelfAdjointOperator | None = None,
-    ) -> SelfAdjointOperator:
+    def laplacian1(self) -> SelfAdjointOperator:
         """L1 with all E eigenpairs, assembled from its Hodge pieces.
 
         With C and B from ``hodge_factors``, the conjugated L1 is
@@ -193,17 +188,14 @@ class DECOperators:
         residual S1 Q - Q diag(evals) in O(nnz E) and the orthogonality
         loss Q^T Q - I; no E x E matrix is densified.  Only the Schatten
         certificate needs all of L1's eigenpairs: its kernel dimension
-        alone comes from ``betti1_oracle`` with no E x E array.
-        ``laplacian0`` and ``laplacian2`` are ``self.laplacian0()`` and
-        ``self.laplacian2()`` unless the caller has them.
+        alone comes from ``betti1_oracle`` with no E x E array.  L0 and L2
+        are eigensolved here, in that order, and only their nonzero
+        eigenpairs are kept, so their V x V and F x F eigenvectors are freed
+        when this returns.
         """
-        if laplacian0 is None:
-            laplacian0 = self.laplacian0()
-        if laplacian2 is None:
-            laplacian2 = self.laplacian2()
         c, b = self.hodge_factors()
-        lam, w = _nonzero_eigenpairs(laplacian0)
-        mu, y = _nonzero_eigenpairs(laplacian2)
+        lam, w = _nonzero_eigenpairs(self.laplacian0())
+        mu, y = _nonzero_eigenpairs(self.laplacian2())
         ne = self.mesh.edge_count
         h = _rest_dim(ne, lam.size, mu.size)
 
@@ -313,7 +305,6 @@ class CurvatureField:
 
     mesh: TriangleMesh
     values: np.ndarray
-    source: str  # "angle-defect" or "analytic"
 
     def gauss_bonnet_residual(self) -> float:
         total = float(np.sum(self.values * self.mesh.dual_areas))
@@ -334,7 +325,7 @@ def gaussian_curvature(
     """
     if source == "angle-defect":
         values = mesh.angle_defects() / mesh.dual_areas
-        field = CurvatureField(mesh, values, source)
+        field = CurvatureField(mesh, values)
         residual = field.gauss_bonnet_residual()
         if residual > GAUSS_BONNET_TOL * max(1.0, abs(mesh.euler_characteristic)):
             raise MeshError(f"Gauss-Bonnet residual {residual:.3e} exceeds tolerance")
@@ -342,7 +333,7 @@ def gaussian_curvature(
     if source == "analytic":
         if surface is None:
             raise ValueError("analytic curvature needs the generating surface")
-        return CurvatureField(mesh, surface.curvature_values(mesh), source)
+        return CurvatureField(mesh, surface.curvature_values(mesh))
     raise ValueError(f"unknown curvature source {source!r}")
 
 
@@ -528,35 +519,18 @@ def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
     return harmonic
 
 
-@dataclass(frozen=True)
-class RicciPotentialData:
-    """Pointwise data of the curvature shortfall potential (Ric - rho0)_-.
+def ricci_potential(curvature: CurvatureField, rho0: float) -> float:
+    """||(Ric - rho0)_-||_{2,HS}, the (2,HS) norm of the curvature shortfall.
 
     On a surface Ric = K * identity on the 2-dimensional cotangent fiber,
     so the negative part of Ric - rho0 is (rho0 - K)_+ times the identity
     and its squared pointwise HS norm is 2 (rho0 - K)_+^2.
     """
-
-    rho: np.ndarray
-    hs_density_sq: np.ndarray
-    norm_2hs: float
-    shortfall: np.ndarray
-
-
-def ricci_potential(curvature: CurvatureField, rho0: float) -> RicciPotentialData:
-    """rho = K and the (2,HS) norm of the curvature shortfall below rho0."""
     if rho0 <= 0.0:
         raise ValueError("rho0 must be strictly positive")
-    k = curvature.values
-    shortfall = np.clip(rho0 - k, 0.0, None)
+    shortfall = np.clip(rho0 - curvature.values, 0.0, None)
     density = 2.0 * shortfall**2
-    norm_sq = float(np.sum(curvature.mesh.dual_areas * density))
-    return RicciPotentialData(
-        rho=k.copy(),
-        hs_density_sq=density,
-        norm_2hs=float(np.sqrt(norm_sq)),
-        shortfall=shortfall,
-    )
+    return float(np.sqrt(np.sum(curvature.mesh.dual_areas * density)))
 
 
 def schrodinger_comparison(dec: DECOperators, rho: np.ndarray) -> SelfAdjointOperator:

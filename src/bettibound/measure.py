@@ -234,20 +234,16 @@ def _residual_norms(evals, q, conj) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", residual, residual))
 
 
-def _residual_bound(evals, q, conj, loss: float) -> float:
-    """||R||_F sqrt(1 + loss) + ||S||_F loss, an upper bound on ||S - Q diag(evals) Q^T||_F.
+def _reconstruction_bound(residual_norms: np.ndarray, scale: float, loss: float) -> float:
+    """||R||_F sqrt(1 + loss) + scale loss, an upper bound on ||S - Q diag(evals) Q^T||_F.
 
-    S is ``conj`` (dense or CSR), R = S Q - Q diag(evals) (``_residual_norms``),
-    and ``loss`` is ``_orthogonality_loss(q)``.  Since
+    ``residual_norms`` are the column norms of R = S Q - Q diag(evals)
+    (``_residual_norms``), ``scale`` is ||S||_F and ``loss`` is
+    ``_orthogonality_loss(q)``.  Since
     S - Q diag(evals) Q^T = S (I - Q Q^T) + R Q^T, with
     ||I - Q Q^T||_2 = ||Q^T Q - I||_2 and ||Q||_2^2 <= 1 + ||Q^T Q - I||_2
     for square Q, the bound holds with no N x N reconstruction built.
     """
-    return _reconstruction_bound(_residual_norms(evals, q, conj), _frobenius(conj), loss)
-
-
-def _reconstruction_bound(residual_norms: np.ndarray, scale: float, loss: float) -> float:
-    """``_residual_bound`` from the column norms of R and scale = ||S||_F."""
     return math.sqrt(residual_norms.dot(residual_norms)) * math.sqrt(1.0 + loss) + scale * loss
 
 
@@ -257,7 +253,7 @@ def _check_eigendata(evals, q, conj=None):
     The eigenvalues must be finite and the orthogonality loss
     ||Q^T Q - I||_F at most 1e-10.  With ``conj``, the conjugated matrix S
     being decomposed (dense or CSR), S must also be symmetric to 1e-10
-    relative to ||S||_F, and ``_residual_bound`` on ||S - Q diag(evals) Q^T||_F
+    relative to ||S||_F, and ``_reconstruction_bound`` on ||S - Q diag(evals) Q^T||_F
     must be at most 1e-10 max(||S||_F, 1): the bound is never below that
     reconstruction residual, so the check accepts nothing a 1e-10
     reconstruction check would reject.

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "TriangleMesh",
@@ -44,9 +42,6 @@ __all__ = [
 ]
 
 MIN_ANGLE = 1e-3
-# Source rows per Dijkstra call of diameter_estimate: its distance array
-# holds DIAMETER_BLOCK x V floats, never V x V.
-DIAMETER_BLOCK = 256
 
 
 class MeshError(ValueError):
@@ -108,9 +103,8 @@ class TriangleMesh:
         self.intrinsic = intrinsic_lengths is not None
 
         self._build_metric()
-        self._diameter = None
-        # The metric, the cached diameter and every DEC operator built on this
-        # mesh are derived from these arrays once, so they must not change.
+        # The metric and every DEC operator built on this mesh are derived
+        # from these arrays once, so they must not change.
         for array in (
             self.vertices, self.faces, self.edges, self.face_edges,
             self.face_signs, self.edge_lengths, self.face_areas,
@@ -195,25 +189,6 @@ class TriangleMesh:
 
     def angle_defects(self) -> np.ndarray:
         return 2.0 * np.pi - self.angle_sums
-
-    def diameter_estimate(self) -> float:
-        """Graph-geodesic diameter over edge lengths (an upper-bound proxy).
-
-        The largest shortest-path distance, taken over blocks of
-        ``DIAMETER_BLOCK`` source vertices; each row is the same as in the
-        all-pairs array, so the maximum is too.
-        """
-        if self._diameter is None:
-            n = self.vertex_count
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            graph = coo_matrix((self.edge_lengths, (i, j)), shape=(n, n)).tocsr()
-            blocks = (
-                np.arange(k, min(k + DIAMETER_BLOCK, n)) for k in range(0, n, DIAMETER_BLOCK)
-            )
-            self._diameter = max(
-                float(dijkstra(graph, directed=False, indices=rows).max()) for rows in blocks
-            )
-        return self._diameter
 
     def describe(self) -> dict:
         return {
@@ -565,7 +540,8 @@ def builtin_surface(name: str) -> AnalyticSurface | None:
 def builtin_mesh(name: str, resolution: int | None = None) -> TriangleMesh:
     surface = builtin_surface(name)
     if surface is None:
-        return genus2_mesh(n_theta=resolution or 8, n_phi=resolution or 8)
+        n = 8 if resolution is None else resolution
+        return genus2_mesh(n_theta=n, n_phi=n)
     if resolution is None:
         return surface.mesh()
     return surface.mesh(resolution)

@@ -65,7 +65,6 @@ __all__ = [
     "truncated_hs_norms",
     "pointwise_diagonalize",
     "connection_laplacian_pair",
-    "random_graph_edges",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -115,14 +114,18 @@ class MatrixPotential:
         return WeightedOperator(blocks.reshape(n_points * n, -1), self.space, n)
 
     def added_to(self, H: SelfAdjointOperator) -> SelfAdjointOperator:
-        """H + V, with its own checked eigensolve.
+        """H + V, with its own checked eigensolve; H itself when V is zero.
 
         V goes onto the diagonal blocks of a copy of H's matrix, so no
         dense V is built; the sum equals ``H.matrix + V.as_operator().matrix``.
-        A CSR H gives a CSR sum: V is added as a sparse block diagonal.
+        A CSR H gives a CSR sum: V is added as a sparse block diagonal.  A V
+        that is zero everywhere gives H with no eigensolve, so a semigroup
+        difference against it is exactly zero.
         """
         if not H.space.same_as(self.space) or H.fiber != self.fiber:
             raise DimensionMismatchError("potential and operator live on different spaces")
+        if not np.any(self.values):
+            return H
         n_points, n = self.values.shape[:2]
         at = np.arange(n_points)
         if issparse(H.matrix):
@@ -139,12 +142,6 @@ class MatrixPotential:
     def pointwise_operator_norms(self) -> np.ndarray:
         """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""
         return np.max(np.abs(np.linalg.eigvalsh(self.values)), axis=1)
-
-    @staticmethod
-    def constant(space: WeightedFiniteSpace, matrix: np.ndarray, nonneg: bool = False):
-        mat = np.asarray(matrix, dtype=float)
-        vals = np.broadcast_to(mat, (space.point_count, *mat.shape)).copy()
-        return MatrixPotential(vals, space, nonneg=nonneg)
 
     @staticmethod
     def from_scalar_field(space: WeightedFiniteSpace, field: np.ndarray, nonneg: bool = False):
@@ -251,17 +248,6 @@ def duhamel_difference(
     return WeightedOperator(t * total * w[None, :], H.space, H.fiber)
 
 
-def _rebuilt_and_perturbed(H: SelfAdjointOperator, V: MatrixPotential):
-    """H rebuilt through the constructor, and H + V.
-
-    Both take the same eigensolve path (``+ 0.0`` also turns -0.0 into
-    +0.0), so for a zero potential the two eigendata are bitwise equal and
-    ``heat_difference_hs_squared`` returns exactly 0.0, rather than
-    eigensolver noise against the cached basis of H.
-    """
-    return SelfAdjointOperator(H.matrix + 0.0, H.space, H.fiber), V.added_to(H)
-
-
 def _exact_22_integral(mu_min: float, t0: float) -> float:
     """int_0^{t0} e^(-s mu) ds for the smallest eigenvalue mu, any sign."""
     if mu_min == 0.0:
@@ -291,16 +277,17 @@ def semigroup_difference_bound_check(
     The right-hand side is sqrt(n) ||V||_{2,HS} times the sum of the two
     semigroup 2->inf norms times the exact 2->2 time integral of the
     perturbed semigroup (no clamping: the integral is evaluated from the
-    true smallest eigenvalue of H+V whatever its sign).
+    true smallest eigenvalue of H+V whatever its sign).  Everything is read
+    from H's own eigendata and one eigensolve of H + V (none when V is zero).
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be strictly positive")
     tol = 1e-9 * (1.0 + H.spectral_radius)
     if H.min_eigenvalue < -tol:
         raise ValueError("H must be positive semidefinite")
-    rebuilt, perturbed = _rebuilt_and_perturbed(H, V)
-    lhs = math.sqrt(heat_difference_hs_squared(rebuilt, perturbed, 2.0 * t0))
-    ultra_sum = two_inf_norm(rebuilt.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
+    perturbed = V.added_to(H)
+    lhs = math.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
+    ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
     rhs = float(np.sqrt(H.fiber)) * hs_norm_potential(V) * ultra_sum * integral
     return {
@@ -377,7 +364,8 @@ def dominated_difference_check(
 
     so lhs <= rhs_i <= rhs_t.  The two-sided ultracontractivity transfers
     ||exp(-t0 (H+V))||_{2,inf} <= ||exp(-t0 H0)||_{2,inf} and likewise for
-    H are checked as well.
+    H are checked as well.  As in ``semigroup_difference_bound_check``, H's
+    own eigendata and one eigensolve of H + V serve every term.
     """
     if not pair.domination_verified:
         raise ValueError("domination must be verified before applying the bound")
@@ -386,8 +374,8 @@ def dominated_difference_check(
     if t0 <= 0.0:
         raise ValueError("t0 must be strictly positive")
     H = pair.H
-    rebuilt, perturbed = _rebuilt_and_perturbed(H, V)
-    lhs = math.sqrt(heat_difference_hs_squared(rebuilt, perturbed, 2.0 * t0))
+    perturbed = V.added_to(H)
+    lhs = math.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
     scalar_ultra = two_inf_norm(pair.H0.semigroup(t0))
     base = 2.0 * float(np.sqrt(H.fiber)) * hs_norm_potential(V) * scalar_ultra
     integral = semigroup_22_integral(perturbed, t0)
@@ -476,16 +464,15 @@ def pointwise_diagonalize(V: MatrixPotential) -> PointwiseDiagonalization:
     return diag
 
 
-def random_graph_edges(rng: np.random.Generator, n_points: int, extra: int = None):
-    """Connected random graph: a random spanning tree plus extra chords."""
+def random_graph_edges(rng: np.random.Generator, n_points: int):
+    """Connected random graph: a random spanning tree plus about n_points // 2 chords."""
     edges = set()
     order = rng.permutation(n_points)
     for i in range(1, n_points):
         a = int(order[i])
         b = int(order[rng.integers(0, i)])
         edges.add((min(a, b), max(a, b)))
-    if extra is None:
-        extra = max(1, n_points // 2)
+    extra = max(1, n_points // 2)
     attempts = 0
     while len(edges) < n_points - 1 + extra and attempts < 20 * extra:
         a, b = rng.integers(0, n_points, size=2)
@@ -499,7 +486,6 @@ def connection_laplacian_pair(
     rng: np.random.Generator,
     space: WeightedFiniteSpace,
     fiber: int,
-    edges=None,
 ) -> DominatedPair:
     """Discrete connection Laplacian and its scalar comparison Laplacian.
 
@@ -510,8 +496,7 @@ def connection_laplacian_pair(
     unverified and should go through ``domination_check``.
     """
     n_points = space.point_count
-    if edges is None:
-        edges = random_graph_edges(rng, n_points)
+    edges = random_graph_edges(rng, n_points)
     n = fiber
     a, b = np.array(edges, dtype=int).reshape(-1, 2).T
     # Per edge a weight, then the Gaussian matrix its rotation comes from.

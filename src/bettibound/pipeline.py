@@ -90,8 +90,10 @@ class BettiBoundInputs:
     compute_schatten: bool = True
 
     def __post_init__(self):
-        if self.rho0 <= 0.0 or self.t0 <= 0.0:
-            raise ValueError("rho0 and t0 must be strictly positive")
+        for name in ("rho0", "t0", "p"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,9 @@ class SurfaceData:
     ``b1`` is the harmonic oracle's count, checked against the chain
     complex, and ``kernel_dim_0forms`` the same certified count for L0;
     neither eigensolves anything.  Each operator is eigensolved when
-    first read: the comparison operator by the main bound, and L0 and L2,
-    L1's Hodge pieces, only when the Schatten certificate first reads
-    ``laplacian1``.
+    first read: the comparison operator by the main bound, and L1 (from
+    eigensolves of its Hodge pieces L0 and L2, which are not kept) only
+    when the Schatten certificate first reads ``laplacian1``.
     """
 
     mesh: TriangleMesh
@@ -164,16 +166,6 @@ class SurfaceData:
         return schrodinger_comparison(self.dec, self.curvature.values)
 
     @cached_property
-    def laplacian0(self) -> SelfAdjointOperator:
-        """L0 with its eigenpairs, eigensolved when first read."""
-        return self.dec.laplacian0()
-
-    @cached_property
-    def laplacian2(self) -> SelfAdjointOperator:
-        """The face Laplacian L2 with its eigenpairs, eigensolved when first read."""
-        return self.dec.laplacian2()
-
-    @cached_property
     def laplacian1(self) -> SelfAdjointOperator:
         """L1 with all its eigenpairs (``DECOperators.laplacian1``), assembled when first read.
 
@@ -181,7 +173,7 @@ class SurfaceData:
         harmonic oracle count it from separate computations, and a
         disagreement raises ``MeshError``.
         """
-        lap1 = self.dec.laplacian1(self.laplacian0, self.laplacian2)
+        lap1 = self.dec.laplacian1()
         if lap1.kernel_dim() != self.b1:
             raise MeshError(
                 f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
@@ -225,7 +217,8 @@ def prepare_surface(
     ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
     counts.  The comparison operator L0 + K is eigensolved once, when a
     bound first reads it, and L1 is assembled once, when the Schatten
-    certificate first reads it (``SurfaceData.laplacian1``).
+    certificate first reads it (``SurfaceData.laplacian1``); the L0 and L2
+    eigendata that assembly reads are freed once it returns.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -250,13 +243,14 @@ def prepare_surface(
     )
 
 
-def prefactors(rho0: float, t0: float, n: int = SURFACE_FIBER_DIM) -> tuple[float, float]:
-    """(sharp, loose) prefactors 4n/(rho0(1+e^(-t0 rho0)))^2 and 4n/rho0^2.
+def prefactors(rho0: float, t0: float) -> tuple[float, float]:
+    """(sharp, loose) prefactors 4n/(rho0(1+e^(-t0 rho0)))^2 and 4n/rho0^2, n = 2.
 
     The sharp one never exceeds the loose one since 1 + e^(-t0 rho0) >= 1.
     """
     if rho0 <= 0.0 or t0 <= 0.0:
         raise ValueError("rho0 and t0 must be strictly positive")
+    n = SURFACE_FIBER_DIM
     sharp = 4.0 * n / (rho0 * (1.0 + math.exp(-t0 * rho0))) ** 2
     loose = 4.0 * n / rho0**2
     return sharp, loose
@@ -279,11 +273,11 @@ def betti_bound(
     rho0, t0 = inputs.rho0, inputs.t0
     notes = []
 
-    potential = ricci_potential(data.curvature, rho0)
+    potential_norm = ricci_potential(data.curvature, rho0)
     ultra = two_inf_norm(data.comparison.semigroup(t0))
     sharp_pref, loose_pref = prefactors(rho0, t0)
-    bound_main = sharp_pref * potential.norm_2hs**2 * ultra**2
-    bound_loose = loose_pref * potential.norm_2hs**2 * ultra**2
+    bound_main = sharp_pref * potential_norm**2 * ultra**2
+    bound_loose = loose_pref * potential_norm**2 * ultra**2
 
     bound_schatten = None
     if inputs.compute_schatten:
@@ -328,7 +322,7 @@ def betti_bound(
     )
 
     intermediate = {
-        "potential_norm_2hs": potential.norm_2hs,
+        "potential_norm_2hs": potential_norm,
         "comparison_two_inf": ultra,
         "integral_22": (1.0 - math.exp(-t0 * rho0)) / rho0,
         "prefactor_sharp": sharp_pref,
@@ -384,7 +378,7 @@ def schatten_operator(
     """
     if not V.nonneg:
         raise ValueError("the edge potential must be nonnegative")
-    perturbed = V.added_to(H) if np.any(V.values) else H
+    perturbed = V.added_to(H)
     tol = 1e-9 * (1.0 + perturbed.spectral_radius)
     if perturbed.min_eigenvalue < rho0 - tol:
         raise ValueError(
@@ -424,14 +418,12 @@ def parameter_sweep(
     curvature_source: str = "angle-defect",
     compute_schatten: bool = True,
     soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
-) -> dict:
+) -> list[BettiBoundReport]:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
     The surface is prepared once and L1 + W eigensolved once per rho0
     (``SurfaceData.schatten_operator``); the soundness slack goes to
-    ``betti_bound``.
-    Returns the report list (rho0 outer loop, t0 inner) plus the index and
-    value of the smallest main bound.
+    ``betti_bound``.  Returns the reports, rho0 outer loop, t0 inner.
     """
     rho0_values = [float(r) for r in rho0_values]
     t0_values = [float(t) for t in t0_values]
@@ -451,10 +443,4 @@ def parameter_sweep(
                 compute_schatten=compute_schatten,
             )
             reports.append(betti_bound(inputs, data, soundness_slack))
-    best = int(np.argmin([r.bound_main for r in reports]))
-    return {
-        "reports": reports,
-        "argmin_index": best,
-        "min_bound_main": reports[best].bound_main,
-        "all_pass": all(r.passed for r in reports),
-    }
+    return reports

@@ -186,6 +186,38 @@ def test_betti_bound_invalid_grid(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--rho0", "nan"), ("--rho0", "0.5,inf"), ("--t0", "inf"), ("--t0", "1,inf"),
+     ("--p", "-1"), ("--p", "0"), ("--p", "nan"), ("--p", "inf")],
+)
+def test_betti_bound_invalid_parameter_exits_2(capsys, flag, value):
+    argv = {"--rho0": "0.5", "--t0": "1", flag: value}
+    args = [token for pair in argv.items() for token in pair]
+    code, _, err = run(
+        capsys, "betti-bound", "--builtin", "sphere", "--resolution", "1", *args
+    )
+    assert code == 2
+    assert value.split(",")[-1] in err
+
+
+@pytest.mark.parametrize("verb", ["betti-bound", "mesh-info"])
+def test_resolution_with_mesh_file_is_a_usage_error(capsys, tmp_path, verb):
+    path = tmp_path / "ico.off"
+    write_off(icosphere_mesh(1), path)
+    code, _, err = run(capsys, verb, "--mesh", str(path), "--resolution", "5")
+    assert code == 2
+    assert "--resolution" in err
+
+
+@pytest.mark.parametrize("verb", ["mesh-info", "gen-fixture"])
+def test_genus2_resolution_zero_is_rejected(capsys, tmp_path, verb):
+    source = ["--builtin"] if verb == "mesh-info" else ["--out", str(tmp_path / "g.off"), "--name"]
+    code, _, err = run(capsys, verb, *source, "genus2", "--resolution", "0")
+    assert code == 2
+    assert "need at least 3 segments" in err
+
+
 def test_betti_bound_unreadable_mesh(capsys, tmp_path):
     missing = tmp_path / "nope.off"
     code, _, err = run(

@@ -10,7 +10,9 @@ vector or a pivoted factorization makes it raise.  Each eigensolve keeps
 the numbers its check computed.
 """
 
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,8 +47,7 @@ def zero_threshold(s) -> float:
 
 
 def assert_counts_dominate_dense_spectra(dec):
-    lap0, lap2 = dec.laplacian0(), dec.laplacian2()
-    lap1 = dec.laplacian1(lap0, lap2)
+    lap0, lap1 = dec.laplacian0(), dec.laplacian1()
     for op, start in ((lap0, 1), (lap1, betti1_rank_count(dec))):
         # The operator keeps the DEC's CSR matrix, so this is the matrix
         # the oracle counts on.
@@ -104,7 +105,7 @@ def test_prepare_surface_runs_no_eigensolve(monkeypatch, name, resolution):
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     data = prepare_surface(builtin_mesh(name, resolution))
     assert data.b1 == betti1_rank_count(data.dec) and data.kernel_dim_0forms == 1
-    assert "laplacian0" not in vars(data) and "laplacian2" not in vars(data)
+    assert not hasattr(data, "laplacian0") and not hasattr(data, "laplacian2")
 
 
 # -- the certificate rejects ---------------------------------------------------
@@ -187,23 +188,46 @@ def test_count_doubles_its_run_and_falls_back_to_one_dense_solve():
 def test_operators_keep_their_check_numbers(name):
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     data = prepare_surface(builtin_mesh(name, resolution))
-    operators = (data.laplacian0, data.laplacian2, data.comparison, data.laplacian1)
+    lap0 = data.dec.laplacian0()
+    operators = (lap0, data.dec.laplacian2(), data.comparison, data.laplacian1)
     for op in operators:
         q, evals, conj = op._euclidean_vectors, op.eigenvalues, op.conjugated()
         loss = measure._orthogonality_loss(q)
         assert op.orthogonality_loss == loss
-        assert np.array_equal(op.residual_norms, measure._residual_norms(evals, q, conj))
-        assert measure._residual_bound(evals, q, conj, loss) == measure._reconstruction_bound(
-            op.residual_norms, measure._frobenius(conj), op.orthogonality_loss
+        norms = measure._residual_norms(evals, q, conj)
+        assert np.array_equal(op.residual_norms, norms)
+        scale = measure._frobenius(conj)
+        assert measure._reconstruction_bound(norms, scale, loss) == (
+            measure._reconstruction_bound(op.residual_norms, scale, op.orthogonality_loss)
         )
         assert not op.residual_norms.flags.writeable
         with pytest.raises(AttributeError):
             op.orthogonality_loss = 0.0
-    heat = data.laplacian0.semigroup(1.0)
+    heat = lap0.semigroup(1.0)
     assert heat.orthogonality_loss is None and heat.residual_norms is None
 
 
 # -- one CSR matrix per Laplacian --------------------------------------------------
+
+
+def _record_hodge_pieces(monkeypatch, keep) -> dict:
+    """keep(op) for the L0 and L2 operators that ``DECOperators.laplacian1``
+    eigensolves, by name."""
+    pieces = {}
+
+    def recording(name):
+        method = getattr(DECOperators, name)
+
+        def build(self):
+            op = method(self)
+            pieces[name] = keep(op)
+            return op
+
+        return build
+
+    for name in ("laplacian0", "laplacian2"):
+        monkeypatch.setattr(DECOperators, name, recording(name))
+    return pieces
 
 
 def test_each_laplacian_matrix_is_built_once_and_shared(monkeypatch):
@@ -212,6 +236,7 @@ def test_each_laplacian_matrix_is_built_once_and_shared(monkeypatch):
     monkeypatch.setattr(
         dec_module, "_divide_rows", lambda *args: built.append(1) or divide_rows(*args)
     )
+    pieces = _record_hodge_pieces(monkeypatch, lambda op: op)
     data = prepare_surface(genus2_mesh())
     report = betti_bound(BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=1.0), data=data)
     assert report.bound_schatten is not None
@@ -220,9 +245,9 @@ def test_each_laplacian_matrix_is_built_once_and_shared(monkeypatch):
     # two for L1.
     assert len(built) == 3
     dec = data.dec
-    assert data.laplacian0.matrix is dec.laplacian0_matrix()
+    assert pieces["laplacian0"].matrix is dec.laplacian0_matrix()
     assert data.laplacian1.matrix is dec.laplacian1_matrix()
-    assert data.laplacian2.matrix is dec.laplacian2_matrix()
+    assert pieces["laplacian2"].matrix is dec.laplacian2_matrix()
     for matrix in dec._matrices.values():
         assert not any(p.flags.writeable for p in (matrix.data, matrix.indices, matrix.indptr))
 
@@ -237,11 +262,22 @@ def test_no_schatten_paths_never_assemble_laplacian1(monkeypatch, capsys, name):
 
     monkeypatch.setattr(DECOperators, "laplacian1", no_laplacian1)
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
-    result = parameter_sweep(
+    reports = parameter_sweep(
         builtin_mesh(name, resolution), [0.5, 1.0], [0.5, 1.0], compute_schatten=False
     )
-    assert result["all_pass"]
+    assert all(r.passed for r in reports)
     assert cli.main(["mesh-info", "--builtin", name, "--quiet"]) == 0
+
+
+def test_laplacian1_keeps_no_hodge_piece(monkeypatch):
+    # The V x V and F x F eigenvectors of L0 and L2 are read by the assembly
+    # of L1 only; neither the surface nor L1 keeps them.
+    pieces = _record_hodge_pieces(monkeypatch, weakref.ref)
+    data = prepare_surface(genus2_mesh())
+    assert data.laplacian1.kernel_dim() == data.b1 == 4
+    gc.collect()
+    assert sorted(pieces) == ["laplacian0", "laplacian2"]
+    assert all(ref() is None for ref in pieces.values())
 
 
 def test_schatten_sweep_assembles_laplacian1_once(monkeypatch):

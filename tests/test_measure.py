@@ -414,7 +414,8 @@ def test_residual_bound_dominates_reconstruction_residual(
     loss = measure._orthogonality_loss(q)
     verdicts = []
     for conj in (sym, csr_matrix(sym)):
-        bound = measure._residual_bound(evals, q, conj, loss)
+        norms = measure._residual_norms(evals, q, conj)
+        bound = measure._reconstruction_bound(norms, measure._frobenius(conj), loss)
         assert bound + rounding >= reconstruction
         verdicts.append(_accepts(evals, q, conj))
     assert verdicts[0] == verdicts[1]

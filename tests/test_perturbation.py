@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from bettibound.birman import planted_kernel_operator, random_weighted_space
 from bettibound.measure import (
+    DimensionMismatchError,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
@@ -104,6 +105,32 @@ def test_as_operator_and_added_to_match_dense_block_diagonal():
     total = potential.added_to(H)
     assert np.array_equal(total.matrix, H.matrix + block_diag(*potential.values))
     assert total.fiber == 2 and total.space is space
+
+
+def _count_eigh(monkeypatch) -> list:
+    """The shapes of the ``np.linalg.eigh`` inputs from now on."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+def test_added_to_zero_potential_is_the_operator(monkeypatch):
+    rng = np.random.default_rng(15)
+    space = random_weighted_space(rng, 5)
+    H = planted_kernel_operator(rng, space, 2, 1)
+    shapes = _count_eigh(monkeypatch)
+    for values in (np.zeros((5, 2, 2)), -np.zeros((5, 2, 2))):
+        assert MatrixPotential(values, space).added_to(H) is H
+    assert shapes == []
+    other = random_weighted_space(rng, 5)
+    with pytest.raises(DimensionMismatchError):
+        MatrixPotential(np.zeros((5, 2, 2)), other).added_to(H)
 
 
 # -- factorization bound -----------------------------------------------------
@@ -252,14 +279,7 @@ def test_duhamel_reuses_a_given_perturbed_operator(monkeypatch):
 
 def test_duhamel_suite_eigensolves_each_perturbed_operator_once(monkeypatch):
     # H comes from its planted spectrum, so H + V is the only eigensolve.
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    shapes = _count_eigh(monkeypatch)
     records = suite_duhamel(np.random.default_rng(3), SuiteConfig(trials=4, seed=0))
     assert records[0].passed
     assert len(shapes) == 4
@@ -480,6 +500,21 @@ def test_dominated_difference_lhs_matches_dense_heat_difference():
         rebuilt = SelfAdjointOperator(pair.H.matrix + 0.0, space, pair.H.fiber)
         dense = hs_norm(heat_difference(rebuilt, potential.added_to(pair.H), 2.0 * t0))
         assert abs(lhs - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("check", ["two_sided", "dominated"])
+def test_difference_checks_eigensolve_only_the_perturbed_operator(monkeypatch, check):
+    # H's own eigendata serve both semigroups; H + V is the one eigensolve.
+    rng = np.random.default_rng(144)
+    pair, space = _verified_pair(rng)
+    potential = random_psd_potential(rng, space, 2)
+    shapes = _count_eigh(monkeypatch)
+    if check == "two_sided":
+        result = semigroup_difference_bound_check(pair.H, potential, 0.7)
+    else:
+        result = dominated_difference_check(pair, potential, 0.7)
+    assert result["holds"] and result["lhs"] > 0.0
+    assert shapes == [(12, 12)]
 
 
 def test_dominated_difference_strict_gap_when_bounded_below():

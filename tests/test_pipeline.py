@@ -180,29 +180,27 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
 
 
 def test_sweep_single_point(torus_data):
-    result = parameter_sweep(FlatTorus(), [0.5], [1.0], resolution=8)
-    assert len(result["reports"]) == 1
-    assert result["argmin_index"] == 0
-    assert result["all_pass"]
+    reports = parameter_sweep(FlatTorus(), [0.5], [1.0], resolution=8)
+    assert len(reports) == 1
+    assert reports[0].passed
 
 
 def test_sweep_sphere_all_zero():
-    result = parameter_sweep(
+    reports = parameter_sweep(
         RoundSphere(), [0.2, 0.5, 0.9], [0.5, 1.0], resolution=2,
         compute_schatten=False,
     )
-    assert all(r.bound_main == 0.0 for r in result["reports"])
-    assert result["min_bound_main"] == 0.0
-    assert result["all_pass"]
+    assert len(reports) == 6
+    assert all(r.bound_main == 0.0 for r in reports)
+    assert all(r.passed for r in reports)
 
 
 def test_sweep_torus_grid_deterministic_order(torus_data):
     rho0s, t0s = [0.3, 0.6], [0.5, 1.5]
-    result = parameter_sweep(FlatTorus(), rho0s, t0s, resolution=8)
-    got = [(r.rho0, r.t0) for r in result["reports"]]
+    reports = parameter_sweep(FlatTorus(), rho0s, t0s, resolution=8)
+    got = [(r.rho0, r.t0) for r in reports]
     assert got == [(0.3, 0.5), (0.3, 1.5), (0.6, 0.5), (0.6, 1.5)]
-    assert result["all_pass"]
-    assert result["min_bound_main"] == min(r.bound_main for r in result["reports"])
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("schatten", [True, False], ids=["schatten", "no-schatten"])
@@ -231,16 +229,12 @@ def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_sweep_reads_no_diameter(monkeypatch, name):
-    # No bound or report field of betti-bound needs the all-pairs diameter;
-    # only mesh-info reports it.
-    def no_diameter(self):
-        raise AssertionError("betti-bound computed the mesh diameter")
-
-    monkeypatch.setattr(TriangleMesh, "diameter_estimate", no_diameter)
-    result = parameter_sweep(builtin_mesh(name), [0.5], [1.0])
-    assert result["all_pass"]
-    assert all("diameter_estimate" not in r.intermediate for r in result["reports"])
+def test_sweep_reads_no_diameter(name):
+    # No bound or report field needs the mesh diameter, so a mesh has none.
+    assert not hasattr(TriangleMesh, "diameter_estimate")
+    reports = parameter_sweep(builtin_mesh(name), [0.5], [1.0])
+    assert all(r.passed for r in reports)
+    assert all("diameter_estimate" not in r.intermediate for r in reports)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -374,3 +368,17 @@ def test_inputs_validation():
         BettiBoundInputs(surface=RoundSphere(), rho0=0.0, t0=1.0)
     with pytest.raises(ValueError):
         BettiBoundInputs(surface=RoundSphere(), rho0=1.0, t0=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        (name, value)
+        for name in ("rho0", "t0", "p")
+        for value in (float("nan"), float("inf"), -1.0, 0.0)
+    ],
+)
+def test_inputs_reject_non_finite_or_nonpositive_parameters(name, value):
+    params = {"rho0": 0.5, "t0": 1.0, "p": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+        BettiBoundInputs(surface=RoundSphere(), **params)
