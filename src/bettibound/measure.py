@@ -25,7 +25,8 @@ Norms provided:
 * ``schatten_norm(A, p)``: the l^p norm of the singular values of S.
 * ``two_inf_norm(A)``: the L2(m) -> L^inf norm with Euclidean fiber norm,
   which for a kernel operator is the largest weighted L2 norm of a kernel
-  row.
+  row.  ``heat_two_inf_norm(A, t)`` gives the norm of exp(-tA) at fiber 1
+  from A's spectrum, one gemv per call.
 * ``one_two_norm(A)``: the L1(m) -> L2(m) norm, equal by duality to the
   2->inf norm of the weighted adjoint.
 * ``operator_norm(A)``: the ordinary L2(m) -> L2(m) norm.
@@ -47,6 +48,7 @@ __all__ = [
     "SelfAdjointOperator",
     "heat_difference",
     "heat_difference_hs_squared",
+    "heat_two_inf_norm",
     "singular_values",
     "schatten_norm",
     "schatten_power_sum",
@@ -426,6 +428,13 @@ class SelfAdjointOperator(WeightedOperator):
         mask = np.abs(self.eigenvalues) <= self.zero_threshold()
         return self.basis[:, mask]
 
+    @cached_property
+    def _squared_basis(self) -> np.ndarray:
+        """U**2 elementwise, for U the m-orthonormal ``basis``; built once, read-only."""
+        u = self.basis
+        u *= u
+        return _read_only(u)
+
     def squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
         """(Q_other^T Q)**2 elementwise, for Q the Euclidean eigenvectors.
 
@@ -494,6 +503,22 @@ def heat_difference_hs_squared(A, B, t: float, scale: float = 1.0) -> float:
     terms *= terms
     terms *= B.squared_overlap(A)
     return float(terms.sum())
+
+
+def heat_two_inf_norm(A: SelfAdjointOperator, t: float) -> float:
+    """||exp(-tA)||_{2->inf} for a SelfAdjointOperator A at fiber 1, in one gemv.
+
+    The value of ``two_inf_norm(A.semigroup(t))``: the squared norm at x is
+    sum_k e^(-2 t w_k) U_xk^2, read from ``A._squared_basis`` (built on the
+    first call) in ascending eigenvalue order, so no N x N array is built
+    after the first call.
+    """
+    if A.fiber != 1:
+        raise DimensionMismatchError("heat_two_inf_norm needs a scalar fiber")
+    if t < 0.0:
+        raise ValueError("semigroup time must be nonnegative")
+    heat = np.exp(-t * A.eigenvalues)
+    return float(np.sqrt(np.max(A._squared_basis @ (heat * heat))))
 
 
 def singular_values(operator: WeightedOperator) -> np.ndarray:

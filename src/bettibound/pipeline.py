@@ -22,16 +22,19 @@ assumed):
 
 Every grid point is read from spectra computed before it.  Preparing a
 surface eigensolves nothing: the Betti oracle counts dim ker L1 on L1's
-sparse matrix, certified by Ritz residuals and an inertia count.  The
+sparse matrix, certified by an inertia count and, when the kernel is not
+empty, by Ritz residuals.  The
 comparison operator L0 + K is eigensolved once per surface.  Only the
 Schatten certificate eigensolves L0 and the face Laplacian L2, assembles
 all of L1's eigenpairs from them (its Hodge pieces), once per surface and
 with no E x E eigensolve of its own, and eigensolves L1 + W once per rho0
 (W depends on rho0 only).
-The 2->inf norm of e^(-t0 (L0+K)) and, at p = 2, the Hilbert-Schmidt
-norm of the semigroup difference come from those spectra in O(N^2) per
-point, with no dense heat matrix; other p take the singular values of the
-dense difference.
+The 2->inf norm of e^(-t0 (L0+K)) is one gemv per point, O(N^2) with no
+N x N array built, against the squared eigenbasis of L0 + K, which is
+built once per surface (``measure.heat_two_inf_norm``).  At p = 2 the
+Hilbert-Schmidt norm of the semigroup difference comes from the two
+spectra in O(N^2) per point, with no dense heat matrix; other p take the
+singular values of the dense difference.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .dec import (
     ricci_potential,
     schrodinger_comparison,
 )
-from .measure import SelfAdjointOperator, two_inf_norm
+from .measure import SelfAdjointOperator, heat_two_inf_norm
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 from .perturbation import MatrixPotential
 from .report import DEFAULT_TOLERANCES, CheckRecord, equality_record, inequality_record
@@ -274,7 +277,7 @@ def betti_bound(
     notes = []
 
     potential_norm = ricci_potential(data.curvature, rho0)
-    ultra = two_inf_norm(data.comparison.semigroup(t0))
+    ultra = heat_two_inf_norm(data.comparison, t0)
     sharp_pref, loose_pref = prefactors(rho0, t0)
     bound_main = sharp_pref * potential_norm**2 * ultra**2
     bound_loose = loose_pref * potential_norm**2 * ultra**2

@@ -1,13 +1,16 @@
 """The harmonic Betti oracle: certified sparse kernel counts of L1 and L0.
 
-``dec._certified_kernel_dim`` counts a kernel from a few Lanczos Ritz
-pairs, certified by their residuals and an inertia count.  Its residual
-bound must dominate the kernel eigenvalues of the dense spectra (L0's
-eigensolve, L1's full E x E assembly), its shift must lie below their
-first eigenvalue above the threshold, and its counts must equal the dense
-and the combinatorial ones.  A Ritz pair it was not given, a wrong Ritz
-vector or a pivoted factorization makes it raise.  Each eigensolve keeps
-the numbers its check computed.
+``dec._certified_kernel_dim`` counts a kernel from an inertia count and,
+when that count is not zero, as many Lanczos Ritz pairs as it finds
+below the shift, certified by their residuals.  Its residual bound must
+dominate the kernel eigenvalues of the dense spectra (L0's eigensolve,
+L1's full E x E assembly), its shift must lie below their first
+eigenvalue above the threshold, and its counts must equal the dense and
+the combinatorial ones.  It factors once, or twice when an eigenvalue
+lies between the zero threshold and the first shift.  A Ritz pair it was
+not given, a wrong Ritz vector, a negative eigenvalue or a pivoted
+factorization makes it raise.  Each eigensolve keeps the numbers its
+check computed.
 """
 
 import gc
@@ -48,11 +51,11 @@ def zero_threshold(s) -> float:
 
 def assert_counts_dominate_dense_spectra(dec):
     lap0, lap1 = dec.laplacian0(), dec.laplacian1()
-    for op, start in ((lap0, 1), (lap1, betti1_rank_count(dec))):
+    for op in (lap0, lap1):
         # The operator keeps the DEC's CSR matrix, so this is the matrix
         # the oracle counts on.
         s = op.conjugated()
-        k, bound, sigma = _certified_kernel_dim(s, start)
+        k, bound, sigma = _certified_kernel_dim(s)
         assert k == op.kernel_dim()
         # Each dense kernel eigenvalue lies within its own residual of an
         # eigenvalue of S, which the certificate puts within ``bound``.
@@ -118,7 +121,7 @@ def _genus2_edge_matrix():
 
 def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
     s = _genus2_edge_matrix()
-    assert _certified_kernel_dim(s, 4)[0] == 4
+    assert _certified_kernel_dim(s)[0] == 4
     eigsh = dec_module.eigsh
     direction = np.random.default_rng(5).standard_normal(s.shape[0])
 
@@ -129,7 +132,7 @@ def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
 
     monkeypatch.setattr(dec_module, "eigsh", perturbed)
     with pytest.raises(ValueError, match="Ritz residual bound .* exceeds the zero threshold"):
-        _certified_kernel_dim(s, 4)
+        _certified_kernel_dim(s)
 
 
 def _planted(eigenvalues, seed=1):
@@ -138,26 +141,98 @@ def _planted(eigenvalues, seed=1):
     return csr_matrix((q * np.asarray(eigenvalues)) @ q.T)
 
 
+def _shift(s) -> float:
+    return dec_module._LANCZOS_SHIFT * (1.0 + float(abs(s).sum(axis=1).max()))
+
+
+def _counting_splu(monkeypatch) -> list:
+    """Record each ``dec.splu`` factorization in the returned list."""
+    calls = []
+    splu = dec_module.splu
+    monkeypatch.setattr(dec_module, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    return calls
+
+
 def test_count_rejects_an_eigenvalue_between_threshold_and_shift(monkeypatch):
-    # Two kernel vectors, one eigenvalue 1e-4 (far above the 1e-7 zero
-    # threshold) and the rest from 1 on.  Given every Ritz pair the count
-    # is 2 and the shift lies below 1e-4; a Lanczos run that missed the
-    # 1e-4 pair would place the shift near 0.5, above it, and the inertia
-    # count exposes the missed eigenvalue.
-    spectrum = np.concatenate([[0.0, 0.0, 1e-4], np.arange(1.0, 38.0)])
+    # Two kernel vectors, one eigenvalue 1e-5 (far above the 1e-7 zero
+    # threshold, below the 1e-4 shift) and the rest from 1 on.  The first
+    # factorization counts three eigenvalues below the shift; the Ritz pair
+    # at 1e-5 moves the shift below it, and one more factorization counts
+    # the two kernel vectors.  A Lanczos run that missed the 1e-5 pair
+    # leaves the count at 2 against the first factorization's 3.
+    spectrum = np.concatenate([[0.0, 0.0, 1e-5], np.arange(1.0, 38.0)])
     s = _planted(spectrum)
-    k, _, sigma = _certified_kernel_dim(s, 2)
-    assert k == 2 and zero_threshold(s) < sigma < 1e-4
+    assert zero_threshold(s) < 1e-5 < _shift(s)
+    calls = _counting_splu(monkeypatch)
+    k, _, sigma = _certified_kernel_dim(s)
+    assert k == 2 and zero_threshold(s) < sigma < 1e-5
+    assert len(calls) == 2
     eigsh = dec_module.eigsh
 
     def missing_pair(*args, **kwargs):
         theta, x = eigsh(*args, **kwargs)
-        keep = np.abs(theta - 1e-4) > 1e-6
+        keep = np.abs(theta - 1e-5) > 1e-7
         return theta[keep], x[:, keep]
 
     monkeypatch.setattr(dec_module, "eigsh", missing_pair)
+    calls.clear()
     with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
-        _certified_kernel_dim(s, 2)
+        _certified_kernel_dim(s)
+    assert len(calls) == 1
+
+
+def test_count_refactors_at_most_once(monkeypatch):
+    # A Ritz value in (tau, shift) that is no eigenvalue moves the shift
+    # above the true 1e-5 eigenvalue, so the second factorization still
+    # finds three eigenvalues below it; the count raises there instead of
+    # factoring a third time.
+    spectrum = np.concatenate([[0.0, 0.0, 1e-5], np.arange(1.0, 38.0)])
+    s = _planted(spectrum)
+    eigsh = dec_module.eigsh
+
+    def phantom_pair(*args, **kwargs):
+        theta, x = eigsh(*args, **kwargs)
+        theta[-1] = 0.5 * (zero_threshold(s) + kwargs["sigma"])
+        return theta, x
+
+    monkeypatch.setattr(dec_module, "eigsh", phantom_pair)
+    calls = _counting_splu(monkeypatch)
+    with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
+        _certified_kernel_dim(s)
+    assert len(calls) == 2
+
+
+def test_count_rejects_a_negative_eigenvalue(monkeypatch):
+    # S is not positive semidefinite: one eigenvalue -1e-3, below -tau.
+    # It is among the pairs below the shift but not counted, so the count
+    # raises after one factorization.
+    spectrum = np.concatenate([[-1e-3, 0.0, 0.0], np.arange(1.0, 38.0)])
+    calls = _counting_splu(monkeypatch)
+    with pytest.raises(ValueError, match="kernel count 2 not certified: 3 eigenvalues"):
+        _certified_kernel_dim(_planted(spectrum))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_each_count_factors_once(monkeypatch, name):
+    dec = build_dec(builtin_mesh(name))
+    calls = _counting_splu(monkeypatch)
+    lanczos = []
+    eigsh = dec_module.eigsh
+
+    def recording(*args, **kwargs):
+        # The run solves with the count's own factor, never one of its own.
+        assert kwargs["OPinv"] is not None
+        lanczos.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(dec_module, "eigsh", recording)
+    assert kernel_dim_0forms(dec) == 1
+    assert len(calls) == 1 and lanczos == [1]
+    b1 = betti1_oracle(dec.mesh, dec)
+    assert len(calls) == 2
+    # An empty kernel (the spheres' L1) is certified by the inertia alone.
+    assert lanczos == [1] + ([b1] if b1 else [])
 
 
 def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):
@@ -170,15 +245,15 @@ def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):
 
     monkeypatch.setattr(dec_module, "splu", pivoted)
     with pytest.raises(ValueError, match="pivoted off the diagonal"):
-        _certified_kernel_dim(s, 4)
+        _certified_kernel_dim(s)
 
 
-def test_count_doubles_its_run_and_falls_back_to_one_dense_solve():
-    # start = 0 asks for 4 pairs: all six kernel vectors are counted, so
-    # the run doubles to 8.  An order-3 matrix is eigensolved densely.
+def test_count_asks_for_every_pair_below_the_shift_and_falls_back_to_one_dense_solve():
+    # The inertia puts six eigenvalues below the shift, so one Lanczos run
+    # asks for six pairs.  An order-3 matrix is eigensolved densely.
     spectrum = np.concatenate([np.zeros(6), np.arange(1.0, 35.0)])
-    assert _certified_kernel_dim(_planted(spectrum), 0)[0] == 6
-    assert _certified_kernel_dim(_planted([0.0, 2.0, 3.0]), 0)[0] == 1
+    assert _certified_kernel_dim(_planted(spectrum))[0] == 6
+    assert _certified_kernel_dim(_planted([0.0, 2.0, 3.0]))[0] == 1
 
 
 # -- kept check numbers ----------------------------------------------------------

@@ -1,13 +1,21 @@
 """End-to-end certified bound checks against the homology oracles."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from bettibound.birman import OperatorPair, crude_kernel_bound, semigroup_difference
-from bettibound.measure import SelfAdjointOperator, WeightedOperator, schatten_power_sum
+from bettibound.measure import (
+    SelfAdjointOperator,
+    WeightedFiniteSpace,
+    WeightedOperator,
+    heat_two_inf_norm,
+    schatten_power_sum,
+    two_inf_norm,
+)
 from bettibound.mesh import (
     BUILTIN_NAMES,
     BumpySphere,
@@ -322,6 +330,52 @@ def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
     assert counts == {"eigh": 0, "eigvalsh": 0, "matrix": 0}
     point(1.0, 1.0)
     assert counts["eigh"] == 0 and counts["eigvalsh"] == 1 and counts["matrix"] == 2
+
+
+def _peak_bytes(call) -> int:
+    """The peak of the memory traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_heat_two_inf_norm_matches_the_semigroup_route(name):
+    # At t = 4 most squared heat eigenvalues of the spheres underflow to 0.
+    comparison = prepare_surface(builtin_mesh(name)).comparison
+    for t in (0.5, 1.0, 4.0):
+        expected = two_inf_norm(comparison.semigroup(t))
+        assert abs(heat_two_inf_norm(comparison, t) - expected) <= 1e-14 * expected
+    if name == "bumpy-sphere":
+        heat = np.exp(-4.0 * comparison.eigenvalues)
+        assert np.count_nonzero(heat * heat == 0.0) > comparison.dim // 2
+    # After the first call a call builds no N x N array; the semigroup
+    # route builds several.
+    square = comparison.dim**2 * 8
+    assert _peak_bytes(lambda: heat_two_inf_norm(comparison, 2.0)) < square
+    assert _peak_bytes(lambda: two_inf_norm(comparison.semigroup(2.0))) >= square
+
+
+def test_heat_two_inf_norm_needs_a_scalar_fiber():
+    op = SelfAdjointOperator(np.eye(4), WeightedFiniteSpace(np.ones(2)), fiber=2)
+    with pytest.raises(ValueError, match="scalar fiber"):
+        heat_two_inf_norm(op, 1.0)
+
+
+def test_main_bound_point_builds_no_vertex_square_array():
+    # The main bound's 2->inf norm reads the comparison operator's squared
+    # eigenbasis, built at the first point; later points allocate O(V).
+    data = prepare_surface(builtin_mesh("bumpy-sphere"))
+
+    def point(t0):
+        inputs = BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=t0, compute_schatten=False)
+        return betti_bound(inputs, data=data)
+
+    point(1.0)
+    assert _peak_bytes(lambda: point(4.0)) < data.mesh.vertex_count**2 * 8
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
