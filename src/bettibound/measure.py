@@ -18,7 +18,9 @@ geometry.  Self-adjoint operators keep their eigendata, and their
 semigroups and shifts come from it by spectral calculus.  A matrix is
 dense, or CSR (the DEC Laplacians); a CSR matrix is densified only as the
 input of an eigensolve, and its eigendata are checked by a residual that
-costs O(nnz N).
+costs O(nnz N).  The eigensolve runs in place: LAPACK overwrites that one
+dense symmetrized copy with the eigenvectors, so it keeps about three
+N x N arrays alive (the copy and the solver's workspace), not five.
 
 Norms provided:
 
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.sparse import csr_matrix, issparse
 
 __all__ = [
@@ -286,13 +289,36 @@ def _check_eigendata(evals, q, conj=None):
     return _read_only(residual_norms), loss
 
 
+def _eigh_in_place(conj) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ascending and C-ordered eigenvectors of (S + S^T) / 2.
+
+    ``conj`` is S, dense or CSR.  The symmetrized matrix is built in one
+    buffer owned here, with the bits of ``0.5 * (conj + conj.T)``, and
+    LAPACK's xSYEVD overwrites that buffer with the eigenvectors: being
+    exactly symmetric, its transpose is the same matrix in Fortran order,
+    so no copy is made, and the lower triangle is read as
+    ``np.linalg.eigh`` reads it.  Live at once are that buffer and xSYEVD's
+    1 + 6N + 2N^2 workspace, where ``np.linalg.eigh`` of a dense input also
+    keeps the input, its Fortran copy and a separate output.  The C-ordered
+    copy, on which later products and sums rely for their bits, is made
+    once the workspace is freed.  Raises LinAlgError if xSYEVD fails.
+    """
+    sym = _dense(conj + conj.T)
+    sym *= 0.5
+    evals, evecs, info = lapack.dsyevd(sym.T, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolve failed (xSYEVD info {info})")
+    return evals, np.ascontiguousarray(evecs)
+
+
 class SelfAdjointOperator(WeightedOperator):
     """Self-adjoint operator held by its weighted spectral decomposition.
 
     The decomposition A = U diag(w) U^T M has eigenvalues w ascending and
     columns of U orthonormal in the weighted inner product (U^T M U = I).
     An operator built from a matrix, dense or CSR, runs one symmetric
-    eigensolve; only its input is dense.  Construction verifies that the
+    eigensolve in place (``_eigh_in_place``); only its input is dense, and
+    its eigenvectors overwrite that input.  Construction verifies that the
     conjugated matrix S is self-adjoint, that the eigenvectors Q have
     orthogonality loss ||Q^T Q - I||_F <= 1e-10, and that the residual
     R = S Q - Q diag(w) and that loss bound ||S - Q diag(w) Q^T||_F by
@@ -321,7 +347,7 @@ class SelfAdjointOperator(WeightedOperator):
     def __init__(self, matrix, space, fiber=1):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
-        evals, evecs = np.linalg.eigh(_dense(0.5 * (conj + conj.T)))
+        evals, evecs = _eigh_in_place(conj)
         self._check_numbers = _check_eigendata(evals, evecs, conj)
         self.eigenvalues = _read_only(evals)
         self._euclidean_vectors = _read_only(evecs)
@@ -446,7 +472,8 @@ class SelfAdjointOperator(WeightedOperator):
         basis = other._euclidean_vectors
         cached = self._overlap
         if cached is None or cached[0] is not basis:
-            cached = (basis, _read_only((basis.T @ self._euclidean_vectors) ** 2))
+            overlap = basis.T @ self._euclidean_vectors
+            cached = (basis, _read_only(np.square(overlap, out=overlap)))
             self._overlap = cached
         return cached[1]
 

@@ -1,0 +1,34 @@
+"""Fixtures shared by the test modules."""
+
+import numpy as np
+import pytest
+
+from bettibound import measure
+
+
+@pytest.fixture
+def count_eigensolves(monkeypatch):
+    """Call it to record, from then on, the shape of every dense eigensolve's input.
+
+    Operators eigensolve through ``measure._eigh_in_place`` (its input is
+    the conjugated matrix, dense or CSR); the DEC's Ritz blocks through
+    ``np.linalg.eigh``.  Both append to one list, in call order.
+    """
+
+    def start() -> list:
+        shapes = []
+        in_place, eigh = measure._eigh_in_place, np.linalg.eigh
+
+        def counting_in_place(conj):
+            shapes.append(conj.shape)
+            return in_place(conj)
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(measure, "_eigh_in_place", counting_in_place)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return shapes
+
+    return start

@@ -403,15 +403,11 @@ def test_mesh_info_builtins(capsys, tmp_path, builtin, chi, b1):
     assert doc["summary"]["pass"] is True
 
 
-def test_mesh_info_eigensolves_no_comparison_operator(capsys, monkeypatch):
+def test_mesh_info_eigensolves_no_comparison_operator(capsys, count_eigensolves):
     # mesh-info reads the kernels of L0 and L1 only, both counted on
     # sparse matrices, so nothing is eigensolved: not L0, not the face
     # Laplacian L2, and not the comparison operator L0 + K.
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(
-        np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw)
-    )
+    calls = count_eigensolves()
     code, _, _ = run(capsys, "mesh-info", "--builtin", "genus2", "--quiet")
     assert code == 0
     assert calls == []

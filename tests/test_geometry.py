@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse import issparse
 
+from bettibound import measure
 from bettibound.dec import (
     betti1_oracle,
     betti1_rank_count,
@@ -318,16 +319,16 @@ def test_eigensolve_check_catches_a_wrong_kernel_vector(monkeypatch):
     # orthogonality loss Q^T Q - I and the residual S Q - Q diag(evals)
     # both expose it.
     dec = build_dec(genus2_mesh(n_theta=6, n_phi=6))
-    eigh = np.linalg.eigh
+    eigh = measure._eigh_in_place
     rng = np.random.default_rng(3)
 
-    def wrong_kernel_column(a, *args, **kwargs):
-        evals, evecs = eigh(a, *args, **kwargs)
-        column = rng.standard_normal(a.shape[0])
+    def wrong_kernel_column(conj):
+        evals, evecs = eigh(conj)
+        column = rng.standard_normal(conj.shape[0])
         evecs[:, 0] = column / np.linalg.norm(column)
         return evals, evecs
 
-    monkeypatch.setattr(np.linalg, "eigh", wrong_kernel_column)
+    monkeypatch.setattr(measure, "_eigh_in_place", wrong_kernel_column)
     with pytest.raises(ValueError, match="not finite and orthonormal"):
         dec.laplacian0()
 
@@ -354,6 +355,7 @@ def test_prepare_surface_rejects_non_manifold_before_eigensolving(
 
     mesh = _two_icospheres(glued)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(measure, "_eigh_in_place", no_eigh)
     with pytest.raises(MeshError, match=message):
         prepare_surface(mesh)
 

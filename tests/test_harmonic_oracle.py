@@ -106,6 +106,7 @@ def test_prepare_surface_runs_no_eigensolve(monkeypatch, name, resolution):
         raise AssertionError("dense eigensolve while preparing a surface")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(measure, "_eigh_in_place", no_eigh)
     data = prepare_surface(builtin_mesh(name, resolution))
     assert data.b1 == betti1_rank_count(data.dec) and data.kernel_dim_0forms == 1
     assert not hasattr(data, "laplacian0") and not hasattr(data, "laplacian2")

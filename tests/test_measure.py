@@ -1,10 +1,16 @@
 """Weighted-space operator tests against independent Euclidean oracles."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 from scipy.sparse import csr_matrix, issparse
 
 from bettibound import measure
@@ -23,7 +29,10 @@ from bettibound.measure import (
     singular_values,
     two_inf_norm,
 )
+from bettibound.mesh import BUILTIN_NAMES
 from bettibound.perturbation import MatrixPotential
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_space(rng, n_points):
@@ -470,3 +479,145 @@ def test_csr_operator_rejects_wrong_shape():
     space = WeightedFiniteSpace([1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
         WeightedOperator(csr_matrix(np.eye(3)), space, 1)
+
+
+# -- in-place eigensolve ---------------------------------------------------------
+
+
+_SAME_EIGENDATA_PROBE = """
+import json, sys
+import numpy as np
+from scipy.sparse import diags
+from bettibound import measure
+from bettibound.measure import WeightedOperator
+
+def inputs(kind, arg):
+    if kind == "dense":
+        n = int(arg)
+        a = np.random.default_rng(n).standard_normal((n, n))
+        return [a + a.T]
+    # The two eigensolves of the DEC: the comparison operator L0 + K and
+    # the face Laplacian L2, on their conjugated CSR matrices.
+    from bettibound.mesh import builtin_mesh
+    from bettibound.pipeline import prepare_surface
+    data = prepare_surface(builtin_mesh(arg))
+    dec = data.dec
+    comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
+    return [
+        WeightedOperator(comparison, dec.vertex_space()).conjugated(),
+        WeightedOperator(dec.laplacian2_matrix(), dec.face_space()).conjugated(),
+    ]
+
+results = []
+for conj in inputs(*sys.argv[1:]):
+    want_values, want_vectors = np.linalg.eigh(measure._dense(0.5 * (conj + conj.T)))
+    values, vectors = measure._eigh_in_place(conj)
+    results.append(dict(
+        values_equal=bool(np.array_equal(values, want_values)),
+        vectors_equal=bool(np.array_equal(vectors, want_vectors)),
+        c_contiguous=bool(vectors.flags.c_contiguous),
+        repeated=bool(np.any(np.diff(values) <= 1e-12 * values[-1])),
+    ))
+print(json.dumps(results))
+"""
+
+
+def _assert_same_eigendata(kind, arg):
+    """``_eigh_in_place`` returns ``np.linalg.eigh`` of 0.5 (S + S^T), bit for bit.
+
+    Both run in a child interpreter on one BLAS thread, as the golden
+    reports do: numpy's and scipy's OpenBLAS builds each change their bits
+    with the thread count, and need not split the work alike.  Returns,
+    per input, whether its spectrum has a repeated eigenvalue.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", _SAME_EIGENDATA_PROBE, kind, str(arg)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    results = json.loads(child.stdout)
+    for result in results:
+        assert result["values_equal"]
+        assert result["vectors_equal"]
+        assert result["c_contiguous"]
+    return [result["repeated"] for result in results]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
+def test_in_place_eigensolve_matches_numpy_on_dense_input(n):
+    _assert_same_eigendata("dense", n)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_in_place_eigensolve_matches_numpy_on_builtin_operators(name):
+    repeated, _ = _assert_same_eigendata("builtin", name)
+    if name == "flat-torus":
+        # K = 0, so L0 + K is L0, whose spectrum on the square grid repeats.
+        assert repeated
+
+
+def test_in_place_eigensolve_overwrites_one_fortran_buffer(monkeypatch):
+    calls = []
+    dsyevd = lapack.dsyevd
+
+    def spy(a, **kwargs):
+        result = dsyevd(a, **kwargs)
+        calls.append((a, kwargs, result[1]))
+        return result
+
+    monkeypatch.setattr(lapack, "dsyevd", spy)
+    rng = np.random.default_rng(5)
+    values, vectors = measure._eigh_in_place(rng.standard_normal((9, 9)))
+    [(buffer, kwargs, returned)] = calls
+    assert buffer.flags.f_contiguous and not buffer.flags.c_contiguous
+    assert kwargs == dict(compute_v=1, lower=1, overwrite_a=1)
+    assert np.shares_memory(returned, buffer)
+    assert vectors.flags.c_contiguous and not np.shares_memory(vectors, buffer)
+
+
+def test_in_place_eigensolve_raises_when_lapack_fails(monkeypatch):
+    dsyevd = lapack.dsyevd
+    monkeypatch.setattr(lapack, "dsyevd", lambda a, **kw: (*dsyevd(a, **kw)[:2], 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        SelfAdjointOperator(np.eye(3), WeightedFiniteSpace(np.ones(3)))
+
+
+_PEAK_PROBE = """
+import re, sys
+import numpy as np
+from scipy.sparse import random as sparse_random
+from bettibound.measure import SelfAdjointOperator, WeightedFiniteSpace
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return 1024 * int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1))
+
+n = int(sys.argv[1])
+# Page in the libraries and their buffers before the measurement.
+SelfAdjointOperator(np.diag(np.arange(64.0)), WeightedFiniteSpace(np.ones(64)))
+part = sparse_random(n, n, density=0.005, random_state=0, format="csr")
+matrix = (part + part.T).tocsr()
+space = WeightedFiniteSpace(np.ones(n))
+start = status("VmRSS")
+SelfAdjointOperator(matrix, space)
+print(status("VmHWM") - start)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_sparse_operator_eigensolve_peaks_below_four_dense_copies():
+    # The densified input, overwritten by its eigenvectors, and xSYEVD's
+    # 1 + 6n + 2n^2 workspace: about 3 n^2 doubles.  An out-of-place
+    # eigensolve of a dense copy keeps about 5 n^2.
+    n = 1200
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, str(n)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    rise = int(result.stdout)
+    square = 8 * n * n
+    # Above 2 n^2, so the eigensolve's peak is the one measured.
+    assert 2 * square < rise < 4 * square

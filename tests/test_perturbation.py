@@ -107,24 +107,11 @@ def test_as_operator_and_added_to_match_dense_block_diagonal():
     assert total.fiber == 2 and total.space is space
 
 
-def _count_eigh(monkeypatch) -> list:
-    """The shapes of the ``np.linalg.eigh`` inputs from now on."""
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return shapes
-
-
-def test_added_to_zero_potential_is_the_operator(monkeypatch):
+def test_added_to_zero_potential_is_the_operator(count_eigensolves):
     rng = np.random.default_rng(15)
     space = random_weighted_space(rng, 5)
     H = planted_kernel_operator(rng, space, 2, 1)
-    shapes = _count_eigh(monkeypatch)
+    shapes = count_eigensolves()
     for values in (np.zeros((5, 2, 2)), -np.zeros((5, 2, 2))):
         assert MatrixPotential(values, space).added_to(H) is H
     assert shapes == []
@@ -277,9 +264,9 @@ def test_duhamel_reuses_a_given_perturbed_operator(monkeypatch):
     assert np.array_equal(approx.matrix, expected.matrix)
 
 
-def test_duhamel_suite_eigensolves_each_perturbed_operator_once(monkeypatch):
+def test_duhamel_suite_eigensolves_each_perturbed_operator_once(count_eigensolves):
     # H comes from its planted spectrum, so H + V is the only eigensolve.
-    shapes = _count_eigh(monkeypatch)
+    shapes = count_eigensolves()
     records = suite_duhamel(np.random.default_rng(3), SuiteConfig(trials=4, seed=0))
     assert records[0].passed
     assert len(shapes) == 4
@@ -503,12 +490,12 @@ def test_dominated_difference_lhs_matches_dense_heat_difference():
 
 
 @pytest.mark.parametrize("check", ["two_sided", "dominated"])
-def test_difference_checks_eigensolve_only_the_perturbed_operator(monkeypatch, check):
+def test_difference_checks_eigensolve_only_the_perturbed_operator(count_eigensolves, check):
     # H's own eigendata serve both semigroups; H + V is the one eigensolve.
     rng = np.random.default_rng(144)
     pair, space = _verified_pair(rng)
     potential = random_psd_potential(rng, space, 2)
-    shapes = _count_eigh(monkeypatch)
+    shapes = count_eigensolves()
     if check == "two_sided":
         result = semigroup_difference_bound_check(pair.H, potential, 0.7)
     else:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 
 from bettibound.birman import OperatorPair, crude_kernel_bound, semigroup_difference
@@ -212,21 +213,14 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
 
 
 @pytest.mark.parametrize("schatten", [True, False], ids=["schatten", "no-schatten"])
-def test_sweep_eigensolves_each_operator_once(monkeypatch, schatten):
+def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten):
     # Preparing the surface eigensolves nothing: both kernel counts are
     # sparse.  Once per surface, the comparison operator L0 + K (V x V)
     # is eigensolved.  With the Schatten certificate, L1 is assembled
     # once from L0 (V x V) and the face Laplacian L2 (F x F), with a
     # b1 x b1 Rayleigh-Ritz block and no E x E eigensolve, and L1 + W
     # (E x E) is eigensolved once per rho0.
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = count_eigensolves()
     mesh = genus2_mesh()
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
@@ -249,9 +243,10 @@ def test_sweep_reads_no_diameter(name):
 def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
     # The Laplacians are CSR and the kernel counts sparse: the one dense
     # copy made while a surface is prepared and swept is the comparison
-    # operator L0 + K that its eigensolve reads.
+    # operator L0 + K that its eigensolve reads.  The operator's LAPACK
+    # eigensolve reads that copy in place, in Fortran order.
     densified, solved = [], []
-    toarray, eigh = csr_matrix.toarray, np.linalg.eigh
+    toarray, eigh, dsyevd = csr_matrix.toarray, np.linalg.eigh, lapack.dsyevd
 
     def recording_toarray(self, *args, **kwargs):
         densified.append(toarray(self, *args, **kwargs))
@@ -261,17 +256,22 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
         solved.append(a)
         return eigh(a, *args, **kwargs)
 
+    def recording_dsyevd(a, *args, **kwargs):
+        solved.append(a.T)
+        return dsyevd(a, *args, **kwargs)
+
     monkeypatch.setattr(csr_matrix, "toarray", recording_toarray)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(lapack, "dsyevd", recording_dsyevd)
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     mesh = builtin_mesh(name, resolution)
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=False)
     assert len(densified) == len(solved) == 1
-    assert densified[0] is solved[0]
+    assert solved[0].base is densified[0]
     assert densified[0].shape == (mesh.vertex_count,) * 2
 
 
-def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
+def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolves):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
     # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The
     # eigensolves are L1's Hodge pieces L0 (V x V) and L2 (F x F), when
@@ -279,11 +279,7 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
     # comparison operator L0 + K (V x V), when the main bound first
     # reads it.
     data = prepare_surface(RoundSphere(), resolution=2)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(
-        np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw)
-    )
+    calls = count_eigensolves()
     potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
     assert not np.any(potential.values)
     assert data.schatten_operator(0.5) is data.laplacian1
@@ -296,7 +292,7 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(monkeypatch):
     assert calls == [(nv, nv), (nf, nf), (nv, nv)]
 
 
-def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
+def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch, count_eigensolves):
     # After the first t0 of a rho0, a p = 2 point runs no eigensolve, no
     # eigvalsh and builds no dense matrix of a derived operator; p = 1
     # still takes the singular values of the dense difference.
@@ -307,15 +303,15 @@ def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
         return betti_bound(inputs, data=data)
 
     point(0.5, 2.0)
-    counts = {"eigh": 0, "eigvalsh": 0, "matrix": 0}
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
+    eigensolves = count_eigensolves()
+    counts = {"eigvalsh": 0, "matrix": 0}
+    eigvalsh = np.linalg.eigvalsh
 
-        def counting(a, *args, _name=name, _solver=solver, **kw):
-            counts[_name] += 1
-            return _solver(a, *args, **kw)
+    def counting_eigvalsh(a, *args, **kw):
+        counts["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kw)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     dense = SelfAdjointOperator.__dict__["matrix"].func
 
     def counting_matrix(op):
@@ -327,9 +323,9 @@ def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
     monkeypatch.setattr(SelfAdjointOperator, "matrix", prop)
     report = point(1.0, 2.0)
     assert report.bound_schatten is not None
-    assert counts == {"eigh": 0, "eigvalsh": 0, "matrix": 0}
+    assert eigensolves == [] and counts == {"eigvalsh": 0, "matrix": 0}
     point(1.0, 1.0)
-    assert counts["eigh"] == 0 and counts["eigvalsh"] == 1 and counts["matrix"] == 2
+    assert eigensolves == [] and counts == {"eigvalsh": 1, "matrix": 2}
 
 
 def _peak_bytes(call) -> int:
