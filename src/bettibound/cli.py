@@ -11,8 +11,9 @@ Verbs:
 * ``gen-fixture``: write a builtin surface to an OFF file.
 
 Every verb prints a human table (unless --quiet) and optionally writes a
-JSON report (--out).  The exit status is 0 only if every recorded check
-passed and all inputs were valid.
+JSON report (--out).  Each verb takes only the flags it reads.  The exit
+status is 2 on invalid input, 1 when a recorded check fails and 0
+otherwise; mesh-info records no checks, so it exits 0 or 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 import time
 from pathlib import Path
 
-from .dec import betti1_rank_count
 from .mesh import (
     BUILTIN_NAMES,
     MeshError,
@@ -32,14 +32,8 @@ from .mesh import (
     load_mesh,
     write_off,
 )
-from .pipeline import parameter_sweep, prepare_surface
-from .report import (
-    RunReport,
-    build_config,
-    inequality_record,
-    equality_record,
-    serialize_json,
-)
+from .pipeline import SOUNDNESS_SLACK, parameter_sweep, prepare_surface
+from .report import DEFAULT_TOLERANCES, RunReport, build_config, checked_tolerance, serialize_json
 from .suites import run_abstract_suites
 
 USAGE_ERROR = 2
@@ -67,28 +61,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb")
     parser.set_defaults(verb=None)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="suite seed")
-        p.add_argument("--trials", type=int, default=None, help="instances per suite")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="relative slack applied to every inequality family",
-        )
-        p.add_argument("--config", type=str, default=None, help="INI config file")
+    def output(p):
         p.add_argument("--out", type=str, default=None, help="write JSON report here")
         p.add_argument("--quiet", action="store_true", help="summary line only")
 
     p_verify = sub.add_parser("verify-abstract", help="run the abstract suites")
-    common(p_verify)
+    output(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None, help="suite seed")
+    p_verify.add_argument("--trials", type=int, default=None, help="instances per suite")
+    p_verify.add_argument(
+        "--tolerance", type=float, default=None, help="slack of every inequality family"
+    )
+    p_verify.add_argument("--config", type=str, default=None, help="INI config file")
     p_verify.add_argument("--n-points-max", type=int, default=None)
     p_verify.add_argument("--fiber-max", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify_abstract)
 
     p_bound = sub.add_parser("betti-bound", help="certified Betti bounds")
-    common(p_bound)
+    output(p_bound)
     _mesh_source(p_bound)
+    p_bound.add_argument(
+        "--tolerance", type=float, default=SOUNDNESS_SLACK, help="soundness slack"
+    )
     p_bound.add_argument("--rho0", type=str, default="0.5", help="comma list")
     p_bound.add_argument("--t0", type=str, default="1.0", help="comma list")
     p_bound.add_argument("--p", type=float, default=2.0, help="Schatten exponent")
@@ -105,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=cmd_betti_bound)
 
     p_info = sub.add_parser("mesh-info", help="mesh summary and homology oracles")
-    common(p_info)
+    output(p_info)
     _mesh_source(p_info)
     p_info.set_defaults(func=cmd_mesh_info)
 
@@ -123,21 +117,6 @@ def _mesh_source(p):
     group.add_argument("--builtin", choices=BUILTIN_NAMES)
     group.add_argument("--mesh", type=str, help="OFF or OBJ file")
     p.add_argument("--resolution", type=int, default=None, help="builtin surfaces only")
-
-
-def _suite_config(args, **extra):
-    tolerances = None
-    if args.tolerance is not None:
-        from .report import DEFAULT_TOLERANCES
-
-        tolerances = {k: args.tolerance for k in DEFAULT_TOLERANCES}
-    return build_config(
-        file_path=args.config,
-        seed=args.seed,
-        trials=args.trials,
-        tolerances=tolerances,
-        **extra,
-    )
 
 
 def _finish(report: RunReport, args, started: float) -> int:
@@ -175,8 +154,16 @@ def _print_summary(report: RunReport):
 
 def cmd_verify_abstract(args) -> int:
     started = time.perf_counter()
-    config = _suite_config(
-        args, n_points_max=args.n_points_max, fiber_max=args.fiber_max
+    tolerances = None
+    if args.tolerance is not None:
+        tolerances = dict.fromkeys(DEFAULT_TOLERANCES, args.tolerance)
+    config = build_config(
+        file_path=args.config,
+        seed=args.seed,
+        trials=args.trials,
+        tolerances=tolerances,
+        n_points_max=args.n_points_max,
+        fiber_max=args.fiber_max,
     )
     report = run_abstract_suites(config)
     return _finish(report, args, started)
@@ -210,7 +197,7 @@ def _load_surface(args):
 
 def cmd_betti_bound(args) -> int:
     started = time.perf_counter()
-    config = _suite_config(args)
+    slack = checked_tolerance("soundness", args.tolerance)
     rho0_values = _parse_grid(args.rho0)
     t0_values = _parse_grid(args.t0)
     surface, label = _load_surface(args)
@@ -222,19 +209,19 @@ def cmd_betti_bound(args) -> int:
         resolution=args.resolution,
         curvature_source=args.curvature,
         compute_schatten=not args.no_schatten,
-        soundness_slack=config.tol("soundness"),
+        soundness_slack=slack,
     )
 
     report = RunReport(
         command="betti-bound",
         config=dict(
-            config.as_dict(),
             surface=label,
             rho0=rho0_values,
             t0=t0_values,
             p=args.p,
             curvature=args.curvature,
             schatten=not args.no_schatten,
+            soundness_slack=slack,
         ),
     )
     for result in rows:
@@ -261,49 +248,17 @@ def _print_bound_table(rows):
 
 def cmd_mesh_info(args) -> int:
     started = time.perf_counter()
-    config = _suite_config(args)
     surface, label = _load_surface(args)
     data = prepare_surface(surface, resolution=args.resolution)
-    mesh, dec = data.mesh, data.dec
-    geom_tol = config.tol("geometry")
-
-    report = RunReport(
-        command="mesh-info", config=dict(config.as_dict(), surface=label)
-    )
-    harmonic = data.b1
-    combinatorial = betti1_rank_count(dec)
-    report.add(
-        equality_record(
-            "betti_oracles_agree",
-            "harmonic kernel dimension equals the chain-complex count",
-            float(harmonic),
-            float(combinatorial),
-        )
-    )
-    report.add(
-        inequality_record(
-            "gauss_bonnet_residual",
-            "total angle defect minus 2 pi Euler characteristic",
-            data.curvature.gauss_bonnet_residual(),
-            geom_tol,
-            0.0,
-        )
-    )
-    report.add(
-        equality_record(
-            "incidence_composition",
-            "d1 d0 = 0 in exact integer arithmetic",
-            float(dec.incidence_composition_max()),
-            0.0,
-        )
-    )
+    report = RunReport(command="mesh-info", config={"surface": label})
+    # prepare_surface has already raised if the two Betti oracles disagree,
+    # d1 d0 does not vanish or the Gauss-Bonnet residual is too large.
     info = {
-        **mesh.describe(),
-        "betti1": harmonic,
+        **data.mesh.describe(),
+        "betti1": data.b1,
         "betti0_kernel": data.kernel_dim_0forms,
         "gauss_bonnet_residual": data.curvature.gauss_bonnet_residual(),
         "curvature_min": data.curvature.min(),
-        "volume": mesh.total_area,
     }
     report.extra["mesh"] = info
     if not args.quiet:

@@ -60,10 +60,11 @@ from .dec import (
 from .measure import SelfAdjointOperator, heat_two_inf_norm
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 from .perturbation import MatrixPotential
-from .report import DEFAULT_TOLERANCES, CheckRecord, equality_record, inequality_record
+from .report import CheckRecord, equality_record, inequality_record
 
 __all__ = [
     "SURFACE_FIBER_DIM",
+    "SOUNDNESS_SLACK",
     "BettiBoundInputs",
     "BettiBoundReport",
     "SurfaceData",
@@ -78,6 +79,8 @@ __all__ = [
 
 # 1-forms on a surface have two-dimensional fibers.
 SURFACE_FIBER_DIM = 2
+# Default relative slack of a soundness record (``betti_bound``).
+SOUNDNESS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,7 @@ def prefactors(rho0: float, t0: float) -> tuple[float, float]:
 def betti_bound(
     inputs: BettiBoundInputs,
     data: SurfaceData | None = None,
-    soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
+    soundness_slack: float = SOUNDNESS_SLACK,
 ) -> BettiBoundReport:
     """Evaluate the main bound (and companions) and check b1 <= bound.
 
@@ -331,7 +334,6 @@ def betti_bound(
         "prefactor_sharp": sharp_pref,
         "prefactor_loose": loose_pref,
         "kernel_dim_0forms": data.kernel_dim_0forms,
-        "kernel_dim_1forms": data.b1,
         "curvature_min": data.curvature.min(),
         "volume": data.volume,
     }
@@ -420,7 +422,7 @@ def parameter_sweep(
     resolution: int | None = None,
     curvature_source: str = "angle-defect",
     compute_schatten: bool = True,
-    soundness_slack: float = DEFAULT_TOLERANCES["soundness"],
+    soundness_slack: float = SOUNDNESS_SLACK,
 ) -> list[BettiBoundReport]:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 

@@ -26,11 +26,12 @@ __all__ = [
     "serialize_json",
     "config_hash",
     "DEFAULT_TOLERANCES",
+    "checked_tolerance",
 ]
 
 REPORT_VERSION = 1
 
-# Relative (or, where noted, absolute) slack per inequality family.
+# Relative (or, where noted, absolute) slack per abstract-suite inequality family.
 DEFAULT_TOLERANCES = {
     "chain": 1e-9,
     "subspace_angle": 1e-7,
@@ -38,9 +39,15 @@ DEFAULT_TOLERANCES = {
     "duhamel": 1e-6,
     "closed_form": 1e-10,
     "domination": 1e-10,  # absolute pointwise slack
-    "soundness": 1e-9,
-    "geometry": 1e-9,
 }
+
+
+def checked_tolerance(family: str, value) -> float:
+    """``value`` as a float, rejected with a ``ValueError`` outside (0, 1e-3]."""
+    value = float(value)
+    if not (0.0 < value <= 1e-3):
+        raise ValueError(f"tolerance {family}={value} outside (0, 1e-3]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,7 @@ class SuiteConfig:
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance family {key!r}")
-            value = float(value)
-            if not (0.0 < value <= 1e-3):
-                raise ValueError(f"tolerance {key}={value} outside (0, 1e-3]")
-            merged[key] = value
+            merged[key] = checked_tolerance(key, value)
         object.__setattr__(self, "tolerances", merged)
 
     def tol(self, family: str) -> float:
@@ -175,16 +179,20 @@ class SuiteConfig:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value config with bracketed sections ([suite], [tolerances])."""
+    """Flat key=value config with bracketed sections ([suite], [tolerances]).
+
+    An unknown section or ``[suite]`` key raises a ``ValueError`` naming it.
+    """
     parser = configparser.ConfigParser()
     with open(path) as handle:
         parser.read_file(handle)
-    out = {}
-    if parser.has_section("suite"):
-        section = parser["suite"]
-        for key in ("seed", "trials", "n_points_max", "fiber_max"):
-            if key in section:
-                out[key] = int(section[key])
+    keys = ("seed", "trials", "n_points_max", "fiber_max")
+    suite = parser["suite"] if parser.has_section("suite") else {}
+    unknown = [f"[{s}]" for s in parser.sections() if s not in ("suite", "tolerances")]
+    unknown += [key for key in suite if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown config file sections or keys: {unknown}")
+    out = {key: int(suite[key]) for key in keys if key in suite}
     if parser.has_section("tolerances"):
         out["tolerances"] = {k: float(v) for k, v in parser["tolerances"].items()}
     return out

@@ -2,12 +2,14 @@
 
 import json
 import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bettibound.cli import main
+from bettibound.cli import _build_parser, main
 from bettibound.mesh import icosphere_mesh, load_mesh, write_off
 from bettibound.report import SuiteConfig, build_config, serialize_json
 
@@ -118,6 +120,17 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert doc["config"]["tolerances"]["chain"] == 1e-8
 
 
+def test_config_file_unknown_sections_and_keys_exit_2(capsys, tmp_path):
+    # Misspelled keys and a misspelled section used to be dropped silently,
+    # leaving the defaults (seed 42, 200 trials) in force.
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[suite]\nsed = 7\ntrails = 3\n\n[tolerance]\nchain = 1e-8\n")
+    code, _, err = run(capsys, "verify-abstract", "--config", str(cfg))
+    assert code == 2
+    for name in ("[tolerance]", "sed", "trails"):
+        assert name in err
+
+
 # -- betti-bound ---------------------------------------------------------------
 
 
@@ -189,7 +202,8 @@ def test_betti_bound_invalid_grid(capsys):
 @pytest.mark.parametrize(
     "flag,value",
     [("--rho0", "nan"), ("--rho0", "0.5,inf"), ("--t0", "inf"), ("--t0", "1,inf"),
-     ("--p", "-1"), ("--p", "0"), ("--p", "nan"), ("--p", "inf")],
+     ("--p", "-1"), ("--p", "0"), ("--p", "nan"), ("--p", "inf"),
+     ("--tolerance", "0"), ("--tolerance", "0.5"), ("--tolerance", "nan")],
 )
 def test_betti_bound_invalid_parameter_exits_2(capsys, flag, value):
     argv = {"--rho0": "0.5", "--t0": "1", flag: value}
@@ -293,6 +307,35 @@ def test_betti_bound_removed_curvature_floor_flags_are_usage_errors(capsys):
             main(["betti-bound", "--builtin", "flat-torus", prefix + flag, "0.5"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {prefix + flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb,flag,value",
+    [("betti-bound", "--seed", "1"), ("betti-bound", "--trials", "3"),
+     ("betti-bound", "--config", "suite.ini"), ("mesh-info", "--seed", "1"),
+     ("mesh-info", "--trials", "3"), ("mesh-info", "--config", "suite.ini"),
+     ("mesh-info", "--tolerance", "1e-9")],
+)
+def test_flags_a_verb_does_not_read_are_usage_errors(capsys, verb, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--builtin", "sphere", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_usage_commands_parse():
+    # Parsing only: nothing runs, but a flag the README shows and its verb
+    # rejects fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [
+        shlex.split(line)[1:]
+        for line in usage.replace("\\\n", " ").splitlines()
+        if line.startswith("bettibound ")
+    ]
+    assert len(commands) == 5
+    for argv in commands:
+        assert _build_parser().parse_args(argv).verb == argv[0]
 
 
 def test_betti_bound_point_passes_only_with_all_its_records(
@@ -469,8 +512,11 @@ def test_suite_config_validation():
         SuiteConfig(trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(tolerances={"chain": 0.0})
-    with pytest.raises(ValueError):
-        SuiteConfig(tolerances={"bogus_family": 1e-9})
+    # betti-bound's soundness slack and the geometry tolerance are not
+    # suite families.
+    for family in ("bogus_family", "soundness", "geometry"):
+        with pytest.raises(ValueError, match="unknown tolerance family"):
+            SuiteConfig(tolerances={family: 1e-9})
     cfg = SuiteConfig(tolerances={"chain": 1e-12})
     assert cfg.tol("chain") == 1e-12
     assert cfg.tol("duhamel") == 1e-6
