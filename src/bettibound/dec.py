@@ -26,13 +26,14 @@ The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number.  Route (a) of the Betti oracle
 counts it on L1's own CSR matrix with no dense eigensolve
 (``_certified_kernel_dim``, which counts ker L0 as well).  One sparse
-symmetric factorization of L1 shifted just above the zero threshold
-gives, by Sylvester's law of inertia, the number j of eigenvalues below
-the shift; j = 0 certifies an empty kernel outright.  Otherwise a
-shift-invert Lanczos run on that same factor gives the j Ritz pairs below
-the shift, certified by their residuals; only an eigenvalue between the
-threshold and the shift costs a second factorization.  All
-E eigenpairs, an E x E array checked against the same matrix by
+symmetric factorization of L1 shifted just above the zero threshold, in
+reverse Cuthill-McKee order, gives, by Sylvester's law of inertia, the
+number j of eigenvalues below the shift; j = 0 certifies an empty
+kernel outright.  Otherwise a shift-invert Lanczos run on that same
+factor gives the j Ritz pairs below the shift, certified by their
+residuals; only an eigenvalue between the threshold and the shift costs
+a second factorization.  All E eigenpairs, an E x E array checked
+against the same matrix by
 residual and orthogonality loss (``measure``), are assembled only for
 the Schatten certificate (``DECOperators.laplacian1``).  Route (b), an
 independent combinatorial count b1 = E - rank(d0) - rank(d1),
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, identity
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .measure import (
@@ -405,25 +406,32 @@ def betti1_rank_count(dec: DECOperators) -> int:
 # lies below it, and small enough that an eigenvalue between the threshold
 # and the shift, which costs a second factorization, is rare.
 _LANCZOS_SHIFT = 1e-6
-# Fill-reducing column ordering of the count's factorization.  Measured on
-# L1 (2 vCPUs, one BLAS thread): MMD_AT_PLUS_A factored bumpy-sphere(3) in
-# 11 ms and genus2(12) in 3 ms, COLAMD in 19 and 6 ms; on the sphere at
-# resolution 5 (E 30720) MMD_AT_PLUS_A took 7.8 s and COLAMD 1.2 s.  Both
-# kept every pivot on the diagonal.
-_ORDERING = "COLAMD"
+# Fill-reducing ordering of the count's factorization: SuperLU's minimum
+# degree on the pattern of A^T + A, applied to a matrix already put in
+# reverse Cuthill-McKee order (``_inertia``).  The banded preorder removes
+# the minimum-degree ordering's blow-up on the icosphere family; measured
+# on L1 (2 vCPUs, one BLAS thread), RCM+MMD factored the sphere at
+# resolution 5 (E 30720) in 0.31 s and 4.3M factor nonzeros, COLAMD in
+# 1.05 s and 8.1M, and bumpy-sphere(3) in 8 ms against 17 ms; the RCM
+# order and the permuted copy cost 7 ms and 0.6 ms.  Both keep every
+# pivot on the diagonal.
+_ORDERING = "MMD_AT_PLUS_A"
 
 
-def _inertia(s: csr_matrix, sigma: float):
-    """A symmetric factorization of S - sigma I and its count of negative pivots.
+def _inertia(permuted: csr_matrix, sigma: float):
+    """A symmetric factorization of P S P^T - sigma I and its count of negative pivots.
 
-    SuperLU in symmetric mode with diagonal pivots (``splu`` with
-    ``diag_pivot_thresh=0``) factors S - sigma I as P L D L^T P^T, with D
-    the diagonal of U; by Sylvester's law of inertia the negative pivots
-    count the eigenvalues of S below sigma.  A factorization that left the
-    diagonal (``perm_r != perm_c``) raises ValueError.
+    ``permuted`` is S in a fixed symmetric order P (``_certified_kernel_dim``
+    uses reverse Cuthill-McKee), so the matrix factored is P (S - sigma I)
+    P^T, congruent to S - sigma I.  SuperLU in symmetric mode with
+    diagonal pivots (``splu`` with ``diag_pivot_thresh=0``) factors it as
+    Q L D L^T Q^T, with D the diagonal of U; by Sylvester's law of inertia
+    the negative pivots count the eigenvalues of S below sigma.  A
+    factorization that left the diagonal (``perm_r != perm_c``) raises
+    ValueError.
     """
     lu = splu(
-        (s - sigma * identity(s.shape[0], format="csr")).tocsc(),
+        (permuted - sigma * identity(permuted.shape[0], format="csr")).tocsc(),
         permc_spec=_ORDERING,
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
@@ -433,12 +441,15 @@ def _inertia(s: csr_matrix, sigma: float):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _ritz_pairs_below(s: csr_matrix, lu, sigma: float, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The j Ritz pairs of S below sigma, given ``lu``, the factor of S - sigma I.
+def _ritz_pairs_below(
+    s: csr_matrix, lu, order: np.ndarray, sigma: float, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The j Ritz pairs of S below sigma, given ``lu``, the factor of
+    P (S - sigma I) P^T for the symmetric order ``order`` (P x = x[order]).
 
     Shift-invert Lanczos (``eigsh`` about sigma, from a fixed start vector,
-    so runs repeat) applies ``lu`` as its inverse and keeps the j most
-    negative values of (S - sigma I)^(-1), which belong to the j
+    so runs repeat) applies ``lu`` through P as its inverse, and keeps the
+    j most negative values of (S - sigma I)^(-1), which belong to the j
     eigenvalues below sigma.  An order within four of j is eigensolved
     densely instead, keeping the j lowest pairs.
     """
@@ -446,7 +457,13 @@ def _ritz_pairs_below(s: csr_matrix, lu, sigma: float, j: int) -> tuple[np.ndarr
     if j + 4 >= n:
         theta, x = np.linalg.eigh(s.toarray())
         return theta[:j], x[:, :j]
-    inverse = LinearOperator(s.shape, matvec=lu.solve, dtype=float)
+
+    def solve(b):
+        x = np.empty(b.shape)
+        x[order] = lu.solve(b[order])
+        return x
+
+    inverse = LinearOperator(s.shape, matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     return eigsh(s, k=j, sigma=sigma, which="SA", OPinv=inverse, v0=v0)
 
@@ -458,8 +475,9 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     r, the largest absolute row sum of S, is an O(nnz) upper bound on the
     spectral radius (so tau is never below the threshold of
     ``SelfAdjointOperator.kernel_dim``).  The count starts from inertia:
-    S - sigma I, with sigma = 1e-6 (1 + r) above tau, is factored once
-    (``_inertia``), and its j negative pivots are the eigenvalues below
+    S is put once in reverse Cuthill-McKee order P, and P (S - sigma I)
+    P^T, with sigma = 1e-6 (1 + r) above tau, is factored once
+    (``_inertia``); its j negative pivots are the eigenvalues below
     sigma.  If j = 0 the count is 0 and no Lanczos run is needed.
     Otherwise the j Ritz pairs below sigma come from one Lanczos run on
     that same factor (``_ritz_pairs_below``).  The count k is the number
@@ -475,10 +493,10 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
         Eigenvalue Problem*, ch. 11);
     (ii) exactly k eigenvalues of S lie below sigma: S - sigma I has
         exactly k negative pivots (Sylvester's law of inertia).  When a
-        Ritz value lies in (tau, sigma), so j > k, S is factored once more
-        at sigma halfway between tau and the lowest such Ritz value, and
-        that factor's negative pivots are compared with k; there is no
-        third factorization.
+        Ritz value lies in (tau, sigma), so j > k, S is factored once more,
+        in the same order P, at sigma halfway between tau and the lowest
+        such Ritz value, and that factor's negative pivots are compared
+        with k; there is no third factorization.
 
     Together: exactly k eigenvalues lie in [-tau, tau], and none below
     -tau or between tau and sigma.  A count that fails either check, or a
@@ -489,10 +507,12 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     radius = float(abs(s).sum(axis=1).max())
     tau = ZERO_TOL * (1.0 + radius)
     sigma = _LANCZOS_SHIFT * (1.0 + radius)
-    lu, below = _inertia(s, sigma)
+    order = reverse_cuthill_mckee(s, symmetric_mode=True)
+    permuted = s[order][:, order]
+    lu, below = _inertia(permuted, sigma)
     if not below:
         return 0, 0.0, sigma
-    theta, x = _ritz_pairs_below(s, lu, sigma, below)
+    theta, x = _ritz_pairs_below(s, lu, order, sigma, below)
     counted = np.abs(theta) <= tau
     k = int(np.count_nonzero(counted))
     bound = 0.0
@@ -512,7 +532,7 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     above = theta[theta > tau]
     if above.size:
         sigma = 0.5 * (tau + float(above.min()))
-        below = _inertia(s, sigma)[1]
+        below = _inertia(permuted, sigma)[1]
     if below != k:
         raise ValueError(
             f"kernel count {k} not certified: {below} eigenvalues lie below "

@@ -320,11 +320,11 @@ class BumpySphere(AnalyticSurface):
         return np.where(near_pole, pole, curv)
 
     def mesh(self, resolution: int = 3) -> TriangleMesh:
-        base = icosphere_mesh(resolution, 1.0)
-        unit = base.vertices / np.linalg.norm(base.vertices, axis=1, keepdims=True)
+        verts, faces = _icosphere_arrays(resolution)
+        unit = verts / np.linalg.norm(verts, axis=1, keepdims=True)
         theta = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
         scaled = unit * self.radius_at(theta)[:, None]
-        return TriangleMesh(scaled, base.faces)
+        return TriangleMesh(scaled, faces)
 
     def curvature_values(self, mesh: TriangleMesh) -> np.ndarray:
         norms = np.linalg.norm(mesh.vertices, axis=1)
@@ -355,42 +355,55 @@ class BumpySphere(AnalyticSurface):
 # -- mesh generators -----------------------------------------------------
 
 
-def icosphere_mesh(subdivisions: int = 3, radius: float = 1.0) -> TriangleMesh:
-    """Icosahedron subdivided ``subdivisions`` times, projected to the sphere."""
+def _icosphere_arrays(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vertices and faces of the icosahedron subdivided ``subdivisions`` times.
+
+    Each round splits every face (a, b, c) into (a, ab, ca), (b, bc, ab),
+    (c, ca, bc) and (ab, bc, ca).  A side's midpoint is the sum of its
+    ends scaled to unit length, and the new vertices are numbered in the
+    order their sides first occur, face by face and side ab, bc, ca
+    within a face.  Each length is sqrt(v . v) per row, which gives
+    ``np.linalg.norm`` of that row to the bit.
+    """
     if subdivisions < 0:
         raise ValueError("subdivisions must be nonnegative")
     t = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
+    verts = np.array([
         (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
         (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
         (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
-    ]
-    faces = [
+    ])
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    ], dtype=np.int64)
+    verts /= np.sqrt(np.vecdot(verts, verts))[:, None]
 
     for _ in range(subdivisions):
-        cache = {}
+        sides = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+        pairs, first, inverse = np.unique(
+            np.sort(sides, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        # Number each distinct side by its first occurrence.
+        order = np.argsort(first)
+        rank = np.empty(len(pairs), dtype=np.int64)
+        rank[order] = np.arange(len(verts), len(verts) + len(pairs))
+        ab, bc, ca = rank[inverse.reshape(-1)].reshape(-1, 3).T
+        a, b, c = faces.T
+        mid = verts[pairs[order]].sum(axis=1)
+        verts = np.concatenate([verts, mid / np.sqrt(np.vecdot(mid, mid))[:, None]])
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+    return verts, faces
 
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                mid = verts[i] + verts[j]
-                verts.append(mid / np.linalg.norm(mid))
-                cache[key] = len(verts) - 1
-            return cache[key]
 
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-
-    return TriangleMesh(radius * np.array(verts), np.array(faces))
+def icosphere_mesh(subdivisions: int = 3, radius: float = 1.0) -> TriangleMesh:
+    """Icosahedron subdivided ``subdivisions`` times, projected to the sphere."""
+    verts, faces = _icosphere_arrays(subdivisions)
+    return TriangleMesh(radius * verts, faces)
 
 
 def revolution_torus_mesh(
@@ -580,21 +593,34 @@ def read_off(text: str) -> TriangleMesh:
 
 
 def read_obj(text: str) -> TriangleMesh:
-    """Minimal OBJ subset: v and f records, 1-based indices, triangles only."""
+    """Minimal OBJ subset: v and f records, triangles only.
+
+    A face index is 1-based, or negative, counting back from the last
+    vertex read before the face record (-1 is that vertex), as the OBJ
+    format defines it.  Index 0, a malformed number and a short vertex
+    record raise ``MeshError`` naming the line.
+    """
     verts, faces = [], []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         parts = line.split("#", 1)[0].split()
-        if not parts:
+        if not parts or parts[0] not in ("v", "f"):
             continue
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MeshError("malformed OBJ vertex record")
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            idx = [p.split("/")[0] for p in parts[1:]]
-            if len(idx) != 3:
-                raise MeshError("only triangle faces are supported")
-            faces.append([int(i) - 1 for i in idx])
+        kind = "vertex" if parts[0] == "v" else "face"
+        record = f"OBJ {kind} record on line {number}"
+        if kind == "face" and len(parts) != 4:
+            raise MeshError(f"only triangle faces are supported ({record})")
+        try:
+            if kind == "vertex":
+                if len(parts) < 4:
+                    raise ValueError("fewer than three coordinates")
+                verts.append([float(x) for x in parts[1:4]])
+            else:
+                idx = [int(p.split("/")[0]) for p in parts[1:]]
+                if 0 in idx:
+                    raise ValueError("index 0 (indices start at 1)")
+                faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
+        except ValueError as exc:
+            raise MeshError(f"malformed {record}: {exc}") from exc
     if not verts or not faces:
         raise MeshError("OBJ file contains no usable v/f records")
     return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))

@@ -29,10 +29,11 @@ Schatten certificate eigensolves L0 and the face Laplacian L2, assembles
 all of L1's eigenpairs from them (its Hodge pieces), once per surface and
 with no E x E eigensolve of its own, and eigensolves L1 + W once per rho0
 (W depends on rho0 only).
-The 2->inf norm of e^(-t0 (L0+K)) is one gemv per point, O(N^2) with no
-N x N array built, against the squared eigenbasis of L0 + K, which is
-built once per surface (``measure.heat_two_inf_norm``).  At p = 2 the
-Hilbert-Schmidt norm of the semigroup difference comes from the two
+The 2->inf norm of e^(-t0 (L0+K)) is one gemv per distinct t0, O(N^2)
+with no N x N array built, against the squared eigenbasis of L0 + K,
+which is built once per surface (``measure.heat_two_inf_norm``); the
+surface keeps each norm (``SurfaceData.comparison_two_inf``).  At p = 2
+the Hilbert-Schmidt norm of the semigroup difference comes from the two
 spectra in O(N^2) per point, with no dense heat matrix; other p take the
 singular values of the dense difference.
 """
@@ -160,6 +161,7 @@ class SurfaceData:
     b1: int
     kernel_dim_0forms: int
     description: str
+    _two_inf: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _schatten_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -170,6 +172,14 @@ class SurfaceData:
     def comparison(self) -> SelfAdjointOperator:
         """The comparison operator L0 + K, eigensolved when first read."""
         return schrodinger_comparison(self.dec, self.curvature.values)
+
+    def comparison_two_inf(self, t0: float) -> float:
+        """||e^(-t0 (L0 + K))||_{2->inf}, ``heat_two_inf_norm`` of the
+        comparison operator, computed once per distinct t0 and kept as a
+        float, so a sweep runs one gemv per t0 rather than one per point."""
+        if t0 not in self._two_inf:
+            self._two_inf[t0] = heat_two_inf_norm(self.comparison, t0)
+        return self._two_inf[t0]
 
     @cached_property
     def laplacian1(self) -> SelfAdjointOperator:
@@ -280,7 +290,7 @@ def betti_bound(
     notes = []
 
     potential_norm = ricci_potential(data.curvature, rho0)
-    ultra = heat_two_inf_norm(data.comparison, t0)
+    ultra = data.comparison_two_inf(t0)
     sharp_pref, loose_pref = prefactors(rho0, t0)
     bound_main = sharp_pref * potential_norm**2 * ultra**2
     bound_loose = loose_pref * potential_norm**2 * ultra**2
@@ -426,7 +436,9 @@ def parameter_sweep(
 ) -> list[BettiBoundReport]:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
-    The surface is prepared once and L1 + W eigensolved once per rho0
+    The surface is prepared once, the 2->inf norm of the comparison
+    semigroup computed once per t0 (``SurfaceData.comparison_two_inf``)
+    and L1 + W eigensolved once per rho0
     (``SurfaceData.schatten_operator``); the soundness slack goes to
     ``betti_bound``.  Returns the reports, rho0 outer loop, t0 inner.
     """

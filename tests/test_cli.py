@@ -265,6 +265,38 @@ def test_betti_bound_non_finite_vertex_message(capsys, tmp_path, value):
     assert "non-finite vertex coordinates" in err
 
 
+def _obj(mesh, relative):
+    shift = -mesh.vertex_count if relative else 1
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += ["f " + " ".join(str(i + shift) for i in f) for f in mesh.faces.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_mesh_info_reads_obj_negative_indices(capsys, tmp_path):
+    blocks = []
+    for relative in (False, True):
+        path, out = tmp_path / f"ico-{relative}.obj", tmp_path / f"ico-{relative}.json"
+        path.write_text(_obj(icosphere_mesh(1), relative))
+        code, _, _ = run(capsys, "mesh-info", "--mesh", str(path), "--quiet", "--out", str(out))
+        assert code == 0
+        blocks.append(json.loads(out.read_text())["mesh"])
+    assert blocks[0] == blocks[1]
+    assert blocks[0]["vertices"] == 42 and blocks[0]["betti1"] == 0
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [(("f 1 ", "f 0 "), "index 0"), (("v ", "v x", 1), "could not convert string to float")],
+    ids=["index-zero", "coordinate"],
+)
+def test_mesh_info_malformed_obj_exits_2(capsys, tmp_path, edit, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(_obj(icosphere_mesh(1), relative=False).replace(*edit))
+    code, _, err = run(capsys, "mesh-info", "--mesh", str(path))
+    assert code == 2
+    assert "malformed OBJ" in err and message in err
+
+
 def _two_tetrahedra_off(glued):
     # The second tetrahedron is the first reflected through vertex 0, faces
     # reversed; glued, the two share vertex 0 and its link is two cycles.

@@ -1,5 +1,6 @@
 """Mesh combinatorics, DEC operators, curvature, and homology oracles."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from bettibound.mesh import (
     flat_torus_mesh,
     genus2_mesh,
     icosphere_mesh,
+    load_mesh,
     read_obj,
     read_off,
     revolution_torus_mesh,
@@ -596,6 +598,104 @@ f 2 3 4
 def test_obj_rejects_quads():
     with pytest.raises(MeshError, match="triangle"):
         read_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n")
+
+
+def obj_text(mesh, relative=False):
+    """``mesh`` as OBJ, all vertices first; ``relative`` writes each face
+    index as a negative offset from the last vertex."""
+    shift = -mesh.vertex_count if relative else 1
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += ["f " + " ".join(str(i + shift) for i in f) for f in mesh.faces.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_obj_negative_indices_count_back_from_the_last_vertex(tmp_path):
+    mesh = icosphere_mesh(1)
+    loaded = []
+    for relative in (False, True):
+        path = tmp_path / f"ico-{relative}.obj"
+        path.write_text(obj_text(mesh, relative))
+        loaded.append(load_mesh(path))
+    for read in loaded:
+        assert np.array_equal(read.vertices, mesh.vertices)
+        assert np.array_equal(read.faces, mesh.faces)
+    # -1 is the last vertex read before the face, not the last of the file.
+    text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -1 -2\nv 0 0 1\nf 1 2 -1\nf 1 -1 3\nf 2 3 -1\n"
+    assert np.array_equal(read_obj(text).faces, TET_FACES)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "face record on line 4: index 0"),
+        ("v 0 0 0\nv 1 0 zero\nv 0 1 0\nf 1 2 3\n", "vertex record on line 2: could not"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 b 3\n", "face record on line 4: invalid"),
+        ("v 0 0 0\nv 1 0\n", "vertex record on line 2: fewer than three"),
+    ],
+    ids=["index-zero", "coordinate", "index", "short-vertex"],
+)
+def test_obj_malformed_record_names_its_line(text, message):
+    with pytest.raises(MeshError, match=f"malformed OBJ {message}"):
+        read_obj(text)
+
+
+# -- the icosphere -----------------------------------------------------------------
+
+
+def _icosphere_by_loop(subdivisions):
+    """The icosphere arrays built face by face with a midpoint dict, as
+    ``icosphere_mesh`` once did: the reference for its array code."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = [
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                mid = verts[i] + verts[j]
+                verts.append(mid / np.linalg.norm(mid))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_meshes_equal_the_loop_reference(subdivisions):
+    verts, faces = _icosphere_by_loop(subdivisions)
+    bumpy = BumpySphere()
+    unit = verts / np.linalg.norm(verts, axis=1, keepdims=True)
+    theta = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
+    expected = {
+        "icosphere": verts,
+        "round-sphere": 2.0 * verts,
+        "bumpy-sphere": unit * bumpy.radius_at(theta)[:, None],
+    }
+    meshes = {
+        "icosphere": icosphere_mesh(subdivisions),
+        "round-sphere": RoundSphere(2.0).mesh(subdivisions),
+        "bumpy-sphere": bumpy.mesh(subdivisions),
+    }
+    for name, mesh in meshes.items():
+        assert np.array_equal(mesh.vertices, expected[name]), name
+        assert np.array_equal(mesh.faces, faces), name
 
 
 # -- analytic surfaces -----------------------------------------------------------

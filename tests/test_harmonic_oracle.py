@@ -7,7 +7,9 @@ dominate the kernel eigenvalues of the dense spectra (L0's eigensolve,
 L1's full E x E assembly), its shift must lie below their first
 eigenvalue above the threshold, and its counts must equal the dense and
 the combinatorial ones.  It factors once, or twice when an eigenvalue
-lies between the zero threshold and the first shift.  A Ritz pair it was
+lies between the zero threshold and the first shift, each time the
+shifted matrix in reverse Cuthill-McKee order with the MMD_AT_PLUS_A
+ordering, whose factor is sparser than a COLAMD one.  A Ritz pair it was
 not given, a wrong Ritz vector, a negative eigenvalue or a pivoted
 factorization makes it raise.  Each eigensolve keeps the numbers its
 check computed.
@@ -22,7 +24,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from bettibound import cli, dec as dec_module, measure
 from bettibound.dec import (
@@ -146,11 +150,17 @@ def _shift(s) -> float:
     return dec_module._LANCZOS_SHIFT * (1.0 + float(abs(s).sum(axis=1).max()))
 
 
-def _counting_splu(monkeypatch) -> list:
-    """Record each ``dec.splu`` factorization in the returned list."""
+def _recording_splu(monkeypatch) -> list:
+    """Record each ``dec.splu`` call as (matrix, keyword arguments, factor)."""
     calls = []
-    splu = dec_module.splu
-    monkeypatch.setattr(dec_module, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    splu_ = dec_module.splu
+
+    def recording(matrix, **kwargs):
+        lu = splu_(matrix, **kwargs)
+        calls.append((matrix, kwargs, lu))
+        return lu
+
+    monkeypatch.setattr(dec_module, "splu", recording)
     return calls
 
 
@@ -164,7 +174,7 @@ def test_count_rejects_an_eigenvalue_between_threshold_and_shift(monkeypatch):
     spectrum = np.concatenate([[0.0, 0.0, 1e-5], np.arange(1.0, 38.0)])
     s = _planted(spectrum)
     assert zero_threshold(s) < 1e-5 < _shift(s)
-    calls = _counting_splu(monkeypatch)
+    calls = _recording_splu(monkeypatch)
     k, _, sigma = _certified_kernel_dim(s)
     assert k == 2 and zero_threshold(s) < sigma < 1e-5
     assert len(calls) == 2
@@ -197,7 +207,7 @@ def test_count_refactors_at_most_once(monkeypatch):
         return theta, x
 
     monkeypatch.setattr(dec_module, "eigsh", phantom_pair)
-    calls = _counting_splu(monkeypatch)
+    calls = _recording_splu(monkeypatch)
     with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
         _certified_kernel_dim(s)
     assert len(calls) == 2
@@ -208,7 +218,7 @@ def test_count_rejects_a_negative_eigenvalue(monkeypatch):
     # It is among the pairs below the shift but not counted, so the count
     # raises after one factorization.
     spectrum = np.concatenate([[-1e-3, 0.0, 0.0], np.arange(1.0, 38.0)])
-    calls = _counting_splu(monkeypatch)
+    calls = _recording_splu(monkeypatch)
     with pytest.raises(ValueError, match="kernel count 2 not certified: 3 eigenvalues"):
         _certified_kernel_dim(_planted(spectrum))
     assert len(calls) == 1
@@ -217,7 +227,7 @@ def test_count_rejects_a_negative_eigenvalue(monkeypatch):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_each_count_factors_once(monkeypatch, name):
     dec = build_dec(builtin_mesh(name))
-    calls = _counting_splu(monkeypatch)
+    calls = _recording_splu(monkeypatch)
     lanczos = []
     eigsh = dec_module.eigsh
 
@@ -234,6 +244,59 @@ def test_each_count_factors_once(monkeypatch, name):
     assert len(calls) == 2
     # An empty kernel (the spheres' L1) is certified by the inertia alone.
     assert lanczos == [1] + ([b1] if b1 else [])
+
+
+def _negative_pivots(lu) -> int:
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _colamd_factor(shifted):
+    """The factor the count used before its reverse Cuthill-McKee preorder."""
+    return splu(
+        shifted.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
+def _conjugated_laplacians(dec):
+    return [
+        measure.WeightedOperator(dec.laplacian0_matrix(), dec.vertex_space()).conjugated(),
+        measure.WeightedOperator(dec.laplacian1_matrix(), dec.edge_space()).conjugated(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,resolution",
+    [(name, None) for name in BUILTIN_NAMES] + [("genus2", 32), ("bumpy-sphere", 4)],
+)
+def test_each_count_factors_the_rcm_ordered_matrix(monkeypatch, name, resolution):
+    dec = build_dec(builtin_mesh(name, resolution))
+    calls = _recording_splu(monkeypatch)
+    counts = [kernel_dim_0forms(dec), betti1_oracle(dec.mesh, dec)]
+    assert counts == [1, betti1_rank_count(dec)]
+    assert len(calls) == 2
+    for s, (matrix, kwargs, lu) in zip(_conjugated_laplacians(dec), calls):
+        shifted = s - _shift(s) * identity(s.shape[0], format="csr")
+        order = reverse_cuthill_mckee(s, symmetric_mode=True)
+        assert (matrix != shifted[order][:, order]).nnz == 0
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert kwargs["diag_pivot_thresh"] == 0.0 and kwargs["options"]["SymmetricMode"]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        # The same number of eigenvalues below the shift as the COLAMD factor
+        # of the unpermuted matrix counts.
+        assert _negative_pivots(lu) == _negative_pivots(_colamd_factor(shifted))
+
+
+def test_rcm_ordered_factor_is_sparser_than_colamd(monkeypatch):
+    # bumpy-sphere(4)'s L1 (E 7680): 823,120 factor nonzeros in reverse
+    # Cuthill-McKee order with minimum degree, 1,373,260 with COLAMD.
+    dec = build_dec(builtin_mesh("bumpy-sphere", 4))
+    s = _conjugated_laplacians(dec)[1]
+    calls = _recording_splu(monkeypatch)
+    assert _certified_kernel_dim(s)[0] == 0
+    (_, _, lu), = calls
+    colamd = _colamd_factor(s - _shift(s) * identity(s.shape[0], format="csr"))
+    assert lu.L.nnz + lu.U.nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):

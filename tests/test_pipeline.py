@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 
+from bettibound import pipeline
 from bettibound.birman import OperatorPair, crude_kernel_bound, semigroup_difference
 from bettibound.measure import (
     SelfAdjointOperator,
@@ -228,6 +229,26 @@ def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten):
     if schatten:
         expected += [(nv, nv), (nf, nf), (4, 4)] + [(ne, ne)] * 2
     assert calls == expected
+
+
+def test_sweep_computes_each_two_inf_norm_once_per_t0(monkeypatch):
+    # A 5 x 5 grid has five distinct t0, so five gemvs, not 25; each kept
+    # value is the one a call at that point returns, to the bit.
+    calls = []
+
+    def recording(op, t):
+        calls.append(t)
+        return heat_two_inf_norm(op, t)
+
+    monkeypatch.setattr(pipeline, "heat_two_inf_norm", recording)
+    rho0s, t0s = [0.25, 0.5, 1.0, 1.5, 2.0], [0.25, 0.5, 1.0, 2.0, 4.0]
+    mesh = builtin_mesh("bumpy-sphere", 2)
+    reports = parameter_sweep(mesh, rho0s, t0s, compute_schatten=False)
+    assert calls == t0s
+    comparison = prepare_surface(mesh).comparison
+    for report in reports:
+        expected = heat_two_inf_norm(comparison, report.t0)
+        assert report.intermediate["comparison_two_inf"] == expected
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
