@@ -12,7 +12,6 @@ from .measure import (
     WeightedFiniteSpace,
     WeightedOperator,
     hs_norm,
-    one_two_norm,
     operator_norm,
     schatten_norm,
     two_inf_norm,
@@ -23,7 +22,6 @@ from .birman import (
     birman_schwinger_bound,
     kernel_identity_check,
     planted_kernel_operator,
-    semigroup_difference,
     weyl_inequality_check,
 )
 from .perturbation import (
@@ -75,7 +73,6 @@ from .pipeline import (
     parameter_sweep,
     prefactors,
     prepare_surface,
-    schatten_betti_bound,
     synthetic_edge_potential,
 )
 from .report import RunReport, SuiteConfig, serialize_json

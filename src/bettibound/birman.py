@@ -39,7 +39,6 @@ from .measure import (
 __all__ = [
     "OperatorPair",
     "KernelBoundCertificate",
-    "semigroup_difference",
     "birman_schwinger_operator",
     "kernel_identity_check",
     "crude_kernel_bound",
@@ -50,7 +49,6 @@ __all__ = [
     "random_weighted_space",
 ]
 
-PAIR_TOL = 1e-9
 SUBSPACE_ANGLE_TOL = 1e-7
 
 
@@ -68,13 +66,11 @@ class OperatorPair:
             raise ValueError("rho0 and t0 must be strictly positive")
         if not self.H.space.same_as(self.Hprime.space) or self.H.fiber != self.Hprime.fiber:
             raise ValueError("pair members live on different spaces")
-        tol = PAIR_TOL * (1.0 + self.H.spectral_radius)
-        if self.H.min_eigenvalue < -tol:
+        if self.H.min_eigenvalue < -self.H.zero_threshold():
             raise ValueError(
                 f"H must be nonnegative (min eigenvalue {self.H.min_eigenvalue:.3e})"
             )
-        tolp = PAIR_TOL * (1.0 + self.Hprime.spectral_radius)
-        if self.Hprime.min_eigenvalue < self.rho0 - tolp:
+        if self.Hprime.min_eigenvalue < self.rho0 - self.Hprime.zero_threshold():
             raise ValueError(
                 f"H' must be bounded below by rho0={self.rho0} "
                 f"(min eigenvalue {self.Hprime.min_eigenvalue:.3e})"
@@ -105,13 +101,6 @@ class KernelBoundCertificate:
     p: float
 
 
-def semigroup_difference(pair: OperatorPair, t: float) -> WeightedOperator:
-    """D_t = exp(-tH) - exp(-tH'); callers read only its matrix, so no eigensolve runs."""
-    if t <= 0.0:
-        raise ValueError("t must be strictly positive")
-    return heat_difference(pair.H, pair.Hprime, t)
-
-
 def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
     """(I - exp(-tH'))^(-1) D_t, the operator whose fixed points are ker(H).
 
@@ -122,7 +111,7 @@ def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
     if np.any(np.exp(-t * pair.Hprime.eigenvalues) >= 1.0):
         raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
     inv = pair.Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-t * w)))
-    return inv.compose(semigroup_difference(pair, t))
+    return inv.compose(heat_difference(pair.H, pair.Hprime, t))
 
 
 def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
@@ -209,7 +198,7 @@ def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
     gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
     if p == 2.0:
         return heat_difference_hs_squared(pair.H, pair.Hprime, pair.t0, gap)
-    diff = semigroup_difference(pair, pair.t0)
+    diff = heat_difference(pair.H, pair.Hprime, pair.t0)
     scaled = WeightedOperator(diff.matrix / gap, pair.H.space, pair.H.fiber)
     return schatten_power_sum(scaled, p)
 

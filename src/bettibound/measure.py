@@ -29,8 +29,6 @@ Norms provided:
   which for a kernel operator is the largest weighted L2 norm of a kernel
   row.  ``heat_two_inf_norm(A, t)`` gives the norm of exp(-tA) at fiber 1
   from A's spectrum, one gemv per call.
-* ``one_two_norm(A)``: the L1(m) -> L2(m) norm, equal by duality to the
-  2->inf norm of the weighted adjoint.
 * ``operator_norm(A)``: the ordinary L2(m) -> L2(m) norm.
 """
 
@@ -58,7 +56,6 @@ __all__ = [
     "hs_norm",
     "operator_norm",
     "two_inf_norm",
-    "one_two_norm",
 ]
 
 # An eigenvalue counts as zero iff |lambda| <= ZERO_TOL * (1 + spectral radius).
@@ -196,13 +193,6 @@ class WeightedOperator:
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
         return (self.matrix @ vals.reshape(-1)).reshape(vals.shape)
-
-    def adjoint(self) -> "WeightedOperator":
-        """The adjoint with respect to the weighted inner product."""
-        w = self.space.stacked_weights(self.fiber)
-        transposed = self.matrix.T.tocsr() if issparse(self.matrix) else self.matrix.T
-        mat = _entrywise(transposed, lambda i, j, a: (a * w[j]) / w[i])
-        return WeightedOperator(mat, self.space, self.fiber)
 
     def compose(self, other: "WeightedOperator") -> "WeightedOperator":
         self._check_compatible(other)
@@ -633,8 +623,3 @@ def two_inf_norm(operator: WeightedOperator) -> float:
             val = float(np.linalg.svd(block, compute_uv=False)[0])
         best = max(best, val)
     return best
-
-
-def one_two_norm(operator: WeightedOperator) -> float:
-    """L1(m) -> L2(m) norm; by duality the 2->inf norm of the adjoint."""
-    return two_inf_norm(operator.adjoint())

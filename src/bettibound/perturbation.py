@@ -282,8 +282,7 @@ def semigroup_difference_bound_check(
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be strictly positive")
-    tol = 1e-9 * (1.0 + H.spectral_radius)
-    if H.min_eigenvalue < -tol:
+    if H.min_eigenvalue < -H.zero_threshold():
         raise ValueError("H must be positive semidefinite")
     perturbed = V.added_to(H)
     lhs = math.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))

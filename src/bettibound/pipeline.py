@@ -20,22 +20,23 @@ assumed):
 
     b1  <=  (1 - e^(-2 rho0 t0))^(-p) || e^(-2 t0 L1) - e^(-2 t0 (L1+W)) ||_Sp^p.
 
-Every grid point is read from spectra computed before it.  Preparing a
-surface eigensolves nothing: the Betti oracle counts dim ker L1 on L1's
-sparse matrix, certified by an inertia count and, when the kernel is not
-empty, by Ritz residuals.  The
-comparison operator L0 + K is eigensolved once per surface.  Only the
-Schatten certificate eigensolves L0 and the face Laplacian L2, assembles
-all of L1's eigenpairs from them (its Hodge pieces), once per surface and
-with no E x E eigensolve of its own, and eigensolves L1 + W once per rho0
-(W depends on rho0 only).
-The 2->inf norm of e^(-t0 (L0+K)) is one gemv per distinct t0, O(N^2)
-with no N x N array built, against the squared eigenbasis of L0 + K,
-which is built once per surface (``measure.heat_two_inf_norm``); the
-surface keeps each norm (``SurfaceData.comparison_two_inf``).  At p = 2
-the Hilbert-Schmidt norm of the semigroup difference comes from the two
+One grid loop evaluates a sweep, and computes each factor once at the
+level it depends on.  Preparing a surface eigensolves nothing: the Betti
+oracle counts dim ker L1 on L1's sparse matrix, certified by an inertia
+count and, when the kernel is not empty, by Ritz residuals.  The
+comparison operator L0 + K is eigensolved once per surface, and the
+2->inf norm of e^(-t0 (L0+K)) is one gemv per distinct t0, O(N^2) with
+no N x N array built, against the squared eigenbasis of L0 + K
+(``measure.heat_two_inf_norm``).  Only the Schatten certificate
+eigensolves L0 and the face Laplacian L2, assembles all of L1's
+eigenpairs from them (its Hodge pieces), once per surface and with no
+E x E eigensolve of its own, and eigensolves L1 + W once per rho0 (W
+depends on rho0 only); the loop holds one L1 + W at a time.  The
+(2,HS) norm of the potential depends on rho0 only too.  At p = 2 the
+Hilbert-Schmidt norm of the semigroup difference comes from the two
 spectra in O(N^2) per point, with no dense heat matrix; other p take the
-singular values of the dense difference.
+singular values of the dense difference.  ``betti_bound`` is the same
+loop on a 1 x 1 grid.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ __all__ = [
     "prepare_surface",
     "prefactors",
     "betti_bound",
-    "schatten_betti_bound",
     "schatten_operator",
     "synthetic_edge_potential",
     "parameter_sweep",
@@ -82,6 +82,11 @@ __all__ = [
 SURFACE_FIBER_DIM = 2
 # Default relative slack of a soundness record (``betti_bound``).
 SOUNDNESS_SLACK = 1e-9
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,7 @@ class BettiBoundInputs:
 
     def __post_init__(self):
         for name in ("rho0", "t0", "p"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,8 @@ class SurfaceData:
     neither eigensolves anything.  Each operator is eigensolved when
     first read: the comparison operator by the main bound, and L1 (from
     eigensolves of its Hodge pieces L0 and L2, which are not kept) only
-    when the Schatten certificate first reads ``laplacian1``.
+    when the Schatten certificate first reads ``laplacian1``.  Nothing
+    that depends on rho0 or t0 is kept here: the grid loop computes it.
     """
 
     mesh: TriangleMesh
@@ -161,8 +165,6 @@ class SurfaceData:
     b1: int
     kernel_dim_0forms: int
     description: str
-    _two_inf: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _schatten_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def volume(self) -> float:
@@ -172,14 +174,6 @@ class SurfaceData:
     def comparison(self) -> SelfAdjointOperator:
         """The comparison operator L0 + K, eigensolved when first read."""
         return schrodinger_comparison(self.dec, self.curvature.values)
-
-    def comparison_two_inf(self, t0: float) -> float:
-        """||e^(-t0 (L0 + K))||_{2->inf}, ``heat_two_inf_norm`` of the
-        comparison operator, computed once per distinct t0 and kept as a
-        float, so a sweep runs one gemv per t0 rather than one per point."""
-        if t0 not in self._two_inf:
-            self._two_inf[t0] = heat_two_inf_norm(self.comparison, t0)
-        return self._two_inf[t0]
 
     @cached_property
     def laplacian1(self) -> SelfAdjointOperator:
@@ -196,29 +190,6 @@ class SurfaceData:
                 f"vs harmonic oracle {self.b1}"
             )
         return lap1
-
-    def schatten_operator(self, rho0: float) -> SelfAdjointOperator:
-        """L1 + W for the synthetic edge potential W at rho0 (``schatten_operator``).
-
-        One slot keeps the operator for the last rho0 asked for, so a sweep
-        with rho0 in its outer loop eigensolves L1 + W once per rho0 and
-        holds one such operator at a time; W itself is not kept.  A failed
-        spectral check is kept too, and raised again as the same
-        ``ValueError``; a failure to assemble L1 is not caught.
-        """
-        lap1 = self.laplacian1
-        slot = self._schatten_slot
-        if slot.get("rho0") != rho0:
-            slot.clear()
-            try:
-                potential = synthetic_edge_potential(self.dec, self.curvature, rho0)
-                slot["operator"] = schatten_operator(lap1, potential, rho0)
-            except ValueError as exc:
-                slot["error"] = str(exc)
-            slot["rho0"] = rho0
-        if "error" in slot:
-            raise ValueError(slot["error"])
-        return slot["operator"]
 
 
 def prepare_surface(
@@ -277,89 +248,18 @@ def betti_bound(
     data: SurfaceData | None = None,
     soundness_slack: float = SOUNDNESS_SLACK,
 ) -> BettiBoundReport:
-    """Evaluate the main bound (and companions) and check b1 <= bound.
+    """The grid loop (``parameter_sweep``) on the 1 x 1 grid of ``inputs``.
 
-    The report's records, in order: soundness_main, soundness_schatten
-    (when computed), vanishing_criterion (when the curvature is everywhere
-    above rho0) and prefactor.  A soundness record passes when
-    b1 <= bound + soundness_slack * (1 + |bound|).
+    ``data``, when given, is the prepared surface; nothing is kept from
+    one call to the next, so each call with the Schatten certificate
+    eigensolves its own L1 + W.
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
-    rho0, t0 = inputs.rho0, inputs.t0
-    notes = []
-
-    potential_norm = ricci_potential(data.curvature, rho0)
-    ultra = data.comparison_two_inf(t0)
-    sharp_pref, loose_pref = prefactors(rho0, t0)
-    bound_main = sharp_pref * potential_norm**2 * ultra**2
-    bound_loose = loose_pref * potential_norm**2 * ultra**2
-
-    bound_schatten = None
-    if inputs.compute_schatten:
-        lap1 = data.laplacian1
-        try:
-            perturbed = data.schatten_operator(rho0)
-            bound_schatten = schatten_betti_bound(lap1, perturbed, rho0, t0, inputs.p)
-        except ValueError as exc:
-            notes.append(f"schatten bound omitted: {exc}")
-
-    tag = f"rho0={rho0:g},t0={t0:g}"
-    soundness = [("main", "the certified product bound", bound_main)]
-    if bound_schatten is not None:
-        soundness.append(("schatten", "the operator-level bound", bound_schatten))
-    records = [
-        inequality_record(
-            f"soundness_{kind}[{tag}]",
-            f"homology oracle below {what}",
-            float(data.b1),
-            bound,
-            soundness_slack * (1.0 + abs(bound)),
-        )
-        for kind, what, bound in soundness
-    ]
-    if data.curvature.min() > rho0:
-        records.append(
-            equality_record(
-                f"vanishing_criterion[{tag}]",
-                "curvature everywhere above rho0 forces a zero bound",
-                bound_main,
-                0.0,
-            )
-        )
-    records.append(
-        inequality_record(
-            f"prefactor[{tag}]",
-            "sharp prefactor below the loose 4n/rho0^2 form",
-            sharp_pref,
-            loose_pref,
-            0.0,
-        )
+    (report,) = _sweep(
+        data, [inputs.rho0], [inputs.t0], inputs.p, inputs.compute_schatten, soundness_slack
     )
-
-    intermediate = {
-        "potential_norm_2hs": potential_norm,
-        "comparison_two_inf": ultra,
-        "integral_22": (1.0 - math.exp(-t0 * rho0)) / rho0,
-        "prefactor_sharp": sharp_pref,
-        "prefactor_loose": loose_pref,
-        "kernel_dim_0forms": data.kernel_dim_0forms,
-        "curvature_min": data.curvature.min(),
-        "volume": data.volume,
-    }
-    return BettiBoundReport(
-        surface=data.description,
-        rho0=rho0,
-        t0=t0,
-        p=inputs.p,
-        b1_oracle=data.b1,
-        bound_main=bound_main,
-        bound_main_abstract=bound_loose,
-        bound_schatten=bound_schatten,
-        intermediate=intermediate,
-        notes=tuple(notes),
-        records=tuple(records),
-    )
+    return report
 
 
 def synthetic_edge_potential(
@@ -394,34 +294,12 @@ def schatten_operator(
     if not V.nonneg:
         raise ValueError("the edge potential must be nonnegative")
     perturbed = V.added_to(H)
-    tol = 1e-9 * (1.0 + perturbed.spectral_radius)
-    if perturbed.min_eigenvalue < rho0 - tol:
+    if perturbed.min_eigenvalue < rho0 - perturbed.zero_threshold():
         raise ValueError(
             f"spectral check failed: min eig of the shifted operator is "
             f"{perturbed.min_eigenvalue:.6g} < rho0={rho0:.6g}"
         )
     return perturbed
-
-
-def schatten_betti_bound(
-    H: SelfAdjointOperator,
-    perturbed: SelfAdjointOperator,
-    rho0: float,
-    t0: float,
-    p: float,
-) -> float:
-    """Operator-level kernel bound (1-e^(-2 rho0 t0))^(-p) ||D_{2t0}||_Sp^p.
-
-    ``perturbed`` is H + V, as built and checked by ``schatten_operator(H,
-    V, rho0)``.  H >= 0 and perturbed >= rho0 are verified spectrally (a
-    failure raises ``ValueError``).  The value is
-    ``birman.crude_kernel_bound`` at time 2 t0; whether it dominates
-    dim ker H is a record of ``betti_bound``.
-    """
-    if p <= 0.0:
-        raise ValueError("Schatten exponent must be positive")
-    pair = OperatorPair(H=H, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
-    return crude_kernel_bound(pair, p)
 
 
 def parameter_sweep(
@@ -436,28 +314,133 @@ def parameter_sweep(
 ) -> list[BettiBoundReport]:
     """Evaluate the bound over the (rho0, t0) grid in deterministic order.
 
-    The surface is prepared once, the 2->inf norm of the comparison
-    semigroup computed once per t0 (``SurfaceData.comparison_two_inf``)
-    and L1 + W eigensolved once per rho0
-    (``SurfaceData.schatten_operator``); the soundness slack goes to
-    ``betti_bound``.  Returns the reports, rho0 outer loop, t0 inner.
+    The grid is checked, the surface prepared once, and the grid loop run
+    on it.  Returns the reports, rho0 outer loop, t0 inner.
     """
     rho0_values = [float(r) for r in rho0_values]
     t0_values = [float(t) for t in t0_values]
     if not rho0_values or not t0_values:
         raise ValueError("the parameter grid must be nonempty")
+    for name, values in (("rho0", rho0_values), ("t0", t0_values), ("p", [p])):
+        for value in values:
+            _require_positive(name, value)
     data = prepare_surface(surface, resolution, curvature_source)
+    return _sweep(data, rho0_values, t0_values, p, compute_schatten, soundness_slack)
+
+
+def _sweep(
+    data: SurfaceData,
+    rho0_values: list[float],
+    t0_values: list[float],
+    p: float,
+    compute_schatten: bool,
+    soundness_slack: float,
+) -> list[BettiBoundReport]:
+    """The reports of the grid on a prepared surface, rho0 outer, t0 inner.
+
+    Each factor is computed once at the level it depends on: the 2->inf
+    norm of the comparison semigroup per distinct t0, the potential norm
+    and L1 + W per rho0 (``_schatten_row``), the prefactors and the
+    Schatten power sum per point.  A point's records, in order:
+    soundness_main, soundness_schatten (when computed),
+    vanishing_criterion (when the curvature is everywhere above rho0) and
+    prefactor.  A soundness record passes when
+    b1 <= bound + soundness_slack * (1 + |bound|).
+    """
+    two_inf = {t0: heat_two_inf_norm(data.comparison, t0) for t0 in dict.fromkeys(t0_values)}
+    curvature_min = data.curvature.min()
+    volume = data.volume
     reports = []
     for rho0 in rho0_values:
-        for t0 in t0_values:
-            inputs = BettiBoundInputs(
-                surface=surface,
-                rho0=rho0,
-                t0=t0,
-                p=p,
-                resolution=resolution,
-                curvature_source=curvature_source,
-                compute_schatten=compute_schatten,
+        potential_norm = ricci_potential(data.curvature, rho0)
+        schatten, notes = [None] * len(t0_values), ()
+        if compute_schatten:
+            schatten, notes = _schatten_row(data, rho0, t0_values, p)
+        for t0, bound_schatten in zip(t0_values, schatten):
+            ultra = two_inf[t0]
+            sharp_pref, loose_pref = prefactors(rho0, t0)
+            bound_main = sharp_pref * potential_norm**2 * ultra**2
+            bound_loose = loose_pref * potential_norm**2 * ultra**2
+
+            tag = f"rho0={rho0:g},t0={t0:g}"
+            soundness = [("main", "the certified product bound", bound_main)]
+            if bound_schatten is not None:
+                soundness.append(("schatten", "the operator-level bound", bound_schatten))
+            records = [
+                inequality_record(
+                    f"soundness_{kind}[{tag}]",
+                    f"homology oracle below {what}",
+                    float(data.b1),
+                    bound,
+                    soundness_slack * (1.0 + abs(bound)),
+                )
+                for kind, what, bound in soundness
+            ]
+            if curvature_min > rho0:
+                records.append(
+                    equality_record(
+                        f"vanishing_criterion[{tag}]",
+                        "curvature everywhere above rho0 forces a zero bound",
+                        bound_main,
+                        0.0,
+                    )
+                )
+            records.append(
+                inequality_record(
+                    f"prefactor[{tag}]",
+                    "sharp prefactor below the loose 4n/rho0^2 form",
+                    sharp_pref,
+                    loose_pref,
+                    0.0,
+                )
             )
-            reports.append(betti_bound(inputs, data, soundness_slack))
+
+            intermediate = {
+                "potential_norm_2hs": potential_norm,
+                "comparison_two_inf": ultra,
+                "integral_22": (1.0 - math.exp(-t0 * rho0)) / rho0,
+                "prefactor_sharp": sharp_pref,
+                "prefactor_loose": loose_pref,
+                "kernel_dim_0forms": data.kernel_dim_0forms,
+                "curvature_min": curvature_min,
+                "volume": volume,
+            }
+            reports.append(
+                BettiBoundReport(
+                    surface=data.description,
+                    rho0=rho0,
+                    t0=t0,
+                    p=p,
+                    b1_oracle=data.b1,
+                    bound_main=bound_main,
+                    bound_main_abstract=bound_loose,
+                    bound_schatten=bound_schatten,
+                    intermediate=intermediate,
+                    notes=notes,
+                    records=tuple(records),
+                )
+            )
     return reports
+
+
+def _schatten_row(
+    data: SurfaceData, rho0: float, t0_values: list[float], p: float
+) -> tuple[list, tuple]:
+    """The Schatten bound at (rho0, t0) for each t0, and the row's notes.
+
+    L1 + W is built and checked once for the row, and lives only inside
+    this call, so a sweep holds one such operator (and the E x E squared
+    overlap it keeps) at a time.  When the check fails, every bound of
+    the row is None and the one note says why.
+    """
+    lap1 = data.laplacian1
+    try:
+        potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
+        perturbed = schatten_operator(lap1, potential, rho0)
+        bounds = [
+            crude_kernel_bound(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0), p)
+            for t0 in t0_values
+        ]
+    except ValueError as exc:
+        return [None] * len(t0_values), (f"schatten bound omitted: {exc}",)
+    return bounds, ()

@@ -110,9 +110,6 @@ class RunReport:
     extra: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
-    def add(self, record: CheckRecord):
-        self.records.append(record)
-
     def extend(self, records):
         self.records.extend(records)
 

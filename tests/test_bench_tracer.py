@@ -23,11 +23,20 @@ def tracer():
     return module
 
 
+# Module-level functions deleted from the library whose rows stay in the
+# tracer's table until the benchmark is next changed.  install() wraps only
+# the names a module exports, so their rows read zero and break nothing.
+RETIRED = {"measure.one_two_norm", "birman.semigroup_difference", "pipeline.schatten_betti_bound"}
+
+
 def test_every_traced_name_resolves(tracer):
     for qualified in tracer.LAYER_OF:
         short, _, attr_path = qualified.partition(".")
         module = importlib.import_module(f"bettibound.{short}")
-        if "." in attr_path:
+        if qualified in RETIRED:
+            assert not hasattr(module, attr_path), f"{qualified} is back: drop it from RETIRED"
+            assert attr_path not in module.__all__, qualified
+        elif "." in attr_path:
             class_name, attr = attr_path.split(".")
             raw = vars(getattr(module, class_name)).get(attr)
             assert raw is not None, f"{qualified} is not defined on the class itself"

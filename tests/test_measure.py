@@ -23,7 +23,6 @@ from bettibound.measure import (
     heat_difference,
     heat_difference_hs_squared,
     hs_norm,
-    one_two_norm,
     operator_norm,
     schatten_norm,
     singular_values,
@@ -318,38 +317,6 @@ def test_heat_difference_hs_squared_is_zero_for_separate_eigensolves():
         assert heat_difference_hs_squared(B, A, 0.9, scale=0.1) == 0.0
 
 
-def test_one_two_identity():
-    space = WeightedFiniteSpace([1.0, 1.0])
-    assert np.isclose(one_two_norm(SelfAdjointOperator(np.eye(2), space)), 1.0)
-
-
-def test_one_two_duality_with_adjoint():
-    rng = np.random.default_rng(121)
-    space = random_space(rng, 6)
-    op = WeightedOperator(rng.standard_normal((12, 12)), space, 2)
-    assert abs(one_two_norm(op) - two_inf_norm(op.adjoint())) <= 1e-12 * (
-        1 + one_two_norm(op)
-    )
-
-
-def test_one_two_matches_extreme_point_oracle():
-    rng = np.random.default_rng(131)
-    space = random_space(rng, 5)
-    fiber = 2
-    mat = rng.standard_normal((10, 10))
-    op = WeightedOperator(mat, space, fiber)
-    # Extreme points of the L1 unit ball: unit fiber vectors at one point,
-    # scaled by 1/m(x); the norm of the image maximized over the fiber
-    # direction is the top singular value of the weighted column block.
-    sqrt_w = np.sqrt(space.stacked_weights(fiber))
-    best = 0.0
-    for x in range(space.point_count):
-        block = sqrt_w[:, None] * mat[:, x * fiber : (x + 1) * fiber]
-        top = np.linalg.svd(block, compute_uv=False)[0]
-        best = max(best, top / space.weights[x])
-    assert np.isclose(one_two_norm(op), best, rtol=1e-10)
-
-
 def test_singular_values_symmetric_path_matches_svd():
     rng = np.random.default_rng(141)
     space = random_space(rng, 6)
@@ -450,7 +417,6 @@ def test_csr_operator_matches_dense_operator(seed, points, fiber, density):
     assert sparse.conjugated().toarray().tobytes() == dense.conjugated().tobytes()
     assert sparse.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
     assert sparse.basis.tobytes() == dense.basis.tobytes()
-    assert sparse.adjoint().matrix.toarray().tobytes() == dense.adjoint().matrix.tobytes()
 
     values = rng.standard_normal((points, fiber))
     reference = dense.apply_array(values)

@@ -2,18 +2,20 @@
 
 import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 
-from bettibound import pipeline
-from bettibound.birman import OperatorPair, crude_kernel_bound, semigroup_difference
+from bettibound import measure, pipeline
+from bettibound.birman import OperatorPair, crude_kernel_bound
 from bettibound.measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    heat_difference,
     heat_two_inf_norm,
     schatten_power_sum,
     two_inf_norm,
@@ -33,7 +35,6 @@ from bettibound.pipeline import (
     parameter_sweep,
     prefactors,
     prepare_surface,
-    schatten_betti_bound,
     schatten_operator,
     synthetic_edge_potential,
 )
@@ -151,7 +152,8 @@ def test_schatten_bound_commuting_shift(torus_data):
     )
     assert np.allclose(potential.values.reshape(-1), rho0)
     perturbed = schatten_operator(lap1, potential, rho0)
-    value = schatten_betti_bound(lap1, perturbed, rho0, t0, 2.0)
+    pair = OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
+    value = crude_kernel_bound(pair, 2.0)
     oracle = float(np.sum(np.exp(-2.0 * (2.0 * t0) * lap1.eigenvalues)))
     assert np.isclose(value, oracle, rtol=1e-9)
     assert value >= 2.0 - 1e-9 * (1.0 + value)
@@ -162,7 +164,8 @@ def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
     rho0, t0 = 0.4, 0.7
     potential = synthetic_edge_potential(torus_data.dec, torus_data.curvature, rho0)
     perturbed = schatten_operator(torus_data.laplacian1, potential, rho0)
-    value = schatten_betti_bound(torus_data.laplacian1, perturbed, rho0, t0, p)
+    pair = OperatorPair(H=torus_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
+    value = crude_kernel_bound(pair, p)
     assert value >= torus_data.b1 - 1e-9 * (1.0 + value)
 
 
@@ -170,7 +173,8 @@ def test_schatten_bound_trivial_kernel_on_sphere(sphere_data):
     rho0, t0 = 0.5, 1.0
     potential = synthetic_edge_potential(sphere_data.dec, sphere_data.curvature, rho0)
     perturbed = schatten_operator(sphere_data.laplacian1, potential, rho0)
-    value = schatten_betti_bound(sphere_data.laplacian1, perturbed, rho0, t0, 2.0)
+    pair = OperatorPair(H=sphere_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
+    value = crude_kernel_bound(pair, 2.0)
     assert value >= 0.0
     assert sphere_data.b1 == 0
 
@@ -303,7 +307,7 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolv
     calls = count_eigensolves()
     potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
     assert not np.any(potential.values)
-    assert data.schatten_operator(0.5) is data.laplacian1
+    assert schatten_operator(data.laplacian1, potential, 0.5) is data.laplacian1
     for t0 in (1.0, 3.0):
         report = betti_bound(
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
@@ -313,23 +317,18 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolv
     assert calls == [(nv, nv), (nf, nf), (nv, nv)]
 
 
-def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch, count_eigensolves):
-    # After the first t0 of a rho0, a p = 2 point runs no eigensolve, no
-    # eigvalsh and builds no dense matrix of a derived operator; p = 1
-    # still takes the singular values of the dense difference.
-    data = prepare_surface(genus2_mesh())
-
-    def point(t0, p):
-        inputs = BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=t0, p=p)
-        return betti_bound(inputs, data=data)
-
-    point(0.5, 2.0)
-    eigensolves = count_eigensolves()
+def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
+    # At p = 2 a point reads the Schatten power sum from the two spectra:
+    # the sweep builds no dense matrix of a derived operator and takes no
+    # eigvalsh of a matrix.  p = 1 builds, at each point, the dense
+    # matrices of both heat operators and takes the singular values of
+    # their difference (one eigvalsh).
     counts = {"eigvalsh": 0, "matrix": 0}
     eigvalsh = np.linalg.eigvalsh
 
     def counting_eigvalsh(a, *args, **kw):
-        counts["eigvalsh"] += 1
+        # The potential's pointwise check takes eigvalsh of a stack of blocks.
+        counts["eigvalsh"] += np.ndim(a) == 2
         return eigvalsh(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
@@ -342,11 +341,37 @@ def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch, count_eigensolve
     prop = functools.cached_property(counting_matrix)
     prop.__set_name__(SelfAdjointOperator, "matrix")
     monkeypatch.setattr(SelfAdjointOperator, "matrix", prop)
-    report = point(1.0, 2.0)
-    assert report.bound_schatten is not None
-    assert eigensolves == [] and counts == {"eigvalsh": 0, "matrix": 0}
-    point(1.0, 1.0)
-    assert eigensolves == [] and counts == {"eigvalsh": 1, "matrix": 2}
+    mesh = genus2_mesh()
+    for p, expected in ((2.0, {"eigvalsh": 0, "matrix": 0}), (1.0, {"eigvalsh": 4, "matrix": 8})):
+        counts.update(eigvalsh=0, matrix=0)
+        reports = parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], p=p)
+        assert all(r.bound_schatten is not None for r in reports)
+        assert counts == expected
+
+
+def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
+    # The L1 + W of one rho0, with the E x E squared overlap it keeps, is
+    # dropped before the next rho0's L1 + W is eigensolved.
+    mesh = genus2_mesh()
+    built, alive = [], []
+    build, in_place = pipeline.schatten_operator, measure._eigh_in_place
+
+    def recording_build(*args):
+        perturbed = build(*args)
+        built.append(weakref.ref(perturbed))
+        return perturbed
+
+    def recording_in_place(conj):
+        if conj.shape == (mesh.edge_count, mesh.edge_count):
+            alive.append(sum(ref() is not None for ref in built))
+        return in_place(conj)
+
+    monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
+    monkeypatch.setattr(measure, "_eigh_in_place", recording_in_place)
+    reports = parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0])
+    assert all(r.bound_schatten is not None for r in reports)
+    assert len(built) == 2
+    assert alive == [0, 0]
 
 
 def _peak_bytes(call) -> int:
@@ -404,12 +429,13 @@ def test_spectral_schatten_bound_matches_dense_route(name):
     rho0_values = rho0_values.get(name, (0.3, 1.0))
     data = prepare_surface(builtin_mesh(name, resolution))
     for rho0 in rho0_values:
-        perturbed = data.schatten_operator(rho0)
+        potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
+        perturbed = schatten_operator(data.laplacian1, potential, rho0)
         pair = OperatorPair(H=data.laplacian1, Hprime=perturbed, rho0=rho0, t0=1.4)
         spectral = crude_kernel_bound(pair, 2.0)
         gap = 1.0 - np.exp(-rho0 * pair.t0)
         scaled = WeightedOperator(
-            semigroup_difference(pair, pair.t0).matrix / gap, data.laplacian1.space
+            heat_difference(pair.H, pair.Hprime, pair.t0).matrix / gap, data.laplacian1.space
         )
         dense = schatten_power_sum(scaled, 2.0)
         assert perturbed is not data.laplacian1
