@@ -27,13 +27,18 @@ import numpy as np
 from scipy.sparse import issparse
 
 from .measure import (
+    OperatorStack,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    _conjugate,
+    _first,
+    _read_only,
+    _single,
+    _singular_values,
     heat_difference,
     heat_difference_hs_squared,
     schatten_power_sum,
-    singular_values,
 )
 
 __all__ = [
@@ -62,19 +67,9 @@ class OperatorPair:
     t0: float
 
     def __post_init__(self):
-        if self.rho0 <= 0.0 or self.t0 <= 0.0:
-            raise ValueError("rho0 and t0 must be strictly positive")
         if not self.H.space.same_as(self.Hprime.space) or self.H.fiber != self.Hprime.fiber:
             raise ValueError("pair members live on different spaces")
-        if self.H.min_eigenvalue < -self.H.zero_threshold():
-            raise ValueError(
-                f"H must be nonnegative (min eigenvalue {self.H.min_eigenvalue:.3e})"
-            )
-        if self.Hprime.min_eigenvalue < self.rho0 - self.Hprime.zero_threshold():
-            raise ValueError(
-                f"H' must be bounded below by rho0={self.rho0} "
-                f"(min eigenvalue {self.Hprime.min_eigenvalue:.3e})"
-            )
+        _check_pair(self.H, self.Hprime, self.rho0, self.t0)
 
     @cached_property
     def birman_schwinger_singular_values(self) -> np.ndarray:
@@ -83,7 +78,27 @@ class OperatorPair:
         Computed once per pair, so the sharp bound costs one SVD for every
         exponent p.
         """
-        return singular_values(birman_schwinger_operator(self, self.t0))
+        stacks = OperatorStack.of(self.H), OperatorStack.of(self.Hprime)
+        return _read_only(_bs_singular_values(*stacks, self.t0)[0])
+
+
+def _check_pair(H, Hprime, rho0, t0):
+    """Raise ValueError unless rho0, t0 > 0, H >= 0 and H' >= rho0.
+
+    ``H`` and ``Hprime`` are ``SelfAdjointOperator``s with float rho0 and
+    t0, or ``OperatorStack``s with (T,) arrays, checked per instance; the
+    error names the first instance that fails.
+    """
+    if np.any(np.asarray(rho0) <= 0.0) or np.any(np.asarray(t0) <= 0.0):
+        raise ValueError("rho0 and t0 must be strictly positive")
+    failed = H.min_eigenvalue < -H.zero_threshold()
+    if np.any(failed):
+        (low,) = _first(failed, H.min_eigenvalue)
+        raise ValueError(f"H must be nonnegative (min eigenvalue {low:.3e})")
+    failed = Hprime.min_eigenvalue < rho0 - Hprime.zero_threshold()
+    if np.any(failed):
+        low, rho0 = _first(failed, Hprime.min_eigenvalue, rho0)
+        raise ValueError(f"H' must be bounded below by rho0={rho0} (min eigenvalue {low:.3e})")
 
 
 @dataclass(frozen=True)
@@ -106,12 +121,29 @@ def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
 
     The inverse is applied through the spectral decomposition of H', never
     by a generic linear solve; it exists because the spectrum of exp(-tH')
-    stays inside [0, e^(-rho0 t)].
+    stays inside [0, e^(-rho0 t)].  ``_bs_matrices`` on a stack of one.
     """
-    if np.any(np.exp(-t * pair.Hprime.eigenvalues) >= 1.0):
+    stacks = OperatorStack.of(pair.H), OperatorStack.of(pair.Hprime)
+    return WeightedOperator(_bs_matrices(*stacks, t)[0], pair.H.space, pair.H.fiber)
+
+
+def _heat_difference_matrices(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
+    """The (T, d, d) matrices of exp(-t_k H_k) - exp(-t_k H'_k), as ``heat_difference``."""
+    return H.semigroup(t).matrix - Hprime.semigroup(t).matrix
+
+
+def _bs_matrices(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
+    """The (T, d, d) matrices of the stacked ``birman_schwinger_operator``."""
+    column = Hprime._per_instance(t)
+    if np.any(np.exp(-column * Hprime.eigenvalues) >= 1.0):
         raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
-    inv = pair.Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-t * w)))
-    return inv.compose(heat_difference(pair.H, pair.Hprime, t))
+    inv = Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-column * w)))
+    return inv.matrix @ _heat_difference_matrices(H, Hprime, t)
+
+
+def _bs_singular_values(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
+    """(T, d) singular values of the Birman-Schwinger operators, descending."""
+    return _singular_values(_conjugate(_bs_matrices(H, Hprime, t), H._sqrt_w))
 
 
 def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
@@ -119,36 +151,48 @@ def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
 
     Returns the two kernel dimensions, the largest principal angle between
     the spanned subspaces (in the weighted geometry), and whether both the
-    dimensions and the subspaces agree.
+    dimensions and the subspaces agree.  ``_kernel_identities`` on a stack
+    of one.
     """
-    if t <= 0.0:
+    stacks = OperatorStack.of(pair.H), OperatorStack.of(pair.Hprime)
+    return _single(_kernel_identities(*stacks, [t]))
+
+
+def _kernel_identities(H: OperatorStack, Hprime: OperatorStack, t) -> dict:
+    """Stacked ``kernel_identity_check`` at times t (T,): each entry a (T,) array.
+
+    The instances whose two kernels have the same dimension k > 0 share
+    one stacked principal-angle computation per k.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("t must be strictly positive")
-    ker_h = pair.H.kernel_basis()
-    bs = birman_schwinger_operator(pair, t)
-    fixed = bs.matrix - np.eye(bs.dim)
+    ker_h = H.kernel_mask()
+    fixed = _bs_matrices(H, Hprime, t) - np.eye(ker_h.shape[-1])
     # Kernel of a non-self-adjoint operator: smallest singular directions
     # of the conjugated matrix, with the same zero-tolerance rule used for
     # eigenvalues.
-    sqrt_w = np.sqrt(pair.H.space.stacked_weights(pair.H.fiber))
-    conj = (sqrt_w[:, None] * fixed) / sqrt_w[None, :]
-    u, s, vt = np.linalg.svd(conj)
-    thresh = 1e-9 * (1.0 + (s[0] if s.size else 0.0))
-    null_euclid = vt[s <= thresh].T
-    ker_bs = null_euclid / sqrt_w[:, None]
-
-    dim_h = ker_h.shape[1]
-    dim_bs = ker_bs.shape[1]
-    if dim_h == dim_bs == 0:
-        max_angle = 0.0
-    elif dim_h != dim_bs:
-        max_angle = float(np.pi / 2)
-    else:
-        max_angle = float(np.max(principal_angles(ker_h, ker_bs, pair.H.space, pair.H.fiber)))
+    sqrt_w = H._sqrt_w
+    conj = _conjugate(fixed, sqrt_w)
+    _, s, vt = np.linalg.svd(conj)
+    ker_bs = s <= 1e-9 * (1.0 + s[:, :1])
+    dim_h, dim_bs = np.count_nonzero(ker_h, axis=-1), np.count_nonzero(ker_bs, axis=-1)
+    max_angle = np.where(dim_h == dim_bs, 0.0, np.pi / 2)
+    for k in np.unique(dim_h[(dim_h == dim_bs) & (dim_h > 0)]):
+        at = np.flatnonzero((dim_h == k) & (dim_bs == k))
+        # The kernel columns of each basis and rows of each V^T, in order.
+        cols = np.nonzero(ker_h[at])[1].reshape(at.size, k)
+        rows = np.nonzero(ker_bs[at])[1].reshape(at.size, k)
+        basis_h = np.take_along_axis(H.basis[at], cols[:, None, :], axis=-1)
+        null = np.take_along_axis(vt[at], rows[:, :, None], axis=-2).swapaxes(-1, -2)
+        basis_bs = null / sqrt_w[at, :, None]
+        angles = _principal_angles(basis_h, basis_bs, sqrt_w[at])
+        max_angle[at] = np.max(angles, axis=-1)
     return {
         "dim_ker_H": dim_h,
         "dim_ker_bs": dim_bs,
         "max_principal_angle": max_angle,
-        "match": dim_h == dim_bs and max_angle <= SUBSPACE_ANGLE_TOL,
+        "match": (dim_h == dim_bs) & (max_angle <= SUBSPACE_ANGLE_TOL),
     }
 
 
@@ -163,10 +207,15 @@ def principal_angles(
     Inputs are column bases (need not be orthonormal); both are
     re-orthonormalized in the weighted inner product first.
     """
-    sqrt_w = np.sqrt(space.stacked_weights(fiber))
-    qa, _ = np.linalg.qr(sqrt_w[:, None] * basis_a)
-    qb, _ = np.linalg.qr(sqrt_w[:, None] * basis_b)
-    sigma = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    return _principal_angles(basis_a, basis_b, np.sqrt(space.stacked_weights(fiber)))
+
+
+def _principal_angles(basis_a, basis_b, sqrt_w) -> np.ndarray:
+    """``principal_angles`` from the square roots of the stacked weights;
+    (T, d, k) bases with (T, d) roots give (T, k) angles."""
+    qa, _ = np.linalg.qr(sqrt_w[..., :, None] * basis_a)
+    qb, _ = np.linalg.qr(sqrt_w[..., :, None] * basis_b)
+    sigma = np.linalg.svd(qa.swapaxes(-1, -2) @ qb, compute_uv=False)
     return np.arccos(np.clip(sigma, -1.0, 1.0))
 
 
@@ -174,16 +223,34 @@ def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertifica
     """dim ker(H) and the sharp and crude (``crude_kernel_bound``) bounds at exponent p.
 
     The sharp bound is the p-th power sum of the pair's cached
-    ``birman_schwinger_singular_values``.
+    ``birman_schwinger_singular_values``.  ``_kernel_count_bounds`` on a
+    stack of one.
+    """
+    stacks = OperatorStack.of(pair.H), OperatorStack.of(pair.Hprime)
+    singular = pair.birman_schwinger_singular_values[None]
+    kernel, sharp, crude = _kernel_count_bounds(*stacks, pair.rho0, pair.t0, p, singular)
+    return KernelBoundCertificate(
+        kernel_dim=int(kernel[0]), bound_sharp=float(sharp[0]), bound_crude=float(crude[0]), p=p
+    )
+
+
+def _kernel_count_bounds(H: OperatorStack, Hprime: OperatorStack, rho0, t0, p: float, singular):
+    """Stacked ``birman_schwinger_bound``: (T,) kernel dimensions, sharp and crude bounds.
+
+    ``singular`` holds the (T, d) ``_bs_singular_values`` at t0, which
+    serve every exponent p.  The crude bound is ``crude_kernel_bound``'s
+    arithmetic per instance.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
-    return KernelBoundCertificate(
-        kernel_dim=pair.H.kernel_dim(),
-        bound_sharp=float(np.sum(pair.birman_schwinger_singular_values**p)),
-        bound_crude=crude_kernel_bound(pair, p),
-        p=p,
-    )
+    rho0, t0 = np.asarray(rho0, dtype=float), np.asarray(t0, dtype=float)
+    gap = 1.0 - np.exp(-rho0 * t0)
+    if p == 2.0:
+        crude = H.heat_difference_hs_squared(Hprime, t0, gap)
+    else:
+        scaled = _heat_difference_matrices(H, Hprime, t0) / H._per_instance(gap)[..., None]
+        crude = np.sum(_singular_values(_conjugate(scaled, H._sqrt_w)) ** p, axis=-1)
+    return H.kernel_dim(), np.sum(singular**p, axis=-1), crude
 
 
 def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
@@ -209,23 +276,31 @@ def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:
     Eigenvalues may be complex; both sides are computed in the weighted
     metric (the conjugated matrix is similar to the operator, so the
     eigenvalues agree).  The eigenvalues and singular values are computed
-    once for all ``exponents``.
+    once for all ``exponents``.  ``_weyl_power_sums`` on a stack of one.
     """
+    conj = operator.conjugated()
+    conj = conj.toarray() if issparse(conj) else conj
+    lhs, rhs = _weyl_power_sums(conj[None], exponents)
+    return [
+        {
+            "eigenvalue_power_sum": float(eig[0]),
+            "singular_power_sum": float(sing[0]),
+            "holds": bool(eig[0] <= sing[0] + 1e-9 * (1.0 + abs(sing[0]))),
+        }
+        for eig, sing in zip(lhs, rhs)
+    ]
+
+
+def _weyl_power_sums(conj: np.ndarray, exponents):
+    """(P, T) sums of |eigenvalue|^p and of s^p over a (T, n, n) stack of
+    conjugated matrices, one row per exponent p >= 1."""
     if any(p < 1.0 for p in exponents):
         raise ValueError("Weyl's inequality needs p >= 1")
-    conj = operator.conjugated()
-    moduli = np.abs(np.linalg.eigvals(conj.toarray() if issparse(conj) else conj))
-    svals = singular_values(operator)
-    results = []
-    for p in exponents:
-        lhs = float(np.sum(moduli**p))
-        rhs = float(np.sum(svals**p))
-        results.append({
-            "eigenvalue_power_sum": lhs,
-            "singular_power_sum": rhs,
-            "holds": lhs <= rhs + 1e-9 * (1.0 + abs(rhs)),
-        })
-    return results
+    moduli = np.abs(np.linalg.eigvals(conj))
+    svals = _singular_values(conj)
+    lhs = np.array([np.sum(moduli**p, axis=-1) for p in exponents])
+    rhs = np.array([np.sum(svals**p, axis=-1) for p in exponents])
+    return lhs, rhs
 
 
 def random_weighted_space(rng: np.random.Generator, n_points: int) -> WeightedFiniteSpace:
@@ -245,14 +320,27 @@ def planted_kernel_operator(
 
     A random m-orthonormal frame is combined with eigenvalues consisting
     of ``kernel_dim`` zeros and the rest uniform in [low, high]; the gap
-    at ``low`` keeps the planted kernel well separated.
+    at ``low`` keeps the planted kernel well separated.  This is
+    ``_planted_draw`` and then ``_planted_stack`` on a stack of one.
     """
-    dim = space.point_count * fiber
+    gauss, evals = _planted_draw(rng, space.point_count * fiber, kernel_dim, low, high)
+    stack = _planted_stack(space.weights[None], fiber, gauss[None], evals[None])
+    return stack.operator(0, space)
+
+
+def _planted_draw(rng, dim: int, kernel_dim: int, low: float = 0.1, high: float = 10.0):
+    """The draws of one planted operator: the Gaussian matrix its frame
+    comes from, then its eigenvalues, sorted."""
     if kernel_dim > dim:
         raise ValueError("kernel dimension exceeds the space dimension")
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    evals = np.concatenate(
-        [np.zeros(kernel_dim), rng.uniform(low, high, size=dim - kernel_dim)]
-    )
+    gauss = rng.standard_normal((dim, dim))
+    evals = np.concatenate([np.zeros(kernel_dim), rng.uniform(low, high, size=dim - kernel_dim)])
     evals.sort()
-    return SelfAdjointOperator.from_spectrum(space, evals, q, fiber)
+    return gauss, evals
+
+
+def _planted_stack(weights, fiber: int, gauss, evals) -> OperatorStack:
+    """The planted operators of (T, d, d) Gaussian matrices and (T, d)
+    eigenvalues: one stacked QR, then ``OperatorStack.from_spectrum``."""
+    q, _ = np.linalg.qr(gauss)
+    return OperatorStack.from_spectrum(weights, fiber, evals, q)

@@ -21,6 +21,9 @@ input of an eigensolve, and its eigendata are checked by a residual that
 costs O(nnz N).  The eigensolve runs in place: LAPACK overwrites that one
 dense symmetrized copy with the eigenvectors, so it keeps about three
 N x N arrays alive (the copy and the solver's workspace), not five.
+``OperatorStack`` holds T small self-adjoint operators of one shape as
+(T, N, N) arrays, for the randomized suites: it runs the same
+arithmetic, with the same checks, once per stack.
 
 Norms provided:
 
@@ -47,6 +50,7 @@ __all__ = [
     "WeightedFiniteSpace",
     "WeightedOperator",
     "SelfAdjointOperator",
+    "OperatorStack",
     "heat_difference",
     "heat_difference_hs_squared",
     "heat_two_inf_norm",
@@ -142,20 +146,18 @@ def _dense(matrix) -> np.ndarray:
     return matrix.toarray() if issparse(matrix) else matrix
 
 
-def _entrywise(matrix, entry):
-    """``matrix`` with each a_ij replaced by entry(i, j, a_ij).
+def _conjugate(matrix, sqrt_w):
+    """M^(1/2) A M^(-1/2): entry (sqrt(w_i) a_ij) / sqrt(w_j).
 
-    ``entry`` works on index and value arrays that broadcast together.  A
-    CSR matrix stays CSR with the same pattern, and each stored value is
-    computed exactly as the dense route computes it.
+    A CSR matrix stays CSR with the same pattern, and each stored value is
+    computed exactly as the dense route computes it.  A dense (T, d, d)
+    stack with (T, d) ``sqrt_w`` is conjugated matrix by matrix.
     """
     if issparse(matrix):
         rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        data = entry(rows, matrix.indices, matrix.data)
+        data = (sqrt_w[rows] * matrix.data) / sqrt_w[matrix.indices]
         return csr_matrix((data, matrix.indices, matrix.indptr), matrix.shape)
-    # Tuple indices: v[rows] is the view v[:, None], v[cols] is v[None, :].
-    rows, cols = (slice(None), None), (None, slice(None))
-    return entry(rows, cols, matrix)
+    return (sqrt_w[..., :, None] * matrix) / sqrt_w[..., None, :]
 
 
 class WeightedOperator:
@@ -187,8 +189,7 @@ class WeightedOperator:
     def conjugated(self):
         """M^(1/2) A M^(-1/2), entry (sqrt(w_i) a_ij) / sqrt(w_j), CSR for a
         CSR operator; symmetric iff A is self-adjoint on L2(m)."""
-        s = self._sqrt_w
-        return _entrywise(self.matrix, lambda i, j, a: (s[i] * a) / s[j])
+        return _conjugate(self.matrix, self._sqrt_w)
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
@@ -203,16 +204,38 @@ class WeightedOperator:
             raise DimensionMismatchError("operators live on different spaces")
 
 
-def _frobenius(matrix) -> float:
-    """The Frobenius norm, summed as ``np.linalg.norm`` sums it."""
+def _frobenius(matrix):
+    """The Frobenius norm, summed as ``np.linalg.norm`` sums it.
+
+    A (T, m, n) stack gives the (T,) norms of its matrices, each summed as
+    the 2-D matrix alone would be.
+    """
+    if not issparse(matrix) and matrix.ndim > 2:
+        flat = matrix.reshape(*matrix.shape[:-2], -1)
+        return np.sqrt(np.vecdot(flat, flat))
     flat = (matrix.data if issparse(matrix) else matrix).ravel(order="K")
     return math.sqrt(flat.dot(flat))
 
 
-def _orthogonality_loss(q: np.ndarray) -> float:
-    """||Q^T Q - I||_F, from one SYRK."""
-    gram = q.T @ q
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
+def _first(failed, *values):
+    """The entries of ``values`` at the first instance where ``failed`` holds.
+
+    ``failed`` and each value are scalars or (T,) arrays: error messages
+    name the numbers of the first failing instance of a stack.
+    """
+    at = np.flatnonzero(failed)[0]
+    return [np.ravel(value)[at] for value in values]
+
+
+def _single(results: dict) -> dict:
+    """The one instance of a stacked kernel's (1,) results, as Python scalars."""
+    return {key: value[0].item() for key, value in results.items()}
+
+
+def _orthogonality_loss(q):
+    """||Q^T Q - I||_F, from one SYRK; (T,) losses for a (T, m, n) stack."""
+    gram = q.swapaxes(-1, -2) @ q
+    gram.reshape(*gram.shape[:-2], -1)[..., :: gram.shape[-1] + 1] -= 1.0
     return _frobenius(gram)
 
 
@@ -220,16 +243,17 @@ def _residual_norms(evals, q, conj) -> np.ndarray:
     """Column norms of R = S Q - Q diag(evals), S being ``conj`` (dense or CSR).
 
     R costs O(nnz N) for a CSR S.  Only R itself is N x N; its columns are
-    corrected in blocks.
+    corrected in blocks.  Dense (T, N, N) stacks of S and Q with (T, N)
+    eigenvalues give (T, N) norms.
     """
     residual = conj @ q
-    for start in range(0, q.shape[1], _RESIDUAL_BLOCK):
+    for start in range(0, q.shape[-1], _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
-        residual[:, cols] -= q[:, cols] * evals[cols]
-    return np.sqrt(np.einsum("ij,ij->j", residual, residual))
+        residual[..., cols] -= q[..., cols] * evals[..., None, cols]
+    return np.sqrt(np.einsum("...ij,...ij->...j", residual, residual))
 
 
-def _reconstruction_bound(residual_norms: np.ndarray, scale: float, loss: float) -> float:
+def _reconstruction_bound(residual_norms: np.ndarray, scale, loss):
     """||R||_F sqrt(1 + loss) + scale loss, an upper bound on ||S - Q diag(evals) Q^T||_F.
 
     ``residual_norms`` are the column norms of R = S Q - Q diag(evals)
@@ -238,8 +262,10 @@ def _reconstruction_bound(residual_norms: np.ndarray, scale: float, loss: float)
     S - Q diag(evals) Q^T = S (I - Q Q^T) + R Q^T, with
     ||I - Q Q^T||_2 = ||Q^T Q - I||_2 and ||Q||_2^2 <= 1 + ||Q^T Q - I||_2
     for square Q, the bound holds with no N x N reconstruction built.
+    Stacked inputs ((T, N) norms, (T,) scales and losses) give (T,) bounds.
     """
-    return math.sqrt(residual_norms.dot(residual_norms)) * math.sqrt(1.0 + loss) + scale * loss
+    residual = np.sqrt(np.vecdot(residual_norms, residual_norms))
+    return residual * np.sqrt(1.0 + loss) + scale * loss
 
 
 def _check_eigendata(evals, q, conj=None):
@@ -254,24 +280,36 @@ def _check_eigendata(evals, q, conj=None):
     reconstruction check would reject.
 
     Returns the column norms of R = S Q - Q diag(evals), read-only (None
-    without ``conj``), and the orthogonality loss.
+    without ``conj``), and the orthogonality loss.  With a leading stack
+    axis ((T, N) eigenvalues, dense (T, N, N) Q and S), every instance is
+    checked against its own scale and the numbers come back per instance;
+    the error names the first instance that fails.
     """
     if conj is not None:
         scale = _frobenius(conj)
-        asym = float(abs(conj - conj.T).max()) if conj.size else 0.0
-        if asym > SELFADJOINT_TOL * max(scale, 1e-300) and asym > 1e-14:
+        if issparse(conj):
+            asym = float(abs(conj - conj.T).max()) if conj.size else 0.0
+        else:
+            asym = np.max(np.abs(conj - conj.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+        failed = (asym > SELFADJOINT_TOL * np.maximum(scale, 1e-300)) & (asym > 1e-14)
+        if np.any(failed):
+            asym, scale = _first(failed, asym, scale)
             raise ValueError(
                 f"operator is not self-adjoint on the weighted space "
                 f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
             )
     loss = _orthogonality_loss(q)
-    if not (np.all(np.isfinite(evals)) and loss <= RECONSTRUCTION_TOL):
-        raise ValueError(f"eigendata not finite and orthonormal (loss {loss:.3e})")
+    failed = ~(np.all(np.isfinite(evals), axis=-1) & (loss <= RECONSTRUCTION_TOL))
+    if np.any(failed):
+        (first_loss,) = _first(failed, loss)
+        raise ValueError(f"eigendata not finite and orthonormal (loss {first_loss:.3e})")
     if conj is None:
         return None, loss
     residual_norms = _residual_norms(evals, q, conj)
     bound = _reconstruction_bound(residual_norms, scale, loss)
-    if not bound <= RECONSTRUCTION_TOL * max(scale, 1.0):
+    failed = ~(bound <= RECONSTRUCTION_TOL * np.maximum(scale, 1.0))
+    if np.any(failed):
+        bound, scale = _first(failed, bound, scale)
         raise ValueError(
             f"spectral decomposition does not reconstruct the operator "
             f"(residual bound {bound:.3e} vs scale {scale:.3e})"
@@ -299,6 +337,58 @@ def _eigh_in_place(conj) -> tuple[np.ndarray, np.ndarray]:
     if info != 0:
         raise np.linalg.LinAlgError(f"symmetric eigensolve failed (xSYEVD info {info})")
     return evals, np.ascontiguousarray(evecs)
+
+
+def _ascending(eigenvalues, euclidean_vectors):
+    """Eigenpairs sorted stably ascending, per row of a (T, N) stack too.
+
+    The eigenvalues come back as a new array.  Eigenvalues that are already
+    ascending keep the very same eigenvector array; permuted columns come
+    back Fortran-ordered, as ``q[:, order]`` gives them (the layout sets
+    the bits of later products).
+    """
+    evals = np.asarray(eigenvalues, dtype=float)
+    order = np.argsort(evals, axis=-1, kind="stable")
+    # Row k of a stack is reordered by row k of ``order``.
+    at = (np.arange(order.shape[0])[:, None], order) if order.ndim == 2 else order
+    if np.any(order != np.arange(order.shape[-1])):
+        euclidean_vectors = euclidean_vectors.swapaxes(-1, -2)[at].swapaxes(-1, -2)
+    return evals[at], euclidean_vectors
+
+
+def _spectral_matrix(eigenvalues, euclidean_vectors, sqrt_w) -> np.ndarray:
+    """The stacked matrix M^(-1/2) Q diag(w) Q^T M^(1/2), per matrix of a stack too."""
+    q = euclidean_vectors
+    conj = (q * eigenvalues[..., None, :]) @ q.swapaxes(-1, -2)
+    return (conj / sqrt_w[..., :, None]) * sqrt_w[..., None, :]
+
+
+def _spectral_two_inf(basis, eigenvalues, fiber):
+    """||U diag(w) U^T M||_{2->inf} from the m-orthonormal basis U and w.
+
+    The squared norm at x is the largest eigenvalue of U_x diag(w^2) U_x^T,
+    U_x the fiber rows of x; at fiber 1 it is sum_k w_k^2 U_xk^2, one gemv.
+    A (T, N, N) stack of bases with (T, N) eigenvalues gives (T,) norms.
+    """
+    w2 = eigenvalues**2
+    if fiber == 1:
+        return np.sqrt(np.max(((basis * basis) @ w2[..., None])[..., 0], axis=-1))
+    rows = basis.reshape(*basis.shape[:-2], -1, fiber, basis.shape[-1])
+    gram = np.einsum("...xak,...k,...xbk->...xab", rows, w2, rows)
+    return np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(gram), axis=(-2, -1)), 0.0))
+
+
+def _overlap_sum(f, g, scale, overlap):
+    """sum_ij overlap_ij ((f_i - g_j) / scale)^2, per instance of a stack too.
+
+    ``f`` and ``g`` are (..., N), ``overlap`` is (..., N, N) and ``scale``
+    a float or a (..., 1, 1) array.
+    """
+    terms = f[..., :, None] - g[..., None, :]
+    terms /= scale
+    terms *= terms
+    terms *= overlap
+    return terms.sum(axis=(-2, -1))
 
 
 class SelfAdjointOperator(WeightedOperator):
@@ -389,17 +479,14 @@ class SelfAdjointOperator(WeightedOperator):
         """Unchecked constructor; sorts the eigenpairs stably ascending.
 
         Eigenvalues that are already ascending keep the very same
-        eigenvector array, which ``heat_difference_hs_squared`` recognises
-        as a shared eigenbasis.
+        eigenvector array (``_ascending``), which
+        ``heat_difference_hs_squared`` recognises as a shared eigenbasis.
         """
-        evals = np.asarray(eigenvalues, dtype=float)
-        order = np.argsort(evals, kind="stable")
-        if np.any(order != np.arange(order.size)):
-            euclidean_vectors = euclidean_vectors[:, order]
+        evals, euclidean_vectors = _ascending(eigenvalues, euclidean_vectors)
         op = cls.__new__(cls)
         op.space, op.fiber = space, fiber
         op._sqrt_w = np.sqrt(space.stacked_weights(fiber))
-        op.eigenvalues = _read_only(evals[order])
+        op.eigenvalues = _read_only(evals)
         op._euclidean_vectors = _read_only(euclidean_vectors)
         return op
 
@@ -416,9 +503,7 @@ class SelfAdjointOperator(WeightedOperator):
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense stacked matrix; built from the spectrum for derived operators."""
-        q = self._euclidean_vectors
-        conj = (q * self.eigenvalues[None, :]) @ q.T
-        return _read_only((conj / self._sqrt_w[:, None]) * self._sqrt_w[None, :])
+        return _read_only(_spectral_matrix(self.eigenvalues, self._euclidean_vectors, self._sqrt_w))
 
     @property
     def basis(self) -> np.ndarray:
@@ -487,6 +572,157 @@ class SelfAdjointOperator(WeightedOperator):
         return self.spectral_function(lambda w: w + c)
 
 
+class OperatorStack:
+    """T self-adjoint operators of one shape, held by their eigendata.
+
+    The stacked counterpart of ``SelfAdjointOperator``, for many small
+    operators at once.  Instance k is U_k diag(w_k) U_k^T M_k on the
+    space with weights ``weights[k]``: ``weights`` is (T, N),
+    ``eigenvalues`` (T, d) ascending per row and ``_euclidean_vectors``
+    (T, d, d), with d = N * fiber.  Each method runs, per instance, the
+    arithmetic of the ``SelfAdjointOperator`` method of the same name (the
+    same operations in the same order), as one numpy call over the stack;
+    numpy's stacked LAPACK and BLAS calls treat each matrix as the 2-D
+    call does, so every instance gets the bits it would get alone.
+    ``of`` makes a stack of one operator and ``operator`` gives one back.
+    """
+
+    def __init__(self, weights, fiber, eigenvalues, euclidean_vectors):
+        self.weights = weights
+        self.fiber = fiber
+        self._sqrt_w = np.sqrt(np.repeat(weights, fiber, axis=-1))
+        self.eigenvalues = eigenvalues
+        self._euclidean_vectors = euclidean_vectors
+        # (residual column norms, orthogonality loss) of the construction's check.
+        self._check_numbers = (None, None)
+
+    @classmethod
+    def from_matrices(cls, matrices, weights, fiber: int) -> "OperatorStack":
+        """The stacked ``SelfAdjointOperator(matrix)`` of a (T, d, d) array.
+
+        Each conjugated matrix is symmetrized as ``_eigh_in_place`` does
+        and eigensolved by xSYEVD through ``np.linalg.eigh``; the eigendata
+        go through ``_check_eigendata``, each instance at its own scale.
+        The matrices are kept, read-only, as ``matrix``.
+        """
+        stack = cls(weights, fiber, None, None)
+        dim = stack._sqrt_w.shape[-1]
+        if np.shape(matrices) != (*stack._sqrt_w.shape, dim):
+            raise DimensionMismatchError("matrices do not match the spaces and fiber")
+        stack.matrix = _read_only(np.array(matrices, dtype=float))
+        conj = _conjugate(stack.matrix, stack._sqrt_w)
+        sym = conj + conj.swapaxes(-1, -2)
+        sym *= 0.5
+        evals, evecs = np.linalg.eigh(sym)
+        stack._check_numbers = _check_eigendata(evals, evecs, conj)
+        stack.eigenvalues, stack._euclidean_vectors = evals, evecs
+        return stack
+
+    @classmethod
+    def from_spectrum(cls, weights, fiber: int, eigenvalues, euclidean_vectors) -> "OperatorStack":
+        """The stacked ``SelfAdjointOperator.from_spectrum`` without a matrix.
+
+        The eigenpairs are sorted stably ascending, and each instance's
+        eigenvectors must have orthogonality loss at most 1e-10.
+        """
+        evals, q = _ascending(eigenvalues, euclidean_vectors)
+        stack = cls(weights, fiber, evals, q)
+        if q.shape != (*stack._sqrt_w.shape, stack._sqrt_w.shape[-1]) or evals.shape != q.shape[:-1]:
+            raise DimensionMismatchError("eigendata do not match the spaces and fiber")
+        stack._check_numbers = _check_eigendata(evals, q)
+        return stack
+
+    @classmethod
+    def of(cls, operator: SelfAdjointOperator) -> "OperatorStack":
+        """``operator`` as a stack of one, sharing its arrays (its matrix too,
+        once it has one: the matrix it was built from is not the one its
+        spectrum would rebuild)."""
+        stack = cls(
+            operator.space.weights[None],
+            operator.fiber,
+            operator.eigenvalues[None],
+            operator._euclidean_vectors[None],
+        )
+        if "matrix" in vars(operator):
+            stack.matrix = _dense(operator.matrix)[None]
+        return stack
+
+    def operator(self, k: int, space: WeightedFiniteSpace) -> SelfAdjointOperator:
+        """Instance k as a ``SelfAdjointOperator`` on ``space`` (the space of
+        its weights), with its check numbers and, for a stack built from
+        matrices, its matrix."""
+        op = SelfAdjointOperator._with_spectrum(
+            space, self.fiber, self.eigenvalues[k], self._euclidean_vectors[k]
+        )
+        if "matrix" in vars(self):
+            op.matrix = self.matrix[k]
+        norms, loss = self._check_numbers
+        op._check_numbers = (
+            None if norms is None else norms[k],
+            None if loss is None else float(loss[k]),
+        )
+        return op
+
+    def _per_instance(self, value) -> np.ndarray:
+        """A float or (T,) array as a (T, 1) column, to scale each instance's row."""
+        return np.broadcast_to(np.asarray(value, dtype=float), self.eigenvalues.shape[:1])[:, None]
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._euclidean_vectors / self._sqrt_w[..., :, None]
+
+    @property
+    def min_eigenvalue(self) -> np.ndarray:
+        return self.eigenvalues[:, 0]
+
+    def zero_threshold(self) -> np.ndarray:
+        return ZERO_TOL * (1.0 + np.max(np.abs(self.eigenvalues), axis=-1))
+
+    def kernel_mask(self) -> np.ndarray:
+        """(T, d) flags of the eigenvalues that count as zero."""
+        return np.abs(self.eigenvalues) <= self.zero_threshold()[:, None]
+
+    def kernel_dim(self) -> np.ndarray:
+        return np.count_nonzero(self.kernel_mask(), axis=-1)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(_spectral_matrix(self.eigenvalues, self._euclidean_vectors, self._sqrt_w))
+
+    def spectral_function(self, f) -> "OperatorStack":
+        evals, q = _ascending(f(self.eigenvalues), self._euclidean_vectors)
+        return OperatorStack(self.weights, self.fiber, evals, q)
+
+    def semigroup(self, t) -> "OperatorStack":
+        """exp(-t_k A_k) per instance, for a time t or (T,) times."""
+        t = self._per_instance(t)
+        if np.any(t < 0.0):
+            raise ValueError("semigroup time must be nonnegative")
+        return self.spectral_function(lambda w: np.exp(-t * w))
+
+    def two_inf_norm(self) -> np.ndarray:
+        """(T,) values of ``two_inf_norm`` of each instance."""
+        return _spectral_two_inf(self.basis, self.eigenvalues, self.fiber)
+
+    def squared_overlap(self, other: "OperatorStack") -> np.ndarray:
+        overlap = other._euclidean_vectors.swapaxes(-1, -2) @ self._euclidean_vectors
+        return np.square(overlap, out=overlap)
+
+    def heat_difference_hs_squared(self, other: "OperatorStack", t, scale=1.0) -> np.ndarray:
+        """(T,) values of ``heat_difference_hs_squared(A_k, B_k, t_k, scale_k)``.
+
+        An instance whose two eigendata are bitwise equal gives exactly 0.0.
+        """
+        t, scale = self._per_instance(t), self._per_instance(scale)
+        same = np.all(self.eigenvalues == other.eigenvalues, axis=-1) & np.all(
+            self._euclidean_vectors == other._euclidean_vectors, axis=(-2, -1)
+        )
+        f = np.exp(-t * self.eigenvalues)
+        g = np.exp(-t * other.eigenvalues)
+        sums = _overlap_sum(f, g, scale[..., None], other.squared_overlap(self))
+        return np.where(same, 0.0, sums)
+
+
 def heat_difference(A, B, t: float) -> WeightedOperator:
     """exp(-tA) - exp(-tB) for SelfAdjointOperators A, B, from their cached spectra."""
     A._check_compatible(B)
@@ -515,11 +751,7 @@ def heat_difference_hs_squared(A, B, t: float, scale: float = 1.0) -> float:
     g = np.exp(-t * B.eigenvalues)
     if A._euclidean_vectors is B._euclidean_vectors:
         return float(np.sum(((f - g) / scale) ** 2))
-    terms = np.subtract.outer(f, g)
-    terms /= scale
-    terms *= terms
-    terms *= B.squared_overlap(A)
-    return float(terms.sum())
+    return float(_overlap_sum(f, g, scale, B.squared_overlap(A)))
 
 
 def heat_two_inf_norm(A: SelfAdjointOperator, t: float) -> float:
@@ -544,13 +776,24 @@ def singular_values(operator: WeightedOperator) -> np.ndarray:
     Uses |eigenvalues| when the conjugated matrix is symmetric (cheaper and
     exact for self-adjoint operators), otherwise a full SVD.
     """
-    conj = _dense(operator.conjugated())
-    asym = float(np.max(np.abs(conj - conj.T))) if conj.size else 0.0
-    scale = float(np.max(np.abs(conj))) if conj.size else 0.0
-    if asym <= 1e-13 * max(scale, 1.0):
-        vals = np.abs(np.linalg.eigvalsh(0.5 * (conj + conj.T)))
-        return np.sort(vals)[::-1]
-    return np.linalg.svd(conj, compute_uv=False)
+    return _singular_values(_dense(operator.conjugated())[None])[0]
+
+
+def _singular_values(conj) -> np.ndarray:
+    """(T, n) weighted singular values, descending, of a (T, n, n) stack of
+    conjugated matrices; each matrix takes the path ``singular_values``
+    takes for it."""
+    asym = np.max(np.abs(conj - conj.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(conj), axis=(-2, -1), initial=0.0)
+    symmetric = asym <= 1e-13 * np.maximum(scale, 1.0)
+    values = np.empty(conj.shape[:-1])
+    if np.any(symmetric):
+        sym = conj[symmetric]
+        moduli = np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(-1, -2))))
+        values[symmetric] = np.sort(moduli, axis=-1)[..., ::-1]
+    if not np.all(symmetric):
+        values[~symmetric] = np.linalg.svd(conj[~symmetric], compute_uv=False)
+    return values
 
 
 def schatten_power_sum(operator: WeightedOperator, p: float) -> float:
@@ -605,21 +848,22 @@ def two_inf_norm(operator: WeightedOperator) -> float:
     """
     n = operator.fiber
     if isinstance(operator, SelfAdjointOperator):
-        u = operator.basis
-        w2 = operator.eigenvalues**2
-        if n == 1:
-            return float(np.sqrt(np.max((u * u) @ w2)))
-        rows = u.reshape(operator.space.point_count, n, -1)
-        gram = np.einsum("xak,k,xbk->xab", rows, w2, rows)
-        return float(np.sqrt(max(float(np.max(np.linalg.eigvalsh(gram))), 0.0)))
-    inv_sqrt = 1.0 / operator._sqrt_w
-    scaled = _dense(operator.matrix) * inv_sqrt[None, :]
-    best = 0.0
-    for x in range(operator.space.point_count):
-        block = scaled[x * n : (x + 1) * n, :]
-        if n == 1:
-            val = float(np.linalg.norm(block))
-        else:
-            val = float(np.linalg.svd(block, compute_uv=False)[0])
-        best = max(best, val)
-    return best
+        return float(_spectral_two_inf(operator.basis, operator.eigenvalues, n))
+    return float(_block_row_two_inf(_dense(operator.matrix), operator._sqrt_w, n))
+
+
+def _block_row_two_inf(matrix: np.ndarray, sqrt_w: np.ndarray, fiber: int):
+    """``two_inf_norm`` of the operator with this dense matrix, from its block rows.
+
+    The (n, dim) block row of each point, mapped through M^(-1/2), gives
+    its norm at n = 1 and else its largest singular value; all points go
+    through one stacked call.  A (T, d, d) stack with (T, d) ``sqrt_w``
+    gives (T,) norms.
+    """
+    scaled = matrix * (1.0 / sqrt_w)[..., None, :]
+    blocks = scaled.reshape(*scaled.shape[:-2], -1, fiber, scaled.shape[-1])
+    if fiber == 1:
+        values = np.sqrt(np.vecdot(blocks[..., 0, :], blocks[..., 0, :]))
+    else:
+        values = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    return np.maximum(0.0, np.max(values, axis=-1))

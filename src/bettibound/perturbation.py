@@ -32,7 +32,6 @@ difference is read from the two spectra by ``heat_difference_hs_squared``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -41,12 +40,16 @@ from scipy.sparse import coo_matrix, issparse
 
 from .measure import (
     DimensionMismatchError,
+    OperatorStack,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
-    heat_difference_hs_squared,
-    hs_norm,
-    two_inf_norm,
+    _block_row_two_inf,
+    _conjugate,
+    _dense,
+    _first,
+    _frobenius,
+    _single,
 )
 
 __all__ = [
@@ -87,16 +90,7 @@ class MatrixPotential:
             raise DimensionMismatchError("potential values must have shape (N, n, n)")
         if vals.shape[0] != self.space.point_count:
             raise DimensionMismatchError("potential does not match the space")
-        scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-        asym = float(np.max(np.abs(vals - np.transpose(vals, (0, 2, 1)))))
-        if asym > SYMMETRY_TOL * scale:
-            raise ValueError(f"potential matrices are not symmetric (asymmetry {asym:.3e})")
-        if self.nonneg:
-            min_eig = float(np.min(np.linalg.eigvalsh(vals)))
-            if min_eig < -NONNEG_TOL:
-                raise ValueError(
-                    f"potential claimed nonnegative but min eigenvalue is {min_eig:.3e}"
-                )
+        _check_potential(vals, self.nonneg)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -107,11 +101,7 @@ class MatrixPotential:
 
     def as_operator(self) -> WeightedOperator:
         """Block-diagonal multiplication operator on stacked coordinates."""
-        n_points, n = self.values.shape[:2]
-        blocks = np.zeros((n_points, n, n_points, n))
-        at = np.arange(n_points)
-        blocks[at, :, at, :] = self.values
-        return WeightedOperator(blocks.reshape(n_points * n, -1), self.space, n)
+        return WeightedOperator(_block_diagonal(self.values), self.space, self.fiber)
 
     def added_to(self, H: SelfAdjointOperator) -> SelfAdjointOperator:
         """H + V, with its own checked eigensolve; H itself when V is zero.
@@ -141,7 +131,7 @@ class MatrixPotential:
 
     def pointwise_operator_norms(self) -> np.ndarray:
         """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""
-        return np.max(np.abs(np.linalg.eigvalsh(self.values)), axis=1)
+        return _pointwise_norms(self.values)
 
     @staticmethod
     def from_scalar_field(space: WeightedFiniteSpace, field: np.ndarray, nonneg: bool = False):
@@ -150,27 +140,80 @@ class MatrixPotential:
         return MatrixPotential(vals, space, nonneg=nonneg)
 
 
-def _hs_squared(V: MatrixPotential, keep: np.ndarray) -> np.ndarray:
-    """Squared (2,HS) norms of V restricted to the points of each row of ``keep``.
+def _check_same_space(H: SelfAdjointOperator, V: MatrixPotential):
+    if not H.space.same_as(V.space) or H.fiber != V.fiber:
+        raise DimensionMismatchError("potential and operator live on different spaces")
+
+
+def _check_potential(values: np.ndarray, nonneg: bool):
+    """Raise ValueError unless every V(x) is symmetric, and >= 0 when claimed.
+
+    ``values`` is (N, n, n), or a (T, N, n, n) stack whose instances are
+    checked each at its own scale; the error names the first failing one.
+    At fiber 1 the eigenvalues are the values themselves.
+    """
+    axes = (-3, -2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=axes, initial=0.0))
+    asym = np.max(np.abs(values - values.swapaxes(-1, -2)), axis=axes, initial=0.0)
+    failed = asym > SYMMETRY_TOL * scale
+    if np.any(failed):
+        (asym,) = _first(failed, asym)
+        raise ValueError(f"potential matrices are not symmetric (asymmetry {asym:.3e})")
+    if nonneg:
+        eigs = values[..., 0] if values.shape[-1] == 1 else np.linalg.eigvalsh(values)
+        min_eig = np.min(eigs, axis=(-2, -1), initial=np.inf)
+        failed = min_eig < -NONNEG_TOL
+        if np.any(failed):
+            (min_eig,) = _first(failed, min_eig)
+            raise ValueError(f"potential claimed nonnegative but min eigenvalue is {min_eig:.3e}")
+
+
+def _block_diagonal(values: np.ndarray) -> np.ndarray:
+    """The stacked matrix of multiplication by V, with V(x) on the diagonal
+    blocks; (N, n, n) values give (d, d), a (T, N, n, n) stack (T, d, d)."""
+    *lead, n_points, n, _ = values.shape
+    blocks = np.zeros((*lead, n_points, n, n_points, n))
+    at = np.arange(n_points)
+    # The advanced indices are split by a slice, so the points come first.
+    blocks[..., at, :, at, :] = np.moveaxis(values, -3, 0)
+    return blocks.reshape(*lead, n_points * n, -1)
+
+
+def _pointwise_norms(values: np.ndarray) -> np.ndarray:
+    """Largest absolute eigenvalue of each V(x), for (..., N, n, n) values."""
+    return np.max(np.abs(np.linalg.eigvalsh(values)), axis=-1)
+
+
+def _hs_squared(values: np.ndarray, weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Squared (2,HS) norms of a potential restricted to the points of each row of ``keep``.
 
     Both summation orders (per point, then weight; per matrix entry over
     the space) are evaluated and must agree, as an internal consistency
-    check of the weighted structure.  ``keep`` is an (L, N) boolean array.
+    check of the weighted structure.  ``values`` is (N, n, n), ``weights``
+    (N,) and ``keep`` an (L, N) boolean array; with a leading stack axis on
+    all three, each instance gets its (L,) norms.
     """
-    w = V.space.weights
-    squares = V.values**2
-    per_point = np.sum(np.where(keep, w * np.sum(squares, axis=(1, 2)), 0.0), axis=1)
-    entries = np.where(keep[:, :, None, None], w[:, None, None] * squares, 0.0)
-    per_entry = np.sum(np.sum(entries, axis=1), axis=(1, 2))
+    squares = values**2
+    per_point = np.sum(
+        np.where(keep, (weights * np.sum(squares, axis=(-2, -1)))[..., None, :], 0.0), axis=-1
+    )
+    weighted = (weights[..., None, None] * squares)[..., None, :, :, :]
+    entries = np.where(keep[..., None, None], weighted, 0.0)
+    per_entry = np.sum(np.sum(entries, axis=-3), axis=(-2, -1))
     if np.any(np.abs(per_point - per_entry) > 1e-12 * (1.0 + np.abs(per_point))):
         raise AssertionError("the two (2,HS) accumulation orders disagree")
     return per_point
 
 
+def _hs_norms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(2,HS) norms of a (T, N, n, n) stack of potentials with (T, N) weights."""
+    keep = np.ones((*weights.shape[:-1], 1, weights.shape[-1]), dtype=bool)
+    return np.sqrt(_hs_squared(values, weights, keep)[..., 0])
+
+
 def hs_norm_potential(V: MatrixPotential) -> float:
     """(2,HS) norm: sqrt of the weighted sum of squared Frobenius norms."""
-    keep = np.ones((1, V.space.point_count), dtype=bool)
-    return float(np.sqrt(_hs_squared(V, keep)[0]))
+    return float(_hs_norms(V.values, V.space.weights))
 
 
 def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
@@ -184,16 +227,26 @@ def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
     if np.any(levels < 1.0):
         raise ValueError("truncation level must be at least 1")
     keep = V.pointwise_operator_norms()[None, :] <= levels[:, None]
-    return np.sqrt(_hs_squared(V, keep))
+    return np.sqrt(_hs_squared(V.values, V.space.weights, keep))
 
 
 def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
     """||V T||_HS <= sqrt(n) ||V||_{2,HS} ||T||_{2,inf}, both sides reported."""
     if not V.space.same_as(T.space) or V.fiber != T.fiber:
         raise DimensionMismatchError("potential and operator live on different spaces")
-    lhs = hs_norm(V.as_operator().compose(T))
-    rhs = float(np.sqrt(V.fiber)) * hs_norm_potential(V) * two_inf_norm(T)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + RELATIVE_SLACK * abs(rhs)}
+    matrix = _dense(T.matrix)[None]
+    return _single(_hs_factorizations(V.values[None], V.space.weights[None], matrix))
+
+
+def _hs_factorizations(values: np.ndarray, weights: np.ndarray, matrices: np.ndarray) -> dict:
+    """Stacked ``hs_factorization_check``: (T, N, n, n) potentials, (T, N)
+    weights and (T, d, d) operator matrices give (T,) arrays."""
+    n = values.shape[-1]
+    composed = _block_diagonal(values) @ matrices
+    s = np.sqrt(np.repeat(weights, n, axis=-1))
+    lhs = _frobenius(_conjugate(composed, s))
+    rhs = np.sqrt(n) * _hs_norms(values, weights) * _block_row_two_inf(matrices, s, n)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + RELATIVE_SLACK * np.abs(rhs)}
 
 
 @lru_cache(maxsize=8)
@@ -226,33 +279,48 @@ def duhamel_difference(
     three small products and no heat matrix at any node.  It is the same
     quadrature, not the closed form; its error is asserted in tests,
     never assumed.  A caller that already holds ``V.added_to(H)`` passes
-    it as ``perturbed`` to save its eigensolve.
+    it as ``perturbed`` to save its eigensolve.  ``_duhamel_matrices`` on
+    a stack of one.
     """
-    if t <= 0.0:
+    if perturbed is None:
+        perturbed = V.added_to(H)
+    stacks = OperatorStack.of(H), OperatorStack.of(perturbed)
+    total = _duhamel_matrices(stacks[0], V.values[None], [t], quadrature_order, stacks[1])
+    return WeightedOperator(total[0], H.space, H.fiber)
+
+
+def _duhamel_matrices(H: OperatorStack, values, t, quadrature_order: int, perturbed) -> np.ndarray:
+    """The (T, d, d) matrices of the stacked ``duhamel_difference`` at times
+    t (T,), for the (T, N, n, n) potential values and H + V ``perturbed``."""
+    if np.any(np.asarray(t) <= 0.0):
         raise ValueError("t must be strictly positive")
     if quadrature_order < 2:
         raise ValueError("quadrature order must be at least 2")
-    if perturbed is None:
-        perturbed = V.added_to(H)
     nodes, weights = _gauss_legendre(quadrature_order)
+    t = H._per_instance(t)
     s = t * (nodes + 1.0)
-    left = np.exp(-np.outer(perturbed.eigenvalues, 2.0 * t - s)) * weights
-    right = np.exp(-np.outer(H.eigenvalues, s))
+    left = np.exp(-(perturbed.eigenvalues[..., :, None] * (2.0 * t - s)[..., None, :])) * weights
+    right = np.exp(-(H.eigenvalues[..., :, None] * s[..., None, :]))
     # With the m-orthonormal bases U = M^(-1/2) Q, the sum is
     # U_P [(U_P^T M V U_H) o K] U_H^T M, and U_P^T M V U_H = Q_P^T V Q_H
     # because V is block diagonal with one weight per block.
     u_p, u_h = perturbed.basis, H.basis
-    w = H.space.stacked_weights(H.fiber)
-    coupling = u_p.T @ (w[:, None] * V.as_operator().matrix) @ u_h
-    total = u_p @ (coupling * (left @ right.T)) @ u_h.T
-    return WeightedOperator(t * total * w[None, :], H.space, H.fiber)
+    w = np.repeat(H.weights, H.fiber, axis=-1)
+    coupling = u_p.swapaxes(-1, -2) @ (w[..., :, None] * _block_diagonal(values)) @ u_h
+    kernel = left @ right.swapaxes(-1, -2)
+    total = u_p @ (coupling * kernel) @ u_h.swapaxes(-1, -2)
+    return t[..., None] * total * w[..., None, :]
 
 
-def _exact_22_integral(mu_min: float, t0: float) -> float:
-    """int_0^{t0} e^(-s mu) ds for the smallest eigenvalue mu, any sign."""
-    if mu_min == 0.0:
-        return t0
-    return float((1.0 - np.exp(-t0 * mu_min)) / mu_min)
+def _exact_22_integral(mu_min, t0):
+    """int_0^{t0} e^(-s mu) ds for the smallest eigenvalue mu, any sign.
+
+    Elementwise over arrays of mu and t0.
+    """
+    mu_min, t0 = np.broadcast_arrays(np.asarray(mu_min, dtype=float), np.asarray(t0, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = (1.0 - np.exp(-t0 * mu_min)) / mu_min
+    return np.where(mu_min == 0.0, t0, value)
 
 
 def semigroup_22_integral(operator: SelfAdjointOperator, t0: float) -> float:
@@ -266,7 +334,48 @@ def semigroup_22_integral(operator: SelfAdjointOperator, t0: float) -> float:
     if t0 <= 0.0:
         raise ValueError("t0 must be strictly positive")
     rho0 = max(0.0, operator.min_eigenvalue)
-    return _exact_22_integral(rho0, t0)
+    return float(_exact_22_integral(rho0, t0))
+
+
+def _added_to(H: OperatorStack, values: np.ndarray) -> OperatorStack:
+    """The stacked ``MatrixPotential.added_to``: H_k + V_k, one eigensolve each.
+
+    ``values`` is the (T, N, n, n) stack of checked potential values.  As
+    in ``added_to``, V goes onto the diagonal blocks of a copy of H's
+    matrix, and an instance whose V is zero everywhere keeps H's eigendata,
+    so its semigroup difference is exactly zero.
+    """
+    n_points, n = values.shape[1:3]
+    matrix = H.matrix + 0.0
+    at = np.arange(n_points)
+    # The advanced indices are split by a slice, so the selection is (N, T, n, n).
+    matrix.reshape(-1, n_points, n, n_points, n)[:, at, :, at, :] += values.swapaxes(0, 1)
+    perturbed = OperatorStack.from_matrices(matrix, H.weights, n)
+    zero = ~np.any(values, axis=(-3, -2, -1))
+    if np.any(zero):
+        perturbed.eigenvalues[zero] = H.eigenvalues[zero]
+        perturbed._euclidean_vectors[zero] = H._euclidean_vectors[zero]
+    return perturbed
+
+
+def _semigroup_difference_bounds(H: OperatorStack, values: np.ndarray, t0) -> dict:
+    """Stacked ``semigroup_difference_bound_check``: each entry a (T,) array."""
+    t0 = np.asarray(t0, dtype=float)
+    if np.any(t0 <= 0.0):
+        raise ValueError("t0 must be strictly positive")
+    if np.any(H.min_eigenvalue < -H.zero_threshold()):
+        raise ValueError("H must be positive semidefinite")
+    perturbed = _added_to(H, values)
+    lhs = np.sqrt(H.heat_difference_hs_squared(perturbed, 2.0 * t0))
+    ultra_sum = H.semigroup(t0).two_inf_norm() + perturbed.semigroup(t0).two_inf_norm()
+    integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
+    rhs = np.sqrt(H.fiber) * _hs_norms(values, H.weights) * ultra_sum * integral
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "integral_22": integral,
+        "holds": lhs <= rhs + RELATIVE_SLACK * np.abs(rhs),
+    }
 
 
 def semigroup_difference_bound_check(
@@ -278,23 +387,11 @@ def semigroup_difference_bound_check(
     semigroup 2->inf norms times the exact 2->2 time integral of the
     perturbed semigroup (no clamping: the integral is evaluated from the
     true smallest eigenvalue of H+V whatever its sign).  Everything is read
-    from H's own eigendata and one eigensolve of H + V (none when V is zero).
+    from H's own eigendata and one eigensolve of H + V.  This is
+    ``_semigroup_difference_bounds`` on a stack of one.
     """
-    if t0 <= 0.0:
-        raise ValueError("t0 must be strictly positive")
-    if H.min_eigenvalue < -H.zero_threshold():
-        raise ValueError("H must be positive semidefinite")
-    perturbed = V.added_to(H)
-    lhs = math.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
-    ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
-    integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
-    rhs = float(np.sqrt(H.fiber)) * hs_norm_potential(V) * ultra_sum * integral
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "integral_22": integral,
-        "holds": lhs <= rhs + RELATIVE_SLACK * abs(rhs),
-    }
+    _check_same_space(H, V)
+    return _single(_semigroup_difference_bounds(OperatorStack.of(H), V.values[None], [t0]))
 
 
 @dataclass(frozen=True)
@@ -329,25 +426,49 @@ def domination_check(
     violates the inequality beyond an absolute slack of 1e-10; returns the
     pair with the verified flag set.
     """
-    for t in t_samples:
-        worst = domination_excess(pair, t, f_samples)
-        if worst > DOMINATION_SLACK:
-            raise ValueError(f"domination fails at t={t}: pointwise excess {worst:.3e}")
+    H, H0 = OperatorStack.of(pair.H), OperatorStack.of(pair.H0)
+    _verify_domination(H, H0, t_samples, _samples(pair, f_samples))
     return replace(pair, domination_verified=True)
 
 
+def _verify_domination(H: OperatorStack, H0: OperatorStack, t_samples, samples: np.ndarray):
+    """Stacked ``domination_check``: raise at the first instance that fails."""
+    for t in t_samples:
+        worst = _domination_excess(H, H0, t, samples)
+        failed = worst > DOMINATION_SLACK
+        if np.any(failed):
+            (worst,) = _first(failed, worst)
+            raise ValueError(f"domination fails at t={t}: pointwise excess {worst:.3e}")
+
+
+def _samples(pair: DominatedPair, f_samples) -> np.ndarray:
+    """The samples as a (1, S, N, n) stack for ``_domination_excess``."""
+    shape = (pair.H.space.point_count, pair.H.fiber)
+    rows = [np.asarray(f, dtype=float).reshape(shape) for f in f_samples]
+    return np.array(rows).reshape(1, len(rows), *shape)
+
+
 def domination_excess(pair: DominatedPair, t: float, f_samples) -> float:
-    """Worst pointwise excess |exp(-tH) f| - exp(-tH0)|f| over (N, n) samples f."""
-    n_points = pair.H.space.point_count
-    heat_vec = pair.H.semigroup(float(t))
-    heat_scal = pair.H0.semigroup(float(t))
-    worst = -np.inf
-    for f in f_samples:
-        f = np.asarray(f, dtype=float).reshape(n_points, pair.H.fiber)
-        lhs = np.linalg.norm(heat_vec.apply_array(f), axis=1)
-        rhs = heat_scal.apply_array(np.linalg.norm(f, axis=1).reshape(-1, 1)).reshape(-1)
-        worst = max(worst, float(np.max(lhs - rhs)))
-    return worst
+    """Worst pointwise excess |exp(-tH) f| - exp(-tH0)|f| over (N, n) samples f.
+
+    ``_domination_excess`` on a stack of one; -inf for no samples.
+    """
+    H, H0 = OperatorStack.of(pair.H), OperatorStack.of(pair.H0)
+    return float(_domination_excess(H, H0, float(t), _samples(pair, f_samples))[0])
+
+
+def _domination_excess(H: OperatorStack, H0: OperatorStack, t: float, samples) -> np.ndarray:
+    """(T,) worst excesses over a (T, S, N, n) stack of samples.
+
+    Each sample is one gemv with each heat matrix, as ``apply_array`` runs it.
+    """
+    n_stack, n_samples, n_points, n = samples.shape
+    heat_vec = H.semigroup(t).matrix[:, None]
+    heat_scal = H0.semigroup(t).matrix[:, None]
+    moved = heat_vec @ samples.reshape(n_stack, n_samples, n_points * n, 1)
+    lhs = np.linalg.norm(moved.reshape(samples.shape), axis=-1)
+    rhs = (heat_scal @ np.linalg.norm(samples, axis=-1)[..., None])[..., 0]
+    return np.max(lhs - rhs, axis=(-2, -1), initial=-np.inf)
 
 
 def dominated_difference_check(
@@ -364,24 +485,32 @@ def dominated_difference_check(
     so lhs <= rhs_i <= rhs_t.  The two-sided ultracontractivity transfers
     ||exp(-t0 (H+V))||_{2,inf} <= ||exp(-t0 H0)||_{2,inf} and likewise for
     H are checked as well.  As in ``semigroup_difference_bound_check``, H's
-    own eigendata and one eigensolve of H + V serve every term.
+    own eigendata and one eigensolve of H + V serve every term.  This is
+    ``_dominated_differences`` on a stack of one.
     """
     if not pair.domination_verified:
         raise ValueError("domination must be verified before applying the bound")
     if not V.nonneg:
         raise ValueError("the potential must be nonnegative (essential hypothesis)")
-    if t0 <= 0.0:
+    _check_same_space(pair.H, V)
+    H, H0 = OperatorStack.of(pair.H), OperatorStack.of(pair.H0)
+    return _single(_dominated_differences(H, H0, V.values[None], [t0]))
+
+
+def _dominated_differences(H: OperatorStack, H0: OperatorStack, values: np.ndarray, t0) -> dict:
+    """Stacked ``dominated_difference_check`` on verified pairs and V >= 0: (T,) arrays."""
+    t0 = np.asarray(t0, dtype=float)
+    if np.any(t0 <= 0.0):
         raise ValueError("t0 must be strictly positive")
-    H = pair.H
-    perturbed = V.added_to(H)
-    lhs = math.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
-    scalar_ultra = two_inf_norm(pair.H0.semigroup(t0))
-    base = 2.0 * float(np.sqrt(H.fiber)) * hs_norm_potential(V) * scalar_ultra
-    integral = semigroup_22_integral(perturbed, t0)
+    perturbed = _added_to(H, values)
+    lhs = np.sqrt(H.heat_difference_hs_squared(perturbed, 2.0 * t0))
+    scalar_ultra = H0.semigroup(t0).two_inf_norm()
+    base = 2.0 * np.sqrt(H.fiber) * _hs_norms(values, H.weights) * scalar_ultra
+    integral = _exact_22_integral(np.maximum(0.0, perturbed.min_eigenvalue), t0)
     rhs_integral = base * integral
     rhs_plain = base * t0
-    ultra_perturbed = two_inf_norm(perturbed.semigroup(t0))
-    ultra_free = two_inf_norm(H.semigroup(t0))
+    ultra_perturbed = perturbed.semigroup(t0).two_inf_norm()
+    ultra_free = H.semigroup(t0).two_inf_norm()
     slack = RELATIVE_SLACK
     return {
         "lhs": lhs,
@@ -392,10 +521,10 @@ def dominated_difference_check(
         "ultra_free": ultra_free,
         "ultra_scalar": scalar_ultra,
         "holds": (
-            lhs <= rhs_integral + slack * abs(rhs_integral)
-            and rhs_integral <= rhs_plain + slack * abs(rhs_plain)
-            and ultra_perturbed <= scalar_ultra + slack * abs(scalar_ultra)
-            and ultra_free <= scalar_ultra + slack * abs(scalar_ultra)
+            (lhs <= rhs_integral + slack * np.abs(rhs_integral))
+            & (rhs_integral <= rhs_plain + slack * np.abs(rhs_plain))
+            & (ultra_perturbed <= scalar_ultra + slack * np.abs(scalar_ultra))
+            & (ultra_free <= scalar_ultra + slack * np.abs(scalar_ultra))
         ),
     }
 
@@ -416,36 +545,38 @@ def truncate_potential(V: MatrixPotential, k: float) -> MatrixPotential:
 
 @dataclass(frozen=True)
 class PointwiseDiagonalization:
-    """Per-point eigendecomposition V(x) = U(x) diag(L(x)) U(x)^T."""
+    """Per-point eigendecomposition V(x) = U(x) diag(L(x)) U(x)^T.
+
+    ``eigenvalues`` is (N, n) and ``frames`` (N, n, n), or (T, N, n) and
+    (T, N, n, n) for a stack of potentials.
+    """
 
     eigenvalues: np.ndarray
     frames: np.ndarray
 
     def __post_init__(self):
-        n = self.eigenvalues.shape[1]
-        eye = np.eye(n)
-        ortho_defect = float(
-            np.max(np.abs(np.einsum("xij,xik->xjk", self.frames, self.frames) - eye))
-        )
+        eye = np.eye(self.eigenvalues.shape[-1])
+        gram = np.einsum("...xij,...xik->...xjk", self.frames, self.frames)
+        ortho_defect = float(np.max(np.abs(gram - eye)))
         if ortho_defect > 1e-12:
             raise ValueError(f"frames are not orthogonal (defect {ortho_defect:.3e})")
 
     def reconstruct(self) -> np.ndarray:
         return np.einsum(
-            "xij,xj,xkj->xik", self.frames, self.eigenvalues, self.frames
+            "...xij,...xj,...xkj->...xik", self.frames, self.eigenvalues, self.frames
         )
 
-    def _part(self, space: WeightedFiniteSpace, sign: float) -> MatrixPotential:
+    def part_values(self, sign: float) -> np.ndarray:
+        """Values of the positive (sign 1) or negative (sign -1) part, symmetrized."""
         clipped = np.clip(sign * self.eigenvalues, 0.0, None)
-        vals = np.einsum("xij,xj,xkj->xik", self.frames, clipped, self.frames)
-        vals = 0.5 * (vals + np.transpose(vals, (0, 2, 1)))
-        return MatrixPotential(vals, space, nonneg=True)
+        vals = np.einsum("...xij,...xj,...xkj->...xik", self.frames, clipped, self.frames)
+        return 0.5 * (vals + vals.swapaxes(-1, -2))
 
     def positive_part(self, space: WeightedFiniteSpace) -> MatrixPotential:
-        return self._part(space, 1.0)
+        return MatrixPotential(self.part_values(1.0), space, nonneg=True)
 
     def negative_part(self, space: WeightedFiniteSpace) -> MatrixPotential:
-        return self._part(space, -1.0)
+        return MatrixPotential(self.part_values(-1.0), space, nonneg=True)
 
 
 def pointwise_diagonalize(V: MatrixPotential) -> PointwiseDiagonalization:
@@ -454,11 +585,20 @@ def pointwise_diagonalize(V: MatrixPotential) -> PointwiseDiagonalization:
     The reconstruction U(x) L(x) U(x)^T must match V(x) to 1e-10 times the
     scale of V; this is asserted here rather than left to callers.
     """
-    evals, frames = np.linalg.eigh(V.values)
+    return _diagonalize(V.values)
+
+
+def _diagonalize(values: np.ndarray) -> PointwiseDiagonalization:
+    """``pointwise_diagonalize`` of (N, n, n) values, or of a (T, N, n, n)
+    stack with each instance's reconstruction checked at its own scale."""
+    evals, frames = np.linalg.eigh(values)
     diag = PointwiseDiagonalization(eigenvalues=evals, frames=frames)
-    residual = float(np.max(np.abs(diag.reconstruct() - V.values)))
-    scale = max(1.0, float(np.max(np.abs(V.values))) if V.values.size else 0.0)
-    if residual > 1e-10 * scale:
+    axes = (-3, -2, -1)
+    residual = np.max(np.abs(diag.reconstruct() - values), axis=axes)
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=axes, initial=0.0))
+    failed = residual > 1e-10 * scale
+    if np.any(failed):
+        (residual,) = _first(failed, residual)
         raise AssertionError(f"pointwise reconstruction failed (residual {residual:.3e})")
     return diag
 
@@ -492,33 +632,52 @@ def connection_laplacian_pair(
     rotations satisfying R_yx = R_xy^T; H0 is the scalar graph Laplacian
     with the same weights and measure.  The scalar semigroup dominates the
     vector one for any choice of rotations; the pair is returned
-    unverified and should go through ``domination_check``.
+    unverified and should go through ``domination_check``.  This is
+    ``_connection_draw`` and then ``_connection_stack`` on a stack of one.
     """
-    n_points = space.point_count
-    edges = random_graph_edges(rng, n_points)
-    n = fiber
-    a, b = np.array(edges, dtype=int).reshape(-1, 2).T
-    # Per edge a weight, then the Gaussian matrix its rotation comes from.
-    w, gauss = np.empty(a.size), np.empty((a.size, n, n))
+    draw = _connection_draw(rng, space.point_count, fiber)
+    H, H0 = _connection_stack(space.weights[None], fiber, [draw])
+    return DominatedPair(H=H.operator(0, space), H0=H0.operator(0, space))
+
+
+def _connection_draw(rng: np.random.Generator, n_points: int, fiber: int):
+    """The draws of one connection Laplacian: a random graph, then per edge
+    a weight and the Gaussian matrix its rotation comes from."""
+    a, b = np.array(random_graph_edges(rng, n_points), dtype=int).reshape(-1, 2).T
+    w, gauss = np.empty(a.size), np.empty((a.size, fiber, fiber))
     for k in range(a.size):
         w[k] = rng.uniform(0.2, 2.0)
-        gauss[k] = rng.standard_normal((n, n))
+        gauss[k] = rng.standard_normal((fiber, fiber))
+    return a, b, w, gauss
+
+
+def _connection_stack(weights: np.ndarray, fiber: int, draws) -> tuple:
+    """(H, H0) ``OperatorStack``s of the connection Laplacians of ``draws``.
+
+    ``weights`` is (T, N) and ``draws`` holds T ``_connection_draw``
+    results.  All rotations come from one stacked QR, and both stacks are
+    assembled by one scatter each, every entry accumulating its edges'
+    terms in edge order, as a loop would.
+    """
+    n_stack, n_points = weights.shape
+    n = fiber
+    owner = np.repeat(np.arange(n_stack), [draw[0].size for draw in draws])
+    a, b, w, gauss = (np.concatenate(part) for part in zip(*draws))
     rot, _ = np.linalg.qr(gauss)
-    inv_m = 1.0 / space.weights
-    wa, wb = w * inv_m[a], w * inv_m[b]
-    # Each entry accumulates its edges' terms in edge order, as a loop would.
+    inv_m = 1.0 / weights
+    wa, wb = w * inv_m[owner, a], w * inv_m[owner, b]
     ends = np.stack([a, b], axis=1).ravel()
+    end_owner = np.repeat(owner, 2)
     degree = np.stack([wa, wb], axis=1).ravel()
-    h = np.zeros((n_points, n, n_points, n))
+    h = np.zeros((n_stack, n_points, n, n_points, n))
     fiber_at = np.arange(n)
-    np.add.at(h, (ends[:, None], fiber_at, ends[:, None], fiber_at), degree[:, None])
-    np.subtract.at(h, (a, slice(None), b), wa[:, None, None] * rot)
-    np.subtract.at(h, (b, slice(None), a), wb[:, None, None] * rot.transpose(0, 2, 1))
-    h0 = np.zeros((n_points, n_points))
-    np.add.at(h0, (ends, ends), degree)
-    np.subtract.at(h0, (a, b), wa)
-    np.subtract.at(h0, (b, a), wb)
-    h = h.reshape(n_points * n, -1)
-    H = SelfAdjointOperator(h, space, fiber=n)
-    H0 = SelfAdjointOperator(h0, space, fiber=1)
-    return DominatedPair(H=H, H0=H0)
+    diagonal = (end_owner[:, None], ends[:, None], fiber_at, ends[:, None], fiber_at)
+    np.add.at(h, diagonal, degree[:, None])
+    np.subtract.at(h, (owner, a, slice(None), b), wa[:, None, None] * rot)
+    np.subtract.at(h, (owner, b, slice(None), a), wb[:, None, None] * rot.transpose(0, 2, 1))
+    h0 = np.zeros((n_stack, n_points, n_points))
+    np.add.at(h0, (end_owner, ends, ends), degree)
+    np.subtract.at(h0, (owner, a, b), wa)
+    np.subtract.at(h0, (owner, b, a), wb)
+    H = OperatorStack.from_matrices(h.reshape(n_stack, n_points * n, -1), weights, n)
+    return H, OperatorStack.from_matrices(h0, weights, 1)

@@ -2,49 +2,74 @@
 
 Each suite draws its instances from a dedicated child generator of the
 configured seed, runs every instance through the corresponding check,
-and condenses the outcome into worst-case records: the reported lhs/rhs
-pair belongs to the instance with the smallest normalized margin, and
-the record passes only if no instance violated its slack.  Identical
-configurations therefore produce identical records.
+and condenses the outcome into worst-case records (``_worst``): the
+reported lhs/rhs pair belongs to the instance with the smallest
+normalized margin, and the record passes only if no instance violated
+its slack.  An instance whose margin is NaN is a violation and is
+reported as the worst.  Identical configurations therefore produce
+identical records.
+
+The suites of many small operators run in four steps:
+
+1. **Draw.**  Every instance is drawn first, in the order a loop over the
+   instances would draw it, so the same instances come out; a draw holds
+   only random numbers, no computed value.  Past 256 trials the draws
+   come in batches of 256, so a suite's memory stays bounded.
+2. **Group by shape.**  The instances are grouped by point count and
+   fiber (``_grouped``).
+3. **Check on stacks.**  Every check runs once per group, on (T, n, n)
+   stacks: ``measure.OperatorStack`` and the stacked kernels of ``birman``
+   and ``perturbation``, whose stacked LAPACK and BLAS calls give each
+   instance the bits it would get alone.  The public per-instance checks
+   are the same kernels on a stack of one.
+4. **Reduce.**  Each instance's lhs and rhs go back to its place, and the
+   worst case is an array reduction in instance order.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .birman import (
     OperatorPair,
+    _bs_singular_values,
+    _check_pair,
+    _heat_difference_matrices,
+    _kernel_count_bounds,
+    _kernel_identities,
+    _planted_draw,
+    _planted_stack,
+    _weyl_power_sums,
     birman_schwinger_bound,
-    kernel_identity_check,
-    planted_kernel_operator,
     random_weighted_space,
-    weyl_inequality_check,
 )
 from .measure import (
+    OperatorStack,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
-    heat_difference,
-    heat_difference_hs_squared,
-    hs_norm,
+    _conjugate,
+    _frobenius,
 )
 from .perturbation import (
     MatrixPotential,
+    _added_to,
+    _check_potential,
+    _connection_draw,
+    _connection_stack,
+    _diagonalize,
+    _dominated_differences,
+    _duhamel_matrices,
+    _domination_excess,
+    _exact_22_integral,
     _gauss_legendre,
-    connection_laplacian_pair,
-    domination_check,
-    domination_excess,
-    dominated_difference_check,
-    duhamel_difference,
+    _hs_factorizations,
+    _hs_norms,
+    _hs_squared,
+    _pointwise_norms,
+    _semigroup_difference_bounds,
+    _verify_domination,
     hs_factorization_check,
-    hs_norm_potential,
-    pointwise_diagonalize,
-    semigroup_22_integral,
-    semigroup_difference_bound_check,
-    truncate_potential,
-    truncated_hs_norms,
 )
 from .pipeline import prefactors
 from .report import CheckRecord, RunReport, SuiteConfig
@@ -52,80 +77,125 @@ from .report import CheckRecord, RunReport, SuiteConfig
 __all__ = ["run_abstract_suites", "SUITE_BUILDERS"]
 
 
-class _Worst:
-    """Track the instance whose normalized margin (rhs-lhs)/scale is smallest."""
+def _worst_instance(lhs, rhs, scale=None) -> int:
+    """Index of the instance whose normalized margin (rhs - lhs)/scale is smallest.
 
-    def __init__(self):
-        self.lhs = 0.0
-        self.rhs = 0.0
-        self.key = None
-        self.violations = 0
-
-    def update(self, lhs: float, rhs: float, slack: float, scale: float = None):
-        if scale is None:
-            scale = 1.0 + abs(rhs)
-        key = (rhs - lhs) / scale
-        if self.key is None or key < self.key:
-            self.key = key
-            self.lhs, self.rhs = float(lhs), float(rhs)
-        if lhs > rhs + slack:
-            self.violations += 1
-
-    def record(self, name: str, detail: str) -> CheckRecord:
-        return CheckRecord(
-            name=name,
-            detail=detail,
-            lhs=self.lhs,
-            rhs=self.rhs,
-            margin=self.rhs - self.lhs,
-            passed=self.violations == 0,
-        )
+    ``scale`` defaults to 1 + |rhs|.  Ties go to the first instance, and a
+    NaN margin is smallest: the first instance with one is the worst.
+    """
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    if scale is None:
+        scale = 1.0 + np.abs(rhs)
+    return int(np.argmin((rhs - lhs) / scale))
 
 
-def _random_pair(rng, cfg: SuiteConfig):
+def _worst(name: str, detail: str, lhs, rhs, slack, scale=None) -> CheckRecord:
+    """The record of the worst instance (``_worst_instance``) of per-instance arrays.
+
+    It passes only if no instance has lhs > rhs + slack or a NaN margin.
+    """
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    at = _worst_instance(lhs, rhs, scale)
+    failed = np.isnan(rhs - lhs) | (lhs > rhs + slack)
+    return CheckRecord(
+        name=name,
+        detail=detail,
+        lhs=float(lhs[at]),
+        rhs=float(rhs[at]),
+        margin=float(rhs[at] - lhs[at]),
+        passed=not np.any(failed),
+    )
+
+
+# Instances drawn and held at once, at most: it bounds a suite's memory at
+# any trial count (the default 200 trials are one batch).
+_BATCH = 256
+
+
+def _grouped(draw, count: int):
+    """Draw ``count`` instances and yield them grouped by shape.
+
+    ``draw()`` draws one instance and returns its (shape, fields).  The
+    instances are drawn in order, ``_BATCH`` at a time, so the generator
+    runs as a loop over the instances would run it.  Each batch yields,
+    per shape in order of first appearance, the shape, the indices of its
+    instances and each field stacked over them; a field of tuples (the
+    edge draws of connection Laplacians, one graph each) stays a list.
+    """
+    for start in range(0, count, _BATCH):
+        draws = [draw() for _ in range(min(_BATCH, count - start))]
+        at_shape = {}
+        for index, (shape, _) in enumerate(draws):
+            at_shape.setdefault(shape, []).append(index)
+        for shape, at in at_shape.items():
+            columns = zip(*(draws[index][1] for index in at))
+            stacked = [list(c) if isinstance(c[0], tuple) else np.stack(c) for c in columns]
+            for index in at:
+                draws[index] = None
+            yield shape, start + np.array(at), stacked
+
+
+def _pair_draw(rng, cfg: SuiteConfig):
+    """The draws of one planted pair for ``_pair_stacks``, and its kernel dimension."""
     n_points = int(rng.integers(2, cfg.n_points_max + 1))
     fiber = int(rng.integers(1, cfg.fiber_max + 1))
     space = random_weighted_space(rng, n_points)
     dim = n_points * fiber
     kdim = int(rng.integers(0, min(4, dim - 1) + 1))
-    H = planted_kernel_operator(rng, space, fiber, kdim)
+    H = _planted_draw(rng, dim, kdim)
     rho0 = float(rng.uniform(0.2, 2.0))
-    bump = planted_kernel_operator(rng, space, fiber, kernel_dim=0, low=0.0, high=2.0)
-    Hp = SelfAdjointOperator(
-        H.matrix + rho0 * np.eye(dim) + bump.matrix, space, fiber
-    )
+    bump = _planted_draw(rng, dim, 0, low=0.0, high=2.0)
     t0 = float(rng.uniform(0.2, 2.0))
-    return OperatorPair(H=H, Hprime=Hp, rho0=rho0, t0=t0), kdim
+    return (n_points, fiber), (space.weights, *H, rho0, *bump, t0, kdim)
+
+
+def _pair_stacks(fiber, weights, h_gauss, h_evals, rho0, b_gauss, b_evals, t0):
+    """Planted H >= 0 with its kernel, and H' = H + rho0 + a random bump >= rho0."""
+    H = _planted_stack(weights, fiber, h_gauss, h_evals)
+    bump = _planted_stack(weights, fiber, b_gauss, b_evals)
+    eye = np.eye(H.eigenvalues.shape[-1])
+    Hprime = OperatorStack.from_matrices(
+        H.matrix + rho0[:, None, None] * eye + bump.matrix, weights, fiber
+    )
+    _check_pair(H, Hprime, rho0, t0)
+    return H, Hprime
 
 
 def suite_birman_schwinger(rng, cfg: SuiteConfig):
     """Kernel-count chain dim ker H <= sharp <= crude over planted pairs."""
     tol = cfg.tol("chain")
-    worst = {
-        (p, kind): _Worst() for p in (1.0, 2.0) for kind in ("kernel", "crude")
-    }
-    for _ in range(cfg.trials):
-        pair, kdim = _random_pair(rng, cfg)
-        for p in (1.0, 2.0):
-            cert = birman_schwinger_bound(pair, p)
-            slack_sharp = tol * (1.0 + abs(cert.bound_sharp))
-            slack_crude = tol * (1.0 + abs(cert.bound_crude))
-            worst[(p, "kernel")].update(float(kdim), cert.bound_sharp, slack_sharp)
-            worst[(p, "crude")].update(cert.bound_sharp, cert.bound_crude, slack_crude)
+    exponents = (1.0, 2.0)
+    kdim = np.empty(cfg.trials)
+    sharp, crude = np.empty((2, len(exponents), cfg.trials))
+    for (_, fiber), at, (*pair, planted) in _grouped(lambda: _pair_draw(rng, cfg), cfg.trials):
+        kdim[at] = planted
+        H, Hprime = _pair_stacks(fiber, *pair)
+        rho0, t0 = pair[3], pair[6]
+        singular = _bs_singular_values(H, Hprime, t0)
+        for row, p in enumerate(exponents):
+            _, sharp[row, at], crude[row, at] = _kernel_count_bounds(
+                H, Hprime, rho0, t0, p, singular
+            )
     records = []
-    for p in (1.0, 2.0):
+    for row, p in enumerate(exponents):
         records.append(
-            worst[(p, "kernel")].record(
+            _worst(
                 f"birman_kernel_vs_sharp_p{p:g}",
                 f"dim ker H <= Schatten-{p:g} power sum of the kernel-counting "
                 f"operator; worst of {cfg.trials} planted pairs",
+                kdim,
+                sharp[row],
+                tol * (1.0 + np.abs(sharp[row])),
             )
         )
         records.append(
-            worst[(p, "crude")].record(
+            _worst(
                 f"birman_sharp_vs_crude_p{p:g}",
                 "sharp bound <= resolvent-factored crude bound; worst of "
                 f"{cfg.trials} planted pairs",
+                sharp[row],
+                crude[row],
+                tol * (1.0 + np.abs(crude[row])),
             )
         )
     records.append(_scalar_saturation_record())
@@ -154,15 +224,19 @@ def _scalar_saturation_record() -> CheckRecord:
 def suite_kernel_identity(rng, cfg: SuiteConfig):
     """Fixed-point subspace of the counting operator matches ker H."""
     tol = cfg.tol("subspace_angle")
-    worst_angle = _Worst()
-    mismatches = 0
-    for _ in range(cfg.trials):
-        pair, _ = _random_pair(rng, cfg)
-        t = float(rng.uniform(0.2, 2.0))
-        result = kernel_identity_check(pair, t)
-        if result["dim_ker_H"] != result["dim_ker_bs"]:
-            mismatches += 1
-        worst_angle.update(result["max_principal_angle"], 0.0, tol, scale=1.0)
+
+    def draw():
+        shape, fields = _pair_draw(rng, cfg)
+        return shape, (*fields, float(rng.uniform(0.2, 2.0)))
+
+    mismatched = np.empty(cfg.trials, dtype=bool)
+    angle = np.empty(cfg.trials)
+    for (_, fiber), at, (*pair, _, t) in _grouped(draw, cfg.trials):
+        result = _kernel_identities(*_pair_stacks(fiber, *pair), t)
+        mismatched[at] = result["dim_ker_H"] != result["dim_ker_bs"]
+        angle[at] = result["max_principal_angle"]
+    mismatches = int(np.count_nonzero(mismatched))
+    worst_angle = float(angle[_worst_instance(angle, 0.0, scale=1.0)])
     return [
         CheckRecord(
             name="kernel_identity_dims",
@@ -176,10 +250,10 @@ def suite_kernel_identity(rng, cfg: SuiteConfig):
             name="kernel_identity_subspace",
             detail="largest principal angle between the two kernels "
             f"(allowed {tol:g})",
-            lhs=worst_angle.lhs,
+            lhs=worst_angle,
             rhs=tol,
-            margin=tol - worst_angle.lhs,
-            passed=worst_angle.lhs <= tol,
+            margin=tol - worst_angle,
+            passed=worst_angle <= tol,
         ),
     ]
 
@@ -188,45 +262,55 @@ def suite_weyl(rng, cfg: SuiteConfig):
     """Eigenvalue power sums below singular value power sums, p >= 1."""
     tol = cfg.tol("chain")
     exponents = (1.0, 1.5, 2.0)
-    worst = {p: _Worst() for p in exponents}
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(2, cfg.n_points_max + 1))
         fiber = int(rng.integers(1, cfg.fiber_max + 1))
         space = random_weighted_space(rng, n_points)
         dim = n_points * fiber
-        op = WeightedOperator(rng.standard_normal((dim, dim)), space, fiber)
-        for p, result in zip(exponents, weyl_inequality_check(op, exponents)):
-            lhs, rhs = result["eigenvalue_power_sum"], result["singular_power_sum"]
-            worst[p].update(lhs, rhs, tol * (1.0 + abs(rhs)))
+        return (n_points, fiber), (space.weights, rng.standard_normal((dim, dim)))
+
+    lhs, rhs = np.empty((2, len(exponents), cfg.trials))
+    for (_, fiber), at, (weights, matrices) in _grouped(draw, cfg.trials):
+        conj = _conjugate(matrices, np.sqrt(np.repeat(weights, fiber, axis=-1)))
+        lhs[:, at], rhs[:, at] = _weyl_power_sums(conj, exponents)
     return [
-        worst[p].record(
+        _worst(
             f"weyl_p{p:g}",
             f"sum |eig|^p <= sum s^p on {cfg.trials} non-normal operators",
+            lhs[row],
+            rhs[row],
+            tol * (1.0 + np.abs(rhs[row])),
         )
-        for p in exponents
+        for row, p in enumerate(exponents)
     ]
 
 
 def suite_hs_factorization(rng, cfg: SuiteConfig):
     """||V T||_HS <= sqrt(n) ||V||_{2,HS} ||T||_{2,inf} on random inputs."""
     tol = cfg.tol("factorization")
-    worst = _Worst()
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(1, cfg.n_points_max + 1))
         fiber = int(rng.integers(1, cfg.fiber_max + 1))
         space = random_weighted_space(rng, n_points)
-        vals = rng.standard_normal((n_points, fiber, fiber))
-        vals = 0.5 * (vals + vals.transpose(0, 2, 1))
-        potential = MatrixPotential(vals, space)
+        values = _potential_values(rng, n_points, fiber)
         dim = n_points * fiber
-        op = WeightedOperator(rng.standard_normal((dim, dim)), space, fiber)
-        result = hs_factorization_check(potential, op)
-        worst.update(result["lhs"], result["rhs"], tol * (1.0 + abs(result["rhs"])))
+        return (n_points, fiber), (space.weights, values, rng.standard_normal((dim, dim)))
+
+    lhs, rhs = np.empty((2, cfg.trials))
+    for _, at, (weights, values, matrices) in _grouped(draw, cfg.trials):
+        _check_potential(values, nonneg=False)
+        result = _hs_factorizations(values, weights, matrices)
+        lhs[at], rhs[at] = result["lhs"], result["rhs"]
     records = [
-        worst.record(
+        _worst(
             "hs_factorization",
             f"multiplication-after-smoothing HS bound on {cfg.trials} random "
             "potential/operator pairs",
+            lhs,
+            rhs,
+            tol * (1.0 + np.abs(rhs)),
         )
     ]
     # Scalar case with integer data where both sides coincide exactly.
@@ -247,38 +331,50 @@ def suite_hs_factorization(rng, cfg: SuiteConfig):
     return records
 
 
-def _random_potential(rng, space, fiber, scale=1.0, nonneg=False):
-    vals = rng.standard_normal((space.point_count, fiber, fiber))
+def _potential_values(rng, n_points: int, fiber: int, scale=1.0, nonneg=False) -> np.ndarray:
+    """(N, n, n) values of a random symmetric potential, or of a V >= 0."""
+    vals = rng.standard_normal((n_points, fiber, fiber))
     if nonneg:
-        vals = np.einsum("xij,xkj->xik", vals, vals) * (scale / fiber)
-    else:
-        vals = 0.5 * (vals + vals.transpose(0, 2, 1)) * scale
-    return MatrixPotential(vals, space, nonneg=nonneg)
+        return np.einsum("xij,xkj->xik", vals, vals) * (scale / fiber)
+    return 0.5 * (vals + vals.transpose(0, 2, 1)) * scale
+
+
+def _random_potential(rng, space, fiber, scale=1.0, nonneg=False):
+    values = _potential_values(rng, space.point_count, fiber, scale, nonneg)
+    return MatrixPotential(values, space, nonneg=nonneg)
 
 
 def suite_duhamel(rng, cfg: SuiteConfig):
     """Order-32 quadrature of the interaction integral vs direct difference."""
     tol = cfg.tol("duhamel")
-    worst = _Worst()
     trials = min(cfg.trials, max(100, cfg.trials // 5))
-    for _ in range(trials):
+
+    def draw():
         n_points = int(rng.integers(2, min(cfg.n_points_max, 12) + 1))
         fiber = int(rng.integers(1, min(cfg.fiber_max, 3) + 1))
         space = random_weighted_space(rng, n_points)
-        H = planted_kernel_operator(rng, space, fiber, 0, low=0.0, high=10.0)
-        potential = _random_potential(rng, space, fiber, scale=1.5)
-        t0 = float(rng.uniform(0.1, 0.5))
-        perturbed = potential.added_to(H)
-        direct = heat_difference(H, perturbed, 2 * t0)
-        approx = duhamel_difference(H, potential, t0, 32, perturbed=perturbed)
-        err = hs_norm(WeightedOperator(approx.matrix - direct.matrix, space, fiber))
-        allowed = tol * (1.0 + hs_norm(direct))
-        worst.update(err, allowed, 0.0, scale=1.0)
+        H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=10.0)
+        values = _potential_values(rng, n_points, fiber, scale=1.5)
+        return (n_points, fiber), (space.weights, *H, values, float(rng.uniform(0.1, 0.5)))
+
+    err, allowed = np.empty((2, trials))
+    for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, trials):
+        H = _planted_stack(weights, fiber, gauss, evals)
+        _check_potential(values, nonneg=False)
+        perturbed = _added_to(H, values)
+        direct = _heat_difference_matrices(H, perturbed, 2 * t0)
+        approx = _duhamel_matrices(H, values, t0, 32, perturbed)
+        err[at] = _frobenius(_conjugate(approx - direct, H._sqrt_w))
+        allowed[at] = tol * (1.0 + _frobenius(_conjugate(direct, H._sqrt_w)))
     return [
-        worst.record(
+        _worst(
             "duhamel_quadrature",
             f"order-32 quadrature error vs allowed {tol:g}*(1+scale), "
             f"{trials} random pairs",
+            err,
+            allowed,
+            0.0,
+            scale=1.0,
         )
     ]
 
@@ -286,36 +382,46 @@ def suite_duhamel(rng, cfg: SuiteConfig):
 def suite_semigroup_difference_bound(rng, cfg: SuiteConfig):
     """Two-sided ultracontractive HS bound on semigroup differences."""
     tol = cfg.tol("factorization")
-    worst = _Worst()
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(2, cfg.n_points_max + 1))
         fiber = int(rng.integers(1, cfg.fiber_max + 1))
         space = random_weighted_space(rng, n_points)
-        H = planted_kernel_operator(rng, space, fiber, 0, low=0.0, high=10.0)
-        potential = _random_potential(rng, space, fiber, scale=2.0)
+        H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=10.0)
+        values = _potential_values(rng, n_points, fiber, scale=2.0)
         t0 = float(rng.uniform(0.1, 1.0))
-        result = semigroup_difference_bound_check(H, potential, t0)
-        worst.update(result["lhs"], result["rhs"], tol * (1.0 + abs(result["rhs"])))
+        return (n_points, fiber), (space.weights, *H, values, t0)
+
+    lhs, rhs = np.empty((2, cfg.trials))
+    for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, cfg.trials):
+        H = _planted_stack(weights, fiber, gauss, evals)
+        _check_potential(values, nonneg=False)
+        result = _semigroup_difference_bounds(H, values, t0)
+        lhs[at], rhs[at] = result["lhs"], result["rhs"]
     return [
-        worst.record(
+        _worst(
             "semigroup_difference_bound",
             f"HS norm of the difference vs factorized bound, {cfg.trials} "
             "random (H, V) pairs",
+            lhs,
+            rhs,
+            tol * (1.0 + np.abs(rhs)),
         )
     ]
 
 
-def _gauss_22_integral(mu: float, t0: float) -> float:
+def _gauss_22_integral(mu, t0):
     """int_0^{t0} e^(-s mu) ds by the order-32 Gauss-Legendre rule.
 
     The rule's error is t0^65 (32!)^4 / (65 (64!)^3) times the 64th
     derivative of the integrand somewhere in [0, t0], so for mu >= 0 it
     is at most t0 (mu t0)^64 (32!)^4 / (65 (64!)^3): below 1e-38 for
     mu t0 <= 24 and t0 <= 3, the range ``suite_22_integral`` draws from.
+    Elementwise over arrays of mu and t0.
     """
     nodes, weights = _gauss_legendre(32)
-    half = 0.5 * t0
-    return half * float(weights @ np.exp(-mu * half * (nodes + 1.0)))
+    half = 0.5 * np.asarray(t0, dtype=float)
+    return half * np.vecdot(np.exp((-mu * half)[..., None] * (nodes + 1.0)), weights)
 
 
 def suite_22_integral(rng, cfg: SuiteConfig):
@@ -325,22 +431,29 @@ def suite_22_integral(rng, cfg: SuiteConfig):
     ``_gauss_22_integral`` for its error bound.
     """
     tol = cfg.tol("closed_form")
-    worst = _Worst()
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(2, cfg.n_points_max + 1))
         space = random_weighted_space(rng, n_points)
         kdim = int(rng.integers(0, 2))
-        A = planted_kernel_operator(rng, space, 1, kdim, low=0.05, high=8.0)
-        t0 = float(rng.uniform(0.1, 3.0))
-        closed = semigroup_22_integral(A, t0)
-        mu = max(0.0, A.min_eigenvalue)
+        A = _planted_draw(rng, n_points, kdim, low=0.05, high=8.0)
+        return (n_points, 1), (space.weights, *A, float(rng.uniform(0.1, 3.0)))
+
+    err, allowed = np.empty((2, cfg.trials))
+    for _, at, (weights, gauss, evals, t0) in _grouped(draw, cfg.trials):
+        # semigroup_22_integral of each planted A >= 0, and its oracle.
+        mu = np.maximum(0.0, _planted_stack(weights, 1, gauss, evals).min_eigenvalue)
         oracle = _gauss_22_integral(mu, t0)
-        err = abs(closed - oracle)
-        worst.update(err, tol * (1.0 + abs(oracle)), 0.0, scale=1.0)
+        err[at] = np.abs(_exact_22_integral(mu, t0) - oracle)
+        allowed[at] = tol * (1.0 + np.abs(oracle))
     return [
-        worst.record(
+        _worst(
             "semigroup_22_integral",
             f"closed form vs quadrature on {cfg.trials} nonnegative operators",
+            err,
+            allowed,
+            0.0,
+            scale=1.0,
         )
     ]
 
@@ -348,22 +461,31 @@ def suite_22_integral(rng, cfg: SuiteConfig):
 def suite_domination(rng, cfg: SuiteConfig):
     """Pointwise domination of connection semigroups by scalar ones."""
     tol = cfg.tol("domination")
-    worst = _Worst()
     pairs = max(2, cfg.trials // 20)
     times = (0.1, 1.0, 10.0)
-    for _ in range(pairs):
+
+    def draw():
         n_points = int(rng.integers(3, max(4, min(cfg.n_points_max, 15)) + 1))
         fiber = int(rng.integers(2, max(3, cfg.fiber_max) + 1))
         space = random_weighted_space(rng, n_points)
-        pair = connection_laplacian_pair(rng, space, fiber)
-        samples = [rng.standard_normal((n_points, fiber)) for _ in range(100)]
-        for t in times:
-            worst.update(domination_excess(pair, t, samples), 0.0, tol, scale=1.0)
+        edges = _connection_draw(rng, n_points, fiber)
+        samples = rng.standard_normal((100, n_points, fiber))
+        return (n_points, fiber), (space.weights, edges, samples)
+
+    excess = np.empty((pairs, len(times)))
+    for (_, fiber), at, (weights, edges, samples) in _grouped(draw, pairs):
+        H, H0 = _connection_stack(weights, fiber, edges)
+        for column, t in enumerate(times):
+            excess[at, column] = _domination_excess(H, H0, t, samples)
     return [
-        worst.record(
+        _worst(
             "domination_pointwise",
             f"|heat_vec f| <= heat_scal |f| pointwise, {pairs} rotation "
             f"systems x 100 functions x t in {times}",
+            excess.ravel(),
+            0.0,
+            tol,
+            scale=1.0,
         )
     ]
 
@@ -371,136 +493,171 @@ def suite_domination(rng, cfg: SuiteConfig):
 def suite_dominated_difference(rng, cfg: SuiteConfig):
     """Scalar-dominated HS bound chain lhs <= rhs_i <= rhs_t plus transfers."""
     tol = cfg.tol("factorization")
-    worst_main = _Worst()
-    worst_order = _Worst()
-    worst_transfer = _Worst()
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(3, max(4, min(cfg.n_points_max, 15)) + 1))
         fiber = int(rng.integers(2, max(3, cfg.fiber_max) + 1))
         space = random_weighted_space(rng, n_points)
-        pair = connection_laplacian_pair(rng, space, fiber)
-        samples = [rng.standard_normal((n_points, fiber)) for _ in range(5)]
-        pair = domination_check(pair, (0.5,), samples)
-        potential = _random_potential(rng, space, fiber, scale=1.0, nonneg=True)
+        edges = _connection_draw(rng, n_points, fiber)
+        samples = rng.standard_normal((5, n_points, fiber))
+        values = _potential_values(rng, n_points, fiber, scale=1.0, nonneg=True)
         t0 = float(rng.uniform(0.1, 1.0))
-        result = dominated_difference_check(pair, potential, t0)
-        worst_main.update(
-            result["lhs"],
-            result["rhs_integral"],
-            tol * (1.0 + abs(result["rhs_integral"])),
-        )
-        worst_order.update(
-            result["rhs_integral"],
-            result["rhs_plain"],
-            tol * (1.0 + abs(result["rhs_plain"])),
-        )
-        scalar = result["ultra_scalar"]
-        worst_transfer.update(
-            max(result["ultra_perturbed"], result["ultra_free"]),
-            scalar,
-            tol * (1.0 + abs(scalar)),
-        )
+        return (n_points, fiber), (space.weights, edges, samples, values, t0)
+
+    keys = ("lhs", "rhs_integral", "rhs_plain", "ultra_perturbed", "ultra_free", "ultra_scalar")
+    results = {key: np.empty(cfg.trials) for key in keys}
+    for (_, fiber), at, (weights, edges, samples, values, t0) in _grouped(draw, cfg.trials):
+        H, H0 = _connection_stack(weights, fiber, edges)
+        _verify_domination(H, H0, (0.5,), samples)
+        _check_potential(values, nonneg=True)
+        result = _dominated_differences(H, H0, values, t0)
+        for key in keys:
+            results[key][at] = result[key]
+    rhs_integral, rhs_plain = results["rhs_integral"], results["rhs_plain"]
+    transfer = np.maximum(results["ultra_perturbed"], results["ultra_free"])
+    scalar = results["ultra_scalar"]
     return [
-        worst_main.record(
+        _worst(
             "dominated_difference_bound",
             f"HS difference vs scalar-dominated bound, {cfg.trials} systems",
+            results["lhs"],
+            rhs_integral,
+            tol * (1.0 + np.abs(rhs_integral)),
         ),
-        worst_order.record(
+        _worst(
             "dominated_integral_vs_plain",
             "integral-form rhs never exceeds the plain t0 rhs",
+            rhs_integral,
+            rhs_plain,
+            tol * (1.0 + np.abs(rhs_plain)),
         ),
-        worst_transfer.record(
+        _worst(
             "ultracontractivity_transfer",
             "2->inf norms of both vector semigroups below the scalar one",
+            transfer,
+            scalar,
+            tol * (1.0 + np.abs(scalar)),
         ),
     ]
 
 
+def _truncation_checks(H: OperatorStack, values: np.ndarray, t0):
+    """Truncation of a stack of V >= 0 at level ceil(max_x |V(x)|).
+
+    Returns, per instance, the semigroup HS distance between H + V and H
+    plus the truncated V, and the largest drop of the (2,HS) norm along
+    the truncations at levels 1, 2, ..., level followed by V itself.  The
+    levels of all instances are evaluated together; each instance reads
+    only its own.
+    """
+    norms = _pointwise_norms(values)
+    level = np.ceil(np.max(norms, axis=-1))
+    if np.any(level < 1.0):
+        raise ValueError("truncation level must be at least 1")
+    truncated = np.where((norms <= level[:, None])[..., None, None], values, 0.0)
+    _check_potential(truncated, nonneg=True)
+    full, cut = _added_to(H, values), _added_to(H, truncated)
+    distance = np.sqrt(full.heat_difference_hs_squared(cut, 2 * t0))
+    levels = np.arange(1, int(level.max()) + 1)
+    keep = norms[:, None, :] <= levels[:, None]
+    whole = _hs_norms(values, H.weights)[:, None]
+    # Instance k's norms: its first level_k truncations, then V itself.
+    column = np.arange(levels.size + 1)
+    sequence = np.concatenate([np.sqrt(_hs_squared(values, H.weights, keep)), whole], axis=-1)
+    sequence = np.where(column < level[:, None], sequence, whole)
+    drops = np.where(column[1:] <= level[:, None], np.diff(sequence) * -1.0, -np.inf)
+    return distance, np.max(drops, axis=-1)
+
+
 def suite_truncation(rng, cfg: SuiteConfig):
     """Saturation of level truncation and monotonicity of its (2,HS) norm."""
-    worst_sat = _Worst()
-    worst_mono = _Worst()
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(2, min(cfg.n_points_max, 12) + 1))
         fiber = int(rng.integers(1, min(cfg.fiber_max, 3) + 1))
         space = random_weighted_space(rng, n_points)
-        potential = _random_potential(rng, space, fiber, scale=3.0, nonneg=True)
-        H = planted_kernel_operator(rng, space, fiber, 0, low=0.0, high=5.0)
-        level = float(np.ceil(potential.pointwise_operator_norms().max()))
-        truncated = truncate_potential(potential, level)
+        values = _potential_values(rng, n_points, fiber, scale=3.0, nonneg=True)
+        H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=5.0)
         t0 = float(rng.uniform(0.1, 1.0))
-        full = potential.added_to(H)
-        cut = truncated.added_to(H)
-        distance = math.sqrt(heat_difference_hs_squared(full, cut, 2 * t0))
-        worst_sat.update(distance, 0.0, 0.0, scale=1.0)
-        levels = np.arange(1, int(level) + 1)
-        norms = np.append(
-            truncated_hs_norms(potential, levels), hs_norm_potential(potential)
-        )
-        drops = float(np.max(np.diff(norms) * -1.0)) if len(norms) > 1 else 0.0
-        worst_mono.update(drops, 0.0, 1e-12, scale=1.0)
+        return (n_points, fiber), (space.weights, values, *H, t0)
+
+    distance, drops = np.empty((2, cfg.trials))
+    for (_, fiber), at, (weights, values, gauss, evals, t0) in _grouped(draw, cfg.trials):
+        _check_potential(values, nonneg=True)
+        H = _planted_stack(weights, fiber, gauss, evals)
+        distance[at], drops[at] = _truncation_checks(H, values, t0)
     return [
-        worst_sat.record(
+        _worst(
             "truncation_saturation",
             "semigroup HS distance is exactly zero once the level clears "
             f"max |V(x)|, {cfg.trials} random potentials",
+            distance,
+            0.0,
+            0.0,
+            scale=1.0,
         ),
-        worst_mono.record(
+        _worst(
             "truncation_monotone",
             "(2,HS) norm of the truncation is nondecreasing in the level",
+            drops,
+            0.0,
+            1e-12,
+            scale=1.0,
         ),
     ]
 
 
 def suite_positive_parts(rng, cfg: SuiteConfig):
     """Pointwise positive-part calculus after diagonalization."""
-    worst_recon = _Worst()
-    worst_prod = _Worst()
-    worst_psd = _Worst()
-    for _ in range(cfg.trials):
+
+    def draw():
         n_points = int(rng.integers(1, min(cfg.n_points_max, 15) + 1))
         fiber = int(rng.integers(1, cfg.fiber_max + 1))
         space = random_weighted_space(rng, n_points)
-        potential = _random_potential(rng, space, fiber, scale=2.0)
-        diag = pointwise_diagonalize(potential)
-        plus = diag.positive_part(space)
-        minus = diag.negative_part(space)
-        scale = 1.0 + float(np.max(np.abs(potential.values)))
-        recon = float(np.max(np.abs(plus.values - minus.values - potential.values)))
-        prod = float(
-            np.max(np.abs(np.einsum("xij,xjk->xik", plus.values, minus.values)))
+        return (n_points, fiber), (space.weights, _potential_values(rng, n_points, fiber, 2.0))
+
+    names = ("reconstruction", "orthogonal", "nonnegative")
+    sides = {name: np.empty((2, cfg.trials)) for name in names}
+    points = (-3, -2, -1)
+    for _, at, (_, values) in _grouped(draw, cfg.trials):
+        _check_potential(values, nonneg=False)
+        diag = _diagonalize(values)
+        plus, minus = diag.part_values(1.0), diag.part_values(-1.0)
+        _check_potential(plus, nonneg=True)
+        _check_potential(minus, nonneg=True)
+        scale = 1.0 + np.max(np.abs(values), axis=points)
+        recon = np.max(np.abs(plus - minus - values), axis=points)
+        prod = np.max(np.abs(np.einsum("...xij,...xjk->...xik", plus, minus)), axis=points)
+        min_eig = np.minimum(
+            np.min(np.linalg.eigvalsh(plus), axis=(-2, -1)),
+            np.min(np.linalg.eigvalsh(minus), axis=(-2, -1)),
         )
-        min_eig = min(
-            float(np.min(np.linalg.eigvalsh(plus.values))),
-            float(np.min(np.linalg.eigvalsh(minus.values))),
-        )
-        worst_recon.update(recon, 1e-10 * scale, 0.0, scale=1.0)
-        worst_prod.update(prod, 1e-10 * scale**2, 0.0, scale=1.0)
-        worst_psd.update(-min_eig, 1e-10 * scale, 0.0, scale=1.0)
+        sides["reconstruction"][:, at] = recon, 1e-10 * scale
+        sides["orthogonal"][:, at] = prod, 1e-10 * scale**2
+        sides["nonnegative"][:, at] = -min_eig, 1e-10 * scale
+    details = ("V = V_+ - V_- pointwise", "V_+ V_- = 0 pointwise", "both parts positive semidefinite")
     return [
-        worst_recon.record(
-            "positive_parts_reconstruction", "V = V_+ - V_- pointwise"
-        ),
-        worst_prod.record("positive_parts_orthogonal", "V_+ V_- = 0 pointwise"),
-        worst_psd.record(
-            "positive_parts_nonnegative", "both parts positive semidefinite"
-        ),
+        _worst(f"positive_parts_{name}", detail, *sides[name], 0.0, scale=1.0)
+        for name, detail in zip(names, details)
     ]
 
 
 def suite_prefactor(rng, cfg: SuiteConfig):
     """Sharp bound prefactor never exceeds the loose 4n/rho0^2 form."""
-    worst = _Worst()
     trials = max(100, cfg.trials)
-    for _ in range(trials):
+    sharp, loose = np.empty((2, trials))
+    for trial in range(trials):
         rho0 = float(rng.uniform(0.01, 10.0))
         t0 = float(rng.uniform(0.01, 10.0))
-        sharp, loose = prefactors(rho0, t0)
-        worst.update(sharp, loose, 0.0, scale=1.0 + loose)
+        sharp[trial], loose[trial] = prefactors(rho0, t0)
     return [
-        worst.record(
+        _worst(
             "prefactor_comparison",
             f"sharp prefactor <= loose prefactor on {trials} random (rho0, t0)",
+            sharp,
+            loose,
+            0.0,
+            scale=1.0 + loose,
         )
     ]
 

@@ -3,7 +3,6 @@
 import json
 import re
 import shlex
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +51,18 @@ def test_verify_abstract_violated_chain_is_a_failing_record(
     capsys, tmp_path, monkeypatch
 ):
     # A sharp bound halved below dim ker H breaks the chain; the suite's
-    # record is the verdict, so the run still writes its report.
+    # record is the verdict, so the run still writes its report.  The
+    # suite reads its bounds from the stacked kernel, one shape group at a
+    # time.
     import bettibound.suites as suites
 
-    bound = suites.birman_schwinger_bound
+    bounds = suites._kernel_count_bounds
 
     def halved(*args):
-        cert = bound(*args)
-        return replace(cert, bound_sharp=0.5 * cert.bound_sharp)
+        kernel_dim, sharp, crude = bounds(*args)
+        return kernel_dim, 0.5 * sharp, crude
 
-    monkeypatch.setattr(suites, "birman_schwinger_bound", halved)
+    monkeypatch.setattr(suites, "_kernel_count_bounds", halved)
     out_path = tmp_path / "chain.json"
     code, _, _ = run(
         capsys,
@@ -75,6 +76,36 @@ def test_verify_abstract_violated_chain_is_a_failing_record(
     doc = json.loads(out_path.read_text())
     records = {r["name"]: r["pass"] for r in doc["records"]}
     assert records["birman_kernel_vs_sharp_p1"] is False
+    assert doc["summary"]["pass"] is False
+
+
+def test_verify_abstract_inflated_dominated_difference_is_a_failing_record(
+    capsys, tmp_path, monkeypatch
+):
+    # The twin of the test above for a stacked perturbation kernel: an HS
+    # difference inflated past its scalar-dominated bound fails the record.
+    import bettibound.suites as suites
+
+    differences = suites._dominated_differences
+
+    def inflated(*args):
+        result = differences(*args)
+        return {**result, "lhs": 2.0 * result["rhs_integral"] + 1.0}
+
+    monkeypatch.setattr(suites, "_dominated_differences", inflated)
+    out_path = tmp_path / "dominated.json"
+    code, _, _ = run(
+        capsys,
+        "verify-abstract",
+        "--trials", "5",
+        "--seed", "42",
+        "--quiet",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    doc = json.loads(out_path.read_text())
+    records = {r["name"]: r["pass"] for r in doc["records"]}
+    assert records["dominated_difference_bound"] is False
     assert doc["summary"]["pass"] is False
 
 
