@@ -37,7 +37,7 @@ from .measure import (
     _single,
     _singular_values,
     heat_difference,
-    heat_difference_hs_squared,
+    heat_difference_hs_bounds,
     schatten_power_sum,
 )
 
@@ -47,6 +47,7 @@ __all__ = [
     "birman_schwinger_operator",
     "kernel_identity_check",
     "crude_kernel_bound",
+    "crude_hs_enclosure",
     "birman_schwinger_bound",
     "weyl_inequality_check",
     "principal_angles",
@@ -72,14 +73,23 @@ class OperatorPair:
         _check_pair(self.H, self.Hprime, self.rho0, self.t0)
 
     @cached_property
+    def _stacks(self) -> tuple[OperatorStack, OperatorStack]:
+        """H and H' as stacks of one, for the stacked kernels."""
+        return OperatorStack.of(self.H), OperatorStack.of(self.Hprime)
+
+    @cached_property
+    def _heat_difference(self) -> np.ndarray:
+        """The (1, d, d) matrix of exp(-t0 H) - exp(-t0 H'), built once per pair."""
+        return _read_only(_heat_difference_matrices(*self._stacks, self.t0))
+
+    @cached_property
     def birman_schwinger_singular_values(self) -> np.ndarray:
         """Singular values of the Birman-Schwinger operator at t0, descending.
 
         Computed once per pair, so the sharp bound costs one SVD for every
         exponent p.
         """
-        stacks = OperatorStack.of(self.H), OperatorStack.of(self.Hprime)
-        return _read_only(_bs_singular_values(*stacks, self.t0)[0])
+        return _read_only(_bs_singular_values(*self._stacks, self.t0, self._heat_difference)[0])
 
 
 def _check_pair(H, Hprime, rho0, t0):
@@ -123,8 +133,9 @@ def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
     by a generic linear solve; it exists because the spectrum of exp(-tH')
     stays inside [0, e^(-rho0 t)].  ``_bs_matrices`` on a stack of one.
     """
-    stacks = OperatorStack.of(pair.H), OperatorStack.of(pair.Hprime)
-    return WeightedOperator(_bs_matrices(*stacks, t)[0], pair.H.space, pair.H.fiber)
+    difference = _heat_difference_matrices(*pair._stacks, t)
+    matrix = _bs_matrices(*pair._stacks, t, difference)[0]
+    return WeightedOperator(matrix, pair.H.space, pair.H.fiber)
 
 
 def _heat_difference_matrices(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
@@ -132,18 +143,20 @@ def _heat_difference_matrices(H: OperatorStack, Hprime: OperatorStack, t) -> np.
     return H.semigroup(t).matrix - Hprime.semigroup(t).matrix
 
 
-def _bs_matrices(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
-    """The (T, d, d) matrices of the stacked ``birman_schwinger_operator``."""
+def _bs_matrices(H: OperatorStack, Hprime: OperatorStack, t, difference) -> np.ndarray:
+    """The (T, d, d) matrices of the stacked ``birman_schwinger_operator``,
+    from ``difference``, the ``_heat_difference_matrices`` at t."""
     column = Hprime._per_instance(t)
     if np.any(np.exp(-column * Hprime.eigenvalues) >= 1.0):
         raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
     inv = Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-column * w)))
-    return inv.matrix @ _heat_difference_matrices(H, Hprime, t)
+    return inv.matrix @ difference
 
 
-def _bs_singular_values(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
-    """(T, d) singular values of the Birman-Schwinger operators, descending."""
-    return _singular_values(_conjugate(_bs_matrices(H, Hprime, t), H._sqrt_w))
+def _bs_singular_values(H: OperatorStack, Hprime: OperatorStack, t, difference) -> np.ndarray:
+    """(T, d) singular values of the Birman-Schwinger operators, descending,
+    from ``difference`` as ``_bs_matrices`` takes it."""
+    return _singular_values(_conjugate(_bs_matrices(H, Hprime, t, difference), H._sqrt_w))
 
 
 def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
@@ -154,8 +167,7 @@ def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
     dimensions and the subspaces agree.  ``_kernel_identities`` on a stack
     of one.
     """
-    stacks = OperatorStack.of(pair.H), OperatorStack.of(pair.Hprime)
-    return _single(_kernel_identities(*stacks, [t]))
+    return _single(_kernel_identities(*pair._stacks, [t]))
 
 
 def _kernel_identities(H: OperatorStack, Hprime: OperatorStack, t) -> dict:
@@ -168,7 +180,9 @@ def _kernel_identities(H: OperatorStack, Hprime: OperatorStack, t) -> dict:
     if np.any(t <= 0.0):
         raise ValueError("t must be strictly positive")
     ker_h = H.kernel_mask()
-    fixed = _bs_matrices(H, Hprime, t) - np.eye(ker_h.shape[-1])
+    fixed = _bs_matrices(H, Hprime, t, _heat_difference_matrices(H, Hprime, t)) - np.eye(
+        ker_h.shape[-1]
+    )
     # Kernel of a non-self-adjoint operator: smallest singular directions
     # of the conjugated matrix, with the same zero-tolerance rule used for
     # eigenvalues.
@@ -224,22 +238,27 @@ def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertifica
 
     The sharp bound is the p-th power sum of the pair's cached
     ``birman_schwinger_singular_values``.  ``_kernel_count_bounds`` on a
-    stack of one.
+    stack of one, with the pair's heat difference built once.
     """
-    stacks = OperatorStack.of(pair.H), OperatorStack.of(pair.Hprime)
     singular = pair.birman_schwinger_singular_values[None]
-    kernel, sharp, crude = _kernel_count_bounds(*stacks, pair.rho0, pair.t0, p, singular)
+    kernel, sharp, crude = _kernel_count_bounds(
+        *pair._stacks, pair.rho0, pair.t0, p, singular, pair._heat_difference
+    )
     return KernelBoundCertificate(
         kernel_dim=int(kernel[0]), bound_sharp=float(sharp[0]), bound_crude=float(crude[0]), p=p
     )
 
 
-def _kernel_count_bounds(H: OperatorStack, Hprime: OperatorStack, rho0, t0, p: float, singular):
+def _kernel_count_bounds(
+    H: OperatorStack, Hprime: OperatorStack, rho0, t0, p: float, singular, difference
+):
     """Stacked ``birman_schwinger_bound``: (T,) kernel dimensions, sharp and crude bounds.
 
-    ``singular`` holds the (T, d) ``_bs_singular_values`` at t0, which
+    ``singular`` holds the (T, d) ``_bs_singular_values`` at t0 and
+    ``difference`` the ``_heat_difference_matrices`` at t0, which both
     serve every exponent p.  The crude bound is ``crude_kernel_bound``'s
-    arithmetic per instance.
+    arithmetic per instance: at p = 2 from the spectra, at other p from
+    ``difference``.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
@@ -248,7 +267,7 @@ def _kernel_count_bounds(H: OperatorStack, Hprime: OperatorStack, rho0, t0, p: f
     if p == 2.0:
         crude = H.heat_difference_hs_squared(Hprime, t0, gap)
     else:
-        scaled = _heat_difference_matrices(H, Hprime, t0) / H._per_instance(gap)[..., None]
+        scaled = difference / H._per_instance(gap)[..., None]
         crude = np.sum(_singular_values(_conjugate(scaled, H._sqrt_w)) ** p, axis=-1)
     return H.kernel_dim(), np.sum(singular**p, axis=-1), crude
 
@@ -259,15 +278,29 @@ def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
     D_t0 is scaled by 1/(1 - e^(-rho0 t0)) before its norm is taken, so
     the scalar saturation case (H = 0, H' = rho0 on one point) comes out
     as exactly 1.0.  At p = 2 the squared Hilbert-Schmidt norm is read from
-    the two cached spectra (``heat_difference_hs_squared``), with no dense
-    D; any other p takes the singular values of the dense D.
+    the two cached spectra (``crude_hs_enclosure``), with no dense D; for
+    an H' that holds only its eigenpairs below a cut-off it is the upper
+    end of that enclosure.  Any other p takes the singular values of the
+    dense D, and H' must hold every pair.
     """
-    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
     if p == 2.0:
-        return heat_difference_hs_squared(pair.H, pair.Hprime, pair.t0, gap)
+        return crude_hs_enclosure(pair)[0]
+    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
     diff = heat_difference(pair.H, pair.Hprime, pair.t0)
     scaled = WeightedOperator(diff.matrix / gap, pair.H.space, pair.H.fiber)
     return schatten_power_sum(scaled, p)
+
+
+def crude_hs_enclosure(pair: OperatorPair) -> tuple[float, float]:
+    """(upper, lower) ends of an enclosure of ``crude_kernel_bound(pair, 2)``.
+
+    The ends of ``heat_difference_hs_bounds`` for D_t0 scaled by
+    1/(1 - e^(-rho0 t0)): both are the bound itself when H' holds every
+    eigenpair, and the upper end bounds dim ker(H) when H' holds only its
+    eigenpairs below a cut-off.
+    """
+    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
+    return heat_difference_hs_bounds(pair.H, pair.Hprime, pair.t0, gap)
 
 
 def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:

@@ -54,9 +54,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measure import (
     ZERO_TOL,
@@ -65,7 +65,9 @@ from .measure import (
     WeightedOperator,
     _freeze,
     _frobenius,
+    _inertia,
     _orthogonality_loss,
+    _rcm_ordered,
 )
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 
@@ -406,39 +408,6 @@ def betti1_rank_count(dec: DECOperators) -> int:
 # lies below it, and small enough that an eigenvalue between the threshold
 # and the shift, which costs a second factorization, is rare.
 _LANCZOS_SHIFT = 1e-6
-# Fill-reducing ordering of the count's factorization: SuperLU's minimum
-# degree on the pattern of A^T + A, applied to a matrix already put in
-# reverse Cuthill-McKee order (``_inertia``).  The banded preorder removes
-# the minimum-degree ordering's blow-up on the icosphere family; measured
-# on L1 (2 vCPUs, one BLAS thread), RCM+MMD factored the sphere at
-# resolution 5 (E 30720) in 0.31 s and 4.3M factor nonzeros, COLAMD in
-# 1.05 s and 8.1M, and bumpy-sphere(3) in 8 ms against 17 ms; the RCM
-# order and the permuted copy cost 7 ms and 0.6 ms.  Both keep every
-# pivot on the diagonal.
-_ORDERING = "MMD_AT_PLUS_A"
-
-
-def _inertia(permuted: csr_matrix, sigma: float):
-    """A symmetric factorization of P S P^T - sigma I and its count of negative pivots.
-
-    ``permuted`` is S in a fixed symmetric order P (``_certified_kernel_dim``
-    uses reverse Cuthill-McKee), so the matrix factored is P (S - sigma I)
-    P^T, congruent to S - sigma I.  SuperLU in symmetric mode with
-    diagonal pivots (``splu`` with ``diag_pivot_thresh=0``) factors it as
-    Q L D L^T Q^T, with D the diagonal of U; by Sylvester's law of inertia
-    the negative pivots count the eigenvalues of S below sigma.  A
-    factorization that left the diagonal (``perm_r != perm_c``) raises
-    ValueError.
-    """
-    lu = splu(
-        (permuted - sigma * identity(permuted.shape[0], format="csr")).tocsc(),
-        permc_spec=_ORDERING,
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise ValueError("inertia count failed: the factorization pivoted off the diagonal")
-    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def _ritz_pairs_below(
@@ -477,7 +446,8 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     ``SelfAdjointOperator.kernel_dim``).  The count starts from inertia:
     S is put once in reverse Cuthill-McKee order P, and P (S - sigma I)
     P^T, with sigma = 1e-6 (1 + r) above tau, is factored once
-    (``_inertia``); its j negative pivots are the eigenvalues below
+    (``measure._inertia``, shared with the cut-off of a partial
+    ``SelfAdjointOperator``); its j negative pivots are the eigenvalues below
     sigma.  If j = 0 the count is 0 and no Lanczos run is needed.
     Otherwise the j Ritz pairs below sigma come from one Lanczos run on
     that same factor (``_ritz_pairs_below``).  The count k is the number
@@ -507,8 +477,7 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     radius = float(abs(s).sum(axis=1).max())
     tau = ZERO_TOL * (1.0 + radius)
     sigma = _LANCZOS_SHIFT * (1.0 + radius)
-    order = reverse_cuthill_mckee(s, symmetric_mode=True)
-    permuted = s[order][:, order]
+    order, permuted = _rcm_ordered(s)
     lu, below = _inertia(permuted, sigma)
     if not below:
         return 0, 0.0, sigma

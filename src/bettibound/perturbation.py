@@ -32,6 +32,7 @@ difference is read from the two spectra by ``heat_difference_hs_squared``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -103,14 +104,15 @@ class MatrixPotential:
         """Block-diagonal multiplication operator on stacked coordinates."""
         return WeightedOperator(_block_diagonal(self.values), self.space, self.fiber)
 
-    def added_to(self, H: SelfAdjointOperator) -> SelfAdjointOperator:
+    def added_to(self, H: SelfAdjointOperator, cutoff: float = math.inf) -> SelfAdjointOperator:
         """H + V, with its own checked eigensolve; H itself when V is zero.
 
         V goes onto the diagonal blocks of a copy of H's matrix, so no
         dense V is built; the sum equals ``H.matrix + V.as_operator().matrix``.
         A CSR H gives a CSR sum: V is added as a sparse block diagonal.  A V
         that is zero everywhere gives H with no eigensolve, so a semigroup
-        difference against it is exactly zero.
+        difference against it is exactly zero.  A finite ``cutoff`` makes
+        the sum hold only its eigenpairs below it (``SelfAdjointOperator``).
         """
         if not H.space.same_as(self.space) or H.fiber != self.fiber:
             raise DimensionMismatchError("potential and operator live on different spaces")
@@ -124,10 +126,10 @@ class MatrixPotential:
             blocks = coo_matrix(
                 (self.values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape
             )
-            return SelfAdjointOperator(H.matrix + blocks, H.space, n)
+            return SelfAdjointOperator(H.matrix + blocks, H.space, n, cutoff)
         matrix = H.matrix + 0.0
         matrix.reshape(n_points, n, n_points, n)[at, :, at, :] += self.values
-        return SelfAdjointOperator(matrix, H.space, n)
+        return SelfAdjointOperator(matrix, H.space, n, cutoff)
 
     def pointwise_operator_norms(self) -> np.ndarray:
         """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""

@@ -34,9 +34,17 @@ E x E eigensolve of its own, and eigensolves L1 + W once per rho0 (W
 depends on rho0 only); the loop holds one L1 + W at a time.  The
 (2,HS) norm of the potential depends on rho0 only too.  At p = 2 the
 Hilbert-Schmidt norm of the semigroup difference comes from the two
-spectra in O(N^2) per point, with no dense heat matrix; other p take the
-singular values of the dense difference.  ``betti_bound`` is the same
-loop on a 1 x 1 grid.
+spectra in O(N^2) per point, with no dense heat matrix, and an
+eigenpair mu of L1 + W enters it only through its heat weight
+e^(-2 t0 mu).  So the row eigensolves L1 + W only below a cut-off
+sigma = max(ln(1/eta) / (2 min t0), 2 rho0) with eta = 1e-12, where
+every dropped pair weighs at most eta: the inertia of L1 + W - sigma
+counts the K pairs below it, and xSYEVR computes only those.  The bound
+is the upper end of an enclosure over the dropped pairs
+(``measure.heat_difference_hs_bounds``).  If some t0's enclosure is
+wider than eta relative to its upper end, or the cut-off is refused,
+the row eigensolves all of L1 + W instead, as at other p, which take
+the singular values of the dense difference.  ``betti_bound`` is the same loop on a 1 x 1 grid.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .birman import OperatorPair, crude_kernel_bound
+from .birman import OperatorPair, crude_hs_enclosure, crude_kernel_bound
 from .dec import (
     CurvatureField,
     DECOperators,
@@ -82,6 +90,10 @@ __all__ = [
 SURFACE_FIBER_DIM = 2
 # Default relative slack of a soundness record (``betti_bound``).
 SOUNDNESS_SLACK = 1e-9
+# The Schatten p = 2 row's cut-off drops only eigenpairs of L1 + W with
+# heat weight at most eta, and each bound's enclosure must end within eta
+# of each other, relative to the upper end (``_cut_off_bounds``).
+_ETA = 1e-12
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -282,18 +294,20 @@ def synthetic_edge_potential(
 
 
 def schatten_operator(
-    H: SelfAdjointOperator, V: MatrixPotential, rho0: float
+    H: SelfAdjointOperator, V: MatrixPotential, rho0: float, cutoff: float = math.inf
 ) -> SelfAdjointOperator:
     """H + V for a nonnegative V, verified spectrally to clear rho0.
 
     A failed check raises ``ValueError``.  V goes onto the diagonal of a
     copy of H's matrix (``MatrixPotential.added_to``); a V that is zero
     everywhere gives H itself, with no eigensolve, so the semigroup
-    difference of the certificate is exactly zero.
+    difference of the certificate is exactly zero.  A finite ``cutoff``
+    keeps only the eigenpairs of H + V below it; with none below it, its
+    lowest eigenvalue is at least the cut-off, and that is what is checked.
     """
     if not V.nonneg:
         raise ValueError("the edge potential must be nonnegative")
-    perturbed = V.added_to(H)
+    perturbed = V.added_to(H, cutoff)
     if perturbed.min_eigenvalue < rho0 - perturbed.zero_threshold():
         raise ValueError(
             f"spectral check failed: min eig of the shifted operator is "
@@ -428,19 +442,50 @@ def _schatten_row(
 ) -> tuple[list, tuple]:
     """The Schatten bound at (rho0, t0) for each t0, and the row's notes.
 
-    L1 + W is built and checked once for the row, and lives only inside
-    this call, so a sweep holds one such operator (and the E x E squared
-    overlap it keeps) at a time.  When the check fails, every bound of
-    the row is None and the one note says why.
+    At p = 2 the row first tries L1 + W cut off below sigma
+    (``_cut_off_bounds``).  When the cut-off is refused or an enclosure is
+    too wide, and at every other p, L1 + W takes every pair.  Each L1 + W
+    lives only inside this call (the cut-off one only inside
+    ``_cut_off_bounds``), so a sweep holds one such operator (and the
+    squared overlap it keeps) at a time.  When a check of the full L1 + W
+    fails, every bound of the row is None and the one note says why.
     """
     lap1 = data.laplacian1
     try:
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-        perturbed = schatten_operator(lap1, potential, rho0)
-        bounds = [
-            crude_kernel_bound(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0), p)
-            for t0 in t0_values
-        ]
+        bounds = _cut_off_bounds(lap1, potential, rho0, t0_values) if p == 2.0 else None
+        if bounds is None:
+            perturbed = schatten_operator(lap1, potential, rho0)
+            bounds = [
+                crude_kernel_bound(OperatorPair(lap1, perturbed, rho0, 2.0 * t0), p)
+                for t0 in t0_values
+            ]
     except ValueError as exc:
         return [None] * len(t0_values), (f"schatten bound omitted: {exc}",)
     return bounds, ()
+
+
+def _cut_off_bounds(lap1, potential, rho0, t0_values) -> list | None:
+    """The p = 2 Schatten bound for each t0 from L1 + W cut off below sigma,
+    or None when that does not certify them to eta.
+
+    sigma = max(ln(1/eta) / (2 min t0), 2 rho0): every dropped pair has
+    heat weight e^(-2 t0 sigma) at most eta, and sigma lies above rho0, so
+    an L1 + W with no pair below sigma clears rho0.  Each bound is the
+    upper end of its ``crude_hs_enclosure``; an enclosure wider than eta
+    relative to that end, or a cut-off the inertia count and the solver do
+    not agree on (a ``ValueError``, a check of this L1 + W included),
+    gives None, and the caller takes every pair.
+    """
+    cutoff = max(math.log(1.0 / _ETA) / (2.0 * min(t0_values)), 2.0 * rho0)
+    try:
+        perturbed = schatten_operator(lap1, potential, rho0, cutoff)
+    except ValueError:
+        return None
+    enclosures = [
+        crude_hs_enclosure(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0))
+        for t0 in t0_values
+    ]
+    if not all(upper - lower <= _ETA * upper for upper, lower in enclosures):
+        return None
+    return [upper for upper, _ in enclosures]

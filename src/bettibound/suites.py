@@ -171,10 +171,11 @@ def suite_birman_schwinger(rng, cfg: SuiteConfig):
         kdim[at] = planted
         H, Hprime = _pair_stacks(fiber, *pair)
         rho0, t0 = pair[3], pair[6]
-        singular = _bs_singular_values(H, Hprime, t0)
+        difference = _heat_difference_matrices(H, Hprime, t0)
+        singular = _bs_singular_values(H, Hprime, t0, difference)
         for row, p in enumerate(exponents):
             _, sharp[row, at], crude[row, at] = _kernel_count_bounds(
-                H, Hprime, rho0, t0, p, singular
+                H, Hprime, rho0, t0, p, singular, difference
             )
     records = []
     for row, p in enumerate(exponents):

@@ -401,19 +401,31 @@ def test_readme_usage_commands_parse():
         assert _build_parser().parse_args(argv).verb == argv[0]
 
 
+def _halve_schatten_enclosures(monkeypatch):
+    """Halve both ends of every Schatten p = 2 enclosure the grid loop reads,
+    on the cut-off path and on the full-spectrum one."""
+    import bettibound.birman as birman
+    import bettibound.pipeline as pipeline
+
+    enclosure = birman.crude_hs_enclosure
+
+    def halved(pair):
+        upper, lower = enclosure(pair)
+        return 0.5 * upper, 0.5 * lower
+
+    monkeypatch.setattr(pipeline, "crude_hs_enclosure", halved)
+    monkeypatch.setattr(birman, "crude_hs_enclosure", halved)
+
+
 def test_betti_bound_point_passes_only_with_all_its_records(
     capsys, tmp_path, monkeypatch
 ):
     # At t0 = 4 the flat-torus Schatten bound is saturated: 2 up to rounding.
-    # With its Hilbert-Schmidt sum halved it drops to about 1 < b1 = 2 at
-    # every point, at any slack, while the main bound still holds; each
-    # point must then report "pass": false.
-    import bettibound.birman as birman
-
-    hs_squared = birman.heat_difference_hs_squared
-    monkeypatch.setattr(
-        birman, "heat_difference_hs_squared", lambda *args: 0.5 * hs_squared(*args)
-    )
+    # With its Hilbert-Schmidt sum halved (both ends of the enclosure the
+    # grid loop reads) it drops to about 1 < b1 = 2 at every point, at any
+    # slack, while the main bound still holds; each point must then report
+    # "pass": false.
+    _halve_schatten_enclosures(monkeypatch)
     out_path = tmp_path / "tight.json"
     code, _, _ = run(
         capsys,
@@ -440,12 +452,7 @@ def test_betti_bound_point_passes_only_with_all_its_records(
 def test_betti_bound_violated_certificate_is_a_failing_record(
     capsys, tmp_path, monkeypatch
 ):
-    import bettibound.birman as birman
-
-    hs_squared = birman.heat_difference_hs_squared
-    monkeypatch.setattr(
-        birman, "heat_difference_hs_squared", lambda *args: 0.5 * hs_squared(*args)
-    )
+    _halve_schatten_enclosures(monkeypatch)
     out_path = tmp_path / "violated.json"
     code, _, _ = run(
         capsys,

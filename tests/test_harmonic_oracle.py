@@ -151,16 +151,17 @@ def _shift(s) -> float:
 
 
 def _recording_splu(monkeypatch) -> list:
-    """Record each ``dec.splu`` call as (matrix, keyword arguments, factor)."""
+    """Record each ``splu`` call of the inertia count (``measure._inertia``)
+    as (matrix, keyword arguments, factor)."""
     calls = []
-    splu_ = dec_module.splu
+    splu_ = measure.splu
 
     def recording(matrix, **kwargs):
         lu = splu_(matrix, **kwargs)
         calls.append((matrix, kwargs, lu))
         return lu
 
-    monkeypatch.setattr(dec_module, "splu", recording)
+    monkeypatch.setattr(measure, "splu", recording)
     return calls
 
 
@@ -301,13 +302,13 @@ def test_rcm_ordered_factor_is_sparser_than_colamd(monkeypatch):
 
 def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):
     s = _genus2_edge_matrix()
-    splu = dec_module.splu
+    splu = measure.splu
 
     def pivoted(*args, **kwargs):
         lu = splu(*args, **kwargs)
         return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
 
-    monkeypatch.setattr(dec_module, "splu", pivoted)
+    monkeypatch.setattr(measure, "splu", pivoted)
     with pytest.raises(ValueError, match="pivoted off the diagonal"):
         _certified_kernel_dim(s)
 

@@ -565,9 +565,10 @@ SelfAdjointOperator(np.diag(np.arange(64.0)), WeightedFiniteSpace(np.ones(64)))
 part = sparse_random(n, n, density=0.005, random_state=0, format="csr")
 matrix = (part + part.T).tocsr()
 space = WeightedFiniteSpace(np.ones(n))
+cutoff = float(sys.argv[2]) if len(sys.argv) > 2 else float("inf")
 start = status("VmRSS")
-SelfAdjointOperator(matrix, space)
-print(status("VmHWM") - start)
+op = SelfAdjointOperator(matrix, space, cutoff=cutoff)
+print(status("VmHWM") - start, op.eigenvalues.size)
 """
 
 
@@ -583,7 +584,179 @@ def test_sparse_operator_eigensolve_peaks_below_four_dense_copies():
         [sys.executable, "-c", _PEAK_PROBE, str(n)],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    rise = int(result.stdout)
+    rise, pairs = map(int, result.stdout.split())
     square = 8 * n * n
     # Above 2 n^2, so the eigensolve's peak is the one measured.
+    assert pairs == n
     assert 2 * square < rise < 4 * square
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_cut_off_eigensolve_peaks_below_two_dense_copies():
+    # Below the cut-off only the densified input, reduced in place, and the
+    # n x (K + 1) eigenvectors are alive: about n^2 doubles, where the
+    # full in-place eigensolve keeps about 3 n^2.
+    n = 1200
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, str(n), "-3.0"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    rise, pairs = map(int, result.stdout.split())
+    square = 8 * n * n
+    assert 0 < pairs < n // 10
+    assert square < rise < 2 * square
+
+
+# -- operators cut off below sigma -------------------------------------------
+
+
+def _planted_operator(spectrum, seed=3, fiber=1, sparse=False, space=None):
+    """(matrix, space, fiber) of a self-adjoint operator with this spectrum, on
+    ``space`` or a random weighted space."""
+    rng = np.random.default_rng(seed)
+    dim = len(spectrum)
+    space = random_space(rng, dim // fiber) if space is None else space
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    sqrt_w = np.sqrt(space.stacked_weights(fiber))
+    matrix = (((q * np.asarray(spectrum)) @ q.T) / sqrt_w[:, None]) * sqrt_w[None, :]
+    return (csr_matrix(matrix) if sparse else matrix), space, fiber
+
+
+_SPECTRUM = np.concatenate([[0.0, 0.0], np.linspace(0.5, 40.0, 58)])
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("cutoff", [0.25, 3.0, 20.0])
+def test_cut_off_operator_holds_exactly_the_pairs_below_it(sparse, cutoff):
+    matrix, space, fiber = _planted_operator(_SPECTRUM, fiber=2, sparse=sparse)
+    full = SelfAdjointOperator(matrix, space, fiber)
+    part = SelfAdjointOperator(matrix, space, fiber, cutoff=cutoff)
+    k = int(np.count_nonzero(_SPECTRUM < cutoff))
+    assert part.partial and part.cutoff == cutoff and not full.partial
+    assert part.eigenvalues.size == k and part.basis.shape == (60, k)
+    assert np.allclose(part.eigenvalues, full.eigenvalues[:k], rtol=0.0, atol=1e-12)
+    # The kept vectors span the same space as the full operator's first k.
+    cosines = np.linalg.svd(full._euclidean_vectors[:, :k].T @ part._euclidean_vectors)[1]
+    assert np.allclose(cosines, 1.0, atol=1e-10)
+    assert part.orthogonality_loss <= 1e-10 and part.residual_norms.shape == (k,)
+    s = full.conjugated()
+    s = s.toarray() if sparse else s
+    radius = float(np.max(np.sum(np.abs(0.5 * (s + s.T)), axis=1)))
+    assert part.zero_threshold() == measure.ZERO_TOL * (1.0 + radius)
+    assert part.min_eigenvalue == part.eigenvalues[0] and part.kernel_dim() == 2
+
+
+@pytest.mark.parametrize("where", ["radius", "above-spectrum"])
+def test_cut_off_above_every_eigenvalue_is_the_full_operator_bit_for_bit(monkeypatch, where):
+    # At or above the radius bound no factorization runs; between the largest
+    # eigenvalue and the radius bound the inertia counts all N.  Either way
+    # the operator is the one the default cut-off gives, bit for bit.
+    matrix, space, fiber = _planted_operator(_SPECTRUM, sparse=True)
+    full = SelfAdjointOperator(matrix, space, fiber)
+    s = full.conjugated()
+    radius = float(abs(0.5 * (s + s.T)).sum(axis=1).max())
+    cutoff = radius if where == "radius" else 40.5
+    assert cutoff < radius or where == "radius"
+    factored = []
+    inertia = measure._inertia
+    monkeypatch.setattr(measure, "_inertia", lambda *a: factored.append(a) or inertia(*a))
+    part = SelfAdjointOperator(matrix, space, fiber, cutoff=cutoff)
+    assert len(factored) == (0 if where == "radius" else 1)
+    assert not part.partial and part.cutoff == np.inf
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
+    assert np.array_equal(part._euclidean_vectors, full._euclidean_vectors)
+    assert np.array_equal(part.residual_norms, full.residual_norms)
+    assert part.orthogonality_loss == full.orthogonality_loss
+
+
+def test_cut_off_below_the_spectrum_holds_no_pair():
+    matrix, space, fiber = _planted_operator(_SPECTRUM + 1.0)
+    part = SelfAdjointOperator(matrix, space, fiber, cutoff=0.75)
+    assert part.partial and part.eigenvalues.size == 0
+    assert part.basis.shape == (60, 0) and part.orthogonality_loss == 0.0
+    # Every eigenvalue is at or above the cut-off, and it stands in for the lowest.
+    assert part.min_eigenvalue == 0.75
+    a = SelfAdjointOperator(*_planted_operator(_SPECTRUM, seed=4, space=space))
+    f = np.exp(-2.0 * a.eigenvalues)
+    full = heat_difference_hs_squared(a, SelfAdjointOperator(matrix, space, fiber), 2.0)
+    upper, lower = measure.heat_difference_hs_bounds(a, part, 2.0)
+    tail = np.exp(-2.0 * 0.75)
+    assert upper == pytest.approx(np.sum(np.maximum(f, tail) ** 2), rel=1e-15)
+    assert lower == pytest.approx(np.sum(np.maximum(f - tail, 0.0) ** 2), rel=1e-15)
+    assert lower <= full <= upper
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heat_difference_hs_bounds_enclose_the_full_value(seed):
+    # B = A + V with V >= 0: the enclosure from B's pairs below each cut-off
+    # holds the value from all of B's pairs, and narrows as the cut-off rises
+    # until it is that value, from every pair.
+    rng = np.random.default_rng(seed)
+    matrix, space, fiber = _planted_operator(_SPECTRUM, seed=seed)
+    a = SelfAdjointOperator(matrix, space, fiber)
+    perturbed = MatrixPotential.from_scalar_field(space, rng.uniform(0.0, 3.0, 60), nonneg=True)
+    full_b = perturbed.added_to(a)
+    for t, scale in ((0.5, 1.0), (2.0, 0.3)):
+        full = heat_difference_hs_squared(a, full_b, t, scale)
+        assert measure.heat_difference_hs_bounds(a, full_b, t, scale) == (full, full)
+        widths = []
+        for cutoff in (1.0, 4.0, 16.0, 64.0):
+            part = perturbed.added_to(a, cutoff)
+            upper, lower = measure.heat_difference_hs_bounds(a, part, t, scale)
+            assert lower <= full * (1.0 + 1e-13) and full <= upper * (1.0 + 1e-13)
+            assert heat_difference_hs_squared(a, part, t, scale) == upper
+            widths.append(upper - lower)
+        assert widths == sorted(widths, reverse=True)
+        assert widths[-1] == 0.0 and not perturbed.added_to(a, 64.0).partial
+
+
+def test_partial_operator_refuses_every_full_spectrum_method():
+    matrix, space, fiber = _planted_operator(_SPECTRUM)
+    full = SelfAdjointOperator(matrix, space, fiber)
+    part = SelfAdjointOperator(matrix, space, fiber, cutoff=3.0)
+    calls = {
+        "spectral_function": lambda: part.spectral_function(np.abs),
+        "semigroup": lambda: part.semigroup(1.0),
+        "shifted": lambda: part.shifted(1.0),
+        "spectral_radius": lambda: part.spectral_radius,
+        "kernel_basis": lambda: part.kernel_basis(),
+        "squared_overlap": lambda: part.squared_overlap(full),
+        "squared_overlap of a full operator": lambda: full.squared_overlap(part),
+        "two_inf_norm": lambda: two_inf_norm(part),
+        "heat_two_inf_norm": lambda: measure.heat_two_inf_norm(part, 1.0),
+        "OperatorStack.of": lambda: measure.OperatorStack.of(part),
+        "heat_difference": lambda: heat_difference(full, part, 1.0),
+        "heat_difference_hs_bounds from a partial A": lambda: measure.heat_difference_hs_bounds(
+            part, full, 1.0
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="needs every eigenpair"):
+            call()
+        assert name
+
+
+@pytest.mark.parametrize("miscount", [-1, 1], ids=["inertia-low", "inertia-high"])
+def test_cut_off_refuses_an_inertia_count_the_solver_does_not_confirm(monkeypatch, miscount):
+    # The solver is asked for one pair more than the inertia counts below the
+    # cut-off: the last must lie at or above it, the one before below it.
+    matrix, space, fiber = _planted_operator(_SPECTRUM, sparse=True)
+    inertia = measure._inertia
+
+    def miscounting(permuted, sigma):
+        lu, below = inertia(permuted, sigma)
+        return lu, below + miscount
+
+    monkeypatch.setattr(measure, "_inertia", miscounting)
+    with pytest.raises(ValueError, match="cut-off 3 not certified: the inertia counts"):
+        SelfAdjointOperator(matrix, space, fiber, cutoff=3.0)
+
+
+def test_cut_off_at_an_eigenvalue_is_refused():
+    # S - sigma I is then exactly singular: the inertia count cannot be read.
+    space = WeightedFiniteSpace(np.ones(4))
+    with pytest.raises(ValueError, match="inertia count failed at the shift 2"):
+        SelfAdjointOperator(np.diag([1.0, 2.0, 3.0, 4.0]), space, cutoff=2.0)
+

@@ -1,16 +1,17 @@
 """End-to-end certified bound checks against the homology oracles."""
 
 import functools
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 
 from bettibound import measure, pipeline
-from bettibound.birman import OperatorPair, crude_kernel_bound
+from bettibound.birman import OperatorPair, crude_hs_enclosure, crude_kernel_bound
 from bettibound.measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
@@ -224,14 +225,27 @@ def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten):
     # is eigensolved.  With the Schatten certificate, L1 is assembled
     # once from L0 (V x V) and the face Laplacian L2 (F x F), with a
     # b1 x b1 Rayleigh-Ritz block and no E x E eigensolve, and L1 + W
-    # (E x E) is eigensolved once per rho0.
+    # (E x E) is eigensolved once per rho0, for its pairs below the cut-off
+    # and the first one above it (here every enclosure is narrow enough at
+    # the first cut-off).
     calls = count_eigensolves()
     mesh = genus2_mesh()
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
+    calls = list(calls)
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
     expected = [(nv, nv)]
     if schatten:
-        expected += [(nv, nv), (nf, nf), (4, 4)] + [(ne, ne)] * 2
+        expected += [(nv, nv), (nf, nf), (4, 4)]
+        data = prepare_surface(mesh)
+        for rho0 in (0.5, 1.0):
+            cutoff = _cutoff([0.5, 1.0], rho0)
+            values = synthetic_edge_potential(data.dec, data.curvature, rho0).values.ravel()
+            s = WeightedOperator(
+                data.dec.laplacian1_matrix() + diags(values), data.dec.edge_space()
+            ).conjugated().toarray()
+            below = int(np.count_nonzero(np.linalg.eigvalsh(0.5 * (s + s.T)) < cutoff))
+            assert below + 1 < ne
+            expected.append((ne, below + 1))
     assert calls == expected
 
 
@@ -355,6 +369,7 @@ def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
     mesh = genus2_mesh()
     built, alive = [], []
     build, in_place = pipeline.schatten_operator, measure._eigh_in_place
+    lowest = measure._eigh_lowest_in_place
 
     def recording_build(*args):
         perturbed = build(*args)
@@ -366,12 +381,183 @@ def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
             alive.append(sum(ref() is not None for ref in built))
         return in_place(conj)
 
+    def recording_lowest(conj, count):
+        if conj.shape == (mesh.edge_count, mesh.edge_count):
+            alive.append(sum(ref() is not None for ref in built))
+        return lowest(conj, count)
+
     monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
     monkeypatch.setattr(measure, "_eigh_in_place", recording_in_place)
+    monkeypatch.setattr(measure, "_eigh_lowest_in_place", recording_lowest)
     reports = parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0])
     assert all(r.bound_schatten is not None for r in reports)
     assert len(built) == 2
     assert alive == [0, 0]
+
+
+# -- Schatten rows cut off below sigma ----------------------------------------------
+
+_ROW_RESOLUTION = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}
+
+
+def _cutoff(t0_values, rho0) -> float:
+    return max(math.log(1.0 / pipeline._ETA) / (2.0 * min(t0_values)), 2.0 * rho0)
+
+
+def _full_row(data, rho0, t0_values, p=2.0):
+    """The row's bounds from every pair of L1 + W."""
+    lap1 = data.laplacian1
+    potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
+    full_op = schatten_operator(lap1, potential, rho0)
+    return [
+        crude_kernel_bound(OperatorPair(H=lap1, Hprime=full_op, rho0=rho0, t0=2.0 * t0), p)
+        for t0 in t0_values
+    ]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_cut_off_schatten_row_matches_the_full_spectrum(name):
+    # Where every enclosure from the pairs of L1 + W below the cut-off is
+    # narrower than eta, each p = 2 bound is its upper end, which lies
+    # above the value from all of the pairs and exceeds it by at most 1e-12
+    # of it; elsewhere the row is the full-spectrum one, bit for bit.
+    # Flat-torus is the exception below: W = rho0 is constant there.
+    t0_values = [0.25, 1.0]
+    data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
+    lap1 = data.laplacian1
+    for rho0 in (0.25, 1.0, 2.0):
+        row, notes = pipeline._schatten_row(data, rho0, t0_values, 2.0)
+        potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
+        try:
+            full_row = _full_row(data, rho0, t0_values)
+        except ValueError as exc:
+            # torus-rev's L1 + W does not clear rho0 = 1 or 2: the note is the full path's.
+            assert row == [None, None] and notes == (f"schatten bound omitted: {exc}",)
+            continue
+        assert notes == ()
+        part = schatten_operator(lap1, potential, rho0, _cutoff(t0_values, rho0))
+        enclosures = [
+            crude_hs_enclosure(OperatorPair(H=lap1, Hprime=part, rho0=rho0, t0=2.0 * t0))
+            for t0 in t0_values
+        ]
+        if not all(upper - lower <= pipeline._ETA * upper for upper, lower in enclosures):
+            assert part.partial and row == full_row
+            continue
+        assert row == [upper for upper, _ in enclosures]
+        for t0, bound, full in zip(t0_values, row, full_row):
+            if not np.any(potential.values):
+                assert part is lap1 and bound == full == 0.0
+                continue
+            if name == "flat-torus":
+                # L1 + W = L1 + rho0, so the bound is exactly
+                # 2 + sum_{lam > 0} e^(-4 t0 lam) (that sum underflows here).
+                # Both spectra round the repeated eigenvalue rho0 by about
+                # 1e-13, which the gap 1 - e^(-2 rho0 t0) amplifies.
+                exact = 2.0 + np.sum(np.exp(-4.0 * t0 * lap1.eigenvalues[2:]))
+                assert abs(bound - exact) <= 5e-12 * exact
+                assert abs(full - exact) <= 5e-12 * exact
+                continue
+            assert full * (1.0 - 1e-14) <= bound <= full * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, rho0, t0", [("flat-torus", 2.0, 8.0), ("genus2", 1.0, 20.0)]
+)
+def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0, t0):
+    # With rho0 t0 above ln(1/eta) / 2, ln(1/eta) / (2 t0) lies below rho0,
+    # where L1 + W >= rho0 has no eigenvalue: the cut-off must still clear
+    # rho0, so the row keeps its bound and takes the cut-off path.
+    data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
+    assert math.log(1.0 / pipeline._ETA) / (2.0 * t0) < rho0
+    ne = data.laplacian1.dim
+    calls = count_eigensolves()
+    row, notes = pipeline._schatten_row(data, rho0, [t0], 2.0)
+    assert notes == ()
+    [(n, pairs)] = calls
+    assert n == ne and pairs < ne
+    [full] = _full_row(data, rho0, [t0])
+    if name == "flat-torus":
+        # The rounding of the repeated eigenvalue rho0, as above.
+        assert abs(row[0] - full) <= 5e-12 * full
+    else:
+        assert full * (1.0 - 1e-14) <= row[0] <= full * (1.0 + 1e-12)
+
+
+def test_p2_schatten_row_runs_no_edge_square_full_eigensolve(count_eigensolves):
+    # With W nonzero, a p = 2 row eigensolves L1 + W once, for its pairs
+    # below the cut-off and the first above it: no E x E xSYEVD runs.  Any
+    # other p takes every pair of L1 + W.
+    data = prepare_surface(genus2_mesh())
+    lap1 = data.laplacian1
+    ne = lap1.dim
+    assert np.any(synthetic_edge_potential(data.dec, data.curvature, 1.0).values)
+    calls = count_eigensolves()
+    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 2.0)
+    assert notes == () and all(bound > data.b1 for bound in row)
+    [(n, pairs)] = calls
+    assert n == ne and pairs < ne // 2
+    calls.clear()
+    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 1.0)
+    assert notes == () and calls == [(ne, ne)]
+
+
+@pytest.mark.parametrize("miscount", [-1, 1, None], ids=["inertia-low", "inertia-high", "singular"])
+def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monkeypatch, miscount):
+    # An inertia count the solver does not confirm, or a shift the sparse
+    # factorization finds singular, refuses the cut-off (a ValueError); the
+    # row then eigensolves all of L1 + W and reports the full-spectrum
+    # bounds, bit for bit, with no note.
+    data = prepare_surface(genus2_mesh())
+    ne = data.laplacian1.dim
+    expected = [_full_row(data, rho0, [1.0])[0] for rho0 in (0.5, 1.0)]
+    inertia = measure._inertia
+
+    def miscounting(permuted, sigma):
+        if miscount is None:
+            raise ValueError(f"inertia count failed at the shift {sigma:.6g}: singular")
+        lu, below = inertia(permuted, sigma)
+        return lu, below + miscount
+
+    monkeypatch.setattr(measure, "_inertia", miscounting)
+    calls = count_eigensolves()
+    reports = pipeline._sweep(data, [0.5, 1.0], [1.0], 2.0, True, pipeline.SOUNDNESS_SLACK)
+    assert [r.bound_schatten for r in reports] == expected
+    assert all(r.notes == () and r.passed for r in reports)
+    edge_solves = [call for call in calls if call[0] == ne]
+    if miscount is None:
+        assert edge_solves == [(ne, ne)] * 2
+    else:
+        # Each row asked dsyevr for its pairs first, then took every pair.
+        assert len(edge_solves) == 4 and edge_solves[1::2] == [(ne, ne)] * 2
+        assert all(pairs < ne for _, pairs in edge_solves[::2])
+
+
+def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
+    # With the lower end of every partial enclosure pushed to 0, no
+    # cut-off enclosure is narrow enough: the row builds L1 + W once more
+    # with every pair, one L1 + W alive at a time, and gives the full
+    # spectrum's bounds bit for bit.
+    data = prepare_surface(genus2_mesh())
+    t0_values = [0.5, 2.0]
+    alive, built = [], []
+    build, enclosure = pipeline.schatten_operator, pipeline.crude_hs_enclosure
+
+    def recording_build(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        perturbed = build(*args)
+        built.append(weakref.ref(perturbed))
+        return perturbed
+
+    def widened(pair):
+        upper, lower = enclosure(pair)
+        return upper, (0.0 if pair.Hprime.partial else lower)
+
+    monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
+    monkeypatch.setattr(pipeline, "crude_hs_enclosure", widened)
+    row, notes = pipeline._schatten_row(data, 0.5, t0_values, 2.0)
+    assert notes == ()
+    assert alive == [0, 0]
+    assert row == _full_row(data, 0.5, t0_values)
 
 
 def _peak_bytes(call) -> int:
