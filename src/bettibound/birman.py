@@ -27,7 +27,6 @@ import numpy as np
 from scipy.sparse import issparse
 
 from .measure import (
-    OperatorStack,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
@@ -36,9 +35,8 @@ from .measure import (
     _read_only,
     _single,
     _singular_values,
-    heat_difference,
+    _stack_of_one,
     heat_difference_hs_bounds,
-    schatten_power_sum,
 )
 
 __all__ = [
@@ -73,14 +71,9 @@ class OperatorPair:
         _check_pair(self.H, self.Hprime, self.rho0, self.t0)
 
     @cached_property
-    def _stacks(self) -> tuple[OperatorStack, OperatorStack]:
-        """H and H' as stacks of one, for the stacked kernels."""
-        return OperatorStack.of(self.H), OperatorStack.of(self.Hprime)
-
-    @cached_property
     def _heat_difference(self) -> np.ndarray:
-        """The (1, d, d) matrix of exp(-t0 H) - exp(-t0 H'), built once per pair."""
-        return _read_only(_heat_difference_matrices(*self._stacks, self.t0))
+        """The (d, d) matrix of exp(-t0 H) - exp(-t0 H'), built once per pair."""
+        return _read_only(_heat_difference_matrices(self.H, self.Hprime, self.t0))
 
     @cached_property
     def birman_schwinger_singular_values(self) -> np.ndarray:
@@ -89,14 +82,14 @@ class OperatorPair:
         Computed once per pair, so the sharp bound costs one SVD for every
         exponent p.
         """
-        return _read_only(_bs_singular_values(*self._stacks, self.t0, self._heat_difference)[0])
+        return _read_only(_bs_singular_values(self.H, self.Hprime, self.t0, self._heat_difference))
 
 
 def _check_pair(H, Hprime, rho0, t0):
     """Raise ValueError unless rho0, t0 > 0, H >= 0 and H' >= rho0.
 
     ``H`` and ``Hprime`` are ``SelfAdjointOperator``s with float rho0 and
-    t0, or ``OperatorStack``s with (T,) arrays, checked per instance; the
+    t0, or stacks of them with (T,) arrays, checked per instance; the
     error names the first instance that fails.
     """
     if np.any(np.asarray(rho0) <= 0.0) or np.any(np.asarray(t0) <= 0.0):
@@ -131,31 +124,32 @@ def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
 
     The inverse is applied through the spectral decomposition of H', never
     by a generic linear solve; it exists because the spectrum of exp(-tH')
-    stays inside [0, e^(-rho0 t)].  ``_bs_matrices`` on a stack of one.
+    stays inside [0, e^(-rho0 t)].
     """
-    difference = _heat_difference_matrices(*pair._stacks, t)
-    matrix = _bs_matrices(*pair._stacks, t, difference)[0]
+    difference = _heat_difference_matrices(pair.H, pair.Hprime, t)
+    matrix = _bs_matrices(pair.H, pair.Hprime, t, difference)
     return WeightedOperator(matrix, pair.H.space, pair.H.fiber)
 
 
-def _heat_difference_matrices(H: OperatorStack, Hprime: OperatorStack, t) -> np.ndarray:
-    """The (T, d, d) matrices of exp(-t_k H_k) - exp(-t_k H'_k), as ``heat_difference``."""
+def _heat_difference_matrices(H, Hprime, t) -> np.ndarray:
+    """The matrix of exp(-tH) - exp(-tH'), as ``heat_difference``; for
+    stacks the (T, d, d) matrices at one time t or (T,) times."""
     return H.semigroup(t).matrix - Hprime.semigroup(t).matrix
 
 
-def _bs_matrices(H: OperatorStack, Hprime: OperatorStack, t, difference) -> np.ndarray:
-    """The (T, d, d) matrices of the stacked ``birman_schwinger_operator``,
-    from ``difference``, the ``_heat_difference_matrices`` at t."""
-    column = Hprime._per_instance(t)
+def _bs_matrices(H, Hprime, t, difference) -> np.ndarray:
+    """The matrix of ``birman_schwinger_operator`` (per instance of a
+    stack too), from ``difference``, the ``_heat_difference_matrices`` at t."""
+    column = np.asarray(t, dtype=float)[..., None]
     if np.any(np.exp(-column * Hprime.eigenvalues) >= 1.0):
         raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
     inv = Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-column * w)))
     return inv.matrix @ difference
 
 
-def _bs_singular_values(H: OperatorStack, Hprime: OperatorStack, t, difference) -> np.ndarray:
-    """(T, d) singular values of the Birman-Schwinger operators, descending,
-    from ``difference`` as ``_bs_matrices`` takes it."""
+def _bs_singular_values(H, Hprime, t, difference) -> np.ndarray:
+    """Singular values of the Birman-Schwinger operator, descending, (T, d)
+    for stacks, from ``difference`` as ``_bs_matrices`` takes it."""
     return _singular_values(_conjugate(_bs_matrices(H, Hprime, t, difference), H._sqrt_w))
 
 
@@ -167,10 +161,11 @@ def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
     dimensions and the subspaces agree.  ``_kernel_identities`` on a stack
     of one.
     """
-    return _single(_kernel_identities(*pair._stacks, [t]))
+    stacks = _stack_of_one(pair.H), _stack_of_one(pair.Hprime)
+    return _single(_kernel_identities(*stacks, [t]))
 
 
-def _kernel_identities(H: OperatorStack, Hprime: OperatorStack, t) -> dict:
+def _kernel_identities(H, Hprime, t) -> dict:
     """Stacked ``kernel_identity_check`` at times t (T,): each entry a (T,) array.
 
     The instances whose two kernels have the same dimension k > 0 share
@@ -237,39 +232,47 @@ def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertifica
     """dim ker(H) and the sharp and crude (``crude_kernel_bound``) bounds at exponent p.
 
     The sharp bound is the p-th power sum of the pair's cached
-    ``birman_schwinger_singular_values``.  ``_kernel_count_bounds`` on a
-    stack of one, with the pair's heat difference built once.
+    ``birman_schwinger_singular_values``; ``_kernel_count_bounds`` on the
+    pair, with its heat difference built once.
     """
-    singular = pair.birman_schwinger_singular_values[None]
+    singular = pair.birman_schwinger_singular_values
     kernel, sharp, crude = _kernel_count_bounds(
-        *pair._stacks, pair.rho0, pair.t0, p, singular, pair._heat_difference
+        pair.H, pair.Hprime, pair.rho0, pair.t0, p, singular, pair._heat_difference
     )
     return KernelBoundCertificate(
-        kernel_dim=int(kernel[0]), bound_sharp=float(sharp[0]), bound_crude=float(crude[0]), p=p
+        kernel_dim=kernel, bound_sharp=float(sharp), bound_crude=float(crude), p=p
     )
 
 
-def _kernel_count_bounds(
-    H: OperatorStack, Hprime: OperatorStack, rho0, t0, p: float, singular, difference
-):
-    """Stacked ``birman_schwinger_bound``: (T,) kernel dimensions, sharp and crude bounds.
+def _kernel_count_bounds(H, Hprime, rho0, t0, p: float, singular, difference):
+    """``birman_schwinger_bound``'s kernel dimension, sharp and crude bounds.
 
-    ``singular`` holds the (T, d) ``_bs_singular_values`` at t0 and
+    ``singular`` holds the ``_bs_singular_values`` at t0 and
     ``difference`` the ``_heat_difference_matrices`` at t0, which both
-    serve every exponent p.  The crude bound is ``crude_kernel_bound``'s
-    arithmetic per instance: at p = 2 from the spectra, at other p from
-    ``difference``.
+    serve every exponent p.  On stacks, with (T,) rho0 and t0, each is
+    the (T,) array of the instances' values.
+    """
+    crude = _crude_bounds(H, Hprime, rho0, t0, p, difference)[0]
+    return H.kernel_dim(), np.sum(singular**p, axis=-1), crude
+
+
+def _crude_bounds(H, Hprime, rho0, t0, p: float, difference):
+    """(upper, lower) ends of (1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p, per instance of a stack too.
+
+    D_t0 = exp(-t0 H) - exp(-t0 H') is scaled by 1/(1 - e^(-rho0 t0))
+    before its norm is taken.  At p = 2 the ends are those of
+    ``heat_difference_hs_bounds``, read from the two spectra; at any other
+    p both are the p-th power sum of the singular values of
+    ``difference``, the matrix of D_t0 (``_heat_difference_matrices``).
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
-    rho0, t0 = np.asarray(rho0, dtype=float), np.asarray(t0, dtype=float)
-    gap = 1.0 - np.exp(-rho0 * t0)
+    gap = 1.0 - np.exp(-np.asarray(rho0, dtype=float) * t0)
     if p == 2.0:
-        crude = H.heat_difference_hs_squared(Hprime, t0, gap)
-    else:
-        scaled = difference / H._per_instance(gap)[..., None]
-        crude = np.sum(_singular_values(_conjugate(scaled, H._sqrt_w)) ** p, axis=-1)
-    return H.kernel_dim(), np.sum(singular**p, axis=-1), crude
+        return heat_difference_hs_bounds(H, Hprime, t0, gap)
+    scaled = difference / gap[..., None, None]
+    crude = np.sum(_singular_values(_conjugate(scaled, H._sqrt_w)) ** p, axis=-1)
+    return crude, crude
 
 
 def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
@@ -281,14 +284,12 @@ def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
     the two cached spectra (``crude_hs_enclosure``), with no dense D; for
     an H' that holds only its eigenpairs below a cut-off it is the upper
     end of that enclosure.  Any other p takes the singular values of the
-    dense D, and H' must hold every pair.
+    dense D (``_crude_bounds``), and H' must hold every pair.
     """
     if p == 2.0:
         return crude_hs_enclosure(pair)[0]
-    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
-    diff = heat_difference(pair.H, pair.Hprime, pair.t0)
-    scaled = WeightedOperator(diff.matrix / gap, pair.H.space, pair.H.fiber)
-    return schatten_power_sum(scaled, p)
+    bound = _crude_bounds(pair.H, pair.Hprime, pair.rho0, pair.t0, p, pair._heat_difference)
+    return float(bound[0])
 
 
 def crude_hs_enclosure(pair: OperatorPair) -> tuple[float, float]:
@@ -299,8 +300,7 @@ def crude_hs_enclosure(pair: OperatorPair) -> tuple[float, float]:
     eigenpair, and the upper end bounds dim ker(H) when H' holds only its
     eigenpairs below a cut-off.
     """
-    gap = 1.0 - np.exp(-pair.rho0 * pair.t0)
-    return heat_difference_hs_bounds(pair.H, pair.Hprime, pair.t0, gap)
+    return _crude_bounds(pair.H, pair.Hprime, pair.rho0, pair.t0, 2.0, None)
 
 
 def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:
@@ -354,11 +354,10 @@ def planted_kernel_operator(
     A random m-orthonormal frame is combined with eigenvalues consisting
     of ``kernel_dim`` zeros and the rest uniform in [low, high]; the gap
     at ``low`` keeps the planted kernel well separated.  This is
-    ``_planted_draw`` and then ``_planted_stack`` on a stack of one.
+    ``_planted_draw`` and then ``_planted``.
     """
-    gauss, evals = _planted_draw(rng, space.point_count * fiber, kernel_dim, low, high)
-    stack = _planted_stack(space.weights[None], fiber, gauss[None], evals[None])
-    return stack.operator(0, space)
+    draw = _planted_draw(rng, space.point_count * fiber, kernel_dim, low, high)
+    return _planted(space, fiber, *draw)
 
 
 def _planted_draw(rng, dim: int, kernel_dim: int, low: float = 0.1, high: float = 10.0):
@@ -372,8 +371,9 @@ def _planted_draw(rng, dim: int, kernel_dim: int, low: float = 0.1, high: float 
     return gauss, evals
 
 
-def _planted_stack(weights, fiber: int, gauss, evals) -> OperatorStack:
-    """The planted operators of (T, d, d) Gaussian matrices and (T, d)
-    eigenvalues: one stacked QR, then ``OperatorStack.from_spectrum``."""
+def _planted(space, fiber: int, gauss, evals) -> SelfAdjointOperator:
+    """The planted operator of a (d, d) Gaussian matrix and (d,) eigenvalues
+    on ``space``, or the stack of (T, d, d) and (T, d) ones on a stack of
+    spaces: one QR, then ``SelfAdjointOperator.from_spectrum``."""
     q, _ = np.linalg.qr(gauss)
-    return OperatorStack.from_spectrum(weights, fiber, evals, q)
+    return SelfAdjointOperator.from_spectrum(space, evals, q, fiber)

@@ -29,9 +29,10 @@ eigenvector array.  ``heat_difference_hs_bounds`` then encloses the
 Hilbert-Schmidt norm of a heat difference over the dropped pairs, whose
 heat weights are at most e^(-t sigma); ``pipeline`` picks sigma from a
 relative width eta.
-``OperatorStack`` holds T small self-adjoint operators of one shape as
-(T, N, N) arrays, for the randomized suites: it runs the same
-arithmetic, with the same checks, once per stack.
+A ``SelfAdjointOperator`` also holds a stack of T small operators of one
+shape, for the randomized suites: its space then has (T, N) weights, and
+every method runs the same arithmetic, with the same checks, once per
+stack.
 
 Norms provided:
 
@@ -60,7 +61,6 @@ __all__ = [
     "WeightedFiniteSpace",
     "WeightedOperator",
     "SelfAdjointOperator",
-    "OperatorStack",
     "heat_difference",
     "heat_difference_hs_bounds",
     "heat_difference_hs_squared",
@@ -93,29 +93,32 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedFiniteSpace:
-    """Finite measure space: N points carrying strictly positive weights."""
+    """Finite measure space: N points carrying strictly positive weights.
+
+    ``weights`` is (N,), or (T, N) for a stack of T spaces of N points each
+    (the space of a stack of operators, ``SelfAdjointOperator``).
+    """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size == 0:
+        w = np.array(self.weights, dtype=float, ndmin=1)
+        if w.shape[-1] == 0:
             raise ValueError("space needs at least one point")
         if not np.all(w > 0.0):
             raise ValueError("all weights must be strictly positive")
-        if not np.isfinite(w.sum()) or w.sum() <= 0.0:
+        if not np.all(np.isfinite(w.sum(axis=-1))):
             raise ValueError("total mass must be finite and positive")
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
     def point_count(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
     def stacked_weights(self, fiber: int) -> np.ndarray:
         """Weight of each stacked coordinate (each m(x) repeated fiber times)."""
-        return np.repeat(self.weights, fiber)
+        return np.repeat(self.weights, fiber, axis=-1)
 
     def same_as(self, other: "WeightedFiniteSpace") -> bool:
         return self.weights.shape == other.weights.shape and np.array_equal(
@@ -183,7 +186,7 @@ class WeightedOperator:
             raise ValueError("fiber dimension must be at least 1")
         mat = _stored(matrix)
         dim = space.point_count * fiber
-        if mat.shape != (dim, dim):
+        if mat.shape != (*space.weights.shape[:-1], dim, dim):
             raise DimensionMismatchError(
                 f"matrix of shape {mat.shape} does not act on a space of "
                 f"stacked dimension {dim}"
@@ -195,7 +198,7 @@ class WeightedOperator:
 
     @property
     def dim(self) -> int:
-        return self._sqrt_w.size
+        return self._sqrt_w.shape[-1]
 
     def conjugated(self):
         """M^(1/2) A M^(-1/2), entry (sqrt(w_i) a_ij) / sqrt(w_j), CSR for a
@@ -241,6 +244,12 @@ def _first(failed, *values):
 def _single(results: dict) -> dict:
     """The one instance of a stacked kernel's (1,) results, as Python scalars."""
     return {key: value[0].item() for key, value in results.items()}
+
+
+def _unstacked(value):
+    """A value with no stack axis as a Python number; per-instance arrays as they are."""
+    value = np.asarray(value)
+    return value.item() if value.ndim == 0 else value
 
 
 def _orthogonality_loss(q):
@@ -529,10 +538,22 @@ class SelfAdjointOperator(WeightedOperator):
     threshold comes from r, ``min_eigenvalue`` is sigma when K = 0 (every
     eigenvalue is at or above it), and every method that needs all pairs
     (``spectral_function`` and the semigroups, ``kernel_basis``,
-    ``squared_overlap``, the 2->inf norms, ``OperatorStack.of``) raises
+    ``squared_overlap``, the 2->inf norms, ``_stack_of_one``) raises
     ValueError; its ``matrix`` is the one it was built from, which needs
     no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
     from the K pairs and sigma.
+
+    A stack of T operators of one shape is the same type with a leading
+    axis: its space has (T, N) weights, ``eigenvalues`` are (T, d) and the
+    eigenvectors (T, d, d), d = N * fiber.  A dense (T, d, d) matrix is
+    symmetrized as ``_eigh_in_place`` symmetrizes it and eigensolved by
+    xSYEVD through numpy's stacked ``eigh``, and ``_check_eigendata``
+    checks each instance at its own scale; ``from_spectrum`` takes stacked
+    eigendata.  Every method runs its arithmetic over the leading axis:
+    numpy's stacked LAPACK and BLAS calls treat each matrix as the 2-D
+    call does, so every instance gets the bits it would get alone.  Where
+    one operator gives a Python number, a stack gives the (T,) array of
+    its instances' numbers.  A stack holds every eigenpair.
     """
 
     # (other eigenvector array, squared overlap) of the last ``squared_overlap``.
@@ -546,8 +567,14 @@ class SelfAdjointOperator(WeightedOperator):
     def __init__(self, matrix, space, fiber=1, cutoff=math.inf):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
+        if conj.ndim > 2 and cutoff < math.inf:
+            raise ValueError("a stack of operators takes no cut-off")
         count, radius = (self.dim, None) if cutoff == math.inf else _count_below(conj, cutoff)
-        if count == self.dim:
+        if conj.ndim > 2:
+            sym = conj + conj.swapaxes(-1, -2)
+            sym *= 0.5
+            evals, evecs = np.linalg.eigh(sym)
+        elif count == self.dim:
             evals, evecs = _eigh_in_place(conj)
         else:
             evals, evecs = _eigh_lowest_in_place(conj, count + 1)
@@ -579,7 +606,8 @@ class SelfAdjointOperator(WeightedOperator):
         eigenvectors of the conjugated symmetric matrix); eigenvalues are
         sorted ascending here.  Raises ValueError unless the eigendata are
         finite and ||Q^T Q - I||_F <= 1e-10.  The eigenvector array is kept,
-        not copied, and made read-only.
+        not copied, and made read-only.  On a stack of spaces the
+        eigendata are stacked too, and each instance is checked.
 
         ``matrix``, when given, is the operator's matrix (dense or CSR),
         kept as ``matrix``: the eigendata must then pass the checks of a
@@ -590,10 +618,10 @@ class SelfAdjointOperator(WeightedOperator):
         evals = np.asarray(eigenvalues, dtype=float)
         q = np.asarray(euclidean_vectors, dtype=float)
         dim = space.point_count * fiber
-        square = (dim, dim)
+        square = (*space.weights.shape[:-1], dim, dim)
         if (
             fiber < 1
-            or evals.shape != (dim,)
+            or evals.shape != square[:-1]
             or q.shape != square
             or (matrix is not None and np.shape(matrix) != square)
         ):
@@ -612,7 +640,7 @@ class SelfAdjointOperator(WeightedOperator):
 
         Eigenvalues that are already ascending keep the very same
         eigenvector array (``_ascending``), which
-        ``heat_difference_hs_squared`` recognises as a shared eigenbasis.
+        ``heat_difference_hs_bounds`` recognises as a shared eigenbasis.
         """
         evals, euclidean_vectors = _ascending(eigenvalues, euclidean_vectors)
         op = cls.__new__(cls)
@@ -640,7 +668,7 @@ class SelfAdjointOperator(WeightedOperator):
     @property
     def basis(self) -> np.ndarray:
         """m-orthonormal eigenvectors as columns, matching ``eigenvalues``."""
-        return self._euclidean_vectors / self._sqrt_w[:, None]
+        return self._euclidean_vectors / self._sqrt_w[..., :, None]
 
     @property
     def partial(self) -> bool:
@@ -657,26 +685,29 @@ class SelfAdjointOperator(WeightedOperator):
     @property
     def spectral_radius(self) -> float:
         self._require_full("spectral_radius")
-        return float(np.max(np.abs(self.eigenvalues)))
+        return _unstacked(np.max(np.abs(self.eigenvalues), axis=-1))
 
     @property
     def min_eigenvalue(self) -> float:
         if not self.eigenvalues.size:
             return float(self.cutoff)
-        return float(self.eigenvalues[0])
+        return _unstacked(self.eigenvalues[..., 0])
 
     def zero_threshold(self) -> float:
         radius = self._radius_bound if self.partial else self.spectral_radius
-        return ZERO_TOL * (1.0 + radius)
+        return _unstacked(ZERO_TOL * (1.0 + radius))
+
+    def kernel_mask(self) -> np.ndarray:
+        """Flags of the eigenvalues that count as zero, (T, d) for a stack."""
+        return np.abs(self.eigenvalues) <= np.expand_dims(self.zero_threshold(), -1)
 
     def kernel_dim(self) -> int:
-        return int(np.count_nonzero(np.abs(self.eigenvalues) <= self.zero_threshold()))
+        return _unstacked(np.count_nonzero(self.kernel_mask(), axis=-1))
 
     def kernel_basis(self) -> np.ndarray:
         """m-orthonormal basis of the kernel (columns; may be empty)."""
         self._require_full("kernel_basis")
-        mask = np.abs(self.eigenvalues) <= self.zero_threshold()
-        return self.basis[:, mask]
+        return self.basis[:, self.kernel_mask()]
 
     @cached_property
     def _squared_basis(self) -> np.ndarray:
@@ -703,7 +734,7 @@ class SelfAdjointOperator(WeightedOperator):
         basis = other._euclidean_vectors
         cached = self._overlap
         if cached is None or cached[0] is not basis:
-            overlap = basis.T @ self._euclidean_vectors
+            overlap = basis.swapaxes(-1, -2) @ self._euclidean_vectors
             cached = (basis, _read_only(np.square(overlap, out=overlap)))
             self._overlap = cached
         return cached[1]
@@ -718,167 +749,35 @@ class SelfAdjointOperator(WeightedOperator):
         values = f(self.eigenvalues)
         return self._with_spectrum(self.space, self.fiber, values, self._euclidean_vectors)
 
-    def semigroup(self, t: float) -> "SelfAdjointOperator":
-        """exp(-t A) via spectral calculus; shares the cached eigenbasis."""
-        if t < 0.0:
+    def semigroup(self, t) -> "SelfAdjointOperator":
+        """exp(-t A) via spectral calculus; shares the cached eigenbasis.
+
+        A stack takes one time t or (T,) times, one per instance.
+        """
+        column = np.asarray(t, dtype=float)[..., None]
+        if np.any(column < 0.0):
             raise ValueError("semigroup time must be nonnegative")
-        return self.spectral_function(lambda w: np.exp(-t * w))
+        return self.spectral_function(lambda w: np.exp(-column * w))
 
     def shifted(self, c: float) -> "SelfAdjointOperator":
         """A + c in place of A, reusing the eigenbasis."""
         return self.spectral_function(lambda w: w + c)
 
 
-class OperatorStack:
-    """T self-adjoint operators of one shape, held by their eigendata.
-
-    The stacked counterpart of ``SelfAdjointOperator``, for many small
-    operators at once.  Instance k is U_k diag(w_k) U_k^T M_k on the
-    space with weights ``weights[k]``: ``weights`` is (T, N),
-    ``eigenvalues`` (T, d) ascending per row and ``_euclidean_vectors``
-    (T, d, d), with d = N * fiber.  Each method runs, per instance, the
-    arithmetic of the ``SelfAdjointOperator`` method of the same name (the
-    same operations in the same order), as one numpy call over the stack;
-    numpy's stacked LAPACK and BLAS calls treat each matrix as the 2-D
-    call does, so every instance gets the bits it would get alone.
-    ``of`` makes a stack of one operator and ``operator`` gives one back.
-    """
-
-    def __init__(self, weights, fiber, eigenvalues, euclidean_vectors):
-        self.weights = weights
-        self.fiber = fiber
-        self._sqrt_w = np.sqrt(np.repeat(weights, fiber, axis=-1))
-        self.eigenvalues = eigenvalues
-        self._euclidean_vectors = euclidean_vectors
-        # (residual column norms, orthogonality loss) of the construction's check.
-        self._check_numbers = (None, None)
-
-    @classmethod
-    def from_matrices(cls, matrices, weights, fiber: int) -> "OperatorStack":
-        """The stacked ``SelfAdjointOperator(matrix)`` of a (T, d, d) array.
-
-        Each conjugated matrix is symmetrized as ``_eigh_in_place`` does
-        and eigensolved by xSYEVD through ``np.linalg.eigh``; the eigendata
-        go through ``_check_eigendata``, each instance at its own scale.
-        The matrices are kept, read-only, as ``matrix``.
-        """
-        stack = cls(weights, fiber, None, None)
-        dim = stack._sqrt_w.shape[-1]
-        if np.shape(matrices) != (*stack._sqrt_w.shape, dim):
-            raise DimensionMismatchError("matrices do not match the spaces and fiber")
-        stack.matrix = _read_only(np.array(matrices, dtype=float))
-        conj = _conjugate(stack.matrix, stack._sqrt_w)
-        sym = conj + conj.swapaxes(-1, -2)
-        sym *= 0.5
-        evals, evecs = np.linalg.eigh(sym)
-        stack._check_numbers = _check_eigendata(evals, evecs, conj)
-        stack.eigenvalues, stack._euclidean_vectors = evals, evecs
-        return stack
-
-    @classmethod
-    def from_spectrum(cls, weights, fiber: int, eigenvalues, euclidean_vectors) -> "OperatorStack":
-        """The stacked ``SelfAdjointOperator.from_spectrum`` without a matrix.
-
-        The eigenpairs are sorted stably ascending, and each instance's
-        eigenvectors must have orthogonality loss at most 1e-10.
-        """
-        evals, q = _ascending(eigenvalues, euclidean_vectors)
-        stack = cls(weights, fiber, evals, q)
-        if q.shape != (*stack._sqrt_w.shape, stack._sqrt_w.shape[-1]) or evals.shape != q.shape[:-1]:
-            raise DimensionMismatchError("eigendata do not match the spaces and fiber")
-        stack._check_numbers = _check_eigendata(evals, q)
-        return stack
-
-    @classmethod
-    def of(cls, operator: SelfAdjointOperator) -> "OperatorStack":
-        """``operator`` as a stack of one, sharing its arrays (its matrix too,
-        once it has one: the matrix it was built from is not the one its
-        spectrum would rebuild)."""
-        operator._require_full("OperatorStack.of")
-        stack = cls(
-            operator.space.weights[None],
-            operator.fiber,
-            operator.eigenvalues[None],
-            operator._euclidean_vectors[None],
-        )
-        if "matrix" in vars(operator):
-            stack.matrix = _dense(operator.matrix)[None]
-        return stack
-
-    def operator(self, k: int, space: WeightedFiniteSpace) -> SelfAdjointOperator:
-        """Instance k as a ``SelfAdjointOperator`` on ``space`` (the space of
-        its weights), with its check numbers and, for a stack built from
-        matrices, its matrix."""
-        op = SelfAdjointOperator._with_spectrum(
-            space, self.fiber, self.eigenvalues[k], self._euclidean_vectors[k]
-        )
-        if "matrix" in vars(self):
-            op.matrix = self.matrix[k]
-        norms, loss = self._check_numbers
-        op._check_numbers = (
-            None if norms is None else norms[k],
-            None if loss is None else float(loss[k]),
-        )
-        return op
-
-    def _per_instance(self, value) -> np.ndarray:
-        """A float or (T,) array as a (T, 1) column, to scale each instance's row."""
-        return np.broadcast_to(np.asarray(value, dtype=float), self.eigenvalues.shape[:1])[:, None]
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self._euclidean_vectors / self._sqrt_w[..., :, None]
-
-    @property
-    def min_eigenvalue(self) -> np.ndarray:
-        return self.eigenvalues[:, 0]
-
-    def zero_threshold(self) -> np.ndarray:
-        return ZERO_TOL * (1.0 + np.max(np.abs(self.eigenvalues), axis=-1))
-
-    def kernel_mask(self) -> np.ndarray:
-        """(T, d) flags of the eigenvalues that count as zero."""
-        return np.abs(self.eigenvalues) <= self.zero_threshold()[:, None]
-
-    def kernel_dim(self) -> np.ndarray:
-        return np.count_nonzero(self.kernel_mask(), axis=-1)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _read_only(_spectral_matrix(self.eigenvalues, self._euclidean_vectors, self._sqrt_w))
-
-    def spectral_function(self, f) -> "OperatorStack":
-        evals, q = _ascending(f(self.eigenvalues), self._euclidean_vectors)
-        return OperatorStack(self.weights, self.fiber, evals, q)
-
-    def semigroup(self, t) -> "OperatorStack":
-        """exp(-t_k A_k) per instance, for a time t or (T,) times."""
-        t = self._per_instance(t)
-        if np.any(t < 0.0):
-            raise ValueError("semigroup time must be nonnegative")
-        return self.spectral_function(lambda w: np.exp(-t * w))
-
-    def two_inf_norm(self) -> np.ndarray:
-        """(T,) values of ``two_inf_norm`` of each instance."""
-        return _spectral_two_inf(self.basis, self.eigenvalues, self.fiber)
-
-    def squared_overlap(self, other: "OperatorStack") -> np.ndarray:
-        overlap = other._euclidean_vectors.swapaxes(-1, -2) @ self._euclidean_vectors
-        return np.square(overlap, out=overlap)
-
-    def heat_difference_hs_squared(self, other: "OperatorStack", t, scale=1.0) -> np.ndarray:
-        """(T,) values of ``heat_difference_hs_squared(A_k, B_k, t_k, scale_k)``.
-
-        An instance whose two eigendata are bitwise equal gives exactly 0.0.
-        """
-        t, scale = self._per_instance(t), self._per_instance(scale)
-        same = np.all(self.eigenvalues == other.eigenvalues, axis=-1) & np.all(
-            self._euclidean_vectors == other._euclidean_vectors, axis=(-2, -1)
-        )
-        f = np.exp(-t * self.eigenvalues)
-        g = np.exp(-t * other.eigenvalues)
-        sums = _overlap_sum(f, g, scale[..., None], other.squared_overlap(self))
-        return np.where(same, 0.0, sums)
+def _stack_of_one(operator: SelfAdjointOperator) -> SelfAdjointOperator:
+    """``operator`` as a stack of one, sharing its eigenvector array and,
+    once it has one, its matrix (the matrix it was built from is not the
+    one its spectrum would rebuild; a CSR matrix is densified)."""
+    operator._require_full("a stack of one")
+    stack = SelfAdjointOperator._with_spectrum(
+        WeightedFiniteSpace(operator.space.weights[None]),
+        operator.fiber,
+        operator.eigenvalues[None],
+        operator._euclidean_vectors[None],
+    )
+    if "matrix" in vars(operator):
+        stack.matrix = _dense(operator.matrix)[None]
+    return stack
 
 
 def heat_difference(A, B, t: float) -> WeightedOperator:
@@ -887,7 +786,7 @@ def heat_difference(A, B, t: float) -> WeightedOperator:
     return WeightedOperator(A.semigroup(t).matrix - B.semigroup(t).matrix, A.space, A.fiber)
 
 
-def heat_difference_hs_squared(A, B, t: float, scale: float = 1.0) -> float:
+def heat_difference_hs_squared(A, B, t, scale=1.0):
     """||(exp(-tA) - exp(-tB)) / scale||_HS^2 from the cached spectra, in O(N^2).
 
     With f = exp(-t eig(A)), g = exp(-t eig(B)) and the squared overlap
@@ -899,12 +798,14 @@ def heat_difference_hs_squared(A, B, t: float, scale: float = 1.0) -> float:
     same operator and give exactly 0.0, not the rounding of C's
     off-diagonal entries; the eigenvalues are compared first, so operators
     with different spectra pay only that O(N) comparison.  For a partial
-    B this is the upper end of ``heat_difference_hs_bounds``.
+    B this is the upper end of ``heat_difference_hs_bounds``; for stacks,
+    the (T,) values of the instances, with t and scale floats or (T,)
+    arrays.
     """
     return heat_difference_hs_bounds(A, B, t, scale)[0]
 
 
-def heat_difference_hs_bounds(A, B, t: float, scale: float = 1.0) -> tuple[float, float]:
+def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
     """(upper, lower) ends of an enclosure of ``heat_difference_hs_squared(A, B, t, scale)``.
 
     A must hold every eigenpair.  For a full B both ends are the squared
@@ -922,30 +823,38 @@ def heat_difference_hs_bounds(A, B, t: float, scale: float = 1.0) -> tuple[float
     Every term is nonnegative, and the value lies between the two ends,
     so an enclosure narrower than eta relative to its upper end puts that
     end within eta of the value.  The N x K overlap is one gemm, kept on B
-    for the next call with the same A.
+    for the next call with the same A.  On stacks each end is the (T,)
+    array of the instances' ends.
     """
     A._check_compatible(B)
     A._require_full("heat_difference_hs_bounds")
-    if np.array_equal(A.eigenvalues, B.eigenvalues) and np.array_equal(
-        A._euclidean_vectors, B._euclidean_vectors
-    ):
-        return 0.0, 0.0
-    f = np.exp(-t * A.eigenvalues)
-    g = np.exp(-t * B.eigenvalues)
-    if A._euclidean_vectors is B._euclidean_vectors:
-        value = float(np.sum(((f - g) / scale) ** 2))
-        return value, value
-    overlap = B._squared_overlap(A)
-    known = float(_overlap_sum(f, g, scale, overlap))
-    if not B.partial:
-        return known, known
-    rest, loss = np.maximum(0.0, 1.0 - overlap.sum(axis=1)), B.orthogonality_loss
-    tail = math.exp(-t * B.cutoff)
-    upper = known + float(np.sum((rest + loss) * (np.maximum(f, tail) / scale) ** 2))
-    lower = known + float(
-        np.sum(np.maximum(0.0, rest - loss) * (np.maximum(f - tail, 0.0) / scale) ** 2)
+    same = A.eigenvalues.shape == B.eigenvalues.shape and np.all(
+        A.eigenvalues == B.eigenvalues, axis=-1
     )
-    return upper, lower
+    if np.any(same):
+        same = same & np.all(A._euclidean_vectors == B._euclidean_vectors, axis=(-2, -1))
+        if np.all(same):
+            zero = _unstacked(np.zeros(np.shape(same)))
+            return zero, zero
+    column = np.asarray(t, dtype=float)[..., None]
+    f = np.exp(-column * A.eigenvalues)
+    g = np.exp(-column * B.eigenvalues)
+    scale = np.asarray(scale, dtype=float)[..., None]
+    if A._euclidean_vectors is B._euclidean_vectors:
+        known = np.sum(((f - g) / scale) ** 2, axis=-1)
+    else:
+        overlap = B._squared_overlap(A)
+        known = _overlap_sum(f, g, scale[..., None], overlap)
+    known = np.where(same, 0.0, known)
+    if not B.partial:
+        return _unstacked(known), _unstacked(known)
+    rest, loss = np.maximum(0.0, 1.0 - overlap.sum(axis=-1)), B.orthogonality_loss
+    tail = math.exp(-t * B.cutoff)
+    upper = known + np.sum((rest + loss) * (np.maximum(f, tail) / scale) ** 2, axis=-1)
+    lower = known + np.sum(
+        np.maximum(0.0, rest - loss) * (np.maximum(f - tail, 0.0) / scale) ** 2, axis=-1
+    )
+    return _unstacked(upper), _unstacked(lower)
 
 
 def heat_two_inf_norm(A: SelfAdjointOperator, t: float) -> float:
@@ -970,24 +879,25 @@ def singular_values(operator: WeightedOperator) -> np.ndarray:
     Uses |eigenvalues| when the conjugated matrix is symmetric (cheaper and
     exact for self-adjoint operators), otherwise a full SVD.
     """
-    return _singular_values(_dense(operator.conjugated())[None])[0]
+    return _singular_values(_dense(operator.conjugated()))
 
 
 def _singular_values(conj) -> np.ndarray:
-    """(T, n) weighted singular values, descending, of a (T, n, n) stack of
-    conjugated matrices; each matrix takes the path ``singular_values``
-    takes for it."""
-    asym = np.max(np.abs(conj - conj.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-    scale = np.max(np.abs(conj), axis=(-2, -1), initial=0.0)
+    """Weighted singular values, descending, of conjugated matrices: (n,)
+    for an (n, n) matrix, (T, n) for a (T, n, n) stack; each matrix takes
+    the path ``singular_values`` takes for it."""
+    stack = conj.reshape(-1, *conj.shape[-2:])
+    asym = np.max(np.abs(stack - stack.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(stack), axis=(-2, -1), initial=0.0)
     symmetric = asym <= 1e-13 * np.maximum(scale, 1.0)
-    values = np.empty(conj.shape[:-1])
+    values = np.empty(stack.shape[:-1])
     if np.any(symmetric):
-        sym = conj[symmetric]
+        sym = stack[symmetric]
         moduli = np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(-1, -2))))
         values[symmetric] = np.sort(moduli, axis=-1)[..., ::-1]
     if not np.all(symmetric):
-        values[~symmetric] = np.linalg.svd(conj[~symmetric], compute_uv=False)
-    return values
+        values[~symmetric] = np.linalg.svd(stack[~symmetric], compute_uv=False)
+    return values.reshape(conj.shape[:-1])
 
 
 def schatten_power_sum(operator: WeightedOperator, p: float) -> float:
@@ -1038,12 +948,13 @@ def two_inf_norm(operator: WeightedOperator) -> float:
     row k(x, .).  A ``SelfAdjointOperator`` U diag(w) U^T M is read from its
     spectrum in O(N^2): the squared norm at x is the largest eigenvalue of
     U_x diag(w^2) U_x^T (U_x the fiber rows of x), at fiber 1 the sum
-    sum_k w_k^2 U_xk^2.
+    sum_k w_k^2 U_xk^2.  A stack of operators gives the (T,) norms of its
+    instances.
     """
     n = operator.fiber
     if isinstance(operator, SelfAdjointOperator):
         operator._require_full("two_inf_norm")
-        return float(_spectral_two_inf(operator.basis, operator.eigenvalues, n))
+        return _unstacked(_spectral_two_inf(operator.basis, operator.eigenvalues, n))
     return float(_block_row_two_inf(_dense(operator.matrix), operator._sqrt_w, n))
 
 

@@ -28,6 +28,12 @@ sum is Q_P [(Q_P^T V Q_H) o K] Q_H^T, where o is the entrywise product and
 K_ij = sum_k w_k e^(-(2t - s_k) mu_i) e^(-s_k lambda_j) (the
 Daleckii-Krein form of the integral).  The HS norm of the semigroup
 difference is read from the two spectra by ``heat_difference_hs_squared``.
+
+The checks are written over a leading stack axis: the randomized suites
+run each on a stack of T operators (``measure.SelfAdjointOperator``), and
+the public per-instance checks run the same code on one operator, or on a
+stack of one where the check eigensolves H + V, so that it runs the
+stacked eigensolve its suite runs.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from scipy.sparse import coo_matrix, issparse
 
 from .measure import (
     DimensionMismatchError,
-    OperatorStack,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
@@ -51,6 +56,9 @@ from .measure import (
     _first,
     _frobenius,
     _single,
+    _stack_of_one,
+    heat_difference_hs_squared,
+    two_inf_norm,
 )
 
 __all__ = [
@@ -107,29 +115,12 @@ class MatrixPotential:
     def added_to(self, H: SelfAdjointOperator, cutoff: float = math.inf) -> SelfAdjointOperator:
         """H + V, with its own checked eigensolve; H itself when V is zero.
 
-        V goes onto the diagonal blocks of a copy of H's matrix, so no
-        dense V is built; the sum equals ``H.matrix + V.as_operator().matrix``.
-        A CSR H gives a CSR sum: V is added as a sparse block diagonal.  A V
-        that is zero everywhere gives H with no eigensolve, so a semigroup
-        difference against it is exactly zero.  A finite ``cutoff`` makes
-        the sum hold only its eigenpairs below it (``SelfAdjointOperator``).
+        The sum equals ``H.matrix + V.as_operator().matrix`` (``_added_to``).
+        A finite ``cutoff`` makes it hold only its eigenpairs below it
+        (``SelfAdjointOperator``).
         """
-        if not H.space.same_as(self.space) or H.fiber != self.fiber:
-            raise DimensionMismatchError("potential and operator live on different spaces")
-        if not np.any(self.values):
-            return H
-        n_points, n = self.values.shape[:2]
-        at = np.arange(n_points)
-        if issparse(H.matrix):
-            index = (at[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
-            rows, cols = np.broadcast_arrays(index, index.transpose(0, 2, 1))
-            blocks = coo_matrix(
-                (self.values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape
-            )
-            return SelfAdjointOperator(H.matrix + blocks, H.space, n, cutoff)
-        matrix = H.matrix + 0.0
-        matrix.reshape(n_points, n, n_points, n)[at, :, at, :] += self.values
-        return SelfAdjointOperator(matrix, H.space, n, cutoff)
+        _check_same_space(H, self)
+        return _added_to(H, self.values, cutoff)
 
     def pointwise_operator_norms(self) -> np.ndarray:
         """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""
@@ -142,7 +133,7 @@ class MatrixPotential:
         return MatrixPotential(vals, space, nonneg=nonneg)
 
 
-def _check_same_space(H: SelfAdjointOperator, V: MatrixPotential):
+def _check_same_space(H: WeightedOperator, V: MatrixPotential):
     if not H.space.same_as(V.space) or H.fiber != V.fiber:
         raise DimensionMismatchError("potential and operator live on different spaces")
 
@@ -234,8 +225,7 @@ def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
 
 def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
     """||V T||_HS <= sqrt(n) ||V||_{2,HS} ||T||_{2,inf}, both sides reported."""
-    if not V.space.same_as(T.space) or V.fiber != T.fiber:
-        raise DimensionMismatchError("potential and operator live on different spaces")
+    _check_same_space(T, V)
     matrix = _dense(T.matrix)[None]
     return _single(_hs_factorizations(V.values[None], V.space.weights[None], matrix))
 
@@ -281,25 +271,24 @@ def duhamel_difference(
     three small products and no heat matrix at any node.  It is the same
     quadrature, not the closed form; its error is asserted in tests,
     never assumed.  A caller that already holds ``V.added_to(H)`` passes
-    it as ``perturbed`` to save its eigensolve.  ``_duhamel_matrices`` on
-    a stack of one.
+    it as ``perturbed`` to save its eigensolve.
     """
     if perturbed is None:
         perturbed = V.added_to(H)
-    stacks = OperatorStack.of(H), OperatorStack.of(perturbed)
-    total = _duhamel_matrices(stacks[0], V.values[None], [t], quadrature_order, stacks[1])
-    return WeightedOperator(total[0], H.space, H.fiber)
+    total = _duhamel_matrices(H, V.values, t, quadrature_order, perturbed)
+    return WeightedOperator(total, H.space, H.fiber)
 
 
-def _duhamel_matrices(H: OperatorStack, values, t, quadrature_order: int, perturbed) -> np.ndarray:
-    """The (T, d, d) matrices of the stacked ``duhamel_difference`` at times
-    t (T,), for the (T, N, n, n) potential values and H + V ``perturbed``."""
-    if np.any(np.asarray(t) <= 0.0):
+def _duhamel_matrices(H, values, t, quadrature_order: int, perturbed) -> np.ndarray:
+    """The matrix of ``duhamel_difference`` for the (N, n, n) potential
+    values and H + V ``perturbed``; for stacks, the (T, d, d) matrices for
+    (T, N, n, n) values at one time t or (T,) times."""
+    t = np.asarray(t, dtype=float)[..., None]
+    if np.any(t <= 0.0):
         raise ValueError("t must be strictly positive")
     if quadrature_order < 2:
         raise ValueError("quadrature order must be at least 2")
     nodes, weights = _gauss_legendre(quadrature_order)
-    t = H._per_instance(t)
     s = t * (nodes + 1.0)
     left = np.exp(-(perturbed.eigenvalues[..., :, None] * (2.0 * t - s)[..., None, :])) * weights
     right = np.exp(-(H.eigenvalues[..., :, None] * s[..., None, :]))
@@ -307,7 +296,7 @@ def _duhamel_matrices(H: OperatorStack, values, t, quadrature_order: int, pertur
     # U_P [(U_P^T M V U_H) o K] U_H^T M, and U_P^T M V U_H = Q_P^T V Q_H
     # because V is block diagonal with one weight per block.
     u_p, u_h = perturbed.basis, H.basis
-    w = np.repeat(H.weights, H.fiber, axis=-1)
+    w = H.space.stacked_weights(H.fiber)
     coupling = u_p.swapaxes(-1, -2) @ (w[..., :, None] * _block_diagonal(values)) @ u_h
     kernel = left @ right.swapaxes(-1, -2)
     total = u_p @ (coupling * kernel) @ u_h.swapaxes(-1, -2)
@@ -339,39 +328,55 @@ def semigroup_22_integral(operator: SelfAdjointOperator, t0: float) -> float:
     return float(_exact_22_integral(rho0, t0))
 
 
-def _added_to(H: OperatorStack, values: np.ndarray) -> OperatorStack:
-    """The stacked ``MatrixPotential.added_to``: H_k + V_k, one eigensolve each.
+def _added_to(H: SelfAdjointOperator, values: np.ndarray, cutoff: float = math.inf):
+    """H + V, with its own checked eigensolve (``MatrixPotential.added_to``).
 
-    ``values`` is the (T, N, n, n) stack of checked potential values.  As
-    in ``added_to``, V goes onto the diagonal blocks of a copy of H's
-    matrix, and an instance whose V is zero everywhere keeps H's eigendata,
-    so its semigroup difference is exactly zero.
+    ``values`` are V's checked (N, n, n) values or, for a stack H, the
+    (T, N, n, n) stack of them.  V goes onto the diagonal blocks of a copy
+    of H's matrix, so no dense V is built; a CSR H gives a CSR sum, with V
+    added as a sparse block diagonal.  A V that is zero everywhere keeps
+    H's eigendata (one H comes back as it is, with no eigensolve), so its
+    semigroup difference is exactly zero.
     """
-    n_points, n = values.shape[1:3]
-    matrix = H.matrix + 0.0
-    at = np.arange(n_points)
-    # The advanced indices are split by a slice, so the selection is (N, T, n, n).
-    matrix.reshape(-1, n_points, n, n_points, n)[:, at, :, at, :] += values.swapaxes(0, 1)
-    perturbed = OperatorStack.from_matrices(matrix, H.weights, n)
     zero = ~np.any(values, axis=(-3, -2, -1))
+    if np.all(zero):
+        return H
+    n_points, n = values.shape[-3:-1]
+    at = np.arange(n_points)
+    if issparse(H.matrix):
+        index = (at[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
+        rows, cols = np.broadcast_arrays(index, index.transpose(0, 2, 1))
+        blocks = coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape)
+        matrix = H.matrix + blocks
+    else:
+        matrix = H.matrix + 0.0
+        # The advanced indices are split by a slice, so the points come first.
+        diagonal = matrix.reshape(*matrix.shape[:-2], n_points, n, n_points, n)
+        diagonal[..., at, :, at, :] += np.moveaxis(values, -3, 0)
+    perturbed = SelfAdjointOperator(matrix, H.space, n, cutoff)
     if np.any(zero):
-        perturbed.eigenvalues[zero] = H.eigenvalues[zero]
-        perturbed._euclidean_vectors[zero] = H._euclidean_vectors[zero]
+        return SelfAdjointOperator._with_spectrum(
+            H.space,
+            n,
+            np.where(zero[:, None], H.eigenvalues, perturbed.eigenvalues),
+            np.where(zero[:, None, None], H._euclidean_vectors, perturbed._euclidean_vectors),
+        )
     return perturbed
 
 
-def _semigroup_difference_bounds(H: OperatorStack, values: np.ndarray, t0) -> dict:
-    """Stacked ``semigroup_difference_bound_check``: each entry a (T,) array."""
+def _semigroup_difference_bounds(H: SelfAdjointOperator, values: np.ndarray, t0) -> dict:
+    """``semigroup_difference_bound_check`` on (N, n, n) values, or on a
+    stack of operators and values with (T,) t0: each entry then a (T,) array."""
     t0 = np.asarray(t0, dtype=float)
     if np.any(t0 <= 0.0):
         raise ValueError("t0 must be strictly positive")
     if np.any(H.min_eigenvalue < -H.zero_threshold()):
         raise ValueError("H must be positive semidefinite")
     perturbed = _added_to(H, values)
-    lhs = np.sqrt(H.heat_difference_hs_squared(perturbed, 2.0 * t0))
-    ultra_sum = H.semigroup(t0).two_inf_norm() + perturbed.semigroup(t0).two_inf_norm()
+    lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
+    ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
-    rhs = np.sqrt(H.fiber) * _hs_norms(values, H.weights) * ultra_sum * integral
+    rhs = np.sqrt(H.fiber) * _hs_norms(values, H.space.weights) * ultra_sum * integral
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -390,10 +395,11 @@ def semigroup_difference_bound_check(
     perturbed semigroup (no clamping: the integral is evaluated from the
     true smallest eigenvalue of H+V whatever its sign).  Everything is read
     from H's own eigendata and one eigensolve of H + V.  This is
-    ``_semigroup_difference_bounds`` on a stack of one.
+    ``_semigroup_difference_bounds`` on a stack of one, so the check runs
+    the stacked eigensolve its suite runs.
     """
     _check_same_space(H, V)
-    return _single(_semigroup_difference_bounds(OperatorStack.of(H), V.values[None], [t0]))
+    return _single(_semigroup_difference_bounds(_stack_of_one(H), V.values[None], [t0]))
 
 
 @dataclass(frozen=True)
@@ -428,13 +434,12 @@ def domination_check(
     violates the inequality beyond an absolute slack of 1e-10; returns the
     pair with the verified flag set.
     """
-    H, H0 = OperatorStack.of(pair.H), OperatorStack.of(pair.H0)
-    _verify_domination(H, H0, t_samples, _samples(pair, f_samples))
+    _verify_domination(pair.H, pair.H0, t_samples, _samples(pair, f_samples))
     return replace(pair, domination_verified=True)
 
 
-def _verify_domination(H: OperatorStack, H0: OperatorStack, t_samples, samples: np.ndarray):
-    """Stacked ``domination_check``: raise at the first instance that fails."""
+def _verify_domination(H, H0, t_samples, samples: np.ndarray):
+    """``domination_check``, on stacks too: raise at the first instance that fails."""
     for t in t_samples:
         worst = _domination_excess(H, H0, t, samples)
         failed = worst > DOMINATION_SLACK
@@ -444,30 +449,29 @@ def _verify_domination(H: OperatorStack, H0: OperatorStack, t_samples, samples: 
 
 
 def _samples(pair: DominatedPair, f_samples) -> np.ndarray:
-    """The samples as a (1, S, N, n) stack for ``_domination_excess``."""
+    """The samples as an (S, N, n) array for ``_domination_excess``."""
     shape = (pair.H.space.point_count, pair.H.fiber)
     rows = [np.asarray(f, dtype=float).reshape(shape) for f in f_samples]
-    return np.array(rows).reshape(1, len(rows), *shape)
+    return np.array(rows).reshape(len(rows), *shape)
 
 
 def domination_excess(pair: DominatedPair, t: float, f_samples) -> float:
     """Worst pointwise excess |exp(-tH) f| - exp(-tH0)|f| over (N, n) samples f.
 
-    ``_domination_excess`` on a stack of one; -inf for no samples.
+    ``_domination_excess``; -inf for no samples.
     """
-    H, H0 = OperatorStack.of(pair.H), OperatorStack.of(pair.H0)
-    return float(_domination_excess(H, H0, float(t), _samples(pair, f_samples))[0])
+    return float(_domination_excess(pair.H, pair.H0, float(t), _samples(pair, f_samples)))
 
 
-def _domination_excess(H: OperatorStack, H0: OperatorStack, t: float, samples) -> np.ndarray:
-    """(T,) worst excesses over a (T, S, N, n) stack of samples.
+def _domination_excess(H, H0, t: float, samples) -> np.ndarray:
+    """The worst excess over (S, N, n) samples; for stacks, the (T,) worst
+    excesses over a (T, S, N, n) stack of samples.
 
     Each sample is one gemv with each heat matrix, as ``apply_array`` runs it.
     """
-    n_stack, n_samples, n_points, n = samples.shape
-    heat_vec = H.semigroup(t).matrix[:, None]
-    heat_scal = H0.semigroup(t).matrix[:, None]
-    moved = heat_vec @ samples.reshape(n_stack, n_samples, n_points * n, 1)
+    heat_vec = H.semigroup(t).matrix[..., None, :, :]
+    heat_scal = H0.semigroup(t).matrix[..., None, :, :]
+    moved = heat_vec @ samples.reshape(*samples.shape[:-2], -1, 1)
     lhs = np.linalg.norm(moved.reshape(samples.shape), axis=-1)
     rhs = (heat_scal @ np.linalg.norm(samples, axis=-1)[..., None])[..., 0]
     return np.max(lhs - rhs, axis=(-2, -1), initial=-np.inf)
@@ -495,24 +499,25 @@ def dominated_difference_check(
     if not V.nonneg:
         raise ValueError("the potential must be nonnegative (essential hypothesis)")
     _check_same_space(pair.H, V)
-    H, H0 = OperatorStack.of(pair.H), OperatorStack.of(pair.H0)
+    H, H0 = _stack_of_one(pair.H), _stack_of_one(pair.H0)
     return _single(_dominated_differences(H, H0, V.values[None], [t0]))
 
 
-def _dominated_differences(H: OperatorStack, H0: OperatorStack, values: np.ndarray, t0) -> dict:
-    """Stacked ``dominated_difference_check`` on verified pairs and V >= 0: (T,) arrays."""
+def _dominated_differences(H, H0, values: np.ndarray, t0) -> dict:
+    """``dominated_difference_check`` on a verified pair and V >= 0, or on
+    stacks of them with (T,) t0: each entry then a (T,) array."""
     t0 = np.asarray(t0, dtype=float)
     if np.any(t0 <= 0.0):
         raise ValueError("t0 must be strictly positive")
     perturbed = _added_to(H, values)
-    lhs = np.sqrt(H.heat_difference_hs_squared(perturbed, 2.0 * t0))
-    scalar_ultra = H0.semigroup(t0).two_inf_norm()
-    base = 2.0 * np.sqrt(H.fiber) * _hs_norms(values, H.weights) * scalar_ultra
+    lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
+    scalar_ultra = two_inf_norm(H0.semigroup(t0))
+    base = 2.0 * np.sqrt(H.fiber) * _hs_norms(values, H.space.weights) * scalar_ultra
     integral = _exact_22_integral(np.maximum(0.0, perturbed.min_eigenvalue), t0)
     rhs_integral = base * integral
     rhs_plain = base * t0
-    ultra_perturbed = perturbed.semigroup(t0).two_inf_norm()
-    ultra_free = H.semigroup(t0).two_inf_norm()
+    ultra_perturbed = two_inf_norm(perturbed.semigroup(t0))
+    ultra_free = two_inf_norm(H.semigroup(t0))
     slack = RELATIVE_SLACK
     return {
         "lhs": lhs,
@@ -635,11 +640,10 @@ def connection_laplacian_pair(
     with the same weights and measure.  The scalar semigroup dominates the
     vector one for any choice of rotations; the pair is returned
     unverified and should go through ``domination_check``.  This is
-    ``_connection_draw`` and then ``_connection_stack`` on a stack of one.
+    ``_connection_draw`` and then ``_connection_stack``.
     """
-    draw = _connection_draw(rng, space.point_count, fiber)
-    H, H0 = _connection_stack(space.weights[None], fiber, [draw])
-    return DominatedPair(H=H.operator(0, space), H0=H0.operator(0, space))
+    H, H0 = _connection_stack(space, fiber, [_connection_draw(rng, space.point_count, fiber)])
+    return DominatedPair(H=H, H0=H0)
 
 
 def _connection_draw(rng: np.random.Generator, n_points: int, fiber: int):
@@ -653,14 +657,16 @@ def _connection_draw(rng: np.random.Generator, n_points: int, fiber: int):
     return a, b, w, gauss
 
 
-def _connection_stack(weights: np.ndarray, fiber: int, draws) -> tuple:
-    """(H, H0) ``OperatorStack``s of the connection Laplacians of ``draws``.
+def _connection_stack(space: WeightedFiniteSpace, fiber: int, draws) -> tuple:
+    """(H, H0), the connection Laplacians of ``draws`` on ``space``.
 
-    ``weights`` is (T, N) and ``draws`` holds T ``_connection_draw``
-    results.  All rotations come from one stacked QR, and both stacks are
-    assembled by one scatter each, every entry accumulating its edges'
-    terms in edge order, as a loop would.
+    On a stack of T spaces ``draws`` holds T ``_connection_draw`` results
+    and H, H0 are stacks; on one space it holds one.  All rotations come
+    from one stacked QR, and both matrices are assembled by one scatter
+    each, every entry accumulating its edges' terms in edge order, as a
+    loop would.
     """
+    weights = space.weights.reshape(-1, space.point_count)
     n_stack, n_points = weights.shape
     n = fiber
     owner = np.repeat(np.arange(n_stack), [draw[0].size for draw in draws])
@@ -681,5 +687,6 @@ def _connection_stack(weights: np.ndarray, fiber: int, draws) -> tuple:
     np.add.at(h0, (end_owner, ends, ends), degree)
     np.subtract.at(h0, (owner, a, b), wa)
     np.subtract.at(h0, (owner, b, a), wb)
-    H = OperatorStack.from_matrices(h.reshape(n_stack, n_points * n, -1), weights, n)
-    return H, OperatorStack.from_matrices(h0, weights, 1)
+    lead = space.weights.shape[:-1]
+    H = SelfAdjointOperator(h.reshape(*lead, n_points * n, -1), space, n)
+    return H, SelfAdjointOperator(h0.reshape(*lead, n_points, n_points), space, 1)

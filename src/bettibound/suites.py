@@ -18,10 +18,11 @@ The suites of many small operators run in four steps:
 2. **Group by shape.**  The instances are grouped by point count and
    fiber (``_grouped``).
 3. **Check on stacks.**  Every check runs once per group, on (T, n, n)
-   stacks: ``measure.OperatorStack`` and the stacked kernels of ``birman``
-   and ``perturbation``, whose stacked LAPACK and BLAS calls give each
-   instance the bits it would get alone.  The public per-instance checks
-   are the same kernels on a stack of one.
+   stacks: stacks of ``measure.SelfAdjointOperator`` and the kernels of
+   ``birman`` and ``perturbation``, whose stacked LAPACK and BLAS calls
+   give each instance the bits it would get alone.  The public
+   per-instance checks are the same kernels on one operator, or on a
+   stack of one (``measure._stack_of_one``).
 4. **Reduce.**  Each instance's lhs and rhs go back to its place, and the
    worst case is an array reduction in instance order.
 """
@@ -37,19 +38,19 @@ from .birman import (
     _heat_difference_matrices,
     _kernel_count_bounds,
     _kernel_identities,
+    _planted,
     _planted_draw,
-    _planted_stack,
     _weyl_power_sums,
     birman_schwinger_bound,
     random_weighted_space,
 )
 from .measure import (
-    OperatorStack,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
     _conjugate,
     _frobenius,
+    heat_difference_hs_squared,
 )
 from .perturbation import (
     MatrixPotential,
@@ -151,12 +152,12 @@ def _pair_draw(rng, cfg: SuiteConfig):
 
 def _pair_stacks(fiber, weights, h_gauss, h_evals, rho0, b_gauss, b_evals, t0):
     """Planted H >= 0 with its kernel, and H' = H + rho0 + a random bump >= rho0."""
-    H = _planted_stack(weights, fiber, h_gauss, h_evals)
-    bump = _planted_stack(weights, fiber, b_gauss, b_evals)
-    eye = np.eye(H.eigenvalues.shape[-1])
-    Hprime = OperatorStack.from_matrices(
-        H.matrix + rho0[:, None, None] * eye + bump.matrix, weights, fiber
-    )
+    space = WeightedFiniteSpace(weights)
+    H = _planted(space, fiber, h_gauss, h_evals)
+    bump = _planted(space, fiber, b_gauss, b_evals)
+    eye = np.eye(H.dim)
+    matrix = H.matrix + rho0[:, None, None] * eye + bump.matrix
+    Hprime = SelfAdjointOperator(matrix, space, fiber)
     _check_pair(H, Hprime, rho0, t0)
     return H, Hprime
 
@@ -360,7 +361,7 @@ def suite_duhamel(rng, cfg: SuiteConfig):
 
     err, allowed = np.empty((2, trials))
     for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, trials):
-        H = _planted_stack(weights, fiber, gauss, evals)
+        H = _planted(WeightedFiniteSpace(weights), fiber, gauss, evals)
         _check_potential(values, nonneg=False)
         perturbed = _added_to(H, values)
         direct = _heat_difference_matrices(H, perturbed, 2 * t0)
@@ -395,7 +396,7 @@ def suite_semigroup_difference_bound(rng, cfg: SuiteConfig):
 
     lhs, rhs = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, cfg.trials):
-        H = _planted_stack(weights, fiber, gauss, evals)
+        H = _planted(WeightedFiniteSpace(weights), fiber, gauss, evals)
         _check_potential(values, nonneg=False)
         result = _semigroup_difference_bounds(H, values, t0)
         lhs[at], rhs[at] = result["lhs"], result["rhs"]
@@ -443,7 +444,8 @@ def suite_22_integral(rng, cfg: SuiteConfig):
     err, allowed = np.empty((2, cfg.trials))
     for _, at, (weights, gauss, evals, t0) in _grouped(draw, cfg.trials):
         # semigroup_22_integral of each planted A >= 0, and its oracle.
-        mu = np.maximum(0.0, _planted_stack(weights, 1, gauss, evals).min_eigenvalue)
+        A = _planted(WeightedFiniteSpace(weights), 1, gauss, evals)
+        mu = np.maximum(0.0, A.min_eigenvalue)
         oracle = _gauss_22_integral(mu, t0)
         err[at] = np.abs(_exact_22_integral(mu, t0) - oracle)
         allowed[at] = tol * (1.0 + np.abs(oracle))
@@ -475,7 +477,7 @@ def suite_domination(rng, cfg: SuiteConfig):
 
     excess = np.empty((pairs, len(times)))
     for (_, fiber), at, (weights, edges, samples) in _grouped(draw, pairs):
-        H, H0 = _connection_stack(weights, fiber, edges)
+        H, H0 = _connection_stack(WeightedFiniteSpace(weights), fiber, edges)
         for column, t in enumerate(times):
             excess[at, column] = _domination_excess(H, H0, t, samples)
     return [
@@ -508,7 +510,7 @@ def suite_dominated_difference(rng, cfg: SuiteConfig):
     keys = ("lhs", "rhs_integral", "rhs_plain", "ultra_perturbed", "ultra_free", "ultra_scalar")
     results = {key: np.empty(cfg.trials) for key in keys}
     for (_, fiber), at, (weights, edges, samples, values, t0) in _grouped(draw, cfg.trials):
-        H, H0 = _connection_stack(weights, fiber, edges)
+        H, H0 = _connection_stack(WeightedFiniteSpace(weights), fiber, edges)
         _verify_domination(H, H0, (0.5,), samples)
         _check_potential(values, nonneg=True)
         result = _dominated_differences(H, H0, values, t0)
@@ -542,7 +544,7 @@ def suite_dominated_difference(rng, cfg: SuiteConfig):
     ]
 
 
-def _truncation_checks(H: OperatorStack, values: np.ndarray, t0):
+def _truncation_checks(H: SelfAdjointOperator, values: np.ndarray, t0):
     """Truncation of a stack of V >= 0 at level ceil(max_x |V(x)|).
 
     Returns, per instance, the semigroup HS distance between H + V and H
@@ -558,13 +560,14 @@ def _truncation_checks(H: OperatorStack, values: np.ndarray, t0):
     truncated = np.where((norms <= level[:, None])[..., None, None], values, 0.0)
     _check_potential(truncated, nonneg=True)
     full, cut = _added_to(H, values), _added_to(H, truncated)
-    distance = np.sqrt(full.heat_difference_hs_squared(cut, 2 * t0))
+    distance = np.sqrt(heat_difference_hs_squared(full, cut, 2 * t0))
     levels = np.arange(1, int(level.max()) + 1)
     keep = norms[:, None, :] <= levels[:, None]
-    whole = _hs_norms(values, H.weights)[:, None]
+    weights = H.space.weights
+    whole = _hs_norms(values, weights)[:, None]
     # Instance k's norms: its first level_k truncations, then V itself.
     column = np.arange(levels.size + 1)
-    sequence = np.concatenate([np.sqrt(_hs_squared(values, H.weights, keep)), whole], axis=-1)
+    sequence = np.concatenate([np.sqrt(_hs_squared(values, weights, keep)), whole], axis=-1)
     sequence = np.where(column < level[:, None], sequence, whole)
     drops = np.where(column[1:] <= level[:, None], np.diff(sequence) * -1.0, -np.inf)
     return distance, np.max(drops, axis=-1)
@@ -585,7 +588,7 @@ def suite_truncation(rng, cfg: SuiteConfig):
     distance, drops = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, values, gauss, evals, t0) in _grouped(draw, cfg.trials):
         _check_potential(values, nonneg=True)
-        H = _planted_stack(weights, fiber, gauss, evals)
+        H = _planted(WeightedFiniteSpace(weights), fiber, gauss, evals)
         distance[at], drops[at] = _truncation_checks(H, values, t0)
     return [
         _worst(

@@ -53,6 +53,12 @@ def random_self_adjoint(rng, space, fiber, scale=1.0):
 def test_space_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         WeightedFiniteSpace([1.0, 0.0])
+    # A stack of spaces refuses a bad weight in any one of its instances.
+    for k, bad in enumerate((0.0, -1.0, np.nan)):
+        weights = np.ones((3, 2))
+        weights[k, 1] = bad
+        with pytest.raises(ValueError, match="strictly positive"):
+            WeightedFiniteSpace(weights)
 
 
 # -- semigroup -------------------------------------------------------------
@@ -315,6 +321,64 @@ def test_heat_difference_hs_squared_is_zero_for_separate_eigensolves():
         assert np.any(overlap[~np.eye(A.dim, dtype=bool)] > 0.0)
         assert heat_difference_hs_squared(A, B, 0.9) == 0.0
         assert heat_difference_hs_squared(B, A, 0.9, scale=0.1) == 0.0
+
+
+def _three_operators(rng, weights, fiber, source):
+    """Three operators with kernels of dimension 0, 2 and 1 on the spaces of
+    ``weights`` (3, N), each built alone and all three as one stack."""
+    dim = weights.shape[1] * fiber
+    evals = np.stack(
+        [np.sort(np.append(np.zeros(k), rng.uniform(0.5, 4.0, dim - k))) for k in (0, 2, 1)]
+    )
+    q = np.linalg.qr(rng.standard_normal((3, dim, dim)))[0]
+    spaces, stacked = [WeightedFiniteSpace(w) for w in weights], WeightedFiniteSpace(weights)
+    if source == "spectrum":
+        alone = [SelfAdjointOperator.from_spectrum(*part, fiber) for part in zip(spaces, evals, q)]
+        return alone, SelfAdjointOperator.from_spectrum(stacked, evals, q, fiber)
+    sqrt_w = np.sqrt(np.repeat(weights, fiber, axis=-1))
+    matrices = (q * evals[:, None, :]) @ q.swapaxes(-1, -2)
+    matrices = matrices / sqrt_w[:, :, None] * sqrt_w[:, None, :]
+    alone = [SelfAdjointOperator(m, s, fiber) for m, s in zip(matrices, spaces)]
+    return alone, SelfAdjointOperator(matrices, stacked, fiber)
+
+
+@pytest.mark.parametrize("source", ["matrices", "spectrum"])
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_a_stack_is_its_instances_bit_for_bit(fiber, source):
+    rng = np.random.default_rng(143 + fiber)
+    weights = np.exp(rng.uniform(-1.0, 1.0, (3, 4)))
+    alone, stack = _three_operators(rng, weights, fiber, source)
+    others, other = _three_operators(rng, weights, fiber, source)
+    t, scale = np.array([0.3, 1.0, 2.5]), np.array([1.0, 0.4, 2.0])
+    stacked = {
+        "eigenvalues": stack.eigenvalues,
+        "basis": stack.basis,
+        "matrix": stack.matrix,
+        "semigroup matrix": stack.semigroup(t).matrix,
+        "two_inf_norm": two_inf_norm(stack.semigroup(t)),
+        "kernel_dim": stack.kernel_dim(),
+        "zero_threshold": stack.zero_threshold(),
+        "min_eigenvalue": stack.min_eigenvalue,
+        "squared_overlap": stack.squared_overlap(other),
+        "hs bounds": np.stack(measure.heat_difference_hs_bounds(stack, other, t, scale), -1),
+    }
+    assert list(stacked["kernel_dim"]) == [0, 2, 1]
+    for k, (a, b) in enumerate(zip(alone, others)):
+        single = {
+            "eigenvalues": a.eigenvalues,
+            "basis": a.basis,
+            "matrix": a.matrix,
+            "semigroup matrix": a.semigroup(t[k]).matrix,
+            "two_inf_norm": two_inf_norm(a.semigroup(t[k])),
+            "kernel_dim": a.kernel_dim(),
+            "zero_threshold": a.zero_threshold(),
+            "min_eigenvalue": a.min_eigenvalue,
+            "squared_overlap": a.squared_overlap(b),
+            "hs bounds": measure.heat_difference_hs_bounds(a, b, t[k], scale[k]),
+        }
+        for name, value in single.items():
+            row = np.asarray(stacked[name][k])
+            assert row.tobytes() == np.asarray(value, dtype=row.dtype).tobytes(), (name, k)
 
 
 def test_singular_values_symmetric_path_matches_svd():
@@ -726,7 +790,7 @@ def test_partial_operator_refuses_every_full_spectrum_method():
         "squared_overlap of a full operator": lambda: full.squared_overlap(part),
         "two_inf_norm": lambda: two_inf_norm(part),
         "heat_two_inf_norm": lambda: measure.heat_two_inf_norm(part, 1.0),
-        "OperatorStack.of": lambda: measure.OperatorStack.of(part),
+        "stack of one": lambda: measure._stack_of_one(part),
         "heat_difference": lambda: heat_difference(full, part, 1.0),
         "heat_difference_hs_bounds from a partial A": lambda: measure.heat_difference_hs_bounds(
             part, full, 1.0
