@@ -16,6 +16,13 @@ Birman-Schwinger operator; the crude bound replaces the resolvent factor
 by its worst-case spectral bound.  Weyl's inequality between eigenvalue
 and singular-value power sums, which drives the counting step, is exposed
 as its own check.
+
+Each check is one function over an optional leading stack axis: an
+``OperatorPair`` holds one pair or a stack of T pairs of one shape (stacks
+of ``measure.SelfAdjointOperator``, with rho0 and t0 floats or (T,)
+arrays), and a ``WeightedOperator`` one matrix or a stack.  One instance
+gives Python numbers; a stack, which the randomized suites check one
+shape group at a time, gives the (T,) arrays of its instances' numbers.
 """
 
 from __future__ import annotations
@@ -24,18 +31,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import issparse
 
 from .measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
     _conjugate,
+    _dense,
     _first,
     _read_only,
-    _single,
     _singular_values,
-    _stack_of_one,
+    _unstacked,
+    heat_difference,
     heat_difference_hs_bounds,
 )
 
@@ -58,7 +65,12 @@ SUBSPACE_ANGLE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """H >= 0 and H' >= rho0 > 0 on a common weighted space."""
+    """H >= 0 and H' >= rho0 > 0 on a common weighted space.
+
+    H and H' may be stacks of T operators (``SelfAdjointOperator``), with
+    rho0 and t0 floats or (T,) arrays: every instance is checked, and the
+    error names the numbers of the first one that fails.
+    """
 
     H: SelfAdjointOperator
     Hprime: SelfAdjointOperator
@@ -66,14 +78,24 @@ class OperatorPair:
     t0: float
 
     def __post_init__(self):
-        if not self.H.space.same_as(self.Hprime.space) or self.H.fiber != self.Hprime.fiber:
+        H, Hprime, rho0 = self.H, self.Hprime, self.rho0
+        if not H.space.same_as(Hprime.space) or H.fiber != Hprime.fiber:
             raise ValueError("pair members live on different spaces")
-        _check_pair(self.H, self.Hprime, self.rho0, self.t0)
+        if np.any(np.asarray(rho0) <= 0.0) or np.any(np.asarray(self.t0) <= 0.0):
+            raise ValueError("rho0 and t0 must be strictly positive")
+        failed = H.min_eigenvalue < -H.zero_threshold()
+        if np.any(failed):
+            (low,) = _first(failed, H.min_eigenvalue)
+            raise ValueError(f"H must be nonnegative (min eigenvalue {low:.3e})")
+        failed = Hprime.min_eigenvalue < rho0 - Hprime.zero_threshold()
+        if np.any(failed):
+            low, rho0 = _first(failed, Hprime.min_eigenvalue, rho0)
+            raise ValueError(f"H' must be bounded below by rho0={rho0} (min eigenvalue {low:.3e})")
 
     @cached_property
     def _heat_difference(self) -> np.ndarray:
-        """The (d, d) matrix of exp(-t0 H) - exp(-t0 H'), built once per pair."""
-        return _read_only(_heat_difference_matrices(self.H, self.Hprime, self.t0))
+        """The matrix of exp(-t0 H) - exp(-t0 H'), built once per pair."""
+        return heat_difference(self.H, self.Hprime, self.t0).matrix
 
     @cached_property
     def birman_schwinger_singular_values(self) -> np.ndarray:
@@ -82,35 +104,18 @@ class OperatorPair:
         Computed once per pair, so the sharp bound costs one SVD for every
         exponent p.
         """
-        return _read_only(_bs_singular_values(self.H, self.Hprime, self.t0, self._heat_difference))
-
-
-def _check_pair(H, Hprime, rho0, t0):
-    """Raise ValueError unless rho0, t0 > 0, H >= 0 and H' >= rho0.
-
-    ``H`` and ``Hprime`` are ``SelfAdjointOperator``s with float rho0 and
-    t0, or stacks of them with (T,) arrays, checked per instance; the
-    error names the first instance that fails.
-    """
-    if np.any(np.asarray(rho0) <= 0.0) or np.any(np.asarray(t0) <= 0.0):
-        raise ValueError("rho0 and t0 must be strictly positive")
-    failed = H.min_eigenvalue < -H.zero_threshold()
-    if np.any(failed):
-        (low,) = _first(failed, H.min_eigenvalue)
-        raise ValueError(f"H must be nonnegative (min eigenvalue {low:.3e})")
-    failed = Hprime.min_eigenvalue < rho0 - Hprime.zero_threshold()
-    if np.any(failed):
-        low, rho0 = _first(failed, Hprime.min_eigenvalue, rho0)
-        raise ValueError(f"H' must be bounded below by rho0={rho0} (min eigenvalue {low:.3e})")
+        operator = birman_schwinger_operator(self, self.t0)
+        return _read_only(_singular_values(operator.conjugated()))
 
 
 @dataclass(frozen=True)
 class KernelBoundCertificate:
     """dim ker(H) together with the sharp and crude Schatten bounds.
 
-    Whether the chain dim ker(H) <= sharp <= crude holds is not judged
-    here: ``suites.suite_birman_schwinger`` records it at the run's
-    tolerance.
+    For a stack of pairs each field but p is the (T,) array of the
+    instances' values.  Whether the chain dim ker(H) <= sharp <= crude
+    holds is not judged here: ``suites.suite_birman_schwinger`` records it
+    at the run's tolerance.
     """
 
     kernel_dim: int
@@ -119,72 +124,49 @@ class KernelBoundCertificate:
     p: float
 
 
-def birman_schwinger_operator(pair: OperatorPair, t: float) -> WeightedOperator:
+def birman_schwinger_operator(pair: OperatorPair, t) -> WeightedOperator:
     """(I - exp(-tH'))^(-1) D_t, the operator whose fixed points are ker(H).
 
     The inverse is applied through the spectral decomposition of H', never
     by a generic linear solve; it exists because the spectrum of exp(-tH')
-    stays inside [0, e^(-rho0 t)].
+    stays inside [0, e^(-rho0 t)].  A stack of pairs takes one time t or
+    (T,) times; at the pair's own t0, D_t0 is the pair's cached one.
     """
-    difference = _heat_difference_matrices(pair.H, pair.Hprime, t)
-    matrix = _bs_matrices(pair.H, pair.Hprime, t, difference)
-    return WeightedOperator(matrix, pair.H.space, pair.H.fiber)
-
-
-def _heat_difference_matrices(H, Hprime, t) -> np.ndarray:
-    """The matrix of exp(-tH) - exp(-tH'), as ``heat_difference``; for
-    stacks the (T, d, d) matrices at one time t or (T,) times."""
-    return H.semigroup(t).matrix - Hprime.semigroup(t).matrix
-
-
-def _bs_matrices(H, Hprime, t, difference) -> np.ndarray:
-    """The matrix of ``birman_schwinger_operator`` (per instance of a
-    stack too), from ``difference``, the ``_heat_difference_matrices`` at t."""
+    H, Hprime = pair.H, pair.Hprime
     column = np.asarray(t, dtype=float)[..., None]
     if np.any(np.exp(-column * Hprime.eigenvalues) >= 1.0):
         raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
+    if np.array_equal(t, pair.t0):
+        difference = pair._heat_difference
+    else:
+        difference = heat_difference(H, Hprime, t).matrix
     inv = Hprime.spectral_function(lambda w: 1.0 / (1.0 - np.exp(-column * w)))
-    return inv.matrix @ difference
+    return WeightedOperator(_read_only(inv.matrix @ difference), H.space, H.fiber)
 
 
-def _bs_singular_values(H, Hprime, t, difference) -> np.ndarray:
-    """Singular values of the Birman-Schwinger operator, descending, (T, d)
-    for stacks, from ``difference`` as ``_bs_matrices`` takes it."""
-    return _singular_values(_conjugate(_bs_matrices(H, Hprime, t, difference), H._sqrt_w))
-
-
-def kernel_identity_check(pair: OperatorPair, t: float) -> dict:
+def kernel_identity_check(pair: OperatorPair, t) -> dict:
     """Compare ker(H) with the fixed-point space of the BS operator.
 
     Returns the two kernel dimensions, the largest principal angle between
     the spanned subspaces (in the weighted geometry), and whether both the
-    dimensions and the subspaces agree.  ``_kernel_identities`` on a stack
-    of one.
+    dimensions and the subspaces agree: Python numbers for one pair, (T,)
+    arrays for a stack of pairs at one time t or (T,) times.  The instances
+    whose two kernels have the same dimension k > 0 share one stacked
+    principal-angle computation per k.
     """
-    stacks = _stack_of_one(pair.H), _stack_of_one(pair.Hprime)
-    return _single(_kernel_identities(*stacks, [t]))
-
-
-def _kernel_identities(H, Hprime, t) -> dict:
-    """Stacked ``kernel_identity_check`` at times t (T,): each entry a (T,) array.
-
-    The instances whose two kernels have the same dimension k > 0 share
-    one stacked principal-angle computation per k.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if np.any(np.asarray(t) <= 0.0):
         raise ValueError("t must be strictly positive")
-    ker_h = H.kernel_mask()
-    fixed = _bs_matrices(H, Hprime, t, _heat_difference_matrices(H, Hprime, t)) - np.eye(
-        ker_h.shape[-1]
-    )
+    H = pair.H
+    lead, d = H.eigenvalues.shape[:-1], H.dim
+    fixed = birman_schwinger_operator(pair, t).matrix - np.eye(d)
     # Kernel of a non-self-adjoint operator: smallest singular directions
     # of the conjugated matrix, with the same zero-tolerance rule used for
     # eigenvalues.
-    sqrt_w = H._sqrt_w
-    conj = _conjugate(fixed, sqrt_w)
-    _, s, vt = np.linalg.svd(conj)
-    ker_bs = s <= 1e-9 * (1.0 + s[:, :1])
+    _, s, vt = np.linalg.svd(_conjugate(fixed, H._sqrt_w))
+    # Instances are picked by index below: one pair is a stack of one there.
+    ker_h = H.kernel_mask().reshape(-1, d)
+    ker_bs = (s <= 1e-9 * (1.0 + s[..., :1])).reshape(-1, d)
+    vt, basis, sqrt_w = vt.reshape(-1, d, d), H.basis.reshape(-1, d, d), H._sqrt_w.reshape(-1, d)
     dim_h, dim_bs = np.count_nonzero(ker_h, axis=-1), np.count_nonzero(ker_bs, axis=-1)
     max_angle = np.where(dim_h == dim_bs, 0.0, np.pi / 2)
     for k in np.unique(dim_h[(dim_h == dim_bs) & (dim_h > 0)]):
@@ -192,17 +174,18 @@ def _kernel_identities(H, Hprime, t) -> dict:
         # The kernel columns of each basis and rows of each V^T, in order.
         cols = np.nonzero(ker_h[at])[1].reshape(at.size, k)
         rows = np.nonzero(ker_bs[at])[1].reshape(at.size, k)
-        basis_h = np.take_along_axis(H.basis[at], cols[:, None, :], axis=-1)
+        basis_h = np.take_along_axis(basis[at], cols[:, None, :], axis=-1)
         null = np.take_along_axis(vt[at], rows[:, :, None], axis=-2).swapaxes(-1, -2)
         basis_bs = null / sqrt_w[at, :, None]
         angles = _principal_angles(basis_h, basis_bs, sqrt_w[at])
         max_angle[at] = np.max(angles, axis=-1)
-    return {
+    result = {
         "dim_ker_H": dim_h,
         "dim_ker_bs": dim_bs,
         "max_principal_angle": max_angle,
         "match": (dim_h == dim_bs) & (max_angle <= SUBSPACE_ANGLE_TOL),
     }
+    return {key: _unstacked(value.reshape(lead)) for key, value in result.items()}
 
 
 def principal_angles(
@@ -232,46 +215,35 @@ def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertifica
     """dim ker(H) and the sharp and crude (``crude_kernel_bound``) bounds at exponent p.
 
     The sharp bound is the p-th power sum of the pair's cached
-    ``birman_schwinger_singular_values``; ``_kernel_count_bounds`` on the
-    pair, with its heat difference built once.
+    ``birman_schwinger_singular_values``, and the crude bound at p != 2
+    reads the pair's cached heat difference, so every exponent reuses
+    both.  A stack of pairs gives (T,) arrays.
     """
-    singular = pair.birman_schwinger_singular_values
-    kernel, sharp, crude = _kernel_count_bounds(
-        pair.H, pair.Hprime, pair.rho0, pair.t0, p, singular, pair._heat_difference
-    )
+    sharp = np.sum(pair.birman_schwinger_singular_values**p, axis=-1)
     return KernelBoundCertificate(
-        kernel_dim=kernel, bound_sharp=float(sharp), bound_crude=float(crude), p=p
+        kernel_dim=pair.H.kernel_dim(),
+        bound_sharp=_unstacked(sharp),
+        bound_crude=_unstacked(_crude_bounds(pair, p)[0]),
+        p=p,
     )
 
 
-def _kernel_count_bounds(H, Hprime, rho0, t0, p: float, singular, difference):
-    """``birman_schwinger_bound``'s kernel dimension, sharp and crude bounds.
-
-    ``singular`` holds the ``_bs_singular_values`` at t0 and
-    ``difference`` the ``_heat_difference_matrices`` at t0, which both
-    serve every exponent p.  On stacks, with (T,) rho0 and t0, each is
-    the (T,) array of the instances' values.
-    """
-    crude = _crude_bounds(H, Hprime, rho0, t0, p, difference)[0]
-    return H.kernel_dim(), np.sum(singular**p, axis=-1), crude
-
-
-def _crude_bounds(H, Hprime, rho0, t0, p: float, difference):
+def _crude_bounds(pair: OperatorPair, p: float):
     """(upper, lower) ends of (1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p, per instance of a stack too.
 
     D_t0 = exp(-t0 H) - exp(-t0 H') is scaled by 1/(1 - e^(-rho0 t0))
     before its norm is taken.  At p = 2 the ends are those of
     ``heat_difference_hs_bounds``, read from the two spectra; at any other
-    p both are the p-th power sum of the singular values of
-    ``difference``, the matrix of D_t0 (``_heat_difference_matrices``).
+    p both are the p-th power sum of the singular values of the pair's
+    cached matrix of D_t0.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
-    gap = 1.0 - np.exp(-np.asarray(rho0, dtype=float) * t0)
+    gap = 1.0 - np.exp(-np.asarray(pair.rho0, dtype=float) * pair.t0)
     if p == 2.0:
-        return heat_difference_hs_bounds(H, Hprime, t0, gap)
-    scaled = difference / gap[..., None, None]
-    crude = np.sum(_singular_values(_conjugate(scaled, H._sqrt_w)) ** p, axis=-1)
+        return heat_difference_hs_bounds(pair.H, pair.Hprime, pair.t0, gap)
+    scaled = pair._heat_difference / gap[..., None, None]
+    crude = np.sum(_singular_values(_conjugate(scaled, pair.H._sqrt_w)) ** p, axis=-1)
     return crude, crude
 
 
@@ -288,8 +260,7 @@ def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
     """
     if p == 2.0:
         return crude_hs_enclosure(pair)[0]
-    bound = _crude_bounds(pair.H, pair.Hprime, pair.rho0, pair.t0, p, pair._heat_difference)
-    return float(bound[0])
+    return _unstacked(_crude_bounds(pair, p)[0])
 
 
 def crude_hs_enclosure(pair: OperatorPair) -> tuple[float, float]:
@@ -300,7 +271,7 @@ def crude_hs_enclosure(pair: OperatorPair) -> tuple[float, float]:
     eigenpair, and the upper end bounds dim ker(H) when H' holds only its
     eigenpairs below a cut-off.
     """
-    return _crude_bounds(pair.H, pair.Hprime, pair.rho0, pair.t0, 2.0, None)
+    return _crude_bounds(pair, 2.0)
 
 
 def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:
@@ -309,31 +280,25 @@ def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:
     Eigenvalues may be complex; both sides are computed in the weighted
     metric (the conjugated matrix is similar to the operator, so the
     eigenvalues agree).  The eigenvalues and singular values are computed
-    once for all ``exponents``.  ``_weyl_power_sums`` on a stack of one.
+    once for all ``exponents``.  An operator on a stack of spaces gives
+    (T,) arrays in each dict.
     """
-    conj = operator.conjugated()
-    conj = conj.toarray() if issparse(conj) else conj
-    lhs, rhs = _weyl_power_sums(conj[None], exponents)
-    return [
-        {
-            "eigenvalue_power_sum": float(eig[0]),
-            "singular_power_sum": float(sing[0]),
-            "holds": bool(eig[0] <= sing[0] + 1e-9 * (1.0 + abs(sing[0]))),
-        }
-        for eig, sing in zip(lhs, rhs)
-    ]
-
-
-def _weyl_power_sums(conj: np.ndarray, exponents):
-    """(P, T) sums of |eigenvalue|^p and of s^p over a (T, n, n) stack of
-    conjugated matrices, one row per exponent p >= 1."""
     if any(p < 1.0 for p in exponents):
         raise ValueError("Weyl's inequality needs p >= 1")
+    conj = _dense(operator.conjugated())
     moduli = np.abs(np.linalg.eigvals(conj))
     svals = _singular_values(conj)
-    lhs = np.array([np.sum(moduli**p, axis=-1) for p in exponents])
-    rhs = np.array([np.sum(svals**p, axis=-1) for p in exponents])
-    return lhs, rhs
+    checks = []
+    for p in exponents:
+        eig, sing = np.sum(moduli**p, axis=-1), np.sum(svals**p, axis=-1)
+        checks.append(
+            {
+                "eigenvalue_power_sum": _unstacked(eig),
+                "singular_power_sum": _unstacked(sing),
+                "holds": _unstacked(eig <= sing + 1e-9 * (1.0 + np.abs(sing))),
+            }
+        )
+    return checks
 
 
 def random_weighted_space(rng: np.random.Generator, n_points: int) -> WeightedFiniteSpace:

@@ -147,9 +147,16 @@ def _is_frozen(matrix) -> bool:
 def _stored(matrix):
     """A read-only float copy of ``matrix``: CSR if it is sparse, else dense.
 
-    A frozen CSR matrix (``_freeze``) is kept as it is: no one can change it.
+    A frozen CSR matrix (``_freeze``), or a read-only float array that owns
+    its data (``_read_only`` of a new array), is kept as it is: its owner
+    has given up writing to it.
     """
-    if _is_frozen(matrix):
+    if _is_frozen(matrix) or (
+        isinstance(matrix, np.ndarray)
+        and matrix.dtype == float
+        and matrix.flags.owndata
+        and not matrix.flags.writeable
+    ):
         return matrix
     if issparse(matrix):
         return _freeze(csr_matrix(matrix, dtype=float, copy=True))
@@ -239,11 +246,6 @@ def _first(failed, *values):
     """
     at = np.flatnonzero(failed)[0]
     return [np.ravel(value)[at] for value in values]
-
-
-def _single(results: dict) -> dict:
-    """The one instance of a stacked kernel's (1,) results, as Python scalars."""
-    return {key: value[0].item() for key, value in results.items()}
 
 
 def _unstacked(value):
@@ -538,7 +540,7 @@ class SelfAdjointOperator(WeightedOperator):
     threshold comes from r, ``min_eigenvalue`` is sigma when K = 0 (every
     eigenvalue is at or above it), and every method that needs all pairs
     (``spectral_function`` and the semigroups, ``kernel_basis``,
-    ``squared_overlap``, the 2->inf norms, ``_stack_of_one``) raises
+    ``squared_overlap``, the 2->inf norms) raises
     ValueError; its ``matrix`` is the one it was built from, which needs
     no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
     from the K pairs and sigma.
@@ -764,26 +766,16 @@ class SelfAdjointOperator(WeightedOperator):
         return self.spectral_function(lambda w: w + c)
 
 
-def _stack_of_one(operator: SelfAdjointOperator) -> SelfAdjointOperator:
-    """``operator`` as a stack of one, sharing its eigenvector array and,
-    once it has one, its matrix (the matrix it was built from is not the
-    one its spectrum would rebuild; a CSR matrix is densified)."""
-    operator._require_full("a stack of one")
-    stack = SelfAdjointOperator._with_spectrum(
-        WeightedFiniteSpace(operator.space.weights[None]),
-        operator.fiber,
-        operator.eigenvalues[None],
-        operator._euclidean_vectors[None],
-    )
-    if "matrix" in vars(operator):
-        stack.matrix = _dense(operator.matrix)[None]
-    return stack
+def heat_difference(A, B, t) -> WeightedOperator:
+    """exp(-tA) - exp(-tB) for SelfAdjointOperators A, B, from their cached spectra.
 
-
-def heat_difference(A, B, t: float) -> WeightedOperator:
-    """exp(-tA) - exp(-tB) for SelfAdjointOperators A, B, from their cached spectra."""
+    For stacks, the (T, d, d) differences at one time t or (T,) times.  The
+    difference is the new array the subtraction makes, kept read-only and
+    not copied again.
+    """
     A._check_compatible(B)
-    return WeightedOperator(A.semigroup(t).matrix - B.semigroup(t).matrix, A.space, A.fiber)
+    difference = A.semigroup(t).matrix - B.semigroup(t).matrix
+    return WeightedOperator(_read_only(difference), A.space, A.fiber)
 
 
 def heat_difference_hs_squared(A, B, t, scale=1.0):

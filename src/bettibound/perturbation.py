@@ -29,11 +29,12 @@ K_ij = sum_k w_k e^(-(2t - s_k) mu_i) e^(-s_k lambda_j) (the
 Daleckii-Krein form of the integral).  The HS norm of the semigroup
 difference is read from the two spectra by ``heat_difference_hs_squared``.
 
-The checks are written over a leading stack axis: the randomized suites
-run each on a stack of T operators (``measure.SelfAdjointOperator``), and
-the public per-instance checks run the same code on one operator, or on a
-stack of one where the check eigensolves H + V, so that it runs the
-stacked eigensolve its suite runs.
+Each check is written once, over an optional leading stack axis: a
+``MatrixPotential`` holds one potential or a stack of T of one shape, as a
+``measure.SelfAdjointOperator`` holds one operator or a stack, and a
+``DominatedPair`` one pair or a stack.  One instance gives Python
+numbers; a stack, which the randomized suites check one shape group at a
+time, gives the (T,) arrays of its instances' numbers.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .measure import (
     _dense,
     _first,
     _frobenius,
-    _single,
-    _stack_of_one,
+    _read_only,
+    _unstacked,
     heat_difference_hs_squared,
     two_inf_norm,
 )
@@ -87,7 +88,12 @@ RELATIVE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class MatrixPotential:
-    """Pointwise symmetric n x n matrices acting on L2(m; R^n) by multiplication."""
+    """Pointwise symmetric n x n matrices acting on L2(m; R^n) by multiplication.
+
+    ``values`` is (N, n, n) on a space of N points, or (T, N, n, n) on a
+    stack of T spaces ((T, N) weights): a stack of T potentials, each
+    checked at its own scale.
+    """
 
     values: np.ndarray
     space: WeightedFiniteSpace
@@ -95,9 +101,11 @@ class MatrixPotential:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
-            raise DimensionMismatchError("potential values must have shape (N, n, n)")
-        if vals.shape[0] != self.space.point_count:
+        if vals.ndim not in (3, 4) or vals.shape[-1] != vals.shape[-2]:
+            raise DimensionMismatchError(
+                "potential values must have shape (N, n, n) or (T, N, n, n)"
+            )
+        if vals.shape[:-2] != self.space.weights.shape:
             raise DimensionMismatchError("potential does not match the space")
         _check_potential(vals, self.nonneg)
         vals = vals.copy()
@@ -106,7 +114,7 @@ class MatrixPotential:
 
     @property
     def fiber(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def as_operator(self) -> WeightedOperator:
         """Block-diagonal multiplication operator on stacked coordinates."""
@@ -115,12 +123,40 @@ class MatrixPotential:
     def added_to(self, H: SelfAdjointOperator, cutoff: float = math.inf) -> SelfAdjointOperator:
         """H + V, with its own checked eigensolve; H itself when V is zero.
 
-        The sum equals ``H.matrix + V.as_operator().matrix`` (``_added_to``).
-        A finite ``cutoff`` makes it hold only its eigenpairs below it
-        (``SelfAdjointOperator``).
+        The sum equals ``H.matrix + V.as_operator().matrix``, but V goes
+        onto the diagonal blocks of a copy of H's matrix, so no dense V is
+        built; a CSR H gives a CSR sum, with V added as a sparse block
+        diagonal.  A finite ``cutoff`` makes it hold only its eigenpairs
+        below it (``SelfAdjointOperator``).  For a stack, the instances
+        whose V is zero everywhere keep H's eigendata, so their semigroup
+        differences are exactly zero.
         """
         _check_same_space(H, self)
-        return _added_to(H, self.values, cutoff)
+        values = self.values
+        zero = ~np.any(values, axis=(-3, -2, -1))
+        if np.all(zero):
+            return H
+        n_points, n = values.shape[-3:-1]
+        at = np.arange(n_points)
+        if issparse(H.matrix):
+            index = (at[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
+            rows, cols = np.broadcast_arrays(index, index.transpose(0, 2, 1))
+            blocks = coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape)
+            matrix = H.matrix + blocks
+        else:
+            matrix = H.matrix + 0.0
+            # The advanced indices are split by a slice, so the points come first.
+            diagonal = matrix.reshape(*matrix.shape[:-2], n_points, n, n_points, n)
+            diagonal[..., at, :, at, :] += np.moveaxis(values, -3, 0)
+        perturbed = SelfAdjointOperator(matrix, H.space, n, cutoff)
+        if np.any(zero):
+            return SelfAdjointOperator._with_spectrum(
+                H.space,
+                n,
+                np.where(zero[:, None], H.eigenvalues, perturbed.eigenvalues),
+                np.where(zero[:, None, None], H._euclidean_vectors, perturbed._euclidean_vectors),
+            )
+        return perturbed
 
     def pointwise_operator_norms(self) -> np.ndarray:
         """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""
@@ -198,15 +234,14 @@ def _hs_squared(values: np.ndarray, weights: np.ndarray, keep: np.ndarray) -> np
     return per_point
 
 
-def _hs_norms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(2,HS) norms of a (T, N, n, n) stack of potentials with (T, N) weights."""
-    keep = np.ones((*weights.shape[:-1], 1, weights.shape[-1]), dtype=bool)
-    return np.sqrt(_hs_squared(values, weights, keep)[..., 0])
-
-
 def hs_norm_potential(V: MatrixPotential) -> float:
-    """(2,HS) norm: sqrt of the weighted sum of squared Frobenius norms."""
-    return float(_hs_norms(V.values, V.space.weights))
+    """(2,HS) norm: sqrt of the weighted sum of squared Frobenius norms.
+
+    A stack of potentials gives the (T,) norms of its instances.
+    """
+    weights = V.space.weights
+    keep = np.ones((*weights.shape[:-1], 1, weights.shape[-1]), dtype=bool)
+    return _unstacked(np.sqrt(_hs_squared(V.values, weights, keep)[..., 0]))
 
 
 def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
@@ -224,21 +259,16 @@ def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
 
 
 def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
-    """||V T||_HS <= sqrt(n) ||V||_{2,HS} ||T||_{2,inf}, both sides reported."""
+    """||V T||_HS <= sqrt(n) ||V||_{2,HS} ||T||_{2,inf}, both sides reported.
+
+    A stack of potentials and operators gives (T,) arrays.
+    """
     _check_same_space(T, V)
-    matrix = _dense(T.matrix)[None]
-    return _single(_hs_factorizations(V.values[None], V.space.weights[None], matrix))
-
-
-def _hs_factorizations(values: np.ndarray, weights: np.ndarray, matrices: np.ndarray) -> dict:
-    """Stacked ``hs_factorization_check``: (T, N, n, n) potentials, (T, N)
-    weights and (T, d, d) operator matrices give (T,) arrays."""
-    n = values.shape[-1]
-    composed = _block_diagonal(values) @ matrices
-    s = np.sqrt(np.repeat(weights, n, axis=-1))
-    lhs = _frobenius(_conjugate(composed, s))
-    rhs = np.sqrt(n) * _hs_norms(values, weights) * _block_row_two_inf(matrices, s, n)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + RELATIVE_SLACK * np.abs(rhs)}
+    n, matrix = V.fiber, _dense(T.matrix)
+    lhs = _frobenius(_conjugate(_block_diagonal(V.values) @ matrix, T._sqrt_w))
+    rhs = np.sqrt(n) * hs_norm_potential(V) * _block_row_two_inf(matrix, T._sqrt_w, n)
+    holds = lhs <= rhs + RELATIVE_SLACK * np.abs(rhs)
+    return {"lhs": _unstacked(lhs), "rhs": _unstacked(rhs), "holds": _unstacked(holds)}
 
 
 @lru_cache(maxsize=8)
@@ -253,7 +283,7 @@ def _gauss_legendre(order: int):
 def duhamel_difference(
     H: SelfAdjointOperator,
     V: MatrixPotential,
-    t: float,
+    t,
     quadrature_order: int = 32,
     perturbed: SelfAdjointOperator | None = None,
 ) -> WeightedOperator:
@@ -271,18 +301,11 @@ def duhamel_difference(
     three small products and no heat matrix at any node.  It is the same
     quadrature, not the closed form; its error is asserted in tests,
     never assumed.  A caller that already holds ``V.added_to(H)`` passes
-    it as ``perturbed`` to save its eigensolve.
+    it as ``perturbed`` to save its eigensolve.  Stacks of operators and
+    potentials take one time t or (T,) times.
     """
     if perturbed is None:
         perturbed = V.added_to(H)
-    total = _duhamel_matrices(H, V.values, t, quadrature_order, perturbed)
-    return WeightedOperator(total, H.space, H.fiber)
-
-
-def _duhamel_matrices(H, values, t, quadrature_order: int, perturbed) -> np.ndarray:
-    """The matrix of ``duhamel_difference`` for the (N, n, n) potential
-    values and H + V ``perturbed``; for stacks, the (T, d, d) matrices for
-    (T, N, n, n) values at one time t or (T,) times."""
     t = np.asarray(t, dtype=float)[..., None]
     if np.any(t <= 0.0):
         raise ValueError("t must be strictly positive")
@@ -297,10 +320,10 @@ def _duhamel_matrices(H, values, t, quadrature_order: int, perturbed) -> np.ndar
     # because V is block diagonal with one weight per block.
     u_p, u_h = perturbed.basis, H.basis
     w = H.space.stacked_weights(H.fiber)
-    coupling = u_p.swapaxes(-1, -2) @ (w[..., :, None] * _block_diagonal(values)) @ u_h
+    coupling = u_p.swapaxes(-1, -2) @ (w[..., :, None] * _block_diagonal(V.values)) @ u_h
     kernel = left @ right.swapaxes(-1, -2)
     total = u_p @ (coupling * kernel) @ u_h.swapaxes(-1, -2)
-    return t[..., None] * total * w[..., None, :]
+    return WeightedOperator(_read_only(t[..., None] * total * w[..., None, :]), H.space, H.fiber)
 
 
 def _exact_22_integral(mu_min, t0):
@@ -314,92 +337,49 @@ def _exact_22_integral(mu_min, t0):
     return np.where(mu_min == 0.0, t0, value)
 
 
-def semigroup_22_integral(operator: SelfAdjointOperator, t0: float) -> float:
+def semigroup_22_integral(operator: SelfAdjointOperator, t0) -> float:
     """Closed form of int_0^{t0} ||exp(-sA)||_{2,2} ds for A >= 0.
 
     With rho0 = max(0, smallest eigenvalue), returns t0 when rho0 = 0 and
     (1 - e^(-t0 rho0))/rho0 otherwise.  Exact on finite spaces because
     ||exp(-sA)||_{2,2} = e^(-s min spec(A)); callers must ensure A >= 0,
     as the clamp at zero underestimates the integral for negative spectrum.
+    A stack of operators, with one t0 or (T,) times, gives (T,) integrals.
     """
-    if t0 <= 0.0:
+    if np.any(np.asarray(t0) <= 0.0):
         raise ValueError("t0 must be strictly positive")
-    rho0 = max(0.0, operator.min_eigenvalue)
-    return float(_exact_22_integral(rho0, t0))
+    rho0 = np.maximum(0.0, operator.min_eigenvalue)
+    return _unstacked(_exact_22_integral(rho0, t0))
 
 
-def _added_to(H: SelfAdjointOperator, values: np.ndarray, cutoff: float = math.inf):
-    """H + V, with its own checked eigensolve (``MatrixPotential.added_to``).
-
-    ``values`` are V's checked (N, n, n) values or, for a stack H, the
-    (T, N, n, n) stack of them.  V goes onto the diagonal blocks of a copy
-    of H's matrix, so no dense V is built; a CSR H gives a CSR sum, with V
-    added as a sparse block diagonal.  A V that is zero everywhere keeps
-    H's eigendata (one H comes back as it is, with no eigensolve), so its
-    semigroup difference is exactly zero.
-    """
-    zero = ~np.any(values, axis=(-3, -2, -1))
-    if np.all(zero):
-        return H
-    n_points, n = values.shape[-3:-1]
-    at = np.arange(n_points)
-    if issparse(H.matrix):
-        index = (at[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
-        rows, cols = np.broadcast_arrays(index, index.transpose(0, 2, 1))
-        blocks = coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape)
-        matrix = H.matrix + blocks
-    else:
-        matrix = H.matrix + 0.0
-        # The advanced indices are split by a slice, so the points come first.
-        diagonal = matrix.reshape(*matrix.shape[:-2], n_points, n, n_points, n)
-        diagonal[..., at, :, at, :] += np.moveaxis(values, -3, 0)
-    perturbed = SelfAdjointOperator(matrix, H.space, n, cutoff)
-    if np.any(zero):
-        return SelfAdjointOperator._with_spectrum(
-            H.space,
-            n,
-            np.where(zero[:, None], H.eigenvalues, perturbed.eigenvalues),
-            np.where(zero[:, None, None], H._euclidean_vectors, perturbed._euclidean_vectors),
-        )
-    return perturbed
-
-
-def _semigroup_difference_bounds(H: SelfAdjointOperator, values: np.ndarray, t0) -> dict:
-    """``semigroup_difference_bound_check`` on (N, n, n) values, or on a
-    stack of operators and values with (T,) t0: each entry then a (T,) array."""
-    t0 = np.asarray(t0, dtype=float)
-    if np.any(t0 <= 0.0):
-        raise ValueError("t0 must be strictly positive")
-    if np.any(H.min_eigenvalue < -H.zero_threshold()):
-        raise ValueError("H must be positive semidefinite")
-    perturbed = _added_to(H, values)
-    lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
-    ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
-    integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
-    rhs = np.sqrt(H.fiber) * _hs_norms(values, H.space.weights) * ultra_sum * integral
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "integral_22": integral,
-        "holds": lhs <= rhs + RELATIVE_SLACK * np.abs(rhs),
-    }
-
-
-def semigroup_difference_bound_check(
-    H: SelfAdjointOperator, V: MatrixPotential, t0: float
-) -> dict:
+def semigroup_difference_bound_check(H: SelfAdjointOperator, V: MatrixPotential, t0) -> dict:
     """HS bound on exp(-2t0 H) - exp(-2t0 (H+V)) via both 2->inf norms.
 
     The right-hand side is sqrt(n) ||V||_{2,HS} times the sum of the two
     semigroup 2->inf norms times the exact 2->2 time integral of the
     perturbed semigroup (no clamping: the integral is evaluated from the
     true smallest eigenvalue of H+V whatever its sign).  Everything is read
-    from H's own eigendata and one eigensolve of H + V.  This is
-    ``_semigroup_difference_bounds`` on a stack of one, so the check runs
-    the stacked eigensolve its suite runs.
+    from H's own eigendata and one eigensolve of H + V.  Stacks of
+    operators and potentials, with one t0 or (T,) times, give (T,) arrays.
     """
     _check_same_space(H, V)
-    return _single(_semigroup_difference_bounds(_stack_of_one(H), V.values[None], [t0]))
+    t0 = np.asarray(t0, dtype=float)
+    if np.any(t0 <= 0.0):
+        raise ValueError("t0 must be strictly positive")
+    if np.any(H.min_eigenvalue < -H.zero_threshold()):
+        raise ValueError("H must be positive semidefinite")
+    perturbed = V.added_to(H)
+    lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
+    ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
+    integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
+    rhs = np.sqrt(H.fiber) * hs_norm_potential(V) * ultra_sum * integral
+    result = {
+        "lhs": lhs,
+        "rhs": rhs,
+        "integral_22": integral,
+        "holds": lhs <= rhs + RELATIVE_SLACK * np.abs(rhs),
+    }
+    return {key: _unstacked(value) for key, value in result.items()}
 
 
 @dataclass(frozen=True)
@@ -409,7 +389,8 @@ class DominatedPair:
     Domination means |exp(-tH) f|(x) <= exp(-tH0)|f|(x) pointwise, where
     |.| is the Euclidean fiber norm and H0 acts on scalar functions over
     the same base space.  The flag records that the inequality has been
-    verified numerically on samples; it is never assumed.
+    verified numerically on samples; it is never assumed.  H and H0 may be
+    stacks of T operators on one stack of spaces: a stack of T pairs.
     """
 
     H: SelfAdjointOperator
@@ -430,56 +411,43 @@ def domination_check(
 ) -> DominatedPair:
     """Verify |exp(-tH) f| <= exp(-tH0)|f| pointwise on the given samples.
 
-    ``f_samples`` is an iterable of (N, n) arrays.  Raises if any sample
-    violates the inequality beyond an absolute slack of 1e-10; returns the
-    pair with the verified flag set.
+    ``f_samples`` is as ``domination_excess`` takes it.  Raises if any
+    sample violates the inequality beyond an absolute slack of 1e-10,
+    naming the first instance of a stack that does; returns the pair with
+    the verified flag set.
     """
-    _verify_domination(pair.H, pair.H0, t_samples, _samples(pair, f_samples))
-    return replace(pair, domination_verified=True)
-
-
-def _verify_domination(H, H0, t_samples, samples: np.ndarray):
-    """``domination_check``, on stacks too: raise at the first instance that fails."""
+    f_samples = list(f_samples)
     for t in t_samples:
-        worst = _domination_excess(H, H0, t, samples)
+        worst = domination_excess(pair, t, f_samples)
         failed = worst > DOMINATION_SLACK
         if np.any(failed):
             (worst,) = _first(failed, worst)
             raise ValueError(f"domination fails at t={t}: pointwise excess {worst:.3e}")
-
-
-def _samples(pair: DominatedPair, f_samples) -> np.ndarray:
-    """The samples as an (S, N, n) array for ``_domination_excess``."""
-    shape = (pair.H.space.point_count, pair.H.fiber)
-    rows = [np.asarray(f, dtype=float).reshape(shape) for f in f_samples]
-    return np.array(rows).reshape(len(rows), *shape)
+    return replace(pair, domination_verified=True)
 
 
 def domination_excess(pair: DominatedPair, t: float, f_samples) -> float:
-    """Worst pointwise excess |exp(-tH) f| - exp(-tH0)|f| over (N, n) samples f.
+    """Worst pointwise excess |exp(-tH) f| - exp(-tH0)|f| over samples f; -inf for none.
 
-    ``_domination_excess``; -inf for no samples.
+    ``f_samples`` is an iterable of (N, n) arrays f, or for a stack of
+    pairs a (T, S, N, n) array of S samples per instance, which gives the
+    (T,) worst excesses.  Each sample is one gemv with each heat matrix,
+    as ``apply_array`` runs it.
     """
-    return float(_domination_excess(pair.H, pair.H0, float(t), _samples(pair, f_samples)))
-
-
-def _domination_excess(H, H0, t: float, samples) -> np.ndarray:
-    """The worst excess over (S, N, n) samples; for stacks, the (T,) worst
-    excesses over a (T, S, N, n) stack of samples.
-
-    Each sample is one gemv with each heat matrix, as ``apply_array`` runs it.
-    """
+    H, H0 = pair.H, pair.H0
+    shape = (H.space.point_count, H.fiber)
+    each = (-1, *shape) if H.space.weights.ndim > 1 else shape
+    rows = [np.asarray(f, dtype=float).reshape(each) for f in f_samples]
+    samples = np.array(rows).reshape(len(rows), *each)
     heat_vec = H.semigroup(t).matrix[..., None, :, :]
     heat_scal = H0.semigroup(t).matrix[..., None, :, :]
     moved = heat_vec @ samples.reshape(*samples.shape[:-2], -1, 1)
     lhs = np.linalg.norm(moved.reshape(samples.shape), axis=-1)
     rhs = (heat_scal @ np.linalg.norm(samples, axis=-1)[..., None])[..., 0]
-    return np.max(lhs - rhs, axis=(-2, -1), initial=-np.inf)
+    return _unstacked(np.max(lhs - rhs, axis=(-2, -1), initial=-np.inf))
 
 
-def dominated_difference_check(
-    pair: DominatedPair, V: MatrixPotential, t0: float
-) -> dict:
+def dominated_difference_check(pair: DominatedPair, V: MatrixPotential, t0) -> dict:
     """HS bound on the semigroup difference using only the scalar semigroup.
 
     For verified domination and V >= 0:
@@ -491,35 +459,29 @@ def dominated_difference_check(
     so lhs <= rhs_i <= rhs_t.  The two-sided ultracontractivity transfers
     ||exp(-t0 (H+V))||_{2,inf} <= ||exp(-t0 H0)||_{2,inf} and likewise for
     H are checked as well.  As in ``semigroup_difference_bound_check``, H's
-    own eigendata and one eigensolve of H + V serve every term.  This is
-    ``_dominated_differences`` on a stack of one.
+    own eigendata and one eigensolve of H + V serve every term, and stacks
+    of pairs and potentials, with one t0 or (T,) times, give (T,) arrays.
     """
     if not pair.domination_verified:
         raise ValueError("domination must be verified before applying the bound")
     if not V.nonneg:
         raise ValueError("the potential must be nonnegative (essential hypothesis)")
-    _check_same_space(pair.H, V)
-    H, H0 = _stack_of_one(pair.H), _stack_of_one(pair.H0)
-    return _single(_dominated_differences(H, H0, V.values[None], [t0]))
-
-
-def _dominated_differences(H, H0, values: np.ndarray, t0) -> dict:
-    """``dominated_difference_check`` on a verified pair and V >= 0, or on
-    stacks of them with (T,) t0: each entry then a (T,) array."""
+    H, H0 = pair.H, pair.H0
+    _check_same_space(H, V)
     t0 = np.asarray(t0, dtype=float)
     if np.any(t0 <= 0.0):
         raise ValueError("t0 must be strictly positive")
-    perturbed = _added_to(H, values)
+    perturbed = V.added_to(H)
     lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
     scalar_ultra = two_inf_norm(H0.semigroup(t0))
-    base = 2.0 * np.sqrt(H.fiber) * _hs_norms(values, H.space.weights) * scalar_ultra
+    base = 2.0 * np.sqrt(H.fiber) * hs_norm_potential(V) * scalar_ultra
     integral = _exact_22_integral(np.maximum(0.0, perturbed.min_eigenvalue), t0)
     rhs_integral = base * integral
     rhs_plain = base * t0
     ultra_perturbed = two_inf_norm(perturbed.semigroup(t0))
     ultra_free = two_inf_norm(H.semigroup(t0))
     slack = RELATIVE_SLACK
-    return {
+    result = {
         "lhs": lhs,
         "rhs_integral": rhs_integral,
         "rhs_plain": rhs_plain,
@@ -534,6 +496,7 @@ def _dominated_differences(H, H0, values: np.ndarray, t0) -> dict:
             & (ultra_free <= scalar_ultra + slack * np.abs(scalar_ultra))
         ),
     }
+    return {key: _unstacked(value) for key, value in result.items()}
 
 
 def truncate_potential(V: MatrixPotential, k: float) -> MatrixPotential:
@@ -590,14 +553,10 @@ def pointwise_diagonalize(V: MatrixPotential) -> PointwiseDiagonalization:
     """Eigenvalues ascending and orthogonal frames for every point.
 
     The reconstruction U(x) L(x) U(x)^T must match V(x) to 1e-10 times the
-    scale of V; this is asserted here rather than left to callers.
+    scale of V, each instance of a stack at its own scale; this is asserted
+    here rather than left to callers.
     """
-    return _diagonalize(V.values)
-
-
-def _diagonalize(values: np.ndarray) -> PointwiseDiagonalization:
-    """``pointwise_diagonalize`` of (N, n, n) values, or of a (T, N, n, n)
-    stack with each instance's reconstruction checked at its own scale."""
+    values = V.values
     evals, frames = np.linalg.eigh(values)
     diag = PointwiseDiagonalization(eigenvalues=evals, frames=frames)
     axes = (-3, -2, -1)

@@ -17,12 +17,13 @@ The suites of many small operators run in four steps:
    come in batches of 256, so a suite's memory stays bounded.
 2. **Group by shape.**  The instances are grouped by point count and
    fiber (``_grouped``).
-3. **Check on stacks.**  Every check runs once per group, on (T, n, n)
-   stacks: stacks of ``measure.SelfAdjointOperator`` and the kernels of
-   ``birman`` and ``perturbation``, whose stacked LAPACK and BLAS calls
-   give each instance the bits it would get alone.  The public
-   per-instance checks are the same kernels on one operator, or on a
-   stack of one (``measure._stack_of_one``).
+3. **Check on stacks.**  Each group's instances become one stack of each
+   type a check takes (``measure.SelfAdjointOperator``,
+   ``perturbation.MatrixPotential``, ``birman.OperatorPair``,
+   ``perturbation.DominatedPair``), and every check runs once per group
+   through its public function, which takes one instance or a stack.
+   Stacked LAPACK and BLAS calls give each instance the bits it would get
+   alone.
 4. **Reduce.**  Each instance's lhs and rhs go back to its place, and the
    worst case is an array reduction in instance order.
 """
@@ -33,44 +34,37 @@ import numpy as np
 
 from .birman import (
     OperatorPair,
-    _bs_singular_values,
-    _check_pair,
-    _heat_difference_matrices,
-    _kernel_count_bounds,
-    _kernel_identities,
     _planted,
     _planted_draw,
-    _weyl_power_sums,
     birman_schwinger_bound,
+    kernel_identity_check,
     random_weighted_space,
+    weyl_inequality_check,
 )
 from .measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
-    _conjugate,
-    _frobenius,
+    heat_difference,
     heat_difference_hs_squared,
+    hs_norm,
 )
 from .perturbation import (
+    DominatedPair,
     MatrixPotential,
-    _added_to,
-    _check_potential,
     _connection_draw,
     _connection_stack,
-    _diagonalize,
-    _dominated_differences,
-    _duhamel_matrices,
-    _domination_excess,
-    _exact_22_integral,
     _gauss_legendre,
-    _hs_factorizations,
-    _hs_norms,
     _hs_squared,
-    _pointwise_norms,
-    _semigroup_difference_bounds,
-    _verify_domination,
+    dominated_difference_check,
+    domination_check,
+    domination_excess,
+    duhamel_difference,
     hs_factorization_check,
+    hs_norm_potential,
+    pointwise_diagonalize,
+    semigroup_22_integral,
+    semigroup_difference_bound_check,
 )
 from .pipeline import prefactors
 from .report import CheckRecord, RunReport, SuiteConfig
@@ -137,7 +131,7 @@ def _grouped(draw, count: int):
 
 
 def _pair_draw(rng, cfg: SuiteConfig):
-    """The draws of one planted pair for ``_pair_stacks``, and its kernel dimension."""
+    """The draws of one planted pair for ``_pair_stack``, and its kernel dimension."""
     n_points = int(rng.integers(2, cfg.n_points_max + 1))
     fiber = int(rng.integers(1, cfg.fiber_max + 1))
     space = random_weighted_space(rng, n_points)
@@ -150,16 +144,14 @@ def _pair_draw(rng, cfg: SuiteConfig):
     return (n_points, fiber), (space.weights, *H, rho0, *bump, t0, kdim)
 
 
-def _pair_stacks(fiber, weights, h_gauss, h_evals, rho0, b_gauss, b_evals, t0):
+def _pair_stack(fiber, weights, h_gauss, h_evals, rho0, b_gauss, b_evals, t0) -> OperatorPair:
     """Planted H >= 0 with its kernel, and H' = H + rho0 + a random bump >= rho0."""
     space = WeightedFiniteSpace(weights)
     H = _planted(space, fiber, h_gauss, h_evals)
     bump = _planted(space, fiber, b_gauss, b_evals)
     eye = np.eye(H.dim)
     matrix = H.matrix + rho0[:, None, None] * eye + bump.matrix
-    Hprime = SelfAdjointOperator(matrix, space, fiber)
-    _check_pair(H, Hprime, rho0, t0)
-    return H, Hprime
+    return OperatorPair(H, SelfAdjointOperator(matrix, space, fiber), rho0, t0)
 
 
 def suite_birman_schwinger(rng, cfg: SuiteConfig):
@@ -170,14 +162,10 @@ def suite_birman_schwinger(rng, cfg: SuiteConfig):
     sharp, crude = np.empty((2, len(exponents), cfg.trials))
     for (_, fiber), at, (*pair, planted) in _grouped(lambda: _pair_draw(rng, cfg), cfg.trials):
         kdim[at] = planted
-        H, Hprime = _pair_stacks(fiber, *pair)
-        rho0, t0 = pair[3], pair[6]
-        difference = _heat_difference_matrices(H, Hprime, t0)
-        singular = _bs_singular_values(H, Hprime, t0, difference)
+        stack = _pair_stack(fiber, *pair)
         for row, p in enumerate(exponents):
-            _, sharp[row, at], crude[row, at] = _kernel_count_bounds(
-                H, Hprime, rho0, t0, p, singular, difference
-            )
+            cert = birman_schwinger_bound(stack, p)
+            sharp[row, at], crude[row, at] = cert.bound_sharp, cert.bound_crude
     records = []
     for row, p in enumerate(exponents):
         records.append(
@@ -234,7 +222,7 @@ def suite_kernel_identity(rng, cfg: SuiteConfig):
     mismatched = np.empty(cfg.trials, dtype=bool)
     angle = np.empty(cfg.trials)
     for (_, fiber), at, (*pair, _, t) in _grouped(draw, cfg.trials):
-        result = _kernel_identities(*_pair_stacks(fiber, *pair), t)
+        result = kernel_identity_check(_pair_stack(fiber, *pair), t)
         mismatched[at] = result["dim_ker_H"] != result["dim_ker_bs"]
         angle[at] = result["max_principal_angle"]
     mismatches = int(np.count_nonzero(mismatched))
@@ -274,8 +262,9 @@ def suite_weyl(rng, cfg: SuiteConfig):
 
     lhs, rhs = np.empty((2, len(exponents), cfg.trials))
     for (_, fiber), at, (weights, matrices) in _grouped(draw, cfg.trials):
-        conj = _conjugate(matrices, np.sqrt(np.repeat(weights, fiber, axis=-1)))
-        lhs[:, at], rhs[:, at] = _weyl_power_sums(conj, exponents)
+        operators = WeightedOperator(matrices, WeightedFiniteSpace(weights), fiber)
+        for row, check in enumerate(weyl_inequality_check(operators, exponents)):
+            lhs[row, at], rhs[row, at] = check["eigenvalue_power_sum"], check["singular_power_sum"]
     return [
         _worst(
             f"weyl_p{p:g}",
@@ -301,9 +290,10 @@ def suite_hs_factorization(rng, cfg: SuiteConfig):
         return (n_points, fiber), (space.weights, values, rng.standard_normal((dim, dim)))
 
     lhs, rhs = np.empty((2, cfg.trials))
-    for _, at, (weights, values, matrices) in _grouped(draw, cfg.trials):
-        _check_potential(values, nonneg=False)
-        result = _hs_factorizations(values, weights, matrices)
+    for (_, fiber), at, (weights, values, matrices) in _grouped(draw, cfg.trials):
+        space = WeightedFiniteSpace(weights)
+        potentials = MatrixPotential(values, space)
+        result = hs_factorization_check(potentials, WeightedOperator(matrices, space, fiber))
         lhs[at], rhs[at] = result["lhs"], result["rhs"]
     records = [
         _worst(
@@ -341,11 +331,6 @@ def _potential_values(rng, n_points: int, fiber: int, scale=1.0, nonneg=False) -
     return 0.5 * (vals + vals.transpose(0, 2, 1)) * scale
 
 
-def _random_potential(rng, space, fiber, scale=1.0, nonneg=False):
-    values = _potential_values(rng, space.point_count, fiber, scale, nonneg)
-    return MatrixPotential(values, space, nonneg=nonneg)
-
-
 def suite_duhamel(rng, cfg: SuiteConfig):
     """Order-32 quadrature of the interaction integral vs direct difference."""
     tol = cfg.tol("duhamel")
@@ -362,12 +347,13 @@ def suite_duhamel(rng, cfg: SuiteConfig):
     err, allowed = np.empty((2, trials))
     for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, trials):
         H = _planted(WeightedFiniteSpace(weights), fiber, gauss, evals)
-        _check_potential(values, nonneg=False)
-        perturbed = _added_to(H, values)
-        direct = _heat_difference_matrices(H, perturbed, 2 * t0)
-        approx = _duhamel_matrices(H, values, t0, 32, perturbed)
-        err[at] = _frobenius(_conjugate(approx - direct, H._sqrt_w))
-        allowed[at] = tol * (1.0 + _frobenius(_conjugate(direct, H._sqrt_w)))
+        potentials = MatrixPotential(values, H.space)
+        perturbed = potentials.added_to(H)
+        direct = heat_difference(H, perturbed, 2 * t0)
+        approx = duhamel_difference(H, potentials, t0, 32, perturbed=perturbed)
+        error = WeightedOperator(approx.matrix - direct.matrix, H.space, fiber)
+        err[at] = hs_norm(error)
+        allowed[at] = tol * (1.0 + hs_norm(direct))
     return [
         _worst(
             "duhamel_quadrature",
@@ -397,8 +383,7 @@ def suite_semigroup_difference_bound(rng, cfg: SuiteConfig):
     lhs, rhs = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, cfg.trials):
         H = _planted(WeightedFiniteSpace(weights), fiber, gauss, evals)
-        _check_potential(values, nonneg=False)
-        result = _semigroup_difference_bounds(H, values, t0)
+        result = semigroup_difference_bound_check(H, MatrixPotential(values, H.space), t0)
         lhs[at], rhs[at] = result["lhs"], result["rhs"]
     return [
         _worst(
@@ -445,9 +430,8 @@ def suite_22_integral(rng, cfg: SuiteConfig):
     for _, at, (weights, gauss, evals, t0) in _grouped(draw, cfg.trials):
         # semigroup_22_integral of each planted A >= 0, and its oracle.
         A = _planted(WeightedFiniteSpace(weights), 1, gauss, evals)
-        mu = np.maximum(0.0, A.min_eigenvalue)
-        oracle = _gauss_22_integral(mu, t0)
-        err[at] = np.abs(_exact_22_integral(mu, t0) - oracle)
+        oracle = _gauss_22_integral(np.maximum(0.0, A.min_eigenvalue), t0)
+        err[at] = np.abs(semigroup_22_integral(A, t0) - oracle)
         allowed[at] = tol * (1.0 + np.abs(oracle))
     return [
         _worst(
@@ -477,9 +461,9 @@ def suite_domination(rng, cfg: SuiteConfig):
 
     excess = np.empty((pairs, len(times)))
     for (_, fiber), at, (weights, edges, samples) in _grouped(draw, pairs):
-        H, H0 = _connection_stack(WeightedFiniteSpace(weights), fiber, edges)
+        pair = DominatedPair(*_connection_stack(WeightedFiniteSpace(weights), fiber, edges))
         for column, t in enumerate(times):
-            excess[at, column] = _domination_excess(H, H0, t, samples)
+            excess[at, column] = domination_excess(pair, t, samples)
     return [
         _worst(
             "domination_pointwise",
@@ -510,10 +494,11 @@ def suite_dominated_difference(rng, cfg: SuiteConfig):
     keys = ("lhs", "rhs_integral", "rhs_plain", "ultra_perturbed", "ultra_free", "ultra_scalar")
     results = {key: np.empty(cfg.trials) for key in keys}
     for (_, fiber), at, (weights, edges, samples, values, t0) in _grouped(draw, cfg.trials):
-        H, H0 = _connection_stack(WeightedFiniteSpace(weights), fiber, edges)
-        _verify_domination(H, H0, (0.5,), samples)
-        _check_potential(values, nonneg=True)
-        result = _dominated_differences(H, H0, values, t0)
+        space = WeightedFiniteSpace(weights)
+        pair = DominatedPair(*_connection_stack(space, fiber, edges))
+        pair = domination_check(pair, (0.5,), samples)
+        potentials = MatrixPotential(values, space, nonneg=True)
+        result = dominated_difference_check(pair, potentials, t0)
         for key in keys:
             results[key][at] = result[key]
     rhs_integral, rhs_plain = results["rhs_integral"], results["rhs_plain"]
@@ -544,7 +529,7 @@ def suite_dominated_difference(rng, cfg: SuiteConfig):
     ]
 
 
-def _truncation_checks(H: SelfAdjointOperator, values: np.ndarray, t0):
+def _truncation_checks(H: SelfAdjointOperator, V: MatrixPotential, t0):
     """Truncation of a stack of V >= 0 at level ceil(max_x |V(x)|).
 
     Returns, per instance, the semigroup HS distance between H + V and H
@@ -553,21 +538,21 @@ def _truncation_checks(H: SelfAdjointOperator, values: np.ndarray, t0):
     levels of all instances are evaluated together; each instance reads
     only its own.
     """
-    norms = _pointwise_norms(values)
+    norms = V.pointwise_operator_norms()
     level = np.ceil(np.max(norms, axis=-1))
     if np.any(level < 1.0):
         raise ValueError("truncation level must be at least 1")
-    truncated = np.where((norms <= level[:, None])[..., None, None], values, 0.0)
-    _check_potential(truncated, nonneg=True)
-    full, cut = _added_to(H, values), _added_to(H, truncated)
+    truncated = np.where((norms <= level[:, None])[..., None, None], V.values, 0.0)
+    full = V.added_to(H)
+    cut = MatrixPotential(truncated, V.space, nonneg=True).added_to(H)
     distance = np.sqrt(heat_difference_hs_squared(full, cut, 2 * t0))
     levels = np.arange(1, int(level.max()) + 1)
     keep = norms[:, None, :] <= levels[:, None]
-    weights = H.space.weights
-    whole = _hs_norms(values, weights)[:, None]
+    truncations = np.sqrt(_hs_squared(V.values, V.space.weights, keep))
+    whole = hs_norm_potential(V)[:, None]
     # Instance k's norms: its first level_k truncations, then V itself.
     column = np.arange(levels.size + 1)
-    sequence = np.concatenate([np.sqrt(_hs_squared(values, weights, keep)), whole], axis=-1)
+    sequence = np.concatenate([truncations, whole], axis=-1)
     sequence = np.where(column < level[:, None], sequence, whole)
     drops = np.where(column[1:] <= level[:, None], np.diff(sequence) * -1.0, -np.inf)
     return distance, np.max(drops, axis=-1)
@@ -587,9 +572,10 @@ def suite_truncation(rng, cfg: SuiteConfig):
 
     distance, drops = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, values, gauss, evals, t0) in _grouped(draw, cfg.trials):
-        _check_potential(values, nonneg=True)
-        H = _planted(WeightedFiniteSpace(weights), fiber, gauss, evals)
-        distance[at], drops[at] = _truncation_checks(H, values, t0)
+        space = WeightedFiniteSpace(weights)
+        potentials = MatrixPotential(values, space, nonneg=True)
+        H = _planted(space, fiber, gauss, evals)
+        distance[at], drops[at] = _truncation_checks(H, potentials, t0)
     return [
         _worst(
             "truncation_saturation",
@@ -623,12 +609,10 @@ def suite_positive_parts(rng, cfg: SuiteConfig):
     names = ("reconstruction", "orthogonal", "nonnegative")
     sides = {name: np.empty((2, cfg.trials)) for name in names}
     points = (-3, -2, -1)
-    for _, at, (_, values) in _grouped(draw, cfg.trials):
-        _check_potential(values, nonneg=False)
-        diag = _diagonalize(values)
-        plus, minus = diag.part_values(1.0), diag.part_values(-1.0)
-        _check_potential(plus, nonneg=True)
-        _check_potential(minus, nonneg=True)
+    for _, at, (weights, values) in _grouped(draw, cfg.trials):
+        space = WeightedFiniteSpace(weights)
+        diag = pointwise_diagonalize(MatrixPotential(values, space))
+        plus, minus = diag.positive_part(space).values, diag.negative_part(space).values
         scale = 1.0 + np.max(np.abs(values), axis=points)
         recon = np.max(np.abs(plus - minus - values), axis=points)
         prod = np.max(np.abs(np.einsum("...xij,...xjk->...xik", plus, minus)), axis=points)

@@ -80,6 +80,12 @@ def test_pair_validation():
         OperatorPair(H=neg, Hprime=pos, rho0=1.0, t0=1.0)
     with pytest.raises(ValueError):
         OperatorPair(H=pos, Hprime=pos, rho0=5.0, t0=1.0)
+    # In a stack of pairs, the error names the first failing instance's numbers.
+    stack = WeightedFiniteSpace(np.ones((3, 2)))
+    H = SelfAdjointOperator(np.stack([np.diag([0.0, d]) for d in (1.0, 2.0, 1.0)]), stack)
+    Hp = SelfAdjointOperator(np.stack([np.diag(d) for d in ([1, 2], [0.5, 3], [2, 3])]), stack)
+    with pytest.raises(ValueError, match=r"rho0=0\.75 \(min eigenvalue 5\.000e-01\)"):
+        OperatorPair(H=H, Hprime=Hp, rho0=np.array([1.0, 0.75, 2.5]), t0=np.ones(3))
 
 
 # -- kernel identity ---------------------------------------------------------

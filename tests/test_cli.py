@@ -52,17 +52,19 @@ def test_verify_abstract_violated_chain_is_a_failing_record(
 ):
     # A sharp bound halved below dim ker H breaks the chain; the suite's
     # record is the verdict, so the run still writes its report.  The
-    # suite reads its bounds from the stacked kernel, one shape group at a
+    # suite reads its bounds from a stack of pairs, one shape group at a
     # time.
+    import dataclasses
+
     import bettibound.suites as suites
 
-    bounds = suites._kernel_count_bounds
+    bound = suites.birman_schwinger_bound
 
-    def halved(*args):
-        kernel_dim, sharp, crude = bounds(*args)
-        return kernel_dim, 0.5 * sharp, crude
+    def halved(pair, p):
+        cert = bound(pair, p)
+        return dataclasses.replace(cert, bound_sharp=0.5 * cert.bound_sharp)
 
-    monkeypatch.setattr(suites, "_kernel_count_bounds", halved)
+    monkeypatch.setattr(suites, "birman_schwinger_bound", halved)
     out_path = tmp_path / "chain.json"
     code, _, _ = run(
         capsys,
@@ -82,17 +84,17 @@ def test_verify_abstract_violated_chain_is_a_failing_record(
 def test_verify_abstract_inflated_dominated_difference_is_a_failing_record(
     capsys, tmp_path, monkeypatch
 ):
-    # The twin of the test above for a stacked perturbation kernel: an HS
+    # The twin of the test above for a perturbation check on stacks: an HS
     # difference inflated past its scalar-dominated bound fails the record.
     import bettibound.suites as suites
 
-    differences = suites._dominated_differences
+    check = suites.dominated_difference_check
 
     def inflated(*args):
-        result = differences(*args)
+        result = check(*args)
         return {**result, "lhs": 2.0 * result["rhs_integral"] + 1.0}
 
-    monkeypatch.setattr(suites, "_dominated_differences", inflated)
+    monkeypatch.setattr(suites, "dominated_difference_check", inflated)
     out_path = tmp_path / "dominated.json"
     code, _, _ = run(
         capsys,

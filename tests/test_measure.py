@@ -790,7 +790,6 @@ def test_partial_operator_refuses_every_full_spectrum_method():
         "squared_overlap of a full operator": lambda: full.squared_overlap(part),
         "two_inf_norm": lambda: two_inf_norm(part),
         "heat_two_inf_norm": lambda: measure.heat_two_inf_norm(part, 1.0),
-        "stack of one": lambda: measure._stack_of_one(part),
         "heat_difference": lambda: heat_difference(full, part, 1.0),
         "heat_difference_hs_bounds from a partial A": lambda: measure.heat_difference_hs_bounds(
             part, full, 1.0

@@ -76,6 +76,11 @@ def test_potential_symmetry_enforced():
     space = WeightedFiniteSpace([1.0])
     with pytest.raises(ValueError):
         MatrixPotential(np.array([[[0.0, 1.0], [0.0, 0.0]]]), space)
+    # In a stack, the error names the first asymmetric instance's numbers.
+    values = np.zeros((3, 1, 2, 2))
+    values[1, 0, 0, 1], values[2, 0, 0, 1] = 0.5, 0.25
+    with pytest.raises(ValueError, match=r"asymmetry 5\.000e-01"):
+        MatrixPotential(values, WeightedFiniteSpace(np.ones((3, 1))))
 
 
 def test_potential_nonneg_claim_verified():
@@ -118,6 +123,11 @@ def test_added_to_zero_potential_is_the_operator(count_eigensolves):
     other = random_weighted_space(rng, 5)
     with pytest.raises(DimensionMismatchError):
         MatrixPotential(np.zeros((5, 2, 2)), other).added_to(H)
+    # A stack of potentials must match its stack of spaces in T and in N.
+    stack = WeightedFiniteSpace(np.ones((3, 5)))
+    for values in (np.zeros((2, 5, 2, 2)), np.zeros((3, 4, 2, 2))):
+        with pytest.raises(DimensionMismatchError, match="does not match the space"):
+            MatrixPotential(values, stack)
 
 
 # -- factorization bound -----------------------------------------------------
@@ -492,8 +502,7 @@ def test_dominated_difference_lhs_matches_dense_heat_difference():
 
 @pytest.mark.parametrize("check", ["two_sided", "dominated"])
 def test_difference_checks_eigensolve_only_the_perturbed_operator(count_eigensolves, check):
-    # H's own eigendata serve both semigroups; H + V is the one eigensolve,
-    # a stack of one through the stacked kernel.
+    # H's own eigendata serve both semigroups; H + V is the one eigensolve.
     rng = np.random.default_rng(144)
     pair, space = _verified_pair(rng)
     potential = random_psd_potential(rng, space, 2)
@@ -503,7 +512,7 @@ def test_difference_checks_eigensolve_only_the_perturbed_operator(count_eigensol
     else:
         result = dominated_difference_check(pair, potential, 0.7)
     assert result["holds"] and result["lhs"] > 0.0
-    assert shapes == [(1, 12, 12)]
+    assert shapes == [(12, 12)]
 
 
 def test_dominated_difference_strict_gap_when_bounded_below():
