@@ -32,10 +32,13 @@ number j of eigenvalues below the shift; j = 0 certifies an empty
 kernel outright.  Otherwise a shift-invert Lanczos run on that same
 factor gives the j Ritz pairs below the shift, certified by their
 residuals; only an eigenvalue between the threshold and the shift costs
-a second factorization.  All E eigenpairs, an E x E array checked
-against the same matrix by
-residual and orthogonality loss (``measure``), are assembled only for
-the Schatten certificate (``DECOperators.laplacian1``).  Route (b), an
+a second factorization.  The certified Ritz vectors are kept on the
+DEC.  L1's eigenpairs are assembled only for the Schatten certificate
+(``DECOperators.laplacian1``), checked against the same matrix by
+residual and orthogonality loss (``measure``): at p = 2 only those below
+a cut-off, an E x K array whose harmonic block starts from the kept
+Ritz vectors, certified by the Hodge count of the inertia of L1 - sigma
+I; all E of them, an E x E array, otherwise.  Route (b), an
 independent combinatorial count b1 = E - rank(d0) - rank(d1),
 cross-checks route (a).  Both ranks are exact: component counts of the
 patterns of d0^T d0 and d1 d1^T, not float ranks.
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -68,6 +72,7 @@ from .measure import (
     _inertia,
     _orthogonality_loss,
     _rcm_ordered,
+    _read_only,
 )
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 
@@ -154,11 +159,23 @@ class DECOperators:
 
         return self._kept("laplacian2", build)
 
-    def laplacian0(self) -> SelfAdjointOperator:
-        return SelfAdjointOperator(self.laplacian0_matrix(), self.vertex_space())
+    def laplacian0(self, cutoff: float = math.inf) -> SelfAdjointOperator:
+        return SelfAdjointOperator(self.laplacian0_matrix(), self.vertex_space(), cutoff=cutoff)
 
-    def laplacian2(self) -> SelfAdjointOperator:
-        return SelfAdjointOperator(self.laplacian2_matrix(), self.face_space())
+    def laplacian2(self, cutoff: float = math.inf) -> SelfAdjointOperator:
+        return SelfAdjointOperator(self.laplacian2_matrix(), self.face_space(), cutoff=cutoff)
+
+    @cached_property
+    def harmonic_ritz_vectors(self) -> np.ndarray:
+        """The certified Ritz vectors of ker L1, E x b1 in conjugated coordinates.
+
+        The Lanczos run of ``_certified_kernel`` on L1's conjugated CSR
+        matrix, made once per DEC: ``betti1_oracle`` counts its columns,
+        and ``laplacian1`` below a cut-off starts its harmonic block from
+        them.
+        """
+        s1 = WeightedOperator(self.laplacian1_matrix(), self.edge_space()).conjugated()
+        return _read_only(_certified_kernel(s1)[0])
 
     def hodge_factors(self) -> tuple[csr_matrix, csr_matrix]:
         """C = star1^(1/2) d0 star0^(-1/2) and B = star2^(1/2) d1 star1^(-1/2), CSR.
@@ -172,8 +189,8 @@ class DECOperators:
         b = diags(s2) @ self.d1 @ diags(1.0 / s1)
         return c, b
 
-    def laplacian1(self) -> SelfAdjointOperator:
-        """L1 with all E eigenpairs, assembled from its Hodge pieces.
+    def laplacian1(self, cutoff: float = math.inf) -> SelfAdjointOperator:
+        """L1 assembled from its Hodge pieces: all E eigenpairs, or those below ``cutoff``.
 
         With C and B from ``hodge_factors``, the conjugated L1 is
         C C^T + B^T B, and the two terms annihilate each other because
@@ -183,47 +200,64 @@ class DECOperators:
           conjugated L0 above L0's zero threshold;
         * B^T y / |B^T y|, eigenvalue mu, for each eigenpair (mu, y) of the
           conjugated L2 above L2's zero threshold;
-        * a Rayleigh-Ritz basis of the h = E - n0 - n2 dimensional rest: the
-          harmonic 1-forms, plus any pair a threshold misjudged, with its
-          true eigenvalue.
+        * a Rayleigh-Ritz basis of the h dimensional rest: the harmonic
+          1-forms, plus, when every pair is kept, any pair a threshold
+          misjudged, with its true eigenvalue.
 
         |C w| is sqrt(lam) in exact arithmetic; the computed norm keeps the
         columns orthonormal to rounding, where sqrt(lam) would leave a
-        defect of order eps * (spectral radius / lam).  The eigenvectors
-        fill an E x E array, which ``from_spectrum`` checks against L1's
-        assembled CSR matrix, which the operator keeps, through the
-        residual S1 Q - Q diag(evals) in O(nnz E) and the orthogonality
-        loss Q^T Q - I; no E x E matrix is densified.  Only the Schatten
-        certificate needs all of L1's eigenpairs: its kernel dimension
-        alone comes from ``betti1_oracle`` with no E x E array.  L0 and L2
-        are eigensolved here, in that order, and only their nonzero
-        eigenpairs are kept, so their V x V and F x F eigenvectors are freed
-        when this returns.
+        defect of order eps * (spectral radius / lam).  ``from_spectrum``
+        checks the eigenvectors against L1's assembled CSR matrix, which the
+        operator keeps, through the residual S1 Q - Q diag(evals) in
+        O(nnz E) and the orthogonality loss Q^T Q - I; no E x E matrix is
+        densified.  L0 and L2 are eigensolved here, in that order, and only
+        their nonzero eigenpairs are kept, so their eigenvectors are freed
+        when this returns.  Only the Schatten certificate reads L1's
+        eigenpairs: its kernel dimension alone comes from ``betti1_oracle``.
+
+        With the default cut-off every pair is kept, in an E x E array, and
+        the rest, h = E - n0 - n2, starts from a fixed random block.  A
+        finite cut-off sigma asks L0 and L2 only for their pairs below it
+        (``SelfAdjointOperator(..., cutoff=sigma)``, V x V and F x F
+        xSYEVR), and the rest is the b1 harmonic forms, started from the
+        oracle's Ritz vectors (``harmonic_ritz_vectors``, no second Lanczos
+        run).  The result is partial, with an E x K array, K = b1 + k0 + k2
+        for the k0 and k2 nonzero pairs of L0 and L2 below sigma, and
+        ``from_spectrum`` certifies the Hodge count: the inertia of
+        L1 - sigma I must be exactly K, else ValueError.  When L0 and L2
+        keep every pair, so does L1, and it is the full operator, bit for
+        bit.
         """
         c, b = self.hodge_factors()
-        lam, w = _nonzero_eigenpairs(self.laplacian0())
-        mu, y = _nonzero_eigenpairs(self.laplacian2())
+        lam, w = _nonzero_eigenpairs(self.laplacian0(cutoff))
+        mu, y = _nonzero_eigenpairs(self.laplacian2(cutoff))
         ne = self.mesh.edge_count
-        h = _rest_dim(ne, lam.size, mu.size)
+        if cutoff < math.inf and self.harmonic_ritz_vectors.shape[1] + lam.size + mu.size < ne:
+            block = self.harmonic_ritz_vectors.copy()
+            h = block.shape[1]
+        else:
+            cutoff = math.inf
+            h = _rest_dim(ne, lam.size, mu.size)
+            block = _ritz_start(ne, h)
+        width = h + lam.size + mu.size
 
         # Known columns, stably sorted, fill q[:, h:]; the rest fills q[:, :h].
         known = np.concatenate([lam, mu])
         order = np.argsort(known, kind="stable")
         slot = np.empty_like(order)
-        slot[order] = np.arange(h, ne)
-        q = np.empty((ne, ne))
+        slot[order] = np.arange(h, width)
+        q = np.empty((ne, width))
         q[:, slot[: lam.size]] = _unit_columns(c @ w)
         q[:, slot[lam.size :]] = _unit_columns(b.T @ y)
         ritz = np.empty(0)
         if h:
             span = q[:, h:]
-            block = _ritz_start(ne, h)
             for _ in range(2):
                 block -= span @ (span.T @ block)
             ritz, q[:, :h] = _rayleigh_ritz(c, b, block)
         evals = np.concatenate([ritz, known[order]])
         return SelfAdjointOperator.from_spectrum(
-            self.edge_space(), evals, q, matrix=self.laplacian1_matrix()
+            self.edge_space(), evals, q, matrix=self.laplacian1_matrix(), cutoff=cutoff
         )
 
 
@@ -438,7 +472,13 @@ def _ritz_pairs_below(
 
 
 def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
-    """dim ker S for a symmetric CSR matrix S, counted sparsely and certified.
+    """(dim ker S, the residual bound, sigma) of ``_certified_kernel``."""
+    kernel, bound, sigma = _certified_kernel(s)
+    return kernel.shape[1], bound, sigma
+
+
+def _certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
+    """A basis of ker S for a symmetric CSR matrix S, counted sparsely and certified.
 
     An eigenvalue counts as zero iff |lam| <= tau = ZERO_TOL (1 + r), where
     r, the largest absolute row sum of S, is an O(nnz) upper bound on the
@@ -471,8 +511,8 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     Together: exactly k eigenvalues lie in [-tau, tau], and none below
     -tau or between tau and sigma.  A count that fails either check, or a
     factorization that left the diagonal, raises ValueError.  Like every
-    check, both are evaluated in floating point.  Returns (k, the left
-    side of (i), sigma); the bound is 0 when k = 0.
+    check, both are evaluated in floating point.  Returns (X, n x k, the
+    left side of (i), sigma); the bound is 0 when k = 0.
     """
     radius = float(abs(s).sum(axis=1).max())
     tau = ZERO_TOL * (1.0 + radius)
@@ -480,13 +520,13 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
     order, permuted = _rcm_ordered(s)
     lu, below = _inertia(permuted, sigma)
     if not below:
-        return 0, 0.0, sigma
+        return np.empty((s.shape[0], 0)), 0.0, sigma
     theta, x = _ritz_pairs_below(s, lu, order, sigma, below)
     counted = np.abs(theta) <= tau
     k = int(np.count_nonzero(counted))
+    kernel, values = x[:, counted], theta[counted]
     bound = 0.0
     if k:
-        kernel, values = x[:, counted], theta[counted]
         loss = _orthogonality_loss(kernel)
         residual = _frobenius(s @ kernel - kernel * values)
         bound = math.inf
@@ -507,7 +547,7 @@ def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
             f"kernel count {k} not certified: {below} eigenvalues lie below "
             f"the shift {sigma:.3e} (zero threshold {tau:.3e})"
         )
-    return k, bound, sigma
+    return kernel, bound, sigma
 
 
 def kernel_dim_0forms(dec: DECOperators) -> int:
@@ -523,10 +563,11 @@ def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
 
     Route (a): dimension of the kernel of the edge Laplacian L1, counted
     on L1's conjugated CSR matrix by an inertia count and, for a nonempty
-    kernel, certified Ritz pairs (``_certified_kernel_dim``), under the
-    scale-invariant zero tolerance; no dense eigensolve runs and no E x E
-    array is built.  Route (b): rank-nullity over the chain complex.
-    Neither route reads the other's count.
+    kernel, certified Ritz pairs (``_certified_kernel``, whose vectors the
+    DEC keeps as ``harmonic_ritz_vectors``), under the scale-invariant
+    zero tolerance; no dense eigensolve runs and no E x E array is built.
+    Route (b): rank-nullity over the chain complex.  Neither route reads
+    the other's count.
     Disagreement raises, since it signals a meshing or tolerance bug
     rather than a soft numerical issue.  ``dec`` is built from the mesh
     unless the caller has it.
@@ -534,8 +575,7 @@ def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
     if dec is None:
         dec = build_dec(mesh)
     combinatorial = betti1_rank_count(dec)
-    s1 = WeightedOperator(dec.laplacian1_matrix(), dec.edge_space()).conjugated()
-    harmonic = _certified_kernel_dim(s1)[0]
+    harmonic = dec.harmonic_ritz_vectors.shape[1]
     if harmonic != combinatorial:
         raise MeshError(
             f"Betti oracles disagree: harmonic kernel {harmonic} vs "

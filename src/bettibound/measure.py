@@ -25,10 +25,13 @@ operator built with a finite cut-off sigma holds only its K eigenpairs
 below sigma: K is the inertia of S - sigma I, from a sparse
 factorization, and xSYEVR computes only those pairs (and the first one
 above sigma, which must confirm K) in the same buffer, with an N x K
-eigenvector array.  ``heat_difference_hs_bounds`` then encloses the
-Hilbert-Schmidt norm of a heat difference over the dropped pairs, whose
-heat weights are at most e^(-t sigma); ``pipeline`` picks sigma from a
-relative width eta.
+eigenvector array.  ``from_spectrum`` takes such K pairs computed
+elsewhere (the edge Laplacian's, from its Hodge pieces) and certifies K
+by the same inertia.  ``heat_difference_hs_bounds`` then encloses the
+Hilbert-Schmidt norm of a heat difference over the pairs either operator
+dropped, whose heat weights are at most e^(-t sigma); ``pipeline`` picks
+sigma from a relative width eta, so the p = 2 Schatten path builds no
+N x N eigenvector array.
 A ``SelfAdjointOperator`` also holds a stack of T small operators of one
 shape, for the randomized suites: its space then has (T, N) weights, and
 every method runs the same arithmetic, with the same checks, once per
@@ -543,7 +546,9 @@ class SelfAdjointOperator(WeightedOperator):
     ``squared_overlap``, the 2->inf norms) raises
     ValueError; its ``matrix`` is the one it was built from, which needs
     no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
-    from the K pairs and sigma.
+    with another operator, full or partial, from the K pairs and sigma;
+    ``from_spectrum`` with a cut-off builds a partial operator from K
+    pairs computed elsewhere.
 
     A stack of T operators of one shape is the same type with a leading
     axis: its space has (T, N) weights, ``eigenvalues`` are (T, d) and the
@@ -601,6 +606,7 @@ class SelfAdjointOperator(WeightedOperator):
         euclidean_vectors: np.ndarray,
         fiber: int = 1,
         matrix: np.ndarray | None = None,
+        cutoff: float = math.inf,
     ) -> "SelfAdjointOperator":
         """U diag(w) U^T M from eigendata of the conjugated matrix.
 
@@ -616,24 +622,44 @@ class SelfAdjointOperator(WeightedOperator):
         construction from a matrix (self-adjoint, and the residual bound of
         ``_check_eigendata`` on ||S - Q diag(w) Q^T||_F within relative
         tolerance 1e-10).
+
+        A finite ``cutoff`` sigma, which needs ``matrix``, takes the K
+        pairs below it as an N x K array: each must lie below sigma, the
+        inertia of S - sigma I (``_count_below``) must count exactly K
+        eigenvalues below it, else ValueError, and they pass the N x K
+        checks of ``_check_eigendata``.  The operator is then partial, as
+        one built from its matrix with this cut-off; when K = N it is full.
         """
         evals = np.asarray(eigenvalues, dtype=float)
         q = np.asarray(euclidean_vectors, dtype=float)
         dim = space.point_count * fiber
         square = (*space.weights.shape[:-1], dim, dim)
+        columns = dim if cutoff == math.inf else evals.shape[-1]
         if (
             fiber < 1
-            or evals.shape != square[:-1]
-            or q.shape != square
+            or evals.shape != (*square[:-2], columns)
+            or q.shape != (*square[:-1], columns)
             or (matrix is not None and np.shape(matrix) != square)
         ):
             raise DimensionMismatchError("eigendata do not match the space and fiber")
+        if cutoff < math.inf and (matrix is None or len(square) > 2):
+            raise ValueError("eigendata below a cut-off need one operator's matrix")
         op = cls._with_spectrum(space, fiber, evals, q)
         conj = None
         if matrix is not None:
             op.matrix = _stored(matrix)
             conj = op.conjugated()
         op._check_numbers = _check_eigendata(op.eigenvalues, op._euclidean_vectors, conj)
+        if cutoff < math.inf:
+            count, radius = _count_below(conj, cutoff)
+            below = int(np.count_nonzero(op.eigenvalues < cutoff))
+            if not count == below == columns:
+                raise ValueError(
+                    f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
+                    f"eigenvalues below it, the eigendata {below} of {columns}"
+                )
+            if count < dim:
+                op.cutoff, op._radius_bound = cutoff, radius
         return op
 
     @classmethod
@@ -732,7 +758,7 @@ class SelfAdjointOperator(WeightedOperator):
         return self._squared_overlap(other)
 
     def _squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
-        """``squared_overlap`` for a partial operator too: its K columns."""
+        """``squared_overlap`` for partial operators too: K_other x K."""
         basis = other._euclidean_vectors
         cached = self._overlap
         if cached is None or cached[0] is not basis:
@@ -790,7 +816,7 @@ def heat_difference_hs_squared(A, B, t, scale=1.0):
     same operator and give exactly 0.0, not the rounding of C's
     off-diagonal entries; the eigenvalues are compared first, so operators
     with different spectra pay only that O(N) comparison.  For a partial
-    B this is the upper end of ``heat_difference_hs_bounds``; for stacks,
+    A or B this is the upper end of ``heat_difference_hs_bounds``; for stacks,
     the (T,) values of the instances, with t and scale floats or (T,)
     arrays.
     """
@@ -800,26 +826,38 @@ def heat_difference_hs_squared(A, B, t, scale=1.0):
 def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
     """(upper, lower) ends of an enclosure of ``heat_difference_hs_squared(A, B, t, scale)``.
 
-    A must hold every eigenpair.  For a full B both ends are the squared
-    norm itself.  For a partial B (its K pairs below the cut-off sigma,
-    ``SelfAdjointOperator``) the unknown g_j, j > K, lie in [0, g^],
-    g^ = e^(-t sigma), and the unknown squared overlaps of A's i-th
-    eigenvector sum to 1 - sum_{j<=K} C_ij, which rounding and the
-    orthogonality loss e of B's K vectors can move by up to e either way;
-    so with r_i = max(0, 1 - sum_{j<=K} C_ij),
+    For a full A and B both ends are the squared norm itself.  A partial
+    operator (its K pairs below the cut-off sigma, ``SelfAdjointOperator``)
+    leaves its heat weights past K in [0, e^(-t sigma)], and its missing
+    eigenvectors' squared overlaps known only through the row and column
+    sums of C = (Q_A^T Q_B)**2, which is K_A x K_B.  Each sum can
+    be moved by rounding and by the orthogonality loss e of the other
+    operator's vectors, by up to e either way.  With f^ = e^(-t sigma_A)
+    and g^ = e^(-t sigma_B) (0 for a full B), r_i = max(0, 1 - sum_j C_ij)
+    for A's kept pairs and s_j = max(0, 1 - sum_i C_ij) for B's,
 
-        known = sum_{i, j<=K} C_ij ((f_i - g_j)/scale)^2,
-        upper = known + sum_i (r_i + e) (max(f_i, g^)/scale)^2,
-        lower = known + sum_i max(0, r_i - e) (max(f_i - g^, 0)/scale)^2.
+        known = sum_{i<=K_A, j<=K_B} C_ij ((f_i - g_j)/scale)^2,
+
+    a partial B adds (its dropped pairs against A's kept ones)
+
+        to upper  sum_i (r_i + e_B) (max(f_i, g^)/scale)^2,
+        to lower  sum_i max(0, r_i - e_B) (max(f_i - g^, 0)/scale)^2,
+
+    and a partial A adds (its dropped pairs against B's kept ones, and at
+    most N overlap between the pairs both dropped)
+
+        to upper  sum_j (s_j + e_A) (max(g_j, f^)/scale)^2 + N (max(f^, g^)/scale)^2,
+        to lower  sum_j max(0, s_j - e_A) (max(g_j - f^, 0)/scale)^2.
 
     Every term is nonnegative, and the value lies between the two ends,
     so an enclosure narrower than eta relative to its upper end puts that
-    end within eta of the value.  The N x K overlap is one gemm, kept on B
-    for the next call with the same A.  On stacks each end is the (T,)
-    array of the instances' ends.
+    end within eta of the value.  A full A adds no term, so its ends are
+    exactly the partial-B ones, and A is B gives exactly 0.0.  The
+    K_A x K_B overlap is one gemm, kept on B for the next call with the
+    same A.  On stacks (which hold every pair) each end is the (T,) array
+    of the instances' ends.
     """
     A._check_compatible(B)
-    A._require_full("heat_difference_hs_bounds")
     same = A.eigenvalues.shape == B.eigenvalues.shape and np.all(
         A.eigenvalues == B.eigenvalues, axis=-1
     )
@@ -837,16 +875,33 @@ def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
     else:
         overlap = B._squared_overlap(A)
         known = _overlap_sum(f, g, scale[..., None], overlap)
-    known = np.where(same, 0.0, known)
-    if not B.partial:
-        return _unstacked(known), _unstacked(known)
-    rest, loss = np.maximum(0.0, 1.0 - overlap.sum(axis=-1)), B.orthogonality_loss
-    tail = math.exp(-t * B.cutoff)
-    upper = known + np.sum((rest + loss) * (np.maximum(f, tail) / scale) ** 2, axis=-1)
-    lower = known + np.sum(
-        np.maximum(0.0, rest - loss) * (np.maximum(f - tail, 0.0) / scale) ** 2, axis=-1
-    )
+    upper = lower = known = np.where(same, 0.0, known)
+    tail_b = math.exp(-t * B.cutoff) if B.partial else 0.0
+    if B.partial:
+        up, low = _dropped_terms(f, overlap.sum(axis=-1), B.orthogonality_loss, tail_b, scale)
+        upper, lower = known + up, known + low
+    if A.partial:
+        tail_a = math.exp(-t * A.cutoff)
+        up, low = _dropped_terms(g, overlap.sum(axis=-2), A.orthogonality_loss, tail_a, scale)
+        upper = upper + up + A.dim * (max(tail_a, tail_b) / scale[..., 0]) ** 2
+        lower = lower + low
     return _unstacked(upper), _unstacked(lower)
+
+
+def _dropped_terms(kept, overlap_sums, loss, tail, scale):
+    """What one operator's dropped pairs add to the ends of ``heat_difference_hs_bounds``.
+
+    ``kept`` are the other operator's kept heat weights, ``overlap_sums``
+    the squared overlaps of each of their vectors with the dropping
+    operator's kept vectors, summed, ``loss`` the dropping operator's
+    orthogonality loss and ``tail`` its heat weight at the cut-off.
+    """
+    rest = np.maximum(0.0, 1.0 - overlap_sums)
+    upper = np.sum((rest + loss) * (np.maximum(kept, tail) / scale) ** 2, axis=-1)
+    lower = np.sum(
+        np.maximum(0.0, rest - loss) * (np.maximum(kept - tail, 0.0) / scale) ** 2, axis=-1
+    )
+    return upper, lower
 
 
 def heat_two_inf_norm(A: SelfAdjointOperator, t: float) -> float:

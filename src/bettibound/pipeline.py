@@ -28,23 +28,29 @@ comparison operator L0 + K is eigensolved once per surface, and the
 2->inf norm of e^(-t0 (L0+K)) is one gemv per distinct t0, O(N^2) with
 no N x N array built, against the squared eigenbasis of L0 + K
 (``measure.heat_two_inf_norm``).  Only the Schatten certificate
-eigensolves L0 and the face Laplacian L2, assembles all of L1's
-eigenpairs from them (its Hodge pieces), once per surface and with no
-E x E eigensolve of its own, and eigensolves L1 + W once per rho0 (W
-depends on rho0 only); the loop holds one L1 + W at a time.  The
+eigensolves L0 and the face Laplacian L2 and assembles L1's eigenpairs
+from them (its Hodge pieces), once per sweep and with no E x E
+eigensolve of its own, and eigensolves L1 + W once per rho0 (W depends
+on rho0 only); the loop holds one L1 and one L1 + W at a time.  The
 (2,HS) norm of the potential depends on rho0 only too.  At p = 2 the
 Hilbert-Schmidt norm of the semigroup difference comes from the two
 spectra in O(N^2) per point, with no dense heat matrix, and an
-eigenpair mu of L1 + W enters it only through its heat weight
-e^(-2 t0 mu).  So the row eigensolves L1 + W only below a cut-off
-sigma = max(ln(1/eta) / (2 min t0), 2 rho0) with eta = 1e-12, where
-every dropped pair weighs at most eta: the inertia of L1 + W - sigma
-counts the K pairs below it, and xSYEVR computes only those.  The bound
+eigenpair of either operator enters it only through its heat weight
+e^(-2 t0 mu).  So, with eta = 1e-12, the sweep holds L1 only below
+sigma_A = ln(1/eta) / (2 min t0), which no rho0 moves: L0 and L2 are
+eigensolved below it, the harmonic forms start from the Betti oracle's
+Ritz vectors, and the inertia of L1 - sigma_A must count exactly those
+pairs.  Each row eigensolves L1 + W only below
+sigma = max(sigma_A, 2 rho0): the inertia of L1 + W - sigma counts the
+K pairs below it, and xSYEVR computes only those.  Every dropped pair
+weighs at most eta, no E x E eigenvector array is built, and the bound
 is the upper end of an enclosure over the dropped pairs
 (``measure.heat_difference_hs_bounds``).  If some t0's enclosure is
 wider than eta relative to its upper end, or the cut-off is refused,
-the row eigensolves all of L1 + W instead, as at other p, which take
-the singular values of the dense difference.  ``betti_bound`` is the same loop on a 1 x 1 grid.
+the row takes L1 and L1 + W with every pair instead, and the sweep keeps
+that full L1 for its later rows; so does a refused Hodge count, and so
+do other p, which take the singular values of the dense difference.
+``betti_bound`` is the same loop on a 1 x 1 grid.
 """
 
 from __future__ import annotations
@@ -165,10 +171,13 @@ class SurfaceData:
     ``b1`` is the harmonic oracle's count, checked against the chain
     complex, and ``kernel_dim_0forms`` the same certified count for L0;
     neither eigensolves anything.  Each operator is eigensolved when
-    first read: the comparison operator by the main bound, and L1 (from
-    eigensolves of its Hodge pieces L0 and L2, which are not kept) only
-    when the Schatten certificate first reads ``laplacian1``.  Nothing
-    that depends on rho0 or t0 is kept here: the grid loop computes it.
+    first read: the comparison operator by the main bound, and L1 with
+    every pair (from eigensolves of its Hodge pieces L0 and L2, which are
+    not kept) only when the Schatten certificate first reads
+    ``laplacian1``: at p != 2, or where a p = 2 row falls back to every
+    pair.  Nothing that depends on rho0 or t0 is kept here: the grid loop
+    computes it, and holds the L1 below the p = 2 cut-off, which depends
+    on min t0.
     """
 
     mesh: TriangleMesh
@@ -191,9 +200,12 @@ class SurfaceData:
     def laplacian1(self) -> SelfAdjointOperator:
         """L1 with all its eigenpairs (``DECOperators.laplacian1``), assembled when first read.
 
-        Its kernel dimension must equal ``b1``: the full assembly and the
-        harmonic oracle count it from separate computations, and a
-        disagreement raises ``MeshError``.
+        Its eigenvectors fill an E x E array.  Its kernel dimension must
+        equal ``b1``: the full assembly and the harmonic oracle count it
+        from separate computations, and a disagreement raises
+        ``MeshError``.  (L1 below a cut-off starts its harmonic block from
+        the oracle's Ritz vectors, so its check is the Hodge count
+        instead.)
         """
         lap1 = self.dec.laplacian1()
         if lap1.kernel_dim() != self.b1:
@@ -215,9 +227,11 @@ def prepare_surface(
     ``MeshError``.  No eigensolve runs: ``betti1_oracle`` counts b1, and
     ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
     counts.  The comparison operator L0 + K is eigensolved once, when a
-    bound first reads it, and L1 is assembled once, when the Schatten
-    certificate first reads it (``SurfaceData.laplacian1``); the L0 and L2
-    eigendata that assembly reads are freed once it returns.
+    bound first reads it.  The Schatten certificate assembles L1 once per
+    sweep, at p = 2 only below a cut-off, with no E x E array; with
+    every pair (``SurfaceData.laplacian1``) it is assembled once per
+    surface.  The L0 and L2 eigendata an assembly reads are freed once it
+    returns.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -263,8 +277,9 @@ def betti_bound(
     """The grid loop (``parameter_sweep``) on the 1 x 1 grid of ``inputs``.
 
     ``data``, when given, is the prepared surface; nothing is kept from
-    one call to the next, so each call with the Schatten certificate
-    eigensolves its own L1 + W.
+    one call to the next, so each call with the Schatten certificate at
+    p = 2 assembles its own L1 below the cut-off, and each eigensolves its
+    own L1 + W.
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
@@ -364,12 +379,13 @@ def _sweep(
     two_inf = {t0: heat_two_inf_norm(data.comparison, t0) for t0 in dict.fromkeys(t0_values)}
     curvature_min = data.curvature.min()
     volume = data.volume
+    lap1 = _laplacian1_for_rows(data, t0_values, p) if compute_schatten else None
     reports = []
     for rho0 in rho0_values:
         potential_norm = ricci_potential(data.curvature, rho0)
         schatten, notes = [None] * len(t0_values), ()
         if compute_schatten:
-            schatten, notes = _schatten_row(data, rho0, t0_values, p)
+            schatten, notes, lap1 = _schatten_row(data, lap1, rho0, t0_values, p)
         for t0, bound_schatten in zip(t0_values, schatten):
             ultra = two_inf[t0]
             sharp_pref, loose_pref = prefactors(rho0, t0)
@@ -437,32 +453,58 @@ def _sweep(
     return reports
 
 
-def _schatten_row(
-    data: SurfaceData, rho0: float, t0_values: list[float], p: float
-) -> tuple[list, tuple]:
-    """The Schatten bound at (rho0, t0) for each t0, and the row's notes.
+def _laplacian1_for_rows(data: SurfaceData, t0_values: list[float], p: float):
+    """The L1 a sweep's Schatten rows start from.
 
-    At p = 2 the row first tries L1 + W cut off below sigma
-    (``_cut_off_bounds``).  When the cut-off is refused or an enclosure is
-    too wide, and at every other p, L1 + W takes every pair.  Each L1 + W
-    lives only inside this call (the cut-off one only inside
-    ``_cut_off_bounds``), so a sweep holds one such operator (and the
-    squared overlap it keeps) at a time.  When a check of the full L1 + W
-    fails, every bound of the row is None and the one note says why.
+    At p = 2, L1 below sigma_A = ln(1/eta) / (2 min t0)
+    (``DECOperators.laplacian1``), where every dropped pair has heat weight
+    e^(-2 t0 lam) at most eta; sigma_A depends on no rho0, so this one L1
+    serves every row.  A Hodge count that is refused (a ``ValueError``)
+    gives the full L1, as every other p does.
     """
+    if p == 2.0:
+        try:
+            return data.dec.laplacian1(_heat_cutoff(t0_values))
+        except ValueError:
+            pass
+    return data.laplacian1
+
+
+def _heat_cutoff(t0_values: list[float]) -> float:
+    """ln(1/eta) / (2 min t0): above it e^(-2 t0 lam) <= eta for every t0 of the row."""
+    return math.log(1.0 / _ETA) / (2.0 * min(t0_values))
+
+
+def _schatten_row(
+    data: SurfaceData, lap1: SelfAdjointOperator, rho0: float, t0_values: list[float], p: float
+) -> tuple[list, tuple, SelfAdjointOperator]:
+    """The Schatten bound at (rho0, t0) for each t0, the row's notes, and the
+    L1 the next row starts from.
+
+    At p = 2 the row first tries L1 + W cut off below sigma against
+    ``lap1``, partial or full (``_cut_off_bounds``).  When the cut-off is
+    refused or an enclosure is too wide, and at every other p, the row
+    takes the full L1 (``SurfaceData.laplacian1``), which it hands on in
+    place of ``lap1``, and L1 + W with every pair.  Each L1 + W lives only
+    inside this call (the cut-off one only inside ``_cut_off_bounds``), so
+    a sweep holds one such operator (and the squared overlap it keeps) at
+    a time.  When a check of the full L1 + W fails, every bound of the row
+    is None and the one note says why.
+    """
+    potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
+    bounds = _cut_off_bounds(lap1, potential, rho0, t0_values) if p == 2.0 else None
+    if bounds is not None:
+        return bounds, (), lap1
     lap1 = data.laplacian1
     try:
-        potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-        bounds = _cut_off_bounds(lap1, potential, rho0, t0_values) if p == 2.0 else None
-        if bounds is None:
-            perturbed = schatten_operator(lap1, potential, rho0)
-            bounds = [
-                crude_kernel_bound(OperatorPair(lap1, perturbed, rho0, 2.0 * t0), p)
-                for t0 in t0_values
-            ]
+        perturbed = schatten_operator(lap1, potential, rho0)
+        bounds = [
+            crude_kernel_bound(OperatorPair(lap1, perturbed, rho0, 2.0 * t0), p)
+            for t0 in t0_values
+        ]
     except ValueError as exc:
-        return [None] * len(t0_values), (f"schatten bound omitted: {exc}",)
-    return bounds, ()
+        return [None] * len(t0_values), (f"schatten bound omitted: {exc}",), lap1
+    return bounds, (), lap1
 
 
 def _cut_off_bounds(lap1, potential, rho0, t0_values) -> list | None:
@@ -471,21 +513,22 @@ def _cut_off_bounds(lap1, potential, rho0, t0_values) -> list | None:
 
     sigma = max(ln(1/eta) / (2 min t0), 2 rho0): every dropped pair has
     heat weight e^(-2 t0 sigma) at most eta, and sigma lies above rho0, so
-    an L1 + W with no pair below sigma clears rho0.  Each bound is the
-    upper end of its ``crude_hs_enclosure``; an enclosure wider than eta
-    relative to that end, or a cut-off the inertia count and the solver do
-    not agree on (a ``ValueError``, a check of this L1 + W included),
-    gives None, and the caller takes every pair.
+    an L1 + W with no pair below sigma clears rho0.  ``lap1`` may hold
+    only its pairs below its own cut-off.  Each bound is the upper end of
+    its ``crude_hs_enclosure``; an enclosure wider than eta relative to
+    that end, or a cut-off the inertia count and the solver do not agree
+    on (a ``ValueError``, any check of this pair included), gives None,
+    and the caller takes every pair.
     """
-    cutoff = max(math.log(1.0 / _ETA) / (2.0 * min(t0_values)), 2.0 * rho0)
+    cutoff = max(_heat_cutoff(t0_values), 2.0 * rho0)
     try:
         perturbed = schatten_operator(lap1, potential, rho0, cutoff)
+        enclosures = [
+            crude_hs_enclosure(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0))
+            for t0 in t0_values
+        ]
     except ValueError:
         return None
-    enclosures = [
-        crude_hs_enclosure(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0))
-        for t0 in t0_values
-    ]
     if not all(upper - lower <= _ETA * upper for upper, lower in enclosures):
         return None
     return [upper for upper, _ in enclosures]

@@ -290,11 +290,11 @@ def test_hodge_assembly_checks_catch_a_scaled_column(monkeypatch):
     curl = np.sqrt(dec.star2)[:, None] * dec.d1.toarray() / np.sqrt(dec.star1)[None, :]
     from_spectrum = SelfAdjointOperator.from_spectrum.__func__
 
-    def scale_coexact_column(cls, space, evals, q, fiber=1, matrix=None):
+    def scale_coexact_column(cls, space, evals, q, fiber=1, matrix=None, **kwargs):
         coexact = np.flatnonzero(np.linalg.norm(curl @ q, axis=0) > 1e-6)[0]
         q = q.copy()
         q[:, coexact] *= 1.0 + 1e-6
-        return from_spectrum(cls, space, evals, q, fiber, matrix)
+        return from_spectrum(cls, space, evals, q, fiber, matrix, **kwargs)
 
     monkeypatch.setattr(SelfAdjointOperator, "from_spectrum", classmethod(scale_coexact_column))
     with pytest.raises(ValueError, match="not finite and orthonormal"):
@@ -305,10 +305,10 @@ def test_hodge_assembly_checks_catch_a_wrong_eigenvalue(monkeypatch):
     dec = build_dec(genus2_mesh())
     from_spectrum = SelfAdjointOperator.from_spectrum.__func__
 
-    def perturb_eigenvalue(cls, space, evals, q, fiber=1, matrix=None):
+    def perturb_eigenvalue(cls, space, evals, q, fiber=1, matrix=None, **kwargs):
         evals = evals.copy()
         evals[-1] *= 1.0 + 1e-6
-        return from_spectrum(cls, space, evals, q, fiber, matrix)
+        return from_spectrum(cls, space, evals, q, fiber, matrix, **kwargs)
 
     monkeypatch.setattr(SelfAdjointOperator, "from_spectrum", classmethod(perturb_eigenvalue))
     with pytest.raises(ValueError, match="does not reconstruct"):

@@ -358,8 +358,8 @@ def _record_hodge_pieces(monkeypatch, keep) -> dict:
     def recording(name):
         method = getattr(DECOperators, name)
 
-        def build(self):
-            op = method(self)
+        def build(self, *args, **kwargs):
+            op = method(self, *args, **kwargs)
             pieces[name] = keep(op)
             return op
 
@@ -431,6 +431,57 @@ def test_schatten_sweep_assembles_laplacian1_once(monkeypatch):
     monkeypatch.setattr(DECOperators, "laplacian1", counting)
     parameter_sweep(genus2_mesh(), [0.5, 1.0], [0.5, 1.0])
     assert calls == [1]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_laplacian1_below_a_cut_off_holds_the_lowest_pairs(name):
+    # L1 below sigma holds b1 + k0 + k2 pairs, k0 and k2 the nonzero pairs
+    # of L0 and L2 below sigma: the inertia of L1 - sigma I counts exactly
+    # as many (the Hodge count), and they are the full assembly's lowest,
+    # to 1e-12 relative past the b1 harmonic ones.
+    resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
+    data = prepare_surface(builtin_mesh(name, resolution))
+    dec, full, b1 = data.dec, data.laplacian1, data.b1
+    lap0, lap2 = dec.laplacian0(), dec.laplacian2()
+    for sigma in (math.log(1e12) / 0.5, math.log(1e12) / 4.0, 2.0):
+        part = dec.laplacian1(sigma)
+        assert part.partial and part.cutoff == sigma
+        k0, k2 = (
+            int(np.count_nonzero((op.eigenvalues > op.zero_threshold()) & (op.eigenvalues < sigma)))
+            for op in (lap0, lap2)
+        )
+        k = part.eigenvalues.size
+        assert k == b1 + k0 + k2 == measure._count_below(part.conjugated(), sigma)[0]
+        assert k == np.count_nonzero(full.eigenvalues < sigma) < full.dim
+        assert part._euclidean_vectors.shape == (full.dim, k)
+        assert part.kernel_dim() == full.kernel_dim() == b1
+        lowest = full.eigenvalues[b1:k]
+        assert np.all(np.abs(part.eigenvalues[b1:] - lowest) <= 1e-12 * lowest)
+        assert part.orthogonality_loss <= 1e-10 and part.residual_norms.shape == (k,)
+
+
+def test_laplacian1_below_a_cut_off_starts_from_the_oracle_ritz_vectors(monkeypatch):
+    # The Betti oracle's Lanczos run leaves its certified Ritz vectors on the
+    # DEC; L1 below a cut-off starts its harmonic block from them, with no
+    # second Lanczos run, and keeps none of the V x V or F x F eigenvectors
+    # of L0 and L2.
+    data = prepare_surface(genus2_mesh())
+    ritz = data.dec.harmonic_ritz_vectors
+    assert ritz.shape == (data.mesh.edge_count, data.b1) and not ritz.flags.writeable
+    lanczos = []
+    eigsh = dec_module.eigsh
+    monkeypatch.setattr(dec_module, "eigsh", lambda *a, **k: lanczos.append(1) or eigsh(*a, **k))
+    pieces = _record_hodge_pieces(monkeypatch, weakref.ref)
+    part = data.dec.laplacian1(math.log(1e12))
+    assert part.partial and lanczos == []
+    assert betti1_oracle(data.mesh, data.dec) == data.b1 and lanczos == []
+    gc.collect()
+    assert sorted(pieces) == ["laplacian0", "laplacian2"]
+    assert all(ref() is None for ref in pieces.values())
+    # The harmonic block spans the oracle's kernel.
+    kernel = part._euclidean_vectors[:, : data.b1]
+    cosines = np.linalg.svd(ritz.T @ kernel, compute_uv=False)
+    assert np.allclose(cosines, 1.0, atol=1e-10)
 
 
 def test_disagreeing_ritz_blocks_raise(monkeypatch):

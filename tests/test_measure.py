@@ -1,6 +1,7 @@
 """Weighted-space operator tests against independent Euclidean oracles."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -776,6 +777,97 @@ def test_heat_difference_hs_bounds_enclose_the_full_value(seed):
         assert widths[-1] == 0.0 and not perturbed.added_to(a, 64.0).partial
 
 
+def _full_a_bounds(a, b, t, scale):
+    """The enclosure as it was computed while A had to hold every pair."""
+    f, g = np.exp(-t * a.eigenvalues), np.exp(-t * b.eigenvalues)
+    scale = np.asarray(scale, dtype=float)[..., None]
+    overlap = b._squared_overlap(a)
+    known = measure._overlap_sum(f, g, scale[..., None], overlap)
+    if not b.partial:
+        return known, known
+    rest, loss = np.maximum(0.0, 1.0 - overlap.sum(axis=-1)), b.orthogonality_loss
+    tail = math.exp(-t * b.cutoff)
+    upper = known + np.sum((rest + loss) * (np.maximum(f, tail) / scale) ** 2, axis=-1)
+    lower = known + np.sum(
+        np.maximum(0.0, rest - loss) * (np.maximum(f - tail, 0.0) / scale) ** 2, axis=-1
+    )
+    return upper, lower
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_heat_difference_hs_bounds_enclose_with_partial_a_and_b(seed):
+    # Random pairs with known full spectra, A and B each full or cut off at a
+    # random sigma: the dense Hilbert-Schmidt norm lies between the two
+    # ends.  A full A gives the bits of the formula that needed one, and
+    # A is B gives exactly 0.0, partial or not.
+    rng = np.random.default_rng(100 + seed)
+    dim = int(rng.integers(8, 40))
+    spectrum_a = np.sort(np.concatenate([[0.0], rng.uniform(0.0, 30.0, dim - 1)]))
+    matrix_a, space, fiber = _planted_operator(spectrum_a, seed=seed, sparse=True)
+    spectrum_b = np.sort(rng.uniform(0.2, 30.0, dim))
+    matrix_b = _planted_operator(spectrum_b, seed=seed + 50, sparse=True, space=space)[0]
+    full_a = SelfAdjointOperator(matrix_a, space, fiber)
+    full_b = SelfAdjointOperator(matrix_b, space, fiber)
+    for t, scale in ((float(rng.uniform(0.02, 0.5)), 1.0), (float(rng.uniform(0.1, 2.0)), 0.7)):
+        heat = heat_difference(full_a, full_b, t).conjugated() / scale
+        exact = float(np.sum(heat * heat))
+        for trial in range(4):
+            cut_a, cut_b = rng.uniform(0.5, 0.9 * min(spectrum_a[-1], spectrum_b[-1]), 2)
+            a, b = full_a, full_b
+            if trial >= 2:
+                a = SelfAdjointOperator(matrix_a, space, fiber, cutoff=cut_a)
+            if trial % 2:
+                b = SelfAdjointOperator(matrix_b, space, fiber, cutoff=cut_b)
+            assert (a.partial, b.partial) == (trial >= 2, trial % 2 == 1)
+            upper, lower = measure.heat_difference_hs_bounds(a, b, t, scale)
+            assert lower <= exact * (1.0 + 1e-12) + 1e-15
+            assert exact <= upper * (1.0 + 1e-12) + 1e-15
+            assert lower <= upper
+            if not a.partial:
+                assert (upper, lower) == _full_a_bounds(a, b, t, scale)
+            assert measure.heat_difference_hs_bounds(a, a, t, scale) == (0.0, 0.0)
+
+
+def test_pairs_both_operators_drop_are_enclosed():
+    # A and B share their eigenvectors, and each pair A drops meets a pair B
+    # drops: only the N (max(f^, g^)/scale)^2 term of the upper end holds
+    # their weight, here most of the value.
+    spectrum_a = np.concatenate([[0.0, 0.5], np.linspace(5.0, 9.0, 18)])
+    spectrum_b = np.concatenate([[1.0, 1.5], np.linspace(50.0, 90.0, 18)])
+    matrix_a, space, fiber = _planted_operator(spectrum_a, seed=5, sparse=True)
+    matrix_b, space_b, _ = _planted_operator(spectrum_b, seed=5, sparse=True)
+    assert space.same_as(space_b)
+    a = SelfAdjointOperator(matrix_a, space, fiber, cutoff=4.0)
+    b = SelfAdjointOperator(matrix_b, space, fiber, cutoff=20.0)
+    assert a.eigenvalues.size == b.eigenvalues.size == 2
+    t = 0.1
+    exact = float(np.sum((np.exp(-t * spectrum_a) - np.exp(-t * spectrum_b)) ** 2))
+    upper, lower = measure.heat_difference_hs_bounds(a, b, t)
+    known = float(np.sum((np.exp(-t * spectrum_a[:2]) - np.exp(-t * spectrum_b[:2])) ** 2))
+    assert known < 0.1 * exact
+    assert lower <= exact <= upper <= known + 20 * np.exp(-2 * t * 4.0) * (1.0 + 1e-12)
+
+
+def test_partial_a_bounds_narrow_to_the_value_as_its_cut_off_rises():
+    # With B = A + V full, the enclosure from A's pairs below a rising
+    # cut-off narrows, and a cut-off above A's spectrum is the full A's value.
+    matrix, space, fiber = _planted_operator(_SPECTRUM)
+    a = SelfAdjointOperator(matrix, space, fiber)
+    potential = MatrixPotential.from_scalar_field(
+        space, np.random.default_rng(7).uniform(0.0, 3.0, 60), nonneg=True
+    )
+    b = potential.added_to(a)
+    full = heat_difference_hs_squared(a, b, 1.0)
+    widths = []
+    for cutoff in (1.0, 4.0, 16.0, 41.0):
+        part = SelfAdjointOperator(matrix, space, fiber, cutoff=cutoff)
+        upper, lower = measure.heat_difference_hs_bounds(part, b, 1.0)
+        assert lower <= full * (1.0 + 1e-13) and full <= upper * (1.0 + 1e-13)
+        assert heat_difference_hs_squared(part, b, 1.0) == upper
+        widths.append(upper - lower)
+    assert widths == sorted(widths, reverse=True) and widths[-1] <= 1e-13 * full
+
+
 def test_partial_operator_refuses_every_full_spectrum_method():
     matrix, space, fiber = _planted_operator(_SPECTRUM)
     full = SelfAdjointOperator(matrix, space, fiber)
@@ -791,9 +883,6 @@ def test_partial_operator_refuses_every_full_spectrum_method():
         "two_inf_norm": lambda: two_inf_norm(part),
         "heat_two_inf_norm": lambda: measure.heat_two_inf_norm(part, 1.0),
         "heat_difference": lambda: heat_difference(full, part, 1.0),
-        "heat_difference_hs_bounds from a partial A": lambda: measure.heat_difference_hs_bounds(
-            part, full, 1.0
-        ),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match="needs every eigenpair"):

@@ -218,34 +218,54 @@ def test_sweep_torus_grid_deterministic_order(torus_data):
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("schatten", [True, False], ids=["schatten", "no-schatten"])
-def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten):
+def _pairs_below(matrix, space, cutoff) -> int:
+    """The eigenvalues below ``cutoff`` of the operator with this matrix, from a dense solve."""
+    s = WeightedOperator(matrix, space).conjugated().toarray()
+    return int(np.count_nonzero(np.linalg.eigvalsh(0.5 * (s + s.T)) < cutoff))
+
+
+@pytest.mark.parametrize(
+    "schatten, p", [(True, 2.0), (False, 2.0), (True, 1.0)],
+    ids=["schatten", "no-schatten", "schatten-p1"],
+)
+def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten, p):
     # Preparing the surface eigensolves nothing: both kernel counts are
     # sparse.  Once per surface, the comparison operator L0 + K (V x V)
-    # is eigensolved.  With the Schatten certificate, L1 is assembled
-    # once from L0 (V x V) and the face Laplacian L2 (F x F), with a
-    # b1 x b1 Rayleigh-Ritz block and no E x E eigensolve, and L1 + W
-    # (E x E) is eigensolved once per rho0, for its pairs below the cut-off
-    # and the first one above it (here every enclosure is narrow enough at
-    # the first cut-off).
+    # is eigensolved.  With the Schatten certificate at p = 2, L1 is
+    # assembled once, below sigma_A = ln(1/eta) / (2 min t0), from L0
+    # (V x V) and the face Laplacian L2 (F x F), each solved for its pairs
+    # below sigma_A and the first one above it, with a b1 x b1
+    # Rayleigh-Ritz block; L1 + W (E x E) is eigensolved once per rho0,
+    # for its pairs below the cut-off and the first one above it (here
+    # every enclosure is narrow enough at the first cut-off).  So no solve
+    # takes every pair of an E x E matrix.  Any other p takes every pair of
+    # L0, L2 and each L1 + W.
     calls = count_eigensolves()
     mesh = genus2_mesh()
-    parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=schatten)
+    parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], p=p, compute_schatten=schatten)
     calls = list(calls)
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
     expected = [(nv, nv)]
-    if schatten:
-        expected += [(nv, nv), (nf, nf), (4, 4)]
+    if schatten and p != 2.0:
+        expected += [(nv, nv), (nf, nf), (4, 4), (ne, ne), (ne, ne)]
+    elif schatten:
         data = prepare_surface(mesh)
+        dec, sigma_a = data.dec, pipeline._heat_cutoff([0.5, 1.0])
+        for matrix, space in (
+            (dec.laplacian0_matrix(), dec.vertex_space()),
+            (dec.laplacian2_matrix(), dec.face_space()),
+        ):
+            below = _pairs_below(matrix, space, sigma_a)
+            assert below + 1 < matrix.shape[0]
+            expected.append((matrix.shape[0], below + 1))
+        expected.append((4, 4))
         for rho0 in (0.5, 1.0):
-            cutoff = _cutoff([0.5, 1.0], rho0)
             values = synthetic_edge_potential(data.dec, data.curvature, rho0).values.ravel()
-            s = WeightedOperator(
-                data.dec.laplacian1_matrix() + diags(values), data.dec.edge_space()
-            ).conjugated().toarray()
-            below = int(np.count_nonzero(np.linalg.eigvalsh(0.5 * (s + s.T)) < cutoff))
+            matrix = data.dec.laplacian1_matrix() + diags(values)
+            below = _pairs_below(matrix, data.dec.edge_space(), _cutoff([0.5, 1.0], rho0))
             assert below + 1 < ne
             expected.append((ne, below + 1))
+        assert (ne, ne) not in calls
     assert calls == expected
 
 
@@ -314,21 +334,30 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolv
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
     # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The
     # eigensolves are L1's Hodge pieces L0 (V x V) and L2 (F x F), when
-    # L1 is first read (b1 = 0 leaves no Rayleigh-Ritz block), and the
+    # L1 is first read (b1 = 0 leaves no Rayleigh-Ritz block), the
     # comparison operator L0 + K (V x V), when the main bound first
-    # reads it.
+    # reads it, and, at each p = 2 point, the pairs of L0 and L2 below
+    # that point's sigma_A for its L1 below the cut-off.
     data = prepare_surface(RoundSphere(), resolution=2)
     calls = count_eigensolves()
     potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
     assert not np.any(potential.values)
     assert schatten_operator(data.laplacian1, potential, 0.5) is data.laplacian1
+    nv, nf = data.mesh.vertex_count, data.mesh.face_count
+    expected = [(nv, nv), (nf, nf), (nv, nv)]
     for t0 in (1.0, 3.0):
         report = betti_bound(
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
         )
         assert report.bound_schatten == 0.0
-    nv, nf = data.mesh.vertex_count, data.mesh.face_count
-    assert calls == [(nv, nv), (nf, nf), (nv, nv)]
+        sigma_a = pipeline._heat_cutoff([t0])
+        expected += [
+            (nv, _pairs_below(data.dec.laplacian0_matrix(), data.dec.vertex_space(), sigma_a) + 1),
+            (nf, _pairs_below(data.dec.laplacian2_matrix(), data.dec.face_space(), sigma_a) + 1),
+        ]
+    assert calls == expected
+    part = data.dec.laplacian1(pipeline._heat_cutoff([1.0]))
+    assert part.partial and schatten_operator(part, potential, 0.5) is part
 
 
 def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
@@ -417,36 +446,41 @@ def _full_row(data, rho0, t0_values, p=2.0):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_cut_off_schatten_row_matches_the_full_spectrum(name):
-    # Where every enclosure from the pairs of L1 + W below the cut-off is
-    # narrower than eta, each p = 2 bound is its upper end, which lies
-    # above the value from all of the pairs and exceeds it by at most 1e-12
-    # of it; elsewhere the row is the full-spectrum one, bit for bit.
+    # Where every enclosure from the pairs of L1 and L1 + W below their
+    # cut-offs is narrower than eta, each p = 2 bound is its upper end,
+    # which lies above the value from all of the pairs and exceeds it by at
+    # most 1e-12 of it; elsewhere the row is the full-spectrum one, bit for
+    # bit, and hands the full L1 on to the next row, as the sweep does.
     # Flat-torus is the exception below: W = rho0 is constant there.
     t0_values = [0.25, 1.0]
     data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
     lap1 = data.laplacian1
+    held = pipeline._laplacian1_for_rows(data, t0_values, 2.0)
+    assert held.partial
     for rho0 in (0.25, 1.0, 2.0):
-        row, notes = pipeline._schatten_row(data, rho0, t0_values, 2.0)
+        start = held
+        row, notes, held = pipeline._schatten_row(data, start, rho0, t0_values, 2.0)
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
         try:
             full_row = _full_row(data, rho0, t0_values)
         except ValueError as exc:
             # torus-rev's L1 + W does not clear rho0 = 1 or 2: the note is the full path's.
             assert row == [None, None] and notes == (f"schatten bound omitted: {exc}",)
+            assert held is lap1
             continue
         assert notes == ()
-        part = schatten_operator(lap1, potential, rho0, _cutoff(t0_values, rho0))
+        part = schatten_operator(start, potential, rho0, _cutoff(t0_values, rho0))
         enclosures = [
-            crude_hs_enclosure(OperatorPair(H=lap1, Hprime=part, rho0=rho0, t0=2.0 * t0))
+            crude_hs_enclosure(OperatorPair(H=start, Hprime=part, rho0=rho0, t0=2.0 * t0))
             for t0 in t0_values
         ]
         if not all(upper - lower <= pipeline._ETA * upper for upper, lower in enclosures):
-            assert part.partial and row == full_row
+            assert part.partial and row == full_row and held is lap1
             continue
-        assert row == [upper for upper, _ in enclosures]
+        assert row == [upper for upper, _ in enclosures] and held is start
         for t0, bound, full in zip(t0_values, row, full_row):
             if not np.any(potential.values):
-                assert part is lap1 and bound == full == 0.0
+                assert part is start and bound == full == 0.0
                 continue
             if name == "flat-torus":
                 # L1 + W = L1 + rho0, so the bound is exactly
@@ -470,9 +504,11 @@ def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0
     data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
     assert math.log(1.0 / pipeline._ETA) / (2.0 * t0) < rho0
     ne = data.laplacian1.dim
+    held = pipeline._laplacian1_for_rows(data, [t0], 2.0)
+    assert held.partial
     calls = count_eigensolves()
-    row, notes = pipeline._schatten_row(data, rho0, [t0], 2.0)
-    assert notes == ()
+    row, notes, after = pipeline._schatten_row(data, held, rho0, [t0], 2.0)
+    assert notes == () and after is held
     [(n, pairs)] = calls
     assert n == ne and pairs < ne
     [full] = _full_row(data, rho0, [t0])
@@ -485,20 +521,23 @@ def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0
 
 def test_p2_schatten_row_runs_no_edge_square_full_eigensolve(count_eigensolves):
     # With W nonzero, a p = 2 row eigensolves L1 + W once, for its pairs
-    # below the cut-off and the first above it: no E x E xSYEVD runs.  Any
-    # other p takes every pair of L1 + W.
+    # below the cut-off and the first above it: no E x E xSYEVD runs, and
+    # the row keeps the L1 below the cut-off it started from.  Any other p
+    # takes every pair of L1 + W.
     data = prepare_surface(genus2_mesh())
     lap1 = data.laplacian1
     ne = lap1.dim
     assert np.any(synthetic_edge_potential(data.dec, data.curvature, 1.0).values)
+    held = pipeline._laplacian1_for_rows(data, [0.5, 1.0], 2.0)
+    assert held.partial and held.eigenvalues.size < ne // 2
     calls = count_eigensolves()
-    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 2.0)
-    assert notes == () and all(bound > data.b1 for bound in row)
+    row, notes, after = pipeline._schatten_row(data, held, 1.0, [0.5, 1.0], 2.0)
+    assert notes == () and all(bound > data.b1 for bound in row) and after is held
     [(n, pairs)] = calls
     assert n == ne and pairs < ne // 2
     calls.clear()
-    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 1.0)
-    assert notes == () and calls == [(ne, ne)]
+    row, notes, after = pipeline._schatten_row(data, lap1, 1.0, [0.5, 1.0], 1.0)
+    assert notes == () and calls == [(ne, ne)] and after is lap1
 
 
 @pytest.mark.parametrize("miscount", [-1, 1, None], ids=["inertia-low", "inertia-high", "singular"])
@@ -532,11 +571,53 @@ def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monk
         assert all(pairs < ne for _, pairs in edge_solves[::2])
 
 
+@pytest.mark.parametrize("miscount", [-1, 1], ids=["inertia-low", "inertia-high"])
+def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, miscount):
+    # An inertia of L1 - sigma_A I that disagrees with b1 + k0 + k2 refuses
+    # L1 below the cut-off (a ValueError); the sweep then holds the full L1,
+    # and every row gives, bit for bit and with no note, the bounds its
+    # rows give from the full L1.
+    data = prepare_surface(genus2_mesh())
+    rho0_values, t0_values = [0.5, 1.0], [0.5, 1.0]
+    lap1 = data.laplacian1
+    expected = [
+        bound
+        for rho0 in rho0_values
+        for bound in pipeline._schatten_row(data, lap1, rho0, t0_values, 2.0)[0]
+    ]
+    sigma_a = pipeline._heat_cutoff(t0_values)
+    s1 = lap1.conjugated()
+    count_below = measure._count_below
+
+    def miscounting(conj, cutoff):
+        # Only L1's own count: L1 + W has the same pattern, other values.
+        count, radius = count_below(conj, cutoff)
+        if conj.shape == s1.shape and np.array_equal(conj.data, s1.data):
+            count += miscount
+        return count, radius
+
+    monkeypatch.setattr(measure, "_count_below", miscounting)
+    with pytest.raises(ValueError, match="not certified: the inertia counts"):
+        data.dec.laplacian1(sigma_a)
+    held = []
+    schatten_row = pipeline._schatten_row
+
+    def recording_row(data, lap1, *args):
+        held.append(lap1)
+        return schatten_row(data, lap1, *args)
+
+    monkeypatch.setattr(pipeline, "_schatten_row", recording_row)
+    reports = pipeline._sweep(data, rho0_values, t0_values, 2.0, True, pipeline.SOUNDNESS_SLACK)
+    assert [r.bound_schatten for r in reports] == expected
+    assert all(r.notes == () and r.passed for r in reports)
+    assert held == [lap1, lap1]
+
+
 def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
     # With the lower end of every partial enclosure pushed to 0, no
-    # cut-off enclosure is narrow enough: the row builds L1 + W once more
-    # with every pair, one L1 + W alive at a time, and gives the full
-    # spectrum's bounds bit for bit.
+    # cut-off enclosure is narrow enough: the row takes the full L1 and
+    # builds L1 + W once more with every pair, one L1 + W alive at a time,
+    # and gives the full spectrum's bounds bit for bit.
     data = prepare_surface(genus2_mesh())
     t0_values = [0.5, 2.0]
     alive, built = [], []
@@ -552,12 +633,16 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
         upper, lower = enclosure(pair)
         return upper, (0.0 if pair.Hprime.partial else lower)
 
+    held = pipeline._laplacian1_for_rows(data, t0_values, 2.0)
+    assert held.partial
     monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
     monkeypatch.setattr(pipeline, "crude_hs_enclosure", widened)
-    row, notes = pipeline._schatten_row(data, 0.5, t0_values, 2.0)
+    row, notes, after = pipeline._schatten_row(data, held, 0.5, t0_values, 2.0)
     assert notes == ()
     assert alive == [0, 0]
     assert row == _full_row(data, 0.5, t0_values)
+    # The row hands the full L1 on to the rows after it.
+    assert after is data.laplacian1
 
 
 def _peak_bytes(call) -> int:
