@@ -598,10 +598,16 @@ def ricci_potential(curvature: CurvatureField, rho0: float) -> float:
     return float(np.sqrt(np.sum(curvature.mesh.dual_areas * density)))
 
 
-def schrodinger_comparison(dec: DECOperators, rho: np.ndarray) -> SelfAdjointOperator:
-    """The comparison operator L0 + rho on star0-weighted vertex functions."""
+def schrodinger_comparison(
+    dec: DECOperators, rho: np.ndarray, cutoff: float = math.inf
+) -> SelfAdjointOperator:
+    """The comparison operator L0 + rho on star0-weighted vertex functions.
+
+    A finite ``cutoff`` keeps only its eigenpairs below it
+    (``SelfAdjointOperator(..., cutoff=sigma)``, a V x K array).
+    """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     if rho.size != dec.mesh.vertex_count:
         raise ValueError("rho must be a vertex function")
     matrix = dec.laplacian0_matrix() + diags(rho)
-    return SelfAdjointOperator(matrix, dec.vertex_space())
+    return SelfAdjointOperator(matrix, dec.vertex_space(), cutoff=cutoff)

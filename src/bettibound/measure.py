@@ -27,11 +27,14 @@ factorization, and xSYEVR computes only those pairs (and the first one
 above sigma, which must confirm K) in the same buffer, with an N x K
 eigenvector array.  ``from_spectrum`` takes such K pairs computed
 elsewhere (the edge Laplacian's, from its Hodge pieces) and certifies K
-by the same inertia.  ``heat_difference_hs_bounds`` then encloses the
+by the same inertia; a count that is not confirmed raises
+``CutOffRefused``.  ``heat_difference_hs_bounds`` then encloses the
 Hilbert-Schmidt norm of a heat difference over the pairs either operator
-dropped, whose heat weights are at most e^(-t sigma); ``pipeline`` picks
-sigma from a relative width eta, so the p = 2 Schatten path builds no
-N x N eigenvector array.
+dropped, whose heat weights are at most e^(-t sigma), and
+``heat_two_inf_norm`` bounds a 2->inf norm over them from above;
+``pipeline`` picks each sigma from a relative weight eta, so neither the
+p = 2 Schatten path nor the main bound builds an N x N eigenvector
+array.
 A ``SelfAdjointOperator`` also holds a stack of T small operators of one
 shape, for the randomized suites: its space then has (T, N) weights, and
 every method runs the same arithmetic, with the same checks, once per
@@ -43,7 +46,8 @@ Norms provided:
 * ``two_inf_norm(A)``: the L2(m) -> L^inf norm with Euclidean fiber norm,
   which for a kernel operator is the largest weighted L2 norm of a kernel
   row.  ``heat_two_inf_norm(A, t)`` gives the norm of exp(-tA) at fiber 1
-  from A's spectrum, one gemv per call.
+  from A's spectrum, one gemv per call, and an upper bound on it from
+  the pairs of a partial A.
 * ``operator_norm(A)``: the ordinary L2(m) -> L2(m) norm.
 """
 
@@ -64,6 +68,7 @@ __all__ = [
     "WeightedFiniteSpace",
     "WeightedOperator",
     "SelfAdjointOperator",
+    "CutOffRefused",
     "heat_difference",
     "heat_difference_hs_bounds",
     "heat_difference_hs_squared",
@@ -87,6 +92,13 @@ _RESIDUAL_BLOCK = 256
 
 class DimensionMismatchError(ValueError):
     """Operands live on different spaces or have incompatible shapes."""
+
+
+class CutOffRefused(ValueError):
+    """A cut-off its inertia count does not certify: the count and the
+    eigendata disagree, or the shifted factorization cannot be read.  A
+    larger cut-off may be certified; at or above the radius bound no
+    count is needed."""
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -418,7 +430,7 @@ def _inertia(permuted: csr_matrix, sigma: float):
     diagonal of U; by Sylvester's law of inertia the negative pivots count
     the eigenvalues of S below sigma.  A factorization that left the
     diagonal (``perm_r != perm_c``) or met an exactly zero pivot (sigma an
-    eigenvalue, say) raises ValueError.
+    eigenvalue, say) raises ``CutOffRefused``, a ValueError.
     """
     try:
         lu = splu(
@@ -428,9 +440,9 @@ def _inertia(permuted: csr_matrix, sigma: float):
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:
-        raise ValueError(f"inertia count failed at the shift {sigma:.6g}: {exc}") from exc
+        raise CutOffRefused(f"inertia count failed at the shift {sigma:.6g}: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise ValueError("inertia count failed: the factorization pivoted off the diagonal")
+        raise CutOffRefused("inertia count failed: the factorization pivoted off the diagonal")
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
@@ -539,16 +551,19 @@ class SelfAdjointOperator(WeightedOperator):
     sigma and the K-th below it (so the solver counts K as well), and the
     K kept pairs pass ``_check_eigendata`` with the N x K Q: finite,
     orthogonality loss <= 1e-10 and ||R||_F sqrt(1 + loss) <=
-    1e-10 max(||S||_F, 1).  A disagreement raises ValueError.  Its zero
-    threshold comes from r, ``min_eigenvalue`` is sigma when K = 0 (every
-    eigenvalue is at or above it), and every method that needs all pairs
+    1e-10 max(||S||_F, 1).  A count the solver does not confirm, or an
+    inertia that cannot be read, raises ``CutOffRefused`` (a ValueError),
+    a failed check ValueError.  Its zero threshold comes from r,
+    ``min_eigenvalue`` is sigma when K = 0 (every eigenvalue is at or
+    above it), and every method that needs all pairs
     (``spectral_function`` and the semigroups, ``kernel_basis``,
-    ``squared_overlap``, the 2->inf norms) raises
+    ``squared_overlap``, ``two_inf_norm``) raises
     ValueError; its ``matrix`` is the one it was built from, which needs
     no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
-    with another operator, full or partial, from the K pairs and sigma;
-    ``from_spectrum`` with a cut-off builds a partial operator from K
-    pairs computed elsewhere.
+    with another operator, full or partial, from the K pairs and sigma,
+    and ``heat_two_inf_norm`` bounds the 2->inf norm of its semigroup
+    from above; ``from_spectrum`` with a cut-off builds a partial
+    operator from K pairs computed elsewhere.
 
     A stack of T operators of one shape is the same type with a leading
     axis: its space has (T, N) weights, ``eigenvalues`` are (T, d) and the
@@ -587,7 +602,7 @@ class SelfAdjointOperator(WeightedOperator):
             evals, evecs = _eigh_lowest_in_place(conj, count + 1)
             if not (evals[count] >= cutoff and (count == 0 or evals[count - 1] < cutoff)):
                 found = int(np.count_nonzero(evals < cutoff))
-                raise ValueError(
+                raise CutOffRefused(
                     f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
                     f"eigenvalues below it, the solver {found}"
                     f"{' or more' if found > count else ''}"
@@ -626,7 +641,7 @@ class SelfAdjointOperator(WeightedOperator):
         A finite ``cutoff`` sigma, which needs ``matrix``, takes the K
         pairs below it as an N x K array: each must lie below sigma, the
         inertia of S - sigma I (``_count_below``) must count exactly K
-        eigenvalues below it, else ValueError, and they pass the N x K
+        eigenvalues below it, else ``CutOffRefused``, and they pass the N x K
         checks of ``_check_eigendata``.  The operator is then partial, as
         one built from its matrix with this cut-off; when K = N it is full.
         """
@@ -654,7 +669,7 @@ class SelfAdjointOperator(WeightedOperator):
             count, radius = _count_below(conj, cutoff)
             below = int(np.count_nonzero(op.eigenvalues < cutoff))
             if not count == below == columns:
-                raise ValueError(
+                raise CutOffRefused(
                     f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
                     f"eigenvalues below it, the eigendata {below} of {columns}"
                 )
@@ -738,12 +753,17 @@ class SelfAdjointOperator(WeightedOperator):
         return self.basis[:, self.kernel_mask()]
 
     @cached_property
-    def _squared_basis(self) -> np.ndarray:
-        """U**2 elementwise, for U the m-orthonormal ``basis``; built once, read-only."""
-        self._require_full("the 2->inf norm")
+    def _squared_basis(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """U**2 elementwise, for U the m-orthonormal ``basis`` (N x K), and,
+        for a partial operator, the weight max(0, 1/m_x - sum_k U_xk^2) its
+        dropped columns hold in each row (None for a full one); built once,
+        read-only."""
         u = self.basis
         u *= u
-        return _read_only(u)
+        lacking = None
+        if self.partial:
+            lacking = _read_only(np.maximum(0.0, 1.0 / self.space.weights - u.sum(axis=1)))
+        return _read_only(u), lacking
 
     def squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
         """(Q_other^T Q)**2 elementwise, for Q the Euclidean eigenvectors.
@@ -910,14 +930,31 @@ def heat_two_inf_norm(A: SelfAdjointOperator, t: float) -> float:
     The value of ``two_inf_norm(A.semigroup(t))``: the squared norm at x is
     sum_k e^(-2 t w_k) U_xk^2, read from ``A._squared_basis`` (built on the
     first call) in ascending eigenvalue order, so no N x N array is built
-    after the first call.
+    after the first call.  A partial A holds only its K pairs below sigma;
+    every eigenvalue it dropped is at least sigma, and its dropped columns
+    of U hold 1/m_x - sum_{k<=K} U_xk^2 of row x, so
+
+        sum_{k<=K} e^(-2 t w_k) U_xk^2 + e^(-2 t sigma) max(0, 1/m_x - sum_{k<=K} U_xk^2)
+
+    bounds the squared norm at x from above, and the returned norm is the
+    square root of its largest value.  The squared basis is N x K then.
+    e^(-2 t w_min) is factored out of every weight and restored in log
+    space, so a negative w_min at a large t gives inf, with no overflow
+    warning.
     """
     if A.fiber != 1:
         raise DimensionMismatchError("heat_two_inf_norm needs a scalar fiber")
     if t < 0.0:
         raise ValueError("semigroup time must be nonnegative")
-    heat = np.exp(-t * A.eigenvalues)
-    return float(np.sqrt(np.max(A._squared_basis @ (heat * heat))))
+    squared, lacking = A._squared_basis
+    low = A.min_eigenvalue
+    peak = squared @ np.exp(-2.0 * t * (A.eigenvalues - low))
+    if lacking is not None:
+        peak += math.exp(-2.0 * t * (A.cutoff - low)) * lacking
+    try:
+        return math.exp(0.5 * math.log(float(np.max(peak))) - t * low)
+    except OverflowError:
+        return math.inf
 
 
 def singular_values(operator: WeightedOperator) -> np.ndarray:

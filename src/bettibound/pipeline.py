@@ -23,11 +23,22 @@ assumed):
 One grid loop evaluates a sweep, and computes each factor once at the
 level it depends on.  Preparing a surface eigensolves nothing: the Betti
 oracle counts dim ker L1 on L1's sparse matrix, certified by an inertia
-count and, when the kernel is not empty, by Ritz residuals.  The
-comparison operator L0 + K is eigensolved once per surface, and the
-2->inf norm of e^(-t0 (L0+K)) is one gemv per distinct t0, O(N^2) with
-no N x N array built, against the squared eigenbasis of L0 + K
-(``measure.heat_two_inf_norm``).  Only the Schatten certificate
+count and, when the kernel is not empty, by Ritz residuals.  An
+eigenpair lam of the comparison operator L0 + K enters the main bound
+only through its heat weight e^(-2 t0 lam), so, with eta = 1e-12, the
+sweep holds L0 + K only below
+
+    sigma_C = rho_bar + [ln(1/eta) + ln(vol max_x 1/m_x)] / (2 min t0),
+
+rho_bar its mean curvature (the Rayleigh quotient of the constants):
+the inertia of L0 + K - sigma_C counts the K pairs below it, xSYEVR
+computes only those, and no V x V eigenvector array is built.  The
+pairs it drops add at most eta of ||e^(-t0 (L0+K))||^2_{2->inf} at
+every t0 of the sweep, and the norm is the upper bound from the kept
+pairs and that tail, one gemv per distinct t0 against the squared
+V x K basis (``measure.heat_two_inf_norm``).  A refused cut-off doubles
+its margin above rho_bar; past the radius bound the operator holds
+every pair.  Only the Schatten certificate
 eigensolves L0 and the face Laplacian L2 and assembles L1's eigenpairs
 from them (its Hodge pieces), once per sweep and with no E x E
 eigensolve of its own, and eigensolves L1 + W once per rho0 (W depends
@@ -36,7 +47,7 @@ on rho0 only); the loop holds one L1 and one L1 + W at a time.  The
 Hilbert-Schmidt norm of the semigroup difference comes from the two
 spectra in O(N^2) per point, with no dense heat matrix, and an
 eigenpair of either operator enters it only through its heat weight
-e^(-2 t0 mu).  So, with eta = 1e-12, the sweep holds L1 only below
+e^(-2 t0 mu).  So the sweep holds L1 only below
 sigma_A = ln(1/eta) / (2 min t0), which no rho0 moves: L0 and L2 are
 eigensolved below it, the harmonic forms start from the Betti oracle's
 Ritz vectors, and the inertia of L1 - sigma_A must count exactly those
@@ -50,7 +61,12 @@ wider than eta relative to its upper end, or the cut-off is refused,
 the row takes L1 and L1 + W with every pair instead, and the sweep keeps
 that full L1 for its later rows; so does a refused Hodge count, and so
 do other p, which take the singular values of the dense difference.
-``betti_bound`` is the same loop on a 1 x 1 grid.
+An L1 + W whose pairs below the cut-off already fail L1 + W >= rho0
+gives the row's note with no full eigensolve.  The prepared surface
+(``SurfaceData``) holds the comparison operator and the L1 below their
+cut-offs for any later call whose cut-offs are no larger, so
+``betti_bound``, the same loop on a 1 x 1 grid, shares them from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -73,7 +89,7 @@ from .dec import (
     ricci_potential,
     schrodinger_comparison,
 )
-from .measure import SelfAdjointOperator, heat_two_inf_norm
+from .measure import CutOffRefused, SelfAdjointOperator, heat_two_inf_norm
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 from .perturbation import MatrixPotential
 from .report import CheckRecord, equality_record, inequality_record
@@ -171,13 +187,17 @@ class SurfaceData:
     ``b1`` is the harmonic oracle's count, checked against the chain
     complex, and ``kernel_dim_0forms`` the same certified count for L0;
     neither eigensolves anything.  Each operator is eigensolved when
-    first read: the comparison operator by the main bound, and L1 with
-    every pair (from eigensolves of its Hodge pieces L0 and L2, which are
-    not kept) only when the Schatten certificate first reads
-    ``laplacian1``: at p != 2, or where a p = 2 row falls back to every
-    pair.  Nothing that depends on rho0 or t0 is kept here: the grid loop
-    computes it, and holds the L1 below the p = 2 cut-off, which depends
-    on min t0.
+    first read.  The main bound reads the comparison operator L0 + K
+    only below a cut-off (``comparison_below``), and a p = 2 Schatten
+    sweep reads L1 only below one (``laplacian1_below``).  Each such
+    operator is held here, one per kind, and serves every later call
+    whose cut-off is no larger than the one held, so point-by-point
+    ``betti_bound`` calls share it; a call that needs a larger cut-off
+    replaces it.  ``laplacian1`` holds every pair of L1 (from eigensolves
+    of its Hodge pieces L0 and L2, which are not kept); the Schatten
+    certificate reads it at p != 2, or where a p = 2 row falls back to
+    every pair.  Nothing that depends on rho0 is kept here, and t0 enters
+    only through the cut-offs.
     """
 
     mesh: TriangleMesh
@@ -186,15 +206,44 @@ class SurfaceData:
     b1: int
     kernel_dim_0forms: int
     description: str
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def volume(self) -> float:
         return self.mesh.total_area
 
-    @cached_property
-    def comparison(self) -> SelfAdjointOperator:
-        """The comparison operator L0 + K, eigensolved when first read."""
-        return schrodinger_comparison(self.dec, self.curvature.values)
+    def comparison_below(self, cutoff: float) -> SelfAdjointOperator:
+        """L0 + K with (at least) its eigenpairs below ``cutoff``, held.
+
+        ``SelfAdjointOperator(..., cutoff=sigma)``: a V x K array.  A
+        refused cut-off (``CutOffRefused``) doubles its margin above the
+        mean curvature rho_bar, sigma -> rho_bar + 2 (sigma - rho_bar),
+        until one is certified; at or above the operator's radius bound
+        it holds every pair.
+        """
+        mean = self._mean_curvature
+
+        def build(sigma):
+            while True:
+                try:
+                    return schrodinger_comparison(self.dec, self.curvature.values, sigma)
+                except CutOffRefused:
+                    if math.isnan(sigma):
+                        raise
+                    sigma = mean + 2.0 * (sigma - mean)
+
+        return self._held_below("comparison", cutoff, build)
+
+    @property
+    def _mean_curvature(self) -> float:
+        """rho_bar = sum_x m_x K_x / sum_x m_x, for m the vertex weights.
+
+        L0 annihilates the constants, so rho_bar is their Rayleigh
+        quotient for L0 + K: the lowest eigenvalue of L0 + K is at most
+        rho_bar.
+        """
+        weights = self.dec.star0
+        return float(np.sum(weights * self.curvature.values) / np.sum(weights))
 
     @cached_property
     def laplacian1(self) -> SelfAdjointOperator:
@@ -215,6 +264,32 @@ class SurfaceData:
             )
         return lap1
 
+    def laplacian1_below(self, cutoff: float) -> SelfAdjointOperator:
+        """L1 with (at least) its eigenpairs below ``cutoff``, held.
+
+        ``DECOperators.laplacian1(cutoff)``, an E x K array certified by
+        the Hodge count; a refused count (any ValueError) gives the full
+        ``laplacian1``.
+        """
+
+        def build(sigma):
+            try:
+                return self.dec.laplacian1(sigma)
+            except ValueError:
+                return self.laplacian1
+
+        return self._held_below("laplacian1", cutoff, build)
+
+    def _held_below(self, kind, cutoff, build) -> SelfAdjointOperator:
+        """The ``kind`` operator held, when its cut-off is at least ``cutoff``;
+        else ``build(cutoff)``, held in its place."""
+        held = self._held.pop(kind, None)
+        if held is None or held.cutoff < cutoff:
+            del held  # freed before its successor is built
+            held = build(cutoff)
+        self._held[kind] = held
+        return held
+
 
 def prepare_surface(
     surface: AnalyticSurface | TriangleMesh,
@@ -226,12 +301,12 @@ def prepare_surface(
     A mesh that is disconnected or pinched at a vertex is rejected with a
     ``MeshError``.  No eigensolve runs: ``betti1_oracle`` counts b1, and
     ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
-    counts.  The comparison operator L0 + K is eigensolved once, when a
-    bound first reads it.  The Schatten certificate assembles L1 once per
-    sweep, at p = 2 only below a cut-off, with no E x E array; with
-    every pair (``SurfaceData.laplacian1``) it is assembled once per
-    surface.  The L0 and L2 eigendata an assembly reads are freed once it
-    returns.
+    counts.  The comparison operator L0 + K is eigensolved below a
+    cut-off when a bound first reads it, and again only for a larger
+    cut-off.  The Schatten certificate assembles L1 at p = 2 only below a
+    cut-off, with no E x E array, held the same way; with every pair
+    (``SurfaceData.laplacian1``) it is assembled once per surface.  The
+    L0 and L2 eigendata an assembly reads are freed once it returns.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -276,10 +351,10 @@ def betti_bound(
 ) -> BettiBoundReport:
     """The grid loop (``parameter_sweep``) on the 1 x 1 grid of ``inputs``.
 
-    ``data``, when given, is the prepared surface; nothing is kept from
-    one call to the next, so each call with the Schatten certificate at
-    p = 2 assembles its own L1 below the cut-off, and each eigensolves its
-    own L1 + W.
+    ``data``, when given, is the prepared surface.  The comparison
+    operator and the p = 2 L1 below their cut-offs are held on it, so a
+    later call reuses them unless its t0 is smaller than every earlier
+    one's (``SurfaceData``); each call eigensolves its own L1 + W.
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
@@ -367,16 +442,18 @@ def _sweep(
 ) -> list[BettiBoundReport]:
     """The reports of the grid on a prepared surface, rho0 outer, t0 inner.
 
-    Each factor is computed once at the level it depends on: the 2->inf
-    norm of the comparison semigroup per distinct t0, the potential norm
-    and L1 + W per rho0 (``_schatten_row``), the prefactors and the
+    Each factor is computed once at the level it depends on: the
+    comparison operator below the grid's cut-off (``_comparison_cutoff``)
+    and the 2->inf norm of its semigroup per distinct t0, the potential
+    norm and L1 + W per rho0 (``_schatten_row``), the prefactors and the
     Schatten power sum per point.  A point's records, in order:
     soundness_main, soundness_schatten (when computed),
     vanishing_criterion (when the curvature is everywhere above rho0) and
     prefactor.  A soundness record passes when
     b1 <= bound + soundness_slack * (1 + |bound|).
     """
-    two_inf = {t0: heat_two_inf_norm(data.comparison, t0) for t0 in dict.fromkeys(t0_values)}
+    comparison = data.comparison_below(_comparison_cutoff(data, t0_values))
+    two_inf = {t0: heat_two_inf_norm(comparison, t0) for t0 in dict.fromkeys(t0_values)}
     curvature_min = data.curvature.min()
     volume = data.volume
     lap1 = _laplacian1_for_rows(data, t0_values, p) if compute_schatten else None
@@ -389,8 +466,9 @@ def _sweep(
         for t0, bound_schatten in zip(t0_values, schatten):
             ultra = two_inf[t0]
             sharp_pref, loose_pref = prefactors(rho0, t0)
-            bound_main = sharp_pref * potential_norm**2 * ultra**2
-            bound_loose = loose_pref * potential_norm**2 * ultra**2
+            # A float product overflows to inf where ``ultra**2`` would raise.
+            bound_main = sharp_pref * potential_norm**2 * (ultra * ultra)
+            bound_loose = loose_pref * potential_norm**2 * (ultra * ultra)
 
             tag = f"rho0={rho0:g},t0={t0:g}"
             soundness = [("main", "the certified product bound", bound_main)]
@@ -457,22 +535,35 @@ def _laplacian1_for_rows(data: SurfaceData, t0_values: list[float], p: float):
     """The L1 a sweep's Schatten rows start from.
 
     At p = 2, L1 below sigma_A = ln(1/eta) / (2 min t0)
-    (``DECOperators.laplacian1``), where every dropped pair has heat weight
-    e^(-2 t0 lam) at most eta; sigma_A depends on no rho0, so this one L1
-    serves every row.  A Hodge count that is refused (a ``ValueError``)
-    gives the full L1, as every other p does.
+    (``SurfaceData.laplacian1_below``), where every dropped pair has heat
+    weight e^(-2 t0 lam) at most eta; sigma_A depends on no rho0, so this
+    one L1 serves every row.  A Hodge count that is refused gives the full
+    L1, as every other p does.
     """
     if p == 2.0:
-        try:
-            return data.dec.laplacian1(_heat_cutoff(t0_values))
-        except ValueError:
-            pass
+        return data.laplacian1_below(_heat_cutoff(t0_values))
     return data.laplacian1
 
 
 def _heat_cutoff(t0_values: list[float]) -> float:
     """ln(1/eta) / (2 min t0): above it e^(-2 t0 lam) <= eta for every t0 of the row."""
     return math.log(1.0 / _ETA) / (2.0 * min(t0_values))
+
+
+def _comparison_cutoff(data: SurfaceData, t0_values: list[float]) -> float:
+    """The cut-off below which the main bound holds L0 + K:
+
+        sigma_C = rho_bar + [ln(1/eta) + ln(vol max_x 1/m_x)] / (2 min t0),
+
+    for rho_bar the mean curvature (``SurfaceData._mean_curvature``) and
+    vol = sum_x m_x.  The pairs dropped below sigma_C add at most
+    e^(-2 t sigma_C) max_x 1/m_x to the squared 2->inf norm of e^(-tA)
+    (``heat_two_inf_norm``), which is at least e^(-2 t lam_0) / vol
+    with lam_0 <= rho_bar, so at most eta of it at every t >= min t0.
+    """
+    weights = data.dec.star0
+    spread = math.log(float(np.sum(weights)) / float(np.min(weights)))
+    return data._mean_curvature + (math.log(1.0 / _ETA) + spread) / (2.0 * min(t0_values))
 
 
 def _schatten_row(
@@ -488,11 +579,16 @@ def _schatten_row(
     place of ``lap1``, and L1 + W with every pair.  Each L1 + W lives only
     inside this call (the cut-off one only inside ``_cut_off_bounds``), so
     a sweep holds one such operator (and the squared overlap it keeps) at
-    a time.  When a check of the full L1 + W fails, every bound of the row
-    is None and the one note says why.
+    a time.  When a check of L1 + W fails, cut off or full, every bound of
+    the row is None and the one note says why: the lowest pair of the
+    cut-off L1 + W already decides whether it clears rho0, so that
+    failure costs no full eigensolve.
     """
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-    bounds = _cut_off_bounds(lap1, potential, rho0, t0_values) if p == 2.0 else None
+    try:
+        bounds = _cut_off_bounds(lap1, potential, rho0, t0_values) if p == 2.0 else None
+    except ValueError as exc:
+        return _omitted_row(exc, t0_values, lap1)
     if bounds is not None:
         return bounds, (), lap1
     lap1 = data.laplacian1
@@ -503,8 +599,13 @@ def _schatten_row(
             for t0 in t0_values
         ]
     except ValueError as exc:
-        return [None] * len(t0_values), (f"schatten bound omitted: {exc}",), lap1
+        return _omitted_row(exc, t0_values, lap1)
     return bounds, (), lap1
+
+
+def _omitted_row(exc: ValueError, t0_values: list[float], lap1: SelfAdjointOperator):
+    """What ``_schatten_row`` returns when a check of its L1 + W fails."""
+    return [None] * len(t0_values), (f"schatten bound omitted: {exc}",), lap1
 
 
 def _cut_off_bounds(lap1, potential, rho0, t0_values) -> list | None:
@@ -515,20 +616,21 @@ def _cut_off_bounds(lap1, potential, rho0, t0_values) -> list | None:
     heat weight e^(-2 t0 sigma) at most eta, and sigma lies above rho0, so
     an L1 + W with no pair below sigma clears rho0.  ``lap1`` may hold
     only its pairs below its own cut-off.  Each bound is the upper end of
-    its ``crude_hs_enclosure``; an enclosure wider than eta relative to
+    its ``crude_hs_enclosure``.  An enclosure wider than eta relative to
     that end, or a cut-off the inertia count and the solver do not agree
-    on (a ``ValueError``, any check of this pair included), gives None,
-    and the caller takes every pair.
+    on (``CutOffRefused``), gives None, and the caller takes every pair.
+    Any other ValueError, the check that L1 + W clears rho0 among them,
+    is the row's own failure and is raised.
     """
     cutoff = max(_heat_cutoff(t0_values), 2.0 * rho0)
     try:
         perturbed = schatten_operator(lap1, potential, rho0, cutoff)
-        enclosures = [
-            crude_hs_enclosure(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0))
-            for t0 in t0_values
-        ]
-    except ValueError:
+    except CutOffRefused:
         return None
+    enclosures = [
+        crude_hs_enclosure(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0))
+        for t0 in t0_values
+    ]
     if not all(upper - lower <= _ETA * upper for upper, lower in enclosures):
         return None
     return [upper for upper, _ in enclosures]

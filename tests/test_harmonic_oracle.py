@@ -329,7 +329,8 @@ def test_operators_keep_their_check_numbers(name):
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     data = prepare_surface(builtin_mesh(name, resolution))
     lap0 = data.dec.laplacian0()
-    operators = (lap0, data.dec.laplacian2(), data.comparison, data.laplacian1)
+    comparison = dec_module.schrodinger_comparison(data.dec, data.curvature.values)
+    operators = (lap0, data.dec.laplacian2(), comparison, data.laplacian1)
     for op in operators:
         q, evals, conj = op._euclidean_vectors, op.eigenvalues, op.conjugated()
         loss = measure._orthogonality_loss(q)

@@ -868,6 +868,33 @@ def test_partial_a_bounds_narrow_to_the_value_as_its_cut_off_rises():
     assert widths == sorted(widths, reverse=True) and widths[-1] <= 1e-13 * full
 
 
+def test_partial_heat_two_inf_norm_bounds_the_full_one_from_above():
+    # The pairs below a rising cut-off, with the tail term
+    # e^(-2 t sigma) max(0, 1/m_x - sum_k U_xk^2), bound the squared norm
+    # from above and narrow to it; no pair below the cut-off leaves the
+    # tail term alone, e^(-t sigma) max_x m_x^(-1/2), and a cut-off above
+    # the spectrum is the full operator.
+    matrix, space, _ = _planted_operator(_SPECTRUM, sparse=True)
+    full = SelfAdjointOperator(matrix, space)
+    t = 0.5
+    exact = measure.heat_two_inf_norm(full, t)
+    assert exact == pytest.approx(two_inf_norm(full.semigroup(t)), rel=1e-14)
+    excess = []
+    for cutoff in (-1.0, 0.25, 3.0, 20.0, 50.0):
+        part = SelfAdjointOperator(matrix, space, cutoff=cutoff)
+        bound = measure.heat_two_inf_norm(part, t)
+        assert bound >= exact * (1.0 - 1e-14)
+        excess.append(bound / exact - 1.0)
+    empty = SelfAdjointOperator(matrix, space, cutoff=-1.0)
+    assert empty.eigenvalues.size == 0
+    expected = math.exp(t) / math.sqrt(float(np.min(space.weights)))
+    assert measure.heat_two_inf_norm(empty, t) == pytest.approx(expected, rel=1e-14)
+    assert excess == sorted(excess, reverse=True) and abs(excess[-1]) <= 1e-14
+    # At a large t only the two-dimensional kernel is left.
+    kernel = math.sqrt(float(np.max(np.sum(full.basis[:, :2] ** 2, axis=1))))
+    assert measure.heat_two_inf_norm(full, 1e4) == pytest.approx(kernel, rel=1e-9)
+
+
 def test_partial_operator_refuses_every_full_spectrum_method():
     matrix, space, fiber = _planted_operator(_SPECTRUM)
     full = SelfAdjointOperator(matrix, space, fiber)
@@ -881,7 +908,6 @@ def test_partial_operator_refuses_every_full_spectrum_method():
         "squared_overlap": lambda: part.squared_overlap(full),
         "squared_overlap of a full operator": lambda: full.squared_overlap(part),
         "two_inf_norm": lambda: two_inf_norm(part),
-        "heat_two_inf_norm": lambda: measure.heat_two_inf_norm(part, 1.0),
         "heat_difference": lambda: heat_difference(full, part, 1.0),
     }
     for name, call in calls.items():

@@ -1,9 +1,14 @@
 """End-to-end certified bound checks against the homology oracles."""
 
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from scipy.sparse import csr_matrix, diags
 
 from bettibound import measure, pipeline
 from bettibound.birman import OperatorPair, crude_hs_enclosure, crude_kernel_bound
+from bettibound.dec import schrodinger_comparison
 from bettibound.measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
@@ -230,8 +236,9 @@ def _pairs_below(matrix, space, cutoff) -> int:
 )
 def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten, p):
     # Preparing the surface eigensolves nothing: both kernel counts are
-    # sparse.  Once per surface, the comparison operator L0 + K (V x V)
-    # is eigensolved.  With the Schatten certificate at p = 2, L1 is
+    # sparse.  Once per sweep, the comparison operator L0 + K (V x V) is
+    # eigensolved for its pairs below the grid's sigma_C and the first one
+    # above it, whatever p.  With the Schatten certificate at p = 2, L1 is
     # assembled once, below sigma_A = ln(1/eta) / (2 min t0), from L0
     # (V x V) and the face Laplacian L2 (F x F), each solved for its pairs
     # below sigma_A and the first one above it, with a b1 x b1
@@ -245,12 +252,18 @@ def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten, p):
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], p=p, compute_schatten=schatten)
     calls = list(calls)
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
-    expected = [(nv, nv)]
+    data = prepare_surface(mesh)
+    dec = data.dec
+    comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
+    below = _pairs_below(
+        comparison, dec.vertex_space(), pipeline._comparison_cutoff(data, [0.5, 1.0])
+    )
+    assert below + 1 < nv
+    expected = [(nv, below + 1)]
     if schatten and p != 2.0:
         expected += [(nv, nv), (nf, nf), (4, 4), (ne, ne), (ne, ne)]
     elif schatten:
-        data = prepare_surface(mesh)
-        dec, sigma_a = data.dec, pipeline._heat_cutoff([0.5, 1.0])
+        sigma_a = pipeline._heat_cutoff([0.5, 1.0])
         for matrix, space in (
             (dec.laplacian0_matrix(), dec.vertex_space()),
             (dec.laplacian2_matrix(), dec.face_space()),
@@ -266,12 +279,15 @@ def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten, p):
             assert below + 1 < ne
             expected.append((ne, below + 1))
         assert (ne, ne) not in calls
+    if p == 2.0:
+        assert (nv, nv) not in calls
     assert calls == expected
 
 
 def test_sweep_computes_each_two_inf_norm_once_per_t0(monkeypatch):
-    # A 5 x 5 grid has five distinct t0, so five gemvs, not 25; each kept
-    # value is the one a call at that point returns, to the bit.
+    # A 5 x 5 grid has five distinct t0, so five gemvs, not 25, against
+    # the comparison operator below the grid's sigma_C; each kept value is
+    # the one a call at that point returns, to the bit.
     calls = []
 
     def recording(op, t):
@@ -283,7 +299,9 @@ def test_sweep_computes_each_two_inf_norm_once_per_t0(monkeypatch):
     mesh = builtin_mesh("bumpy-sphere", 2)
     reports = parameter_sweep(mesh, rho0s, t0s, compute_schatten=False)
     assert calls == t0s
-    comparison = prepare_surface(mesh).comparison
+    data = prepare_surface(mesh)
+    comparison = data.comparison_below(pipeline._comparison_cutoff(data, t0s))
+    assert comparison.partial
     for report in reports:
         expected = heat_two_inf_norm(comparison, report.t0)
         assert report.intermediate["comparison_two_inf"] == expected
@@ -303,9 +321,12 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
     # The Laplacians are CSR and the kernel counts sparse: the one dense
     # copy made while a surface is prepared and swept is the comparison
     # operator L0 + K that its eigensolve reads.  The operator's LAPACK
-    # eigensolve reads that copy in place, in Fortran order.
-    densified, solved = [], []
+    # eigensolve, xSYEVR for its pairs below sigma_C and the first one
+    # above it, reads that copy in place, in Fortran order, and returns a
+    # V x (K + 1) eigenvector array; no xSYEVD runs.
+    densified, solved, vectors = [], [], []
     toarray, eigh, dsyevd = csr_matrix.toarray, np.linalg.eigh, lapack.dsyevd
+    dsyevr = lapack.dsyevr
 
     def recording_toarray(self, *args, **kwargs):
         densified.append(toarray(self, *args, **kwargs))
@@ -319,45 +340,65 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
         solved.append(a.T)
         return dsyevd(a, *args, **kwargs)
 
+    def recording_dsyevr(a, *args, **kwargs):
+        solved.append(a.T)
+        result = dsyevr(a, *args, **kwargs)
+        vectors.append(result[1])
+        return result
+
     monkeypatch.setattr(csr_matrix, "toarray", recording_toarray)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(lapack, "dsyevd", recording_dsyevd)
+    monkeypatch.setattr(lapack, "dsyevr", recording_dsyevr)
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     mesh = builtin_mesh(name, resolution)
     parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=False)
-    assert len(densified) == len(solved) == 1
+    assert len(densified) == len(solved) == len(vectors) == 1
     assert solved[0].base is densified[0]
-    assert densified[0].shape == (mesh.vertex_count,) * 2
+    nv = mesh.vertex_count
+    assert densified[0].shape == (nv, nv)
+    data = prepare_surface(mesh)
+    part = data.comparison_below(pipeline._comparison_cutoff(data, [0.5, 1.0]))
+    assert vectors[0].shape == (nv, part.eigenvalues.size + 1) and part.partial
 
 
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolves):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
     # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The
     # eigensolves are L1's Hodge pieces L0 (V x V) and L2 (F x F), when
-    # L1 is first read (b1 = 0 leaves no Rayleigh-Ritz block), the
-    # comparison operator L0 + K (V x V), when the main bound first
-    # reads it, and, at each p = 2 point, the pairs of L0 and L2 below
-    # that point's sigma_A for its L1 below the cut-off.
+    # L1 is first read (b1 = 0 leaves no Rayleigh-Ritz block), and, at
+    # the first p = 2 point, the pairs of the comparison operator L0 + K
+    # below that point's sigma_C, and of L0 and L2 below its sigma_A for
+    # its L1 below the cut-off.  The prepared surface holds both, and the
+    # second point, whose larger t0 needs lower cut-offs, eigensolves
+    # nothing: one Hodge assembly below the cut-off for both calls.
     data = prepare_surface(RoundSphere(), resolution=2)
     calls = count_eigensolves()
     potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
     assert not np.any(potential.values)
     assert schatten_operator(data.laplacian1, potential, 0.5) is data.laplacian1
     nv, nf = data.mesh.vertex_count, data.mesh.face_count
-    expected = [(nv, nv), (nf, nf), (nv, nv)]
+    dec = data.dec
+    comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
+    sigma_c, sigma_a = pipeline._comparison_cutoff(data, [1.0]), pipeline._heat_cutoff([1.0])
+    expected = [
+        (nv, nv),
+        (nf, nf),
+        (nv, _pairs_below(comparison, dec.vertex_space(), sigma_c) + 1),
+        (nv, _pairs_below(dec.laplacian0_matrix(), dec.vertex_space(), sigma_a) + 1),
+        (nf, _pairs_below(dec.laplacian2_matrix(), dec.face_space(), sigma_a) + 1),
+    ]
+    held = []
     for t0 in (1.0, 3.0):
         report = betti_bound(
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
         )
         assert report.bound_schatten == 0.0
-        sigma_a = pipeline._heat_cutoff([t0])
-        expected += [
-            (nv, _pairs_below(data.dec.laplacian0_matrix(), data.dec.vertex_space(), sigma_a) + 1),
-            (nf, _pairs_below(data.dec.laplacian2_matrix(), data.dec.face_space(), sigma_a) + 1),
-        ]
+        held.append(data.laplacian1_below(pipeline._heat_cutoff([t0])))
     assert calls == expected
-    part = data.dec.laplacian1(pipeline._heat_cutoff([1.0]))
-    assert part.partial and schatten_operator(part, potential, 0.5) is part
+    part = held[0]
+    assert held[1] is part and part.partial and part.cutoff == sigma_a
+    assert schatten_operator(part, potential, 0.5) is part
 
 
 def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
@@ -543,17 +584,20 @@ def test_p2_schatten_row_runs_no_edge_square_full_eigensolve(count_eigensolves):
 @pytest.mark.parametrize("miscount", [-1, 1, None], ids=["inertia-low", "inertia-high", "singular"])
 def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monkeypatch, miscount):
     # An inertia count the solver does not confirm, or a shift the sparse
-    # factorization finds singular, refuses the cut-off (a ValueError); the
-    # row then eigensolves all of L1 + W and reports the full-spectrum
-    # bounds, bit for bit, with no note.
+    # factorization finds singular, refuses the cut-off (``CutOffRefused``);
+    # the row then eigensolves all of L1 + W and reports the full-spectrum
+    # bounds, bit for bit, with no note.  Only the edge counts are made
+    # wrong: the comparison operator keeps its pairs below sigma_C.
     data = prepare_surface(genus2_mesh())
-    ne = data.laplacian1.dim
+    ne, nv = data.laplacian1.dim, data.mesh.vertex_count
     expected = [_full_row(data, rho0, [1.0])[0] for rho0 in (0.5, 1.0)]
     inertia = measure._inertia
 
     def miscounting(permuted, sigma):
+        if permuted.shape[0] != ne:
+            return inertia(permuted, sigma)
         if miscount is None:
-            raise ValueError(f"inertia count failed at the shift {sigma:.6g}: singular")
+            raise measure.CutOffRefused(f"inertia count failed at the shift {sigma:.6g}: singular")
         lu, below = inertia(permuted, sigma)
         return lu, below + miscount
 
@@ -562,6 +606,10 @@ def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monk
     reports = pipeline._sweep(data, [0.5, 1.0], [1.0], 2.0, True, pipeline.SOUNDNESS_SLACK)
     assert [r.bound_schatten for r in reports] == expected
     assert all(r.notes == () and r.passed for r in reports)
+    comparison = data.dec.laplacian0_matrix() + diags(data.curvature.values)
+    sigma_c = pipeline._comparison_cutoff(data, [1.0])
+    assert calls[0] == (nv, _pairs_below(comparison, data.dec.vertex_space(), sigma_c) + 1)
+    assert (nv, nv) not in calls
     edge_solves = [call for call in calls if call[0] == ne]
     if miscount is None:
         assert edge_solves == [(ne, ne)] * 2
@@ -613,6 +661,81 @@ def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, misc
     assert held == [lap1, lap1]
 
 
+def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
+    # torus-rev at rho0 = 0.5, t0 = 1 (a golden case): the lowest pair of
+    # L1 + W below its cut-off already fails L1 + W >= rho0, so the row
+    # writes its note from that operator.  No full L1 (its Hodge pieces
+    # L0 and L2) and no full L1 + W is eigensolved, and the note is the
+    # golden one, byte for byte.
+    data = prepare_surface(builtin_mesh("torus-rev"))
+    dec = data.dec
+    nv, ne, nf = data.mesh.vertex_count, data.mesh.edge_count, data.mesh.face_count
+    calls = count_eigensolves()
+    (report,) = pipeline._sweep(data, [0.5], [1.0], 2.0, True, pipeline.SOUNDNESS_SLACK)
+    golden = json.loads((Path(__file__).parent / "golden" / "torus-rev.json").read_text())
+    assert list(report.notes) == golden["reports"][0]["notes"]
+    assert report.bound_schatten is None
+    sigma_a = pipeline._heat_cutoff([1.0])
+    perturbed = dec.laplacian1_matrix() + diags(
+        synthetic_edge_potential(dec, data.curvature, 0.5).values.ravel()
+    )
+    comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
+    sigma_c = pipeline._comparison_cutoff(data, [1.0])
+    assert calls == [
+        (nv, _pairs_below(comparison, dec.vertex_space(), sigma_c) + 1),
+        (nv, _pairs_below(dec.laplacian0_matrix(), dec.vertex_space(), sigma_a) + 1),
+        (nf, _pairs_below(dec.laplacian2_matrix(), dec.face_space(), sigma_a) + 1),
+        (data.b1, data.b1),
+        (ne, _pairs_below(perturbed, dec.edge_space(), _cutoff([1.0], 0.5)) + 1),
+    ]
+    assert not {(nv, nv), (nf, nf), (ne, ne)} & set(calls)
+    assert data._held["laplacian1"].partial
+
+
+@pytest.mark.parametrize("refusals", [1, None], ids=["once", "always"])
+def test_refused_comparison_cut_off_doubles_its_margin(monkeypatch, refusals):
+    # A refused count doubles the comparison cut-off's margin above the
+    # mean curvature rho_bar until one is certified: after one refusal the
+    # operator holds the pairs below rho_bar + 2 (sigma_C - rho_bar); a
+    # count that is always refused raises the cut-off past the radius
+    # bound, where the operator holds every pair, bit for bit.
+    data = prepare_surface(genus2_mesh())
+    nv = data.mesh.vertex_count
+    full = schrodinger_comparison(data.dec, data.curvature.values)
+    radius = measure._count_below(full.conjugated(), math.inf)[1]
+    inertia, build = measure._inertia, pipeline.schrodinger_comparison
+    refused, asked = [], []
+
+    def miscounting(permuted, sigma):
+        lu, below = inertia(permuted, sigma)
+        if permuted.shape[0] == nv and (refusals is None or len(refused) < refusals):
+            refused.append(sigma)
+            below += 1
+        return lu, below
+
+    def recording(dec, rho, cutoff):
+        asked.append(cutoff)
+        return build(dec, rho, cutoff)
+
+    monkeypatch.setattr(measure, "_inertia", miscounting)
+    monkeypatch.setattr(pipeline, "schrodinger_comparison", recording)
+    sigma_c = pipeline._comparison_cutoff(data, [1.0])
+    part = data.comparison_below(sigma_c)
+    mean = data._mean_curvature
+    assert mean < 0.0 < sigma_c < radius
+    assert asked[0] == sigma_c
+    assert asked[1:] == [mean + 2.0 * (sigma - mean) for sigma in asked[:-1]]
+    assert refused == asked[: len(refused)]
+    if refusals == 1:
+        assert len(asked) == 2 and part.partial and part.cutoff == asked[1]
+    else:
+        assert asked[-2] < radius <= asked[-1] and len(refused) == len(asked) - 1
+        assert not part.partial
+        assert np.array_equal(part.eigenvalues, full.eigenvalues)
+        assert np.array_equal(part._euclidean_vectors, full._euclidean_vectors)
+    assert data.comparison_below(sigma_c) is part
+
+
 def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
     # With the lower end of every partial enclosure pushed to 0, no
     # cut-off enclosure is narrow enough: the row takes the full L1 and
@@ -658,7 +781,8 @@ def _peak_bytes(call) -> int:
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_heat_two_inf_norm_matches_the_semigroup_route(name):
     # At t = 4 most squared heat eigenvalues of the spheres underflow to 0.
-    comparison = prepare_surface(builtin_mesh(name)).comparison
+    data = prepare_surface(builtin_mesh(name))
+    comparison = schrodinger_comparison(data.dec, data.curvature.values)
     for t in (0.5, 1.0, 4.0):
         expected = two_inf_norm(comparison.semigroup(t))
         assert abs(heat_two_inf_norm(comparison, t) - expected) <= 1e-14 * expected
@@ -672,6 +796,57 @@ def test_heat_two_inf_norm_matches_the_semigroup_route(name):
     assert _peak_bytes(lambda: two_inf_norm(comparison.semigroup(2.0))) >= square
 
 
+_TRUNCATION_T0 = [0.25, 0.5, 1.0, 2.0, 4.0, 400.0]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_truncated_two_inf_norm_bounds_the_full_one(name):
+    # Below the sigma_C of the whole t0 list, and of each t0 alone, the
+    # norm from the kept pairs and the tail term is at least the
+    # full-spectrum norm and exceeds it by at most 1e-12 of it (the dropped
+    # tail is at most eta = 1e-12 of the squared norm).  xSYEVR and xSYEVD
+    # round the kept eigenvalues differently, by at most delta, which moves
+    # e^(-t0 lam) by a relative t0 delta either way, so both ends widen by
+    # e^(t0 delta): delta is at most about 2e-13 on the builtins, so that
+    # is 1 + 8e-13 at t0 = 4, and up to 1 + 8e-11 at t0 = 400.
+    data = prepare_surface(builtin_mesh(name))
+    full = schrodinger_comparison(data.dec, data.curvature.values)
+    for grid in [_TRUNCATION_T0, *([t0] for t0 in _TRUNCATION_T0)]:
+        cutoff = pipeline._comparison_cutoff(data, grid)
+        part = schrodinger_comparison(data.dec, data.curvature.values, cutoff)
+        kept = part.eigenvalues.size
+        assert part.partial or kept == full.dim
+        delta = float(np.max(np.abs(part.eigenvalues - full.eigenvalues[:kept])))
+        assert delta <= 1e-12
+        for t0 in grid:
+            truncated, exact = heat_two_inf_norm(part, t0), heat_two_inf_norm(full, t0)
+            drift = math.exp(t0 * delta)
+            assert math.isfinite(exact)
+            assert exact * (1.0 - 1e-14) / drift <= truncated <= exact * (1.0 + 1e-12) * drift
+
+
+def test_large_t0_main_bound_overflows_to_inf_with_no_warning(tmp_path):
+    # genus2(12)'s comparison operator has a negative lowest eigenvalue, so
+    # at t0 = 400 its squared 2->inf norm exceeds the float range: the
+    # norm and bound_main are inf, and no warning is raised, even with
+    # every warning an error.
+    out = tmp_path / "report.json"
+    argv = [
+        "betti-bound", "--builtin", "genus2", "--resolution", "12", "--rho0", "0.5",
+        "--t0", "400", "--no-schatten", "--quiet", "--out", str(out),
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bettibound.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr and "Error" not in result.stderr
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["bound_main"] == report["intermediate"]["comparison_two_inf"] == "inf"
+
+
 def test_heat_two_inf_norm_needs_a_scalar_fiber():
     op = SelfAdjointOperator(np.eye(4), WeightedFiniteSpace(np.ones(2)), fiber=2)
     with pytest.raises(ValueError, match="scalar fiber"):
@@ -679,16 +854,26 @@ def test_heat_two_inf_norm_needs_a_scalar_fiber():
 
 
 def test_main_bound_point_builds_no_vertex_square_array():
-    # The main bound's 2->inf norm reads the comparison operator's squared
-    # eigenbasis, built at the first point; later points allocate O(V).
+    # The first point eigensolves the comparison operator below its
+    # sigma_C: besides the V x V buffer that xSYEVR reduces in place, it
+    # keeps a V x (K + 1) eigenvector array, where every pair took about
+    # three V x V arrays.  Its 2->inf norm reads the squared V x K basis,
+    # built there too; a later point with a larger t0 reuses the operator
+    # held on the surface and allocates O(V).
     data = prepare_surface(builtin_mesh("bumpy-sphere"))
+    square = data.mesh.vertex_count**2 * 8
 
     def point(t0):
         inputs = BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=t0, compute_schatten=False)
         return betti_bound(inputs, data=data)
 
-    point(1.0)
-    assert _peak_bytes(lambda: point(4.0)) < data.mesh.vertex_count**2 * 8
+    assert _peak_bytes(lambda: point(1.0)) < 2 * square
+    part = data.comparison_below(pipeline._comparison_cutoff(data, [1.0]))
+    assert part.partial and 4 * part.eigenvalues.size < part.dim
+    assert _peak_bytes(lambda: point(4.0)) < square
+    assert data.comparison_below(pipeline._comparison_cutoff(data, [4.0])) is part
+    every_pair = _peak_bytes(lambda: schrodinger_comparison(data.dec, data.curvature.values))
+    assert every_pair >= 3 * square
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
