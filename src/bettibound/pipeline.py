@@ -38,42 +38,43 @@ every t0 of the sweep, and the norm is the upper bound from the kept
 pairs and that tail, one gemv per distinct t0 against the squared
 V x K basis (``measure.heat_two_inf_norm``).  A refused cut-off doubles
 its margin above rho_bar; past the radius bound the operator holds
-every pair.  Only the Schatten certificate
-eigensolves L0 and the face Laplacian L2 and assembles L1's eigenpairs
-from them (its Hodge pieces), once per sweep and with no E x E
-eigensolve of its own, and eigensolves L1 + W once per rho0 (W depends
-on rho0 only); the loop holds one L1 and one L1 + W at a time.  The
-(2,HS) norm of the potential depends on rho0 only too.  At p = 2 the
-Hilbert-Schmidt norm of the semigroup difference comes from the two
-spectra in O(N^2) per point, with no dense heat matrix, and an
-eigenpair of either operator enters it only through its heat weight
-e^(-2 t0 mu).  So the sweep holds L1 only below
-sigma_A = ln(1/eta) / (2 min t0), which no rho0 moves: L0 and L2 are
-eigensolved below it, the harmonic forms start from the Betti oracle's
-Ritz vectors, and the inertia of L1 - sigma_A must count exactly those
-pairs.  Each row eigensolves L1 + W only below
-sigma = max(sigma_A, 2 rho0): the inertia of L1 + W - sigma counts the
-K pairs below it, and xSYEVR computes only those.  Every dropped pair
-weighs at most eta, no E x E eigenvector array is built, and the bound
-is the upper end of an enclosure over the dropped pairs
-(``measure.heat_difference_hs_bounds``).  If some t0's enclosure is
-wider than eta relative to its upper end, or the cut-off is refused,
-the row takes L1 and L1 + W with every pair instead, and the sweep keeps
-that full L1 for its later rows; so does a refused Hodge count, and so
-do other p, which take the singular values of the dense difference.
-An L1 + W whose pairs below the cut-off already fail L1 + W >= rho0
-gives the row's note with no full eigensolve.  The prepared surface
-(``SurfaceData``) holds the comparison operator and the L1 below their
-cut-offs for any later call whose cut-offs are no larger, so
-``betti_bound``, the same loop on a 1 x 1 grid, shares them from one
-call to the next.
+every pair.
+
+The Schatten certificate is one row computation per rho0 (W depends on
+rho0 only, and so does the (2,HS) norm of the potential).  The row
+reads L1 below a cut-off sigma_A, assembled from the eigenpairs of its
+Hodge pieces L0 and the face Laplacian L2 below sigma_A and from the
+Betti oracle's Ritz vectors, and certified by the Hodge count: the
+inertia of L1 - sigma_A must count exactly those pairs, and a refused
+count gives every pair of L1 instead.  It eigensolves
+L1 + W below sigma = max(sigma_A, 2 rho0): the inertia of
+L1 + W - sigma counts the K pairs below it, and xSYEVR computes only
+those.  At p = 2 the Hilbert-Schmidt norm of the semigroup difference
+comes from the two spectra in O(N^2) per point, with no dense heat
+matrix, and an eigenpair of either operator enters it only through its
+heat weight e^(-2 t0 mu).  So the row first runs at
+sigma_A = ln(1/eta) / (2 min t0): every dropped pair weighs at most
+eta, no E x E eigenvector array is built, and each bound is the upper
+end of an enclosure over the dropped pairs
+(``measure.heat_difference_hs_bounds``).  If the cut-off of L1 + W is
+refused, or some t0's enclosure is wider than eta relative to its upper
+end, the row runs again at sigma_A = inf, where L1 and L1 + W hold
+every pair and the enclosure is the value itself.  Every other p runs
+the row once at sigma_A = inf and takes the singular values of the
+dense difference.  A failed check that L1 + W clears rho0 is the row's
+note, and the lowest pair of a cut-off L1 + W already decides it.
+
+The prepared surface (``SurfaceData``) holds one comparison operator
+and one L1, each below its cut-off or with every pair, for any later
+call whose cut-offs are no larger, so the loop holds one L1 and one
+L1 + W at a time, and ``betti_bound``, the same loop on a 1 x 1 grid,
+shares them from one call to the next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -112,15 +113,30 @@ __all__ = [
 SURFACE_FIBER_DIM = 2
 # Default relative slack of a soundness record (``betti_bound``).
 SOUNDNESS_SLACK = 1e-9
-# The Schatten p = 2 row's cut-off drops only eigenpairs of L1 + W with
-# heat weight at most eta, and each bound's enclosure must end within eta
-# of each other, relative to the upper end (``_cut_off_bounds``).
+# The Schatten p = 2 row's cut-offs drop only eigenpairs of L1 and L1 + W
+# with heat weight at most eta, and each bound's enclosure must end within
+# eta of each other, relative to the upper end (``_row_bounds``).
 _ETA = 1e-12
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+def _check_grid(rho0_values: list[float], t0_values: list[float], p: float) -> None:
+    """Every parameter finite and strictly positive, and no prefactor overflowing.
+
+    The prefactor denominator (rho0 (1 + e^(-t0 rho0)))^2 only grows as
+    t0 falls, so the smallest t0 decides for every t0 of the grid.
+    """
+    for name, values in (("rho0", rho0_values), ("t0", t0_values), ("p", [p])):
+        for value in values:
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+    for rho0 in rho0_values:
+        try:
+            prefactors(rho0, min(t0_values))
+        except OverflowError:
+            raise ValueError(
+                f"rho0 is too large: the prefactor denominator (rho0 (1 + e^(-t0 rho0)))^2 "
+                f"overflows at rho0={rho0!r}, t0={min(t0_values)!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -136,8 +152,7 @@ class BettiBoundInputs:
     compute_schatten: bool = True
 
     def __post_init__(self):
-        for name in ("rho0", "t0", "p"):
-            _require_positive(name, getattr(self, name))
+        _check_grid([self.rho0], [self.t0], self.p)
 
 
 @dataclass(frozen=True)
@@ -188,16 +203,14 @@ class SurfaceData:
     complex, and ``kernel_dim_0forms`` the same certified count for L0;
     neither eigensolves anything.  Each operator is eigensolved when
     first read.  The main bound reads the comparison operator L0 + K
-    only below a cut-off (``comparison_below``), and a p = 2 Schatten
-    sweep reads L1 only below one (``laplacian1_below``).  Each such
-    operator is held here, one per kind, and serves every later call
-    whose cut-off is no larger than the one held, so point-by-point
+    only below a cut-off (``comparison_below``), and the Schatten
+    certificate reads L1 below one (``laplacian1_below``), which at an
+    infinite cut-off is every pair (``laplacian1``).  Each such operator
+    is held here, one per kind, and serves every later call whose
+    cut-off is no larger than the one held, so point-by-point
     ``betti_bound`` calls share it; a call that needs a larger cut-off
-    replaces it.  ``laplacian1`` holds every pair of L1 (from eigensolves
-    of its Hodge pieces L0 and L2, which are not kept); the Schatten
-    certificate reads it at p != 2, or where a p = 2 row falls back to
-    every pair.  Nothing that depends on rho0 is kept here, and t0 enters
-    only through the cut-offs.
+    replaces it.  Nothing that depends on rho0 is kept here, and t0
+    enters only through the cut-offs.
     """
 
     mesh: TriangleMesh
@@ -245,38 +258,37 @@ class SurfaceData:
         weights = self.dec.star0
         return float(np.sum(weights * self.curvature.values) / np.sum(weights))
 
-    @cached_property
+    @property
     def laplacian1(self) -> SelfAdjointOperator:
-        """L1 with all its eigenpairs (``DECOperators.laplacian1``), assembled when first read.
-
-        Its eigenvectors fill an E x E array.  Its kernel dimension must
-        equal ``b1``: the full assembly and the harmonic oracle count it
-        from separate computations, and a disagreement raises
-        ``MeshError``.  (L1 below a cut-off starts its harmonic block from
-        the oracle's Ritz vectors, so its check is the Hodge count
-        instead.)
-        """
-        lap1 = self.dec.laplacian1()
-        if lap1.kernel_dim() != self.b1:
-            raise MeshError(
-                f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
-                f"vs harmonic oracle {self.b1}"
-            )
-        return lap1
+        """L1 with every eigenpair: ``laplacian1_below(inf)``, held in place of any partial L1."""
+        return self.laplacian1_below(math.inf)
 
     def laplacian1_below(self, cutoff: float) -> SelfAdjointOperator:
         """L1 with (at least) its eigenpairs below ``cutoff``, held.
 
-        ``DECOperators.laplacian1(cutoff)``, an E x K array certified by
-        the Hodge count; a refused count (any ValueError) gives the full
-        ``laplacian1``.
+        ``DECOperators.laplacian1(cutoff)``: below a finite cut-off an
+        E x K array certified by the Hodge count, and a refused count
+        (any ValueError) gives every pair instead.  With every pair the
+        eigenvectors fill an E x E array, and the kernel dimension must
+        equal ``b1``: the full assembly and the harmonic oracle count it
+        from separate computations, and a disagreement raises
+        ``MeshError``.  (L1 below a cut-off starts its harmonic block from
+        the oracle's Ritz vectors, so its check is the Hodge count.)  A
+        full assembly that fails its own eigendata check is attempted
+        twice before its ValueError escapes.
         """
 
         def build(sigma):
             try:
-                return self.dec.laplacian1(sigma)
-            except ValueError:
-                return self.laplacian1
+                lap1 = self.dec.laplacian1(sigma)
+            except ValueError:  # a refused Hodge count: every pair instead
+                lap1 = self.dec.laplacian1()
+            if not lap1.partial and lap1.kernel_dim() != self.b1:
+                raise MeshError(
+                    f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
+                    f"vs harmonic oracle {self.b1}"
+                )
+            return lap1
 
         return self._held_below("laplacian1", cutoff, build)
 
@@ -303,10 +315,9 @@ def prepare_surface(
     ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
     counts.  The comparison operator L0 + K is eigensolved below a
     cut-off when a bound first reads it, and again only for a larger
-    cut-off.  The Schatten certificate assembles L1 at p = 2 only below a
-    cut-off, with no E x E array, held the same way; with every pair
-    (``SurfaceData.laplacian1``) it is assembled once per surface.  The
-    L0 and L2 eigendata an assembly reads are freed once it returns.
+    cut-off.  The Schatten certificate assembles L1 below a cut-off, or
+    with every pair, held the same way.  The L0 and L2 eigendata an
+    assembly reads are freed once it returns.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -352,9 +363,10 @@ def betti_bound(
     """The grid loop (``parameter_sweep``) on the 1 x 1 grid of ``inputs``.
 
     ``data``, when given, is the prepared surface.  The comparison
-    operator and the p = 2 L1 below their cut-offs are held on it, so a
-    later call reuses them unless its t0 is smaller than every earlier
-    one's (``SurfaceData``); each call eigensolves its own L1 + W.
+    operator and L1, below their cut-offs or with every pair, are held on
+    it, so a later call reuses them unless its t0 is smaller than every
+    earlier one's (``SurfaceData``); each call eigensolves its own
+    L1 + W.
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
@@ -425,9 +437,7 @@ def parameter_sweep(
     t0_values = [float(t) for t in t0_values]
     if not rho0_values or not t0_values:
         raise ValueError("the parameter grid must be nonempty")
-    for name, values in (("rho0", rho0_values), ("t0", t0_values), ("p", [p])):
-        for value in values:
-            _require_positive(name, value)
+    _check_grid(rho0_values, t0_values, p)
     data = prepare_surface(surface, resolution, curvature_source)
     return _sweep(data, rho0_values, t0_values, p, compute_schatten, soundness_slack)
 
@@ -445,9 +455,9 @@ def _sweep(
     Each factor is computed once at the level it depends on: the
     comparison operator below the grid's cut-off (``_comparison_cutoff``)
     and the 2->inf norm of its semigroup per distinct t0, the potential
-    norm and L1 + W per rho0 (``_schatten_row``), the prefactors and the
-    Schatten power sum per point.  A point's records, in order:
-    soundness_main, soundness_schatten (when computed),
+    norm and the Schatten row per rho0 (``_schatten_row``), the
+    prefactors and the Schatten power sum per point.  A point's records,
+    in order: soundness_main, soundness_schatten (when computed),
     vanishing_criterion (when the curvature is everywhere above rho0) and
     prefactor.  A soundness record passes when
     b1 <= bound + soundness_slack * (1 + |bound|).
@@ -456,13 +466,12 @@ def _sweep(
     two_inf = {t0: heat_two_inf_norm(comparison, t0) for t0 in dict.fromkeys(t0_values)}
     curvature_min = data.curvature.min()
     volume = data.volume
-    lap1 = _laplacian1_for_rows(data, t0_values, p) if compute_schatten else None
     reports = []
     for rho0 in rho0_values:
         potential_norm = ricci_potential(data.curvature, rho0)
         schatten, notes = [None] * len(t0_values), ()
         if compute_schatten:
-            schatten, notes, lap1 = _schatten_row(data, lap1, rho0, t0_values, p)
+            schatten, notes = _schatten_row(data, rho0, t0_values, p)
         for t0, bound_schatten in zip(t0_values, schatten):
             ultra = two_inf[t0]
             sharp_pref, loose_pref = prefactors(rho0, t0)
@@ -531,20 +540,6 @@ def _sweep(
     return reports
 
 
-def _laplacian1_for_rows(data: SurfaceData, t0_values: list[float], p: float):
-    """The L1 a sweep's Schatten rows start from.
-
-    At p = 2, L1 below sigma_A = ln(1/eta) / (2 min t0)
-    (``SurfaceData.laplacian1_below``), where every dropped pair has heat
-    weight e^(-2 t0 lam) at most eta; sigma_A depends on no rho0, so this
-    one L1 serves every row.  A Hodge count that is refused gives the full
-    L1, as every other p does.
-    """
-    if p == 2.0:
-        return data.laplacian1_below(_heat_cutoff(t0_values))
-    return data.laplacian1
-
-
 def _heat_cutoff(t0_values: list[float]) -> float:
     """ln(1/eta) / (2 min t0): above it e^(-2 t0 lam) <= eta for every t0 of the row."""
     return math.log(1.0 / _ETA) / (2.0 * min(t0_values))
@@ -567,70 +562,59 @@ def _comparison_cutoff(data: SurfaceData, t0_values: list[float]) -> float:
 
 
 def _schatten_row(
-    data: SurfaceData, lap1: SelfAdjointOperator, rho0: float, t0_values: list[float], p: float
-) -> tuple[list, tuple, SelfAdjointOperator]:
-    """The Schatten bound at (rho0, t0) for each t0, the row's notes, and the
-    L1 the next row starts from.
+    data: SurfaceData, rho0: float, t0_values: list[float], p: float
+) -> tuple[list, tuple]:
+    """The Schatten bound at (rho0, t0) for each t0, and the row's notes.
 
-    At p = 2 the row first tries L1 + W cut off below sigma against
-    ``lap1``, partial or full (``_cut_off_bounds``).  When the cut-off is
-    refused or an enclosure is too wide, and at every other p, the row
-    takes the full L1 (``SurfaceData.laplacian1``), which it hands on in
-    place of ``lap1``, and L1 + W with every pair.  Each L1 + W lives only
-    inside this call (the cut-off one only inside ``_cut_off_bounds``), so
-    a sweep holds one such operator (and the squared overlap it keeps) at
-    a time.  When a check of L1 + W fails, cut off or full, every bound of
-    the row is None and the one note says why: the lowest pair of the
-    cut-off L1 + W already decides whether it clears rho0, so that
-    failure costs no full eigensolve.
+    At p = 2 the row runs below sigma_A = ln(1/eta) / (2 min t0)
+    (``_row_bounds``), and again at sigma_A = inf, with every pair, only
+    when that cut-off is refused or an enclosure is too wide; every other
+    p runs at sigma_A = inf.  The partial L1 is freed before the full one
+    is built, and each L1 + W lives only inside ``_row_bounds``, so a
+    sweep holds one L1 and one L1 + W (with the squared overlap it keeps)
+    at a time.  When the check that L1 + W clears rho0 fails, every bound
+    of the row is None and the one note says why.  A ``MeshError`` (the
+    full L1's kernel against ``b1``) is not the row's failure and is
+    raised.
     """
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
     try:
-        bounds = _cut_off_bounds(lap1, potential, rho0, t0_values) if p == 2.0 else None
+        bounds = None
+        if p == 2.0:
+            bounds = _row_bounds(data, potential, rho0, t0_values, p, _heat_cutoff(t0_values))
+        if bounds is None:
+            bounds = _row_bounds(data, potential, rho0, t0_values, p, math.inf)
+    except MeshError:
+        raise
     except ValueError as exc:
-        return _omitted_row(exc, t0_values, lap1)
-    if bounds is not None:
-        return bounds, (), lap1
-    lap1 = data.laplacian1
-    try:
-        perturbed = schatten_operator(lap1, potential, rho0)
-        bounds = [
-            crude_kernel_bound(OperatorPair(lap1, perturbed, rho0, 2.0 * t0), p)
-            for t0 in t0_values
-        ]
-    except ValueError as exc:
-        return _omitted_row(exc, t0_values, lap1)
-    return bounds, (), lap1
+        return [None] * len(t0_values), (f"schatten bound omitted: {exc}",)
+    return bounds, ()
 
 
-def _omitted_row(exc: ValueError, t0_values: list[float], lap1: SelfAdjointOperator):
-    """What ``_schatten_row`` returns when a check of its L1 + W fails."""
-    return [None] * len(t0_values), (f"schatten bound omitted: {exc}",), lap1
+def _row_bounds(data, potential, rho0, t0_values, p, sigma_a) -> list | None:
+    """The Schatten bound for each t0 from L1 below ``sigma_a`` and L1 + W
+    below sigma = max(sigma_a, 2 rho0), or None when a finite cut-off does
+    not certify them to eta.
 
-
-def _cut_off_bounds(lap1, potential, rho0, t0_values) -> list | None:
-    """The p = 2 Schatten bound for each t0 from L1 + W cut off below sigma,
-    or None when that does not certify them to eta.
-
-    sigma = max(ln(1/eta) / (2 min t0), 2 rho0): every dropped pair has
-    heat weight e^(-2 t0 sigma) at most eta, and sigma lies above rho0, so
-    an L1 + W with no pair below sigma clears rho0.  ``lap1`` may hold
-    only its pairs below its own cut-off.  Each bound is the upper end of
-    its ``crude_hs_enclosure``.  An enclosure wider than eta relative to
-    that end, or a cut-off the inertia count and the solver do not agree
-    on (``CutOffRefused``), gives None, and the caller takes every pair.
-    Any other ValueError, the check that L1 + W clears rho0 among them,
-    is the row's own failure and is raised.
+    Every pair dropped below sigma_a has heat weight e^(-2 t0 sigma_a) at
+    most eta, and sigma lies above rho0, so an L1 + W with no pair below
+    sigma clears rho0.  At p = 2 each bound is the upper end of its
+    ``crude_hs_enclosure``; an enclosure wider than eta relative to that
+    end, or a cut-off the inertia count and the solver do not agree on
+    (``CutOffRefused``), gives None.  At sigma_a = inf both operators hold
+    every pair, no count is taken and each enclosure is the value itself.
+    Any other ValueError, the check that L1 + W clears rho0 among them, is
+    the row's own failure and is raised.
     """
-    cutoff = max(_heat_cutoff(t0_values), 2.0 * rho0)
+    lap1 = data.laplacian1_below(sigma_a)
     try:
-        perturbed = schatten_operator(lap1, potential, rho0, cutoff)
+        perturbed = schatten_operator(lap1, potential, rho0, max(sigma_a, 2.0 * rho0))
     except CutOffRefused:
         return None
-    enclosures = [
-        crude_hs_enclosure(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0))
-        for t0 in t0_values
-    ]
-    if not all(upper - lower <= _ETA * upper for upper, lower in enclosures):
+    pairs = (OperatorPair(lap1, perturbed, rho0, 2.0 * t0) for t0 in t0_values)
+    if p != 2.0:
+        return [crude_kernel_bound(pair, p) for pair in pairs]
+    enclosures = [crude_hs_enclosure(pair) for pair in pairs]
+    if sigma_a < math.inf and not all(up - low <= _ETA * up for up, low in enclosures):
         return None
     return [upper for upper, _ in enclosures]

@@ -1,8 +1,11 @@
 """Command line contract: verbs, exit codes, reports, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +249,32 @@ def test_betti_bound_invalid_parameter_exits_2(capsys, flag, value):
     )
     assert code == 2
     assert value.split(",")[-1] in err
+
+
+@pytest.mark.parametrize("rho0, code", [("1e200", 2), ("1e150", 0)])
+def test_betti_bound_huge_rho0_exits_2_only_where_the_prefactor_overflows(tmp_path, rho0, code):
+    # (rho0 (1 + e^(-t0 rho0)))^2 overflows a float past about 1.3e154: such
+    # a rho0 is a usage error with one ``error:`` line, not a traceback,
+    # and a rho0 below it still writes its report.
+    out = tmp_path / "report.json"
+    argv = [
+        "betti-bound", "--builtin", "flat-torus", "--resolution", "4", "--rho0", rho0,
+        "--t0", "1", "--quiet", "--out", str(out),
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "bettibound.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code:
+        message = result.stderr.splitlines()
+        assert len(message) == 1 and message[0].startswith("error: rho0 is too large")
+        assert f"rho0={float(rho0)!r}" in message[0]
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["reports"][0]["rho0"] == float(rho0)
 
 
 @pytest.mark.parametrize("verb", ["betti-bound", "mesh-info"])

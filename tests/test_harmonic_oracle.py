@@ -485,9 +485,14 @@ def test_laplacian1_below_a_cut_off_starts_from_the_oracle_ritz_vectors(monkeypa
     assert np.allclose(cosines, 1.0, atol=1e-10)
 
 
-def test_disagreeing_ritz_blocks_raise(monkeypatch):
+@pytest.mark.parametrize("p", [2.0, 1.0])
+def test_disagreeing_ritz_blocks_raise(monkeypatch, p):
     # The full assembly's kernel is made to lose a harmonic form, so its
-    # count disagrees with the oracle's b1 = 4.
+    # count disagrees with the oracle's b1 = 4.  The MeshError escapes the
+    # Schatten row, whether p = 2 reaches every pair through a refused L1
+    # below the cut-off (a partial operator has no spectral function, a
+    # ValueError) or any other p reads every pair from the start; it never
+    # becomes a row's note.
     laplacian1 = DECOperators.laplacian1
 
     def shifted(self, *args, **kwargs):
@@ -498,4 +503,4 @@ def test_disagreeing_ritz_blocks_raise(monkeypatch):
     data = prepare_surface(genus2_mesh())
     assert data.b1 == 4
     with pytest.raises(MeshError, match="Betti oracles disagree"):
-        betti_bound(BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=1.0), data=data)
+        betti_bound(BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=1.0, p=p), data=data)

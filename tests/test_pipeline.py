@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix, diags
 
 from bettibound import measure, pipeline
 from bettibound.birman import OperatorPair, crude_hs_enclosure, crude_kernel_bound
-from bettibound.dec import schrodinger_comparison
+from bettibound.dec import DECOperators, schrodinger_comparison
 from bettibound.measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
@@ -365,28 +365,28 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolves):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
     # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The
-    # eigensolves are L1's Hodge pieces L0 (V x V) and L2 (F x F), when
-    # L1 is first read (b1 = 0 leaves no Rayleigh-Ritz block), and, at
-    # the first p = 2 point, the pairs of the comparison operator L0 + K
-    # below that point's sigma_C, and of L0 and L2 below its sigma_A for
-    # its L1 below the cut-off.  The prepared surface holds both, and the
+    # eigensolves are, at the first p = 2 point, the pairs of the
+    # comparison operator L0 + K below that point's sigma_C, and of L0 and
+    # L2 below its sigma_A for its L1 below the cut-off (b1 = 0 leaves no
+    # Rayleigh-Ritz block).  The prepared surface holds both, and the
     # second point, whose larger t0 needs lower cut-offs, eigensolves
-    # nothing: one Hodge assembly below the cut-off for both calls.
+    # nothing: one Hodge assembly below the cut-off for both calls.  Read
+    # afterwards, the full L1 eigensolves its Hodge pieces L0 (V x V) and
+    # L2 (F x F), and takes the partial L1's place on the surface.
     data = prepare_surface(RoundSphere(), resolution=2)
     calls = count_eigensolves()
     potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
     assert not np.any(potential.values)
-    assert schatten_operator(data.laplacian1, potential, 0.5) is data.laplacian1
     nv, nf = data.mesh.vertex_count, data.mesh.face_count
     dec = data.dec
     comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
     sigma_c, sigma_a = pipeline._comparison_cutoff(data, [1.0]), pipeline._heat_cutoff([1.0])
     expected = [
-        (nv, nv),
-        (nf, nf),
         (nv, _pairs_below(comparison, dec.vertex_space(), sigma_c) + 1),
         (nv, _pairs_below(dec.laplacian0_matrix(), dec.vertex_space(), sigma_a) + 1),
         (nf, _pairs_below(dec.laplacian2_matrix(), dec.face_space(), sigma_a) + 1),
+        (nv, nv),
+        (nf, nf),
     ]
     held = []
     for t0 in (1.0, 3.0):
@@ -395,10 +395,12 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolv
         )
         assert report.bound_schatten == 0.0
         held.append(data.laplacian1_below(pipeline._heat_cutoff([t0])))
+    assert schatten_operator(data.laplacian1, potential, 0.5) is data.laplacian1
     assert calls == expected
     part = held[0]
     assert held[1] is part and part.partial and part.cutoff == sigma_a
     assert schatten_operator(part, potential, 0.5) is part
+    assert data._held["laplacian1"] is data.laplacian1 and not data.laplacian1.partial
 
 
 def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
@@ -474,6 +476,15 @@ def _cutoff(t0_values, rho0) -> float:
     return max(math.log(1.0 / pipeline._ETA) / (2.0 * min(t0_values)), 2.0 * rho0)
 
 
+def _same_spectrum(op, full) -> bool:
+    """``op`` holds every pair, bit for bit those of ``full`` (another surface's L1)."""
+    return (
+        not op.partial
+        and np.array_equal(op.eigenvalues, full.eigenvalues)
+        and np.array_equal(op._euclidean_vectors, full._euclidean_vectors)
+    )
+
+
 def _full_row(data, rho0, t0_values, p=2.0):
     """The row's bounds from every pair of L1 + W."""
     lap1 = data.laplacian1
@@ -491,23 +502,26 @@ def test_cut_off_schatten_row_matches_the_full_spectrum(name):
     # cut-offs is narrower than eta, each p = 2 bound is its upper end,
     # which lies above the value from all of the pairs and exceeds it by at
     # most 1e-12 of it; elsewhere the row is the full-spectrum one, bit for
-    # bit, and hands the full L1 on to the next row, as the sweep does.
+    # bit, and leaves the full L1 on the surface for the next row, as the
+    # sweep does.  The full-spectrum rows come from a second prepared
+    # surface, whose full L1 would take the place of the partial one.
     # Flat-torus is the exception below: W = rho0 is constant there.
     t0_values = [0.25, 1.0]
-    data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
-    lap1 = data.laplacian1
-    held = pipeline._laplacian1_for_rows(data, t0_values, 2.0)
-    assert held.partial
+    mesh = builtin_mesh(name, _ROW_RESOLUTION.get(name))
+    data, reference = prepare_surface(mesh), prepare_surface(mesh)
+    lap1 = reference.laplacian1
+    assert data.laplacian1_below(pipeline._heat_cutoff(t0_values)).partial
     for rho0 in (0.25, 1.0, 2.0):
-        start = held
-        row, notes, held = pipeline._schatten_row(data, start, rho0, t0_values, 2.0)
+        start = data.laplacian1_below(pipeline._heat_cutoff(t0_values))
+        row, notes = pipeline._schatten_row(data, rho0, t0_values, 2.0)
+        held = data._held["laplacian1"]
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
         try:
-            full_row = _full_row(data, rho0, t0_values)
+            full_row = _full_row(reference, rho0, t0_values)
         except ValueError as exc:
             # torus-rev's L1 + W does not clear rho0 = 1 or 2: the note is the full path's.
             assert row == [None, None] and notes == (f"schatten bound omitted: {exc}",)
-            assert held is lap1
+            assert _same_spectrum(held, lap1)
             continue
         assert notes == ()
         part = schatten_operator(start, potential, rho0, _cutoff(t0_values, rho0))
@@ -516,7 +530,7 @@ def test_cut_off_schatten_row_matches_the_full_spectrum(name):
             for t0 in t0_values
         ]
         if not all(upper - lower <= pipeline._ETA * upper for upper, lower in enclosures):
-            assert part.partial and row == full_row and held is lap1
+            assert part.partial and row == full_row and _same_spectrum(held, lap1)
             continue
         assert row == [upper for upper, _ in enclosures] and held is start
         for t0, bound, full in zip(t0_values, row, full_row):
@@ -544,12 +558,12 @@ def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0
     # rho0, so the row keeps its bound and takes the cut-off path.
     data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
     assert math.log(1.0 / pipeline._ETA) / (2.0 * t0) < rho0
-    ne = data.laplacian1.dim
-    held = pipeline._laplacian1_for_rows(data, [t0], 2.0)
+    ne = data.mesh.edge_count
+    held = data.laplacian1_below(pipeline._heat_cutoff([t0]))
     assert held.partial
     calls = count_eigensolves()
-    row, notes, after = pipeline._schatten_row(data, held, rho0, [t0], 2.0)
-    assert notes == () and after is held
+    row, notes = pipeline._schatten_row(data, rho0, [t0], 2.0)
+    assert notes == () and data._held["laplacian1"] is held
     [(n, pairs)] = calls
     assert n == ne and pairs < ne
     [full] = _full_row(data, rho0, [t0])
@@ -563,22 +577,23 @@ def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0
 def test_p2_schatten_row_runs_no_edge_square_full_eigensolve(count_eigensolves):
     # With W nonzero, a p = 2 row eigensolves L1 + W once, for its pairs
     # below the cut-off and the first above it: no E x E xSYEVD runs, and
-    # the row keeps the L1 below the cut-off it started from.  Any other p
-    # takes every pair of L1 + W.
+    # the surface keeps the L1 below the cut-off the row started from.  Any
+    # other p takes every pair of L1 + W, against the full L1.
     data = prepare_surface(genus2_mesh())
-    lap1 = data.laplacian1
-    ne = lap1.dim
+    ne = data.mesh.edge_count
     assert np.any(synthetic_edge_potential(data.dec, data.curvature, 1.0).values)
-    held = pipeline._laplacian1_for_rows(data, [0.5, 1.0], 2.0)
+    held = data.laplacian1_below(pipeline._heat_cutoff([0.5, 1.0]))
     assert held.partial and held.eigenvalues.size < ne // 2
     calls = count_eigensolves()
-    row, notes, after = pipeline._schatten_row(data, held, 1.0, [0.5, 1.0], 2.0)
-    assert notes == () and all(bound > data.b1 for bound in row) and after is held
+    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 2.0)
+    assert notes == () and all(bound > data.b1 for bound in row)
+    assert data._held["laplacian1"] is held
     [(n, pairs)] = calls
     assert n == ne and pairs < ne // 2
+    lap1 = data.laplacian1
     calls.clear()
-    row, notes, after = pipeline._schatten_row(data, lap1, 1.0, [0.5, 1.0], 1.0)
-    assert notes == () and calls == [(ne, ne)] and after is lap1
+    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 1.0)
+    assert notes == () and calls == [(ne, ne)] and data._held["laplacian1"] is lap1
 
 
 @pytest.mark.parametrize("miscount", [-1, 1, None], ids=["inertia-low", "inertia-high", "singular"])
@@ -624,14 +639,15 @@ def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, misc
     # An inertia of L1 - sigma_A I that disagrees with b1 + k0 + k2 refuses
     # L1 below the cut-off (a ValueError); the sweep then holds the full L1,
     # and every row gives, bit for bit and with no note, the bounds its
-    # rows give from the full L1.
-    data = prepare_surface(genus2_mesh())
+    # rows give from the full L1 (held on a second prepared surface).
+    mesh = genus2_mesh()
+    data, reference = prepare_surface(mesh), prepare_surface(mesh)
     rho0_values, t0_values = [0.5, 1.0], [0.5, 1.0]
-    lap1 = data.laplacian1
+    lap1 = reference.laplacian1
     expected = [
         bound
         for rho0 in rho0_values
-        for bound in pipeline._schatten_row(data, lap1, rho0, t0_values, 2.0)[0]
+        for bound in pipeline._schatten_row(reference, rho0, t0_values, 2.0)[0]
     ]
     sigma_a = pipeline._heat_cutoff(t0_values)
     s1 = lap1.conjugated()
@@ -650,15 +666,16 @@ def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, misc
     held = []
     schatten_row = pipeline._schatten_row
 
-    def recording_row(data, lap1, *args):
-        held.append(lap1)
-        return schatten_row(data, lap1, *args)
+    def recording_row(data, *args):
+        row = schatten_row(data, *args)
+        held.append(data._held["laplacian1"])
+        return row
 
     monkeypatch.setattr(pipeline, "_schatten_row", recording_row)
     reports = pipeline._sweep(data, rho0_values, t0_values, 2.0, True, pipeline.SOUNDNESS_SLACK)
     assert [r.bound_schatten for r in reports] == expected
     assert all(r.notes == () and r.passed for r in reports)
-    assert held == [lap1, lap1]
+    assert held[0] is held[1] and _same_spectrum(held[0], lap1)
 
 
 def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
@@ -738,13 +755,15 @@ def test_refused_comparison_cut_off_doubles_its_margin(monkeypatch, refusals):
 
 def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
     # With the lower end of every partial enclosure pushed to 0, no
-    # cut-off enclosure is narrow enough: the row takes the full L1 and
-    # builds L1 + W once more with every pair, one L1 + W alive at a time,
-    # and gives the full spectrum's bounds bit for bit.
+    # cut-off enclosure is narrow enough: the row frees the partial L1,
+    # takes the full L1 and builds L1 + W once more with every pair, one
+    # L1 + W alive at a time, and gives the full spectrum's bounds bit for
+    # bit.
     data = prepare_surface(genus2_mesh())
     t0_values = [0.5, 2.0]
-    alive, built = [], []
+    alive, built, partial_alive = [], [], []
     build, enclosure = pipeline.schatten_operator, pipeline.crude_hs_enclosure
+    assemble = DECOperators.laplacian1
 
     def recording_build(*args):
         alive.append(sum(ref() is not None for ref in built))
@@ -756,16 +775,57 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
         upper, lower = enclosure(pair)
         return upper, (0.0 if pair.Hprime.partial else lower)
 
-    held = pipeline._laplacian1_for_rows(data, t0_values, 2.0)
-    assert held.partial
+    def recording_assemble(self, cutoff=math.inf):
+        partial_alive.append(held() is not None)
+        return assemble(self, cutoff)
+
+    held = weakref.ref(data.laplacian1_below(pipeline._heat_cutoff(t0_values)))
+    assert held().partial
     monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
     monkeypatch.setattr(pipeline, "crude_hs_enclosure", widened)
-    row, notes, after = pipeline._schatten_row(data, held, 0.5, t0_values, 2.0)
+    monkeypatch.setattr(DECOperators, "laplacian1", recording_assemble)
+    row, notes = pipeline._schatten_row(data, 0.5, t0_values, 2.0)
     assert notes == ()
     assert alive == [0, 0]
+    assert partial_alive == [False]
+    # The surface holds the full L1 for the rows after it.
+    full = data._held["laplacian1"]
+    assert not full.partial and data.laplacian1 is full
     assert row == _full_row(data, 0.5, t0_values)
-    # The row hands the full L1 on to the rows after it.
-    assert after is data.laplacian1
+
+
+def test_too_wide_enclosure_row_holds_one_full_laplacian1(monkeypatch):
+    # bumpy-sphere(2) at rho0 = 1, t0 = 0.25: the cut-off enclosure is wider
+    # than eta (the orthogonality loss of both bases, set against the
+    # bound), so the row runs again with every pair.  Its bound is the
+    # full-spectrum one, bit for bit; the surface then holds one L1, the
+    # full one, and a second call at the point assembles no L1.
+    mesh = builtin_mesh("bumpy-sphere", 2)
+    rho0, t0 = 1.0, 0.25
+    data, reference = prepare_surface(mesh), prepare_surface(mesh)
+    potential = synthetic_edge_potential(reference.dec, reference.curvature, rho0)
+    sigma_a = pipeline._heat_cutoff([t0])
+    start = reference.laplacian1_below(sigma_a)
+    part = schatten_operator(start, potential, rho0, _cutoff([t0], rho0))
+    upper, lower = crude_hs_enclosure(OperatorPair(start, part, rho0, 2.0 * t0))
+    assert part.partial and upper - lower > pipeline._ETA * upper
+    del start, part
+    lap1 = reference.laplacian1
+    pair = OperatorPair(lap1, schatten_operator(lap1, potential, rho0), rho0, 2.0 * t0)
+    inputs = BettiBoundInputs(surface=mesh, rho0=rho0, t0=t0)
+    assert betti_bound(inputs, data=data).bound_schatten == crude_kernel_bound(pair, 2.0)
+    edge_operators = [
+        op
+        for op in [*vars(data).values(), *data._held.values()]
+        if isinstance(op, SelfAdjointOperator) and op.dim == mesh.edge_count
+    ]
+    assert len(edge_operators) == 1 and _same_spectrum(edge_operators[0], lap1)
+
+    def no_assembly(self, *args, **kwargs):
+        raise AssertionError("L1 assembled again")
+
+    monkeypatch.setattr(DECOperators, "laplacian1", no_assembly)
+    assert betti_bound(inputs, data=data).bound_schatten == crude_kernel_bound(pair, 2.0)
 
 
 def _peak_bytes(call) -> int:
@@ -921,6 +981,19 @@ def test_inputs_validation():
         BettiBoundInputs(surface=RoundSphere(), rho0=0.0, t0=1.0)
     with pytest.raises(ValueError):
         BettiBoundInputs(surface=RoundSphere(), rho0=1.0, t0=-1.0)
+
+
+def test_inputs_reject_a_rho0_whose_prefactor_overflows():
+    # The sharp denominator (rho0 (1 + e^(-t0 rho0)))^2 grows as t0 falls:
+    # at t0 = 1e-160 it is 4 rho0^2, which overflows at 1e154, where rho0^2
+    # alone does not.
+    with pytest.raises(ValueError, match="rho0 is too large"):
+        BettiBoundInputs(surface=RoundSphere(), rho0=1e155, t0=1.0)
+    with pytest.raises(ValueError, match="rho0 is too large"):
+        BettiBoundInputs(surface=RoundSphere(), rho0=1e154, t0=1e-160)
+    BettiBoundInputs(surface=RoundSphere(), rho0=1e154, t0=1.0)
+    with pytest.raises(ValueError, match="rho0 is too large"):
+        parameter_sweep(RoundSphere(), [1e154], [1.0, 1e-160], resolution=1)
 
 
 @pytest.mark.parametrize(
