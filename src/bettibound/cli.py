@@ -193,13 +193,12 @@ def cmd_betti_bound(args) -> int:
     rho0_values = _parse_grid(args.rho0)
     t0_values = _parse_grid(args.t0)
     surface, label = _load_surface(args)
+    data = prepare_surface(surface, args.resolution, args.curvature)
     rows = parameter_sweep(
-        surface,
+        data,
         rho0_values,
         t0_values,
         p=args.p,
-        resolution=args.resolution,
-        curvature_source=args.curvature,
         compute_schatten=not args.no_schatten,
         soundness_slack=slack,
     )
@@ -218,6 +217,7 @@ def cmd_betti_bound(args) -> int:
     )
     for result in rows:
         report.extend(result.records)
+    report.extra["mesh"] = data.describe()
     report.extra["reports"] = [r.as_dict() for r in rows]
     if not args.quiet:
         _print_bound_table(rows)
@@ -225,15 +225,12 @@ def cmd_betti_bound(args) -> int:
 
 
 def _print_bound_table(rows):
-    print(
-        f"{'surface':<28} {'rho0':>8} {'t0':>8} {'b1':>4} "
-        f"{'bound_main':>12} {'schatten':>12}  result"
-    )
+    print(f"{'rho0':>8} {'t0':>8} {'b1':>4} {'bound_main':>12} {'schatten':>12}  result")
     for r in rows:
         schatten = f"{r.bound_schatten:.6g}" if r.bound_schatten is not None else "-"
         flag = "pass" if r.passed else "FAIL"
         print(
-            f"{r.surface:<28} {r.rho0:>8.3g} {r.t0:>8.3g} {r.b1_oracle:>4d} "
+            f"{r.rho0:>8.3g} {r.t0:>8.3g} {r.b1_oracle:>4d} "
             f"{r.bound_main:>12.6g} {schatten:>12}  {flag}"
         )
 
@@ -243,16 +240,7 @@ def cmd_mesh_info(args) -> int:
     surface, label = _load_surface(args)
     data = prepare_surface(surface, resolution=args.resolution)
     report = RunReport(command="mesh-info", config={"surface": label})
-    # prepare_surface has already raised if the two Betti oracles disagree,
-    # d1 d0 does not vanish or the Gauss-Bonnet residual is too large.
-    info = {
-        **data.mesh.describe(),
-        "betti1": data.b1,
-        "betti0_kernel": data.kernel_dim_0forms,
-        "gauss_bonnet_residual": data.curvature.gauss_bonnet_residual(),
-        "curvature_min": data.curvature.min(),
-    }
-    report.extra["mesh"] = info
+    info = report.extra["mesh"] = data.describe()
     if not args.quiet:
         for key, value in info.items():
             print(f"{key}: {value}")

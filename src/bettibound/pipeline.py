@@ -9,9 +9,9 @@ of fiber dimension n = 2:
 
 for any rho0 > 0 and t0 > 0, where rho is the pointwise smallest Ricci
 eigenvalue (the Gauss curvature on surfaces) and L0 + rho is the scalar
-comparison Schroedinger operator.  The looser variant replaces the
-prefactor by 4 n rho0^(-2); both are reported, soundness is checked for
-the sharper one.
+comparison Schroedinger operator.  Its looser form with the prefactor
+4 n rho0^(-2) is a corollary (``prefactors``), not a second certificate,
+so a report gives the sharp bound only.
 
 A second, operator-level certificate applies the Schatten kernel bound
 directly to the edge Laplacian L1 with a synthetic nonnegative edge
@@ -20,10 +20,13 @@ assumed):
 
     b1  <=  (1 - e^(-2 rho0 t0))^(-p) || e^(-2 t0 L1) - e^(-2 t0 (L1+W)) ||_Sp^p.
 
-One grid loop evaluates a sweep, and computes each factor once at the
-level it depends on.  Preparing a surface eigensolves nothing: the Betti
-oracle counts dim ker L1 on L1's sparse matrix, certified by an inertia
-count and, when the kernel is not empty, by Ritz residuals.  An
+One grid loop (``parameter_sweep``) evaluates a sweep on a prepared
+surface and computes each factor once at the level it depends on.  A
+report states each number once as well: the surface's own numbers once
+(``SurfaceData.describe``), and per point only what varies per point
+and the checks that can fail.  Preparing a surface eigensolves nothing:
+the Betti oracle counts dim ker L1 on L1's sparse matrix, certified by
+an inertia count and, when the kernel is not empty, by Ritz residuals.  An
 eigenpair lam of the comparison operator L0 + K enters the main bound
 only through its heat weight e^(-2 t0 lam), so, with eta = 1e-12, the
 sweep holds L0 + K only below
@@ -120,23 +123,33 @@ _ETA = 1e-12
 
 
 def _check_grid(rho0_values: list[float], t0_values: list[float], p: float) -> None:
-    """Every parameter finite and strictly positive, and no prefactor overflowing.
+    """Every parameter finite and strictly positive, and every sharp prefactor finite.
 
     The prefactor denominator (rho0 (1 + e^(-t0 rho0)))^2 only grows as
-    t0 falls, so the smallest t0 decides for every t0 of the grid.
+    t0 falls, so the smallest t0 decides whether it overflows (rho0 too
+    large) and the largest whether it underflows or the prefactor
+    overflows (rho0 too small), for every t0 of the grid.
     """
     for name, values in (("rho0", rho0_values), ("t0", t0_values), ("p", [p])):
         for value in values:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
     for rho0 in rho0_values:
-        try:
-            prefactors(rho0, min(t0_values))
-        except OverflowError:
-            raise ValueError(
-                f"rho0 is too large: the prefactor denominator (rho0 (1 + e^(-t0 rho0)))^2 "
-                f"overflows at rho0={rho0!r}, t0={min(t0_values)!r}"
-            ) from None
+        for t0 in (min(t0_values), max(t0_values)):
+            try:
+                sharp, _ = prefactors(rho0, t0)
+            except OverflowError:
+                raise ValueError(
+                    f"rho0 is too large: the prefactor denominator (rho0 (1 + e^(-t0 rho0)))^2 "
+                    f"overflows at rho0={rho0!r}, t0={t0!r}"
+                ) from None
+            except ZeroDivisionError:
+                sharp = math.inf
+            if sharp == math.inf:
+                raise ValueError(
+                    f"rho0 is too small: the prefactor 4n/(rho0 (1 + e^(-t0 rho0)))^2 "
+                    f"is not finite at rho0={rho0!r}, t0={t0!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -157,19 +170,21 @@ class BettiBoundInputs:
 
 @dataclass(frozen=True)
 class BettiBoundReport:
-    """All inputs, intermediate norms, bound values, oracle, and check records.
+    """One grid point: its parameters, the oracle, both bounds, the factors
+    of the main bound that vary per point, and its check records.
 
+    ``intermediate`` holds the potential's (2,HS) norm, the comparison
+    semigroup's 2->inf norm, the sharp prefactor and the curvature
+    minimum.  The surface, p and every other number that does not vary
+    per point are the run report's, once (``SurfaceData.describe``).
     The point passes exactly when all of its ``records`` pass.  They are
     not in ``as_dict``, because the run report lists them at its top level.
     """
 
-    surface: str
     rho0: float
     t0: float
-    p: float
     b1_oracle: int
     bound_main: float
-    bound_main_abstract: float
     bound_schatten: float | None
     intermediate: dict = field(default_factory=dict)
     notes: tuple = ()
@@ -181,13 +196,10 @@ class BettiBoundReport:
 
     def as_dict(self) -> dict:
         return {
-            "surface": self.surface,
             "rho0": self.rho0,
             "t0": self.t0,
-            "p": self.p,
             "b1_oracle": self.b1_oracle,
             "bound_main": self.bound_main,
-            "bound_main_abstract": self.bound_main_abstract,
             "bound_schatten": self.bound_schatten,
             "intermediate": dict(self.intermediate),
             "pass": self.passed,
@@ -218,12 +230,23 @@ class SurfaceData:
     curvature: CurvatureField
     b1: int
     kernel_dim_0forms: int
-    description: str
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def volume(self) -> float:
-        return self.mesh.total_area
+    def describe(self) -> dict:
+        """The surface block of a report: the mesh's ``describe`` plus both
+        homology counts, the Gauss-Bonnet residual and the curvature minimum.
+
+        Preparing the surface has already raised if the two Betti oracles
+        disagree, d1 d0 does not vanish or the Gauss-Bonnet residual is too
+        large.
+        """
+        return {
+            **self.mesh.describe(),
+            "betti1": self.b1,
+            "betti0_kernel": self.kernel_dim_0forms,
+            "gauss_bonnet_residual": self.curvature.gauss_bonnet_residual(),
+            "curvature_min": self.curvature.min(),
+        }
 
     def comparison_below(self, cutoff: float) -> SelfAdjointOperator:
         """L0 + K with (at least) its eigenpairs below ``cutoff``, held.
@@ -322,11 +345,9 @@ def prepare_surface(
     if isinstance(surface, TriangleMesh):
         mesh = surface
         analytic = None
-        description = f"mesh({mesh.vertex_count}v,{mesh.edge_count}e,{mesh.face_count}f)"
     else:
         analytic = surface
         mesh = surface.mesh(resolution) if resolution is not None else surface.mesh()
-        description = f"{surface.name}({mesh.vertex_count}v,{mesh.edge_count}e)"
     dec = build_dec(mesh)
     check_connected_manifold(dec)
     if curvature_source == "analytic" and analytic is None:
@@ -338,7 +359,6 @@ def prepare_surface(
         curvature=curvature,
         b1=betti1_oracle(mesh, dec),
         kernel_dim_0forms=kernel_dim_0forms(dec),
-        description=description,
     )
 
 
@@ -370,7 +390,7 @@ def betti_bound(
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
-    (report,) = _sweep(
+    (report,) = parameter_sweep(
         data, [inputs.rho0], [inputs.t0], inputs.p, inputs.compute_schatten, soundness_slack
     )
     return report
@@ -419,53 +439,33 @@ def schatten_operator(
 
 
 def parameter_sweep(
-    surface: AnalyticSurface | TriangleMesh,
+    data: SurfaceData,
     rho0_values,
     t0_values,
     p: float = 2.0,
-    resolution: int | None = None,
-    curvature_source: str = "angle-defect",
     compute_schatten: bool = True,
     soundness_slack: float = SOUNDNESS_SLACK,
 ) -> list[BettiBoundReport]:
-    """Evaluate the bound over the (rho0, t0) grid in deterministic order.
+    """The reports of the (rho0, t0) grid on a prepared surface, rho0 outer, t0 inner.
 
-    The grid is checked, the surface prepared once, and the grid loop run
-    on it.  Returns the reports, rho0 outer loop, t0 inner.
+    The grid is checked first (``_check_grid``).  Each factor is computed
+    once at the level it depends on: the comparison operator below the
+    grid's cut-off (``_comparison_cutoff``) and the 2->inf norm of its
+    semigroup per distinct t0, the potential norm and the Schatten row per
+    rho0 (``_schatten_row``), the prefactor and the Schatten power sum per
+    point.  A point's records, in order: soundness_main,
+    soundness_schatten (when computed) and vanishing_criterion (when the
+    curvature is everywhere above rho0).  A soundness record passes when
+    b1 <= bound + soundness_slack * (1 + |bound|).
     """
     rho0_values = [float(r) for r in rho0_values]
     t0_values = [float(t) for t in t0_values]
     if not rho0_values or not t0_values:
         raise ValueError("the parameter grid must be nonempty")
     _check_grid(rho0_values, t0_values, p)
-    data = prepare_surface(surface, resolution, curvature_source)
-    return _sweep(data, rho0_values, t0_values, p, compute_schatten, soundness_slack)
-
-
-def _sweep(
-    data: SurfaceData,
-    rho0_values: list[float],
-    t0_values: list[float],
-    p: float,
-    compute_schatten: bool,
-    soundness_slack: float,
-) -> list[BettiBoundReport]:
-    """The reports of the grid on a prepared surface, rho0 outer, t0 inner.
-
-    Each factor is computed once at the level it depends on: the
-    comparison operator below the grid's cut-off (``_comparison_cutoff``)
-    and the 2->inf norm of its semigroup per distinct t0, the potential
-    norm and the Schatten row per rho0 (``_schatten_row``), the
-    prefactors and the Schatten power sum per point.  A point's records,
-    in order: soundness_main, soundness_schatten (when computed),
-    vanishing_criterion (when the curvature is everywhere above rho0) and
-    prefactor.  A soundness record passes when
-    b1 <= bound + soundness_slack * (1 + |bound|).
-    """
     comparison = data.comparison_below(_comparison_cutoff(data, t0_values))
     two_inf = {t0: heat_two_inf_norm(comparison, t0) for t0 in dict.fromkeys(t0_values)}
     curvature_min = data.curvature.min()
-    volume = data.volume
     reports = []
     for rho0 in rho0_values:
         potential_norm = ricci_potential(data.curvature, rho0)
@@ -474,10 +474,9 @@ def _sweep(
             schatten, notes = _schatten_row(data, rho0, t0_values, p)
         for t0, bound_schatten in zip(t0_values, schatten):
             ultra = two_inf[t0]
-            sharp_pref, loose_pref = prefactors(rho0, t0)
+            prefactor, _ = prefactors(rho0, t0)
             # A float product overflows to inf where ``ultra**2`` would raise.
-            bound_main = sharp_pref * potential_norm**2 * (ultra * ultra)
-            bound_loose = loose_pref * potential_norm**2 * (ultra * ultra)
+            bound_main = prefactor * potential_norm**2 * (ultra * ultra)
 
             tag = f"rho0={rho0:g},t0={t0:g}"
             soundness = [("main", "the certified product bound", bound_main)]
@@ -502,37 +501,19 @@ def _sweep(
                         0.0,
                     )
                 )
-            records.append(
-                inequality_record(
-                    f"prefactor[{tag}]",
-                    "sharp prefactor below the loose 4n/rho0^2 form",
-                    sharp_pref,
-                    loose_pref,
-                    0.0,
-                )
-            )
-
-            intermediate = {
-                "potential_norm_2hs": potential_norm,
-                "comparison_two_inf": ultra,
-                "integral_22": (1.0 - math.exp(-t0 * rho0)) / rho0,
-                "prefactor_sharp": sharp_pref,
-                "prefactor_loose": loose_pref,
-                "kernel_dim_0forms": data.kernel_dim_0forms,
-                "curvature_min": curvature_min,
-                "volume": volume,
-            }
             reports.append(
                 BettiBoundReport(
-                    surface=data.description,
                     rho0=rho0,
                     t0=t0,
-                    p=p,
                     b1_oracle=data.b1,
                     bound_main=bound_main,
-                    bound_main_abstract=bound_loose,
                     bound_schatten=bound_schatten,
-                    intermediate=intermediate,
+                    intermediate={
+                        "potential_norm_2hs": potential_norm,
+                        "comparison_two_inf": ultra,
+                        "prefactor_sharp": prefactor,
+                        "curvature_min": curvature_min,
+                    },
                     notes=notes,
                     records=tuple(records),
                 )

@@ -251,11 +251,16 @@ def test_betti_bound_invalid_parameter_exits_2(capsys, flag, value):
     assert value.split(",")[-1] in err
 
 
-@pytest.mark.parametrize("rho0, code", [("1e200", 2), ("1e150", 0)])
+@pytest.mark.parametrize(
+    "rho0, code", [("1e200", 2), ("1e150", 0), ("1e-300", 2), ("1e-150", None)]
+)
 def test_betti_bound_huge_rho0_exits_2_only_where_the_prefactor_overflows(tmp_path, rho0, code):
-    # (rho0 (1 + e^(-t0 rho0)))^2 overflows a float past about 1.3e154: such
-    # a rho0 is a usage error with one ``error:`` line, not a traceback,
-    # and a rho0 below it still writes its report.
+    # (rho0 (1 + e^(-t0 rho0)))^2 overflows a float past about 1.3e154 and
+    # underflows to 0 below about 1e-162: such a rho0 is a usage error with
+    # one ``error:`` line, not a traceback, and a rho0 inside still writes
+    # its report with a sound main bound.  (At rho0 = 1e-150 the Schatten
+    # bound is NaN, as 1 - e^(-2 rho0 t0) rounds to 0, and its record fails:
+    # exit status 1, the floating-point item of the roadmap.)
     out = tmp_path / "report.json"
     argv = [
         "betti-bound", "--builtin", "flat-torus", "--resolution", "4", "--rho0", rho0,
@@ -266,15 +271,19 @@ def test_betti_bound_huge_rho0_exits_2_only_where_the_prefactor_overflows(tmp_pa
     result = subprocess.run(
         [sys.executable, "-m", "bettibound.cli", *argv], env=env, capture_output=True, text=True
     )
-    assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
     if code:
+        assert result.returncode == code, result.stderr
         message = result.stderr.splitlines()
-        assert len(message) == 1 and message[0].startswith("error: rho0 is too large")
+        size = "large" if float(rho0) > 1 else "small"
+        assert len(message) == 1 and message[0].startswith(f"error: rho0 is too {size}")
         assert f"rho0={float(rho0)!r}" in message[0]
         assert not out.exists()
     else:
-        assert json.loads(out.read_text())["reports"][0]["rho0"] == float(rho0)
+        assert result.returncode in ((0,) if code == 0 else (0, 1)), result.stderr
+        doc = json.loads(out.read_text())
+        assert doc["reports"][0]["rho0"] == float(rho0)
+        assert doc["records"][0]["name"].startswith("soundness_main") and doc["records"][0]["pass"]
 
 
 @pytest.mark.parametrize("verb", ["betti-bound", "mesh-info"])
@@ -503,7 +512,10 @@ def test_betti_bound_violated_certificate_is_a_failing_record(
 
 
 def test_betti_bound_record_names_and_order(capsys, tmp_path):
-    # bench/run.py compares these names, in this order, with its reference.
+    # A point's records, in grid order: soundness_main, soundness_schatten
+    # and, where the curvature is everywhere above rho0, vanishing_criterion.
+    # (bench/run.py compares record names with its reference for
+    # verify-abstract only.)
     out_path = tmp_path / "names.json"
     code, _, _ = run(
         capsys,
@@ -524,8 +536,34 @@ def test_betti_bound_record_names_and_order(capsys, tmp_path):
             expected += [f"soundness_main[{tag}]", f"soundness_schatten[{tag}]"]
             if rho0 == "0.5":
                 expected.append(f"vanishing_criterion[{tag}]")
-            expected.append(f"prefactor[{tag}]")
     assert names == expected
+
+
+def test_betti_bound_point_keys_and_one_surface_block(capsys, tmp_path):
+    # A point keeps what varies per point; the six keys bench/run.py reads
+    # per point are among them.  The surface's own numbers are the run
+    # report's once, in the same block mesh-info writes for that surface.
+    bound_path, info_path = tmp_path / "bound.json", tmp_path / "info.json"
+    source = ("--builtin", "genus2", "--resolution", "6")
+    code, _, _ = run(
+        capsys, "betti-bound", *source, "--rho0", "0.5,1", "--t0", "1", "--quiet",
+        "--out", str(bound_path),
+    )
+    assert code == 0
+    code, _, _ = run(capsys, "mesh-info", *source, "--quiet", "--out", str(info_path))
+    assert code == 0
+    doc, info = json.loads(bound_path.read_text()), json.loads(info_path.read_text())
+    for point in doc["reports"]:
+        assert list(point) == [
+            "rho0", "t0", "b1_oracle", "bound_main", "bound_schatten", "intermediate", "pass",
+            "notes",
+        ]
+        assert list(point["intermediate"]) == [
+            "potential_norm_2hs", "comparison_two_inf", "prefactor_sharp", "curvature_min",
+        ]
+    assert list(doc)[list(doc).index("mesh") + 1] == "reports"
+    assert doc["mesh"] == info["mesh"]
+    assert doc["mesh"]["betti1"] == doc["reports"][0]["b1_oracle"] == 4
 
 
 # -- mesh-info -------------------------------------------------------------------
@@ -597,6 +635,22 @@ def test_gen_fixture_roundtrip(capsys, tmp_path, name, b1):
     # Topology survives the OFF roundtrip for every builtin (for the flat
     # torus only the combinatorics do; the metric is builtin-only).
     assert betti1_oracle(mesh) == b1
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+@pytest.mark.parametrize("limit, code", [("10000", 0), ("1", 1)])
+def test_peak_rss_gate_passes_the_exit_status_and_fails_past_its_limit(limit, code):
+    # The CI memory gates run one command each through .github/peak_rss.py.
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(root / ".github" / "peak_rss.py"), limit,
+         "mesh-info", "--builtin", "sphere", "--resolution", "1", "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+    )
+    assert result.returncode == code, result.stderr
+    assert re.fullmatch(
+        rf"exit 0, peak RSS \d+ MB \(limit {limit} MB\)", result.stdout.splitlines()[-1]
+    )
 
 
 def test_cli_no_verb_shows_help(capsys):

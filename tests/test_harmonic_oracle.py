@@ -404,7 +404,8 @@ def test_no_schatten_paths_never_assemble_laplacian1(monkeypatch, capsys, name):
     monkeypatch.setattr(DECOperators, "laplacian1", no_laplacian1)
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     reports = parameter_sweep(
-        builtin_mesh(name, resolution), [0.5, 1.0], [0.5, 1.0], compute_schatten=False
+        prepare_surface(builtin_mesh(name, resolution)), [0.5, 1.0], [0.5, 1.0],
+        compute_schatten=False,
     )
     assert all(r.passed for r in reports)
     assert cli.main(["mesh-info", "--builtin", name, "--quiet"]) == 0
@@ -430,7 +431,7 @@ def test_schatten_sweep_assembles_laplacian1_once(monkeypatch):
         return laplacian1(self, *args, **kwargs)
 
     monkeypatch.setattr(DECOperators, "laplacian1", counting)
-    parameter_sweep(genus2_mesh(), [0.5, 1.0], [0.5, 1.0])
+    parameter_sweep(prepare_surface(genus2_mesh()), [0.5, 1.0], [0.5, 1.0])
     assert calls == [1]
 
 

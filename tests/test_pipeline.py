@@ -66,7 +66,6 @@ def test_sphere_bound_exactly_zero(sphere_data):
     )
     assert report.b1_oracle == 0
     assert report.bound_main == 0.0
-    assert report.bound_main_abstract == 0.0
     assert report.passed
 
 
@@ -117,13 +116,6 @@ def test_vanishing_criterion_is_exact_zero(torus_data, sphere_data):
     )
     assert report.intermediate["potential_norm_2hs"] == 0.0
     assert report.bound_main == 0.0
-
-
-def test_sharp_prefactor_below_loose(torus_data):
-    report = betti_bound(
-        BettiBoundInputs(surface=FlatTorus(), rho0=0.4, t0=2.0), data=torus_data
-    )
-    assert report.bound_main <= report.bound_main_abstract
 
 
 def test_genus2_bound_passes():
@@ -201,14 +193,14 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
 
 
 def test_sweep_single_point(torus_data):
-    reports = parameter_sweep(FlatTorus(), [0.5], [1.0], resolution=8)
+    reports = parameter_sweep(torus_data, [0.5], [1.0])
     assert len(reports) == 1
     assert reports[0].passed
 
 
 def test_sweep_sphere_all_zero():
     reports = parameter_sweep(
-        RoundSphere(), [0.2, 0.5, 0.9], [0.5, 1.0], resolution=2,
+        prepare_surface(RoundSphere(), resolution=2), [0.2, 0.5, 0.9], [0.5, 1.0],
         compute_schatten=False,
     )
     assert len(reports) == 6
@@ -218,7 +210,7 @@ def test_sweep_sphere_all_zero():
 
 def test_sweep_torus_grid_deterministic_order(torus_data):
     rho0s, t0s = [0.3, 0.6], [0.5, 1.5]
-    reports = parameter_sweep(FlatTorus(), rho0s, t0s, resolution=8)
+    reports = parameter_sweep(torus_data, rho0s, t0s)
     got = [(r.rho0, r.t0) for r in reports]
     assert got == [(0.3, 0.5), (0.3, 1.5), (0.6, 0.5), (0.6, 1.5)]
     assert all(r.passed for r in reports)
@@ -249,10 +241,10 @@ def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten, p):
     # L0, L2 and each L1 + W.
     calls = count_eigensolves()
     mesh = genus2_mesh()
-    parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], p=p, compute_schatten=schatten)
+    data = prepare_surface(mesh)
+    parameter_sweep(data, [0.5, 1.0], [0.5, 1.0], p=p, compute_schatten=schatten)
     calls = list(calls)
     nv, ne, nf = mesh.vertex_count, mesh.edge_count, mesh.face_count
-    data = prepare_surface(mesh)
     dec = data.dec
     comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
     below = _pairs_below(
@@ -297,7 +289,7 @@ def test_sweep_computes_each_two_inf_norm_once_per_t0(monkeypatch):
     monkeypatch.setattr(pipeline, "heat_two_inf_norm", recording)
     rho0s, t0s = [0.25, 0.5, 1.0, 1.5, 2.0], [0.25, 0.5, 1.0, 2.0, 4.0]
     mesh = builtin_mesh("bumpy-sphere", 2)
-    reports = parameter_sweep(mesh, rho0s, t0s, compute_schatten=False)
+    reports = parameter_sweep(prepare_surface(mesh), rho0s, t0s, compute_schatten=False)
     assert calls == t0s
     data = prepare_surface(mesh)
     comparison = data.comparison_below(pipeline._comparison_cutoff(data, t0s))
@@ -311,7 +303,7 @@ def test_sweep_computes_each_two_inf_norm_once_per_t0(monkeypatch):
 def test_sweep_reads_no_diameter(name):
     # No bound or report field needs the mesh diameter, so a mesh has none.
     assert not hasattr(TriangleMesh, "diameter_estimate")
-    reports = parameter_sweep(builtin_mesh(name), [0.5], [1.0])
+    reports = parameter_sweep(prepare_surface(builtin_mesh(name)), [0.5], [1.0])
     assert all(r.passed for r in reports)
     assert all("diameter_estimate" not in r.intermediate for r in reports)
 
@@ -352,7 +344,7 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
     monkeypatch.setattr(lapack, "dsyevr", recording_dsyevr)
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     mesh = builtin_mesh(name, resolution)
-    parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], compute_schatten=False)
+    parameter_sweep(prepare_surface(mesh), [0.5, 1.0], [0.5, 1.0], compute_schatten=False)
     assert len(densified) == len(solved) == len(vectors) == 1
     assert solved[0].base is densified[0]
     nv = mesh.vertex_count
@@ -430,7 +422,7 @@ def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
     mesh = genus2_mesh()
     for p, expected in ((2.0, {"eigvalsh": 0, "matrix": 0}), (1.0, {"eigvalsh": 4, "matrix": 8})):
         counts.update(eigvalsh=0, matrix=0)
-        reports = parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0], p=p)
+        reports = parameter_sweep(prepare_surface(mesh), [0.5, 1.0], [0.5, 1.0], p=p)
         assert all(r.bound_schatten is not None for r in reports)
         assert counts == expected
 
@@ -461,7 +453,7 @@ def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
     monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
     monkeypatch.setattr(measure, "_eigh_in_place", recording_in_place)
     monkeypatch.setattr(measure, "_eigh_lowest_in_place", recording_lowest)
-    reports = parameter_sweep(mesh, [0.5, 1.0], [0.5, 1.0])
+    reports = parameter_sweep(prepare_surface(mesh), [0.5, 1.0], [0.5, 1.0])
     assert all(r.bound_schatten is not None for r in reports)
     assert len(built) == 2
     assert alive == [0, 0]
@@ -618,7 +610,7 @@ def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monk
 
     monkeypatch.setattr(measure, "_inertia", miscounting)
     calls = count_eigensolves()
-    reports = pipeline._sweep(data, [0.5, 1.0], [1.0], 2.0, True, pipeline.SOUNDNESS_SLACK)
+    reports = parameter_sweep(data, [0.5, 1.0], [1.0])
     assert [r.bound_schatten for r in reports] == expected
     assert all(r.notes == () and r.passed for r in reports)
     comparison = data.dec.laplacian0_matrix() + diags(data.curvature.values)
@@ -672,7 +664,7 @@ def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, misc
         return row
 
     monkeypatch.setattr(pipeline, "_schatten_row", recording_row)
-    reports = pipeline._sweep(data, rho0_values, t0_values, 2.0, True, pipeline.SOUNDNESS_SLACK)
+    reports = parameter_sweep(data, rho0_values, t0_values)
     assert [r.bound_schatten for r in reports] == expected
     assert all(r.notes == () and r.passed for r in reports)
     assert held[0] is held[1] and _same_spectrum(held[0], lap1)
@@ -688,7 +680,7 @@ def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
     dec = data.dec
     nv, ne, nf = data.mesh.vertex_count, data.mesh.edge_count, data.mesh.face_count
     calls = count_eigensolves()
-    (report,) = pipeline._sweep(data, [0.5], [1.0], 2.0, True, pipeline.SOUNDNESS_SLACK)
+    (report,) = parameter_sweep(data, [0.5], [1.0])
     golden = json.loads((Path(__file__).parent / "golden" / "torus-rev.json").read_text())
     assert list(report.notes) == golden["reports"][0]["notes"]
     assert report.bound_schatten is None
@@ -958,9 +950,9 @@ def test_spectral_schatten_bound_matches_dense_route(name):
         assert abs(spectral - dense) <= 1e-12 * dense
 
 
-def test_sweep_rejects_empty_grid():
+def test_sweep_rejects_empty_grid(torus_data):
     with pytest.raises(ValueError, match="nonempty"):
-        parameter_sweep(FlatTorus(), [], [1.0], resolution=8)
+        parameter_sweep(torus_data, [], [1.0])
 
 
 # -- prefactor identity -------------------------------------------------------------
@@ -983,7 +975,7 @@ def test_inputs_validation():
         BettiBoundInputs(surface=RoundSphere(), rho0=1.0, t0=-1.0)
 
 
-def test_inputs_reject_a_rho0_whose_prefactor_overflows():
+def test_inputs_reject_a_rho0_whose_prefactor_overflows(sphere_data):
     # The sharp denominator (rho0 (1 + e^(-t0 rho0)))^2 grows as t0 falls:
     # at t0 = 1e-160 it is 4 rho0^2, which overflows at 1e154, where rho0^2
     # alone does not.
@@ -993,7 +985,18 @@ def test_inputs_reject_a_rho0_whose_prefactor_overflows():
         BettiBoundInputs(surface=RoundSphere(), rho0=1e154, t0=1e-160)
     BettiBoundInputs(surface=RoundSphere(), rho0=1e154, t0=1.0)
     with pytest.raises(ValueError, match="rho0 is too large"):
-        parameter_sweep(RoundSphere(), [1e154], [1.0, 1e-160], resolution=1)
+        parameter_sweep(sphere_data, [1e154], [1.0, 1e-160])
+    # At the other end it underflows to 0 (rho0 = 1e-300), or the prefactor
+    # overflows: at t0 = 1e160 the denominator is rho0^2 = 2.25e-308, and
+    # 8 / rho0^2 is inf, where 8 / (4 rho0^2) at t0 = 1 is not.
+    with pytest.raises(ValueError, match="rho0 is too small"):
+        BettiBoundInputs(surface=RoundSphere(), rho0=1e-300, t0=1.0)
+    with pytest.raises(ValueError, match=r"rho0 is too small: .* t0=1e\+160"):
+        BettiBoundInputs(surface=RoundSphere(), rho0=1.5e-154, t0=1e160)
+    BettiBoundInputs(surface=RoundSphere(), rho0=1.5e-154, t0=1.0)
+    BettiBoundInputs(surface=RoundSphere(), rho0=1e-150, t0=1.0)
+    with pytest.raises(ValueError, match="rho0 is too small"):
+        parameter_sweep(sphere_data, [1.5e-154], [1.0, 1e160])
 
 
 @pytest.mark.parametrize(
