@@ -252,14 +252,13 @@ def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
 
     D_t0 is scaled by 1/(1 - e^(-rho0 t0)) before its norm is taken, so
     the scalar saturation case (H = 0, H' = rho0 on one point) comes out
-    as exactly 1.0.  At p = 2 the squared Hilbert-Schmidt norm is read from
-    the two cached spectra (``crude_hs_enclosure``), with no dense D; for
-    an H' that holds only its eigenpairs below a cut-off it is the upper
-    end of that enclosure.  Any other p takes the singular values of the
-    dense D (``_crude_bounds``), and H' must hold every pair.
+    as exactly 1.0.  It is the upper end of ``_crude_bounds``: at p = 2 the
+    squared Hilbert-Schmidt norm is read from the two cached spectra, with
+    no dense D, and for an H' that holds only its eigenpairs below a
+    cut-off it is the upper end of that enclosure (``crude_hs_enclosure``).
+    Any other p takes the singular values of the dense D, and H' must hold
+    every pair.
     """
-    if p == 2.0:
-        return crude_hs_enclosure(pair)[0]
     return _unstacked(_crude_bounds(pair, p)[0])
 
 

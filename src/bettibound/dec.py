@@ -18,7 +18,7 @@ two terms annihilate each other (the Hodge decomposition; Desbrun,
 Hirani, Leok and Marsden, "Discrete Exterior Calculus", 2005), so its
 eigenpairs are L0's nonzero ones mapped through d0, L2's nonzero ones
 mapped through the codifferential, and a Rayleigh-Ritz basis of the
-small rest.  All three Laplacians are CSR matrices, each built once per
+harmonic rest.  All three Laplacians are CSR matrices, each built once per
 surface with read-only arrays and handed to every reader; only the
 inputs of the L0 and L2 eigensolves are dense.
 
@@ -35,10 +35,10 @@ residuals; only an eigenvalue between the threshold and the shift costs
 a second factorization.  The certified Ritz vectors are kept on the
 DEC.  L1's eigenpairs are assembled only for the Schatten certificate
 (``DECOperators.laplacian1``), checked against the same matrix by
-residual and orthogonality loss (``measure``): at p = 2 only those below
-a cut-off, an E x K array whose harmonic block starts from the kept
-Ritz vectors, certified by the Hodge count of the inertia of L1 - sigma
-I; all E of them, an E x E array, otherwise.  Route (b), an
+residual and orthogonality loss (``measure``), with a harmonic block
+started from the kept Ritz vectors: at p = 2 only those below a cut-off,
+an E x K array certified by the Hodge count of the inertia of
+L1 - sigma I; all E of them, an E x E array, otherwise.  Route (b), an
 independent combinatorial count b1 = E - rank(d0) - rank(d1),
 cross-checks route (a).  Both ranks are exact: component counts of the
 patterns of d0^T d0 and d1 d1^T, not float ranks.
@@ -71,6 +71,7 @@ from .measure import (
     _frobenius,
     _inertia,
     _orthogonality_loss,
+    _radius_bound,
     _rcm_ordered,
     _read_only,
 )
@@ -171,8 +172,7 @@ class DECOperators:
 
         The Lanczos run of ``_certified_kernel`` on L1's conjugated CSR
         matrix, made once per DEC: ``betti1_oracle`` counts its columns,
-        and ``laplacian1`` below a cut-off starts its harmonic block from
-        them.
+        and ``laplacian1`` starts its harmonic block from them.
         """
         s1 = WeightedOperator(self.laplacian1_matrix(), self.edge_space()).conjugated()
         return _read_only(_certified_kernel(s1)[0])
@@ -200,9 +200,9 @@ class DECOperators:
           conjugated L0 above L0's zero threshold;
         * B^T y / |B^T y|, eigenvalue mu, for each eigenpair (mu, y) of the
           conjugated L2 above L2's zero threshold;
-        * a Rayleigh-Ritz basis of the h dimensional rest: the harmonic
-          1-forms, plus, when every pair is kept, any pair a threshold
-          misjudged, with its true eigenvalue.
+        * a Rayleigh-Ritz basis of the b1 harmonic 1-forms, started from
+          the Betti oracle's certified Ritz vectors
+          (``harmonic_ritz_vectors``, no second Lanczos run).
 
         |C w| is sqrt(lam) in exact arithmetic; the computed norm keeps the
         columns orthonormal to rounding, where sqrt(lam) would leave a
@@ -215,31 +215,33 @@ class DECOperators:
         when this returns.  Only the Schatten certificate reads L1's
         eigenpairs: its kernel dimension alone comes from ``betti1_oracle``.
 
-        With the default cut-off every pair is kept, in an E x E array, and
-        the rest, h = E - n0 - n2, starts from a fixed random block.  A
-        finite cut-off sigma asks L0 and L2 only for their pairs below it
-        (``SelfAdjointOperator(..., cutoff=sigma)``, V x V and F x F
-        xSYEVR), and the rest is the b1 harmonic forms, started from the
-        oracle's Ritz vectors (``harmonic_ritz_vectors``, no second Lanczos
-        run).  The result is partial, with an E x K array, K = b1 + k0 + k2
-        for the k0 and k2 nonzero pairs of L0 and L2 below sigma, and
-        ``from_spectrum`` certifies the Hodge count: the inertia of
-        L1 - sigma I must be exactly K, else ValueError.  When L0 and L2
-        keep every pair, so does L1, and it is the full operator, bit for
-        bit.
+        With the default cut-off L0 and L2 keep every pair, and so does L1,
+        in an E x E array.  A finite cut-off sigma asks L0 and L2 only for
+        their pairs below it (``SelfAdjointOperator(..., cutoff=sigma)``,
+        V x V and F x F xSYEVR).  The result is then partial, with an
+        E x K array, K = b1 + k0 + k2 for the k0 and k2 nonzero pairs of L0
+        and L2 below sigma, and ``from_spectrum`` certifies the Hodge count:
+        the inertia of L1 - sigma I must be exactly K, else
+        ``CutOffRefused``.  When L0 and L2 keep every pair, so does L1, and
+        it is the full operator.  The n0 and n2 pairs above the zero
+        thresholds of L0 and L2 and the b1 harmonic forms must fill the E
+        dimensions exactly when every pair is kept, and never exceed them
+        below a cut-off; otherwise a threshold misjudged a pair, or the
+        oracle miscounted, and ``MeshError`` ("Betti oracles disagree")
+        is raised.
         """
         c, b = self.hodge_factors()
         lam, w = _nonzero_eigenpairs(self.laplacian0(cutoff))
         mu, y = _nonzero_eigenpairs(self.laplacian2(cutoff))
         ne = self.mesh.edge_count
-        if cutoff < math.inf and self.harmonic_ritz_vectors.shape[1] + lam.size + mu.size < ne:
-            block = self.harmonic_ritz_vectors.copy()
-            h = block.shape[1]
-        else:
-            cutoff = math.inf
-            h = _rest_dim(ne, lam.size, mu.size)
-            block = _ritz_start(ne, h)
+        block = self.harmonic_ritz_vectors.copy()
+        h = block.shape[1]
         width = h + lam.size + mu.size
+        if width > ne or (cutoff == math.inf and width != ne):
+            raise MeshError(
+                f"Betti oracles disagree: b1 {h} + n0 {lam.size} + n2 {mu.size} = {width} "
+                f"eigenpairs of L1 on {ne} edges"
+            )
 
         # Known columns, stably sorted, fill q[:, h:]; the rest fills q[:, :h].
         known = np.concatenate([lam, mu])
@@ -280,19 +282,6 @@ def _unit_columns(block: np.ndarray) -> np.ndarray:
     """``block`` with each column scaled to unit length, in place."""
     block /= np.linalg.norm(block, axis=0)
     return block
-
-
-def _rest_dim(ne: int, n0: int, n2: int) -> int:
-    """h = E - n0 - n2, the dimension L1's exact and coexact pairs leave."""
-    h = ne - n0 - n2
-    if h < 0:
-        raise ValueError(f"{n0} exact and {n2} coexact eigenpairs exceed {ne} edges")
-    return h
-
-
-def _ritz_start(ne: int, h: int) -> np.ndarray:
-    """The fixed random E x h block the Rayleigh-Ritz basis starts from."""
-    return np.random.default_rng(0).standard_normal((ne, h))
 
 
 def _rayleigh_ritz(c, b, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,9 +470,10 @@ def _certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
     """A basis of ker S for a symmetric CSR matrix S, counted sparsely and certified.
 
     An eigenvalue counts as zero iff |lam| <= tau = ZERO_TOL (1 + r), where
-    r, the largest absolute row sum of S, is an O(nnz) upper bound on the
-    spectral radius (so tau is never below the threshold of
-    ``SelfAdjointOperator.kernel_dim``).  The count starts from inertia:
+    r, the largest absolute row sum of (S + S^T) / 2 (``measure._radius_bound``),
+    is an O(nnz) upper bound on the spectral radius: tau is the threshold
+    of ``SelfAdjointOperator.kernel_dim`` for the operator with conjugated
+    matrix S.  The count starts from inertia:
     S is put once in reverse Cuthill-McKee order P, and P (S - sigma I)
     P^T, with sigma = 1e-6 (1 + r) above tau, is factored once
     (``measure._inertia``, shared with the cut-off of a partial
@@ -514,7 +504,7 @@ def _certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
     check, both are evaluated in floating point.  Returns (X, n x k, the
     left side of (i), sigma); the bound is 0 when k = 0.
     """
-    radius = float(abs(s).sum(axis=1).max())
+    radius = _radius_bound(s)
     tau = ZERO_TOL * (1.0 + radius)
     sigma = _LANCZOS_SHIFT * (1.0 + radius)
     order, permuted = _rcm_ordered(s)

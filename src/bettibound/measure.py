@@ -81,7 +81,8 @@ __all__ = [
     "two_inf_norm",
 ]
 
-# An eigenvalue counts as zero iff |lambda| <= ZERO_TOL * (1 + spectral radius).
+# An eigenvalue counts as zero iff |lambda| <= ZERO_TOL * (1 + r), for r the
+# largest absolute row sum of the symmetrized conjugated matrix (``_radius_bound``).
 ZERO_TOL = 1e-9
 
 SELFADJOINT_TOL = 1e-10
@@ -96,9 +97,9 @@ class DimensionMismatchError(ValueError):
 
 class CutOffRefused(ValueError):
     """A cut-off its inertia count does not certify: the count and the
-    eigendata disagree, or the shifted factorization cannot be read.  A
-    larger cut-off may be certified; at or above the radius bound no
-    count is needed."""
+    eigendata disagree, or the shifted factorization cannot be read.  At
+    an infinite cut-off no count is taken, so a refused build is made
+    once more there (``pipeline.SurfaceData``)."""
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -231,10 +232,6 @@ class WeightedOperator:
         vals = np.asarray(values, dtype=float)
         return (self.matrix @ vals.reshape(-1)).reshape(vals.shape)
 
-    def compose(self, other: "WeightedOperator") -> "WeightedOperator":
-        self._check_compatible(other)
-        return WeightedOperator(self.matrix @ other.matrix, self.space, self.fiber)
-
     def _check_compatible(self, other: "WeightedOperator"):
         if not self.space.same_as(other.space) or self.fiber != other.fiber:
             raise DimensionMismatchError("operators live on different spaces")
@@ -361,7 +358,7 @@ def _eigh_in_place(conj) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ascending and C-ordered eigenvectors of (S + S^T) / 2.
 
     ``conj`` is S, dense or CSR.  The symmetrized matrix is built in one
-    buffer owned here, with the bits of ``0.5 * (conj + conj.T)``, and
+    buffer owned here (``_symmetric_part``), and
     LAPACK's xSYEVD overwrites that buffer with the eigenvectors: being
     exactly symmetric, its transpose is the same matrix in Fortran order,
     so no copy is made, and the lower triangle is read as
@@ -371,8 +368,7 @@ def _eigh_in_place(conj) -> tuple[np.ndarray, np.ndarray]:
     copy, on which later products and sums rely for their bits, is made
     once the workspace is freed.  Raises LinAlgError if xSYEVD fails.
     """
-    sym = _dense(conj + conj.T)
-    sym *= 0.5
+    sym = _dense(_symmetric_part(conj))
     evals, evecs, info = lapack.dsyevd(sym.T, compute_v=1, lower=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"symmetric eigensolve failed (xSYEVD info {info})")
@@ -390,8 +386,7 @@ def _eigh_lowest_in_place(conj, count: int) -> tuple[np.ndarray, np.ndarray]:
     back: besides the buffer, the N x count vectors and O(N) workspace
     are alive.  Raises LinAlgError if xSYEVR fails or finds fewer pairs.
     """
-    sym = _dense(conj + conj.T)
-    sym *= 0.5
+    sym = _dense(_symmetric_part(conj))
     evals, evecs, found, _, info = lapack.dsyevr(
         sym.T, compute_v=1, range="I", lower=1, il=1, iu=count, overwrite_a=1
     )
@@ -446,20 +441,51 @@ def _inertia(permuted: csr_matrix, sigma: float):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _count_below(conj, cutoff: float) -> tuple[int, float]:
-    """(eigenvalues of (S + S^T) / 2 below ``cutoff``, the radius bound r).
+def _symmetric_part(conj):
+    """(S + S^T) / 2 of a CSR or dense S, per matrix of a (T, d, d) stack, as a new matrix."""
+    half = conj + (conj.T if issparse(conj) else conj.swapaxes(-1, -2))
+    half *= 0.5
+    return half
 
-    r, the largest absolute row sum of the symmetrized matrix, bounds its
-    spectral radius in O(nnz); a cut-off at or above it counts all N
-    eigenvalues with no factorization.  Otherwise the count is the
+
+def _radius_bound(conj):
+    """r, the largest absolute row sum of (S + S^T) / 2, for S dense or CSR.
+
+    r bounds the spectral radius of the symmetrized matrix in O(nnz), with
+    no eigenvalue; a (T, d, d) stack gives the (T,) bounds of its instances.
+    """
+    half = abs(_symmetric_part(conj))
+    if issparse(half):
+        return float(half.sum(axis=1).max())
+    return _unstacked(np.max(np.sum(half, axis=-1), axis=-1))
+
+
+def _count_below(conj, cutoff: float) -> int:
+    """The number of eigenvalues of (S + S^T) / 2 below ``cutoff``.
+
+    A cut-off at or above the radius bound (``_radius_bound``) counts all
+    N eigenvalues with no factorization.  Otherwise the count is the
     inertia of the symmetrized matrix, as a CSR matrix in reverse
     Cuthill-McKee order, shifted by the cut-off (``_inertia``).
     """
-    half = csr_matrix(conj + conj.T) * 0.5
-    radius = float(abs(half).sum(axis=1).max())
-    if cutoff >= radius:
-        return half.shape[0], radius
-    return _inertia(_rcm_ordered(half)[1], cutoff)[1], radius
+    if cutoff >= _radius_bound(conj):
+        return conj.shape[-1]
+    return _inertia(_rcm_ordered(csr_matrix(_symmetric_part(conj)))[1], cutoff)[1]
+
+
+def _confirm_count(cutoff: float, count: int, evals: np.ndarray, past: int) -> None:
+    """Raise ``CutOffRefused`` unless eigendata confirm an inertia count.
+
+    Exactly ``count`` of the ascending ``evals`` must lie below ``cutoff``,
+    and ``past`` more at or above it: one for the solver's K + 1 lowest
+    pairs, none for K pairs computed elsewhere.
+    """
+    below = int(np.count_nonzero(evals < cutoff))
+    if not below == count == evals.size - past:
+        raise CutOffRefused(
+            f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
+            f"eigenvalues below it, the eigendata {below} of {evals.size}"
+        )
 
 
 def _ascending(eigenvalues, euclidean_vectors):
@@ -541,25 +567,27 @@ class SelfAdjointOperator(WeightedOperator):
     operators), and ``residual_norms`` is None for eigendata checked
     without their matrix.
 
+    Every operator, full, partial or a stack, counts an eigenvalue as zero
+    below one threshold, ZERO_TOL (1 + r) for r the radius bound: the
+    largest absolute row sum of (S + S^T) / 2 (``_radius_bound``), which
+    needs no eigenvalue.
+
     A finite ``cutoff`` sigma asks only for the K eigenpairs below it.  K
     is the inertia of S - sigma I (``_count_below``: a sparse factorization
-    in reverse Cuthill-McKee order, none when sigma is at or above the
-    radius bound r, the largest absolute row sum).  When K = N the
-    operator is the one the default sigma = inf gives, bit for bit.
-    Otherwise it is *partial*: xSYEVR computes the K + 1 lowest pairs in
-    place (``_eigh_lowest_in_place``), the (K+1)-th must lie at or above
-    sigma and the K-th below it (so the solver counts K as well), and the
+    in reverse Cuthill-McKee order, none when sigma is at or above r).
+    When K = N the operator is the one the default sigma = inf gives, bit
+    for bit.  Otherwise it is *partial*: xSYEVR computes the K + 1 lowest
+    pairs in place (``_eigh_lowest_in_place``), exactly K of them must lie
+    below sigma (``_confirm_count``: the solver counts K as well), and the
     K kept pairs pass ``_check_eigendata`` with the N x K Q: finite,
     orthogonality loss <= 1e-10 and ||R||_F sqrt(1 + loss) <=
     1e-10 max(||S||_F, 1).  A count the solver does not confirm, or an
     inertia that cannot be read, raises ``CutOffRefused`` (a ValueError),
-    a failed check ValueError.  Its zero threshold comes from r,
-    ``min_eigenvalue`` is sigma when K = 0 (every eigenvalue is at or
-    above it), and every method that needs all pairs
-    (``spectral_function`` and the semigroups, ``kernel_basis``,
-    ``squared_overlap``, ``two_inf_norm``) raises
-    ValueError; its ``matrix`` is the one it was built from, which needs
-    no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
+    a failed check ValueError.  ``min_eigenvalue`` is sigma when K = 0
+    (every eigenvalue is at or above it), and every method that needs all
+    pairs (``spectral_function`` and the semigroups, ``kernel_basis``,
+    ``squared_overlap``, ``two_inf_norm``) raises ValueError; its
+    ``matrix`` is the one it was built from, which needs no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
     with another operator, full or partial, from the K pairs and sigma,
     and ``heat_two_inf_norm`` bounds the 2->inf norm of its semigroup
     from above; ``from_spectrum`` with a cut-off builds a partial
@@ -582,33 +610,24 @@ class SelfAdjointOperator(WeightedOperator):
     _overlap = None
     # (residual column norms, orthogonality loss) of the construction's check.
     _check_numbers = (None, None)
-    # sigma of a partial operator, and its radius bound; a full operator has all pairs.
+    # sigma of a partial operator; a full operator has all pairs.
     cutoff = math.inf
-    _radius_bound = None
 
     def __init__(self, matrix, space, fiber=1, cutoff=math.inf):
         super().__init__(matrix, space, fiber)
         conj = self.conjugated()
         if conj.ndim > 2 and cutoff < math.inf:
             raise ValueError("a stack of operators takes no cut-off")
-        count, radius = (self.dim, None) if cutoff == math.inf else _count_below(conj, cutoff)
+        count = self.dim if cutoff == math.inf else _count_below(conj, cutoff)
         if conj.ndim > 2:
-            sym = conj + conj.swapaxes(-1, -2)
-            sym *= 0.5
-            evals, evecs = np.linalg.eigh(sym)
+            evals, evecs = np.linalg.eigh(_symmetric_part(conj))
         elif count == self.dim:
             evals, evecs = _eigh_in_place(conj)
         else:
             evals, evecs = _eigh_lowest_in_place(conj, count + 1)
-            if not (evals[count] >= cutoff and (count == 0 or evals[count - 1] < cutoff)):
-                found = int(np.count_nonzero(evals < cutoff))
-                raise CutOffRefused(
-                    f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
-                    f"eigenvalues below it, the solver {found}"
-                    f"{' or more' if found > count else ''}"
-                )
+            _confirm_count(cutoff, count, evals, 1)
             evals, evecs = evals[:count], np.ascontiguousarray(evecs[:, :count])
-            self.cutoff, self._radius_bound = cutoff, radius
+            self.cutoff = cutoff
         self._check_numbers = _check_eigendata(evals, evecs, conj)
         self.eigenvalues = _read_only(evals)
         self._euclidean_vectors = _read_only(evecs)
@@ -639,10 +658,10 @@ class SelfAdjointOperator(WeightedOperator):
         tolerance 1e-10).
 
         A finite ``cutoff`` sigma, which needs ``matrix``, takes the K
-        pairs below it as an N x K array: each must lie below sigma, the
+        pairs below it as an N x K array: each must lie below sigma and the
         inertia of S - sigma I (``_count_below``) must count exactly K
-        eigenvalues below it, else ``CutOffRefused``, and they pass the N x K
-        checks of ``_check_eigendata``.  The operator is then partial, as
+        eigenvalues below it (``_confirm_count``), else ``CutOffRefused``,
+        and they pass the N x K checks of ``_check_eigendata``.  The operator is then partial, as
         one built from its matrix with this cut-off; when K = N it is full.
         """
         evals = np.asarray(eigenvalues, dtype=float)
@@ -666,15 +685,10 @@ class SelfAdjointOperator(WeightedOperator):
             conj = op.conjugated()
         op._check_numbers = _check_eigendata(op.eigenvalues, op._euclidean_vectors, conj)
         if cutoff < math.inf:
-            count, radius = _count_below(conj, cutoff)
-            below = int(np.count_nonzero(op.eigenvalues < cutoff))
-            if not count == below == columns:
-                raise CutOffRefused(
-                    f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
-                    f"eigenvalues below it, the eigendata {below} of {columns}"
-                )
+            count = _count_below(conj, cutoff)
+            _confirm_count(cutoff, count, op.eigenvalues, 0)
             if count < dim:
-                op.cutoff, op._radius_bound = cutoff, radius
+                op.cutoff = cutoff
         return op
 
     @classmethod
@@ -726,19 +740,20 @@ class SelfAdjointOperator(WeightedOperator):
             )
 
     @property
-    def spectral_radius(self) -> float:
-        self._require_full("spectral_radius")
-        return _unstacked(np.max(np.abs(self.eigenvalues), axis=-1))
-
-    @property
     def min_eigenvalue(self) -> float:
         if not self.eigenvalues.size:
             return float(self.cutoff)
         return _unstacked(self.eigenvalues[..., 0])
 
+    @cached_property
+    def _zero_threshold(self):
+        return _unstacked(ZERO_TOL * (1.0 + _radius_bound(self.conjugated())))
+
     def zero_threshold(self) -> float:
-        radius = self._radius_bound if self.partial else self.spectral_radius
-        return _unstacked(ZERO_TOL * (1.0 + radius))
+        """ZERO_TOL (1 + r), r the radius bound of the conjugated matrix
+        (``_radius_bound``), the same for a full and a partial operator;
+        (T,) thresholds for a stack.  Computed once per operator."""
+        return self._zero_threshold
 
     def kernel_mask(self) -> np.ndarray:
         """Flags of the eigenvalues that count as zero, (T, d) for a stack."""

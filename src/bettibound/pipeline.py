@@ -39,9 +39,8 @@ computes only those, and no V x V eigenvector array is built.  The
 pairs it drops add at most eta of ||e^(-t0 (L0+K))||^2_{2->inf} at
 every t0 of the sweep, and the norm is the upper bound from the kept
 pairs and that tail, one gemv per distinct t0 against the squared
-V x K basis (``measure.heat_two_inf_norm``).  A refused cut-off doubles
-its margin above rho_bar; past the radius bound the operator holds
-every pair.
+V x K basis (``measure.heat_two_inf_norm``).  A refused cut-off is
+built once more at sigma = inf, where the operator holds every pair.
 
 The Schatten certificate is one row computation per rho0 (W depends on
 rho0 only, and so does the (2,HS) norm of the potential).  The row
@@ -251,24 +250,14 @@ class SurfaceData:
     def comparison_below(self, cutoff: float) -> SelfAdjointOperator:
         """L0 + K with (at least) its eigenpairs below ``cutoff``, held.
 
-        ``SelfAdjointOperator(..., cutoff=sigma)``: a V x K array.  A
-        refused cut-off (``CutOffRefused``) doubles its margin above the
-        mean curvature rho_bar, sigma -> rho_bar + 2 (sigma - rho_bar),
-        until one is certified; at or above the operator's radius bound
-        it holds every pair.
+        ``SelfAdjointOperator(..., cutoff=sigma)``: a V x K array, or every
+        pair when the cut-off is refused (``_held_below``).
         """
-        mean = self._mean_curvature
-
-        def build(sigma):
-            while True:
-                try:
-                    return schrodinger_comparison(self.dec, self.curvature.values, sigma)
-                except CutOffRefused:
-                    if math.isnan(sigma):
-                        raise
-                    sigma = mean + 2.0 * (sigma - mean)
-
-        return self._held_below("comparison", cutoff, build)
+        return self._held_below(
+            "comparison",
+            cutoff,
+            lambda sigma: schrodinger_comparison(self.dec, self.curvature.values, sigma),
+        )
 
     @property
     def _mean_curvature(self) -> float:
@@ -291,21 +280,17 @@ class SurfaceData:
 
         ``DECOperators.laplacian1(cutoff)``: below a finite cut-off an
         E x K array certified by the Hodge count, and a refused count
-        (any ValueError) gives every pair instead.  With every pair the
-        eigenvectors fill an E x E array, and the kernel dimension must
-        equal ``b1``: the full assembly and the harmonic oracle count it
-        from separate computations, and a disagreement raises
-        ``MeshError``.  (L1 below a cut-off starts its harmonic block from
-        the oracle's Ritz vectors, so its check is the Hodge count.)  A
-        full assembly that fails its own eigendata check is attempted
-        twice before its ValueError escapes.
+        (``CutOffRefused``) gives every pair instead (``_held_below``).
+        With every pair the eigenvectors fill an E x E array, and the
+        kernel dimension must equal ``b1``: the assembled eigenvalues and
+        the harmonic oracle's certified count are separate computations,
+        and a disagreement raises ``MeshError``, as does an assembly whose
+        pairs do not fit the E dimensions.  Any other ValueError of a
+        build is that build's failure and escapes.
         """
 
         def build(sigma):
-            try:
-                lap1 = self.dec.laplacian1(sigma)
-            except ValueError:  # a refused Hodge count: every pair instead
-                lap1 = self.dec.laplacian1()
+            lap1 = self.dec.laplacian1(sigma)
             if not lap1.partial and lap1.kernel_dim() != self.b1:
                 raise MeshError(
                     f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
@@ -317,11 +302,16 @@ class SurfaceData:
 
     def _held_below(self, kind, cutoff, build) -> SelfAdjointOperator:
         """The ``kind`` operator held, when its cut-off is at least ``cutoff``;
-        else ``build(cutoff)``, held in its place."""
+        else ``build(cutoff)``, held in its place.  A cut-off the inertia
+        count refuses (``CutOffRefused``) is built once more at
+        sigma = inf, where no count is taken and every pair is held."""
         held = self._held.pop(kind, None)
         if held is None or held.cutoff < cutoff:
             del held  # freed before its successor is built
-            held = build(cutoff)
+            try:
+                held = build(cutoff)
+            except CutOffRefused:
+                held = build(math.inf)
         self._held[kind] = held
         return held
 
@@ -555,8 +545,8 @@ def _schatten_row(
     sweep holds one L1 and one L1 + W (with the squared overlap it keeps)
     at a time.  When the check that L1 + W clears rho0 fails, every bound
     of the row is None and the one note says why.  A ``MeshError`` (the
-    full L1's kernel against ``b1``) is not the row's failure and is
-    raised.
+    full L1's kernel against ``b1``, or L1's pairs against its E
+    dimensions) is not the row's failure and is raised.
     """
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
     try:

@@ -17,6 +17,7 @@ check computed.
 
 import gc
 import math
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from bettibound import cli, dec as dec_module, measure
+from bettibound import cli, dec as dec_module, measure, pipeline
 from bettibound.dec import (
     DECOperators,
     _certified_kernel_dim,
@@ -453,7 +454,7 @@ def test_laplacian1_below_a_cut_off_holds_the_lowest_pairs(name):
             for op in (lap0, lap2)
         )
         k = part.eigenvalues.size
-        assert k == b1 + k0 + k2 == measure._count_below(part.conjugated(), sigma)[0]
+        assert k == b1 + k0 + k2 == measure._count_below(part.conjugated(), sigma)
         assert k == np.count_nonzero(full.eigenvalues < sigma) < full.dim
         assert part._euclidean_vectors.shape == (full.dim, k)
         assert part.kernel_dim() == full.kernel_dim() == b1
@@ -490,18 +491,45 @@ def test_laplacian1_below_a_cut_off_starts_from_the_oracle_ritz_vectors(monkeypa
 def test_disagreeing_ritz_blocks_raise(monkeypatch, p):
     # The full assembly's kernel is made to lose a harmonic form, so its
     # count disagrees with the oracle's b1 = 4.  The MeshError escapes the
-    # Schatten row, whether p = 2 reaches every pair through a refused L1
-    # below the cut-off (a partial operator has no spectral function, a
-    # ValueError) or any other p reads every pair from the start; it never
-    # becomes a row's note.
+    # Schatten row, whether p = 2 reaches every pair through a refused
+    # Hodge count of L1 below the cut-off or any other p reads every pair
+    # from the start; it never becomes a row's note.
     laplacian1 = DECOperators.laplacian1
+    count_below = measure._count_below
 
     def shifted(self, *args, **kwargs):
         lap1 = laplacian1(self, *args, **kwargs)
         return lap1.spectral_function(lambda w: np.where(w == w.min(), 1.0, w))
 
+    def miscounting(conj, cutoff):
+        # Every count on the edges is one too many: L1 below a cut-off is refused.
+        return count_below(conj, cutoff) + (conj.shape[0] == data.mesh.edge_count)
+
     monkeypatch.setattr(DECOperators, "laplacian1", shifted)
     data = prepare_surface(genus2_mesh())
     assert data.b1 == 4
+    monkeypatch.setattr(measure, "_count_below", miscounting)
+    if p == 2.0:
+        with pytest.raises(measure.CutOffRefused):
+            laplacian1(data.dec, pipeline._heat_cutoff([1.0]))
     with pytest.raises(MeshError, match="Betti oracles disagree"):
         betti_bound(BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=1.0, p=p), data=data)
+
+
+def test_an_exact_pair_lost_to_a_threshold_raises(monkeypatch):
+    # With every pair kept, the n0 exact and n2 coexact pairs of L1 and its
+    # b1 harmonic forms must fill the E dimensions exactly.  An exact pair
+    # of L0 dropped as if its threshold had misjudged it is a disagreement,
+    # not a pair for the harmonic block to absorb.
+    data = prepare_surface(genus2_mesh())
+    nv, ne, nf = data.mesh.vertex_count, data.mesh.edge_count, data.mesh.face_count
+    nonzero = dec_module._nonzero_eigenpairs
+
+    def dropping(op):
+        lam, w = nonzero(op)
+        return (lam[1:], w[:, 1:]) if op.dim == nv else (lam, w)
+
+    monkeypatch.setattr(dec_module, "_nonzero_eigenpairs", dropping)
+    message = f"b1 4 + n0 {nv - 2} + n2 {nf - 1} = {ne - 1} eigenpairs of L1 on {ne} edges"
+    with pytest.raises(MeshError, match="Betti oracles disagree: " + re.escape(message)):
+        data.dec.laplacian1()

@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix, issparse
 
 from bettibound import measure
 from bettibound.birman import weyl_inequality_check
+from bettibound.dec import _certified_kernel
 from bettibound.measure import (
     DimensionMismatchError,
     SelfAdjointOperator,
@@ -210,7 +211,7 @@ def test_schatten_submultiplicative_with_operator_norm():
         a = WeightedOperator(rng.standard_normal((7, 7)), space, 1)
         b = WeightedOperator(rng.standard_normal((7, 7)), space, 1)
         for p in (1.0, 2.0):
-            lhs = schatten_norm(a.compose(b), p)
+            lhs = schatten_norm(WeightedOperator(a.matrix @ b.matrix, space, 1), p)
             rhs = operator_norm(a) * schatten_norm(b, p)
             assert lhs <= rhs + 1e-9 * (1 + rhs)
 
@@ -489,7 +490,7 @@ def test_csr_operator_matches_dense_operator(seed, points, fiber, density):
     assert np.max(np.abs(sparse.apply_array(values) - reference)) <= tol
     other = WeightedOperator(rng.standard_normal((dim, dim)), space, fiber)
     for left, right in ((sparse, other), (other, sparse), (sparse, sparse)):
-        composed = left.compose(right).matrix
+        composed = left.matrix @ right.matrix
         composed = composed.toarray() if issparse(composed) else composed
         reference = (dense.matrix if left is sparse else other.matrix) @ (
             dense.matrix if right is sparse else other.matrix
@@ -895,6 +896,48 @@ def test_partial_heat_two_inf_norm_bounds_the_full_one_from_above():
     assert measure.heat_two_inf_norm(full, 1e4) == pytest.approx(kernel, rel=1e-9)
 
 
+def _row_sum_threshold(s):
+    s = s.toarray() if issparse(s) else s
+    half = 0.5 * (s + s.swapaxes(-1, -2))
+    return measure.ZERO_TOL * (1.0 + np.max(np.sum(np.abs(half), axis=-1), axis=-1))
+
+
+def test_one_zero_threshold_from_the_row_sum_bound():
+    # Every operator counts an eigenvalue as zero below ZERO_TOL (1 + r), r
+    # the largest absolute row sum of (S + S^T) / 2: full CSR and dense, a
+    # stack, one built from its spectrum, and the certified kernel count.
+    # An eigenvalue e planted between ZERO_TOL (1 + spectral radius) and
+    # that threshold counts as zero for each of them.
+    rng = np.random.default_rng(211)
+    q = np.linalg.qr(rng.standard_normal((3, 6, 6)))[0]
+    evals = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    low = measure.ZERO_TOL * (1.0 + 4.0)
+    evals[1] = 0.5 * (low + np.min(_row_sum_threshold((q * evals) @ q.swapaxes(-1, -2))))
+    s = (q * evals) @ q.swapaxes(-1, -2)
+    s = 0.5 * (s + s.swapaxes(-1, -2))
+    thresholds = _row_sum_threshold(s)
+    assert np.all(low < evals[1]) and np.all(evals[1] < thresholds)
+
+    space = WeightedFiniteSpace(np.ones(6))
+    for k in range(3):
+        dense = SelfAdjointOperator(s[k], space)
+        sparse = SelfAdjointOperator(csr_matrix(s[k]), space)
+        spectrum = SelfAdjointOperator.from_spectrum(space, evals, q[k])
+        for op in (dense, spectrum):
+            assert op.zero_threshold() == _row_sum_threshold(op.conjugated())
+        # CSR sums each row in its own order: the same bound to rounding.
+        assert sparse.zero_threshold() == pytest.approx(thresholds[k], rel=1e-15, abs=0.0)
+        assert dense.zero_threshold() == thresholds[k]
+        assert dense.kernel_dim() == sparse.kernel_dim() == spectrum.kernel_dim() == 2
+        assert _certified_kernel(sparse.conjugated())[0].shape[1] == 2
+    weights = np.exp(rng.uniform(-1.0, 1.0, (3, 6)))
+    sqrt_w = np.sqrt(weights)
+    matrices = s / sqrt_w[:, :, None] * sqrt_w[:, None, :]
+    stack = SelfAdjointOperator(matrices, WeightedFiniteSpace(weights))
+    assert stack.zero_threshold().tobytes() == _row_sum_threshold(stack.conjugated()).tobytes()
+    assert list(stack.kernel_dim()) == [2, 2, 2]
+
+
 def test_partial_operator_refuses_every_full_spectrum_method():
     matrix, space, fiber = _planted_operator(_SPECTRUM)
     full = SelfAdjointOperator(matrix, space, fiber)
@@ -903,7 +946,6 @@ def test_partial_operator_refuses_every_full_spectrum_method():
         "spectral_function": lambda: part.spectral_function(np.abs),
         "semigroup": lambda: part.semigroup(1.0),
         "shifted": lambda: part.shifted(1.0),
-        "spectral_radius": lambda: part.spectral_radius,
         "kernel_basis": lambda: part.kernel_basis(),
         "squared_overlap": lambda: part.squared_overlap(full),
         "squared_overlap of a full operator": lambda: full.squared_overlap(part),

@@ -647,10 +647,10 @@ def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, misc
 
     def miscounting(conj, cutoff):
         # Only L1's own count: L1 + W has the same pattern, other values.
-        count, radius = count_below(conj, cutoff)
+        count = count_below(conj, cutoff)
         if conj.shape == s1.shape and np.array_equal(conj.data, s1.data):
             count += miscount
-        return count, radius
+        return count
 
     monkeypatch.setattr(measure, "_count_below", miscounting)
     with pytest.raises(ValueError, match="not certified: the inertia counts"):
@@ -701,23 +701,19 @@ def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
     assert data._held["laplacian1"].partial
 
 
-@pytest.mark.parametrize("refusals", [1, None], ids=["once", "always"])
-def test_refused_comparison_cut_off_doubles_its_margin(monkeypatch, refusals):
-    # A refused count doubles the comparison cut-off's margin above the
-    # mean curvature rho_bar until one is certified: after one refusal the
-    # operator holds the pairs below rho_bar + 2 (sigma_C - rho_bar); a
-    # count that is always refused raises the cut-off past the radius
-    # bound, where the operator holds every pair, bit for bit.
+def test_refused_comparison_cut_off_is_rebuilt_once_with_every_pair(monkeypatch):
+    # A refused count of L0 + K - sigma_C is answered once: the comparison
+    # operator is built again at sigma = inf, where no count is taken, and
+    # is the full operator bit for bit.
     data = prepare_surface(genus2_mesh())
     nv = data.mesh.vertex_count
     full = schrodinger_comparison(data.dec, data.curvature.values)
-    radius = measure._count_below(full.conjugated(), math.inf)[1]
     inertia, build = measure._inertia, pipeline.schrodinger_comparison
     refused, asked = [], []
 
     def miscounting(permuted, sigma):
         lu, below = inertia(permuted, sigma)
-        if permuted.shape[0] == nv and (refusals is None or len(refused) < refusals):
+        if permuted.shape[0] == nv:
             refused.append(sigma)
             below += 1
         return lu, below
@@ -730,18 +726,11 @@ def test_refused_comparison_cut_off_doubles_its_margin(monkeypatch, refusals):
     monkeypatch.setattr(pipeline, "schrodinger_comparison", recording)
     sigma_c = pipeline._comparison_cutoff(data, [1.0])
     part = data.comparison_below(sigma_c)
-    mean = data._mean_curvature
-    assert mean < 0.0 < sigma_c < radius
-    assert asked[0] == sigma_c
-    assert asked[1:] == [mean + 2.0 * (sigma - mean) for sigma in asked[:-1]]
-    assert refused == asked[: len(refused)]
-    if refusals == 1:
-        assert len(asked) == 2 and part.partial and part.cutoff == asked[1]
-    else:
-        assert asked[-2] < radius <= asked[-1] and len(refused) == len(asked) - 1
-        assert not part.partial
-        assert np.array_equal(part.eigenvalues, full.eigenvalues)
-        assert np.array_equal(part._euclidean_vectors, full._euclidean_vectors)
+    assert 0.0 < sigma_c < measure._radius_bound(full.conjugated())
+    assert asked == [sigma_c, math.inf] and refused == [sigma_c]
+    assert not part.partial
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
+    assert np.array_equal(part._euclidean_vectors, full._euclidean_vectors)
     assert data.comparison_below(sigma_c) is part
 
 
