@@ -701,10 +701,12 @@ def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
     assert data._held["laplacian1"].partial
 
 
-def test_refused_comparison_cut_off_is_rebuilt_once_with_every_pair(monkeypatch):
+@pytest.mark.parametrize("refusals", [1, None], ids=["once", "always"])
+def test_refused_comparison_cut_off_is_rebuilt_once_with_every_pair(monkeypatch, refusals):
     # A refused count of L0 + K - sigma_C is answered once: the comparison
     # operator is built again at sigma = inf, where no count is taken, and
-    # is the full operator bit for bit.
+    # is the full operator bit for bit, whether the count would be refused
+    # once or every time.
     data = prepare_surface(genus2_mesh())
     nv = data.mesh.vertex_count
     full = schrodinger_comparison(data.dec, data.curvature.values)
@@ -713,7 +715,7 @@ def test_refused_comparison_cut_off_is_rebuilt_once_with_every_pair(monkeypatch)
 
     def miscounting(permuted, sigma):
         lu, below = inertia(permuted, sigma)
-        if permuted.shape[0] == nv:
+        if permuted.shape[0] == nv and (refusals is None or len(refused) < refusals):
             refused.append(sigma)
             below += 1
         return lu, below
