@@ -51,8 +51,7 @@ __all__ = [
     "KernelBoundCertificate",
     "birman_schwinger_operator",
     "kernel_identity_check",
-    "crude_kernel_bound",
-    "crude_hs_enclosure",
+    "crude_bounds",
     "birman_schwinger_bound",
     "weyl_inequality_check",
     "principal_angles",
@@ -212,7 +211,7 @@ def _principal_angles(basis_a, basis_b, sqrt_w) -> np.ndarray:
 
 
 def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertificate:
-    """dim ker(H) and the sharp and crude (``crude_kernel_bound``) bounds at exponent p.
+    """dim ker(H) and the sharp and crude (upper end of ``crude_bounds``) bounds at exponent p.
 
     The sharp bound is the p-th power sum of the pair's cached
     ``birman_schwinger_singular_values``, and the crude bound at p != 2
@@ -223,19 +222,24 @@ def birman_schwinger_bound(pair: OperatorPair, p: float) -> KernelBoundCertifica
     return KernelBoundCertificate(
         kernel_dim=pair.H.kernel_dim(),
         bound_sharp=_unstacked(sharp),
-        bound_crude=_unstacked(_crude_bounds(pair, p)[0]),
+        bound_crude=crude_bounds(pair, p)[0],
         p=p,
     )
 
 
-def _crude_bounds(pair: OperatorPair, p: float):
-    """(upper, lower) ends of (1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p, per instance of a stack too.
+def crude_bounds(pair: OperatorPair, p: float) -> tuple[float, float]:
+    """(upper, lower) ends of an enclosure of (1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p.
 
-    D_t0 = exp(-t0 H) - exp(-t0 H') is scaled by 1/(1 - e^(-rho0 t0))
-    before its norm is taken.  At p = 2 the ends are those of
-    ``heat_difference_hs_bounds``, read from the two spectra; at any other
-    p both are the p-th power sum of the singular values of the pair's
-    cached matrix of D_t0.
+    The upper end bounds dim ker(H).  D_t0 = exp(-t0 H) - exp(-t0 H') is
+    scaled by 1/(1 - e^(-rho0 t0)) before its norm is taken, so the scalar
+    saturation case (H = 0, H' = rho0 on one point) comes out as exactly
+    1.0.  At p = 2 the ends are those of ``heat_difference_hs_bounds``,
+    read from the two cached spectra with no dense D: both are the bound
+    itself when H and H' hold every eigenpair, and they enclose it when
+    either holds only its eigenpairs below a cut-off.  At any other p both
+    ends are the p-th power sum of the singular values of the pair's
+    cached dense D, and both operators must hold every pair.  One pair
+    gives Python numbers, a stack of pairs (T,) arrays.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
@@ -243,34 +247,8 @@ def _crude_bounds(pair: OperatorPair, p: float):
     if p == 2.0:
         return heat_difference_hs_bounds(pair.H, pair.Hprime, pair.t0, gap)
     scaled = pair._heat_difference / gap[..., None, None]
-    crude = np.sum(_singular_values(_conjugate(scaled, pair.H._sqrt_w)) ** p, axis=-1)
+    crude = _unstacked(np.sum(_singular_values(_conjugate(scaled, pair.H._sqrt_w)) ** p, axis=-1))
     return crude, crude
-
-
-def crude_kernel_bound(pair: OperatorPair, p: float) -> float:
-    """(1 - e^(-rho0 t0))^(-p) ||D_t0||_Sp^p, an upper bound on dim ker(H).
-
-    D_t0 is scaled by 1/(1 - e^(-rho0 t0)) before its norm is taken, so
-    the scalar saturation case (H = 0, H' = rho0 on one point) comes out
-    as exactly 1.0.  It is the upper end of ``_crude_bounds``: at p = 2 the
-    squared Hilbert-Schmidt norm is read from the two cached spectra, with
-    no dense D, and for an H' that holds only its eigenpairs below a
-    cut-off it is the upper end of that enclosure (``crude_hs_enclosure``).
-    Any other p takes the singular values of the dense D, and H' must hold
-    every pair.
-    """
-    return _unstacked(_crude_bounds(pair, p)[0])
-
-
-def crude_hs_enclosure(pair: OperatorPair) -> tuple[float, float]:
-    """(upper, lower) ends of an enclosure of ``crude_kernel_bound(pair, 2)``.
-
-    The ends of ``heat_difference_hs_bounds`` for D_t0 scaled by
-    1/(1 - e^(-rho0 t0)): both are the bound itself when H' holds every
-    eigenpair, and the upper end bounds dim ker(H) when H' holds only its
-    eigenpairs below a cut-off.
-    """
-    return _crude_bounds(pair, 2.0)
 
 
 def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:

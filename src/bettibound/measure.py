@@ -71,7 +71,6 @@ __all__ = [
     "CutOffRefused",
     "heat_difference",
     "heat_difference_hs_bounds",
-    "heat_difference_hs_squared",
     "heat_two_inf_norm",
     "singular_values",
     "schatten_norm",
@@ -453,11 +452,16 @@ def _radius_bound(conj):
 
     r bounds the spectral radius of the symmetrized matrix in O(nnz), with
     no eigenvalue; a (T, d, d) stack gives the (T,) bounds of its instances.
+    Every row is summed sequentially in index order, so a CSR matrix and
+    its dense copy give the same bits: a CSR product with a vector of
+    ones, and column sums of the symmetric dense matrix (numpy adds whole
+    rows in order along the first axis, where it sums along the last one
+    pairwise).
     """
     half = abs(_symmetric_part(conj))
     if issparse(half):
-        return float(half.sum(axis=1).max())
-    return _unstacked(np.max(np.sum(half, axis=-1), axis=-1))
+        return float(np.max(half @ np.ones(half.shape[0])))
+    return _unstacked(np.max(np.sum(half, axis=-2), axis=-1))
 
 
 def _count_below(conj, cutoff: float) -> int:
@@ -586,8 +590,9 @@ class SelfAdjointOperator(WeightedOperator):
     a failed check ValueError.  ``min_eigenvalue`` is sigma when K = 0
     (every eigenvalue is at or above it), and every method that needs all
     pairs (``spectral_function`` and the semigroups, ``kernel_basis``,
-    ``squared_overlap``, ``two_inf_norm``) raises ValueError; its
-    ``matrix`` is the one it was built from, which needs no pair.  ``heat_difference_hs_bounds`` encloses its heat difference
+    ``two_inf_norm``) raises ValueError; its ``matrix`` is the one it was
+    built from, which needs no pair.  ``squared_overlap`` reads its K kept
+    vectors, ``heat_difference_hs_bounds`` encloses its heat difference
     with another operator, full or partial, from the K pairs and sigma,
     and ``heat_two_inf_norm`` bounds the 2->inf norm of its semigroup
     from above; ``from_spectrum`` with a cut-off builds a partial
@@ -781,19 +786,14 @@ class SelfAdjointOperator(WeightedOperator):
         return _read_only(u), lacking
 
     def squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
-        """(Q_other^T Q)**2 elementwise, for Q the Euclidean eigenvectors.
+        """(Q_other^T Q)**2 elementwise, for Q the Euclidean eigenvectors: K_other x K.
 
         Entry (i, j) is the squared cosine between eigenvector i of
         ``other`` and eigenvector j of this operator in the weighted metric;
-        the matrix is doubly stochastic.  The product for the last
-        ``other`` eigenbasis is kept, so repeated calls cost nothing.
+        for full operators the matrix is doubly stochastic, and for partial
+        ones it is the block of their kept vectors.  The product for the
+        last ``other`` eigenbasis is kept, so repeated calls cost nothing.
         """
-        self._require_full("squared_overlap")
-        other._require_full("squared_overlap")
-        return self._squared_overlap(other)
-
-    def _squared_overlap(self, other: "SelfAdjointOperator") -> np.ndarray:
-        """``squared_overlap`` for partial operators too: K_other x K."""
         basis = other._euclidean_vectors
         cached = self._overlap
         if cached is None or cached[0] is not basis:
@@ -839,27 +839,20 @@ def heat_difference(A, B, t) -> WeightedOperator:
     return WeightedOperator(_read_only(difference), A.space, A.fiber)
 
 
-def heat_difference_hs_squared(A, B, t, scale=1.0):
-    """||(exp(-tA) - exp(-tB)) / scale||_HS^2 from the cached spectra, in O(N^2).
-
-    With f = exp(-t eig(A)), g = exp(-t eig(B)) and the squared overlap
-    C = (Q_A^T Q_B)**2, the squared norm is sum_ij C_ij ((f_i - g_j)/scale)^2:
-    every term is nonnegative, so nothing cancels.  When B shares the
-    eigenvector array of A (B is A, or A shifted), C is the identity and no
-    matrix product runs.  Two operators whose eigenvalues and eigenvectors
-    are bitwise equal (say, two eigensolves of the same matrix) are the
-    same operator and give exactly 0.0, not the rounding of C's
-    off-diagonal entries; the eigenvalues are compared first, so operators
-    with different spectra pay only that O(N) comparison.  For a partial
-    A or B this is the upper end of ``heat_difference_hs_bounds``; for stacks,
-    the (T,) values of the instances, with t and scale floats or (T,)
-    arrays.
-    """
-    return heat_difference_hs_bounds(A, B, t, scale)[0]
-
-
 def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
-    """(upper, lower) ends of an enclosure of ``heat_difference_hs_squared(A, B, t, scale)``.
+    """(upper, lower) ends of an enclosure of ||(exp(-tA) - exp(-tB)) / scale||_HS^2.
+
+    Both ends are read from the cached spectra in O(N^2), with no dense
+    difference.  With f = exp(-t eig(A)), g = exp(-t eig(B)) and the
+    squared overlap C = (Q_A^T Q_B)**2, the squared norm is
+    sum_ij C_ij ((f_i - g_j)/scale)^2: every term is nonnegative, so
+    nothing cancels.  When B shares the eigenvector array of A (B is A, or
+    A shifted), C is the identity and no matrix product runs.  Two
+    operators whose eigenvalues and eigenvectors are bitwise equal (say,
+    two eigensolves of the same matrix) are the same operator and give
+    exactly 0.0, not the rounding of C's off-diagonal entries; the
+    eigenvalues are compared first, so operators with different spectra
+    pay only that O(N) comparison.
 
     For a full A and B both ends are the squared norm itself.  A partial
     operator (its K pairs below the cut-off sigma, ``SelfAdjointOperator``)
@@ -908,7 +901,7 @@ def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
     if A._euclidean_vectors is B._euclidean_vectors:
         known = np.sum(((f - g) / scale) ** 2, axis=-1)
     else:
-        overlap = B._squared_overlap(A)
+        overlap = B.squared_overlap(A)
         known = _overlap_sum(f, g, scale[..., None], overlap)
     upper = lower = known = np.where(same, 0.0, known)
     tail_b = math.exp(-t * B.cutoff) if B.partial else 0.0

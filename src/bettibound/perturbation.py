@@ -27,7 +27,8 @@ and H + V = Q_P diag(mu) Q_P^T (conjugated to Euclidean form), its Gauss
 sum is Q_P [(Q_P^T V Q_H) o K] Q_H^T, where o is the entrywise product and
 K_ij = sum_k w_k e^(-(2t - s_k) mu_i) e^(-s_k lambda_j) (the
 Daleckii-Krein form of the integral).  The HS norm of the semigroup
-difference is read from the two spectra by ``heat_difference_hs_squared``.
+difference is read from the two spectra by ``heat_difference_hs_bounds``,
+whose ends coincide for operators that hold every pair.
 
 Each check is written once, over an optional leading stack axis: a
 ``MatrixPotential`` holds one potential or a stack of T of one shape, as a
@@ -58,7 +59,7 @@ from .measure import (
     _frobenius,
     _read_only,
     _unstacked,
-    heat_difference_hs_squared,
+    heat_difference_hs_bounds,
     two_inf_norm,
 )
 
@@ -369,7 +370,7 @@ def semigroup_difference_bound_check(H: SelfAdjointOperator, V: MatrixPotential,
     if np.any(H.min_eigenvalue < -H.zero_threshold()):
         raise ValueError("H must be positive semidefinite")
     perturbed = V.added_to(H)
-    lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
+    lhs = np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
     ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
     rhs = np.sqrt(H.fiber) * hs_norm_potential(V) * ultra_sum * integral
@@ -472,7 +473,7 @@ def dominated_difference_check(pair: DominatedPair, V: MatrixPotential, t0) -> d
     if np.any(t0 <= 0.0):
         raise ValueError("t0 must be strictly positive")
     perturbed = V.added_to(H)
-    lhs = np.sqrt(heat_difference_hs_squared(H, perturbed, 2.0 * t0))
+    lhs = np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
     scalar_ultra = two_inf_norm(H0.semigroup(t0))
     base = 2.0 * np.sqrt(H.fiber) * hs_norm_potential(V) * scalar_ultra
     integral = _exact_22_integral(np.maximum(0.0, perturbed.min_eigenvalue), t0)

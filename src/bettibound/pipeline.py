@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .birman import OperatorPair, crude_hs_enclosure, crude_kernel_bound
+from .birman import OperatorPair, crude_bounds
 from .dec import (
     CurvatureField,
     DECOperators,
@@ -550,9 +550,8 @@ def _schatten_row(
     """
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
     try:
-        bounds = None
-        if p == 2.0:
-            bounds = _row_bounds(data, potential, rho0, t0_values, p, _heat_cutoff(t0_values))
+        sigma_a = _heat_cutoff(t0_values) if p == 2.0 else math.inf
+        bounds = _row_bounds(data, potential, rho0, t0_values, p, sigma_a)
         if bounds is None:
             bounds = _row_bounds(data, potential, rho0, t0_values, p, math.inf)
     except MeshError:
@@ -569,13 +568,14 @@ def _row_bounds(data, potential, rho0, t0_values, p, sigma_a) -> list | None:
 
     Every pair dropped below sigma_a has heat weight e^(-2 t0 sigma_a) at
     most eta, and sigma lies above rho0, so an L1 + W with no pair below
-    sigma clears rho0.  At p = 2 each bound is the upper end of its
-    ``crude_hs_enclosure``; an enclosure wider than eta relative to that
-    end, or a cut-off the inertia count and the solver do not agree on
-    (``CutOffRefused``), gives None.  At sigma_a = inf both operators hold
-    every pair, no count is taken and each enclosure is the value itself.
-    Any other ValueError, the check that L1 + W clears rho0 among them, is
-    the row's own failure and is raised.
+    sigma clears rho0.  Each bound is the upper end of its
+    ``crude_bounds`` at exponent p; at a finite sigma_a (only p = 2 runs
+    one) an enclosure wider than eta relative to that end, or a cut-off
+    the inertia count and the solver do not agree on (``CutOffRefused``),
+    gives None.  At sigma_a = inf both operators hold every pair, no count
+    is taken and each enclosure is the value itself.  Any other
+    ValueError, the check that L1 + W clears rho0 among them, is the row's
+    own failure and is raised.
     """
     lap1 = data.laplacian1_below(sigma_a)
     try:
@@ -583,9 +583,7 @@ def _row_bounds(data, potential, rho0, t0_values, p, sigma_a) -> list | None:
     except CutOffRefused:
         return None
     pairs = (OperatorPair(lap1, perturbed, rho0, 2.0 * t0) for t0 in t0_values)
-    if p != 2.0:
-        return [crude_kernel_bound(pair, p) for pair in pairs]
-    enclosures = [crude_hs_enclosure(pair) for pair in pairs]
+    enclosures = [crude_bounds(pair, p) for pair in pairs]
     if sigma_a < math.inf and not all(up - low <= _ETA * up for up, low in enclosures):
         return None
     return [upper for upper, _ in enclosures]

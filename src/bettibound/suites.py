@@ -46,7 +46,7 @@ from .measure import (
     WeightedFiniteSpace,
     WeightedOperator,
     heat_difference,
-    heat_difference_hs_squared,
+    heat_difference_hs_bounds,
     hs_norm,
 )
 from .perturbation import (
@@ -130,18 +130,25 @@ def _grouped(draw, count: int):
             yield shape, start + np.array(at), stacked
 
 
+def _shape_draw(rng, points_min: int, points_max: int, fiber_min: int, fiber_max: int):
+    """The draws every instance with a fiber starts with, in this order: the
+    point count in [points_min, points_max], the fiber in [fiber_min,
+    fiber_max] and the weights of a random space (``random_weighted_space``)."""
+    n_points = int(rng.integers(points_min, points_max + 1))
+    fiber = int(rng.integers(fiber_min, fiber_max + 1))
+    return n_points, fiber, random_weighted_space(rng, n_points).weights
+
+
 def _pair_draw(rng, cfg: SuiteConfig):
     """The draws of one planted pair for ``_pair_stack``, and its kernel dimension."""
-    n_points = int(rng.integers(2, cfg.n_points_max + 1))
-    fiber = int(rng.integers(1, cfg.fiber_max + 1))
-    space = random_weighted_space(rng, n_points)
+    n_points, fiber, weights = _shape_draw(rng, 2, cfg.n_points_max, 1, cfg.fiber_max)
     dim = n_points * fiber
     kdim = int(rng.integers(0, min(4, dim - 1) + 1))
     H = _planted_draw(rng, dim, kdim)
     rho0 = float(rng.uniform(0.2, 2.0))
     bump = _planted_draw(rng, dim, 0, low=0.0, high=2.0)
     t0 = float(rng.uniform(0.2, 2.0))
-    return (n_points, fiber), (space.weights, *H, rho0, *bump, t0, kdim)
+    return (n_points, fiber), (weights, *H, rho0, *bump, t0, kdim)
 
 
 def _pair_stack(fiber, weights, h_gauss, h_evals, rho0, b_gauss, b_evals, t0) -> OperatorPair:
@@ -254,11 +261,9 @@ def suite_weyl(rng, cfg: SuiteConfig):
     exponents = (1.0, 1.5, 2.0)
 
     def draw():
-        n_points = int(rng.integers(2, cfg.n_points_max + 1))
-        fiber = int(rng.integers(1, cfg.fiber_max + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(rng, 2, cfg.n_points_max, 1, cfg.fiber_max)
         dim = n_points * fiber
-        return (n_points, fiber), (space.weights, rng.standard_normal((dim, dim)))
+        return (n_points, fiber), (weights, rng.standard_normal((dim, dim)))
 
     lhs, rhs = np.empty((2, len(exponents), cfg.trials))
     for (_, fiber), at, (weights, matrices) in _grouped(draw, cfg.trials):
@@ -282,12 +287,10 @@ def suite_hs_factorization(rng, cfg: SuiteConfig):
     tol = cfg.tol("factorization")
 
     def draw():
-        n_points = int(rng.integers(1, cfg.n_points_max + 1))
-        fiber = int(rng.integers(1, cfg.fiber_max + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(rng, 1, cfg.n_points_max, 1, cfg.fiber_max)
         values = _potential_values(rng, n_points, fiber)
         dim = n_points * fiber
-        return (n_points, fiber), (space.weights, values, rng.standard_normal((dim, dim)))
+        return (n_points, fiber), (weights, values, rng.standard_normal((dim, dim)))
 
     lhs, rhs = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, values, matrices) in _grouped(draw, cfg.trials):
@@ -337,12 +340,12 @@ def suite_duhamel(rng, cfg: SuiteConfig):
     trials = min(cfg.trials, max(100, cfg.trials // 5))
 
     def draw():
-        n_points = int(rng.integers(2, min(cfg.n_points_max, 12) + 1))
-        fiber = int(rng.integers(1, min(cfg.fiber_max, 3) + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(
+            rng, 2, min(cfg.n_points_max, 12), 1, min(cfg.fiber_max, 3)
+        )
         H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=10.0)
         values = _potential_values(rng, n_points, fiber, scale=1.5)
-        return (n_points, fiber), (space.weights, *H, values, float(rng.uniform(0.1, 0.5)))
+        return (n_points, fiber), (weights, *H, values, float(rng.uniform(0.1, 0.5)))
 
     err, allowed = np.empty((2, trials))
     for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, trials):
@@ -372,13 +375,11 @@ def suite_semigroup_difference_bound(rng, cfg: SuiteConfig):
     tol = cfg.tol("factorization")
 
     def draw():
-        n_points = int(rng.integers(2, cfg.n_points_max + 1))
-        fiber = int(rng.integers(1, cfg.fiber_max + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(rng, 2, cfg.n_points_max, 1, cfg.fiber_max)
         H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=10.0)
         values = _potential_values(rng, n_points, fiber, scale=2.0)
         t0 = float(rng.uniform(0.1, 1.0))
-        return (n_points, fiber), (space.weights, *H, values, t0)
+        return (n_points, fiber), (weights, *H, values, t0)
 
     lhs, rhs = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, gauss, evals, values, t0) in _grouped(draw, cfg.trials):
@@ -452,12 +453,12 @@ def suite_domination(rng, cfg: SuiteConfig):
     times = (0.1, 1.0, 10.0)
 
     def draw():
-        n_points = int(rng.integers(3, max(4, min(cfg.n_points_max, 15)) + 1))
-        fiber = int(rng.integers(2, max(3, cfg.fiber_max) + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(
+            rng, 3, max(4, min(cfg.n_points_max, 15)), 2, max(3, cfg.fiber_max)
+        )
         edges = _connection_draw(rng, n_points, fiber)
         samples = rng.standard_normal((100, n_points, fiber))
-        return (n_points, fiber), (space.weights, edges, samples)
+        return (n_points, fiber), (weights, edges, samples)
 
     excess = np.empty((pairs, len(times)))
     for (_, fiber), at, (weights, edges, samples) in _grouped(draw, pairs):
@@ -482,14 +483,14 @@ def suite_dominated_difference(rng, cfg: SuiteConfig):
     tol = cfg.tol("factorization")
 
     def draw():
-        n_points = int(rng.integers(3, max(4, min(cfg.n_points_max, 15)) + 1))
-        fiber = int(rng.integers(2, max(3, cfg.fiber_max) + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(
+            rng, 3, max(4, min(cfg.n_points_max, 15)), 2, max(3, cfg.fiber_max)
+        )
         edges = _connection_draw(rng, n_points, fiber)
         samples = rng.standard_normal((5, n_points, fiber))
         values = _potential_values(rng, n_points, fiber, scale=1.0, nonneg=True)
         t0 = float(rng.uniform(0.1, 1.0))
-        return (n_points, fiber), (space.weights, edges, samples, values, t0)
+        return (n_points, fiber), (weights, edges, samples, values, t0)
 
     keys = ("lhs", "rhs_integral", "rhs_plain", "ultra_perturbed", "ultra_free", "ultra_scalar")
     results = {key: np.empty(cfg.trials) for key in keys}
@@ -545,7 +546,7 @@ def _truncation_checks(H: SelfAdjointOperator, V: MatrixPotential, t0):
     truncated = np.where((norms <= level[:, None])[..., None, None], V.values, 0.0)
     full = V.added_to(H)
     cut = MatrixPotential(truncated, V.space, nonneg=True).added_to(H)
-    distance = np.sqrt(heat_difference_hs_squared(full, cut, 2 * t0))
+    distance = np.sqrt(heat_difference_hs_bounds(full, cut, 2 * t0)[0])
     levels = np.arange(1, int(level.max()) + 1)
     keep = norms[:, None, :] <= levels[:, None]
     truncations = np.sqrt(_hs_squared(V.values, V.space.weights, keep))
@@ -562,13 +563,13 @@ def suite_truncation(rng, cfg: SuiteConfig):
     """Saturation of level truncation and monotonicity of its (2,HS) norm."""
 
     def draw():
-        n_points = int(rng.integers(2, min(cfg.n_points_max, 12) + 1))
-        fiber = int(rng.integers(1, min(cfg.fiber_max, 3) + 1))
-        space = random_weighted_space(rng, n_points)
+        n_points, fiber, weights = _shape_draw(
+            rng, 2, min(cfg.n_points_max, 12), 1, min(cfg.fiber_max, 3)
+        )
         values = _potential_values(rng, n_points, fiber, scale=3.0, nonneg=True)
         H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=5.0)
         t0 = float(rng.uniform(0.1, 1.0))
-        return (n_points, fiber), (space.weights, values, *H, t0)
+        return (n_points, fiber), (weights, values, *H, t0)
 
     distance, drops = np.empty((2, cfg.trials))
     for (_, fiber), at, (weights, values, gauss, evals, t0) in _grouped(draw, cfg.trials):
@@ -601,10 +602,8 @@ def suite_positive_parts(rng, cfg: SuiteConfig):
     """Pointwise positive-part calculus after diagonalization."""
 
     def draw():
-        n_points = int(rng.integers(1, min(cfg.n_points_max, 15) + 1))
-        fiber = int(rng.integers(1, cfg.fiber_max + 1))
-        space = random_weighted_space(rng, n_points)
-        return (n_points, fiber), (space.weights, _potential_values(rng, n_points, fiber, 2.0))
+        n_points, fiber, weights = _shape_draw(rng, 1, min(cfg.n_points_max, 15), 1, cfg.fiber_max)
+        return (n_points, fiber), (weights, _potential_values(rng, n_points, fiber, 2.0))
 
     names = ("reconstruction", "orthogonal", "nonnegative")
     sides = {name: np.empty((2, cfg.trials)) for name in names}

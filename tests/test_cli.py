@@ -447,14 +447,14 @@ def _halve_schatten_enclosures(monkeypatch):
     import bettibound.birman as birman
     import bettibound.pipeline as pipeline
 
-    enclosure = birman.crude_hs_enclosure
+    enclosure = birman.crude_bounds
 
-    def halved(pair):
-        upper, lower = enclosure(pair)
+    def halved(pair, p):
+        upper, lower = enclosure(pair, p)
         return 0.5 * upper, 0.5 * lower
 
-    monkeypatch.setattr(pipeline, "crude_hs_enclosure", halved)
-    monkeypatch.setattr(birman, "crude_hs_enclosure", halved)
+    monkeypatch.setattr(pipeline, "crude_bounds", halved)
+    monkeypatch.setattr(birman, "crude_bounds", halved)
 
 
 def test_betti_bound_point_passes_only_with_all_its_records(

@@ -20,7 +20,7 @@ from bettibound.dec import (
 from bettibound.measure import (
     SelfAdjointOperator,
     WeightedOperator,
-    heat_difference_hs_squared,
+    heat_difference_hs_bounds,
     operator_norm,
 )
 from bettibound.perturbation import MatrixPotential
@@ -280,7 +280,7 @@ def test_hodge_assembled_laplacian1_matches_direct_eigensolve(name):
         return (evecs * np.exp(-t * evals)[None, :]) @ evecs.T
 
     dense = float(np.linalg.norm(dense_heat(lap1) - dense_heat(perturbed)) ** 2)
-    spectral = heat_difference_hs_squared(lap1, perturbed, t)
+    spectral = heat_difference_hs_bounds(lap1, perturbed, t)[0]
     assert abs(spectral - dense) <= 1e-12 * dense
 
 

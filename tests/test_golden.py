@@ -42,6 +42,9 @@ CASES = {
     ),
     "torus-rev": ("betti-bound", "--builtin", "torus-rev", "--rho0", "0.5", "--t0", "1"),
     "genus2": ("betti-bound", "--builtin", "genus2", "--rho0", "0.2,1", "--t0", "0.5,2"),
+    "genus2-p1.5": (
+        "betti-bound", "--builtin", "genus2", "--rho0", "0.2,1", "--t0", "0.5,2", "--p", "1.5",
+    ),
     "bumpy-sphere": (
         "betti-bound", "--builtin", "bumpy-sphere", "--resolution", "2", "--no-schatten",
         "--rho0", "0.25,2", "--t0", "0.5,4",

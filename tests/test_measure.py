@@ -23,7 +23,7 @@ from bettibound.measure import (
     WeightedFiniteSpace,
     WeightedOperator,
     heat_difference,
-    heat_difference_hs_squared,
+    heat_difference_hs_bounds,
     hs_norm,
     operator_norm,
     schatten_norm,
@@ -290,9 +290,11 @@ def test_heat_difference_hs_squared_matches_dense_norm():
     space = random_space(rng, 6)
     A = random_self_adjoint(rng, space, 2)
     B = random_self_adjoint(rng, space, 2)
-    spectral = heat_difference_hs_squared(A, B, 0.7, scale=0.3)
+    spectral, lower = heat_difference_hs_bounds(A, B, 0.7, scale=0.3)
     dense = hs_norm(heat_difference(A, B, 0.7)) ** 2 / 0.3**2
     assert abs(spectral - dense) <= 1e-12 * dense
+    # Operators that hold every pair give the value itself at both ends.
+    assert lower == spectral
     # The squared overlap is doubly stochastic and kept for the next call.
     overlap = B.squared_overlap(A)
     assert np.allclose(overlap.sum(axis=0), 1.0, atol=1e-12)
@@ -306,9 +308,9 @@ def test_shifted_operator_shares_the_eigenbasis():
     A = random_self_adjoint(rng, space, 1)
     shifted = A.shifted(0.25)
     assert shifted._euclidean_vectors is A._euclidean_vectors
-    assert heat_difference_hs_squared(A, A, 1.3) == 0.0
+    assert heat_difference_hs_bounds(A, A, 1.3) == (0.0, 0.0)
     expected = np.sum((np.exp(-1.3 * A.eigenvalues) * (1.0 - np.exp(-1.3 * 0.25))) ** 2)
-    assert np.isclose(heat_difference_hs_squared(A, shifted, 1.3), expected, rtol=1e-13)
+    assert np.isclose(heat_difference_hs_bounds(A, shifted, 1.3)[0], expected, rtol=1e-13)
 
 
 def test_heat_difference_hs_squared_is_zero_for_separate_eigensolves():
@@ -321,8 +323,8 @@ def test_heat_difference_hs_squared_is_zero_for_separate_eigensolves():
         # Off the diagonal the overlap is rounding, not zero.
         overlap = B.squared_overlap(A)
         assert np.any(overlap[~np.eye(A.dim, dtype=bool)] > 0.0)
-        assert heat_difference_hs_squared(A, B, 0.9) == 0.0
-        assert heat_difference_hs_squared(B, A, 0.9, scale=0.1) == 0.0
+        assert heat_difference_hs_bounds(A, B, 0.9) == (0.0, 0.0)
+        assert heat_difference_hs_bounds(B, A, 0.9, scale=0.1) == (0.0, 0.0)
 
 
 def _three_operators(rng, weights, fiber, source):
@@ -709,7 +711,7 @@ def test_cut_off_operator_holds_exactly_the_pairs_below_it(sparse, cutoff):
     assert part.orthogonality_loss <= 1e-10 and part.residual_norms.shape == (k,)
     s = full.conjugated()
     s = s.toarray() if sparse else s
-    radius = float(np.max(np.sum(np.abs(0.5 * (s + s.T)), axis=1)))
+    radius = float(np.max(np.sum(np.abs(0.5 * (s + s.T)), axis=0)))
     assert part.zero_threshold() == measure.ZERO_TOL * (1.0 + radius)
     assert part.min_eigenvalue == part.eigenvalues[0] and part.kernel_dim() == 2
 
@@ -722,7 +724,7 @@ def test_cut_off_above_every_eigenvalue_is_the_full_operator_bit_for_bit(monkeyp
     matrix, space, fiber = _planted_operator(_SPECTRUM, sparse=True)
     full = SelfAdjointOperator(matrix, space, fiber)
     s = full.conjugated()
-    radius = float(abs(0.5 * (s + s.T)).sum(axis=1).max())
+    radius = float(np.max(abs(0.5 * (s + s.T)) @ np.ones(s.shape[0])))
     cutoff = radius if where == "radius" else 40.5
     assert cutoff < radius or where == "radius"
     factored = []
@@ -746,7 +748,7 @@ def test_cut_off_below_the_spectrum_holds_no_pair():
     assert part.min_eigenvalue == 0.75
     a = SelfAdjointOperator(*_planted_operator(_SPECTRUM, seed=4, space=space))
     f = np.exp(-2.0 * a.eigenvalues)
-    full = heat_difference_hs_squared(a, SelfAdjointOperator(matrix, space, fiber), 2.0)
+    full = heat_difference_hs_bounds(a, SelfAdjointOperator(matrix, space, fiber), 2.0)[0]
     upper, lower = measure.heat_difference_hs_bounds(a, part, 2.0)
     tail = np.exp(-2.0 * 0.75)
     assert upper == pytest.approx(np.sum(np.maximum(f, tail) ** 2), rel=1e-15)
@@ -765,14 +767,13 @@ def test_heat_difference_hs_bounds_enclose_the_full_value(seed):
     perturbed = MatrixPotential.from_scalar_field(space, rng.uniform(0.0, 3.0, 60), nonneg=True)
     full_b = perturbed.added_to(a)
     for t, scale in ((0.5, 1.0), (2.0, 0.3)):
-        full = heat_difference_hs_squared(a, full_b, t, scale)
+        full = heat_difference_hs_bounds(a, full_b, t, scale)[0]
         assert measure.heat_difference_hs_bounds(a, full_b, t, scale) == (full, full)
         widths = []
         for cutoff in (1.0, 4.0, 16.0, 64.0):
             part = perturbed.added_to(a, cutoff)
             upper, lower = measure.heat_difference_hs_bounds(a, part, t, scale)
             assert lower <= full * (1.0 + 1e-13) and full <= upper * (1.0 + 1e-13)
-            assert heat_difference_hs_squared(a, part, t, scale) == upper
             widths.append(upper - lower)
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] == 0.0 and not perturbed.added_to(a, 64.0).partial
@@ -782,7 +783,7 @@ def _full_a_bounds(a, b, t, scale):
     """The enclosure as it was computed while A had to hold every pair."""
     f, g = np.exp(-t * a.eigenvalues), np.exp(-t * b.eigenvalues)
     scale = np.asarray(scale, dtype=float)[..., None]
-    overlap = b._squared_overlap(a)
+    overlap = b.squared_overlap(a)
     known = measure._overlap_sum(f, g, scale[..., None], overlap)
     if not b.partial:
         return known, known
@@ -858,13 +859,12 @@ def test_partial_a_bounds_narrow_to_the_value_as_its_cut_off_rises():
         space, np.random.default_rng(7).uniform(0.0, 3.0, 60), nonneg=True
     )
     b = potential.added_to(a)
-    full = heat_difference_hs_squared(a, b, 1.0)
+    full = heat_difference_hs_bounds(a, b, 1.0)[0]
     widths = []
     for cutoff in (1.0, 4.0, 16.0, 41.0):
         part = SelfAdjointOperator(matrix, space, fiber, cutoff=cutoff)
         upper, lower = measure.heat_difference_hs_bounds(part, b, 1.0)
         assert lower <= full * (1.0 + 1e-13) and full <= upper * (1.0 + 1e-13)
-        assert heat_difference_hs_squared(part, b, 1.0) == upper
         widths.append(upper - lower)
     assert widths == sorted(widths, reverse=True) and widths[-1] <= 1e-13 * full
 
@@ -897,9 +897,10 @@ def test_partial_heat_two_inf_norm_bounds_the_full_one_from_above():
 
 
 def _row_sum_threshold(s):
+    # Column sums of the symmetric half: every row summed in index order.
     s = s.toarray() if issparse(s) else s
     half = 0.5 * (s + s.swapaxes(-1, -2))
-    return measure.ZERO_TOL * (1.0 + np.max(np.sum(np.abs(half), axis=-1), axis=-1))
+    return measure.ZERO_TOL * (1.0 + np.max(np.sum(np.abs(half), axis=-2), axis=-1))
 
 
 def test_one_zero_threshold_from_the_row_sum_bound():
@@ -925,8 +926,8 @@ def test_one_zero_threshold_from_the_row_sum_bound():
         spectrum = SelfAdjointOperator.from_spectrum(space, evals, q[k])
         for op in (dense, spectrum):
             assert op.zero_threshold() == _row_sum_threshold(op.conjugated())
-        # CSR sums each row in its own order: the same bound to rounding.
-        assert sparse.zero_threshold() == pytest.approx(thresholds[k], rel=1e-15, abs=0.0)
+        # CSR sums each row in the same order as the dense copy: the same bits.
+        assert sparse.zero_threshold() == thresholds[k]
         assert dense.zero_threshold() == thresholds[k]
         assert dense.kernel_dim() == sparse.kernel_dim() == spectrum.kernel_dim() == 2
         assert _certified_kernel(sparse.conjugated())[0].shape[1] == 2
@@ -938,6 +939,25 @@ def test_one_zero_threshold_from_the_row_sum_bound():
     assert list(stack.kernel_dim()) == [2, 2, 2]
 
 
+def test_squared_overlap_of_partial_operators_is_the_block_of_the_full_one():
+    # Simple eigenvalues fix each eigenvector up to sign, which squaring
+    # removes, so the overlap of the kept vectors is the full overlap's
+    # leading K_a x K_b block.
+    spectrum = np.linspace(0.5, 40.0, 60)
+    matrix_a, space, fiber = _planted_operator(spectrum, seed=5)
+    matrix_b, _, _ = _planted_operator(spectrum[::-1] ** 0.5, seed=6, space=space)
+    part_a = SelfAdjointOperator(matrix_a, space, fiber, cutoff=12.0)
+    part_b = SelfAdjointOperator(matrix_b, space, fiber, cutoff=4.0)
+    k_a, k_b = part_a.eigenvalues.size, part_b.eigenvalues.size
+    assert part_a.partial and part_b.partial and 0 < k_a < 60 and 0 < k_b < 60
+    block = SelfAdjointOperator(matrix_b, space, fiber).squared_overlap(
+        SelfAdjointOperator(matrix_a, space, fiber)
+    )[:k_a, :k_b]
+    overlap = part_b.squared_overlap(part_a)
+    assert overlap.shape == (k_a, k_b)
+    assert np.max(np.abs(overlap - block)) <= 1e-12
+
+
 def test_partial_operator_refuses_every_full_spectrum_method():
     matrix, space, fiber = _planted_operator(_SPECTRUM)
     full = SelfAdjointOperator(matrix, space, fiber)
@@ -947,8 +967,6 @@ def test_partial_operator_refuses_every_full_spectrum_method():
         "semigroup": lambda: part.semigroup(1.0),
         "shifted": lambda: part.shifted(1.0),
         "kernel_basis": lambda: part.kernel_basis(),
-        "squared_overlap": lambda: part.squared_overlap(full),
-        "squared_overlap of a full operator": lambda: full.squared_overlap(part),
         "two_inf_norm": lambda: two_inf_norm(part),
         "heat_difference": lambda: heat_difference(full, part, 1.0),
     }

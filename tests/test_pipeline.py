@@ -16,7 +16,7 @@ from scipy.linalg import lapack
 from scipy.sparse import csr_matrix, diags
 
 from bettibound import measure, pipeline
-from bettibound.birman import OperatorPair, crude_hs_enclosure, crude_kernel_bound
+from bettibound.birman import OperatorPair, crude_bounds
 from bettibound.dec import DECOperators, schrodinger_comparison
 from bettibound.measure import (
     SelfAdjointOperator,
@@ -152,7 +152,7 @@ def test_schatten_bound_commuting_shift(torus_data):
     assert np.allclose(potential.values.reshape(-1), rho0)
     perturbed = schatten_operator(lap1, potential, rho0)
     pair = OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
-    value = crude_kernel_bound(pair, 2.0)
+    value = crude_bounds(pair, 2.0)[0]
     oracle = float(np.sum(np.exp(-2.0 * (2.0 * t0) * lap1.eigenvalues)))
     assert np.isclose(value, oracle, rtol=1e-9)
     assert value >= 2.0 - 1e-9 * (1.0 + value)
@@ -164,7 +164,7 @@ def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
     potential = synthetic_edge_potential(torus_data.dec, torus_data.curvature, rho0)
     perturbed = schatten_operator(torus_data.laplacian1, potential, rho0)
     pair = OperatorPair(H=torus_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
-    value = crude_kernel_bound(pair, p)
+    value = crude_bounds(pair, p)[0]
     assert value >= torus_data.b1 - 1e-9 * (1.0 + value)
 
 
@@ -173,7 +173,7 @@ def test_schatten_bound_trivial_kernel_on_sphere(sphere_data):
     potential = synthetic_edge_potential(sphere_data.dec, sphere_data.curvature, rho0)
     perturbed = schatten_operator(sphere_data.laplacian1, potential, rho0)
     pair = OperatorPair(H=sphere_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
-    value = crude_kernel_bound(pair, 2.0)
+    value = crude_bounds(pair, 2.0)[0]
     assert value >= 0.0
     assert sphere_data.b1 == 0
 
@@ -483,7 +483,7 @@ def _full_row(data, rho0, t0_values, p=2.0):
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
     full_op = schatten_operator(lap1, potential, rho0)
     return [
-        crude_kernel_bound(OperatorPair(H=lap1, Hprime=full_op, rho0=rho0, t0=2.0 * t0), p)
+        crude_bounds(OperatorPair(H=lap1, Hprime=full_op, rho0=rho0, t0=2.0 * t0), p)[0]
         for t0 in t0_values
     ]
 
@@ -518,7 +518,7 @@ def test_cut_off_schatten_row_matches_the_full_spectrum(name):
         assert notes == ()
         part = schatten_operator(start, potential, rho0, _cutoff(t0_values, rho0))
         enclosures = [
-            crude_hs_enclosure(OperatorPair(H=start, Hprime=part, rho0=rho0, t0=2.0 * t0))
+            crude_bounds(OperatorPair(H=start, Hprime=part, rho0=rho0, t0=2.0 * t0), 2.0)
             for t0 in t0_values
         ]
         if not all(upper - lower <= pipeline._ETA * upper for upper, lower in enclosures):
@@ -745,7 +745,7 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
     data = prepare_surface(genus2_mesh())
     t0_values = [0.5, 2.0]
     alive, built, partial_alive = [], [], []
-    build, enclosure = pipeline.schatten_operator, pipeline.crude_hs_enclosure
+    build, enclosure = pipeline.schatten_operator, pipeline.crude_bounds
     assemble = DECOperators.laplacian1
 
     def recording_build(*args):
@@ -754,8 +754,8 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
         built.append(weakref.ref(perturbed))
         return perturbed
 
-    def widened(pair):
-        upper, lower = enclosure(pair)
+    def widened(pair, p):
+        upper, lower = enclosure(pair, p)
         return upper, (0.0 if pair.Hprime.partial else lower)
 
     def recording_assemble(self, cutoff=math.inf):
@@ -765,7 +765,7 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
     held = weakref.ref(data.laplacian1_below(pipeline._heat_cutoff(t0_values)))
     assert held().partial
     monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
-    monkeypatch.setattr(pipeline, "crude_hs_enclosure", widened)
+    monkeypatch.setattr(pipeline, "crude_bounds", widened)
     monkeypatch.setattr(DECOperators, "laplacian1", recording_assemble)
     row, notes = pipeline._schatten_row(data, 0.5, t0_values, 2.0)
     assert notes == ()
@@ -790,13 +790,13 @@ def test_too_wide_enclosure_row_holds_one_full_laplacian1(monkeypatch):
     sigma_a = pipeline._heat_cutoff([t0])
     start = reference.laplacian1_below(sigma_a)
     part = schatten_operator(start, potential, rho0, _cutoff([t0], rho0))
-    upper, lower = crude_hs_enclosure(OperatorPair(start, part, rho0, 2.0 * t0))
+    upper, lower = crude_bounds(OperatorPair(start, part, rho0, 2.0 * t0), 2.0)
     assert part.partial and upper - lower > pipeline._ETA * upper
     del start, part
     lap1 = reference.laplacian1
     pair = OperatorPair(lap1, schatten_operator(lap1, potential, rho0), rho0, 2.0 * t0)
     inputs = BettiBoundInputs(surface=mesh, rho0=rho0, t0=t0)
-    assert betti_bound(inputs, data=data).bound_schatten == crude_kernel_bound(pair, 2.0)
+    assert betti_bound(inputs, data=data).bound_schatten == crude_bounds(pair, 2.0)[0]
     edge_operators = [
         op
         for op in [*vars(data).values(), *data._held.values()]
@@ -808,7 +808,7 @@ def test_too_wide_enclosure_row_holds_one_full_laplacian1(monkeypatch):
         raise AssertionError("L1 assembled again")
 
     monkeypatch.setattr(DECOperators, "laplacian1", no_assembly)
-    assert betti_bound(inputs, data=data).bound_schatten == crude_kernel_bound(pair, 2.0)
+    assert betti_bound(inputs, data=data).bound_schatten == crude_bounds(pair, 2.0)[0]
 
 
 def _peak_bytes(call) -> int:
@@ -931,7 +931,7 @@ def test_spectral_schatten_bound_matches_dense_route(name):
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
         perturbed = schatten_operator(data.laplacian1, potential, rho0)
         pair = OperatorPair(H=data.laplacian1, Hprime=perturbed, rho0=rho0, t0=1.4)
-        spectral = crude_kernel_bound(pair, 2.0)
+        spectral = crude_bounds(pair, 2.0)[0]
         gap = 1.0 - np.exp(-rho0 * pair.t0)
         scaled = WeightedOperator(
             heat_difference(pair.H, pair.Hprime, pair.t0).matrix / gap, data.laplacian1.space

@@ -30,7 +30,7 @@ from bettibound.measure import (
     SelfAdjointOperator,
     WeightedOperator,
     heat_difference,
-    heat_difference_hs_squared,
+    heat_difference_hs_bounds,
     hs_norm,
 )
 from bettibound.perturbation import (
@@ -271,7 +271,7 @@ def test_truncation_stacks_match_the_per_instance_checks(monkeypatch, seed):
             truncated = truncate_potential(potential, level)
             t0 = float(rng.uniform(0.1, 1.0))
             full, cut = potential.added_to(H), truncated.added_to(H)
-            distances.append(math.sqrt(heat_difference_hs_squared(full, cut, 2 * t0)))
+            distances.append(math.sqrt(heat_difference_hs_bounds(full, cut, 2 * t0)[0]))
             levels = np.arange(1, int(level) + 1)
             norms = np.append(truncated_hs_norms(potential, levels), hs_norm_potential(potential))
             drops.append(float(np.max(np.diff(norms) * -1.0)))
