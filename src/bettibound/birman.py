@@ -66,6 +66,13 @@ SUBSPACE_ANGLE_TOL = 1e-7
 class OperatorPair:
     """H >= 0 and H' >= rho0 > 0 on a common weighted space.
 
+    Both bounds are checked on the operators' lowest eigenvalues, up to
+    their zero thresholds; a partial H' (its pairs below a cut-off sigma,
+    ``SelfAdjointOperator``) with no pair below sigma has sigma as its
+    lowest eigenvalue.  This is the one check that H' clears rho0: the
+    Schatten certificate (``pipeline``) builds its pairs from an H' it
+    has not checked, and a failure's ValueError is its row's note.
+
     H and H' may be stacks of T operators (``SelfAdjointOperator``), with
     rho0 and t0 floats or (T,) arrays: every instance is checked, and the
     error names the numbers of the first one that fails.
@@ -89,7 +96,10 @@ class OperatorPair:
         failed = Hprime.min_eigenvalue < rho0 - Hprime.zero_threshold()
         if np.any(failed):
             low, rho0 = _first(failed, Hprime.min_eigenvalue, rho0)
-            raise ValueError(f"H' must be bounded below by rho0={rho0} (min eigenvalue {low:.3e})")
+            raise ValueError(
+                f"spectral check failed: min eig of the shifted operator is "
+                f"{low:.6g} < rho0={rho0:.6g}"
+            )
 
     @cached_property
     def _heat_difference(self) -> np.ndarray:
@@ -158,9 +168,12 @@ def kernel_identity_check(pair: OperatorPair, t) -> dict:
     H = pair.H
     lead, d = H.eigenvalues.shape[:-1], H.dim
     fixed = birman_schwinger_operator(pair, t).matrix - np.eye(d)
-    # Kernel of a non-self-adjoint operator: smallest singular directions
-    # of the conjugated matrix, with the same zero-tolerance rule used for
-    # eigenvalues.
+    # Kernel of a non-self-adjoint operator: the singular directions of the
+    # conjugated matrix whose singular value is at most 1e-9 (1 + s_max).
+    # The eigenvalues' rule, 1e-9 (1 + r) for r the largest absolute row
+    # sum of the symmetric part, does not serve here: that part drops the
+    # skew part of a non-symmetric matrix, so its row sums need not bound
+    # the matrix's singular values.
     _, s, vt = np.linalg.svd(_conjugate(fixed, H._sqrt_w))
     # Instances are picked by index below: one pair is a stack of one there.
     ker_h = H.kernel_mask().reshape(-1, d)

@@ -76,6 +76,7 @@ from .measure import (
     _read_only,
 )
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
+from .perturbation import MatrixPotential, hs_norm_potential
 
 __all__ = [
     "DECOperators",
@@ -578,14 +579,15 @@ def ricci_potential(curvature: CurvatureField, rho0: float) -> float:
     """||(Ric - rho0)_-||_{2,HS}, the (2,HS) norm of the curvature shortfall.
 
     On a surface Ric = K * identity on the 2-dimensional cotangent fiber,
-    so the negative part of Ric - rho0 is (rho0 - K)_+ times the identity
-    and its squared pointwise HS norm is 2 (rho0 - K)_+^2.
+    so the negative part of Ric - rho0 is (rho0 - K)_+ times the identity:
+    the V x 2 x 2 potential whose ``perturbation.hs_norm_potential`` on the
+    vertex dual areas is returned, the norm the abstract suites check.
     """
     if rho0 <= 0.0:
         raise ValueError("rho0 must be strictly positive")
     shortfall = np.clip(rho0 - curvature.values, 0.0, None)
-    density = 2.0 * shortfall**2
-    return float(np.sqrt(np.sum(curvature.mesh.dual_areas * density)))
+    space = WeightedFiniteSpace(curvature.mesh.dual_areas)
+    return hs_norm_potential(MatrixPotential(shortfall[:, None, None] * np.eye(2), space))
 
 
 def schrodinger_comparison(

@@ -45,9 +45,12 @@ Norms provided:
 * ``schatten_norm(A, p)``: the l^p norm of the singular values of S.
 * ``two_inf_norm(A)``: the L2(m) -> L^inf norm with Euclidean fiber norm,
   which for a kernel operator is the largest weighted L2 norm of a kernel
-  row.  ``heat_two_inf_norm(A, t)`` gives the norm of exp(-tA) at fiber 1
-  from A's spectrum, one gemv per call, and an upper bound on it from
-  the pairs of a partial A.
+  row, read from the dense matrix of any operator.
+* ``heat_two_inf_norm(A, t)``: the same norm of exp(-tA), from A's
+  spectrum at any fiber (one gemv per call at fiber 1), and at fiber 1 an
+  upper bound on it from the pairs of a partial A.  It is the one
+  spectral 2->inf norm: the main bound and the perturbation checks both
+  read it.
 * ``operator_norm(A)``: the ordinary L2(m) -> L2(m) norm.
 """
 
@@ -516,21 +519,6 @@ def _spectral_matrix(eigenvalues, euclidean_vectors, sqrt_w) -> np.ndarray:
     return (conj / sqrt_w[..., :, None]) * sqrt_w[..., None, :]
 
 
-def _spectral_two_inf(basis, eigenvalues, fiber):
-    """||U diag(w) U^T M||_{2->inf} from the m-orthonormal basis U and w.
-
-    The squared norm at x is the largest eigenvalue of U_x diag(w^2) U_x^T,
-    U_x the fiber rows of x; at fiber 1 it is sum_k w_k^2 U_xk^2, one gemv.
-    A (T, N, N) stack of bases with (T, N) eigenvalues gives (T,) norms.
-    """
-    w2 = eigenvalues**2
-    if fiber == 1:
-        return np.sqrt(np.max(((basis * basis) @ w2[..., None])[..., 0], axis=-1))
-    rows = basis.reshape(*basis.shape[:-2], -1, fiber, basis.shape[-1])
-    gram = np.einsum("...xak,...k,...xbk->...xab", rows, w2, rows)
-    return np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(gram), axis=(-2, -1)), 0.0))
-
-
 def _overlap_sum(f, g, scale, overlap):
     """sum_ij overlap_ij ((f_i - g_j) / scale)^2, per instance of a stack too.
 
@@ -590,13 +578,14 @@ class SelfAdjointOperator(WeightedOperator):
     a failed check ValueError.  ``min_eigenvalue`` is sigma when K = 0
     (every eigenvalue is at or above it), and every method that needs all
     pairs (``spectral_function`` and the semigroups, ``kernel_basis``,
-    ``two_inf_norm``) raises ValueError; its ``matrix`` is the one it was
-    built from, which needs no pair.  ``squared_overlap`` reads its K kept
+    ``heat_two_inf_norm`` at fiber > 1) raises ValueError; its ``matrix``
+    is the one it was built from, which needs no pair, so ``two_inf_norm``
+    reads it as any operator's.  ``squared_overlap`` reads its K kept
     vectors, ``heat_difference_hs_bounds`` encloses its heat difference
     with another operator, full or partial, from the K pairs and sigma,
-    and ``heat_two_inf_norm`` bounds the 2->inf norm of its semigroup
-    from above; ``from_spectrum`` with a cut-off builds a partial
-    operator from K pairs computed elsewhere.
+    and ``heat_two_inf_norm`` at fiber 1 bounds the 2->inf norm of its
+    semigroup from above; ``from_spectrum`` with a cut-off builds a
+    partial operator from K pairs computed elsewhere.
 
     A stack of T operators of one shape is the same type with a leading
     axis: its space has (T, N) weights, ``eigenvalues`` are (T, d) and the
@@ -932,37 +921,49 @@ def _dropped_terms(kept, overlap_sums, loss, tail, scale):
     return upper, lower
 
 
-def heat_two_inf_norm(A: SelfAdjointOperator, t: float) -> float:
-    """||exp(-tA)||_{2->inf} for a SelfAdjointOperator A at fiber 1, in one gemv.
+def heat_two_inf_norm(A: SelfAdjointOperator, t) -> float:
+    """||exp(-tA)||_{2->inf} for a SelfAdjointOperator A, from its spectrum.
 
-    The value of ``two_inf_norm(A.semigroup(t))``: the squared norm at x is
-    sum_k e^(-2 t w_k) U_xk^2, read from ``A._squared_basis`` (built on the
-    first call) in ascending eigenvalue order, so no N x N array is built
-    after the first call.  A partial A holds only its K pairs below sigma;
-    every eigenvalue it dropped is at least sigma, and its dropped columns
-    of U hold 1/m_x - sum_{k<=K} U_xk^2 of row x, so
+    The squared norm at x is the largest eigenvalue of
+    U_x diag(e^(-2 t w)) U_x^T, U_x the fiber rows of x in the
+    m-orthonormal basis U; the norm is the square root of its largest
+    value over x.  e^(-2 t w_0), w_0 the lowest eigenvalue, is factored out
+    of every weight and restored in log space, so a negative w_0 at a large
+    t gives inf, with no overflow warning.
+
+    At fiber 1 the squared norm at x is sum_k e^(-2 t w_k) U_xk^2, one gemv
+    against ``A._squared_basis`` (built on the first call), so no N x N
+    array is built after the first call.  A partial A holds only its K
+    pairs below sigma; every eigenvalue it dropped is at least sigma, and
+    its dropped columns of U hold 1/m_x - sum_{k<=K} U_xk^2 of row x, so
 
         sum_{k<=K} e^(-2 t w_k) U_xk^2 + e^(-2 t sigma) max(0, 1/m_x - sum_{k<=K} U_xk^2)
 
-    bounds the squared norm at x from above, and the returned norm is the
-    square root of its largest value.  The squared basis is N x K then.
-    e^(-2 t w_min) is factored out of every weight and restored in log
-    space, so a negative w_min at a large t gives inf, with no overflow
-    warning.
+    bounds the squared norm at x from above; the squared basis is N x K
+    then.  At fiber n > 1 the n x n Gram matrix of each point is
+    eigensolved, which needs every pair.  A stack of operators, at one
+    time t or (T,) times, gives the (T,) norms of its instances, each from
+    the arithmetic one operator gets alone.
     """
-    if A.fiber != 1:
-        raise DimensionMismatchError("heat_two_inf_norm needs a scalar fiber")
-    if t < 0.0:
+    column = np.asarray(t, dtype=float)[..., None]
+    if np.any(column < 0.0):
         raise ValueError("semigroup time must be nonnegative")
-    squared, lacking = A._squared_basis
-    low = A.min_eigenvalue
-    peak = squared @ np.exp(-2.0 * t * (A.eigenvalues - low))
-    if lacking is not None:
-        peak += math.exp(-2.0 * t * (A.cutoff - low)) * lacking
-    try:
-        return math.exp(0.5 * math.log(float(np.max(peak))) - t * low)
-    except OverflowError:
-        return math.inf
+    low = np.asarray(A.min_eigenvalue)[..., None]
+    weights = np.exp(-2.0 * column * (A.eigenvalues - low))
+    if A.fiber == 1:
+        squared, lacking = A._squared_basis
+        peak = (squared @ weights[..., None])[..., 0]
+        if lacking is not None:
+            peak += np.exp(-2.0 * column * (A.cutoff - low)) * lacking
+    else:
+        A._require_full("heat_two_inf_norm at fiber > 1")
+        basis = A.basis
+        rows = basis.reshape(*basis.shape[:-2], -1, A.fiber, basis.shape[-1])
+        gram = np.einsum("...xak,...k,...xbk->...xab", rows, weights, rows)
+        peak = np.linalg.eigvalsh(gram)[..., -1]
+    with np.errstate(over="ignore"):
+        norm = np.exp(0.5 * np.log(np.max(peak, axis=-1)) - column[..., 0] * low[..., 0])
+    return _unstacked(norm)
 
 
 def singular_values(operator: WeightedOperator) -> np.ndarray:
@@ -1037,17 +1038,12 @@ def two_inf_norm(operator: WeightedOperator) -> float:
     M^(-1/2), has largest singular value equal to sup over the weighted
     unit ball of |Af(x)|; the norm is the max over points.  For a scalar
     kernel operator this is max_x of the weighted L2 norm of the kernel
-    row k(x, .).  A ``SelfAdjointOperator`` U diag(w) U^T M is read from its
-    spectrum in O(N^2): the squared norm at x is the largest eigenvalue of
-    U_x diag(w^2) U_x^T (U_x the fiber rows of x), at fiber 1 the sum
-    sum_k w_k^2 U_xk^2.  A stack of operators gives the (T,) norms of its
-    instances.
+    row k(x, .).  Read from the dense ``matrix`` of any operator, a partial
+    ``SelfAdjointOperator`` included (its matrix is the one it was built
+    from); the spectral route for a semigroup is ``heat_two_inf_norm``.  A
+    stack of operators gives the (T,) norms of its instances.
     """
-    n = operator.fiber
-    if isinstance(operator, SelfAdjointOperator):
-        operator._require_full("two_inf_norm")
-        return _unstacked(_spectral_two_inf(operator.basis, operator.eigenvalues, n))
-    return float(_block_row_two_inf(_dense(operator.matrix), operator._sqrt_w, n))
+    return _unstacked(_block_row_two_inf(_dense(operator.matrix), operator._sqrt_w, operator.fiber))
 
 
 def _block_row_two_inf(matrix: np.ndarray, sqrt_w: np.ndarray, fiber: int):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import coo_matrix, issparse
@@ -52,7 +52,6 @@ from .measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
-    _block_row_two_inf,
     _conjugate,
     _dense,
     _first,
@@ -60,6 +59,7 @@ from .measure import (
     _read_only,
     _unstacked,
     heat_difference_hs_bounds,
+    heat_two_inf_norm,
     two_inf_norm,
 )
 
@@ -160,8 +160,16 @@ class MatrixPotential:
         return perturbed
 
     def pointwise_operator_norms(self) -> np.ndarray:
-        """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point."""
-        return _pointwise_norms(self.values)
+        """Fiber operator norm |V(x)| = largest absolute eigenvalue, per point.
+
+        Computed on the first call and kept, read-only, for the next:
+        truncation reads it at every level.
+        """
+        return self._operator_norms
+
+    @cached_property
+    def _operator_norms(self) -> np.ndarray:
+        return _read_only(np.max(np.abs(np.linalg.eigvalsh(self.values)), axis=-1))
 
     @staticmethod
     def from_scalar_field(space: WeightedFiniteSpace, field: np.ndarray, nonneg: bool = False):
@@ -209,11 +217,6 @@ def _block_diagonal(values: np.ndarray) -> np.ndarray:
     return blocks.reshape(*lead, n_points * n, -1)
 
 
-def _pointwise_norms(values: np.ndarray) -> np.ndarray:
-    """Largest absolute eigenvalue of each V(x), for (..., N, n, n) values."""
-    return np.max(np.abs(np.linalg.eigvalsh(values)), axis=-1)
-
-
 def _hs_squared(values: np.ndarray, weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Squared (2,HS) norms of a potential restricted to the points of each row of ``keep``.
 
@@ -250,12 +253,13 @@ def truncated_hs_norms(V: MatrixPotential, levels) -> np.ndarray:
 
     Each truncation keeps V(x) or 0 at every point, so it is read from V's
     checked values without building a potential per level; the norms are
-    bit-identical to ``hs_norm_potential`` of each truncation.
+    bit-identical to ``hs_norm_potential`` of each truncation.  L levels
+    give (L,) norms, and (T, L) on a stack of potentials.
     """
     levels = np.asarray(levels, dtype=float).reshape(-1)
     if np.any(levels < 1.0):
         raise ValueError("truncation level must be at least 1")
-    keep = V.pointwise_operator_norms()[None, :] <= levels[:, None]
+    keep = V.pointwise_operator_norms()[..., None, :] <= levels[:, None]
     return np.sqrt(_hs_squared(V.values, V.space.weights, keep))
 
 
@@ -267,7 +271,7 @@ def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
     _check_same_space(T, V)
     n, matrix = V.fiber, _dense(T.matrix)
     lhs = _frobenius(_conjugate(_block_diagonal(V.values) @ matrix, T._sqrt_w))
-    rhs = np.sqrt(n) * hs_norm_potential(V) * _block_row_two_inf(matrix, T._sqrt_w, n)
+    rhs = np.sqrt(n) * hs_norm_potential(V) * two_inf_norm(T)
     holds = lhs <= rhs + RELATIVE_SLACK * np.abs(rhs)
     return {"lhs": _unstacked(lhs), "rhs": _unstacked(rhs), "holds": _unstacked(holds)}
 
@@ -371,7 +375,7 @@ def semigroup_difference_bound_check(H: SelfAdjointOperator, V: MatrixPotential,
         raise ValueError("H must be positive semidefinite")
     perturbed = V.added_to(H)
     lhs = np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
-    ultra_sum = two_inf_norm(H.semigroup(t0)) + two_inf_norm(perturbed.semigroup(t0))
+    ultra_sum = heat_two_inf_norm(H, t0) + heat_two_inf_norm(perturbed, t0)
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
     rhs = np.sqrt(H.fiber) * hs_norm_potential(V) * ultra_sum * integral
     result = {
@@ -474,13 +478,13 @@ def dominated_difference_check(pair: DominatedPair, V: MatrixPotential, t0) -> d
         raise ValueError("t0 must be strictly positive")
     perturbed = V.added_to(H)
     lhs = np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
-    scalar_ultra = two_inf_norm(H0.semigroup(t0))
+    scalar_ultra = heat_two_inf_norm(H0, t0)
     base = 2.0 * np.sqrt(H.fiber) * hs_norm_potential(V) * scalar_ultra
     integral = _exact_22_integral(np.maximum(0.0, perturbed.min_eigenvalue), t0)
     rhs_integral = base * integral
     rhs_plain = base * t0
-    ultra_perturbed = two_inf_norm(perturbed.semigroup(t0))
-    ultra_free = two_inf_norm(H.semigroup(t0))
+    ultra_perturbed = heat_two_inf_norm(perturbed, t0)
+    ultra_free = heat_two_inf_norm(H, t0)
     slack = RELATIVE_SLACK
     result = {
         "lhs": lhs,
@@ -500,17 +504,19 @@ def dominated_difference_check(pair: DominatedPair, V: MatrixPotential, t0) -> d
     return {key: _unstacked(value) for key, value in result.items()}
 
 
-def truncate_potential(V: MatrixPotential, k: float) -> MatrixPotential:
+def truncate_potential(V: MatrixPotential, k) -> MatrixPotential:
     """Zero out V at points where the fiber operator norm exceeds k.
 
     Keeps V(x) wherever |V(x)| <= k.  For k at least the largest fiber
     norm the result equals V exactly (finite saturation), and the (2,HS)
-    norm is nondecreasing in k.
+    norm is nondecreasing in k.  A stack of potentials takes one level k
+    or (T,) levels, one per instance.
     """
-    if k < 1.0:
+    k = np.asarray(k, dtype=float)
+    if np.any(k < 1.0):
         raise ValueError("truncation level must be at least 1")
-    keep = V.pointwise_operator_norms() <= k
-    vals = np.where(keep[:, None, None], V.values, 0.0)
+    keep = V.pointwise_operator_norms() <= k[..., None]
+    vals = np.where(keep[..., None, None], V.values, 0.0)
     return MatrixPotential(vals, V.space, nonneg=V.nonneg)
 
 

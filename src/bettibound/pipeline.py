@@ -63,8 +63,11 @@ refused, or some t0's enclosure is wider than eta relative to its upper
 end, the row runs again at sigma_A = inf, where L1 and L1 + W hold
 every pair and the enclosure is the value itself.  Every other p runs
 the row once at sigma_A = inf and takes the singular values of the
-dense difference.  A failed check that L1 + W clears rho0 is the row's
-note, and the lowest pair of a cut-off L1 + W already decides it.
+dense difference.  W >= 0 holds by construction (clipped, and checked
+by ``MatrixPotential``).  That L1 + W clears rho0 is checked where every
+pair is checked, in the ``birman.OperatorPair`` each point of the row
+builds, on the lowest pair of L1 + W (or its cut-off, when none lies
+below it); a failed check is the row's note.
 
 The prepared surface (``SurfaceData``) holds one comparison operator
 and one L1, each below its cut-off or with every pair, for any later
@@ -106,7 +109,6 @@ __all__ = [
     "prepare_surface",
     "prefactors",
     "betti_bound",
-    "schatten_operator",
     "synthetic_edge_potential",
     "parameter_sweep",
 ]
@@ -395,37 +397,16 @@ def synthetic_edge_potential(
     """Nonnegative edge potential (rho0 - kappa)_+ for the operator bound.
 
     ``kappa`` defaults to the curvature interpolated to edge midpoints.
-    Whether L1 plus this potential clears rho0 is decided spectrally by
-    the caller; no geometric identity is assumed for the discrete L1.
+    The shortfall is clipped at zero, and the potential is built with
+    ``nonneg=True``, so ``MatrixPotential`` checks W >= 0.  Whether L1 plus
+    this potential clears rho0 is decided spectrally (``birman.OperatorPair``);
+    no geometric identity is assumed for the discrete L1.
     """
     if edge_scalar is None:
         ends = dec.mesh.edges
         edge_scalar = 0.5 * (curvature.values[ends[:, 0]] + curvature.values[ends[:, 1]])
     shortfall = np.clip(rho0 - np.asarray(edge_scalar, dtype=float), 0.0, None)
     return MatrixPotential.from_scalar_field(dec.edge_space(), shortfall, nonneg=True)
-
-
-def schatten_operator(
-    H: SelfAdjointOperator, V: MatrixPotential, rho0: float, cutoff: float = math.inf
-) -> SelfAdjointOperator:
-    """H + V for a nonnegative V, verified spectrally to clear rho0.
-
-    A failed check raises ``ValueError``.  V goes onto the diagonal of a
-    copy of H's matrix (``MatrixPotential.added_to``); a V that is zero
-    everywhere gives H itself, with no eigensolve, so the semigroup
-    difference of the certificate is exactly zero.  A finite ``cutoff``
-    keeps only the eigenpairs of H + V below it; with none below it, its
-    lowest eigenvalue is at least the cut-off, and that is what is checked.
-    """
-    if not V.nonneg:
-        raise ValueError("the edge potential must be nonnegative")
-    perturbed = V.added_to(H, cutoff)
-    if perturbed.min_eigenvalue < rho0 - perturbed.zero_threshold():
-        raise ValueError(
-            f"spectral check failed: min eig of the shifted operator is "
-            f"{perturbed.min_eigenvalue:.6g} < rho0={rho0:.6g}"
-        )
-    return perturbed
 
 
 def parameter_sweep(
@@ -543,8 +524,9 @@ def _schatten_row(
     p runs at sigma_A = inf.  The partial L1 is freed before the full one
     is built, and each L1 + W lives only inside ``_row_bounds``, so a
     sweep holds one L1 and one L1 + W (with the squared overlap it keeps)
-    at a time.  When the check that L1 + W clears rho0 fails, every bound
-    of the row is None and the one note says why.  A ``MeshError`` (the
+    at a time.  When the check that L1 + W clears rho0 fails (in the
+    first ``birman.OperatorPair`` of the row), every bound of the row is
+    None and the one note is that check's message.  A ``MeshError`` (the
     full L1's kernel against ``b1``, or L1's pairs against its E
     dimensions) is not the row's failure and is raised.
     """
@@ -566,20 +548,22 @@ def _row_bounds(data, potential, rho0, t0_values, p, sigma_a) -> list | None:
     below sigma = max(sigma_a, 2 rho0), or None when a finite cut-off does
     not certify them to eta.
 
-    Every pair dropped below sigma_a has heat weight e^(-2 t0 sigma_a) at
-    most eta, and sigma lies above rho0, so an L1 + W with no pair below
-    sigma clears rho0.  Each bound is the upper end of its
-    ``crude_bounds`` at exponent p; at a finite sigma_a (only p = 2 runs
-    one) an enclosure wider than eta relative to that end, or a cut-off
-    the inertia count and the solver do not agree on (``CutOffRefused``),
-    gives None.  At sigma_a = inf both operators hold every pair, no count
-    is taken and each enclosure is the value itself.  Any other
-    ValueError, the check that L1 + W clears rho0 among them, is the row's
-    own failure and is raised.
+    L1 + W is ``potential.added_to(L1, sigma)``, and the
+    ``birman.OperatorPair`` of each t0 checks that it clears rho0.  Every
+    pair dropped below sigma_a has heat weight e^(-2 t0 sigma_a) at most
+    eta, and sigma lies above rho0, so an L1 + W with no pair below sigma
+    clears rho0.  Each bound is the upper end of its ``crude_bounds`` at
+    exponent p; at a finite sigma_a (only p = 2 runs one) an enclosure
+    wider than eta relative to that end, or a cut-off the inertia count
+    and the solver do not agree on (``CutOffRefused``), gives None.  At
+    sigma_a = inf both operators hold every pair, no count is taken and
+    each enclosure is the value itself.  Any other ValueError, the pair's
+    check that L1 + W clears rho0 among them, is the row's own failure
+    and is raised.
     """
     lap1 = data.laplacian1_below(sigma_a)
     try:
-        perturbed = schatten_operator(lap1, potential, rho0, max(sigma_a, 2.0 * rho0))
+        perturbed = potential.added_to(lap1, max(sigma_a, 2.0 * rho0))
     except CutOffRefused:
         return None
     pairs = (OperatorPair(lap1, perturbed, rho0, 2.0 * t0) for t0 in t0_values)

@@ -55,7 +55,6 @@ from .perturbation import (
     _connection_draw,
     _connection_stack,
     _gauss_legendre,
-    _hs_squared,
     dominated_difference_check,
     domination_check,
     domination_excess,
@@ -65,9 +64,11 @@ from .perturbation import (
     pointwise_diagonalize,
     semigroup_22_integral,
     semigroup_difference_bound_check,
+    truncate_potential,
+    truncated_hs_norms,
 )
 from .pipeline import prefactors
-from .report import CheckRecord, RunReport, SuiteConfig
+from .report import CheckRecord, RunReport, SuiteConfig, equality_record, inequality_record
 
 __all__ = ["run_abstract_suites", "SUITE_BUILDERS"]
 
@@ -235,22 +236,18 @@ def suite_kernel_identity(rng, cfg: SuiteConfig):
     mismatches = int(np.count_nonzero(mismatched))
     worst_angle = float(angle[_worst_instance(angle, 0.0, scale=1.0)])
     return [
-        CheckRecord(
-            name="kernel_identity_dims",
-            detail=f"kernel dimensions agree on {cfg.trials} planted pairs",
-            lhs=float(mismatches),
-            rhs=0.0,
-            margin=-float(mismatches),
-            passed=mismatches == 0,
+        equality_record(
+            "kernel_identity_dims",
+            f"kernel dimensions agree on {cfg.trials} planted pairs",
+            mismatches,
+            0.0,
         ),
-        CheckRecord(
-            name="kernel_identity_subspace",
-            detail="largest principal angle between the two kernels "
-            f"(allowed {tol:g})",
-            lhs=worst_angle,
-            rhs=tol,
-            margin=tol - worst_angle,
-            passed=worst_angle <= tol,
+        inequality_record(
+            "kernel_identity_subspace",
+            f"largest principal angle between the two kernels (allowed {tol:g})",
+            worst_angle,
+            tol,
+            0.0,
         ),
     ]
 
@@ -314,13 +311,11 @@ def suite_hs_factorization(rng, cfg: SuiteConfig):
     op = WeightedOperator([[-2.0]], space, 1)
     result = hs_factorization_check(potential, op)
     records.append(
-        CheckRecord(
-            name="hs_factorization_scalar_equality",
-            detail="one-point scalar case |v tau| = |v||tau| exactly",
-            lhs=result["lhs"],
-            rhs=result["rhs"],
-            margin=result["rhs"] - result["lhs"],
-            passed=result["lhs"] == result["rhs"],
+        equality_record(
+            "hs_factorization_scalar_equality",
+            "one-point scalar case |v tau| = |v||tau| exactly",
+            result["lhs"],
+            result["rhs"],
         )
     )
     return records
@@ -539,17 +534,12 @@ def _truncation_checks(H: SelfAdjointOperator, V: MatrixPotential, t0):
     levels of all instances are evaluated together; each instance reads
     only its own.
     """
-    norms = V.pointwise_operator_norms()
-    level = np.ceil(np.max(norms, axis=-1))
-    if np.any(level < 1.0):
-        raise ValueError("truncation level must be at least 1")
-    truncated = np.where((norms <= level[:, None])[..., None, None], V.values, 0.0)
+    level = np.ceil(np.max(V.pointwise_operator_norms(), axis=-1))
+    cut = truncate_potential(V, level).added_to(H)
     full = V.added_to(H)
-    cut = MatrixPotential(truncated, V.space, nonneg=True).added_to(H)
     distance = np.sqrt(heat_difference_hs_bounds(full, cut, 2 * t0)[0])
     levels = np.arange(1, int(level.max()) + 1)
-    keep = norms[:, None, :] <= levels[:, None]
-    truncations = np.sqrt(_hs_squared(V.values, V.space.weights, keep))
+    truncations = truncated_hs_norms(V, levels)
     whole = hs_norm_potential(V)[:, None]
     # Instance k's norms: its first level_k truncations, then V itself.
     column = np.arange(levels.size + 1)

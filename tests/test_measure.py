@@ -24,6 +24,7 @@ from bettibound.measure import (
     WeightedOperator,
     heat_difference,
     heat_difference_hs_bounds,
+    heat_two_inf_norm,
     hs_norm,
     operator_norm,
     schatten_norm,
@@ -271,18 +272,32 @@ def test_two_inf_matches_row_oracle_and_samples():
         assert np.max(np.linalg.norm(image, axis=1)) <= value * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("fiber", [1, 2, 3])
 def test_two_inf_spectral_matches_dense_route(fiber):
-    # A SelfAdjointOperator is read from its spectrum; the same matrix as a
-    # plain WeightedOperator takes the dense block-row route.
+    # heat_two_inf_norm reads the norm of the semigroup from the spectrum;
+    # the semigroup's matrix takes the dense block-row route and the oracle.
     rng = np.random.default_rng(115)
     space = random_space(rng, 9)
     op = random_self_adjoint(rng, space, fiber, scale=2.0)
-    for operator in (op, op.semigroup(0.4)):
-        spectral = two_inf_norm(operator)
-        dense = two_inf_norm(WeightedOperator(operator.matrix, space, fiber))
-        assert abs(spectral - dense) <= 1e-12 * dense
-        assert abs(spectral - _two_inf_oracle(operator.matrix, space, fiber)) <= 1e-12 * dense
+    heat = op.semigroup(0.4).matrix
+    spectral = heat_two_inf_norm(op, 0.4)
+    dense = two_inf_norm(WeightedOperator(heat, space, fiber))
+    assert abs(spectral - dense) <= 1e-12 * dense
+    assert abs(spectral - _two_inf_oracle(heat, space, fiber)) <= 1e-12 * dense
+
+
+def test_two_inf_norm_of_a_stack_is_its_instances_bit_for_bit():
+    # Three operators at fiber 2 held as one (3, d, d) stack give the
+    # (3,) norms each gives alone.
+    rng = np.random.default_rng(119)
+    weights = np.exp(rng.uniform(-1.0, 1.0, (3, 5)))
+    matrices = rng.standard_normal((3, 10, 10))
+    stacked = two_inf_norm(WeightedOperator(matrices, WeightedFiniteSpace(weights), 2))
+    alone = [
+        two_inf_norm(WeightedOperator(m, WeightedFiniteSpace(w), 2))
+        for m, w in zip(matrices, weights)
+    ]
+    assert stacked.shape == (3,) and stacked.tobytes() == np.array(alone).tobytes()
 
 
 def test_heat_difference_hs_squared_matches_dense_norm():
@@ -359,7 +374,7 @@ def test_a_stack_is_its_instances_bit_for_bit(fiber, source):
         "basis": stack.basis,
         "matrix": stack.matrix,
         "semigroup matrix": stack.semigroup(t).matrix,
-        "two_inf_norm": two_inf_norm(stack.semigroup(t)),
+        "heat_two_inf_norm": heat_two_inf_norm(stack, t),
         "kernel_dim": stack.kernel_dim(),
         "zero_threshold": stack.zero_threshold(),
         "min_eigenvalue": stack.min_eigenvalue,
@@ -373,7 +388,7 @@ def test_a_stack_is_its_instances_bit_for_bit(fiber, source):
             "basis": a.basis,
             "matrix": a.matrix,
             "semigroup matrix": a.semigroup(t[k]).matrix,
-            "two_inf_norm": two_inf_norm(a.semigroup(t[k])),
+            "heat_two_inf_norm": heat_two_inf_norm(a, t[k]),
             "kernel_dim": a.kernel_dim(),
             "zero_threshold": a.zero_threshold(),
             "min_eigenvalue": a.min_eigenvalue,
@@ -962,18 +977,22 @@ def test_partial_operator_refuses_every_full_spectrum_method():
     matrix, space, fiber = _planted_operator(_SPECTRUM)
     full = SelfAdjointOperator(matrix, space, fiber)
     part = SelfAdjointOperator(matrix, space, fiber, cutoff=3.0)
+    part_fiber2 = SelfAdjointOperator(*_planted_operator(_SPECTRUM, fiber=2), cutoff=3.0)
     calls = {
         "spectral_function": lambda: part.spectral_function(np.abs),
         "semigroup": lambda: part.semigroup(1.0),
         "shifted": lambda: part.shifted(1.0),
         "kernel_basis": lambda: part.kernel_basis(),
-        "two_inf_norm": lambda: two_inf_norm(part),
         "heat_difference": lambda: heat_difference(full, part, 1.0),
+        "heat_two_inf_norm at fiber 2": lambda: heat_two_inf_norm(part_fiber2, 1.0),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match="needs every eigenpair"):
             call()
         assert name
+    # A partial operator's matrix is the one it was built from, which the
+    # dense 2->inf norm reads as it reads the full operator's.
+    assert two_inf_norm(part) == two_inf_norm(full)
 
 
 @pytest.mark.parametrize("miscount", [-1, 1], ids=["inertia-low", "inertia-high"])

@@ -20,7 +20,6 @@ from bettibound.birman import OperatorPair, crude_bounds
 from bettibound.dec import DECOperators, schrodinger_comparison
 from bettibound.measure import (
     SelfAdjointOperator,
-    WeightedFiniteSpace,
     WeightedOperator,
     heat_difference,
     heat_two_inf_norm,
@@ -36,13 +35,13 @@ from bettibound.mesh import (
     builtin_mesh,
     genus2_mesh,
 )
+from bettibound.perturbation import MatrixPotential
 from bettibound.pipeline import (
     BettiBoundInputs,
     betti_bound,
     parameter_sweep,
     prefactors,
     prepare_surface,
-    schatten_operator,
     synthetic_edge_potential,
 )
 
@@ -150,7 +149,7 @@ def test_schatten_bound_commuting_shift(torus_data):
         edge_scalar=np.zeros(torus_data.mesh.edge_count),
     )
     assert np.allclose(potential.values.reshape(-1), rho0)
-    perturbed = schatten_operator(lap1, potential, rho0)
+    perturbed = potential.added_to(lap1)
     pair = OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
     value = crude_bounds(pair, 2.0)[0]
     oracle = float(np.sum(np.exp(-2.0 * (2.0 * t0) * lap1.eigenvalues)))
@@ -162,7 +161,7 @@ def test_schatten_bound_commuting_shift(torus_data):
 def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
     rho0, t0 = 0.4, 0.7
     potential = synthetic_edge_potential(torus_data.dec, torus_data.curvature, rho0)
-    perturbed = schatten_operator(torus_data.laplacian1, potential, rho0)
+    perturbed = potential.added_to(torus_data.laplacian1)
     pair = OperatorPair(H=torus_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
     value = crude_bounds(pair, p)[0]
     assert value >= torus_data.b1 - 1e-9 * (1.0 + value)
@@ -171,7 +170,7 @@ def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
 def test_schatten_bound_trivial_kernel_on_sphere(sphere_data):
     rho0, t0 = 0.5, 1.0
     potential = synthetic_edge_potential(sphere_data.dec, sphere_data.curvature, rho0)
-    perturbed = schatten_operator(sphere_data.laplacian1, potential, rho0)
+    perturbed = potential.added_to(sphere_data.laplacian1)
     pair = OperatorPair(H=sphere_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
     value = crude_bounds(pair, 2.0)[0]
     assert value >= 0.0
@@ -185,8 +184,9 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
         torus_data.dec, torus_data.curvature, 0.1,
         edge_scalar=np.zeros(torus_data.mesh.edge_count),
     )
+    lap1 = torus_data.laplacian1
     with pytest.raises(ValueError, match="spectral check failed"):
-        schatten_operator(torus_data.laplacian1, potential, rho0)
+        OperatorPair(lap1, potential.added_to(lap1), rho0, 2.0)
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -387,11 +387,11 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolv
         )
         assert report.bound_schatten == 0.0
         held.append(data.laplacian1_below(pipeline._heat_cutoff([t0])))
-    assert schatten_operator(data.laplacian1, potential, 0.5) is data.laplacian1
+    assert potential.added_to(data.laplacian1) is data.laplacian1
     assert calls == expected
     part = held[0]
     assert held[1] is part and part.partial and part.cutoff == sigma_a
-    assert schatten_operator(part, potential, 0.5) is part
+    assert potential.added_to(part) is part
     assert data._held["laplacian1"] is data.laplacian1 and not data.laplacian1.partial
 
 
@@ -432,7 +432,7 @@ def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
     # dropped before the next rho0's L1 + W is eigensolved.
     mesh = genus2_mesh()
     built, alive = [], []
-    build, in_place = pipeline.schatten_operator, measure._eigh_in_place
+    build, in_place = MatrixPotential.added_to, measure._eigh_in_place
     lowest = measure._eigh_lowest_in_place
 
     def recording_build(*args):
@@ -450,7 +450,7 @@ def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
             alive.append(sum(ref() is not None for ref in built))
         return lowest(conj, count)
 
-    monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
+    monkeypatch.setattr(MatrixPotential, "added_to", recording_build)
     monkeypatch.setattr(measure, "_eigh_in_place", recording_in_place)
     monkeypatch.setattr(measure, "_eigh_lowest_in_place", recording_lowest)
     reports = parameter_sweep(prepare_surface(mesh), [0.5, 1.0], [0.5, 1.0])
@@ -481,7 +481,7 @@ def _full_row(data, rho0, t0_values, p=2.0):
     """The row's bounds from every pair of L1 + W."""
     lap1 = data.laplacian1
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-    full_op = schatten_operator(lap1, potential, rho0)
+    full_op = potential.added_to(lap1)
     return [
         crude_bounds(OperatorPair(H=lap1, Hprime=full_op, rho0=rho0, t0=2.0 * t0), p)[0]
         for t0 in t0_values
@@ -516,7 +516,7 @@ def test_cut_off_schatten_row_matches_the_full_spectrum(name):
             assert _same_spectrum(held, lap1)
             continue
         assert notes == ()
-        part = schatten_operator(start, potential, rho0, _cutoff(t0_values, rho0))
+        part = potential.added_to(start, _cutoff(t0_values, rho0))
         enclosures = [
             crude_bounds(OperatorPair(H=start, Hprime=part, rho0=rho0, t0=2.0 * t0), 2.0)
             for t0 in t0_values
@@ -745,7 +745,7 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
     data = prepare_surface(genus2_mesh())
     t0_values = [0.5, 2.0]
     alive, built, partial_alive = [], [], []
-    build, enclosure = pipeline.schatten_operator, pipeline.crude_bounds
+    build, enclosure = MatrixPotential.added_to, pipeline.crude_bounds
     assemble = DECOperators.laplacian1
 
     def recording_build(*args):
@@ -764,7 +764,7 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
 
     held = weakref.ref(data.laplacian1_below(pipeline._heat_cutoff(t0_values)))
     assert held().partial
-    monkeypatch.setattr(pipeline, "schatten_operator", recording_build)
+    monkeypatch.setattr(MatrixPotential, "added_to", recording_build)
     monkeypatch.setattr(pipeline, "crude_bounds", widened)
     monkeypatch.setattr(DECOperators, "laplacian1", recording_assemble)
     row, notes = pipeline._schatten_row(data, 0.5, t0_values, 2.0)
@@ -789,12 +789,12 @@ def test_too_wide_enclosure_row_holds_one_full_laplacian1(monkeypatch):
     potential = synthetic_edge_potential(reference.dec, reference.curvature, rho0)
     sigma_a = pipeline._heat_cutoff([t0])
     start = reference.laplacian1_below(sigma_a)
-    part = schatten_operator(start, potential, rho0, _cutoff([t0], rho0))
+    part = potential.added_to(start, _cutoff([t0], rho0))
     upper, lower = crude_bounds(OperatorPair(start, part, rho0, 2.0 * t0), 2.0)
     assert part.partial and upper - lower > pipeline._ETA * upper
     del start, part
     lap1 = reference.laplacian1
-    pair = OperatorPair(lap1, schatten_operator(lap1, potential, rho0), rho0, 2.0 * t0)
+    pair = OperatorPair(lap1, potential.added_to(lap1), rho0, 2.0 * t0)
     inputs = BettiBoundInputs(surface=mesh, rho0=rho0, t0=t0)
     assert betti_bound(inputs, data=data).bound_schatten == crude_bounds(pair, 2.0)[0]
     edge_operators = [
@@ -890,12 +890,6 @@ def test_large_t0_main_bound_overflows_to_inf_with_no_warning(tmp_path):
     assert report["bound_main"] == report["intermediate"]["comparison_two_inf"] == "inf"
 
 
-def test_heat_two_inf_norm_needs_a_scalar_fiber():
-    op = SelfAdjointOperator(np.eye(4), WeightedFiniteSpace(np.ones(2)), fiber=2)
-    with pytest.raises(ValueError, match="scalar fiber"):
-        heat_two_inf_norm(op, 1.0)
-
-
 def test_main_bound_point_builds_no_vertex_square_array():
     # The first point eigensolves the comparison operator below its
     # sigma_C: besides the V x V buffer that xSYEVR reduces in place, it
@@ -929,7 +923,7 @@ def test_spectral_schatten_bound_matches_dense_route(name):
     data = prepare_surface(builtin_mesh(name, resolution))
     for rho0 in rho0_values:
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-        perturbed = schatten_operator(data.laplacian1, potential, rho0)
+        perturbed = potential.added_to(data.laplacian1)
         pair = OperatorPair(H=data.laplacian1, Hprime=perturbed, rho0=rho0, t0=1.4)
         spectral = crude_bounds(pair, 2.0)[0]
         gap = 1.0 - np.exp(-rho0 * pair.t0)
