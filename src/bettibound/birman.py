@@ -85,8 +85,7 @@ class OperatorPair:
 
     def __post_init__(self):
         H, Hprime, rho0 = self.H, self.Hprime, self.rho0
-        if not H.space.same_as(Hprime.space) or H.fiber != Hprime.fiber:
-            raise ValueError("pair members live on different spaces")
+        H._check_compatible(Hprime)
         if np.any(np.asarray(rho0) <= 0.0) or np.any(np.asarray(self.t0) <= 0.0):
             raise ValueError("rho0 and t0 must be strictly positive")
         failed = H.min_eigenvalue < -H.zero_threshold()

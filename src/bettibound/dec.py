@@ -67,6 +67,7 @@ from .measure import (
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    _eigh_in_place,
     _freeze,
     _frobenius,
     _inertia,
@@ -289,8 +290,7 @@ def _rayleigh_ritz(c, b, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values and vectors of C C^T + B^T B on the span of ``block``."""
     basis = np.linalg.qr(block)[0]
     image = c @ (c.T @ basis) + b.T @ (b @ basis)
-    projected = basis.T @ image
-    ritz, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
+    ritz, rotation = _eigh_in_place(basis.T @ image)
     return ritz, basis @ rotation
 
 
@@ -448,7 +448,7 @@ def _ritz_pairs_below(
     """
     n = s.shape[0]
     if j + 4 >= n:
-        theta, x = np.linalg.eigh(s.toarray())
+        theta, x = _eigh_in_place(s)
         return theta[:j], x[:, :j]
 
     def solve(b):

@@ -234,9 +234,11 @@ class WeightedOperator:
         vals = np.asarray(values, dtype=float)
         return (self.matrix @ vals.reshape(-1)).reshape(vals.shape)
 
-    def _check_compatible(self, other: "WeightedOperator"):
+    def _check_compatible(self, other):
+        """Raise DimensionMismatchError unless ``other``, an operator or a
+        potential, acts on this space with this fiber."""
         if not self.space.same_as(other.space) or self.fiber != other.fiber:
-            raise DimensionMismatchError("operators live on different spaces")
+            raise DimensionMismatchError("operands live on different spaces")
 
 
 def _frobenius(matrix):
@@ -356,47 +358,48 @@ def _check_eigendata(evals, q, conj=None):
     return _read_only(residual_norms), loss
 
 
-def _eigh_in_place(conj) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_in_place(conj, count=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ascending and C-ordered eigenvectors of (S + S^T) / 2.
 
-    ``conj`` is S, dense or CSR.  The symmetrized matrix is built in one
-    buffer owned here (``_symmetric_part``), and
-    LAPACK's xSYEVD overwrites that buffer with the eigenvectors: being
-    exactly symmetric, its transpose is the same matrix in Fortran order,
-    so no copy is made, and the lower triangle is read as
-    ``np.linalg.eigh`` reads it.  Live at once are that buffer and xSYEVD's
-    1 + 6N + 2N^2 workspace, where ``np.linalg.eigh`` of a dense input also
-    keeps the input, its Fortran copy and a separate output.  The C-ordered
-    copy, on which later products and sums rely for their bits, is made
-    once the workspace is freed.  Raises LinAlgError if xSYEVD fails.
+    The one dense eigensolve of the package: every operator, stack, cut-off
+    and Rayleigh-Ritz block is solved here.  ``conj`` is S, dense or CSR,
+    or a dense (T, d, d) stack.  The symmetrized matrix is built in one
+    buffer owned here (``_symmetric_part``); being exactly symmetric, its
+    transpose is the same matrix in Fortran order, so LAPACK reads it with
+    no copy, from the lower triangle as ``np.linalg.eigh`` reads it.
+
+    * A stack is solved by numpy's stacked ``eigh`` (xSYEVD per matrix).
+    * Without ``count``, xSYEVD overwrites the buffer with every
+      eigenvector.  Live at once are that buffer and xSYEVD's
+      1 + 6N + 2N^2 workspace, where ``np.linalg.eigh`` of a dense input
+      also keeps the input, its Fortran copy and a separate output.
+    * With ``count``, xSYEVR with ``range='I'`` reduces the buffer to
+      tridiagonal form in place, computes eigenvalues 1 to ``count`` of
+      that form by bisection and their eigenvectors by inverse iteration
+      (xSTEBZ and xSTEIN; its MRRR path serves only the whole spectrum),
+      and maps them back: besides the buffer, the N x count vectors and
+      O(N) workspace are alive.
+
+    The C-ordered copy, on which later products and sums rely for their
+    bits, is made once the workspace is freed.  Raises LinAlgError if the
+    LAPACK driver fails or finds fewer pairs than asked for.
     """
     sym = _dense(_symmetric_part(conj))
-    evals, evecs, info = lapack.dsyevd(sym.T, compute_v=1, lower=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"symmetric eigensolve failed (xSYEVD info {info})")
-    return evals, np.ascontiguousarray(evecs)
-
-
-def _eigh_lowest_in_place(conj, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest eigenpairs of (S + S^T) / 2, ascending, C-ordered.
-
-    The symmetrized buffer is built as ``_eigh_in_place`` builds it, and
-    LAPACK's xSYEVR with ``range='I'`` reduces it to tridiagonal form in
-    place, then computes eigenvalues 1 to ``count`` of that form by
-    bisection and their eigenvectors by inverse iteration (xSTEBZ and
-    xSTEIN; its MRRR path serves only the whole spectrum) and maps them
-    back: besides the buffer, the N x count vectors and O(N) workspace
-    are alive.  Raises LinAlgError if xSYEVR fails or finds fewer pairs.
-    """
-    sym = _dense(_symmetric_part(conj))
-    evals, evecs, found, _, info = lapack.dsyevr(
-        sym.T, compute_v=1, range="I", lower=1, il=1, iu=count, overwrite_a=1
-    )
+    if sym.ndim > 2:
+        return np.linalg.eigh(sym)
+    if count is None:
+        evals, evecs, info = lapack.dsyevd(sym.T, compute_v=1, lower=1, overwrite_a=1)
+        found = count = evals.size
+    else:
+        evals, evecs, found, _, info = lapack.dsyevr(
+            sym.T, compute_v=1, range="I", lower=1, il=1, iu=count, overwrite_a=1
+        )
+        evals = evals[:count]
     if info != 0 or found != count:
         raise np.linalg.LinAlgError(
-            f"symmetric eigensolve failed (xSYEVR info {info}, {found} of {count} pairs)"
+            f"symmetric eigensolve failed (LAPACK info {info}, {found} of {count} pairs)"
         )
-    return evals[:count], np.ascontiguousarray(evecs)
+    return evals, np.ascontiguousarray(evecs)
 
 
 # Fill-reducing ordering of an inertia count's factorization: SuperLU's
@@ -532,6 +535,14 @@ def _overlap_sum(f, g, scale, overlap):
     return terms.sum(axis=(-2, -1))
 
 
+def _time_column(t) -> np.ndarray:
+    """A semigroup time, or (T,) times, as a column against eigenvalues."""
+    column = np.asarray(t, dtype=float)[..., None]
+    if np.any(column < 0.0):
+        raise ValueError("semigroup time must be nonnegative")
+    return column
+
+
 class SelfAdjointOperator(WeightedOperator):
     """Self-adjoint operator held by its weighted spectral decomposition.
 
@@ -569,10 +580,10 @@ class SelfAdjointOperator(WeightedOperator):
     in reverse Cuthill-McKee order, none when sigma is at or above r).
     When K = N the operator is the one the default sigma = inf gives, bit
     for bit.  Otherwise it is *partial*: xSYEVR computes the K + 1 lowest
-    pairs in place (``_eigh_lowest_in_place``), exactly K of them must lie
-    below sigma (``_confirm_count``: the solver counts K as well), and the
-    K kept pairs pass ``_check_eigendata`` with the N x K Q: finite,
-    orthogonality loss <= 1e-10 and ||R||_F sqrt(1 + loss) <=
+    pairs in place (``_eigh_in_place`` with a count), exactly K of them
+    must lie below sigma (``_confirm_count``: the solver counts K as
+    well), and the K kept pairs pass ``_check_eigendata`` with the N x K
+    Q: finite, orthogonality loss <= 1e-10 and ||R||_F sqrt(1 + loss) <=
     1e-10 max(||S||_F, 1).  A count the solver does not confirm, or an
     inertia that cannot be read, raises ``CutOffRefused`` (a ValueError),
     a failed check ValueError.  ``min_eigenvalue`` is sigma when K = 0
@@ -590,14 +601,14 @@ class SelfAdjointOperator(WeightedOperator):
     A stack of T operators of one shape is the same type with a leading
     axis: its space has (T, N) weights, ``eigenvalues`` are (T, d) and the
     eigenvectors (T, d, d), d = N * fiber.  A dense (T, d, d) matrix is
-    symmetrized as ``_eigh_in_place`` symmetrizes it and eigensolved by
-    xSYEVD through numpy's stacked ``eigh``, and ``_check_eigendata``
-    checks each instance at its own scale; ``from_spectrum`` takes stacked
-    eigendata.  Every method runs its arithmetic over the leading axis:
-    numpy's stacked LAPACK and BLAS calls treat each matrix as the 2-D
-    call does, so every instance gets the bits it would get alone.  Where
-    one operator gives a Python number, a stack gives the (T,) array of
-    its instances' numbers.  A stack holds every eigenpair.
+    eigensolved by ``_eigh_in_place`` too, through numpy's stacked
+    ``eigh``, and ``_check_eigendata`` checks each instance at its own
+    scale; ``from_spectrum`` takes stacked eigendata.  Every method runs
+    its arithmetic over the leading axis: numpy's stacked LAPACK and BLAS
+    calls treat each matrix as the 2-D call does, so every instance gets
+    the bits it would get alone.  Where one operator gives a Python
+    number, a stack gives the (T,) array of its instances' numbers.  A
+    stack holds every eigenpair.
     """
 
     # (other eigenvector array, squared overlap) of the last ``squared_overlap``.
@@ -613,12 +624,10 @@ class SelfAdjointOperator(WeightedOperator):
         if conj.ndim > 2 and cutoff < math.inf:
             raise ValueError("a stack of operators takes no cut-off")
         count = self.dim if cutoff == math.inf else _count_below(conj, cutoff)
-        if conj.ndim > 2:
-            evals, evecs = np.linalg.eigh(_symmetric_part(conj))
-        elif count == self.dim:
+        if count == self.dim:
             evals, evecs = _eigh_in_place(conj)
         else:
-            evals, evecs = _eigh_lowest_in_place(conj, count + 1)
+            evals, evecs = _eigh_in_place(conj, count + 1)
             _confirm_count(cutoff, count, evals, 1)
             evals, evecs = evals[:count], np.ascontiguousarray(evecs[:, :count])
             self.cutoff = cutoff
@@ -806,9 +815,7 @@ class SelfAdjointOperator(WeightedOperator):
 
         A stack takes one time t or (T,) times, one per instance.
         """
-        column = np.asarray(t, dtype=float)[..., None]
-        if np.any(column < 0.0):
-            raise ValueError("semigroup time must be nonnegative")
+        column = _time_column(t)
         return self.spectral_function(lambda w: np.exp(-column * w))
 
     def shifted(self, c: float) -> "SelfAdjointOperator":
@@ -945,9 +952,7 @@ def heat_two_inf_norm(A: SelfAdjointOperator, t) -> float:
     time t or (T,) times, gives the (T,) norms of its instances, each from
     the arithmetic one operator gets alone.
     """
-    column = np.asarray(t, dtype=float)[..., None]
-    if np.any(column < 0.0):
-        raise ValueError("semigroup time must be nonnegative")
+    column = _time_column(t)
     low = np.asarray(A.min_eigenvalue)[..., None]
     weights = np.exp(-2.0 * column * (A.eigenvalues - low))
     if A.fiber == 1:
@@ -1041,23 +1046,13 @@ def two_inf_norm(operator: WeightedOperator) -> float:
     row k(x, .).  Read from the dense ``matrix`` of any operator, a partial
     ``SelfAdjointOperator`` included (its matrix is the one it was built
     from); the spectral route for a semigroup is ``heat_two_inf_norm``.  A
-    stack of operators gives the (T,) norms of its instances.
+    stack of operators gives the (T,) norms of its instances.  All block
+    rows go through one stacked call: a norm at fiber 1, else an SVD.
     """
-    return _unstacked(_block_row_two_inf(_dense(operator.matrix), operator._sqrt_w, operator.fiber))
-
-
-def _block_row_two_inf(matrix: np.ndarray, sqrt_w: np.ndarray, fiber: int):
-    """``two_inf_norm`` of the operator with this dense matrix, from its block rows.
-
-    The (n, dim) block row of each point, mapped through M^(-1/2), gives
-    its norm at n = 1 and else its largest singular value; all points go
-    through one stacked call.  A (T, d, d) stack with (T, d) ``sqrt_w``
-    gives (T,) norms.
-    """
-    scaled = matrix * (1.0 / sqrt_w)[..., None, :]
-    blocks = scaled.reshape(*scaled.shape[:-2], -1, fiber, scaled.shape[-1])
-    if fiber == 1:
+    scaled = _dense(operator.matrix) * (1.0 / operator._sqrt_w)[..., None, :]
+    blocks = scaled.reshape(*scaled.shape[:-2], -1, operator.fiber, scaled.shape[-1])
+    if operator.fiber == 1:
         values = np.sqrt(np.vecdot(blocks[..., 0, :], blocks[..., 0, :]))
     else:
         values = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-    return np.maximum(0.0, np.max(values, axis=-1))
+    return _unstacked(np.maximum(0.0, np.max(values, axis=-1)))

@@ -124,31 +124,26 @@ class MatrixPotential:
     def added_to(self, H: SelfAdjointOperator, cutoff: float = math.inf) -> SelfAdjointOperator:
         """H + V, with its own checked eigensolve; H itself when V is zero.
 
-        The sum equals ``H.matrix + V.as_operator().matrix``, but V goes
-        onto the diagonal blocks of a copy of H's matrix, so no dense V is
-        built; a CSR H gives a CSR sum, with V added as a sparse block
-        diagonal.  A finite ``cutoff`` makes it hold only its eigenpairs
-        below it (``SelfAdjointOperator``).  For a stack, the instances
-        whose V is zero everywhere keep H's eigendata, so their semigroup
-        differences are exactly zero.
+        The sum is ``H.matrix + V.as_operator().matrix``; a CSR H gives a
+        CSR sum, with V added as a sparse block diagonal.  A finite
+        ``cutoff`` makes it hold only its eigenpairs below it
+        (``SelfAdjointOperator``).  For a stack, the instances whose V is
+        zero everywhere keep H's eigendata, so their semigroup differences
+        are exactly zero.
         """
-        _check_same_space(H, self)
+        H._check_compatible(self)
         values = self.values
         zero = ~np.any(values, axis=(-3, -2, -1))
         if np.all(zero):
             return H
         n_points, n = values.shape[-3:-1]
-        at = np.arange(n_points)
         if issparse(H.matrix):
-            index = (at[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
+            index = (np.arange(n_points)[:, None] * n + np.arange(n)).reshape(n_points, n, 1)
             rows, cols = np.broadcast_arrays(index, index.transpose(0, 2, 1))
             blocks = coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), H.matrix.shape)
             matrix = H.matrix + blocks
         else:
-            matrix = H.matrix + 0.0
-            # The advanced indices are split by a slice, so the points come first.
-            diagonal = matrix.reshape(*matrix.shape[:-2], n_points, n, n_points, n)
-            diagonal[..., at, :, at, :] += np.moveaxis(values, -3, 0)
+            matrix = H.matrix + _block_diagonal(values)
         perturbed = SelfAdjointOperator(matrix, H.space, n, cutoff)
         if np.any(zero):
             return SelfAdjointOperator._with_spectrum(
@@ -176,11 +171,6 @@ class MatrixPotential:
         """Scalar multiplication potential (fiber n = 1)."""
         vals = np.asarray(field, dtype=float).reshape(-1, 1, 1)
         return MatrixPotential(vals, space, nonneg=nonneg)
-
-
-def _check_same_space(H: WeightedOperator, V: MatrixPotential):
-    if not H.space.same_as(V.space) or H.fiber != V.fiber:
-        raise DimensionMismatchError("potential and operator live on different spaces")
 
 
 def _check_potential(values: np.ndarray, nonneg: bool):
@@ -268,7 +258,7 @@ def hs_factorization_check(V: MatrixPotential, T: WeightedOperator) -> dict:
 
     A stack of potentials and operators gives (T,) arrays.
     """
-    _check_same_space(T, V)
+    T._check_compatible(V)
     n, matrix = V.fiber, _dense(T.matrix)
     lhs = _frobenius(_conjugate(_block_diagonal(V.values) @ matrix, T._sqrt_w))
     rhs = np.sqrt(n) * hs_norm_potential(V) * two_inf_norm(T)
@@ -357,6 +347,18 @@ def semigroup_22_integral(operator: SelfAdjointOperator, t0) -> float:
     return _unstacked(_exact_22_integral(rho0, t0))
 
 
+def _difference_lhs(H: SelfAdjointOperator, V: MatrixPotential, t0):
+    """(t0, H + V, ||exp(-2t0 H) - exp(-2t0 (H+V))||_HS), the left side of
+    both semigroup difference checks, after their shared checks: V acts on
+    H's space and every t0 is positive.  t0 comes back as an array."""
+    H._check_compatible(V)
+    t0 = np.asarray(t0, dtype=float)
+    if np.any(t0 <= 0.0):
+        raise ValueError("t0 must be strictly positive")
+    perturbed = V.added_to(H)
+    return t0, perturbed, np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
+
+
 def semigroup_difference_bound_check(H: SelfAdjointOperator, V: MatrixPotential, t0) -> dict:
     """HS bound on exp(-2t0 H) - exp(-2t0 (H+V)) via both 2->inf norms.
 
@@ -367,14 +369,9 @@ def semigroup_difference_bound_check(H: SelfAdjointOperator, V: MatrixPotential,
     from H's own eigendata and one eigensolve of H + V.  Stacks of
     operators and potentials, with one t0 or (T,) times, give (T,) arrays.
     """
-    _check_same_space(H, V)
-    t0 = np.asarray(t0, dtype=float)
-    if np.any(t0 <= 0.0):
-        raise ValueError("t0 must be strictly positive")
     if np.any(H.min_eigenvalue < -H.zero_threshold()):
         raise ValueError("H must be positive semidefinite")
-    perturbed = V.added_to(H)
-    lhs = np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
+    t0, perturbed, lhs = _difference_lhs(H, V, t0)
     ultra_sum = heat_two_inf_norm(H, t0) + heat_two_inf_norm(perturbed, t0)
     integral = _exact_22_integral(perturbed.min_eigenvalue, t0)
     rhs = np.sqrt(H.fiber) * hs_norm_potential(V) * ultra_sum * integral
@@ -472,15 +469,10 @@ def dominated_difference_check(pair: DominatedPair, V: MatrixPotential, t0) -> d
     if not V.nonneg:
         raise ValueError("the potential must be nonnegative (essential hypothesis)")
     H, H0 = pair.H, pair.H0
-    _check_same_space(H, V)
-    t0 = np.asarray(t0, dtype=float)
-    if np.any(t0 <= 0.0):
-        raise ValueError("t0 must be strictly positive")
-    perturbed = V.added_to(H)
-    lhs = np.sqrt(heat_difference_hs_bounds(H, perturbed, 2.0 * t0)[0])
+    t0, perturbed, lhs = _difference_lhs(H, V, t0)
     scalar_ultra = heat_two_inf_norm(H0, t0)
     base = 2.0 * np.sqrt(H.fiber) * hs_norm_potential(V) * scalar_ultra
-    integral = _exact_22_integral(np.maximum(0.0, perturbed.min_eigenvalue), t0)
+    integral = semigroup_22_integral(perturbed, t0)
     rhs_integral = base * integral
     rhs_plain = base * t0
     ultra_perturbed = heat_two_inf_norm(perturbed, t0)

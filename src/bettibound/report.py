@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -232,10 +233,7 @@ def _serialize(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_serialize(v) for v in value) + "]"
     if isinstance(value, str):
-        escaped = (
-            value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if value is None:

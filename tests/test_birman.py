@@ -15,6 +15,7 @@ from bettibound.birman import (
     weyl_inequality_check,
 )
 from bettibound.measure import (
+    DimensionMismatchError,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
@@ -86,6 +87,12 @@ def test_pair_validation():
     Hp = SelfAdjointOperator(np.stack([np.diag(d) for d in ([1, 2], [0.5, 3], [2, 3])]), stack)
     with pytest.raises(ValueError, match=r"shifted operator is 0\.5 < rho0=0\.75$"):
         OperatorPair(H=H, Hprime=Hp, rho0=np.array([1.0, 0.75, 2.5]), t0=np.ones(3))
+    # Both members must act on one space with one fiber.
+    heavier = SelfAdjointOperator(np.diag([1.0, 2.0]), WeightedFiniteSpace([1.0, 2.0]))
+    fibered = SelfAdjointOperator(np.diag([1.0, 2.0]), WeightedFiniteSpace([1.0]), fiber=2)
+    for other in (heavier, fibered):
+        with pytest.raises(DimensionMismatchError):
+            OperatorPair(H=pos, Hprime=other, rho0=0.5, t0=1.0)
 
 
 # -- kernel identity ---------------------------------------------------------

@@ -355,6 +355,16 @@ def test_mesh_info_reads_obj_negative_indices(capsys, tmp_path):
     assert blocks[0]["vertices"] == 42 and blocks[0]["betti1"] == 0
 
 
+def test_report_escapes_control_characters_in_a_surface_label(capsys, tmp_path):
+    # A mesh file's path is the report's surface label: a tab, a carriage
+    # return and another control character in it still give valid JSON.
+    path, out = tmp_path / "ico\t\r\x01.off", tmp_path / "info.json"
+    write_off(icosphere_mesh(1), path)
+    code, _, _ = run(capsys, "mesh-info", "--mesh", str(path), "--quiet", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["surface"] == f"file:{path}"
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [(("f 1 ", "f 0 "), "index 0"), (("v ", "v x", 1), "could not convert string to float")],

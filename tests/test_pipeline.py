@@ -433,30 +433,46 @@ def test_sweep_holds_one_schatten_operator_at_a_time(monkeypatch):
     mesh = genus2_mesh()
     built, alive = [], []
     build, in_place = MatrixPotential.added_to, measure._eigh_in_place
-    lowest = measure._eigh_lowest_in_place
 
     def recording_build(*args):
         perturbed = build(*args)
         built.append(weakref.ref(perturbed))
         return perturbed
 
-    def recording_in_place(conj):
+    def recording_in_place(conj, count=None):
         if conj.shape == (mesh.edge_count, mesh.edge_count):
             alive.append(sum(ref() is not None for ref in built))
-        return in_place(conj)
-
-    def recording_lowest(conj, count):
-        if conj.shape == (mesh.edge_count, mesh.edge_count):
-            alive.append(sum(ref() is not None for ref in built))
-        return lowest(conj, count)
+        return in_place(conj, count)
 
     monkeypatch.setattr(MatrixPotential, "added_to", recording_build)
     monkeypatch.setattr(measure, "_eigh_in_place", recording_in_place)
-    monkeypatch.setattr(measure, "_eigh_lowest_in_place", recording_lowest)
     reports = parameter_sweep(prepare_surface(mesh), [0.5, 1.0], [0.5, 1.0])
     assert all(r.bound_schatten is not None for r in reports)
     assert len(built) == 2
     assert alive == [0, 0]
+
+
+def test_every_dense_eigensolve_goes_through_eigh_in_place(monkeypatch):
+    # The comparison operator, L1 + W, full or cut off below sigma, and the
+    # DEC's Ritz block all eigensolve through measure._eigh_in_place: it is
+    # the one caller of numpy's eigh and of LAPACK's xSYEVD and xSYEVR.
+    callers = []
+
+    def spying(name, solve):
+        def spy(*args, **kwargs):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return solve(*args, **kwargs)
+
+        return spy
+
+    for module, name in ((np.linalg, "eigh"), (lapack, "dsyevd"), (lapack, "dsyevr")):
+        monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
+    mesh = genus2_mesh()
+    for p in (2.0, 1.0):
+        reports = parameter_sweep(prepare_surface(mesh), [0.5, 1.0], [0.5, 1.0], p=p)
+        assert all(r.bound_schatten is not None for r in reports)
+    assert {name for name, _ in callers} == {"dsyevd", "dsyevr"}
+    assert {caller for _, caller in callers} == {"_eigh_in_place"}
 
 
 # -- Schatten rows cut off below sigma ----------------------------------------------
