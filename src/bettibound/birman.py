@@ -40,10 +40,11 @@ from .measure import (
     _dense,
     _first,
     _read_only,
-    _singular_values,
+    _time_column,
     _unstacked,
     heat_difference,
     heat_difference_hs_bounds,
+    singular_values,
 )
 
 __all__ = [
@@ -112,8 +113,7 @@ class OperatorPair:
         Computed once per pair, so the sharp bound costs one SVD for every
         exponent p.
         """
-        operator = birman_schwinger_operator(self, self.t0)
-        return _read_only(_singular_values(operator.conjugated()))
+        return _read_only(singular_values(birman_schwinger_operator(self, self.t0)))
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,11 @@ def birman_schwinger_operator(pair: OperatorPair, t) -> WeightedOperator:
     The inverse is applied through the spectral decomposition of H', never
     by a generic linear solve; it exists because the spectrum of exp(-tH')
     stays inside [0, e^(-rho0 t)].  A stack of pairs takes one time t or
-    (T,) times; at the pair's own t0, D_t0 is the pair's cached one.
+    (T,) times; at the pair's own t0, D_t0 is the pair's cached one.  A
+    negative time raises ValueError.
     """
     H, Hprime = pair.H, pair.Hprime
-    column = np.asarray(t, dtype=float)[..., None]
+    column = _time_column(t)
     if np.any(np.exp(-column * Hprime.eigenvalues) >= 1.0):
         raise ValueError("I - exp(-tH') is singular: H' has spectrum <= 0")
     if np.array_equal(t, pair.t0):
@@ -178,6 +179,7 @@ def kernel_identity_check(pair: OperatorPair, t) -> dict:
     ker_h = H.kernel_mask().reshape(-1, d)
     ker_bs = (s <= 1e-9 * (1.0 + s[..., :1])).reshape(-1, d)
     vt, basis, sqrt_w = vt.reshape(-1, d, d), H.basis.reshape(-1, d, d), H._sqrt_w.reshape(-1, d)
+    weights = H.space.weights.reshape(-1, H.space.point_count)
     dim_h, dim_bs = np.count_nonzero(ker_h, axis=-1), np.count_nonzero(ker_bs, axis=-1)
     max_angle = np.where(dim_h == dim_bs, 0.0, np.pi / 2)
     for k in np.unique(dim_h[(dim_h == dim_bs) & (dim_h > 0)]):
@@ -188,7 +190,7 @@ def kernel_identity_check(pair: OperatorPair, t) -> dict:
         basis_h = np.take_along_axis(basis[at], cols[:, None, :], axis=-1)
         null = np.take_along_axis(vt[at], rows[:, :, None], axis=-2).swapaxes(-1, -2)
         basis_bs = null / sqrt_w[at, :, None]
-        angles = _principal_angles(basis_h, basis_bs, sqrt_w[at])
+        angles = principal_angles(basis_h, basis_bs, WeightedFiniteSpace(weights[at]), H.fiber)
         max_angle[at] = np.max(angles, axis=-1)
     result = {
         "dim_ker_H": dim_h,
@@ -208,14 +210,10 @@ def principal_angles(
     """Principal angles between two subspaces of the weighted space.
 
     Inputs are column bases (need not be orthonormal); both are
-    re-orthonormalized in the weighted inner product first.
+    re-orthonormalized in the weighted inner product first.  (T, d, k)
+    bases on a stack of T spaces give (T, k) angles.
     """
-    return _principal_angles(basis_a, basis_b, np.sqrt(space.stacked_weights(fiber)))
-
-
-def _principal_angles(basis_a, basis_b, sqrt_w) -> np.ndarray:
-    """``principal_angles`` from the square roots of the stacked weights;
-    (T, d, k) bases with (T, d) roots give (T, k) angles."""
+    sqrt_w = np.sqrt(space.stacked_weights(fiber))
     qa, _ = np.linalg.qr(sqrt_w[..., :, None] * basis_a)
     qb, _ = np.linalg.qr(sqrt_w[..., :, None] * basis_b)
     sigma = np.linalg.svd(qa.swapaxes(-1, -2) @ qb, compute_uv=False)
@@ -258,8 +256,9 @@ def crude_bounds(pair: OperatorPair, p: float) -> tuple[float, float]:
     gap = 1.0 - np.exp(-np.asarray(pair.rho0, dtype=float) * pair.t0)
     if p == 2.0:
         return heat_difference_hs_bounds(pair.H, pair.Hprime, pair.t0, gap)
-    scaled = pair._heat_difference / gap[..., None, None]
-    crude = _unstacked(np.sum(_singular_values(_conjugate(scaled, pair.H._sqrt_w)) ** p, axis=-1))
+    scaled = _read_only(pair._heat_difference / gap[..., None, None])
+    svals = singular_values(WeightedOperator(scaled, pair.H.space, pair.H.fiber))
+    crude = _unstacked(np.sum(svals**p, axis=-1))
     return crude, crude
 
 
@@ -274,9 +273,8 @@ def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:
     """
     if any(p < 1.0 for p in exponents):
         raise ValueError("Weyl's inequality needs p >= 1")
-    conj = _dense(operator.conjugated())
-    moduli = np.abs(np.linalg.eigvals(conj))
-    svals = _singular_values(conj)
+    moduli = np.abs(np.linalg.eigvals(_dense(operator.conjugated())))
+    svals = singular_values(operator)
     checks = []
     for p in exponents:
         eig, sing = np.sum(moduli**p, axis=-1), np.sum(svals**p, axis=-1)

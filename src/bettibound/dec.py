@@ -228,9 +228,11 @@ class DECOperators:
         it is the full operator.  The n0 and n2 pairs above the zero
         thresholds of L0 and L2 and the b1 harmonic forms must fill the E
         dimensions exactly when every pair is kept, and never exceed them
-        below a cut-off; otherwise a threshold misjudged a pair, or the
-        oracle miscounted, and ``MeshError`` ("Betti oracles disagree")
-        is raised.
+        below a cut-off, and a full L1's kernel dimension, counted from its
+        assembled eigenvalues, must equal b1, the oracle's count of
+        harmonic Ritz columns; otherwise a threshold misjudged a pair, or
+        the oracle miscounted, and ``MeshError`` ("Betti oracles
+        disagree") is raised.
         """
         c, b = self.hodge_factors()
         lam, w = _nonzero_eigenpairs(self.laplacian0(cutoff))
@@ -260,9 +262,15 @@ class DECOperators:
                 block -= span @ (span.T @ block)
             ritz, q[:, :h] = _rayleigh_ritz(c, b, block)
         evals = np.concatenate([ritz, known[order]])
-        return SelfAdjointOperator.from_spectrum(
+        lap1 = SelfAdjointOperator.from_spectrum(
             self.edge_space(), evals, q, matrix=self.laplacian1_matrix(), cutoff=cutoff
         )
+        if not lap1.partial and lap1.kernel_dim() != h:
+            raise MeshError(
+                f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
+                f"vs harmonic oracle {h}"
+            )
+        return lap1
 
 
 def _divide_rows(product, star: np.ndarray) -> csr_matrix:

@@ -699,8 +699,7 @@ class SelfAdjointOperator(WeightedOperator):
         """Unchecked constructor; sorts the eigenpairs stably ascending.
 
         Eigenvalues that are already ascending keep the very same
-        eigenvector array (``_ascending``), which
-        ``heat_difference_hs_bounds`` recognises as a shared eigenbasis.
+        eigenvector array (``_ascending``), not a copy.
         """
         evals, euclidean_vectors = _ascending(eigenvalues, euclidean_vectors)
         op = cls.__new__(cls)
@@ -842,13 +841,14 @@ def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
     difference.  With f = exp(-t eig(A)), g = exp(-t eig(B)) and the
     squared overlap C = (Q_A^T Q_B)**2, the squared norm is
     sum_ij C_ij ((f_i - g_j)/scale)^2: every term is nonnegative, so
-    nothing cancels.  When B shares the eigenvector array of A (B is A, or
-    A shifted), C is the identity and no matrix product runs.  Two
+    nothing cancels.  Every pair takes this route: an operator that shares
+    A's eigenvector array (A shifted, say) and one that holds an equal copy
+    of it give the same bits.  Two
     operators whose eigenvalues and eigenvectors are bitwise equal (say,
     two eigensolves of the same matrix) are the same operator and give
     exactly 0.0, not the rounding of C's off-diagonal entries; the
     eigenvalues are compared first, so operators with different spectra
-    pay only that O(N) comparison.
+    pay only that O(N) comparison.  A negative time raises ValueError.
 
     For a full A and B both ends are the squared norm itself.  A partial
     operator (its K pairs below the cut-off sigma, ``SelfAdjointOperator``)
@@ -882,6 +882,7 @@ def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
     of the instances' ends.
     """
     A._check_compatible(B)
+    column = _time_column(t)
     same = A.eigenvalues.shape == B.eigenvalues.shape and np.all(
         A.eigenvalues == B.eigenvalues, axis=-1
     )
@@ -890,16 +891,11 @@ def heat_difference_hs_bounds(A, B, t, scale=1.0) -> tuple:
         if np.all(same):
             zero = _unstacked(np.zeros(np.shape(same)))
             return zero, zero
-    column = np.asarray(t, dtype=float)[..., None]
     f = np.exp(-column * A.eigenvalues)
     g = np.exp(-column * B.eigenvalues)
     scale = np.asarray(scale, dtype=float)[..., None]
-    if A._euclidean_vectors is B._euclidean_vectors:
-        known = np.sum(((f - g) / scale) ** 2, axis=-1)
-    else:
-        overlap = B.squared_overlap(A)
-        known = _overlap_sum(f, g, scale[..., None], overlap)
-    upper = lower = known = np.where(same, 0.0, known)
+    overlap = B.squared_overlap(A)
+    upper = lower = known = np.where(same, 0.0, _overlap_sum(f, g, scale[..., None], overlap))
     tail_b = math.exp(-t * B.cutoff) if B.partial else 0.0
     if B.partial:
         up, low = _dropped_terms(f, overlap.sum(axis=-1), B.orthogonality_loss, tail_b, scale)
@@ -974,24 +970,20 @@ def heat_two_inf_norm(A: SelfAdjointOperator, t) -> float:
 def singular_values(operator: WeightedOperator) -> np.ndarray:
     """Singular values in the weighted metric, descending.
 
-    Uses |eigenvalues| when the conjugated matrix is symmetric (cheaper and
-    exact for self-adjoint operators), otherwise a full SVD.
+    Uses |eigenvalues| of the symmetric part (``_symmetric_part``) when the
+    conjugated matrix is symmetric to 1e-13 relative (cheaper and exact for
+    self-adjoint operators), otherwise a full SVD.  An operator on a stack
+    of T spaces gives (T, d) values, each matrix taking the path it would
+    take alone.
     """
-    return _singular_values(_dense(operator.conjugated()))
-
-
-def _singular_values(conj) -> np.ndarray:
-    """Weighted singular values, descending, of conjugated matrices: (n,)
-    for an (n, n) matrix, (T, n) for a (T, n, n) stack; each matrix takes
-    the path ``singular_values`` takes for it."""
+    conj = _dense(operator.conjugated())
     stack = conj.reshape(-1, *conj.shape[-2:])
     asym = np.max(np.abs(stack - stack.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
     scale = np.max(np.abs(stack), axis=(-2, -1), initial=0.0)
     symmetric = asym <= 1e-13 * np.maximum(scale, 1.0)
     values = np.empty(stack.shape[:-1])
     if np.any(symmetric):
-        sym = stack[symmetric]
-        moduli = np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(-1, -2))))
+        moduli = np.abs(np.linalg.eigvalsh(_symmetric_part(stack[symmetric])))
         values[symmetric] = np.sort(moduli, axis=-1)[..., ::-1]
     if not np.all(symmetric):
         values[~symmetric] = np.linalg.svd(stack[~symmetric], compute_uv=False)

@@ -80,6 +80,8 @@ class TriangleMesh:
             raise MeshError("vertices must be an array of 3D points")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must be vertex triples")
+        if not len(self.faces):
+            raise MeshError("mesh has no faces")
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates (NaN or inf)")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
@@ -585,11 +587,12 @@ def read_off(text: str) -> TriangleMesh:
                 raise MeshError("only triangle faces are supported")
             faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
             pos += 1 + arity
+        faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
     except (IndexError, ValueError) as exc:
         if isinstance(exc, MeshError):
             raise
         raise MeshError(f"malformed OFF file: {exc}") from exc
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64))
+    return TriangleMesh(verts, faces)
 
 
 def read_obj(text: str) -> TriangleMesh:

@@ -174,12 +174,17 @@ class MatrixPotential:
 
 
 def _check_potential(values: np.ndarray, nonneg: bool):
-    """Raise ValueError unless every V(x) is symmetric, and >= 0 when claimed.
+    """Raise ValueError unless every V(x) is finite and symmetric, and >= 0 when claimed.
 
     ``values`` is (N, n, n), or a (T, N, n, n) stack whose instances are
-    checked each at its own scale; the error names the first failing one.
-    At fiber 1 the eigenvalues are the values themselves.
+    checked each at its own scale; the error names the first failing one
+    (a non-finite value by its index, the stack's instance first).  At
+    fiber 1 the eigenvalues are the values themselves.
     """
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        at = bad[0].tolist()
+        raise ValueError(f"potential values must be finite ({values[tuple(at)]} at index {at})")
     axes = (-3, -2, -1)
     scale = np.maximum(1.0, np.max(np.abs(values), axis=axes, initial=0.0))
     asym = np.max(np.abs(values - values.swapaxes(-1, -2)), axis=axes, initial=0.0)

@@ -283,24 +283,13 @@ class SurfaceData:
         ``DECOperators.laplacian1(cutoff)``: below a finite cut-off an
         E x K array certified by the Hodge count, and a refused count
         (``CutOffRefused``) gives every pair instead (``_held_below``).
-        With every pair the eigenvectors fill an E x E array, and the
-        kernel dimension must equal ``b1``: the assembled eigenvalues and
-        the harmonic oracle's certified count are separate computations,
-        and a disagreement raises ``MeshError``, as does an assembly whose
-        pairs do not fit the E dimensions.  Any other ValueError of a
-        build is that build's failure and escapes.
+        With every pair the eigenvectors fill an E x E array.  The
+        assembly checks itself against the Betti oracle (its kernel
+        dimension must equal ``b1``, its pairs must fit the E dimensions)
+        and raises ``MeshError`` on a disagreement.  Any other ValueError
+        of a build is that build's failure and escapes.
         """
-
-        def build(sigma):
-            lap1 = self.dec.laplacian1(sigma)
-            if not lap1.partial and lap1.kernel_dim() != self.b1:
-                raise MeshError(
-                    f"Betti oracles disagree: assembled L1 kernel {lap1.kernel_dim()} "
-                    f"vs harmonic oracle {self.b1}"
-                )
-            return lap1
-
-        return self._held_below("laplacian1", cutoff, build)
+        return self._held_below("laplacian1", cutoff, self.dec.laplacian1)
 
     def _held_below(self, kind, cutoff, build) -> SelfAdjointOperator:
         """The ``kind`` operator held, when its cut-off is at least ``cutoff``;
@@ -389,23 +378,20 @@ def betti_bound(
 
 
 def synthetic_edge_potential(
-    dec: DECOperators,
-    curvature: CurvatureField,
-    rho0: float,
-    edge_scalar: np.ndarray | None = None,
+    dec: DECOperators, curvature: CurvatureField, rho0: float
 ) -> MatrixPotential:
     """Nonnegative edge potential (rho0 - kappa)_+ for the operator bound.
 
-    ``kappa`` defaults to the curvature interpolated to edge midpoints.
-    The shortfall is clipped at zero, and the potential is built with
-    ``nonneg=True``, so ``MatrixPotential`` checks W >= 0.  Whether L1 plus
-    this potential clears rho0 is decided spectrally (``birman.OperatorPair``);
-    no geometric identity is assumed for the discrete L1.
+    ``kappa`` is the curvature interpolated to edge midpoints: the mean of
+    its values at an edge's two end vertices.  The shortfall is clipped at
+    zero, and the potential is built with ``nonneg=True``, so
+    ``MatrixPotential`` checks W >= 0.  Whether L1 plus this potential
+    clears rho0 is decided spectrally (``birman.OperatorPair``); no
+    geometric identity is assumed for the discrete L1.
     """
-    if edge_scalar is None:
-        ends = dec.mesh.edges
-        edge_scalar = 0.5 * (curvature.values[ends[:, 0]] + curvature.values[ends[:, 1]])
-    shortfall = np.clip(rho0 - np.asarray(edge_scalar, dtype=float), 0.0, None)
+    ends = dec.mesh.edges
+    kappa = 0.5 * (curvature.values[ends[:, 0]] + curvature.values[ends[:, 1]])
+    shortfall = np.clip(rho0 - kappa, 0.0, None)
     return MatrixPotential.from_scalar_field(dec.edge_space(), shortfall, nonneg=True)
 
 

@@ -59,8 +59,12 @@ class CheckRecord:
     detail: str
     lhs: float
     rhs: float
-    margin: float
     passed: bool
+
+    @property
+    def margin(self) -> float:
+        """rhs - lhs, the room left before any slack; NaN if either is NaN."""
+        return self.rhs - self.lhs
 
     def as_dict(self) -> dict:
         return {
@@ -78,27 +82,13 @@ def inequality_record(
 ) -> CheckRecord:
     """lhs <= rhs + slack, with the margin before slack reported."""
     lhs, rhs = float(lhs), float(rhs)
-    return CheckRecord(
-        name=name,
-        detail=detail,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        passed=bool(lhs <= rhs + slack),
-    )
+    return CheckRecord(name=name, detail=detail, lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + slack))
 
 
 def equality_record(name: str, detail: str, lhs: float, rhs: float) -> CheckRecord:
     """Exact equality; used where floating point exactness is guaranteed."""
     lhs, rhs = float(lhs), float(rhs)
-    return CheckRecord(
-        name=name,
-        detail=detail,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        passed=bool(lhs == rhs),
-    )
+    return CheckRecord(name=name, detail=detail, lhs=lhs, rhs=rhs, passed=bool(lhs == rhs))
 
 
 @dataclass

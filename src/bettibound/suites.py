@@ -94,12 +94,7 @@ def _worst(name: str, detail: str, lhs, rhs, slack, scale=None) -> CheckRecord:
     at = _worst_instance(lhs, rhs, scale)
     failed = np.isnan(rhs - lhs) | (lhs > rhs + slack)
     return CheckRecord(
-        name=name,
-        detail=detail,
-        lhs=float(lhs[at]),
-        rhs=float(rhs[at]),
-        margin=float(rhs[at] - lhs[at]),
-        passed=not np.any(failed),
+        name=name, detail=detail, lhs=float(lhs[at]), rhs=float(rhs[at]), passed=not np.any(failed)
     )
 
 
@@ -214,7 +209,6 @@ def _scalar_saturation_record() -> CheckRecord:
         detail="one-point pair H=0, H'=rho0: crude bound equals dim ker exactly",
         lhs=cert.bound_crude,
         rhs=float(cert.kernel_dim),
-        margin=float(cert.kernel_dim) - cert.bound_crude,
         passed=cert.bound_crude == float(cert.kernel_dim) == 1.0,
     )
 

@@ -274,3 +274,9 @@ def test_weyl_rejects_small_p():
     op = WeightedOperator([[1.0]], WeightedFiniteSpace([1.0]), 1)
     with pytest.raises(ValueError):
         weyl_inequality_check(op, (0.5,))
+
+
+def test_birman_schwinger_operator_rejects_a_negative_time():
+    pair = make_pair(np.random.default_rng(139))
+    with pytest.raises(ValueError, match="semigroup time must be nonnegative"):
+        birman_schwinger_operator(pair, -0.5)

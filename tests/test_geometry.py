@@ -80,6 +80,11 @@ def test_non_finite_vertex_rejected(value):
         TriangleMesh(vertices, mesh.faces)
 
 
+def test_mesh_without_faces_rejected():
+    with pytest.raises(MeshError, match="mesh has no faces"):
+        TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
+
+
 def test_non_finite_intrinsic_length_rejected():
     mesh = flat_torus_mesh(1.0, 1.0, 4, 4)
     lengths = mesh.edge_lengths.copy()
@@ -575,6 +580,17 @@ def test_off_bad_header():
 def test_off_boundary_edge_message():
     text = "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
     with pytest.raises(MeshError, match="mesh not closed"):
+        read_off(text)
+
+
+def test_off_without_faces_rejected():
+    with pytest.raises(MeshError, match="mesh has no faces"):
+        read_off("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+
+
+def test_off_truncated_face_record_is_malformed():
+    text = "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n"
+    with pytest.raises(MeshError, match="malformed OFF file"):
         read_off(text)
 
 

@@ -487,6 +487,27 @@ def test_laplacian1_below_a_cut_off_starts_from_the_oracle_ritz_vectors(monkeypa
     assert np.allclose(cosines, 1.0, atol=1e-10)
 
 
+def _losing_a_harmonic_form(monkeypatch, edges):
+    """Make every kernel count on ``edges`` points one short."""
+    kernel_dim = measure.SelfAdjointOperator.kernel_dim
+
+    def losing(self):
+        return kernel_dim(self) - (self.dim == edges)
+
+    monkeypatch.setattr(measure.SelfAdjointOperator, "kernel_dim", losing)
+
+
+def test_assembled_kernel_disagreeing_with_the_oracle_raises(monkeypatch):
+    # The check that a full L1's kernel is b1 runs inside the assembly.
+    data = prepare_surface(genus2_mesh())
+    _losing_a_harmonic_form(monkeypatch, data.mesh.edge_count)
+    message = "Betti oracles disagree: assembled L1 kernel 3 vs harmonic oracle 4"
+    with pytest.raises(MeshError, match=message):
+        data.dec.laplacian1()
+    # Below a cut-off the operator is partial and holds no kernel count to check.
+    assert data.dec.laplacian1(pipeline._heat_cutoff([1.0])).partial
+
+
 @pytest.mark.parametrize("p", [2.0, 1.0])
 def test_disagreeing_ritz_blocks_raise(monkeypatch, p):
     # The full assembly's kernel is made to lose a harmonic form, so its
@@ -494,25 +515,20 @@ def test_disagreeing_ritz_blocks_raise(monkeypatch, p):
     # Schatten row, whether p = 2 reaches every pair through a refused
     # Hodge count of L1 below the cut-off or any other p reads every pair
     # from the start; it never becomes a row's note.
-    laplacian1 = DECOperators.laplacian1
     count_below = measure._count_below
-
-    def shifted(self, *args, **kwargs):
-        lap1 = laplacian1(self, *args, **kwargs)
-        return lap1.spectral_function(lambda w: np.where(w == w.min(), 1.0, w))
 
     def miscounting(conj, cutoff):
         # Every count on the edges is one too many: L1 below a cut-off is refused.
         return count_below(conj, cutoff) + (conj.shape[0] == data.mesh.edge_count)
 
-    monkeypatch.setattr(DECOperators, "laplacian1", shifted)
     data = prepare_surface(genus2_mesh())
     assert data.b1 == 4
+    _losing_a_harmonic_form(monkeypatch, data.mesh.edge_count)
     monkeypatch.setattr(measure, "_count_below", miscounting)
     if p == 2.0:
         with pytest.raises(measure.CutOffRefused):
-            laplacian1(data.dec, pipeline._heat_cutoff([1.0]))
-    with pytest.raises(MeshError, match="Betti oracles disagree"):
+            data.dec.laplacian1(pipeline._heat_cutoff([1.0]))
+    with pytest.raises(MeshError, match="Betti oracles disagree: assembled L1 kernel"):
         betti_bound(BettiBoundInputs(surface=data.mesh, rho0=0.5, t0=1.0, p=p), data=data)
 
 

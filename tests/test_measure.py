@@ -328,6 +328,38 @@ def test_shifted_operator_shares_the_eigenbasis():
     assert np.isclose(heat_difference_hs_bounds(A, shifted, 1.3)[0], expected, rtol=1e-13)
 
 
+def test_a_shared_eigenbasis_and_an_equal_copy_give_the_same_bits():
+    # One route serves every pair: an operator holding A's very eigenvector
+    # array and one holding an equal copy of it are the same operator to
+    # heat_difference_hs_bounds.
+    rng = np.random.default_rng(131)
+    space = random_space(rng, 6)
+    A = random_self_adjoint(rng, space, 1)
+    shared = A.shifted(0.25)
+    copied = SelfAdjointOperator.from_spectrum(
+        space, shared.eigenvalues, A._euclidean_vectors.copy()
+    )
+    assert shared._euclidean_vectors is A._euclidean_vectors
+    assert copied._euclidean_vectors is not A._euclidean_vectors
+    for t, scale in ((1.3, 1.0), (0.4, 0.3)):
+        assert heat_difference_hs_bounds(A, shared, t, scale) == heat_difference_hs_bounds(
+            A, copied, t, scale
+        )
+
+
+def test_heat_difference_hs_bounds_rejects_a_negative_time():
+    rng = np.random.default_rng(137)
+    space = random_space(rng, 4)
+    A, B = random_self_adjoint(rng, space, 1), random_self_adjoint(rng, space, 1)
+    with pytest.raises(ValueError, match="semigroup time must be nonnegative"):
+        heat_difference_hs_bounds(A, B, -0.5)
+    with pytest.raises(ValueError, match="semigroup time must be nonnegative"):
+        heat_difference_hs_bounds(A, B, np.array(-1.0))
+    # Also where the operators are the same and the result would be 0.0.
+    with pytest.raises(ValueError, match="semigroup time must be nonnegative"):
+        heat_difference_hs_bounds(A, A, -0.5)
+
+
 def test_heat_difference_hs_squared_is_zero_for_separate_eigensolves():
     rng = np.random.default_rng(121)
     for fiber in (1, 2, 3):

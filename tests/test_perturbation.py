@@ -83,6 +83,19 @@ def test_potential_symmetry_enforced():
         MatrixPotential(values, WeightedFiniteSpace(np.ones((3, 1))))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_potential_values_must_be_finite(value):
+    values = np.zeros((2, 2, 2))
+    values[1, 0, 1] = value
+    with pytest.raises(ValueError, match=r"must be finite \(.* at index \[1, 0, 1\]\)"):
+        MatrixPotential(values, WeightedFiniteSpace([1.0, 2.0]), nonneg=True)
+    # In a stack, the index names the first instance with a non-finite value.
+    stack = np.zeros((3, 2, 2, 2))
+    stack[1, 1, 0, 0] = stack[2, 0, 1, 1] = value
+    with pytest.raises(ValueError, match=r"must be finite \(.* at index \[1, 1, 0, 0\]\)"):
+        MatrixPotential(stack, WeightedFiniteSpace(np.ones((3, 2))))
+
+
 def test_potential_nonneg_claim_verified():
     space = WeightedFiniteSpace([1.0])
     with pytest.raises(ValueError):

@@ -144,9 +144,8 @@ def test_schatten_bound_commuting_shift(torus_data):
     # dominates the two-dimensional harmonic space.
     rho0, t0 = 0.5, 1.0
     lap1 = torus_data.laplacian1
-    potential = synthetic_edge_potential(
-        torus_data.dec, torus_data.curvature, rho0,
-        edge_scalar=np.zeros(torus_data.mesh.edge_count),
+    potential = MatrixPotential.from_scalar_field(
+        torus_data.dec.edge_space(), np.full(torus_data.mesh.edge_count, rho0), nonneg=True
     )
     assert np.allclose(potential.values.reshape(-1), rho0)
     perturbed = potential.added_to(lap1)
@@ -180,9 +179,8 @@ def test_schatten_bound_trivial_kernel_on_sphere(sphere_data):
 def test_schatten_bound_spectral_check_enforced(torus_data):
     # rho0 above what L1 + V can reach must be rejected, not silently used.
     rho0 = 50.0
-    potential = synthetic_edge_potential(
-        torus_data.dec, torus_data.curvature, 0.1,
-        edge_scalar=np.zeros(torus_data.mesh.edge_count),
+    potential = MatrixPotential.from_scalar_field(
+        torus_data.dec.edge_space(), np.full(torus_data.mesh.edge_count, 0.1), nonneg=True
     )
     lap1 = torus_data.laplacian1
     with pytest.raises(ValueError, match="spectral check failed"):
