@@ -25,7 +25,7 @@ inputs of the L0 and L2 eigensolves are dense.
 The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number.  Route (a) of the Betti oracle
 counts it on L1's own CSR matrix with no dense eigensolve
-(``_certified_kernel_dim``, which counts ker L0 as well).  One sparse
+(``_certified_kernel``, which counts ker L0 as well).  One sparse
 symmetric factorization of L1 shifted just above the zero threshold, in
 reverse Cuthill-McKee order, gives, by Sylvester's law of inertia, the
 number j of eigenvalues below the shift; j = 0 certifies an empty
@@ -469,12 +469,6 @@ def _ritz_pairs_below(
     return eigsh(s, k=j, sigma=sigma, which="SA", OPinv=inverse, v0=v0)
 
 
-def _certified_kernel_dim(s: csr_matrix) -> tuple[int, float, float]:
-    """(dim ker S, the residual bound, sigma) of ``_certified_kernel``."""
-    kernel, bound, sigma = _certified_kernel(s)
-    return kernel.shape[1], bound, sigma
-
-
 def _certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
     """A basis of ker S for a symmetric CSR matrix S, counted sparsely and certified.
 
@@ -551,10 +545,10 @@ def _certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
 
 def kernel_dim_0forms(dec: DECOperators) -> int:
     """dim ker L0 (one per connected component), counted by
-    ``_certified_kernel_dim`` on L0's conjugated CSR matrix: one
+    ``_certified_kernel`` on L0's conjugated CSR matrix: one
     factorization and a Lanczos run for the one pair below its shift."""
     s0 = WeightedOperator(dec.laplacian0_matrix(), dec.vertex_space()).conjugated()
-    return _certified_kernel_dim(s0)[0]
+    return _certified_kernel(s0)[0].shape[1]
 
 
 def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:

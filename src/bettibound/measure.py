@@ -101,7 +101,7 @@ class CutOffRefused(ValueError):
     """A cut-off its inertia count does not certify: the count and the
     eigendata disagree, or the shifted factorization cannot be read.  At
     an infinite cut-off no count is taken, so a refused build is made
-    once more there (``pipeline.SurfaceData``)."""
+    once more there (``pipeline._below``)."""
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

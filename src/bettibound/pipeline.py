@@ -40,46 +40,49 @@ pairs it drops add at most eta of ||e^(-t0 (L0+K))||^2_{2->inf} at
 every t0 of the sweep, and the norm is the upper bound from the kept
 pairs and that tail, one gemv per distinct t0 against the squared
 V x K basis (``measure.heat_two_inf_norm``).  A refused cut-off is
-built once more at sigma = inf, where the operator holds every pair.
+built once more at sigma = inf, where the operator holds every pair
+(``_below``).
 
 The Schatten certificate is one row computation per rho0 (W depends on
 rho0 only, and so does the (2,HS) norm of the potential).  The row
 reads L1 below a cut-off sigma_A, assembled from the eigenpairs of its
 Hodge pieces L0 and the face Laplacian L2 below sigma_A and from the
 Betti oracle's Ritz vectors, and certified by the Hodge count: the
-inertia of L1 - sigma_A must count exactly those pairs, and a refused
-count gives every pair of L1 instead.  It eigensolves
+inertia of L1 - sigma_A must count exactly those pairs.  It eigensolves
 L1 + W below sigma = max(sigma_A, 2 rho0): the inertia of
 L1 + W - sigma counts the K pairs below it, and xSYEVR computes only
 those.  At p = 2 the Hilbert-Schmidt norm of the semigroup difference
 comes from the two spectra in O(N^2) per point, with no dense heat
 matrix, and an eigenpair of either operator enters it only through its
-heat weight e^(-2 t0 mu).  So the row first runs at
+heat weight e^(-2 t0 mu).  So the row runs once, at
 sigma_A = ln(1/eta) / (2 min t0): every dropped pair weighs at most
 eta, no E x E eigenvector array is built, and each bound is the upper
 end of an enclosure over the dropped pairs
-(``measure.heat_difference_hs_bounds``).  If the cut-off of L1 + W is
-refused, or some t0's enclosure is wider than eta relative to its upper
-end, the row runs again at sigma_A = inf, where L1 and L1 + W hold
-every pair and the enclosure is the value itself.  Every other p runs
-the row once at sigma_A = inf and takes the singular values of the
-dense difference.  W >= 0 holds by construction (clipped, and checked
-by ``MatrixPotential``).  That L1 + W clears rho0 is checked where every
-pair is checked, in the ``birman.OperatorPair`` each point of the row
-builds, on the lowest pair of L1 + W (or its cut-off, when none lies
-below it); a failed check is the row's note.
+(``measure.heat_difference_hs_bounds``), which bounds the certificate
+from above however wide the enclosure is.  Every other p runs the row at
+sigma_A = inf and takes the singular values of the dense difference.
+A refused count of L1 or of L1 + W rebuilds that operator alone at
+sigma = inf, and a partial L1 against a full L1 + W is enclosed the
+same way.  W >= 0 holds by
+construction (clipped, and checked by ``MatrixPotential``).  That
+L1 + W clears rho0 is checked where every pair is checked, in the
+``birman.OperatorPair`` each point of the row builds, on the lowest pair
+of L1 + W (or its cut-off, when none lies below it); a failed check is
+the row's note.
 
-The prepared surface (``SurfaceData``) holds one comparison operator
-and one L1, each below its cut-off or with every pair, for any later
-call whose cut-offs are no larger, so the loop holds one L1 and one
-L1 + W at a time, and ``betti_bound``, the same loop on a 1 x 1 grid,
-shares them from one call to the next.
+The sweep owns every operator it builds: it drops the comparison
+operator once the 2->inf norms are taken, the first row that needs L1
+builds it for every later row, and each L1 + W lives inside its own
+row, so a sweep holds one L1 and one L1 + W at a time.  The prepared
+surface (``SurfaceData``) holds no operator, so ``betti_bound``, the
+same loop on a 1 x 1 grid, builds its own at each call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -117,9 +120,9 @@ __all__ = [
 SURFACE_FIBER_DIM = 2
 # Default relative slack of a soundness record (``betti_bound``).
 SOUNDNESS_SLACK = 1e-9
-# The Schatten p = 2 row's cut-offs drop only eigenpairs of L1 and L1 + W
-# with heat weight at most eta, and each bound's enclosure must end within
-# eta of each other, relative to the upper end (``_row_bounds``).
+# The Schatten p = 2 row drops only eigenpairs of L1 and L1 + W with heat
+# weight at most eta (``_heat_cutoff``), and the main bound only pairs of
+# L0 + K that add at most eta of its squared norm (``_comparison_cutoff``).
 _ETA = 1e-12
 
 
@@ -214,16 +217,9 @@ class SurfaceData:
 
     ``b1`` is the harmonic oracle's count, checked against the chain
     complex, and ``kernel_dim_0forms`` the same certified count for L0;
-    neither eigensolves anything.  Each operator is eigensolved when
-    first read.  The main bound reads the comparison operator L0 + K
-    only below a cut-off (``comparison_below``), and the Schatten
-    certificate reads L1 below one (``laplacian1_below``), which at an
-    infinite cut-off is every pair (``laplacian1``).  Each such operator
-    is held here, one per kind, and serves every later call whose
-    cut-off is no larger than the one held, so point-by-point
-    ``betti_bound`` calls share it; a call that needs a larger cut-off
-    replaces it.  Nothing that depends on rho0 is kept here, and t0
-    enters only through the cut-offs.
+    neither eigensolves anything.  No operator is held here: each sweep
+    builds, below its own cut-offs, the operators its bounds read
+    (``parameter_sweep``).  Nothing here depends on rho0 or t0.
     """
 
     mesh: TriangleMesh
@@ -231,7 +227,6 @@ class SurfaceData:
     curvature: CurvatureField
     b1: int
     kernel_dim_0forms: int
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def describe(self) -> dict:
         """The surface block of a report: the mesh's ``describe`` plus both
@@ -249,63 +244,6 @@ class SurfaceData:
             "curvature_min": self.curvature.min(),
         }
 
-    def comparison_below(self, cutoff: float) -> SelfAdjointOperator:
-        """L0 + K with (at least) its eigenpairs below ``cutoff``, held.
-
-        ``SelfAdjointOperator(..., cutoff=sigma)``: a V x K array, or every
-        pair when the cut-off is refused (``_held_below``).
-        """
-        return self._held_below(
-            "comparison",
-            cutoff,
-            lambda sigma: schrodinger_comparison(self.dec, self.curvature.values, sigma),
-        )
-
-    @property
-    def _mean_curvature(self) -> float:
-        """rho_bar = sum_x m_x K_x / sum_x m_x, for m the vertex weights.
-
-        L0 annihilates the constants, so rho_bar is their Rayleigh
-        quotient for L0 + K: the lowest eigenvalue of L0 + K is at most
-        rho_bar.
-        """
-        weights = self.dec.star0
-        return float(np.sum(weights * self.curvature.values) / np.sum(weights))
-
-    @property
-    def laplacian1(self) -> SelfAdjointOperator:
-        """L1 with every eigenpair: ``laplacian1_below(inf)``, held in place of any partial L1."""
-        return self.laplacian1_below(math.inf)
-
-    def laplacian1_below(self, cutoff: float) -> SelfAdjointOperator:
-        """L1 with (at least) its eigenpairs below ``cutoff``, held.
-
-        ``DECOperators.laplacian1(cutoff)``: below a finite cut-off an
-        E x K array certified by the Hodge count, and a refused count
-        (``CutOffRefused``) gives every pair instead (``_held_below``).
-        With every pair the eigenvectors fill an E x E array.  The
-        assembly checks itself against the Betti oracle (its kernel
-        dimension must equal ``b1``, its pairs must fit the E dimensions)
-        and raises ``MeshError`` on a disagreement.  Any other ValueError
-        of a build is that build's failure and escapes.
-        """
-        return self._held_below("laplacian1", cutoff, self.dec.laplacian1)
-
-    def _held_below(self, kind, cutoff, build) -> SelfAdjointOperator:
-        """The ``kind`` operator held, when its cut-off is at least ``cutoff``;
-        else ``build(cutoff)``, held in its place.  A cut-off the inertia
-        count refuses (``CutOffRefused``) is built once more at
-        sigma = inf, where no count is taken and every pair is held."""
-        held = self._held.pop(kind, None)
-        if held is None or held.cutoff < cutoff:
-            del held  # freed before its successor is built
-            try:
-                held = build(cutoff)
-            except CutOffRefused:
-                held = build(math.inf)
-        self._held[kind] = held
-        return held
-
 
 def prepare_surface(
     surface: AnalyticSurface | TriangleMesh,
@@ -317,11 +255,10 @@ def prepare_surface(
     A mesh that is disconnected or pinched at a vertex is rejected with a
     ``MeshError``.  No eigensolve runs: ``betti1_oracle`` counts b1, and
     ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
-    counts.  The comparison operator L0 + K is eigensolved below a
-    cut-off when a bound first reads it, and again only for a larger
-    cut-off.  The Schatten certificate assembles L1 below a cut-off, or
-    with every pair, held the same way.  The L0 and L2 eigendata an
-    assembly reads are freed once it returns.
+    counts.  Each sweep eigensolves the comparison operator L0 + K, and
+    the Schatten certificate assembles L1, below the sweep's cut-offs
+    (``parameter_sweep``).  The L0 and L2 eigendata an assembly reads
+    are freed once it returns.
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
@@ -363,11 +300,9 @@ def betti_bound(
 ) -> BettiBoundReport:
     """The grid loop (``parameter_sweep``) on the 1 x 1 grid of ``inputs``.
 
-    ``data``, when given, is the prepared surface.  The comparison
-    operator and L1, below their cut-offs or with every pair, are held on
-    it, so a later call reuses them unless its t0 is smaller than every
-    earlier one's (``SurfaceData``); each call eigensolves its own
-    L1 + W.
+    ``data``, when given, is the prepared surface, which holds no
+    operator: each call eigensolves its own comparison operator, L1 and
+    L1 + W, below the cut-offs of its t0.
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
@@ -407,10 +342,11 @@ def parameter_sweep(
 
     The grid is checked first (``_check_grid``).  Each factor is computed
     once at the level it depends on: the comparison operator below the
-    grid's cut-off (``_comparison_cutoff``) and the 2->inf norm of its
-    semigroup per distinct t0, the potential norm and the Schatten row per
-    rho0 (``_schatten_row``), the prefactor and the Schatten power sum per
-    point.  A point's records, in order: soundness_main,
+    grid's cut-off (``_comparison_cutoff``), dropped once the 2->inf norm
+    of its semigroup is taken per distinct t0; L1 below the Schatten
+    cut-off, built by the first row; the potential norm and the Schatten
+    row per rho0 (``_schatten_row``); the prefactor and the Schatten power
+    sum per point.  A point's records, in order: soundness_main,
     soundness_schatten (when computed) and vanishing_criterion (when the
     curvature is everywhere above rho0).  A soundness record passes when
     b1 <= bound + soundness_slack * (1 + |bound|).
@@ -420,15 +356,22 @@ def parameter_sweep(
     if not rho0_values or not t0_values:
         raise ValueError("the parameter grid must be nonempty")
     _check_grid(rho0_values, t0_values, p)
-    comparison = data.comparison_below(_comparison_cutoff(data, t0_values))
+    comparison = _below(
+        partial(schrodinger_comparison, data.dec, data.curvature.values),
+        _comparison_cutoff(data, t0_values),
+    )
     two_inf = {t0: heat_two_inf_norm(comparison, t0) for t0 in dict.fromkeys(t0_values)}
+    del comparison  # freed before the Schatten rows build L1
+    sigma_a = _heat_cutoff(t0_values) if p == 2.0 else math.inf
+    # Built by the first row that reads it; a failed build is not kept.
+    laplacian1 = cache(partial(_below, data.dec.laplacian1, sigma_a))
     curvature_min = data.curvature.min()
     reports = []
     for rho0 in rho0_values:
         potential_norm = ricci_potential(data.curvature, rho0)
         schatten, notes = [None] * len(t0_values), ()
         if compute_schatten:
-            schatten, notes = _schatten_row(data, rho0, t0_values, p)
+            schatten, notes = _schatten_row(data, laplacian1, sigma_a, rho0, t0_values, p)
         for t0, bound_schatten in zip(t0_values, schatten):
             ultra = two_inf[t0]
             prefactor, _ = prefactors(rho0, t0)
@@ -488,72 +431,60 @@ def _comparison_cutoff(data: SurfaceData, t0_values: list[float]) -> float:
 
         sigma_C = rho_bar + [ln(1/eta) + ln(vol max_x 1/m_x)] / (2 min t0),
 
-    for rho_bar the mean curvature (``SurfaceData._mean_curvature``) and
-    vol = sum_x m_x.  The pairs dropped below sigma_C add at most
-    e^(-2 t sigma_C) max_x 1/m_x to the squared 2->inf norm of e^(-tA)
-    (``heat_two_inf_norm``), which is at least e^(-2 t lam_0) / vol
-    with lam_0 <= rho_bar, so at most eta of it at every t >= min t0.
+    for rho_bar = sum_x m_x K_x / vol the mean curvature, m the vertex
+    weights and vol = sum_x m_x.  L0 annihilates the constants, so rho_bar
+    is their Rayleigh quotient for L0 + K, and the lowest eigenvalue lam_0
+    of L0 + K is at most rho_bar.  The pairs dropped below sigma_C add at
+    most e^(-2 t sigma_C) max_x 1/m_x to the squared 2->inf norm of
+    e^(-tA) (``heat_two_inf_norm``), which is at least e^(-2 t lam_0) / vol,
+    so at most eta of it at every t >= min t0.
     """
     weights = data.dec.star0
-    spread = math.log(float(np.sum(weights)) / float(np.min(weights)))
-    return data._mean_curvature + (math.log(1.0 / _ETA) + spread) / (2.0 * min(t0_values))
+    vol = float(np.sum(weights))
+    mean_curvature = float(np.sum(weights * data.curvature.values)) / vol
+    spread = math.log(vol / float(np.min(weights)))
+    return mean_curvature + (math.log(1.0 / _ETA) + spread) / (2.0 * min(t0_values))
+
+
+def _below(build, cutoff: float) -> SelfAdjointOperator:
+    """``build(cutoff)``, or ``build(inf)`` when its inertia count refuses the
+    cut-off (``CutOffRefused``): at sigma = inf no count is taken and
+    every pair is held."""
+    try:
+        return build(cutoff)
+    except CutOffRefused:
+        return build(math.inf)
 
 
 def _schatten_row(
-    data: SurfaceData, rho0: float, t0_values: list[float], p: float
+    data: SurfaceData, laplacian1, sigma_a: float, rho0: float, t0_values: list[float], p: float
 ) -> tuple[list, tuple]:
     """The Schatten bound at (rho0, t0) for each t0, and the row's notes.
 
-    At p = 2 the row runs below sigma_A = ln(1/eta) / (2 min t0)
-    (``_row_bounds``), and again at sigma_A = inf, with every pair, only
-    when that cut-off is refused or an enclosure is too wide; every other
-    p runs at sigma_A = inf.  The partial L1 is freed before the full one
-    is built, and each L1 + W lives only inside ``_row_bounds``, so a
-    sweep holds one L1 and one L1 + W (with the squared overlap it keeps)
-    at a time.  When the check that L1 + W clears rho0 fails (in the
-    first ``birman.OperatorPair`` of the row), every bound of the row is
-    None and the one note is that check's message.  A ``MeshError`` (the
-    full L1's kernel against ``b1``, or L1's pairs against its E
-    dimensions) is not the row's failure and is raised.
+    ``laplacian1()`` gives L1 below ``sigma_a`` (``_below``), and the row
+    eigensolves L1 + W = ``potential.added_to(L1, sigma)`` below
+    sigma = max(sigma_a, 2 rho0), or with every pair when that count is
+    refused; it lives only inside the row.  Every pair dropped below
+    sigma_a has heat weight e^(-2 t0 sigma_a) at most eta, and sigma lies
+    above rho0, so an L1 + W with no pair below sigma clears rho0.  Each
+    bound is the upper end of its ``crude_bounds`` at exponent p, which
+    is at least the certificate's value however wide the enclosure; at
+    sigma_a = inf (every p but 2) both operators hold every pair and the
+    enclosure is the value itself.  A ValueError from building L1 or
+    L1 + W, or from the check that L1 + W clears rho0 (in the first
+    ``birman.OperatorPair`` of the row), makes every bound of the row
+    None, and its message is the one note.  A ``MeshError`` (a full L1's
+    kernel against ``b1``, or L1's pairs against its E dimensions) is not
+    the row's failure and is raised.
     """
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
     try:
-        sigma_a = _heat_cutoff(t0_values) if p == 2.0 else math.inf
-        bounds = _row_bounds(data, potential, rho0, t0_values, p, sigma_a)
-        if bounds is None:
-            bounds = _row_bounds(data, potential, rho0, t0_values, p, math.inf)
+        lap1 = laplacian1()
+        perturbed = _below(partial(potential.added_to, lap1), max(sigma_a, 2.0 * rho0))
+        pairs = (OperatorPair(lap1, perturbed, rho0, 2.0 * t0) for t0 in t0_values)
+        bounds = [crude_bounds(pair, p)[0] for pair in pairs]
     except MeshError:
         raise
     except ValueError as exc:
         return [None] * len(t0_values), (f"schatten bound omitted: {exc}",)
     return bounds, ()
-
-
-def _row_bounds(data, potential, rho0, t0_values, p, sigma_a) -> list | None:
-    """The Schatten bound for each t0 from L1 below ``sigma_a`` and L1 + W
-    below sigma = max(sigma_a, 2 rho0), or None when a finite cut-off does
-    not certify them to eta.
-
-    L1 + W is ``potential.added_to(L1, sigma)``, and the
-    ``birman.OperatorPair`` of each t0 checks that it clears rho0.  Every
-    pair dropped below sigma_a has heat weight e^(-2 t0 sigma_a) at most
-    eta, and sigma lies above rho0, so an L1 + W with no pair below sigma
-    clears rho0.  Each bound is the upper end of its ``crude_bounds`` at
-    exponent p; at a finite sigma_a (only p = 2 runs one) an enclosure
-    wider than eta relative to that end, or a cut-off the inertia count
-    and the solver do not agree on (``CutOffRefused``), gives None.  At
-    sigma_a = inf both operators hold every pair, no count is taken and
-    each enclosure is the value itself.  Any other ValueError, the pair's
-    check that L1 + W clears rho0 among them, is the row's own failure
-    and is raised.
-    """
-    lap1 = data.laplacian1_below(sigma_a)
-    try:
-        perturbed = potential.added_to(lap1, max(sigma_a, 2.0 * rho0))
-    except CutOffRefused:
-        return None
-    pairs = (OperatorPair(lap1, perturbed, rho0, 2.0 * t0) for t0 in t0_values)
-    enclosures = [crude_bounds(pair, p) for pair in pairs]
-    if sigma_a < math.inf and not all(up - low <= _ETA * up for up, low in enclosures):
-        return None
-    return [upper for upper, _ in enclosures]

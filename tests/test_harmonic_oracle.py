@@ -1,6 +1,6 @@
 """The harmonic Betti oracle: certified sparse kernel counts of L1 and L0.
 
-``dec._certified_kernel_dim`` counts a kernel from an inertia count and,
+``dec._certified_kernel`` counts a kernel from an inertia count and,
 when that count is not zero, as many Lanczos Ritz pairs as it finds
 below the shift, certified by their residuals.  Its residual bound must
 dominate the kernel eigenvalues of the dense spectra (L0's eigensolve,
@@ -32,7 +32,7 @@ from scipy.sparse.linalg import splu
 from bettibound import cli, dec as dec_module, measure, pipeline
 from bettibound.dec import (
     DECOperators,
-    _certified_kernel_dim,
+    _certified_kernel,
     betti1_oracle,
     betti1_rank_count,
     build_dec,
@@ -60,7 +60,8 @@ def assert_counts_dominate_dense_spectra(dec):
         # The operator keeps the DEC's CSR matrix, so this is the matrix
         # the oracle counts on.
         s = op.conjugated()
-        k, bound, sigma = _certified_kernel_dim(s)
+        kernel, bound, sigma = _certified_kernel(s)
+        k = kernel.shape[1]
         assert k == op.kernel_dim()
         # Each dense kernel eigenvalue lies within its own residual of an
         # eigenvalue of S, which the certificate puts within ``bound``.
@@ -127,7 +128,7 @@ def _genus2_edge_matrix():
 
 def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
     s = _genus2_edge_matrix()
-    assert _certified_kernel_dim(s)[0] == 4
+    assert _certified_kernel(s)[0].shape[1] == 4
     eigsh = dec_module.eigsh
     direction = np.random.default_rng(5).standard_normal(s.shape[0])
 
@@ -138,7 +139,7 @@ def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
 
     monkeypatch.setattr(dec_module, "eigsh", perturbed)
     with pytest.raises(ValueError, match="Ritz residual bound .* exceeds the zero threshold"):
-        _certified_kernel_dim(s)
+        _certified_kernel(s)
 
 
 def _planted(eigenvalues, seed=1):
@@ -177,7 +178,8 @@ def test_count_rejects_an_eigenvalue_between_threshold_and_shift(monkeypatch):
     s = _planted(spectrum)
     assert zero_threshold(s) < 1e-5 < _shift(s)
     calls = _recording_splu(monkeypatch)
-    k, _, sigma = _certified_kernel_dim(s)
+    kernel, _, sigma = _certified_kernel(s)
+    k = kernel.shape[1]
     assert k == 2 and zero_threshold(s) < sigma < 1e-5
     assert len(calls) == 2
     eigsh = dec_module.eigsh
@@ -190,7 +192,7 @@ def test_count_rejects_an_eigenvalue_between_threshold_and_shift(monkeypatch):
     monkeypatch.setattr(dec_module, "eigsh", missing_pair)
     calls.clear()
     with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
-        _certified_kernel_dim(s)
+        _certified_kernel(s)
     assert len(calls) == 1
 
 
@@ -211,7 +213,7 @@ def test_count_refactors_at_most_once(monkeypatch):
     monkeypatch.setattr(dec_module, "eigsh", phantom_pair)
     calls = _recording_splu(monkeypatch)
     with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
-        _certified_kernel_dim(s)
+        _certified_kernel(s)
     assert len(calls) == 2
 
 
@@ -222,7 +224,7 @@ def test_count_rejects_a_negative_eigenvalue(monkeypatch):
     spectrum = np.concatenate([[-1e-3, 0.0, 0.0], np.arange(1.0, 38.0)])
     calls = _recording_splu(monkeypatch)
     with pytest.raises(ValueError, match="kernel count 2 not certified: 3 eigenvalues"):
-        _certified_kernel_dim(_planted(spectrum))
+        _certified_kernel(_planted(spectrum))
     assert len(calls) == 1
 
 
@@ -295,7 +297,7 @@ def test_rcm_ordered_factor_is_sparser_than_colamd(monkeypatch):
     dec = build_dec(builtin_mesh("bumpy-sphere", 4))
     s = _conjugated_laplacians(dec)[1]
     calls = _recording_splu(monkeypatch)
-    assert _certified_kernel_dim(s)[0] == 0
+    assert _certified_kernel(s)[0].shape[1] == 0
     (_, _, lu), = calls
     colamd = _colamd_factor(s - _shift(s) * identity(s.shape[0], format="csr"))
     assert lu.L.nnz + lu.U.nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
@@ -311,15 +313,15 @@ def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):
 
     monkeypatch.setattr(measure, "splu", pivoted)
     with pytest.raises(ValueError, match="pivoted off the diagonal"):
-        _certified_kernel_dim(s)
+        _certified_kernel(s)
 
 
 def test_count_asks_for_every_pair_below_the_shift_and_falls_back_to_one_dense_solve():
     # The inertia puts six eigenvalues below the shift, so one Lanczos run
     # asks for six pairs.  An order-3 matrix is eigensolved densely.
     spectrum = np.concatenate([np.zeros(6), np.arange(1.0, 35.0)])
-    assert _certified_kernel_dim(_planted(spectrum))[0] == 6
-    assert _certified_kernel_dim(_planted([0.0, 2.0, 3.0]))[0] == 1
+    assert _certified_kernel(_planted(spectrum))[0].shape[1] == 6
+    assert _certified_kernel(_planted([0.0, 2.0, 3.0]))[0].shape[1] == 1
 
 
 # -- kept check numbers ----------------------------------------------------------
@@ -331,7 +333,7 @@ def test_operators_keep_their_check_numbers(name):
     data = prepare_surface(builtin_mesh(name, resolution))
     lap0 = data.dec.laplacian0()
     comparison = dec_module.schrodinger_comparison(data.dec, data.curvature.values)
-    operators = (lap0, data.dec.laplacian2(), comparison, data.laplacian1)
+    operators = (lap0, data.dec.laplacian2(), comparison, data.dec.laplacian1())
     for op in operators:
         q, evals, conj = op._euclidean_vectors, op.eigenvalues, op.conjugated()
         loss = measure._orthogonality_loss(q)
@@ -388,8 +390,9 @@ def test_each_laplacian_matrix_is_built_once_and_shared(monkeypatch):
     assert len(built) == 3
     dec = data.dec
     assert pieces["laplacian0"].matrix is dec.laplacian0_matrix()
-    assert data.laplacian1.matrix is dec.laplacian1_matrix()
     assert pieces["laplacian2"].matrix is dec.laplacian2_matrix()
+    assert dec.laplacian1().matrix is dec.laplacian1_matrix()
+    assert len(built) == 3
     for matrix in dec._matrices.values():
         assert not any(p.flags.writeable for p in (matrix.data, matrix.indices, matrix.indptr))
 
@@ -417,7 +420,8 @@ def test_laplacian1_keeps_no_hodge_piece(monkeypatch):
     # of L1 only; neither the surface nor L1 keeps them.
     pieces = _record_hodge_pieces(monkeypatch, weakref.ref)
     data = prepare_surface(genus2_mesh())
-    assert data.laplacian1.kernel_dim() == data.b1 == 4
+    lap1 = data.dec.laplacian1()
+    assert lap1.kernel_dim() == data.b1 == 4
     gc.collect()
     assert sorted(pieces) == ["laplacian0", "laplacian2"]
     assert all(ref() is None for ref in pieces.values())
@@ -444,7 +448,8 @@ def test_laplacian1_below_a_cut_off_holds_the_lowest_pairs(name):
     # to 1e-12 relative past the b1 harmonic ones.
     resolution = {"sphere": 2, "bumpy-sphere": 2, "flat-torus": 8}.get(name)
     data = prepare_surface(builtin_mesh(name, resolution))
-    dec, full, b1 = data.dec, data.laplacian1, data.b1
+    dec, b1 = data.dec, data.b1
+    full = dec.laplacian1()
     lap0, lap2 = dec.laplacian0(), dec.laplacian2()
     for sigma in (math.log(1e12) / 0.5, math.log(1e12) / 4.0, 2.0):
         part = dec.laplacian1(sigma)

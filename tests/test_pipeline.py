@@ -143,7 +143,7 @@ def test_schatten_bound_commuting_shift(torus_data):
     # collapses to the Schatten power sum of its heat operator, which
     # dominates the two-dimensional harmonic space.
     rho0, t0 = 0.5, 1.0
-    lap1 = torus_data.laplacian1
+    lap1 = torus_data.dec.laplacian1()
     potential = MatrixPotential.from_scalar_field(
         torus_data.dec.edge_space(), np.full(torus_data.mesh.edge_count, rho0), nonneg=True
     )
@@ -160,8 +160,8 @@ def test_schatten_bound_commuting_shift(torus_data):
 def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
     rho0, t0 = 0.4, 0.7
     potential = synthetic_edge_potential(torus_data.dec, torus_data.curvature, rho0)
-    perturbed = potential.added_to(torus_data.laplacian1)
-    pair = OperatorPair(H=torus_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
+    lap1 = torus_data.dec.laplacian1()
+    pair = OperatorPair(H=lap1, Hprime=potential.added_to(lap1), rho0=rho0, t0=2.0 * t0)
     value = crude_bounds(pair, p)[0]
     assert value >= torus_data.b1 - 1e-9 * (1.0 + value)
 
@@ -169,8 +169,8 @@ def test_schatten_bound_dominates_kernel_both_exponents(torus_data, p):
 def test_schatten_bound_trivial_kernel_on_sphere(sphere_data):
     rho0, t0 = 0.5, 1.0
     potential = synthetic_edge_potential(sphere_data.dec, sphere_data.curvature, rho0)
-    perturbed = potential.added_to(sphere_data.laplacian1)
-    pair = OperatorPair(H=sphere_data.laplacian1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0)
+    lap1 = sphere_data.dec.laplacian1()
+    pair = OperatorPair(H=lap1, Hprime=potential.added_to(lap1), rho0=rho0, t0=2.0 * t0)
     value = crude_bounds(pair, 2.0)[0]
     assert value >= 0.0
     assert sphere_data.b1 == 0
@@ -182,7 +182,7 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
     potential = MatrixPotential.from_scalar_field(
         torus_data.dec.edge_space(), np.full(torus_data.mesh.edge_count, 0.1), nonneg=True
     )
-    lap1 = torus_data.laplacian1
+    lap1 = torus_data.dec.laplacian1()
     with pytest.raises(ValueError, match="spectral check failed"):
         OperatorPair(lap1, potential.added_to(lap1), rho0, 2.0)
 
@@ -233,9 +233,8 @@ def test_sweep_eigensolves_each_operator_once(count_eigensolves, schatten, p):
     # (V x V) and the face Laplacian L2 (F x F), each solved for its pairs
     # below sigma_A and the first one above it, with a b1 x b1
     # Rayleigh-Ritz block; L1 + W (E x E) is eigensolved once per rho0,
-    # for its pairs below the cut-off and the first one above it (here
-    # every enclosure is narrow enough at the first cut-off).  So no solve
-    # takes every pair of an E x E matrix.  Any other p takes every pair of
+    # for its pairs below the cut-off and the first one above it.  So no
+    # solve takes every pair of an E x E matrix.  Any other p takes every pair of
     # L0, L2 and each L1 + W.
     calls = count_eigensolves()
     mesh = genus2_mesh()
@@ -290,7 +289,8 @@ def test_sweep_computes_each_two_inf_norm_once_per_t0(monkeypatch):
     reports = parameter_sweep(prepare_surface(mesh), rho0s, t0s, compute_schatten=False)
     assert calls == t0s
     data = prepare_surface(mesh)
-    comparison = data.comparison_below(pipeline._comparison_cutoff(data, t0s))
+    cutoff = pipeline._comparison_cutoff(data, t0s)
+    comparison = schrodinger_comparison(data.dec, data.curvature.values, cutoff)
     assert comparison.partial
     for report in reports:
         expected = heat_two_inf_norm(comparison, report.t0)
@@ -348,21 +348,18 @@ def test_no_schatten_sweep_densifies_only_eigensolve_inputs(monkeypatch, name):
     nv = mesh.vertex_count
     assert densified[0].shape == (nv, nv)
     data = prepare_surface(mesh)
-    part = data.comparison_below(pipeline._comparison_cutoff(data, [0.5, 1.0]))
+    cutoff = pipeline._comparison_cutoff(data, [0.5, 1.0])
+    part = schrodinger_comparison(data.dec, data.curvature.values, cutoff)
     assert vectors[0].shape == (nv, part.eigenvalues.size + 1) and part.partial
 
 
 def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolves):
     # Curvature 1 everywhere above rho0 = 0.5 leaves W = 0, so L1 + W is
-    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  The
-    # eigensolves are, at the first p = 2 point, the pairs of the
-    # comparison operator L0 + K below that point's sigma_C, and of L0 and
-    # L2 below its sigma_A for its L1 below the cut-off (b1 = 0 leaves no
-    # Rayleigh-Ritz block).  The prepared surface holds both, and the
-    # second point, whose larger t0 needs lower cut-offs, eigensolves
-    # nothing: one Hodge assembly below the cut-off for both calls.  Read
-    # afterwards, the full L1 eigensolves its Hodge pieces L0 (V x V) and
-    # L2 (F x F), and takes the partial L1's place on the surface.
+    # L1 itself: no eigensolve, and a bitwise-zero Schatten bound.  Each
+    # call is its own sweep and eigensolves, below the cut-offs of its t0,
+    # the pairs of the comparison operator L0 + K below sigma_C, and of L0
+    # and L2 below sigma_A for its L1 below the cut-off (b1 = 0 leaves no
+    # Rayleigh-Ritz block), and nothing more.  The full L1 is L1 + W too.
     data = prepare_surface(RoundSphere(), resolution=2)
     calls = count_eigensolves()
     potential = synthetic_edge_potential(data.dec, data.curvature, 0.5)
@@ -370,27 +367,23 @@ def test_zero_edge_potential_gives_exact_zero_without_eigensolve(count_eigensolv
     nv, nf = data.mesh.vertex_count, data.mesh.face_count
     dec = data.dec
     comparison = dec.laplacian0_matrix() + diags(data.curvature.values)
-    sigma_c, sigma_a = pipeline._comparison_cutoff(data, [1.0]), pipeline._heat_cutoff([1.0])
-    expected = [
-        (nv, _pairs_below(comparison, dec.vertex_space(), sigma_c) + 1),
-        (nv, _pairs_below(dec.laplacian0_matrix(), dec.vertex_space(), sigma_a) + 1),
-        (nf, _pairs_below(dec.laplacian2_matrix(), dec.face_space(), sigma_a) + 1),
-        (nv, nv),
-        (nf, nf),
-    ]
-    held = []
+    expected = []
     for t0 in (1.0, 3.0):
         report = betti_bound(
             BettiBoundInputs(surface=RoundSphere(), rho0=0.5, t0=t0), data=data
         )
         assert report.bound_schatten == 0.0
-        held.append(data.laplacian1_below(pipeline._heat_cutoff([t0])))
-    assert potential.added_to(data.laplacian1) is data.laplacian1
+        sigma_c, sigma_a = pipeline._comparison_cutoff(data, [t0]), pipeline._heat_cutoff([t0])
+        expected += [
+            (nv, _pairs_below(comparison, dec.vertex_space(), sigma_c) + 1),
+            (nv, _pairs_below(dec.laplacian0_matrix(), dec.vertex_space(), sigma_a) + 1),
+            (nf, _pairs_below(dec.laplacian2_matrix(), dec.face_space(), sigma_a) + 1),
+        ]
     assert calls == expected
-    part = held[0]
-    assert held[1] is part and part.partial and part.cutoff == sigma_a
-    assert potential.added_to(part) is part
-    assert data._held["laplacian1"] is data.laplacian1 and not data.laplacian1.partial
+    part = dec.laplacian1(pipeline._heat_cutoff([1.0]))
+    assert part.partial and potential.added_to(part) is part
+    lap1 = dec.laplacian1()
+    assert not lap1.partial and potential.added_to(lap1) is lap1
 
 
 def test_p2_grid_point_builds_no_dense_heat_matrix(monkeypatch):
@@ -483,7 +476,7 @@ def _cutoff(t0_values, rho0) -> float:
 
 
 def _same_spectrum(op, full) -> bool:
-    """``op`` holds every pair, bit for bit those of ``full`` (another surface's L1)."""
+    """``op`` holds every pair, bit for bit those of ``full`` (another build of L1)."""
     return (
         not op.partial
         and np.array_equal(op.eigenvalues, full.eigenvalues)
@@ -491,57 +484,56 @@ def _same_spectrum(op, full) -> bool:
     )
 
 
-def _full_row(data, rho0, t0_values, p=2.0):
-    """The row's bounds from every pair of L1 + W."""
-    lap1 = data.laplacian1
+def _enclosures(data, lap1, rho0, t0_values, cutoff=math.inf, p=2.0):
+    """The (upper, lower) ends of the row at rho0 from ``lap1`` and L1 + W below ``cutoff``."""
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-    full_op = potential.added_to(lap1)
+    perturbed = potential.added_to(lap1, cutoff)
     return [
-        crude_bounds(OperatorPair(H=lap1, Hprime=full_op, rho0=rho0, t0=2.0 * t0), p)[0]
+        crude_bounds(OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=2.0 * t0), p)
         for t0 in t0_values
     ]
 
 
+def _full_row(data, lap1, rho0, t0_values, p=2.0):
+    """The row's bounds from every pair of L1 (``lap1``) and of L1 + W."""
+    return [upper for upper, _ in _enclosures(data, lap1, rho0, t0_values, p=p)]
+
+
+def _assert_upper_end_bounds(upper, lower, full):
+    """The reported upper end lies above the full-spectrum value, up to 1e-12
+    of rounding, and no further above it than the enclosure is wide."""
+    assert full <= upper * (1.0 + 1e-12)
+    assert upper - full <= (upper - lower) + 1e-12 * upper
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_cut_off_schatten_row_matches_the_full_spectrum(name):
-    # Where every enclosure from the pairs of L1 and L1 + W below their
-    # cut-offs is narrower than eta, each p = 2 bound is its upper end,
-    # which lies above the value from all of the pairs and exceeds it by at
-    # most 1e-12 of it; elsewhere the row is the full-spectrum one, bit for
-    # bit, and leaves the full L1 on the surface for the next row, as the
-    # sweep does.  The full-spectrum rows come from a second prepared
-    # surface, whose full L1 would take the place of the partial one.
-    # Flat-torus is the exception below: W = rho0 is constant there.
+    # Each p = 2 bound is the upper end of the enclosure from the pairs of
+    # L1 and L1 + W below their cut-offs, however wide the enclosure: it
+    # lies above the value from all of the pairs, up to rounding, and
+    # exceeds it by at most the enclosure's width.  Flat-torus is the
+    # exception below: W = rho0 is constant there.
     t0_values = [0.25, 1.0]
-    mesh = builtin_mesh(name, _ROW_RESOLUTION.get(name))
-    data, reference = prepare_surface(mesh), prepare_surface(mesh)
-    lap1 = reference.laplacian1
-    assert data.laplacian1_below(pipeline._heat_cutoff(t0_values)).partial
+    data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
+    sigma_a = pipeline._heat_cutoff(t0_values)
+    start, lap1 = data.dec.laplacian1(sigma_a), data.dec.laplacian1()
+    assert start.partial
     for rho0 in (0.25, 1.0, 2.0):
-        start = data.laplacian1_below(pipeline._heat_cutoff(t0_values))
-        row, notes = pipeline._schatten_row(data, rho0, t0_values, 2.0)
-        held = data._held["laplacian1"]
+        row, notes = pipeline._schatten_row(data, lambda: start, sigma_a, rho0, t0_values, 2.0)
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
         try:
-            full_row = _full_row(reference, rho0, t0_values)
+            full_row = _full_row(data, lap1, rho0, t0_values)
         except ValueError as exc:
-            # torus-rev's L1 + W does not clear rho0 = 1 or 2: the note is the full path's.
+            # torus-rev's L1 + W does not clear rho0 = 1 or 2: the cut-off
+            # L1 + W's lowest pair is the full one's, and so is the note.
             assert row == [None, None] and notes == (f"schatten bound omitted: {exc}",)
-            assert _same_spectrum(held, lap1)
             continue
         assert notes == ()
-        part = potential.added_to(start, _cutoff(t0_values, rho0))
-        enclosures = [
-            crude_bounds(OperatorPair(H=start, Hprime=part, rho0=rho0, t0=2.0 * t0), 2.0)
-            for t0 in t0_values
-        ]
-        if not all(upper - lower <= pipeline._ETA * upper for upper, lower in enclosures):
-            assert part.partial and row == full_row and _same_spectrum(held, lap1)
-            continue
-        assert row == [upper for upper, _ in enclosures] and held is start
-        for t0, bound, full in zip(t0_values, row, full_row):
+        enclosures = _enclosures(data, start, rho0, t0_values, _cutoff(t0_values, rho0))
+        assert row == [upper for upper, _ in enclosures]
+        for t0, (upper, lower), full in zip(t0_values, enclosures, full_row):
             if not np.any(potential.values):
-                assert part is start and bound == full == 0.0
+                assert upper == lower == full == 0.0
                 continue
             if name == "flat-torus":
                 # L1 + W = L1 + rho0, so the bound is exactly
@@ -549,10 +541,10 @@ def test_cut_off_schatten_row_matches_the_full_spectrum(name):
                 # Both spectra round the repeated eigenvalue rho0 by about
                 # 1e-13, which the gap 1 - e^(-2 rho0 t0) amplifies.
                 exact = 2.0 + np.sum(np.exp(-4.0 * t0 * lap1.eigenvalues[2:]))
-                assert abs(bound - exact) <= 5e-12 * exact
+                assert abs(upper - exact) <= 5e-12 * exact
                 assert abs(full - exact) <= 5e-12 * exact
                 continue
-            assert full * (1.0 - 1e-14) <= bound <= full * (1.0 + 1e-12)
+            _assert_upper_end_bounds(upper, lower, full)
 
 
 @pytest.mark.parametrize(
@@ -561,18 +553,19 @@ def test_cut_off_schatten_row_matches_the_full_spectrum(name):
 def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0, t0):
     # With rho0 t0 above ln(1/eta) / 2, ln(1/eta) / (2 t0) lies below rho0,
     # where L1 + W >= rho0 has no eigenvalue: the cut-off must still clear
-    # rho0, so the row keeps its bound and takes the cut-off path.
+    # rho0, so the row keeps its bound and eigensolves L1 + W below it.
     data = prepare_surface(builtin_mesh(name, _ROW_RESOLUTION.get(name)))
     assert math.log(1.0 / pipeline._ETA) / (2.0 * t0) < rho0
     ne = data.mesh.edge_count
-    held = data.laplacian1_below(pipeline._heat_cutoff([t0]))
-    assert held.partial
+    sigma_a = pipeline._heat_cutoff([t0])
+    start = data.dec.laplacian1(sigma_a)
+    assert start.partial
     calls = count_eigensolves()
-    row, notes = pipeline._schatten_row(data, rho0, [t0], 2.0)
-    assert notes == () and data._held["laplacian1"] is held
+    row, notes = pipeline._schatten_row(data, lambda: start, sigma_a, rho0, [t0], 2.0)
+    assert notes == ()
     [(n, pairs)] = calls
     assert n == ne and pairs < ne
-    [full] = _full_row(data, rho0, [t0])
+    [full] = _full_row(data, data.dec.laplacian1(), rho0, [t0])
     if name == "flat-torus":
         # The rounding of the repeated eigenvalue rho0, as above.
         assert abs(row[0] - full) <= 5e-12 * full
@@ -582,40 +575,51 @@ def test_cut_off_stays_above_rho0_at_large_rho0_t0(count_eigensolves, name, rho0
 
 def test_p2_schatten_row_runs_no_edge_square_full_eigensolve(count_eigensolves):
     # With W nonzero, a p = 2 row eigensolves L1 + W once, for its pairs
-    # below the cut-off and the first above it: no E x E xSYEVD runs, and
-    # the surface keeps the L1 below the cut-off the row started from.  Any
+    # below the cut-off and the first above it: no E x E xSYEVD runs.  Any
     # other p takes every pair of L1 + W, against the full L1.
     data = prepare_surface(genus2_mesh())
     ne = data.mesh.edge_count
     assert np.any(synthetic_edge_potential(data.dec, data.curvature, 1.0).values)
-    held = data.laplacian1_below(pipeline._heat_cutoff([0.5, 1.0]))
-    assert held.partial and held.eigenvalues.size < ne // 2
+    sigma_a = pipeline._heat_cutoff([0.5, 1.0])
+    start = data.dec.laplacian1(sigma_a)
+    assert start.partial and start.eigenvalues.size < ne // 2
     calls = count_eigensolves()
-    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 2.0)
+    row, notes = pipeline._schatten_row(data, lambda: start, sigma_a, 1.0, [0.5, 1.0], 2.0)
     assert notes == () and all(bound > data.b1 for bound in row)
-    assert data._held["laplacian1"] is held
     [(n, pairs)] = calls
     assert n == ne and pairs < ne // 2
-    lap1 = data.laplacian1
+    lap1 = data.dec.laplacian1()
     calls.clear()
-    row, notes = pipeline._schatten_row(data, 1.0, [0.5, 1.0], 1.0)
-    assert notes == () and calls == [(ne, ne)] and data._held["laplacian1"] is lap1
+    row, notes = pipeline._schatten_row(data, lambda: lap1, math.inf, 1.0, [0.5, 1.0], 1.0)
+    assert notes == () and calls == [(ne, ne)]
 
 
 @pytest.mark.parametrize("miscount", [-1, 1, None], ids=["inertia-low", "inertia-high", "singular"])
 def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monkeypatch, miscount):
-    # An inertia count the solver does not confirm, or a shift the sparse
-    # factorization finds singular, refuses the cut-off (``CutOffRefused``);
-    # the row then eigensolves all of L1 + W and reports the full-spectrum
-    # bounds, bit for bit, with no note.  Only the edge counts are made
-    # wrong: the comparison operator keeps its pairs below sigma_C.
+    # An inertia count of L1 + W - sigma that the solver does not confirm,
+    # or a shift the sparse factorization finds singular, refuses that
+    # cut-off (``CutOffRefused``): the row then eigensolves all of L1 + W,
+    # and only L1 + W, against the L1 below the cut-off it started from.
+    # Each bound is that mixed enclosure's upper end, bit for bit, with no
+    # note, and within 1e-12 of the bound the unrefused cut-off gives.
+    # Only the counts of L1 + W are made wrong: L1's Hodge count and the
+    # comparison operator keep their cut-offs.
     data = prepare_surface(genus2_mesh())
-    ne, nv = data.laplacian1.dim, data.mesh.vertex_count
-    expected = [_full_row(data, rho0, [1.0])[0] for rho0 in (0.5, 1.0)]
+    rho0_values, t0_values = [0.5, 1.0], [1.0]
+    ne, nv, nf = data.mesh.edge_count, data.mesh.vertex_count, data.mesh.face_count
+    sigma_a = pipeline._heat_cutoff(t0_values)
+    start = data.dec.laplacian1(sigma_a)
+    assert start.partial
+    expected = [_full_row(data, start, rho0, t0_values)[0] for rho0 in rho0_values]
+    unrefused = [
+        _enclosures(data, start, rho0, t0_values, _cutoff(t0_values, rho0))[0][0]
+        for rho0 in rho0_values
+    ]
+    l1_diagonal = np.sort(start.conjugated().diagonal())
     inertia = measure._inertia
 
     def miscounting(permuted, sigma):
-        if permuted.shape[0] != ne:
+        if permuted.shape[0] != ne or np.array_equal(np.sort(permuted.diagonal()), l1_diagonal):
             return inertia(permuted, sigma)
         if miscount is None:
             raise measure.CutOffRefused(f"inertia count failed at the shift {sigma:.6g}: singular")
@@ -624,13 +628,15 @@ def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monk
 
     monkeypatch.setattr(measure, "_inertia", miscounting)
     calls = count_eigensolves()
-    reports = parameter_sweep(data, [0.5, 1.0], [1.0])
+    reports = parameter_sweep(data, rho0_values, t0_values)
     assert [r.bound_schatten for r in reports] == expected
     assert all(r.notes == () and r.passed for r in reports)
+    for bound, cut_off in zip(expected, unrefused):
+        assert abs(bound - cut_off) <= 1e-12 * cut_off
     comparison = data.dec.laplacian0_matrix() + diags(data.curvature.values)
-    sigma_c = pipeline._comparison_cutoff(data, [1.0])
+    sigma_c = pipeline._comparison_cutoff(data, t0_values)
     assert calls[0] == (nv, _pairs_below(comparison, data.dec.vertex_space(), sigma_c) + 1)
-    assert (nv, nv) not in calls
+    assert not {(nv, nv), (nf, nf)} & set(calls)
     edge_solves = [call for call in calls if call[0] == ne]
     if miscount is None:
         assert edge_solves == [(ne, ne)] * 2
@@ -643,21 +649,23 @@ def test_refused_cut_off_falls_back_to_the_full_spectrum(count_eigensolves, monk
 @pytest.mark.parametrize("miscount", [-1, 1], ids=["inertia-low", "inertia-high"])
 def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, miscount):
     # An inertia of L1 - sigma_A I that disagrees with b1 + k0 + k2 refuses
-    # L1 below the cut-off (a ValueError); the sweep then holds the full L1,
-    # and every row gives, bit for bit and with no note, the bounds its
-    # rows give from the full L1 (held on a second prepared surface).
-    mesh = genus2_mesh()
-    data, reference = prepare_surface(mesh), prepare_surface(mesh)
+    # L1 below the cut-off; the sweep then assembles the full L1 once, for
+    # every row, and only L1: each L1 + W is still eigensolved below its
+    # cut-off.  Every row gives, bit for bit and with no note, the bounds
+    # its row gives from the full L1 (a second build).
+    data = prepare_surface(genus2_mesh())
     rho0_values, t0_values = [0.5, 1.0], [0.5, 1.0]
-    lap1 = reference.laplacian1
+    lap1 = data.dec.laplacian1()
+    sigma_a = pipeline._heat_cutoff(t0_values)
     expected = [
         bound
         for rho0 in rho0_values
-        for bound in pipeline._schatten_row(reference, rho0, t0_values, 2.0)[0]
+        for bound in pipeline._schatten_row(data, lambda: lap1, sigma_a, rho0, t0_values, 2.0)[0]
     ]
-    sigma_a = pipeline._heat_cutoff(t0_values)
     s1 = lap1.conjugated()
     count_below = measure._count_below
+    assembled, perturbed = [], []
+    assemble, build = DECOperators.laplacian1, MatrixPotential.added_to
 
     def miscounting(conj, cutoff):
         # Only L1's own count: L1 + W has the same pattern, other values.
@@ -666,22 +674,25 @@ def test_refused_hodge_count_falls_back_to_the_full_laplacian1(monkeypatch, misc
             count += miscount
         return count
 
+    def recording_assemble(self, cutoff=math.inf):
+        assembled.append(cutoff)
+        return assemble(self, cutoff)
+
+    def recording_build(potential, H, cutoff=math.inf):
+        result = build(potential, H, cutoff)
+        perturbed.append((_same_spectrum(H, lap1), result.partial))
+        return result
+
     monkeypatch.setattr(measure, "_count_below", miscounting)
     with pytest.raises(ValueError, match="not certified: the inertia counts"):
         data.dec.laplacian1(sigma_a)
-    held = []
-    schatten_row = pipeline._schatten_row
-
-    def recording_row(data, *args):
-        row = schatten_row(data, *args)
-        held.append(data._held["laplacian1"])
-        return row
-
-    monkeypatch.setattr(pipeline, "_schatten_row", recording_row)
+    monkeypatch.setattr(DECOperators, "laplacian1", recording_assemble)
+    monkeypatch.setattr(MatrixPotential, "added_to", recording_build)
     reports = parameter_sweep(data, rho0_values, t0_values)
     assert [r.bound_schatten for r in reports] == expected
     assert all(r.notes == () and r.passed for r in reports)
-    assert held[0] is held[1] and _same_spectrum(held[0], lap1)
+    assert assembled == [sigma_a, math.inf]
+    assert perturbed == [(True, True)] * 2
 
 
 def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
@@ -712,20 +723,19 @@ def test_failed_cut_off_row_check_eigensolves_nothing_more(count_eigensolves):
         (ne, _pairs_below(perturbed, dec.edge_space(), _cutoff([1.0], 0.5)) + 1),
     ]
     assert not {(nv, nv), (nf, nf), (ne, ne)} & set(calls)
-    assert data._held["laplacian1"].partial
 
 
 @pytest.mark.parametrize("refusals", [1, None], ids=["once", "always"])
 def test_refused_comparison_cut_off_is_rebuilt_once_with_every_pair(monkeypatch, refusals):
-    # A refused count of L0 + K - sigma_C is answered once: the comparison
-    # operator is built again at sigma = inf, where no count is taken, and
-    # is the full operator bit for bit, whether the count would be refused
-    # once or every time.
+    # A refused count of L0 + K - sigma_C is answered once: the sweep
+    # builds the comparison operator again at sigma = inf, where no count
+    # is taken, and it is the full operator bit for bit, whether the count
+    # would be refused once or every time.
     data = prepare_surface(genus2_mesh())
     nv = data.mesh.vertex_count
     full = schrodinger_comparison(data.dec, data.curvature.values)
     inertia, build = measure._inertia, pipeline.schrodinger_comparison
-    refused, asked = [], []
+    refused, asked, built = [], [], []
 
     def miscounting(permuted, sigma):
         lu, below = inertia(permuted, sigma)
@@ -736,31 +746,36 @@ def test_refused_comparison_cut_off_is_rebuilt_once_with_every_pair(monkeypatch,
 
     def recording(dec, rho, cutoff):
         asked.append(cutoff)
-        return build(dec, rho, cutoff)
+        built.append(build(dec, rho, cutoff))
+        return built[-1]
 
     monkeypatch.setattr(measure, "_inertia", miscounting)
     monkeypatch.setattr(pipeline, "schrodinger_comparison", recording)
     sigma_c = pipeline._comparison_cutoff(data, [1.0])
-    part = data.comparison_below(sigma_c)
+    (report,) = parameter_sweep(data, [0.5], [1.0], compute_schatten=False)
     assert 0.0 < sigma_c < measure._radius_bound(full.conjugated())
     assert asked == [sigma_c, math.inf] and refused == [sigma_c]
+    (part,) = built
     assert not part.partial
     assert np.array_equal(part.eigenvalues, full.eigenvalues)
     assert np.array_equal(part._euclidean_vectors, full._euclidean_vectors)
-    assert data.comparison_below(sigma_c) is part
+    assert report.intermediate["comparison_two_inf"] == heat_two_inf_norm(full, 1.0)
 
 
-def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
-    # With the lower end of every partial enclosure pushed to 0, no
-    # cut-off enclosure is narrow enough: the row frees the partial L1,
-    # takes the full L1 and builds L1 + W once more with every pair, one
-    # L1 + W alive at a time, and gives the full spectrum's bounds bit for
-    # bit.
-    data = prepare_surface(genus2_mesh())
-    t0_values = [0.5, 2.0]
-    alive, built, partial_alive = [], [], []
-    build, enclosure = MatrixPotential.added_to, pipeline.crude_bounds
-    assemble = DECOperators.laplacian1
+def test_wide_enclosure_row_keeps_its_cut_off(count_eigensolves, monkeypatch):
+    # bumpy-sphere(2) at t0 = 0.25: at rho0 = 1 the cut-off enclosure is
+    # wider than eta relative to its upper end (the orthogonality loss of
+    # both bases, set against the bound).  The row still reports that
+    # upper end, which bounds the certificate from above: no E x E
+    # eigensolve runs, the sweep assembles L1 once, below its cut-off, for
+    # both rows, and drops one row's L1 + W before it builds the next.
+    mesh = builtin_mesh("bumpy-sphere", 2)
+    rho0_values, t0 = [0.5, 1.0], 0.25
+    data = prepare_surface(mesh)
+    ne = mesh.edge_count
+    sigma_a = pipeline._heat_cutoff([t0])
+    alive, built, assembled = [], [], []
+    build, assemble = MatrixPotential.added_to, DECOperators.laplacian1
 
     def recording_build(*args):
         alive.append(sum(ref() is not None for ref in built))
@@ -768,61 +783,26 @@ def test_too_wide_enclosure_falls_back_to_the_full_spectrum(monkeypatch):
         built.append(weakref.ref(perturbed))
         return perturbed
 
-    def widened(pair, p):
-        upper, lower = enclosure(pair, p)
-        return upper, (0.0 if pair.Hprime.partial else lower)
-
     def recording_assemble(self, cutoff=math.inf):
-        partial_alive.append(held() is not None)
+        assembled.append(cutoff)
         return assemble(self, cutoff)
 
-    held = weakref.ref(data.laplacian1_below(pipeline._heat_cutoff(t0_values)))
-    assert held().partial
     monkeypatch.setattr(MatrixPotential, "added_to", recording_build)
-    monkeypatch.setattr(pipeline, "crude_bounds", widened)
     monkeypatch.setattr(DECOperators, "laplacian1", recording_assemble)
-    row, notes = pipeline._schatten_row(data, 0.5, t0_values, 2.0)
-    assert notes == ()
-    assert alive == [0, 0]
-    assert partial_alive == [False]
-    # The surface holds the full L1 for the rows after it.
-    full = data._held["laplacian1"]
-    assert not full.partial and data.laplacian1 is full
-    assert row == _full_row(data, 0.5, t0_values)
-
-
-def test_too_wide_enclosure_row_holds_one_full_laplacian1(monkeypatch):
-    # bumpy-sphere(2) at rho0 = 1, t0 = 0.25: the cut-off enclosure is wider
-    # than eta (the orthogonality loss of both bases, set against the
-    # bound), so the row runs again with every pair.  Its bound is the
-    # full-spectrum one, bit for bit; the surface then holds one L1, the
-    # full one, and a second call at the point assembles no L1.
-    mesh = builtin_mesh("bumpy-sphere", 2)
-    rho0, t0 = 1.0, 0.25
-    data, reference = prepare_surface(mesh), prepare_surface(mesh)
-    potential = synthetic_edge_potential(reference.dec, reference.curvature, rho0)
-    sigma_a = pipeline._heat_cutoff([t0])
-    start = reference.laplacian1_below(sigma_a)
-    part = potential.added_to(start, _cutoff([t0], rho0))
-    upper, lower = crude_bounds(OperatorPair(start, part, rho0, 2.0 * t0), 2.0)
-    assert part.partial and upper - lower > pipeline._ETA * upper
-    del start, part
-    lap1 = reference.laplacian1
-    pair = OperatorPair(lap1, potential.added_to(lap1), rho0, 2.0 * t0)
-    inputs = BettiBoundInputs(surface=mesh, rho0=rho0, t0=t0)
-    assert betti_bound(inputs, data=data).bound_schatten == crude_bounds(pair, 2.0)[0]
-    edge_operators = [
-        op
-        for op in [*vars(data).values(), *data._held.values()]
-        if isinstance(op, SelfAdjointOperator) and op.dim == mesh.edge_count
-    ]
-    assert len(edge_operators) == 1 and _same_spectrum(edge_operators[0], lap1)
-
-    def no_assembly(self, *args, **kwargs):
-        raise AssertionError("L1 assembled again")
-
-    monkeypatch.setattr(DECOperators, "laplacian1", no_assembly)
-    assert betti_bound(inputs, data=data).bound_schatten == crude_bounds(pair, 2.0)[0]
+    calls = count_eigensolves()
+    reports = parameter_sweep(data, rho0_values, [t0])
+    assert (ne, ne) not in calls
+    assert assembled == [sigma_a] and alive == [0, 0]
+    monkeypatch.undo()
+    start, lap1 = data.dec.laplacian1(sigma_a), data.dec.laplacian1()
+    wide = []
+    for rho0, report in zip(rho0_values, reports):
+        [(upper, lower)] = _enclosures(data, start, rho0, [t0], _cutoff([t0], rho0))
+        assert report.bound_schatten == upper and report.notes == ()
+        [full] = _full_row(data, lap1, rho0, [t0])
+        _assert_upper_end_bounds(upper, lower, full)
+        wide.append(upper - lower > pipeline._ETA * upper)
+    assert wide[1]
 
 
 def _peak_bytes(call) -> int:
@@ -909,8 +889,8 @@ def test_main_bound_point_builds_no_vertex_square_array():
     # sigma_C: besides the V x V buffer that xSYEVR reduces in place, it
     # keeps a V x (K + 1) eigenvector array, where every pair took about
     # three V x V arrays.  Its 2->inf norm reads the squared V x K basis,
-    # built there too; a later point with a larger t0 reuses the operator
-    # held on the surface and allocates O(V).
+    # built there too, and a norm at another t0 allocates O(V).  Each point
+    # is its own sweep and builds its own operator.
     data = prepare_surface(builtin_mesh("bumpy-sphere"))
     square = data.mesh.vertex_count**2 * 8
 
@@ -919,10 +899,12 @@ def test_main_bound_point_builds_no_vertex_square_array():
         return betti_bound(inputs, data=data)
 
     assert _peak_bytes(lambda: point(1.0)) < 2 * square
-    part = data.comparison_below(pipeline._comparison_cutoff(data, [1.0]))
+    assert _peak_bytes(lambda: point(4.0)) < 2 * square
+    cutoff = pipeline._comparison_cutoff(data, [1.0])
+    part = schrodinger_comparison(data.dec, data.curvature.values, cutoff)
     assert part.partial and 4 * part.eigenvalues.size < part.dim
-    assert _peak_bytes(lambda: point(4.0)) < square
-    assert data.comparison_below(pipeline._comparison_cutoff(data, [4.0])) is part
+    heat_two_inf_norm(part, 1.0)
+    assert _peak_bytes(lambda: heat_two_inf_norm(part, 4.0)) < square
     every_pair = _peak_bytes(lambda: schrodinger_comparison(data.dec, data.curvature.values))
     assert every_pair >= 3 * square
 
@@ -935,17 +917,18 @@ def test_spectral_schatten_bound_matches_dense_route(name):
     rho0_values = {"sphere": (1.5, 2.0), "bumpy-sphere": (0.5, 1.0), "torus-rev": (0.1, 0.3)}
     rho0_values = rho0_values.get(name, (0.3, 1.0))
     data = prepare_surface(builtin_mesh(name, resolution))
+    lap1 = data.dec.laplacian1()
     for rho0 in rho0_values:
         potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
-        perturbed = potential.added_to(data.laplacian1)
-        pair = OperatorPair(H=data.laplacian1, Hprime=perturbed, rho0=rho0, t0=1.4)
+        perturbed = potential.added_to(lap1)
+        pair = OperatorPair(H=lap1, Hprime=perturbed, rho0=rho0, t0=1.4)
         spectral = crude_bounds(pair, 2.0)[0]
         gap = 1.0 - np.exp(-rho0 * pair.t0)
         scaled = WeightedOperator(
-            heat_difference(pair.H, pair.Hprime, pair.t0).matrix / gap, data.laplacian1.space
+            heat_difference(pair.H, pair.Hprime, pair.t0).matrix / gap, lap1.space
         )
         dense = schatten_power_sum(scaled, 2.0)
-        assert perturbed is not data.laplacian1
+        assert perturbed is not lap1
         assert abs(spectral - dense) <= 1e-12 * dense
 
 
