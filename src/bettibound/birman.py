@@ -249,11 +249,20 @@ def crude_bounds(pair: OperatorPair, p: float) -> tuple[float, float]:
     either holds only its eigenpairs below a cut-off.  At any other p both
     ends are the p-th power sum of the singular values of the pair's
     cached dense D, and both operators must hold every pair.  One pair
-    gives Python numbers, a stack of pairs (T,) arrays.
+    gives Python numbers, a stack of pairs (T,) arrays.  A scale
+    1 - e^(-rho0 t0) that rounds to zero (rho0 t0 below about 1.1e-16)
+    raises ValueError, naming rho0 t0: the bound would divide by it.
     """
     if p <= 0.0:
         raise ValueError("Schatten exponent must be positive")
-    gap = 1.0 - np.exp(-np.asarray(pair.rho0, dtype=float) * pair.t0)
+    product = np.asarray(pair.rho0, dtype=float) * pair.t0
+    gap = 1.0 - np.exp(-product)
+    failed = ~(gap > 0.0)
+    if np.any(failed):
+        (low,) = _first(failed, product)
+        raise ValueError(
+            f"the Schatten scale 1 - e^(-rho0 t0) rounds to zero at rho0 t0 = {low:.3g}"
+        )
     if p == 2.0:
         return heat_difference_hs_bounds(pair.H, pair.Hprime, pair.t0, gap)
     scaled = _read_only(pair._heat_difference / gap[..., None, None])
@@ -288,9 +297,14 @@ def weyl_inequality_check(operator: WeightedOperator, exponents) -> list:
     return checks
 
 
-def random_weighted_space(rng: np.random.Generator, n_points: int) -> WeightedFiniteSpace:
+def _random_weights(rng: np.random.Generator, n_points: int) -> np.ndarray:
     """Weights log-uniform in [e^-1, e], keeping conditioning mild."""
-    return WeightedFiniteSpace(np.exp(rng.uniform(-1.0, 1.0, size=n_points)))
+    return np.exp(rng.uniform(-1.0, 1.0, size=n_points))
+
+
+def random_weighted_space(rng: np.random.Generator, n_points: int) -> WeightedFiniteSpace:
+    """The space of ``_random_weights``."""
+    return WeightedFiniteSpace(_random_weights(rng, n_points))
 
 
 def planted_kernel_operator(

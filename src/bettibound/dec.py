@@ -24,15 +24,12 @@ inputs of the L0 and L2 eigensolves are dense.
 
 The kernel of L1 consists of the harmonic edge functions, whose
 dimension equals the first Betti number.  Route (a) of the Betti oracle
-counts it on L1's own CSR matrix with no dense eigensolve
-(``_certified_kernel``, which counts ker L0 as well).  One sparse
-symmetric factorization of L1 shifted just above the zero threshold, in
-reverse Cuthill-McKee order, gives, by Sylvester's law of inertia, the
-number j of eigenvalues below the shift; j = 0 certifies an empty
-kernel outright.  Otherwise a shift-invert Lanczos run on that same
-factor gives the j Ritz pairs below the shift, certified by their
-residuals; only an eigenvalue between the threshold and the shift costs
-a second factorization.  The certified Ritz vectors are kept on the
+counts it on L1's own CSR matrix with no dense eigensolve, by
+``measure.certified_kernel``, which counts ker L0 as well: the inertia
+of one sparse factorization of L1 shifted just above the zero threshold,
+and, for a nonempty kernel, Ritz pairs from a shift-invert Lanczos run
+on that factor, certified by their residuals.  This module only asks
+for the two counts; the certified Ritz vectors of ker L1 are kept on the
 DEC.  L1's eigenpairs are assembled only for the Schatten certificate
 (``DECOperators.laplacian1``), checked against the same matrix by
 residual and orthogonality loss (``measure``), with a harmonic block
@@ -60,21 +57,15 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measure import (
-    ZERO_TOL,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
     _eigh_in_place,
     _freeze,
-    _frobenius,
-    _inertia,
-    _orthogonality_loss,
-    _radius_bound,
-    _rcm_ordered,
     _read_only,
+    certified_kernel,
 )
 from .mesh import AnalyticSurface, MeshError, TriangleMesh
 from .perturbation import MatrixPotential, hs_norm_potential
@@ -172,12 +163,12 @@ class DECOperators:
     def harmonic_ritz_vectors(self) -> np.ndarray:
         """The certified Ritz vectors of ker L1, E x b1 in conjugated coordinates.
 
-        The Lanczos run of ``_certified_kernel`` on L1's conjugated CSR
-        matrix, made once per DEC: ``betti1_oracle`` counts its columns,
-        and ``laplacian1`` starts its harmonic block from them.
+        The Lanczos run of ``measure.certified_kernel`` on L1's conjugated
+        CSR matrix, made once per DEC: ``betti1_oracle`` counts its
+        columns, and ``laplacian1`` starts its harmonic block from them.
         """
         s1 = WeightedOperator(self.laplacian1_matrix(), self.edge_space()).conjugated()
-        return _read_only(_certified_kernel(s1)[0])
+        return _read_only(certified_kernel(s1)[0])
 
     def hodge_factors(self) -> tuple[csr_matrix, csr_matrix]:
         """C = star1^(1/2) d0 star0^(-1/2) and B = star2^(1/2) d1 star1^(-1/2), CSR.
@@ -435,120 +426,12 @@ def betti1_rank_count(dec: DECOperators) -> int:
     return int(ne - (nv - c_v) - (nf - c_f))
 
 
-# Shift of the inertia count, relative to the spectral radius bound: a
-# thousand zero thresholds above zero, so every eigenvalue counted as zero
-# lies below it, and small enough that an eigenvalue between the threshold
-# and the shift, which costs a second factorization, is rare.
-_LANCZOS_SHIFT = 1e-6
-
-
-def _ritz_pairs_below(
-    s: csr_matrix, lu, order: np.ndarray, sigma: float, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The j Ritz pairs of S below sigma, given ``lu``, the factor of
-    P (S - sigma I) P^T for the symmetric order ``order`` (P x = x[order]).
-
-    Shift-invert Lanczos (``eigsh`` about sigma, from a fixed start vector,
-    so runs repeat) applies ``lu`` through P as its inverse, and keeps the
-    j most negative values of (S - sigma I)^(-1), which belong to the j
-    eigenvalues below sigma.  An order within four of j is eigensolved
-    densely instead, keeping the j lowest pairs.
-    """
-    n = s.shape[0]
-    if j + 4 >= n:
-        theta, x = _eigh_in_place(s)
-        return theta[:j], x[:, :j]
-
-    def solve(b):
-        x = np.empty(b.shape)
-        x[order] = lu.solve(b[order])
-        return x
-
-    inverse = LinearOperator(s.shape, matvec=solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    return eigsh(s, k=j, sigma=sigma, which="SA", OPinv=inverse, v0=v0)
-
-
-def _certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
-    """A basis of ker S for a symmetric CSR matrix S, counted sparsely and certified.
-
-    An eigenvalue counts as zero iff |lam| <= tau = ZERO_TOL (1 + r), where
-    r, the largest absolute row sum of (S + S^T) / 2 (``measure._radius_bound``),
-    is an O(nnz) upper bound on the spectral radius: tau is the threshold
-    of ``SelfAdjointOperator.kernel_dim`` for the operator with conjugated
-    matrix S.  The count starts from inertia:
-    S is put once in reverse Cuthill-McKee order P, and P (S - sigma I)
-    P^T, with sigma = 1e-6 (1 + r) above tau, is factored once
-    (``measure._inertia``, shared with the cut-off of a partial
-    ``SelfAdjointOperator``); its j negative pivots are the eigenvalues below
-    sigma.  If j = 0 the count is 0 and no Lanczos run is needed.
-    Otherwise the j Ritz pairs below sigma come from one Lanczos run on
-    that same factor (``_ritz_pairs_below``).  The count k is the number
-    of Ritz values theta with |theta| <= tau, and it stands when
-
-    (i) with X the k counted Ritz vectors, R = S X - X diag(theta) and
-        e = ||X^T X - I||_F < 1,
-            (sqrt(1 + e) max |theta| + ||R||_F) / sqrt(1 - e) <= tau.
-        Then ||S v|| <= tau ||v|| on the span of X, so by Courant-Fischer
-        for S^2 at least k eigenvalues of S lie in [-tau, tau].  The left
-        side is never below Kahan's residual bound
-        |theta_j| + ||R||_F sqrt(1 + e) (Parlett, *The Symmetric
-        Eigenvalue Problem*, ch. 11);
-    (ii) exactly k eigenvalues of S lie below sigma: S - sigma I has
-        exactly k negative pivots (Sylvester's law of inertia).  When a
-        Ritz value lies in (tau, sigma), so j > k, S is factored once more,
-        in the same order P, at sigma halfway between tau and the lowest
-        such Ritz value, and that factor's negative pivots are compared
-        with k; there is no third factorization.
-
-    Together: exactly k eigenvalues lie in [-tau, tau], and none below
-    -tau or between tau and sigma.  A count that fails either check, or a
-    factorization that left the diagonal, raises ValueError.  Like every
-    check, both are evaluated in floating point.  Returns (X, n x k, the
-    left side of (i), sigma); the bound is 0 when k = 0.
-    """
-    radius = _radius_bound(s)
-    tau = ZERO_TOL * (1.0 + radius)
-    sigma = _LANCZOS_SHIFT * (1.0 + radius)
-    order, permuted = _rcm_ordered(s)
-    lu, below = _inertia(permuted, sigma)
-    if not below:
-        return np.empty((s.shape[0], 0)), 0.0, sigma
-    theta, x = _ritz_pairs_below(s, lu, order, sigma, below)
-    counted = np.abs(theta) <= tau
-    k = int(np.count_nonzero(counted))
-    kernel, values = x[:, counted], theta[counted]
-    bound = 0.0
-    if k:
-        loss = _orthogonality_loss(kernel)
-        residual = _frobenius(s @ kernel - kernel * values)
-        bound = math.inf
-        if loss < 1.0:
-            top = float(np.max(np.abs(values)))
-            bound = (math.sqrt(1.0 + loss) * top + residual) / math.sqrt(1.0 - loss)
-        if not bound <= tau:
-            raise ValueError(
-                f"kernel count {k} not certified: Ritz residual bound {bound:.3e} "
-                f"exceeds the zero threshold {tau:.3e}"
-            )
-    above = theta[theta > tau]
-    if above.size:
-        sigma = 0.5 * (tau + float(above.min()))
-        below = _inertia(permuted, sigma)[1]
-    if below != k:
-        raise ValueError(
-            f"kernel count {k} not certified: {below} eigenvalues lie below "
-            f"the shift {sigma:.3e} (zero threshold {tau:.3e})"
-        )
-    return kernel, bound, sigma
-
-
 def kernel_dim_0forms(dec: DECOperators) -> int:
     """dim ker L0 (one per connected component), counted by
-    ``_certified_kernel`` on L0's conjugated CSR matrix: one
+    ``measure.certified_kernel`` on L0's conjugated CSR matrix: one
     factorization and a Lanczos run for the one pair below its shift."""
     s0 = WeightedOperator(dec.laplacian0_matrix(), dec.vertex_space()).conjugated()
-    return _certified_kernel(s0)[0].shape[1]
+    return certified_kernel(s0)[0].shape[1]
 
 
 def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
@@ -556,9 +439,10 @@ def betti1_oracle(mesh: TriangleMesh, dec: DECOperators = None) -> int:
 
     Route (a): dimension of the kernel of the edge Laplacian L1, counted
     on L1's conjugated CSR matrix by an inertia count and, for a nonempty
-    kernel, certified Ritz pairs (``_certified_kernel``, whose vectors the
-    DEC keeps as ``harmonic_ritz_vectors``), under the scale-invariant
-    zero tolerance; no dense eigensolve runs and no E x E array is built.
+    kernel, certified Ritz pairs (``measure.certified_kernel``, whose
+    vectors the DEC keeps as ``harmonic_ritz_vectors``), under the
+    scale-invariant zero tolerance; no dense eigensolve runs and no E x E
+    array is built.
     Route (b): rank-nullity over the chain complex.  Neither route reads
     the other's count.
     Disagreement raises, since it signals a meshing or tolerance bug

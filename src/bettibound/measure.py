@@ -28,10 +28,14 @@ above sigma, which must confirm K) in the same buffer, with an N x K
 eigenvector array.  ``from_spectrum`` takes such K pairs computed
 elsewhere (the edge Laplacian's, from its Hodge pieces) and certifies K
 by the same inertia; a count that is not confirmed raises
-``CutOffRefused``.  ``heat_difference_hs_bounds`` then encloses the
-Hilbert-Schmidt norm of a heat difference over the pairs either operator
-dropped, whose heat weights are at most e^(-t sigma), and
-``heat_two_inf_norm`` bounds a 2->inf norm over them from above;
+``CutOffRefused``.  Every eigenvalue count of the package is that one
+factorization (``_ordered_inertia``): ``certified_kernel`` counts the
+kernel of a sparse symmetric matrix with it too, and certifies the count
+by residuals of Ritz pairs from a shift-invert Lanczos run on the same
+factor, with no dense eigensolve.  ``heat_difference_hs_bounds`` then
+encloses the Hilbert-Schmidt norm of a heat difference over the pairs
+either operator dropped, whose heat weights are at most e^(-t sigma),
+and ``heat_two_inf_norm`` bounds a 2->inf norm over them from above;
 ``pipeline`` picks each sigma from a relative weight eta, so neither the
 p = 2 Schatten path nor the main bound builds an N x N eigenvector
 array.
@@ -65,7 +69,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 __all__ = [
     "WeightedFiniteSpace",
@@ -404,7 +408,7 @@ def _eigh_in_place(conj, count=None) -> tuple[np.ndarray, np.ndarray]:
 
 # Fill-reducing ordering of an inertia count's factorization: SuperLU's
 # minimum degree on the pattern of A^T + A, applied to a matrix already put
-# in reverse Cuthill-McKee order (``_rcm_ordered``).  The banded preorder
+# in reverse Cuthill-McKee order (``_ordered_inertia``).  The banded preorder
 # removes the minimum-degree ordering's blow-up on the icosphere family;
 # measured on L1 (2 vCPUs, one BLAS thread), RCM+MMD factored the sphere at
 # resolution 5 (E 30720) in 0.31 s and 4.3M factor nonzeros, COLAMD in
@@ -414,16 +418,10 @@ def _eigh_in_place(conj, count=None) -> tuple[np.ndarray, np.ndarray]:
 _ORDERING = "MMD_AT_PLUS_A"
 
 
-def _rcm_ordered(s: csr_matrix) -> tuple[np.ndarray, csr_matrix]:
-    """The reverse Cuthill-McKee order of a symmetric CSR S and P S P^T in it."""
-    order = reverse_cuthill_mckee(s, symmetric_mode=True)
-    return order, s[order][:, order]
-
-
 def _inertia(permuted: csr_matrix, sigma: float):
     """A symmetric factorization of P S P^T - sigma I and its count of negative pivots.
 
-    ``permuted`` is S in a fixed symmetric order P (``_rcm_ordered``), so
+    ``permuted`` is S in a fixed symmetric order P (``_ordered_inertia``), so
     the matrix factored is P (S - sigma I) P^T, congruent to S - sigma I.
     SuperLU in symmetric mode with diagonal pivots (``splu`` with
     ``diag_pivot_thresh=0``) factors it as Q L D L^T Q^T, with D the
@@ -444,6 +442,20 @@ def _inertia(permuted: csr_matrix, sigma: float):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise CutOffRefused("inertia count failed: the factorization pivoted off the diagonal")
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _ordered_inertia(s: csr_matrix, sigma: float) -> tuple:
+    """(order, P S P^T, factor, j) for a symmetric CSR S and a shift sigma.
+
+    The one way an eigenvalue count is taken: S is put in its reverse
+    Cuthill-McKee order P, and P (S - sigma I) P^T is factored by
+    ``_inertia``, whose j negative pivots are the eigenvalues of S below
+    sigma.  The order and P S P^T are returned for a second shift or
+    solves with the factor (``certified_kernel``).
+    """
+    order = reverse_cuthill_mckee(s, symmetric_mode=True)
+    permuted = s[order][:, order]
+    return order, permuted, *_inertia(permuted, sigma)
 
 
 def _symmetric_part(conj):
@@ -475,27 +487,119 @@ def _count_below(conj, cutoff: float) -> int:
 
     A cut-off at or above the radius bound (``_radius_bound``) counts all
     N eigenvalues with no factorization.  Otherwise the count is the
-    inertia of the symmetrized matrix, as a CSR matrix in reverse
-    Cuthill-McKee order, shifted by the cut-off (``_inertia``).
+    inertia of the symmetrized matrix, as a CSR matrix, shifted by the
+    cut-off (``_ordered_inertia``).
     """
     if cutoff >= _radius_bound(conj):
         return conj.shape[-1]
-    return _inertia(_rcm_ordered(csr_matrix(_symmetric_part(conj)))[1], cutoff)[1]
+    return _ordered_inertia(csr_matrix(_symmetric_part(conj)), cutoff)[-1]
 
 
-def _confirm_count(cutoff: float, count: int, evals: np.ndarray, past: int) -> None:
-    """Raise ``CutOffRefused`` unless eigendata confirm an inertia count.
+# Shift of the kernel count, relative to the spectral radius bound: a
+# thousand zero thresholds above zero, so every eigenvalue counted as zero
+# lies below it, and small enough that an eigenvalue between the threshold
+# and the shift, which costs a second factorization, is rare.
+_LANCZOS_SHIFT = 1e-6
 
-    Exactly ``count`` of the ascending ``evals`` must lie below ``cutoff``,
-    and ``past`` more at or above it: one for the solver's K + 1 lowest
-    pairs, none for K pairs computed elsewhere.
+
+def _ritz_pairs_below(
+    s: csr_matrix, lu, order: np.ndarray, sigma: float, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The j Ritz pairs of S below sigma, given ``lu``, the factor of
+    P (S - sigma I) P^T for the symmetric order ``order`` (P x = x[order]).
+
+    Shift-invert Lanczos (``eigsh`` about sigma, from a fixed start vector,
+    so runs repeat) applies ``lu`` through P as its inverse, and keeps the
+    j most negative values of (S - sigma I)^(-1), which belong to the j
+    eigenvalues below sigma.  An order within four of j is eigensolved
+    densely instead, keeping the j lowest pairs.
     """
-    below = int(np.count_nonzero(evals < cutoff))
-    if not below == count == evals.size - past:
-        raise CutOffRefused(
-            f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
-            f"eigenvalues below it, the eigendata {below} of {evals.size}"
+    n = s.shape[0]
+    if j + 4 >= n:
+        theta, x = _eigh_in_place(s)
+        return theta[:j], x[:, :j]
+
+    def solve(b):
+        x = np.empty(b.shape)
+        x[order] = lu.solve(b[order])
+        return x
+
+    inverse = LinearOperator(s.shape, matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return eigsh(s, k=j, sigma=sigma, which="SA", OPinv=inverse, v0=v0)
+
+
+def certified_kernel(s: csr_matrix) -> tuple[np.ndarray, float, float]:
+    """A basis of ker S for a symmetric CSR matrix S, counted sparsely and certified.
+
+    An eigenvalue counts as zero iff |lam| <= tau = ZERO_TOL (1 + r), where
+    r, the largest absolute row sum of (S + S^T) / 2 (``_radius_bound``),
+    is an O(nnz) upper bound on the spectral radius: tau is the threshold
+    of ``SelfAdjointOperator.kernel_dim`` for the operator with conjugated
+    matrix S.  The count starts from inertia: P (S - sigma I) P^T, with P
+    the reverse Cuthill-McKee order of S and sigma = 1e-6 (1 + r) above
+    tau, is factored once (``_ordered_inertia``, the count of a partial
+    ``SelfAdjointOperator`` too); its j negative pivots are the
+    eigenvalues below sigma.  If j = 0 the count is 0 and no Lanczos run
+    is needed.  Otherwise the j Ritz pairs below sigma come from one
+    Lanczos run on that same factor (``_ritz_pairs_below``).  The count k
+    is the number of Ritz values theta with |theta| <= tau, and it stands
+    when
+
+    (i) with X the k counted Ritz vectors, R = S X - X diag(theta) and
+        e = ||X^T X - I||_F < 1,
+            (sqrt(1 + e) max |theta| + ||R||_F) / sqrt(1 - e) <= tau.
+        Then ||S v|| <= tau ||v|| on the span of X, so by Courant-Fischer
+        for S^2 at least k eigenvalues of S lie in [-tau, tau].  The left
+        side is never below Kahan's residual bound
+        |theta_j| + ||R||_F sqrt(1 + e) (Parlett, *The Symmetric
+        Eigenvalue Problem*, ch. 11);
+    (ii) exactly k eigenvalues of S lie below sigma: S - sigma I has
+        exactly k negative pivots (Sylvester's law of inertia).  When a
+        Ritz value lies in (tau, sigma), so j > k, S is factored once more,
+        in the same order P, at sigma halfway between tau and the lowest
+        such Ritz value, and that factor's negative pivots are compared
+        with k; there is no third factorization.
+
+    Together: exactly k eigenvalues lie in [-tau, tau], and none below
+    -tau or between tau and sigma.  A count that fails either check, or a
+    factorization that left the diagonal, raises ValueError.  Like every
+    check, both are evaluated in floating point.  Returns (X, n x k, the
+    left side of (i), sigma); the bound is 0 when k = 0.
+    """
+    radius = _radius_bound(s)
+    tau = ZERO_TOL * (1.0 + radius)
+    sigma = _LANCZOS_SHIFT * (1.0 + radius)
+    order, permuted, lu, below = _ordered_inertia(s, sigma)
+    if not below:
+        return np.empty((s.shape[0], 0)), 0.0, sigma
+    theta, x = _ritz_pairs_below(s, lu, order, sigma, below)
+    counted = np.abs(theta) <= tau
+    k = int(np.count_nonzero(counted))
+    kernel, values = x[:, counted], theta[counted]
+    bound = 0.0
+    if k:
+        loss = _orthogonality_loss(kernel)
+        residual = _frobenius(s @ kernel - kernel * values)
+        bound = math.inf
+        if loss < 1.0:
+            top = float(np.max(np.abs(values)))
+            bound = (math.sqrt(1.0 + loss) * top + residual) / math.sqrt(1.0 - loss)
+        if not bound <= tau:
+            raise ValueError(
+                f"kernel count {k} not certified: Ritz residual bound {bound:.3e} "
+                f"exceeds the zero threshold {tau:.3e}"
+            )
+    above = theta[theta > tau]
+    if above.size:
+        sigma = 0.5 * (tau + float(above.min()))
+        below = _inertia(permuted, sigma)[1]
+    if below != k:
+        raise ValueError(
+            f"kernel count {k} not certified: {below} eigenvalues lie below "
+            f"the shift {sigma:.3e} (zero threshold {tau:.3e})"
         )
+    return kernel, bound, sigma
 
 
 def _ascending(eigenvalues, euclidean_vectors):
@@ -581,7 +685,7 @@ class SelfAdjointOperator(WeightedOperator):
     When K = N the operator is the one the default sigma = inf gives, bit
     for bit.  Otherwise it is *partial*: xSYEVR computes the K + 1 lowest
     pairs in place (``_eigh_in_place`` with a count), exactly K of them
-    must lie below sigma (``_confirm_count``: the solver counts K as
+    must lie below sigma (``_hold_below``: the solver counts K as
     well), and the K kept pairs pass ``_check_eigendata`` with the N x K
     Q: finite, orthogonality loss <= 1e-10 and ||R||_F sqrt(1 + loss) <=
     1e-10 max(||S||_F, 1).  A count the solver does not confirm, or an
@@ -628,9 +732,8 @@ class SelfAdjointOperator(WeightedOperator):
             evals, evecs = _eigh_in_place(conj)
         else:
             evals, evecs = _eigh_in_place(conj, count + 1)
-            _confirm_count(cutoff, count, evals, 1)
+            self._hold_below(cutoff, count, evals, 1)
             evals, evecs = evals[:count], np.ascontiguousarray(evecs[:, :count])
-            self.cutoff = cutoff
         self._check_numbers = _check_eigendata(evals, evecs, conj)
         self.eigenvalues = _read_only(evals)
         self._euclidean_vectors = _read_only(evecs)
@@ -663,9 +766,10 @@ class SelfAdjointOperator(WeightedOperator):
         A finite ``cutoff`` sigma, which needs ``matrix``, takes the K
         pairs below it as an N x K array: each must lie below sigma and the
         inertia of S - sigma I (``_count_below``) must count exactly K
-        eigenvalues below it (``_confirm_count``), else ``CutOffRefused``,
-        and they pass the N x K checks of ``_check_eigendata``.  The operator is then partial, as
-        one built from its matrix with this cut-off; when K = N it is full.
+        eigenvalues below it (``_hold_below``), else ``CutOffRefused``, and
+        they pass the N x K checks of ``_check_eigendata``.  The operator is
+        then partial, as one built from its matrix with this cut-off; when
+        K = N it is full.
         """
         evals = np.asarray(eigenvalues, dtype=float)
         q = np.asarray(euclidean_vectors, dtype=float)
@@ -688,11 +792,26 @@ class SelfAdjointOperator(WeightedOperator):
             conj = op.conjugated()
         op._check_numbers = _check_eigendata(op.eigenvalues, op._euclidean_vectors, conj)
         if cutoff < math.inf:
-            count = _count_below(conj, cutoff)
-            _confirm_count(cutoff, count, op.eigenvalues, 0)
-            if count < dim:
-                op.cutoff = cutoff
+            op._hold_below(cutoff, _count_below(conj, cutoff), op.eigenvalues, 0)
         return op
+
+    def _hold_below(self, cutoff: float, count: int, evals: np.ndarray, past: int) -> None:
+        """Certify ``count``, the inertia of S - cutoff I, against eigendata,
+        and make the operator partial at ``cutoff`` when ``count`` < N.
+
+        The one certification of a cut-off, for both constructors: exactly
+        ``count`` of the ascending ``evals`` must lie below ``cutoff``, and
+        ``past`` more at or above it (one for the solver's K + 1 lowest
+        pairs, none for K pairs computed elsewhere), else ``CutOffRefused``.
+        """
+        below = int(np.count_nonzero(evals < cutoff))
+        if not below == count == evals.size - past:
+            raise CutOffRefused(
+                f"cut-off {cutoff:.6g} not certified: the inertia counts {count} "
+                f"eigenvalues below it, the eigendata {below} of {evals.size}"
+            )
+        if count < self.dim:
+            self.cutoff = cutoff
 
     @classmethod
     def _with_spectrum(cls, space, fiber, eigenvalues, euclidean_vectors):

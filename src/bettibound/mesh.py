@@ -477,21 +477,22 @@ def _flat_lengths(faces, width, height, p, q):
     return np.hypot(di * dx_unit, dj * dy_unit)
 
 
-def genus2_mesh(
-    ring_radius: float = 1.0,
-    tube_radius: float = 0.35,
-    n_theta: int = 8,
-    n_phi: int = 8,
-    gap: float = 0.5,
-) -> TriangleMesh:
+# The two tori of ``genus2_mesh``: ring and tube radius, and the gap
+# between them along the x axis.
+_GENUS2_RING_RADIUS = 1.0
+_GENUS2_TUBE_RADIUS = 0.35
+_GENUS2_GAP = 0.5
+
+
+def genus2_mesh(n_theta: int = 8, n_phi: int = 8) -> TriangleMesh:
     """Connected sum of two revolution tori joined by a six-triangle tube.
 
     One extreme face is removed from each torus and the two boundary
     triangles are bridged so that every edge keeps opposite traversals;
     the result is a closed oriented surface of genus 2.
     """
-    base = revolution_torus_mesh(ring_radius, tube_radius, n_theta, n_phi)
-    offset = ring_radius + tube_radius + gap / 2.0
+    base = revolution_torus_mesh(_GENUS2_RING_RADIUS, _GENUS2_TUBE_RADIUS, n_theta, n_phi)
+    offset = _GENUS2_RING_RADIUS + _GENUS2_TUBE_RADIUS + _GENUS2_GAP / 2.0
     verts_a = base.vertices - np.array([offset, 0.0, 0.0])
     verts_b = base.vertices + np.array([offset, 0.0, 0.0])
 

@@ -293,11 +293,7 @@ def prefactors(rho0: float, t0: float) -> tuple[float, float]:
     return sharp, loose
 
 
-def betti_bound(
-    inputs: BettiBoundInputs,
-    data: SurfaceData | None = None,
-    soundness_slack: float = SOUNDNESS_SLACK,
-) -> BettiBoundReport:
+def betti_bound(inputs: BettiBoundInputs, data: SurfaceData | None = None) -> BettiBoundReport:
     """The grid loop (``parameter_sweep``) on the 1 x 1 grid of ``inputs``.
 
     ``data``, when given, is the prepared surface, which holds no
@@ -306,9 +302,7 @@ def betti_bound(
     """
     if data is None:
         data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
-    (report,) = parameter_sweep(
-        data, [inputs.rho0], [inputs.t0], inputs.p, inputs.compute_schatten, soundness_slack
-    )
+    (report,) = parameter_sweep(data, [inputs.rho0], [inputs.t0], inputs.p, inputs.compute_schatten)
     return report
 
 
@@ -349,7 +343,8 @@ def parameter_sweep(
     sum per point.  A point's records, in order: soundness_main,
     soundness_schatten (when computed) and vanishing_criterion (when the
     curvature is everywhere above rho0).  A soundness record passes when
-    b1 <= bound + soundness_slack * (1 + |bound|).
+    b1 <= bound + soundness_slack * (1 + |bound|).  A point whose Schatten
+    bound is omitted carries its row's notes.
     """
     rho0_values = [float(r) for r in rho0_values]
     t0_values = [float(t) for t in t0_values]
@@ -414,7 +409,7 @@ def parameter_sweep(
                         "prefactor_sharp": prefactor,
                         "curvature_min": curvature_min,
                     },
-                    notes=notes,
+                    notes=notes if bound_schatten is None else (),
                     records=tuple(records),
                 )
             )
@@ -473,18 +468,27 @@ def _schatten_row(
     enclosure is the value itself.  A ValueError from building L1 or
     L1 + W, or from the check that L1 + W clears rho0 (in the first
     ``birman.OperatorPair`` of the row), makes every bound of the row
-    None, and its message is the one note.  A ``MeshError`` (a full L1's
-    kernel against ``b1``, or L1's pairs against its E dimensions) is not
-    the row's failure and is raised.
+    None, and its message is the one note.  A ValueError from one point's
+    ``crude_bounds`` (a scale 1 - e^(-2 rho0 t0) that rounds to zero)
+    makes that point's bound None and adds its message to the notes; the
+    other points keep their bounds.  A ``MeshError`` (a full L1's kernel
+    against ``b1``, or L1's pairs against its E dimensions) is not the
+    row's failure and is raised.
     """
     potential = synthetic_edge_potential(data.dec, data.curvature, rho0)
     try:
         lap1 = laplacian1()
         perturbed = _below(partial(potential.added_to, lap1), max(sigma_a, 2.0 * rho0))
-        pairs = (OperatorPair(lap1, perturbed, rho0, 2.0 * t0) for t0 in t0_values)
-        bounds = [crude_bounds(pair, p)[0] for pair in pairs]
+        bounds, notes = [], []
+        for t0 in t0_values:
+            pair = OperatorPair(lap1, perturbed, rho0, 2.0 * t0)
+            try:
+                bounds.append(crude_bounds(pair, p)[0])
+            except ValueError as exc:
+                bounds.append(None)
+                notes.append(f"schatten bound omitted: {exc}")
     except MeshError:
         raise
     except ValueError as exc:
         return [None] * len(t0_values), (f"schatten bound omitted: {exc}",)
-    return bounds, ()
+    return bounds, tuple(notes)

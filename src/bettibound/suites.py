@@ -36,9 +36,9 @@ from .birman import (
     OperatorPair,
     _planted,
     _planted_draw,
+    _random_weights,
     birman_schwinger_bound,
     kernel_identity_check,
-    random_weighted_space,
     weyl_inequality_check,
 )
 from .measure import (
@@ -129,10 +129,10 @@ def _grouped(draw, count: int):
 def _shape_draw(rng, points_min: int, points_max: int, fiber_min: int, fiber_max: int):
     """The draws every instance with a fiber starts with, in this order: the
     point count in [points_min, points_max], the fiber in [fiber_min,
-    fiber_max] and the weights of a random space (``random_weighted_space``)."""
+    fiber_max] and the weights of a random space (``_random_weights``)."""
     n_points = int(rng.integers(points_min, points_max + 1))
     fiber = int(rng.integers(fiber_min, fiber_max + 1))
-    return n_points, fiber, random_weighted_space(rng, n_points).weights
+    return n_points, fiber, _random_weights(rng, n_points)
 
 
 def _pair_draw(rng, cfg: SuiteConfig):
@@ -411,10 +411,10 @@ def suite_22_integral(rng, cfg: SuiteConfig):
 
     def draw():
         n_points = int(rng.integers(2, cfg.n_points_max + 1))
-        space = random_weighted_space(rng, n_points)
+        weights = _random_weights(rng, n_points)
         kdim = int(rng.integers(0, 2))
         A = _planted_draw(rng, n_points, kdim, low=0.05, high=8.0)
-        return (n_points, 1), (space.weights, *A, float(rng.uniform(0.1, 3.0)))
+        return (n_points, 1), (weights, *A, float(rng.uniform(0.1, 3.0)))
 
     err, allowed = np.empty((2, cfg.trials))
     for _, at, (weights, gauss, evals, t0) in _grouped(draw, cfg.trials):

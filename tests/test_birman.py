@@ -8,6 +8,7 @@ from bettibound.birman import (
     OperatorPair,
     birman_schwinger_bound,
     birman_schwinger_operator,
+    crude_bounds,
     kernel_identity_check,
     planted_kernel_operator,
     principal_angles,
@@ -93,6 +94,24 @@ def test_pair_validation():
     for other in (heavier, fibered):
         with pytest.raises(DimensionMismatchError):
             OperatorPair(H=pos, Hprime=other, rho0=0.5, t0=1.0)
+
+
+def test_crude_bounds_refuse_a_scale_that_rounds_to_zero():
+    # 1 - e^(-rho0 t0) is exactly 0.0 once rho0 t0 is below about 1.1e-16:
+    # the bound would divide by it, so it raises, naming rho0 t0, at every
+    # exponent and for the first such instance of a stack.
+    space = WeightedFiniteSpace([1.0])
+    H, Hp = SelfAdjointOperator([[0.0]], space), SelfAdjointOperator([[1.0]], space)
+    assert crude_bounds(OperatorPair(H=H, Hprime=Hp, rho0=1.0, t0=1e-15), 2.0)[0] > 0.0
+    for p in (1.0, 2.0):
+        with pytest.raises(ValueError, match=r"-rho0 t0\) rounds to zero at rho0 t0 = 1e-17$"):
+            crude_bounds(OperatorPair(H=H, Hprime=Hp, rho0=1.0, t0=1e-17), p)
+    stack = WeightedFiniteSpace(np.ones((3, 1)))
+    H = SelfAdjointOperator(np.zeros((3, 1, 1)), stack)
+    Hp = SelfAdjointOperator(np.ones((3, 1, 1)), stack)
+    pair = OperatorPair(H=H, Hprime=Hp, rho0=np.ones(3), t0=np.array([1.0, 2e-17, 1e-17]))
+    with pytest.raises(ValueError, match=r"rho0 t0 = 2e-17$"):
+        crude_bounds(pair, 2.0)
 
 
 # -- kernel identity ---------------------------------------------------------

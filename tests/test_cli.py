@@ -259,8 +259,8 @@ def test_betti_bound_huge_rho0_exits_2_only_where_the_prefactor_overflows(tmp_pa
     # underflows to 0 below about 1e-162: such a rho0 is a usage error with
     # one ``error:`` line, not a traceback, and a rho0 inside still writes
     # its report with a sound main bound.  (At rho0 = 1e-150 the Schatten
-    # bound is NaN, as 1 - e^(-2 rho0 t0) rounds to 0, and its record fails:
-    # exit status 1, the floating-point item of the roadmap.)
+    # bound is omitted, as 1 - e^(-2 rho0 t0) rounds to 0; see
+    # ``test_betti_bound_schatten_scale_rounding_to_zero_is_a_note``.)
     out = tmp_path / "report.json"
     argv = [
         "betti-bound", "--builtin", "flat-torus", "--resolution", "4", "--rho0", rho0,
@@ -284,6 +284,34 @@ def test_betti_bound_huge_rho0_exits_2_only_where_the_prefactor_overflows(tmp_pa
         doc = json.loads(out.read_text())
         assert doc["reports"][0]["rho0"] == float(rho0)
         assert doc["records"][0]["name"].startswith("soundness_main") and doc["records"][0]["pass"]
+
+
+@pytest.mark.parametrize(
+    "builtin, resolution, rho0, t0",
+    [("flat-torus", "4", "1e-150", "1"), ("genus2", "6", "0.5", "1e-17")],
+)
+def test_betti_bound_schatten_scale_rounding_to_zero_is_a_note(
+    tmp_path, builtin, resolution, rho0, t0
+):
+    # 1 - e^(-2 rho0 t0) rounds to 0 at both points: the Schatten bound is
+    # omitted with a note, with no RuntimeWarning even where warnings are
+    # errors, and the point passes on its main bound alone.
+    out = tmp_path / "report.json"
+    argv = [
+        "betti-bound", "--builtin", builtin, "--resolution", resolution, "--rho0", rho0,
+        "--t0", t0, "--quiet", "--out", str(out),
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning")
+    result = subprocess.run(
+        [sys.executable, "-m", "bettibound.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["bound_schatten"] is None and report["pass"]
+    (note,) = report["notes"]
+    assert note.startswith("schatten bound omitted: the Schatten scale 1 - e^(-rho0 t0) rounds")
 
 
 @pytest.mark.parametrize("verb", ["betti-bound", "mesh-info"])

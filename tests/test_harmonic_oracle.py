@@ -1,6 +1,6 @@
 """The harmonic Betti oracle: certified sparse kernel counts of L1 and L0.
 
-``dec._certified_kernel`` counts a kernel from an inertia count and,
+``measure.certified_kernel`` counts a kernel from an inertia count and,
 when that count is not zero, as many Lanczos Ritz pairs as it finds
 below the shift, certified by their residuals.  Its residual bound must
 dominate the kernel eigenvalues of the dense spectra (L0's eigensolve,
@@ -32,12 +32,12 @@ from scipy.sparse.linalg import splu
 from bettibound import cli, dec as dec_module, measure, pipeline
 from bettibound.dec import (
     DECOperators,
-    _certified_kernel,
     betti1_oracle,
     betti1_rank_count,
     build_dec,
     kernel_dim_0forms,
 )
+from bettibound.measure import certified_kernel
 from bettibound.mesh import (
     BUILTIN_NAMES,
     MeshError,
@@ -60,7 +60,7 @@ def assert_counts_dominate_dense_spectra(dec):
         # The operator keeps the DEC's CSR matrix, so this is the matrix
         # the oracle counts on.
         s = op.conjugated()
-        kernel, bound, sigma = _certified_kernel(s)
+        kernel, bound, sigma = certified_kernel(s)
         k = kernel.shape[1]
         assert k == op.kernel_dim()
         # Each dense kernel eigenvalue lies within its own residual of an
@@ -128,8 +128,8 @@ def _genus2_edge_matrix():
 
 def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
     s = _genus2_edge_matrix()
-    assert _certified_kernel(s)[0].shape[1] == 4
-    eigsh = dec_module.eigsh
+    assert certified_kernel(s)[0].shape[1] == 4
+    eigsh = measure.eigsh
     direction = np.random.default_rng(5).standard_normal(s.shape[0])
 
     def perturbed(*args, **kwargs):
@@ -137,9 +137,9 @@ def test_oracle_rejects_a_perturbed_harmonic_column(monkeypatch):
         x[:, 1] += 1e-6 * direction / np.linalg.norm(direction)
         return theta, x
 
-    monkeypatch.setattr(dec_module, "eigsh", perturbed)
+    monkeypatch.setattr(measure, "eigsh", perturbed)
     with pytest.raises(ValueError, match="Ritz residual bound .* exceeds the zero threshold"):
-        _certified_kernel(s)
+        certified_kernel(s)
 
 
 def _planted(eigenvalues, seed=1):
@@ -149,7 +149,7 @@ def _planted(eigenvalues, seed=1):
 
 
 def _shift(s) -> float:
-    return dec_module._LANCZOS_SHIFT * (1.0 + float(abs(s).sum(axis=1).max()))
+    return measure._LANCZOS_SHIFT * (1.0 + float(abs(s).sum(axis=1).max()))
 
 
 def _recording_splu(monkeypatch) -> list:
@@ -178,21 +178,21 @@ def test_count_rejects_an_eigenvalue_between_threshold_and_shift(monkeypatch):
     s = _planted(spectrum)
     assert zero_threshold(s) < 1e-5 < _shift(s)
     calls = _recording_splu(monkeypatch)
-    kernel, _, sigma = _certified_kernel(s)
+    kernel, _, sigma = certified_kernel(s)
     k = kernel.shape[1]
     assert k == 2 and zero_threshold(s) < sigma < 1e-5
     assert len(calls) == 2
-    eigsh = dec_module.eigsh
+    eigsh = measure.eigsh
 
     def missing_pair(*args, **kwargs):
         theta, x = eigsh(*args, **kwargs)
         keep = np.abs(theta - 1e-5) > 1e-7
         return theta[keep], x[:, keep]
 
-    monkeypatch.setattr(dec_module, "eigsh", missing_pair)
+    monkeypatch.setattr(measure, "eigsh", missing_pair)
     calls.clear()
     with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
-        _certified_kernel(s)
+        certified_kernel(s)
     assert len(calls) == 1
 
 
@@ -203,17 +203,17 @@ def test_count_refactors_at_most_once(monkeypatch):
     # factoring a third time.
     spectrum = np.concatenate([[0.0, 0.0, 1e-5], np.arange(1.0, 38.0)])
     s = _planted(spectrum)
-    eigsh = dec_module.eigsh
+    eigsh = measure.eigsh
 
     def phantom_pair(*args, **kwargs):
         theta, x = eigsh(*args, **kwargs)
         theta[-1] = 0.5 * (zero_threshold(s) + kwargs["sigma"])
         return theta, x
 
-    monkeypatch.setattr(dec_module, "eigsh", phantom_pair)
+    monkeypatch.setattr(measure, "eigsh", phantom_pair)
     calls = _recording_splu(monkeypatch)
     with pytest.raises(ValueError, match="3 eigenvalues lie below the shift"):
-        _certified_kernel(s)
+        certified_kernel(s)
     assert len(calls) == 2
 
 
@@ -224,7 +224,7 @@ def test_count_rejects_a_negative_eigenvalue(monkeypatch):
     spectrum = np.concatenate([[-1e-3, 0.0, 0.0], np.arange(1.0, 38.0)])
     calls = _recording_splu(monkeypatch)
     with pytest.raises(ValueError, match="kernel count 2 not certified: 3 eigenvalues"):
-        _certified_kernel(_planted(spectrum))
+        certified_kernel(_planted(spectrum))
     assert len(calls) == 1
 
 
@@ -233,7 +233,7 @@ def test_each_count_factors_once(monkeypatch, name):
     dec = build_dec(builtin_mesh(name))
     calls = _recording_splu(monkeypatch)
     lanczos = []
-    eigsh = dec_module.eigsh
+    eigsh = measure.eigsh
 
     def recording(*args, **kwargs):
         # The run solves with the count's own factor, never one of its own.
@@ -241,7 +241,7 @@ def test_each_count_factors_once(monkeypatch, name):
         lanczos.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(dec_module, "eigsh", recording)
+    monkeypatch.setattr(measure, "eigsh", recording)
     assert kernel_dim_0forms(dec) == 1
     assert len(calls) == 1 and lanczos == [1]
     b1 = betti1_oracle(dec.mesh, dec)
@@ -297,7 +297,7 @@ def test_rcm_ordered_factor_is_sparser_than_colamd(monkeypatch):
     dec = build_dec(builtin_mesh("bumpy-sphere", 4))
     s = _conjugated_laplacians(dec)[1]
     calls = _recording_splu(monkeypatch)
-    assert _certified_kernel(s)[0].shape[1] == 0
+    assert certified_kernel(s)[0].shape[1] == 0
     (_, _, lu), = calls
     colamd = _colamd_factor(s - _shift(s) * identity(s.shape[0], format="csr"))
     assert lu.L.nnz + lu.U.nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
@@ -313,15 +313,15 @@ def test_count_rejects_a_factorization_off_the_diagonal(monkeypatch):
 
     monkeypatch.setattr(measure, "splu", pivoted)
     with pytest.raises(ValueError, match="pivoted off the diagonal"):
-        _certified_kernel(s)
+        certified_kernel(s)
 
 
 def test_count_asks_for_every_pair_below_the_shift_and_falls_back_to_one_dense_solve():
     # The inertia puts six eigenvalues below the shift, so one Lanczos run
     # asks for six pairs.  An order-3 matrix is eigensolved densely.
     spectrum = np.concatenate([np.zeros(6), np.arange(1.0, 35.0)])
-    assert _certified_kernel(_planted(spectrum))[0].shape[1] == 6
-    assert _certified_kernel(_planted([0.0, 2.0, 3.0]))[0].shape[1] == 1
+    assert certified_kernel(_planted(spectrum))[0].shape[1] == 6
+    assert certified_kernel(_planted([0.0, 2.0, 3.0]))[0].shape[1] == 1
 
 
 # -- kept check numbers ----------------------------------------------------------
@@ -477,8 +477,8 @@ def test_laplacian1_below_a_cut_off_starts_from_the_oracle_ritz_vectors(monkeypa
     ritz = data.dec.harmonic_ritz_vectors
     assert ritz.shape == (data.mesh.edge_count, data.b1) and not ritz.flags.writeable
     lanczos = []
-    eigsh = dec_module.eigsh
-    monkeypatch.setattr(dec_module, "eigsh", lambda *a, **k: lanczos.append(1) or eigsh(*a, **k))
+    eigsh = measure.eigsh
+    monkeypatch.setattr(measure, "eigsh", lambda *a, **k: lanczos.append(1) or eigsh(*a, **k))
     pieces = _record_hodge_pieces(monkeypatch, weakref.ref)
     part = data.dec.laplacian1(math.log(1e12))
     assert part.partial and lanczos == []

@@ -16,12 +16,12 @@ from scipy.sparse import csr_matrix, issparse
 
 from bettibound import measure
 from bettibound.birman import weyl_inequality_check
-from bettibound.dec import _certified_kernel
 from bettibound.measure import (
     DimensionMismatchError,
     SelfAdjointOperator,
     WeightedFiniteSpace,
     WeightedOperator,
+    certified_kernel,
     heat_difference,
     heat_difference_hs_bounds,
     heat_two_inf_norm,
@@ -977,7 +977,7 @@ def test_one_zero_threshold_from_the_row_sum_bound():
         assert sparse.zero_threshold() == thresholds[k]
         assert dense.zero_threshold() == thresholds[k]
         assert dense.kernel_dim() == sparse.kernel_dim() == spectrum.kernel_dim() == 2
-        assert _certified_kernel(sparse.conjugated())[0].shape[1] == 2
+        assert certified_kernel(sparse.conjugated())[0].shape[1] == 2
     weights = np.exp(rng.uniform(-1.0, 1.0, (3, 6)))
     sqrt_w = np.sqrt(weights)
     matrices = s / sqrt_w[:, :, None] * sqrt_w[:, None, :]

@@ -187,6 +187,54 @@ def test_schatten_bound_spectral_check_enforced(torus_data):
         OperatorPair(lap1, potential.added_to(lap1), rho0, 2.0)
 
 
+def test_a_schatten_scale_that_rounds_to_zero_omits_only_its_point():
+    # At t0 = 1e-17, 1 - e^(-2 rho0 t0) rounds to 0: that point's Schatten
+    # bound is omitted with a note naming the scale, with no RuntimeWarning
+    # (an error under this suite's warning filter), and the other point of
+    # the row keeps its bound and no note.
+    data = prepare_surface(builtin_mesh("genus2", 6))
+    tiny, plain = parameter_sweep(data, [0.5], [1e-17, 1.0])
+    assert tiny.bound_schatten is None and tiny.passed
+    assert tiny.notes == (
+        "schatten bound omitted: the Schatten scale 1 - e^(-rho0 t0) rounds to zero "
+        "at rho0 t0 = 1e-17",
+    )
+    assert [r.name.split("[")[0] for r in tiny.records] == ["soundness_main"]
+    assert plain.notes == () and plain.passed
+    assert math.isfinite(plain.bound_schatten) and plain.bound_schatten >= data.b1
+
+
+@pytest.mark.parametrize(
+    "name, resolution",
+    [("sphere", 2), ("genus2", 8), ("torus-rev", 16), ("bumpy-sphere", 2), ("flat-torus", 8)],
+)
+def test_bounds_are_invariant_under_scaling_the_surface(name, resolution):
+    # Scaling every length by c scales L0, L1 and the curvature by 1/c^2,
+    # so (rho0, t0) -> (rho0 / c^2, c^2 t0) leaves b1 and both bounds as
+    # they are: rho0 t0 is unchanged, the sharp prefactor gains c^4, and
+    # the squared (2,HS) and 2->inf norms lose c^2 each.  flat-torus
+    # carries its metric in intrinsic lengths, which are scaled too.
+    # Rounding moves a bound by at most 1e-12 (1 + |bound|).
+    mesh = builtin_mesh(name, resolution)
+    grid = [0.5, 1.0]
+    reports = parameter_sweep(prepare_surface(mesh), grid, grid)
+    for c in (2.0, 0.5, 0.37):
+        lengths = mesh.edge_lengths * c if mesh.intrinsic else None
+        data = prepare_surface(TriangleMesh(mesh.vertices * c, mesh.faces, lengths))
+        scaled = parameter_sweep(data, [r / c**2 for r in grid], [c**2 * t for t in grid])
+        for report, other in zip(reports, scaled, strict=True):
+            assert other.b1_oracle == report.b1_oracle
+            # A note names scaled numbers, but the same points have one.
+            assert len(other.notes) == len(report.notes)
+            for bound, moved in (
+                (report.bound_main, other.bound_main),
+                (report.bound_schatten, other.bound_schatten),
+            ):
+                assert (bound is None) == (moved is None)
+                if bound is not None:
+                    assert abs(moved - bound) <= 1e-12 * (1.0 + abs(bound))
+
+
 # -- sweeps -----------------------------------------------------------------------
 
 
