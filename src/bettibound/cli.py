@@ -11,14 +11,19 @@ Verbs:
 * ``gen-fixture``: write a builtin surface to an OFF file.
 
 Every verb prints a human table (unless --quiet) and optionally writes a
-JSON report (--out).  Each verb takes only the flags it reads.  The exit
-status is 2 on invalid input, 1 when a recorded check fails and 0
-otherwise; mesh-info records no checks, so it exits 0 or 2.
+JSON report (--out); an --out that cannot be written is an error before
+any work runs.  Each verb takes only the flags it reads, and a report's
+``config`` holds every setting that fixes its run, constants included.
+The exit status is 2 on invalid input, 1 when a recorded check fails and
+0 otherwise; mesh-info records no checks, so it exits 0 or 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -32,7 +37,7 @@ from .mesh import (
     write_off,
 )
 from .pipeline import SOUNDNESS_SLACK, parameter_sweep, prepare_surface
-from .report import DEFAULT_TOLERANCES, RunReport, build_config, checked_tolerance, serialize_json
+from .report import RunReport, SuiteConfig, checked_tolerance, serialize_json
 from .suites import run_abstract_suites
 
 USAGE_ERROR = 2
@@ -45,10 +50,33 @@ def main(argv=None) -> int:
         parser.print_help()
         return USAGE_ERROR
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (MeshError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+
+
+def _check_out(path: str) -> None:
+    """Raise, before any work, the ``OSError`` that writing ``path`` would raise:
+    its parent must be an existing, writable directory, and it must not be
+    a directory itself."""
+    target = Path(path)
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(target.parent).st_mode)
+    except OSError as exc:
+        code = exc.errno
+    else:
+        if not parent_is_dir:
+            code = errno.ENOTDIR
+        elif target.is_dir():
+            code = errno.EISDIR
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+    raise OSError(code, os.strerror(code), str(target))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,14 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-abstract", help="run the abstract suites")
     output(p_verify)
-    p_verify.add_argument("--seed", type=int, default=None, help="suite seed")
-    p_verify.add_argument("--trials", type=int, default=None, help="instances per suite")
+    p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed, help="suite seed")
+    p_verify.add_argument(
+        "--trials", type=int, default=SuiteConfig.trials, help="instances per suite"
+    )
     p_verify.add_argument(
         "--tolerance", type=float, default=None, help="slack of every inequality family"
     )
-    p_verify.add_argument("--config", type=str, default=None, help="INI config file")
-    p_verify.add_argument("--n-points-max", type=int, default=None)
-    p_verify.add_argument("--fiber-max", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify_abstract)
 
     p_bound = sub.add_parser("betti-bound", help="certified Betti bounds")
@@ -85,11 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--rho0", type=str, default="0.5", help="comma list")
     p_bound.add_argument("--t0", type=str, default="1.0", help="comma list")
     p_bound.add_argument("--p", type=float, default=2.0, help="Schatten exponent")
-    p_bound.add_argument(
-        "--curvature",
-        choices=("angle-defect", "analytic"),
-        default="angle-defect",
-    )
     p_bound.add_argument(
         "--no-schatten",
         action="store_true",
@@ -153,18 +175,7 @@ def _print_summary(report: RunReport):
 
 def cmd_verify_abstract(args) -> int:
     started = time.perf_counter()
-    tolerances = None
-    if args.tolerance is not None:
-        tolerances = dict.fromkeys(DEFAULT_TOLERANCES, args.tolerance)
-    config = build_config(
-        file_path=args.config,
-        seed=args.seed,
-        trials=args.trials,
-        tolerances=tolerances,
-        n_points_max=args.n_points_max,
-        fiber_max=args.fiber_max,
-    )
-    report = run_abstract_suites(config)
+    report = run_abstract_suites(SuiteConfig(args.seed, args.trials, args.tolerance))
     return _finish(report, args, started)
 
 
@@ -193,7 +204,7 @@ def cmd_betti_bound(args) -> int:
     rho0_values = _parse_grid(args.rho0)
     t0_values = _parse_grid(args.t0)
     surface, label = _load_surface(args)
-    data = prepare_surface(surface, args.resolution, args.curvature)
+    data = prepare_surface(surface, args.resolution)
     rows = parameter_sweep(
         data,
         rho0_values,
@@ -210,7 +221,7 @@ def cmd_betti_bound(args) -> int:
             rho0=rho0_values,
             t0=t0_values,
             p=args.p,
-            curvature=args.curvature,
+            curvature="angle-defect",
             schatten=not args.no_schatten,
             soundness_slack=slack,
         ),

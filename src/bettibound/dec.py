@@ -67,7 +67,7 @@ from .measure import (
     _read_only,
     certified_kernel,
 )
-from .mesh import AnalyticSurface, MeshError, TriangleMesh
+from .mesh import MeshError, TriangleMesh
 from .perturbation import MatrixPotential, hs_norm_potential
 
 __all__ = [
@@ -331,7 +331,7 @@ def build_dec(mesh: TriangleMesh) -> DECOperators:
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Gaussian curvature per vertex, from angle defects or a closed form."""
+    """Gaussian curvature per vertex, from angle defects (``gaussian_curvature``)."""
 
     mesh: TriangleMesh
     values: np.ndarray
@@ -344,27 +344,20 @@ class CurvatureField:
         return float(self.values.min())
 
 
-def gaussian_curvature(
-    mesh: TriangleMesh, source: str = "angle-defect", surface: AnalyticSurface = None
-) -> CurvatureField:
-    """Angle-defect curvature, or the analytic one sampled at vertices.
+def gaussian_curvature(mesh: TriangleMesh) -> CurvatureField:
+    """Angle-defect curvature: each vertex's angle defect over its dual area.
 
-    The angle-defect field satisfies discrete Gauss-Bonnet by construction
-    up to rounding; the residual is verified here so that downstream
-    certificates never run on an inconsistent mesh.
+    This is the curvature every certificate reads.  It satisfies discrete
+    Gauss-Bonnet by construction up to rounding; the residual is verified
+    here so that downstream certificates never run on an inconsistent
+    mesh.  The closed forms of the builtin surfaces
+    (``AnalyticSurface.curvature_values``) are only a reference for tests.
     """
-    if source == "angle-defect":
-        values = mesh.angle_defects() / mesh.dual_areas
-        field = CurvatureField(mesh, values)
-        residual = field.gauss_bonnet_residual()
-        if residual > GAUSS_BONNET_TOL * max(1.0, abs(mesh.euler_characteristic)):
-            raise MeshError(f"Gauss-Bonnet residual {residual:.3e} exceeds tolerance")
-        return field
-    if source == "analytic":
-        if surface is None:
-            raise ValueError("analytic curvature needs the generating surface")
-        return CurvatureField(mesh, surface.curvature_values(mesh))
-    raise ValueError(f"unknown curvature source {source!r}")
+    field = CurvatureField(mesh, mesh.angle_defects() / mesh.dual_areas)
+    residual = field.gauss_bonnet_residual()
+    if residual > GAUSS_BONNET_TOL * max(1.0, abs(mesh.euler_characteristic)):
+        raise MeshError(f"Gauss-Bonnet residual {residual:.3e} exceeds tolerance")
+    return field
 
 
 def _vertex_components(dec: DECOperators) -> int:

@@ -215,7 +215,8 @@ class AnalyticSurface:
         raise NotImplementedError
 
     def curvature_values(self, mesh: TriangleMesh) -> np.ndarray:
-        """Closed-form Gaussian curvature sampled at the mesh vertices."""
+        """Closed-form Gaussian curvature sampled at the mesh vertices: the
+        reference for the angle-defect curvature the certificates read."""
         raise NotImplementedError
 
     def area(self) -> float:

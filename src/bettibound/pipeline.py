@@ -165,7 +165,6 @@ class BettiBoundInputs:
     t0: float
     p: float = 2.0
     resolution: int | None = None
-    curvature_source: str = "angle-defect"
     compute_schatten: bool = True
 
     def __post_init__(self):
@@ -246,14 +245,14 @@ class SurfaceData:
 
 
 def prepare_surface(
-    surface: AnalyticSurface | TriangleMesh,
-    resolution: int | None = None,
-    curvature_source: str = "angle-defect",
+    surface: AnalyticSurface | TriangleMesh, resolution: int | None = None
 ) -> SurfaceData:
-    """Mesh, DEC operators, curvature field, and both homology oracles.
+    """Mesh, DEC operators, angle-defect curvature, and both homology oracles.
 
-    A mesh that is disconnected or pinched at a vertex is rejected with a
-    ``MeshError``.  No eigensolve runs: ``betti1_oracle`` counts b1, and
+    A mesh that is disconnected, pinched at a vertex, or whose angle
+    defects miss discrete Gauss-Bonnet is rejected with a ``MeshError``.
+    The angle defects are the only curvature a certificate reads.  No
+    eigensolve runs: ``betti1_oracle`` counts b1, and
     ``kernel_dim_0forms`` dim ker L0, on sparse matrices with certified
     counts.  Each sweep eigensolves the comparison operator L0 + K, and
     the Schatten certificate assembles L1, below the sweep's cut-offs
@@ -262,19 +261,14 @@ def prepare_surface(
     """
     if isinstance(surface, TriangleMesh):
         mesh = surface
-        analytic = None
     else:
-        analytic = surface
         mesh = surface.mesh(resolution) if resolution is not None else surface.mesh()
     dec = build_dec(mesh)
     check_connected_manifold(dec)
-    if curvature_source == "analytic" and analytic is None:
-        raise ValueError("analytic curvature requires an analytic surface")
-    curvature = gaussian_curvature(mesh, curvature_source, analytic)
     return SurfaceData(
         mesh=mesh,
         dec=dec,
-        curvature=curvature,
+        curvature=gaussian_curvature(mesh),
         b1=betti1_oracle(mesh, dec),
         kernel_dim_0forms=kernel_dim_0forms(dec),
     )
@@ -301,7 +295,7 @@ def betti_bound(inputs: BettiBoundInputs, data: SurfaceData | None = None) -> Be
     L1 + W, below the cut-offs of its t0.
     """
     if data is None:
-        data = prepare_surface(inputs.surface, inputs.resolution, inputs.curvature_source)
+        data = prepare_surface(inputs.surface, inputs.resolution)
     (report,) = parameter_sweep(data, [inputs.rho0], [inputs.t0], inputs.p, inputs.compute_schatten)
     return report
 

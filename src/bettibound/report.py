@@ -1,4 +1,4 @@
-"""Machine-readable run reports and the suite configuration.
+"""Machine-readable run reports and the seed, trials and slack of the suites.
 
 Every check performed by the command line tools is recorded as
 ``observed lhs`` versus ``allowed rhs`` with the remaining margin, so a
@@ -10,11 +10,10 @@ wall-time field is the single nondeterministic entry).
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,8 @@ __all__ = [
     "serialize_json",
     "config_hash",
     "DEFAULT_TOLERANCES",
+    "N_POINTS_MAX",
+    "FIBER_MAX",
     "checked_tolerance",
 ]
 
@@ -41,6 +42,10 @@ DEFAULT_TOLERANCES = {
     "closed_form": 1e-10,
     "domination": 1e-10,  # absolute pointwise slack
 }
+
+# Largest point count and fiber dimension of a suite instance.
+N_POINTS_MAX = 20
+FIBER_MAX = 3
 
 
 def checked_tolerance(family: str, value) -> float:
@@ -131,76 +136,36 @@ class RunReport:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Seeded sizes and tolerances for the randomized verification suites."""
+    """Seed, trial count and slack of the randomized verification suites.
+
+    ``tolerance``, when given, is the slack of every inequality family;
+    otherwise each family keeps its ``DEFAULT_TOLERANCES`` entry.  The
+    instance sizes are the fixed caps ``N_POINTS_MAX`` and ``FIBER_MAX``.
+    """
 
     seed: int = 42
     trials: int = 200
-    n_points_max: int = 20
-    fiber_max: int = 3
-    tolerances: dict = field(default_factory=dict)
+    tolerance: float | None = None
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.n_points_max < 2 or self.fiber_max < 1:
-            raise ValueError("size caps are too small")
-        merged = dict(DEFAULT_TOLERANCES)
-        for key, value in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance family {key!r}")
-            merged[key] = checked_tolerance(key, value)
-        object.__setattr__(self, "tolerances", merged)
+        if self.tolerance is not None:
+            object.__setattr__(self, "tolerance", checked_tolerance("suite", self.tolerance))
 
     def tol(self, family: str) -> float:
-        return self.tolerances[family]
+        return DEFAULT_TOLERANCES[family] if self.tolerance is None else self.tolerance
 
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
             "trials": self.trials,
-            "n_points_max": self.n_points_max,
-            "fiber_max": self.fiber_max,
-            "tolerances": dict(sorted(self.tolerances.items())),
+            "n_points_max": N_POINTS_MAX,
+            "fiber_max": FIBER_MAX,
+            "tolerances": {family: self.tol(family) for family in sorted(DEFAULT_TOLERANCES)},
         }
-
-
-def load_config_file(path) -> dict:
-    """Flat key=value config with bracketed sections ([suite], [tolerances]).
-
-    An unknown section or ``[suite]`` key raises a ``ValueError`` naming it.
-    """
-    parser = configparser.ConfigParser()
-    with open(path) as handle:
-        parser.read_file(handle)
-    keys = ("seed", "trials", "n_points_max", "fiber_max")
-    suite = parser["suite"] if parser.has_section("suite") else {}
-    unknown = [f"[{s}]" for s in parser.sections() if s not in ("suite", "tolerances")]
-    unknown += [key for key in suite if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown config file sections or keys: {unknown}")
-    out = {key: int(suite[key]) for key in keys if key in suite}
-    if parser.has_section("tolerances"):
-        out["tolerances"] = {k: float(v) for k, v in parser["tolerances"].items()}
-    return out
-
-
-def build_config(file_path=None, **overrides) -> SuiteConfig:
-    """File values first, command line overrides win."""
-    values = load_config_file(file_path) if file_path else {}
-    tolerances = values.pop("tolerances", {})
-    override_tol = overrides.pop("tolerances", None)
-    if override_tol:
-        tolerances.update(override_tol)
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    allowed = {f.name for f in fields(SuiteConfig)}
-    unknown = set(values) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return SuiteConfig(tolerances=tolerances, **values)
 
 
 # -- json ------------------------------------------------------------------

@@ -68,7 +68,8 @@ from .perturbation import (
     truncated_hs_norms,
 )
 from .pipeline import prefactors
-from .report import CheckRecord, RunReport, SuiteConfig, equality_record, inequality_record
+from .report import FIBER_MAX, N_POINTS_MAX, CheckRecord, RunReport, SuiteConfig
+from .report import equality_record, inequality_record
 
 __all__ = ["run_abstract_suites", "SUITE_BUILDERS"]
 
@@ -135,9 +136,9 @@ def _shape_draw(rng, points_min: int, points_max: int, fiber_min: int, fiber_max
     return n_points, fiber, _random_weights(rng, n_points)
 
 
-def _pair_draw(rng, cfg: SuiteConfig):
+def _pair_draw(rng):
     """The draws of one planted pair for ``_pair_stack``, and its kernel dimension."""
-    n_points, fiber, weights = _shape_draw(rng, 2, cfg.n_points_max, 1, cfg.fiber_max)
+    n_points, fiber, weights = _shape_draw(rng, 2, N_POINTS_MAX, 1, FIBER_MAX)
     dim = n_points * fiber
     kdim = int(rng.integers(0, min(4, dim - 1) + 1))
     H = _planted_draw(rng, dim, kdim)
@@ -163,7 +164,7 @@ def suite_birman_schwinger(rng, cfg: SuiteConfig):
     exponents = (1.0, 2.0)
     kdim = np.empty(cfg.trials)
     sharp, crude = np.empty((2, len(exponents), cfg.trials))
-    for (_, fiber), at, (*pair, planted) in _grouped(lambda: _pair_draw(rng, cfg), cfg.trials):
+    for (_, fiber), at, (*pair, planted) in _grouped(lambda: _pair_draw(rng), cfg.trials):
         kdim[at] = planted
         stack = _pair_stack(fiber, *pair)
         for row, p in enumerate(exponents):
@@ -218,7 +219,7 @@ def suite_kernel_identity(rng, cfg: SuiteConfig):
     tol = cfg.tol("subspace_angle")
 
     def draw():
-        shape, fields = _pair_draw(rng, cfg)
+        shape, fields = _pair_draw(rng)
         return shape, (*fields, float(rng.uniform(0.2, 2.0)))
 
     mismatched = np.empty(cfg.trials, dtype=bool)
@@ -252,7 +253,7 @@ def suite_weyl(rng, cfg: SuiteConfig):
     exponents = (1.0, 1.5, 2.0)
 
     def draw():
-        n_points, fiber, weights = _shape_draw(rng, 2, cfg.n_points_max, 1, cfg.fiber_max)
+        n_points, fiber, weights = _shape_draw(rng, 2, N_POINTS_MAX, 1, FIBER_MAX)
         dim = n_points * fiber
         return (n_points, fiber), (weights, rng.standard_normal((dim, dim)))
 
@@ -278,7 +279,7 @@ def suite_hs_factorization(rng, cfg: SuiteConfig):
     tol = cfg.tol("factorization")
 
     def draw():
-        n_points, fiber, weights = _shape_draw(rng, 1, cfg.n_points_max, 1, cfg.fiber_max)
+        n_points, fiber, weights = _shape_draw(rng, 1, N_POINTS_MAX, 1, FIBER_MAX)
         values = _potential_values(rng, n_points, fiber)
         dim = n_points * fiber
         return (n_points, fiber), (weights, values, rng.standard_normal((dim, dim)))
@@ -329,9 +330,7 @@ def suite_duhamel(rng, cfg: SuiteConfig):
     trials = min(cfg.trials, max(100, cfg.trials // 5))
 
     def draw():
-        n_points, fiber, weights = _shape_draw(
-            rng, 2, min(cfg.n_points_max, 12), 1, min(cfg.fiber_max, 3)
-        )
+        n_points, fiber, weights = _shape_draw(rng, 2, 12, 1, 3)
         H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=10.0)
         values = _potential_values(rng, n_points, fiber, scale=1.5)
         return (n_points, fiber), (weights, *H, values, float(rng.uniform(0.1, 0.5)))
@@ -364,7 +363,7 @@ def suite_semigroup_difference_bound(rng, cfg: SuiteConfig):
     tol = cfg.tol("factorization")
 
     def draw():
-        n_points, fiber, weights = _shape_draw(rng, 2, cfg.n_points_max, 1, cfg.fiber_max)
+        n_points, fiber, weights = _shape_draw(rng, 2, N_POINTS_MAX, 1, FIBER_MAX)
         H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=10.0)
         values = _potential_values(rng, n_points, fiber, scale=2.0)
         t0 = float(rng.uniform(0.1, 1.0))
@@ -410,7 +409,7 @@ def suite_22_integral(rng, cfg: SuiteConfig):
     tol = cfg.tol("closed_form")
 
     def draw():
-        n_points = int(rng.integers(2, cfg.n_points_max + 1))
+        n_points = int(rng.integers(2, N_POINTS_MAX + 1))
         weights = _random_weights(rng, n_points)
         kdim = int(rng.integers(0, 2))
         A = _planted_draw(rng, n_points, kdim, low=0.05, high=8.0)
@@ -442,9 +441,7 @@ def suite_domination(rng, cfg: SuiteConfig):
     times = (0.1, 1.0, 10.0)
 
     def draw():
-        n_points, fiber, weights = _shape_draw(
-            rng, 3, max(4, min(cfg.n_points_max, 15)), 2, max(3, cfg.fiber_max)
-        )
+        n_points, fiber, weights = _shape_draw(rng, 3, 15, 2, 3)
         edges = _connection_draw(rng, n_points, fiber)
         samples = rng.standard_normal((100, n_points, fiber))
         return (n_points, fiber), (weights, edges, samples)
@@ -472,9 +469,7 @@ def suite_dominated_difference(rng, cfg: SuiteConfig):
     tol = cfg.tol("factorization")
 
     def draw():
-        n_points, fiber, weights = _shape_draw(
-            rng, 3, max(4, min(cfg.n_points_max, 15)), 2, max(3, cfg.fiber_max)
-        )
+        n_points, fiber, weights = _shape_draw(rng, 3, 15, 2, 3)
         edges = _connection_draw(rng, n_points, fiber)
         samples = rng.standard_normal((5, n_points, fiber))
         values = _potential_values(rng, n_points, fiber, scale=1.0, nonneg=True)
@@ -547,9 +542,7 @@ def suite_truncation(rng, cfg: SuiteConfig):
     """Saturation of level truncation and monotonicity of its (2,HS) norm."""
 
     def draw():
-        n_points, fiber, weights = _shape_draw(
-            rng, 2, min(cfg.n_points_max, 12), 1, min(cfg.fiber_max, 3)
-        )
+        n_points, fiber, weights = _shape_draw(rng, 2, 12, 1, 3)
         values = _potential_values(rng, n_points, fiber, scale=3.0, nonneg=True)
         H = _planted_draw(rng, n_points * fiber, 0, low=0.0, high=5.0)
         t0 = float(rng.uniform(0.1, 1.0))
@@ -586,7 +579,7 @@ def suite_positive_parts(rng, cfg: SuiteConfig):
     """Pointwise positive-part calculus after diagonalization."""
 
     def draw():
-        n_points, fiber, weights = _shape_draw(rng, 1, min(cfg.n_points_max, 15), 1, cfg.fiber_max)
+        n_points, fiber, weights = _shape_draw(rng, 1, 15, 1, FIBER_MAX)
         return (n_points, fiber), (weights, _potential_values(rng, n_points, fiber, 2.0))
 
     names = ("reconstruction", "orthogonal", "nonnegative")

@@ -13,7 +13,7 @@ import pytest
 
 from bettibound.cli import _build_parser, main
 from bettibound.mesh import icosphere_mesh, load_mesh, write_off
-from bettibound.report import SuiteConfig, build_config, serialize_json
+from bettibound.report import DEFAULT_TOLERANCES, SuiteConfig, serialize_json
 
 
 def run(capsys, *argv):
@@ -135,36 +135,6 @@ def test_determinism_identical_reports_modulo_timing(capsys, tmp_path):
     scrub = lambda text: re.sub(r'"wall_time_s": [^}]*', '"wall_time_s": 0', text)
     assert scrub(a.read_text()) == scrub(b.read_text())
     assert a.read_text() != ""
-
-
-def test_config_file_with_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "suite.ini"
-    cfg.write_text("[suite]\nseed = 7\ntrials = 3\n\n[tolerances]\nchain = 1e-8\n")
-    out_path = tmp_path / "r.json"
-    code, _, _ = run(
-        capsys,
-        "verify-abstract",
-        "--config", str(cfg),
-        "--trials", "2",  # flag wins over the file
-        "--quiet",
-        "--out", str(out_path),
-    )
-    assert code == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["config"]["seed"] == 7
-    assert doc["config"]["trials"] == 2
-    assert doc["config"]["tolerances"]["chain"] == 1e-8
-
-
-def test_config_file_unknown_sections_and_keys_exit_2(capsys, tmp_path):
-    # Misspelled keys and a misspelled section used to be dropped silently,
-    # leaving the defaults (seed 42, 200 trials) in force.
-    cfg = tmp_path / "typo.ini"
-    cfg.write_text("[suite]\nsed = 7\ntrails = 3\n\n[tolerance]\nchain = 1e-8\n")
-    code, _, err = run(capsys, "verify-abstract", "--config", str(cfg))
-    assert code == 2
-    for name in ("[tolerance]", "sed", "trails"):
-        assert name in err
 
 
 # -- betti-bound ---------------------------------------------------------------
@@ -464,6 +434,52 @@ def test_flags_a_verb_does_not_read_are_usage_errors(capsys, verb, flag, value):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-abstract", "--config", "suite.ini"],
+     ["verify-abstract", "--n-points-max", "5"],
+     ["verify-abstract", "--fiber-max", "2"],
+     ["betti-bound", "--builtin", "sphere", "--curvature", "analytic"]],
+    ids=["config", "n-points-max", "fiber-max", "curvature"],
+)
+def test_removed_settings_are_usage_errors(capsys, argv):
+    # The suites draw up to fixed instance sizes with one slack table, and
+    # every certificate reads the angle-defect curvature: an INI file, the
+    # size caps and a curvature source are no longer settings.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["verify-abstract", "--trials", "200"], "run_abstract_suites"),
+     (["betti-bound", "--builtin", "sphere"], "prepare_surface"),
+     (["mesh-info", "--builtin", "sphere"], "prepare_surface"),
+     (["gen-fixture", "--name", "sphere"], "builtin_mesh")],
+    ids=["verify-abstract", "betti-bound", "mesh-info", "gen-fixture"],
+)
+def test_unwritable_out_is_rejected_before_any_work(capsys, tmp_path, monkeypatch, argv, work):
+    # The message is the one writing the file would raise.
+    import bettibound.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, no_work)
+    missing = tmp_path / "no" / "r.json"
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    for out, message in (
+        (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+        (tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (a_file / "r.json", f"[Errno 20] Not a directory: '{a_file / 'r.json'}'"),
+    ):
+        code, out_text, err = run(capsys, *argv, "--out", str(out))
+        assert (code, out_text, err) == (2, "", f"error: {message}\n")
+
+
 def test_readme_usage_commands_parse():
     # Parsing only: nothing runs, but a flag the README shows and its verb
     # rejects fails here.
@@ -704,20 +720,21 @@ def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(trials=0)
     with pytest.raises(ValueError):
-        SuiteConfig(tolerances={"chain": 0.0})
-    # betti-bound's soundness slack and the geometry tolerance are not
-    # suite families.
-    for family in ("bogus_family", "soundness", "geometry"):
-        with pytest.raises(ValueError, match="unknown tolerance family"):
-            SuiteConfig(tolerances={family: 1e-9})
-    cfg = SuiteConfig(tolerances={"chain": 1e-12})
-    assert cfg.tol("chain") == 1e-12
-    assert cfg.tol("duhamel") == 1e-6
-
-
-def test_build_config_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ValueError, match="unknown config keys"):
-        build_config(bogus=3)
+        SuiteConfig(seed=-1)
+    for bad in (0.0, 0.5, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            SuiteConfig(tolerance=bad)
+    # Without a tolerance each family keeps its own slack; with one, every
+    # family reads it.  The report writes all six either way, and the
+    # fixed instance caps.
+    default, uniform = SuiteConfig(), SuiteConfig(tolerance=1e-12)
+    assert default.tol("chain") == 1e-9 and default.tol("duhamel") == 1e-6
+    assert all(uniform.tol(family) == 1e-12 for family in DEFAULT_TOLERANCES)
+    assert default.as_dict() == {
+        "seed": 42, "trials": 200, "n_points_max": 20, "fiber_max": 3,
+        "tolerances": dict(sorted(DEFAULT_TOLERANCES.items())),
+    }
+    assert uniform.as_dict()["tolerances"] == dict.fromkeys(sorted(DEFAULT_TOLERANCES), 1e-12)
 
 
 def test_serializer_seventeen_digits_and_json_compat():

@@ -9,6 +9,7 @@ from scipy.sparse import issparse
 
 from bettibound import measure
 from bettibound.dec import (
+    CurvatureField,
     betti1_oracle,
     betti1_rank_count,
     build_dec,
@@ -399,7 +400,7 @@ def test_icosahedron_angle_defect():
 def test_unit_sphere_analytic_curvature_is_one():
     sphere = RoundSphere(radius=1.0)
     mesh = sphere.mesh(2)
-    values = gaussian_curvature(mesh, "analytic", sphere).values
+    values = sphere.curvature_values(mesh)
     assert np.all(values == 1.0)
 
 
@@ -433,7 +434,7 @@ def test_analytic_curvature_converges_to_angle_defect():
     for res in (8, 16, 32):
         mesh = surface.mesh(res)
         discrete = gaussian_curvature(mesh).values
-        analytic = gaussian_curvature(mesh, "analytic", surface).values
+        analytic = surface.curvature_values(mesh)
         err = np.sqrt(np.sum(mesh.dual_areas * (discrete - analytic) ** 2))
         errors.append(err)
     rate = np.log2(errors[0] / errors[-1]) / 2.0
@@ -459,7 +460,7 @@ def test_bumpy_sphere_positive_curvature_fixture():
     mesh = surface.mesh(2)
     discrete = gaussian_curvature(mesh).values
     assert discrete.min() > 0.2
-    analytic = gaussian_curvature(mesh, "analytic", surface).values
+    analytic = surface.curvature_values(mesh)
     assert analytic.min() > 0.2
 
 
@@ -486,14 +487,14 @@ def test_spectral_convergence_smoke():
 def test_ricci_potential_vanishes_below_curvature():
     sphere = RoundSphere()
     mesh = sphere.mesh(2)
-    field = gaussian_curvature(mesh, "analytic", sphere)
+    field = CurvatureField(mesh, sphere.curvature_values(mesh))
     assert ricci_potential(field, 0.5) == 0.0
 
 
 def test_ricci_potential_sphere_above_curvature():
     sphere = RoundSphere()
     mesh = sphere.mesh(3)
-    field = gaussian_curvature(mesh, "analytic", sphere)
+    field = CurvatureField(mesh, sphere.curvature_values(mesh))
     norm = ricci_potential(field, 2.0)
     # Shortfall is the constant 1, so the squared norm is twice the area;
     # the smooth value 8 pi is approached as the mesh refines.
@@ -530,7 +531,7 @@ def test_schrodinger_comparison_matches_direct_assembly():
     surface = BumpySphere()
     mesh = surface.mesh(1)
     dec = build_dec(mesh)
-    rho = gaussian_curvature(mesh, "analytic", surface).values
+    rho = surface.curvature_values(mesh)
     op = schrodinger_comparison(dec, rho)
     oracle = dec.laplacian0_matrix().toarray() + np.diag(rho)
     assert np.array_equal(op.matrix.toarray(), oracle)

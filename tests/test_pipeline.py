@@ -91,22 +91,6 @@ def test_bumpy_sphere_bound_zero_below_min_curvature():
     assert report.passed
 
 
-def test_analytic_curvature_source_path():
-    report = betti_bound(
-        BettiBoundInputs(
-            surface=BumpySphere(),
-            rho0=0.1,
-            t0=1.0,
-            resolution=2,
-            curvature_source="analytic",
-        )
-    )
-    assert report.bound_main == 0.0
-    assert report.passed
-    with pytest.raises(ValueError, match="analytic"):
-        prepare_surface(genus2_mesh(), curvature_source="analytic")
-
-
 def test_vanishing_criterion_is_exact_zero(torus_data, sphere_data):
     # Everywhere K > rho0 forces a bitwise zero bound through the vanishing
     # (2,HS) norm, not merely a small one.
@@ -233,6 +217,54 @@ def test_bounds_are_invariant_under_scaling_the_surface(name, resolution):
                 assert (bound is None) == (moved is None)
                 if bound is not None:
                     assert abs(moved - bound) <= 1e-12 * (1.0 + abs(bound))
+
+
+def _relabeled(mesh, rng) -> TriangleMesh:
+    """``mesh`` with its vertex labels and faces permuted and each face's
+    corners rotated, which keeps its orientation.  Intrinsic lengths follow
+    their edges into the new (lexicographic) edge table."""
+    perm = rng.permutation(mesh.vertex_count)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    faces = perm[mesh.faces][rng.permutation(mesh.face_count)]
+    turns = rng.integers(0, 3, mesh.face_count)[:, None]
+    faces = np.take_along_axis(faces, (np.arange(3) + turns) % 3, axis=1)
+    lengths = None
+    if mesh.intrinsic:
+        edges = np.sort(perm[mesh.edges], axis=1)
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        lengths = mesh.edge_lengths[order]
+    relabeled = TriangleMesh(vertices, faces, lengths)
+    if mesh.intrinsic:
+        assert np.array_equal(relabeled.edges, edges[order])
+    return relabeled
+
+
+@pytest.mark.parametrize(
+    "name, resolution",
+    [("genus2", 6), ("torus-rev", 8), ("flat-torus", 6), ("bumpy-sphere", 2), ("sphere", 2)],
+)
+def test_bounds_are_invariant_under_relabeling_the_mesh(name, resolution):
+    # Renumbering vertices and faces, and rotating each face's corners,
+    # describes the same surface: b1, which points omit their Schatten
+    # bound (two of torus-rev's four), and both bounds stay as they are.
+    # Rounding moved a bound by at most 6.1e-13 (1 + |bound|), on
+    # flat-torus, over these relabelings.
+    mesh = builtin_mesh(name, resolution)
+    rho0s, t0s = [0.2, 1.0], [0.5, 2.0]
+    reports = parameter_sweep(prepare_surface(mesh), rho0s, t0s)
+    rng = np.random.default_rng(15)
+    for _ in range(4):
+        relabeled = parameter_sweep(prepare_surface(_relabeled(mesh, rng)), rho0s, t0s)
+        for report, other in zip(reports, relabeled, strict=True):
+            assert other.b1_oracle == report.b1_oracle
+            for bound, moved in (
+                (report.bound_main, other.bound_main),
+                (report.bound_schatten, other.bound_schatten),
+            ):
+                assert (bound is None) == (moved is None)
+                if bound is not None:
+                    assert abs(moved - bound) <= 1e-11 * (1.0 + abs(bound))
 
 
 # -- sweeps -----------------------------------------------------------------------

@@ -10,16 +10,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special")
 
 
-def test_cli_import_loads_no_quadrature_optimization_or_special_functions():
+def _loaded(module: str, candidates) -> list[str]:
+    """The ``candidates`` a fresh interpreter has loaded after importing ``module``."""
     probe = (
-        "import sys, bettibound.cli; "
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+        f"import sys, {module}; "
+        f"print(' '.join(m for m in {tuple(candidates)!r} if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def test_cli_import_loads_no_quadrature_optimization_or_special_functions():
+    assert _loaded("bettibound.cli", HEAVY) == []
+
+
+def test_package_import_loads_neither_numpy_nor_scipy():
+    # The package namespace holds only the version: callers import each
+    # name from the module that defines it.
+    assert _loaded("bettibound", ("numpy", "scipy")) == []
+
+
+def test_cli_import_loads_no_configparser():
+    # No setting is read from a file, and nothing else the CLI imports
+    # loads it.
+    assert _loaded("bettibound.cli", ("configparser",)) == []
 
 
 def test_no_module_imports_scipy_integrate():
